@@ -9,7 +9,7 @@ text features blended with the frozen caption feature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -124,8 +124,11 @@ class GuidanceCondition:
                 raise ValueError(f"{name} rows must be unit-norm")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Row-wise softmax(q k^T / sqrt(d)) v."""
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Row-wise softmax(q k^T / sqrt(d) + mask) v.
+
+    ``mask`` is a constant additive [n, keys] array; -inf hides a key from a row.
+    """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise T.ShapeError("attention operands must be 2-D")
     if q.shape[1] != k.shape[1]:
@@ -133,25 +136,69 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     if k.shape[0] != v.shape[0]:
         raise T.ShapeError(f"attention: key/value row counts differ, {k.shape} vs {v.shape}")
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[1]))
+    if mask is not None:
+        scores = T.add(scores, Tensor(mask))
     return T.matmul(T.softmax(scores, axis=1), v)
 
 
-def _condition_tokens(tau: np.ndarray, params: DenoiserParams) -> Tensor:
-    """Expand a single condition row into L learned-offset tokens if configured."""
+def _condition_tokens(tau: np.ndarray, params: DenoiserParams, groups: int = 1) -> Tensor:
+    """Token rows of ``groups`` stacked conditions, each ``len(tau) // groups`` rows.
+
+    Conditions given as one row each are expanded into L learned-offset
+    tokens if configured, giving ``groups * L`` rows grouped by condition.
+    """
     base = Tensor(tau)
-    if params.cond_offsets is None or tau.shape[0] != 1:
+    if params.cond_offsets is None or tau.shape[0] != groups:
         return base
     l = params.cond_offsets.shape[0]
+    offsets = params.cond_offsets
+    if groups > 1:
+        offsets = T.take_rows(offsets, np.tile(np.arange(l), groups))
     repeated = Tensor(np.repeat(tau, l, axis=0))
-    return T.normalize(T.add(repeated, params.cond_offsets))
+    return T.normalize(T.add(repeated, offsets))
 
 
-def split_cross_attention(z_hidden: Tensor, cond: GuidanceCondition, params: DenoiserParams) -> Tensor:
-    """Keys from the style tokens, values from the category tokens, plus residual."""
+def _as_conditions(cond, cond_idx, n: int) -> list[GuidanceCondition]:
+    """Validate one condition, or a list of them plus an (n,) row index."""
+    conds = [cond] if isinstance(cond, GuidanceCondition) else list(cond)
+    if not conds:
+        raise ValueError("at least one condition is required")
+    if len({c.tau_style.shape for c in conds}) != 1:
+        raise T.ShapeError("all conditions must have the same token shape")
+    if cond_idx is None:
+        if len(conds) > 1:
+            raise ValueError("cond_idx is required with more than one condition")
+        return conds
+    idx = np.asarray(cond_idx)
+    if (idx.shape != (n,) or not np.issubdtype(idx.dtype, np.integer)
+            or np.any(idx < 0) or np.any(idx >= len(conds))):
+        raise T.ShapeError(f"cond_idx must be {n} integers in [0, {len(conds)})")
+    return conds
+
+
+def split_cross_attention(z_hidden: Tensor, cond, params: DenoiserParams, cond_idx=None) -> Tensor:
+    """Keys from the style tokens, values from the category tokens, plus residual.
+
+    ``cond`` is one ``GuidanceCondition`` shared by every row, or a list of G
+    conditions with ``cond_idx[i]`` naming row i's condition. The G
+    conditions' L tokens each are stacked into one [G*L, D] key and one
+    value matrix, and a constant block mask (0 on the row's own L keys,
+    -inf elsewhere) confines each row's softmax to its own condition. One
+    condition is the G = 1 case and builds no mask.
+    """
+    conds = _as_conditions(cond, cond_idx, z_hidden.shape[0])
+    g = len(conds)
+    # One condition passes its own arrays through: no copy, no mask.
+    style = conds[0].tau_style if g == 1 else np.concatenate([c.tau_style for c in conds])
+    category = conds[0].tau_category if g == 1 else np.concatenate([c.tau_category for c in conds])
     q = T.matmul(z_hidden, params.wq)
-    k = T.matmul(_condition_tokens(cond.tau_style, params), params.wk)
-    v = T.matmul(_condition_tokens(cond.tau_category, params), params.wv)
-    return T.add(T.matmul(attention(q, k, v), params.wo), z_hidden)
+    k = T.matmul(_condition_tokens(style, params, g), params.wk)
+    v = T.matmul(_condition_tokens(category, params, g), params.wv)
+    mask = None
+    if g > 1:
+        key_group = np.repeat(np.arange(g), k.shape[0] // g)
+        mask = np.where(np.asarray(cond_idx)[:, None] == key_group[None, :], 0.0, -np.inf)
+    return T.add(T.matmul(attention(q, k, v, mask), params.wo), z_hidden)
 
 
 def standard_cross_attention(z_hidden: Tensor, tau: np.ndarray, params: DenoiserParams) -> Tensor:
@@ -191,11 +238,17 @@ def condition_for_caption(caption: str, encoders: EncoderBundle, alpha: float) -
     return build_conditions(caption, "", encoders, alpha, caption=caption)
 
 
-def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: np.ndarray, cond: GuidanceCondition) -> Tensor:
-    """Denoiser forward pass: (n, 2) noised points -> (n, 2) noise estimate."""
+def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: np.ndarray, cond,
+                  cond_idx=None) -> Tensor:
+    """Denoiser forward pass: (n, 2) noised points -> (n, 2) noise estimate.
+
+    ``cond`` is one ``GuidanceCondition`` for every row, or a list of them
+    with the per-row index ``cond_idx``; see ``split_cross_attention`` for
+    the block mask that keeps each row on its own condition.
+    """
     z = Tensor(np.atleast_2d(z_t))
     h = T.add(T.add(T.matmul(z, params.in_w), params.in_b), T.take_rows(params.time_embed, t_idx))
-    a = split_cross_attention(h, cond, params)
+    a = split_cross_attention(h, cond, params, cond_idx)
     hidden = T.relu(T.add(T.matmul(a, params.mlp_w1), params.mlp_b1))
     return T.add(T.matmul(hidden, params.mlp_w2), params.mlp_b2)
 
@@ -207,42 +260,27 @@ def noise_regression_loss(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
 
 
 def ddpm_train_step(
-    batch,
+    points: np.ndarray,
+    cond_idx: np.ndarray,
+    conditions: Sequence[GuidanceCondition],
     schedule: DiffusionSchedule,
     params: DenoiserParams,
-    encoders: EncoderBundle,
     rng: np.random.Generator,
-    alpha: float = 0.1,
-    condition_cache: dict | None = None,
 ) -> Tensor:
     """One noise-prediction objective evaluation over a captioned point batch.
 
-    Samples a uniform timestep and Gaussian noise per point, perturbs with
-    the closed-form forward process, and scores the denoiser's estimate.
-    Conditions are built per caption (cached across steps via
-    ``condition_cache``) and carry no gradient.
+    ``points`` is the (n, 2) batch and ``cond_idx[i]`` indexes the
+    condition (built once per caption, no gradient) of row i. Samples a
+    uniform timestep and then Gaussian noise per point, perturbs with the
+    closed-form forward process, and scores one block-masked denoiser
+    forward over the whole batch.
     """
-    n = len(batch)
-    points = np.stack([s.point for s in batch])
+    n = len(points)
     t = rng.integers(0, schedule.steps, size=n)
     eps = rng.standard_normal((n, POINT_DIM))
     ab = schedule.alpha_bars[t][:, None]
     z_t = np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps
-
-    cache = condition_cache if condition_cache is not None else {}
-    groups: dict[str, list[int]] = {}
-    for idx, s in enumerate(batch):
-        groups.setdefault(s.caption, []).append(idx)
-
-    parts = []
-    for caption, idxs in groups.items():
-        if caption not in cache:
-            cache[caption] = condition_for_caption(caption, encoders, alpha)
-        sel = np.asarray(idxs)
-        eps_hat = predict_noise(params, z_t[sel], t[sel], cache[caption])
-        diff = T.sub(eps_hat, Tensor(eps[sel]))
-        parts.append(T.tensor_sum(T.mul(diff, diff)))
-    return T.scale(reduce(T.add, parts), 1.0 / n)
+    return noise_regression_loss(predict_noise(params, z_t, t, conditions, cond_idx), eps)
 
 
 def sample(

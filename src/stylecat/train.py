@@ -7,6 +7,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,14 @@ from . import tensor as T
 from .backbone import FrozenWeights, Vocab, embed_image
 from .captions import CategoryLexicon, decompose
 from .checkpoint import load_checkpoint, save_checkpoint
-from .datagen import SyntheticSpec, build_mixture, prototype_grids
+from .datagen import DatasetError, SyntheticSpec, build_mixture, prototype_grids
 from .diffusion import (
     DenoiserParams,
     DiffusionSchedule,
     GuidanceCondition,
     condition_for_caption,
     ddpm_train_step,
+    noise_regression_loss,
     oracle_classify_batch,
     predict_noise,
     sample,
@@ -438,18 +440,25 @@ def lambda_sweep(config: TrainConfig, spec: SyntheticSpec, train_samples, testse
 # diffusion training and guided-generation evaluation
 
 def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
-    """Train the denoiser on captioned points; returns (params, schedule, rows)."""
+    """Train the denoiser on captioned points; returns (params, schedule, rows).
+
+    The points are stacked into one (N, 2) array and each caption's
+    condition is built once, before the first step.
+    """
+    if not points:
+        raise DatasetError("diffusion dataset is empty; need at least one captioned point")
     schedule = DiffusionSchedule.make(config.timesteps)
     params = DenoiserParams.init(dim=config.dim, steps=config.timesteps, seed=config.seed)
     opt = Adam.from_config(params.tensors(), config)
     rng = np.random.default_rng([config.seed, 21])
-    cache: dict[str, GuidanceCondition] = {}
+    caption_idx = {c: i for i, c in enumerate(dict.fromkeys(p.caption for p in points))}
+    conditions = [condition_for_caption(c, bundle, config.generation_alpha) for c in caption_idx]
+    xy = np.array([[p.x, p.y] for p in points])
+    cond_idx = np.array([caption_idx[p.caption] for p in points])
     rows = []
     for step in range(config.diffusion_steps):
         batch_idx = rng.integers(0, len(points), size=min(config.diffusion_batch, len(points)))
-        batch = [points[i] for i in batch_idx]
-        loss = ddpm_train_step(batch, schedule, params, bundle, rng,
-                               alpha=config.generation_alpha, condition_cache=cache)
+        loss = ddpm_train_step(xy[batch_idx], cond_idx[batch_idx], conditions, schedule, params, rng)
         opt.zero_grad()
         backward(loss)
         opt.step()
@@ -729,30 +738,32 @@ def _attention_world(seed: int):
     return loss_fn, check
 
 
-def _denoiser_world(seed: int):
+def _denoiser_world(seed: int, groups: int = 1, n_cond_tokens: int = 1, rows: int = 4):
+    """Full denoiser loss; with ``groups`` > 1, rows of every group share one block-masked forward."""
     rng = np.random.default_rng([seed, 103])
     dim = 8
     steps = 6
-    params = DenoiserParams.init(dim=dim, steps=steps, seed=seed + 13)
+    params = DenoiserParams.init(dim=dim, steps=steps, seed=seed + 13, n_cond_tokens=n_cond_tokens)
     # randomize biases so every parameter has signal
     params.mlp_b1.data = 0.3 * rng.standard_normal(dim)
     params.in_b.data = 0.3 * rng.standard_normal(dim)
-    z_t = rng.standard_normal((4, 2))
-    t_idx = rng.integers(0, steps, 4)
-    eps = rng.standard_normal((4, 2))
-    cond = GuidanceCondition(tau_style=_unit_rows(rng, 1, dim), tau_category=_unit_rows(rng, 1, dim))
+    z_t = rng.standard_normal((rows, 2))
+    t_idx = rng.integers(0, steps, rows)
+    eps = rng.standard_normal((rows, 2))
+    conds = [GuidanceCondition(tau_style=_unit_rows(rng, 1, dim), tau_category=_unit_rows(rng, 1, dim))
+             for _ in range(groups)]
+    cond_idx = rng.permutation(np.arange(rows) % groups)
 
     def loss_fn():
-        diff = T.sub(predict_noise(params, z_t, t_idx, cond), Tensor(eps))
-        return T.scale(T.tensor_sum(T.mul(diff, diff)), 0.25)
+        return noise_regression_loss(predict_noise(params, z_t, t_idx, conds, cond_idx), eps)
 
     # keep clear of the MLP ReLU kink
     with no_grad():
         h = np.atleast_2d(z_t) @ params.in_w.data + params.in_b.data + params.time_embed.data[t_idx]
-        a = split_cross_attention(Tensor(h), cond, params).data
+        a = split_cross_attention(Tensor(h), conds, params, cond_idx).data
         pre = a @ params.mlp_w1.data + params.mlp_b1.data
     if np.abs(pre).min() < 1e-3:
-        return _denoiser_world(seed + 1000)
+        return _denoiser_world(seed + 1000, groups, n_cond_tokens, rows)
     return loss_fn, params.tensors()
 
 
@@ -783,7 +794,8 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
                 worst = max(worst, relative_error(g, fd))
         results.append((name, worst, worst < tol))
 
-    for name, world_fn in (("cross-attention", _attention_world), ("denoiser-step", _denoiser_world)):
+    for name, world_fn in (("cross-attention", _attention_world), ("denoiser-step", _denoiser_world),
+                           ("denoiser-grouped", partial(_denoiser_world, groups=3, n_cond_tokens=2, rows=6))):
         worst = 0.0
         for seed in range(n_seeds):
             loss_fn, params = world_fn(seed)

@@ -1,12 +1,16 @@
 """Guided diffusion block: attention semantics, reductions, sampling, oracle."""
 
 import math
+from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from stylecat import diffusion as diffusion_mod
 from stylecat import tensor as T
-from stylecat.datagen import SyntheticSpec, build_mixture, generate_diffusion_dataset
+from stylecat import train as train_mod
+from stylecat.datagen import DatasetError, SyntheticSpec, build_mixture, generate_diffusion_dataset
 from stylecat.diffusion import (
     DenoiserParams,
     DiffusionSchedule,
@@ -24,7 +28,7 @@ from stylecat.diffusion import (
     standard_cross_attention,
 )
 from stylecat.tensor import Tensor, backward, finite_diff_grad, relative_error
-from stylecat.train import TrainConfig, fresh_bundle
+from stylecat.train import TrainConfig, fresh_bundle, train_diffusion
 
 
 def naive_attention(q, k, v):
@@ -212,8 +216,12 @@ class TestTrainStep:
         params.mlp_b2.data[:] = 0.0
         schedule = DiffusionSchedule.make(50)
         points, _ = generate_diffusion_dataset(spec, n_per_cell=40)
+        captions = list(dict.fromkeys(p.caption for p in points))
+        conditions = [condition_for_caption(c, bundle, 0.1) for c in captions]
+        xy = np.array([[p.x, p.y] for p in points])
+        cond_idx = np.array([captions.index(p.caption) for p in points])
         rng = np.random.default_rng(10)
-        loss = ddpm_train_step(points, schedule, params, bundle, rng, alpha=0.1)
+        loss = ddpm_train_step(xy, cond_idx, conditions, schedule, params, rng)
         assert abs(loss.item() - 2.0) < 0.2
 
     def test_gradcheck_small_params(self, world):
@@ -231,6 +239,123 @@ class TestTrainStep:
         for t in (params.wk, params.wv, params.mlp_w1, params.in_w, params.time_embed):
             fd = finite_diff_grad(loss_fn, t).data
             assert relative_error(t.grad, fd) < 1e-4
+
+
+def per_caption_step(points, cond_idx, conditions, schedule, params, rng):
+    """Reference objective: one denoiser forward per caption group, summed.
+
+    Draws t and then the noise exactly as ``ddpm_train_step`` does.
+    """
+    n = len(points)
+    t = rng.integers(0, schedule.steps, size=n)
+    eps = rng.standard_normal((n, 2))
+    ab = schedule.alpha_bars[t][:, None]
+    z_t = np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps
+    parts = []
+    for g in np.unique(cond_idx):
+        sel = np.flatnonzero(cond_idx == g)
+        diff = T.sub(predict_noise(params, z_t[sel], t[sel], conditions[g]), Tensor(eps[sel]))
+        parts.append(T.tensor_sum(T.mul(diff, diff)))
+    return T.scale(reduce(T.add, parts), 1.0 / n)
+
+
+def loss_and_grads(step_fn, params, *args):
+    for p in params.tensors():
+        p.zero_grad()
+    loss = step_fn(*args)
+    backward(loss)
+    return loss.item(), [p.grad.copy() for p in params.tensors()]
+
+
+class TestGroupedForward:
+    DIM = 8
+    STEPS = 10
+
+    def conditions(self, rng, groups):
+        return [GuidanceCondition(tau_style=unit_rows(rng, 1, self.DIM),
+                                  tau_category=unit_rows(rng, 1, self.DIM)) for _ in range(groups)]
+
+    @pytest.mark.parametrize("n_cond_tokens", [1, 3])
+    def test_one_forward_matches_per_caption_reference(self, n_cond_tokens):
+        rng = np.random.default_rng(20)
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=4, n_cond_tokens=n_cond_tokens)
+        params.wk.data *= 4.0  # peaked attention over the L tokens
+        schedule = DiffusionSchedule.make(self.STEPS)
+        conditions = self.conditions(rng, 12)
+        points = rng.standard_normal((64, 2))
+        cond_idx = rng.choice([0, 2, 3, 5, 7, 8, 11], size=64)  # five captions absent
+        args = (points, cond_idx, conditions, schedule, params)
+        loss, grads = loss_and_grads(ddpm_train_step, params, *args, np.random.default_rng(21))
+        ref_loss, ref_grads = loss_and_grads(per_caption_step, params, *args, np.random.default_rng(21))
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for p, g, ref in zip(params.tensors(), grads, ref_grads):
+            assert relative_error(g, ref) <= 1e-12, p
+        if n_cond_tokens > 1:
+            assert np.abs(params.wk.grad).max() > 0
+
+    def test_single_condition_equals_one_element_list(self):
+        rng = np.random.default_rng(22)
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=6)
+        (cond,) = self.conditions(rng, 1)
+        z = rng.standard_normal((9, 2))
+        t = rng.integers(0, self.STEPS, 9)
+        single = predict_noise(params, z, t, cond).data
+        listed = predict_noise(params, z, t, [cond], cond_idx=np.zeros(9, dtype=int)).data
+        assert np.array_equal(single, listed)
+
+    def test_rows_see_only_their_own_condition(self):
+        rng = np.random.default_rng(23)
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=7, n_cond_tokens=2)
+        conditions = self.conditions(rng, 3)
+        z = rng.standard_normal((6, 2))
+        t = rng.integers(0, self.STEPS, 6)
+        cond_idx = np.array([2, 0, 1, 1, 0, 2])
+        before = predict_noise(params, z, t, conditions, cond_idx).data
+        conditions[1] = self.conditions(rng, 1)[0]
+        after = predict_noise(params, z, t, conditions, cond_idx).data
+        changed = np.abs(after - before).max(axis=1) > 0
+        assert changed.tolist() == (cond_idx == 1).tolist()
+
+    def test_bad_condition_index_rejected(self):
+        rng = np.random.default_rng(24)
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=8)
+        conditions = self.conditions(rng, 2)
+        z = rng.standard_normal((3, 2))
+        t = np.zeros(3, dtype=int)
+        with pytest.raises(ValueError, match="cond_idx"):
+            predict_noise(params, z, t, conditions)
+        for bad in (np.array([0, 1, 2]), np.array([0, 1]), np.array([0.0, 1.0, 0.0])):
+            with pytest.raises(T.ShapeError):
+                predict_noise(params, z, t, conditions, bad)
+
+
+class TestTrainDiffusion:
+    def test_empty_dataset_is_a_dataset_error(self, world):
+        _, config, bundle = world
+        with pytest.raises(DatasetError, match="empty"):
+            train_diffusion(config, [], bundle)
+
+    def test_one_forward_per_step_and_one_condition_per_caption(self, world, monkeypatch):
+        spec, config, bundle = world
+        points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
+        forwards, built = [], []
+        real_predict, real_condition = diffusion_mod.predict_noise, train_mod.condition_for_caption
+
+        def counting_predict(*args, **kwargs):
+            forwards.append(1)
+            return real_predict(*args, **kwargs)
+
+        def counting_condition(caption, *args, **kwargs):
+            built.append(caption)
+            return real_condition(caption, *args, **kwargs)
+
+        monkeypatch.setattr(diffusion_mod, "predict_noise", counting_predict)
+        monkeypatch.setattr(train_mod, "condition_for_caption", counting_condition)
+        steps = 4
+        cfg = replace(config, diffusion_steps=steps, diffusion_batch=32, timesteps=20)
+        train_diffusion(cfg, points, bundle)
+        assert len(forwards) == steps
+        assert sorted(built) == sorted({p.caption for p in points})
 
 
 class TestSampling:

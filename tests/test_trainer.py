@@ -253,7 +253,7 @@ class TestCli:
         out = capsys.readouterr().out
         for name in ("style-ce", "style-confusion", "style-labeled", "category-ce",
                      "category-confusion", "category-labeled", "style-triplet",
-                     "category-triplet", "cross-attention", "denoiser-step"):
+                     "category-triplet", "cross-attention", "denoiser-step", "denoiser-grouped"):
             assert name in out
 
         import stylecat.train as train_mod
