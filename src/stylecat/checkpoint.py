@@ -10,6 +10,7 @@ save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -39,35 +40,44 @@ def save_checkpoint(path, arrays: dict, meta: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (arrays, meta); arrays come back as float32-valued float64."""
+    """Returns (arrays, meta); arrays come back as float32-valued float64.
+
+    Every read is bound-checked, so a truncated or corrupt file raises
+    ``CheckpointError`` and nothing else.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    offset = 4
+
+    def take(n: int) -> int:
+        """Offset of the next ``n`` bytes of the blob, which must all be there."""
+        nonlocal offset
+        if n > len(blob) - offset:
+            raise CheckpointError(f"{path}: truncated checkpoint: {n} bytes wanted at offset "
+                                  f"{offset} of {len(blob)}")
+        offset += n
+        return offset - n
+
+    def u32s(n: int = 1) -> tuple[int, ...]:
+        return struct.unpack_from(f"<{n}I", blob, take(4 * n))
+
+    (version,) = u32s()
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    (count,) = struct.unpack_from("<I", blob, 8)
-    offset = 12
+    (count,) = u32s()
     arrays: dict[str, np.ndarray] = {}
     try:
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            name = blob[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            shape = struct.unpack_from(f"<{rank}I", blob, offset)
-            offset += 4 * rank
-            n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(shape)
-            offset += 4 * n
+            (name_len,) = u32s()
+            start = take(name_len)
+            name = blob[start:offset].decode("utf-8")
+            shape = u32s(u32s()[0])
+            n = math.prod(shape)
+            data = np.frombuffer(blob, dtype="<f4", count=n, offset=take(4 * n)).reshape(shape)
             arrays[name] = data.astype(np.float64)
-    except struct.error as e:
-        raise CheckpointError(f"{path}: truncated checkpoint: {e}") from e
-    try:
         meta = json.loads(blob[offset:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: bad metadata blob: {e}") from e
+        raise CheckpointError(f"{path}: corrupt checkpoint: {e}") from e
     return arrays, meta

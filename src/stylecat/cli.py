@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation/config error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
@@ -26,6 +25,7 @@ from .train import (
     LAMBDA_GRID,
     NumericalError,
     TrainConfig,
+    _metrics_row,
     alpha_sweep,
     apply_seed_env,
     evaluate_classification,
@@ -33,7 +33,6 @@ from .train import (
     guidance_eval,
     lambda_sweep,
     load_encoder_checkpoint,
-    pretrain_contrastive,
     save_encoder_checkpoint,
     train_diffusion,
     train_encoders,
@@ -84,7 +83,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--margin2", type=float)
     p.add_argument("--adversarial-mode", choices=["uniform-kl", "negated-ce"])
     p.add_argument("--logit-scale", type=float)
-    p.add_argument("--pretrain-contrastive", action="store_true", default=None)
 
     p = sub.add_parser("eval-classify", help="blended-prototype classification accuracy")
     p.add_argument("--checkpoint", required=True)
@@ -153,14 +151,6 @@ def _load_dataset_dir(data_dir):
     return spec, train, test, points, lexicon
 
 
-def _write_rows(path, rows, columns) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in (row[c] for c in columns)])
-
-
 def _cmd_gen_data(args) -> int:
     spec = SyntheticSpec(
         n_styles=args.styles,
@@ -202,24 +192,13 @@ def _cmd_train_encoders(args) -> int:
         mode=args.mode, epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
         seed=args.seed, shots=args.shots, lambda1=args.lambda1, lambda2=args.lambda2,
         margin1=args.margin1, margin2=args.margin2, adversarial_mode=args.adversarial_mode,
-        logit_scale=args.logit_scale, pretrain_contrastive=args.pretrain_contrastive,
+        logit_scale=args.logit_scale,
     )
     spec, train, test, _, lexicon = _load_dataset_dir(args.data)
-    backbone = None
-    if config.pretrain_contrastive:
-        from .train import build_backbone
-
-        backbone = pretrain_contrastive(
-            build_backbone(spec, config), train,
-            steps=config.contrastive_steps, temperature=config.contrastive_temperature,
-            lr=config.lr, seed=config.seed,
-        )
     started = time.perf_counter()
-    bundle, rows = train_encoders(config, spec, train, lexicon=lexicon, backbone=backbone)
+    bundle, rows = train_encoders(config, spec, train, lexicon=lexicon)
     s_top1, c_top1 = evaluate_classification(bundle, test, config.alpha_style,
                                              config.alpha_category, config.logit_scale)
-    from .train import _metrics_row
-
     rows.append(_metrics_row(config.epochs, "test", s_top1, c_top1, "", "", config))
     save_encoder_checkpoint(args.out, bundle, config, spec)
     if args.metrics:
@@ -239,8 +218,6 @@ def _cmd_eval_classify(args) -> int:
     print(f"style_top1={s_top1:.6f} category_top1={c_top1:.6f} "
           f"(alpha_style={alpha_style}, alpha_category={alpha_category})")
     if args.out:
-        from .train import METRICS_COLUMNS, _metrics_row
-
         row = _metrics_row(config.epochs, "test", s_top1, c_top1, "", "", config,
                            alpha_style=alpha_style, alpha_category=alpha_category)
         write_metrics_csv([row], args.out)
@@ -285,7 +262,7 @@ def _cmd_train_diffusion(args) -> int:
     params, _, rows = train_diffusion(config, points, bundle)
     save_encoder_checkpoint(args.out, bundle, config, spec, denoiser=params)
     if args.metrics:
-        _write_rows(args.metrics, rows, ("step", "loss"))
+        write_metrics_csv(rows, args.metrics, ("step", "loss"))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"trained denoiser for {config.diffusion_steps} steps in {elapsed_ms:.0f} ms; "
           f"final loss {rows[-1]['loss']:.4f}; saved {args.out}")
@@ -318,7 +295,7 @@ def _cmd_sample(args) -> int:
         }
         for i, p in enumerate(pts)
     ]
-    _write_rows(args.out, rows, ("x", "y", "style_prompt", "category_prompt", "oracle_style", "oracle_category"))
+    write_metrics_csv(rows, args.out, ("x", "y", "style_prompt", "category_prompt", "oracle_style", "oracle_category"))
     print(f"wrote {len(rows)} samples to {args.out}")
     return 0
 
@@ -331,8 +308,8 @@ def _cmd_guidance_eval(args) -> int:
     schedule = DiffusionSchedule.make(config.timesteps)
     rows = guidance_eval(bundle, denoiser, schedule, spec, alpha=alpha,
                          n_per_cell=args.n_per_cell, seed=args.seed)
-    _write_rows(args.out, rows, ("style", "category", "matched_accuracy",
-                                 "mismatched_style", "mismatched_category", "mismatched_accuracy"))
+    write_metrics_csv(rows, args.out, ("style", "category", "matched_accuracy",
+                                       "mismatched_style", "mismatched_category", "mismatched_accuracy"))
     matched = float(np.mean([r["matched_accuracy"] for r in rows]))
     mismatched = float(np.mean([r["mismatched_accuracy"] for r in rows]))
     print(f"matched accuracy {matched:.4f}, mismatched accuracy {mismatched:.4f} "

@@ -10,7 +10,7 @@ determinant so nearest-Mahalanobis equals maximum likelihood.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,29 +56,15 @@ class SyntheticSpec:
         )
 
     def to_json(self) -> dict:
-        return {
-            "n_styles": self.n_styles,
-            "n_categories": self.n_categories,
-            "style_names": list(self.style_names),
-            "category_names": list(self.category_names),
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "noise": self.noise,
-            "seed": self.seed,
-        }
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SyntheticSpec":
-        known = {"n_styles", "n_categories", "style_names", "category_names",
-                 "n_train", "n_test", "noise", "seed"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise DatasetError(f"unknown spec keys: {sorted(unknown)}")
-        kwargs = dict(obj)
-        for k in ("style_names", "category_names"):
-            if k in kwargs:
-                kwargs[k] = tuple(kwargs[k])
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 @dataclass

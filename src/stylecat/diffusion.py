@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import embed_caption
 from .encoders import EncoderBundle, blend
-from .tensor import Tensor, no_grad
+from .tensor import ParamGroup, Tensor, no_grad
 
 POINT_DIM = 2
 
@@ -44,7 +44,7 @@ class DiffusionSchedule:
 
 
 @dataclass
-class DenoiserParams:
+class DenoiserParams(ParamGroup):
     """Trainable denoiser: input/time embedding, one attention block, MLP head."""
 
     time_embed: Tensor   # [T, D]
@@ -89,21 +89,6 @@ class DenoiserParams:
     @property
     def dim(self) -> int:
         return self.in_w.shape[1]
-
-    def tensors(self) -> list[Tensor]:
-        out = [self.time_embed, self.in_w, self.in_b, self.wq, self.wk, self.wv,
-               self.wo, self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2]
-        if self.cond_offsets is not None:
-            out.append(self.cond_offsets)
-        return out
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        names = ["time_embed", "in_w", "in_b", "wq", "wk", "wv", "wo",
-                 "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"]
-        out = {n: getattr(self, n).data for n in names}
-        if self.cond_offsets is not None:
-            out["cond_offsets"] = self.cond_offsets.data
-        return out
 
 
 @dataclass
@@ -227,8 +212,8 @@ def build_conditions(
         caption = " ".join(part for part in (style_text, category_text) if part)
     with no_grad():
         f_text = embed_caption(caption, encoders.backbone)
-        f_s = encoders.encode_style_caption(caption)
-        f_c = encoders.encode_category_caption(caption)
+        f_s = encoders.encode_caption(caption, "style")
+        f_c = encoders.encode_caption(caption, "category")
         tau_s = blend(f_s, f_text, alpha)
         tau_c = blend(f_c, f_text, alpha)
     return GuidanceCondition(tau_style=tau_s.data[None, :], tau_category=tau_c.data[None, :])

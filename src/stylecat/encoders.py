@@ -8,20 +8,19 @@ the residual mixing of adapted and frozen features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import FrozenWeights, embed_text, embed_prompt_prototypes
-from .tensor import Tensor
+from .backbone import FrozenWeights, embed_caption, embed_prompt_prototypes
+from .tensor import ParamGroup, Tensor
 
-STYLE_PROMPT_TEMPLATE = "a {} style"
-CATEGORY_PROMPT_TEMPLATE = "a {}"
+PROMPT_TEMPLATES = {"style": "a {} style", "category": "a {}"}
 
 
 @dataclass
-class AdapterParams:
+class AdapterParams(ParamGroup):
     """Two linear layers with a ReLU bottleneck; all four tensors trainable."""
 
     w1: Tensor  # [D, H]
@@ -47,18 +46,6 @@ class AdapterParams:
             w2=Tensor(np.zeros((hidden, dim)), requires_grad=True),
             b2=Tensor(np.zeros(dim), requires_grad=True),
         )
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1.data, "b1": self.b1.data, "w2": self.w2.data, "b2": self.b2.data}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in zip(("w1", "b1", "w2", "b2"), self.tensors()):
-            if arrays[name].shape != t.shape:
-                raise ValueError(f"adapter array {name}: shape {arrays[name].shape} != {t.shape}")
-            t.data = np.asarray(arrays[name], dtype=np.float64)
 
 
 def adapter_forward(f: Tensor, p: AdapterParams) -> Tensor:
@@ -93,8 +80,6 @@ class EncoderBundle:
         style_names,
         category_names,
         alpha: float = 0.1,
-        style_template: str = STYLE_PROMPT_TEMPLATE,
-        category_template: str = CATEGORY_PROMPT_TEMPLATE,
     ):
         if style_adapter is category_adapter:
             raise ValueError("style and category adapters must not share parameters")
@@ -106,8 +91,6 @@ class EncoderBundle:
         self.style_names = tuple(style_names)
         self.category_names = tuple(category_names)
         self.alpha = alpha
-        self.style_template = style_template
-        self.category_template = category_template
 
     @classmethod
     def fresh(cls, backbone: FrozenWeights, style_names, category_names,
@@ -133,29 +116,16 @@ class EncoderBundle:
         p = self._adapter(kind)
         return T.normalize(T.add(f, adapter_forward(f, p)))
 
-    def encode_style(self, token_ids) -> Tensor:
-        return self.adapt_feature(embed_text(token_ids, self.backbone), "style")
-
-    def encode_category(self, token_ids) -> Tensor:
-        return self.adapt_feature(embed_text(token_ids, self.backbone), "category")
-
-    def encode_style_caption(self, caption: str) -> Tensor:
-        return self.encode_style(self.backbone.vocab.encode(caption))
-
-    def encode_category_caption(self, caption: str) -> Tensor:
-        return self.encode_category(self.backbone.vocab.encode(caption))
-
-    def _prompts(self, prompt_kind: str) -> tuple[tuple[str, ...], str]:
-        if prompt_kind == "style":
-            return self.style_names, self.style_template
-        if prompt_kind == "category":
-            return self.category_names, self.category_template
-        raise ValueError(f"unknown prompt kind: {prompt_kind!r}")
+    def encode_caption(self, caption: str, kind: str) -> Tensor:
+        """The caption's frozen text feature through the ``kind`` adapter."""
+        return self.adapt_feature(embed_caption(caption, self.backbone), kind)
 
     def frozen_prototypes(self, prompt_kind: str) -> Tensor:
         """(K, D) constant matrix of frozen prompt features."""
-        names, template = self._prompts(prompt_kind)
-        protos = embed_prompt_prototypes(names, template, self.backbone)
+        if prompt_kind not in PROMPT_TEMPLATES:
+            raise ValueError(f"unknown prompt kind: {prompt_kind!r}")
+        names = self.style_names if prompt_kind == "style" else self.category_names
+        protos = embed_prompt_prototypes(names, PROMPT_TEMPLATES[prompt_kind], self.backbone)
         return Tensor(np.stack([p.data for p in protos]))
 
     def adapted_prototypes(self, adapter_kind: str, prompt_kind: str) -> Tensor:

@@ -101,45 +101,39 @@ def _image_features(batch, encoders: EncoderBundle) -> Tensor:
     return Tensor(np.stack(rows))
 
 
-def style_labeled_loss(batch, encoders: EncoderBundle, cfg: LossConfig) -> Tensor:
-    """Style-encoder objective on labeled samples.
+def _labeled_loss(batch, encoders: EncoderBundle, cfg: LossConfig, kind: str) -> Tensor:
+    """Objective of the ``kind`` encoder on labeled samples.
 
-    Cross-entropy on style predictions plus lambda1 times the confusion
-    term on category predictions, both scored through the style adapter.
-    With lambda1 == 0 this is exactly the plain cross-entropy term.
+    Cross-entropy on its own factor plus lambda times the confusion term on
+    the other factor, both scored through the ``kind`` adapter; lambda is
+    lambda1 for style and lambda2 for category. With lambda == 0 this is
+    exactly the plain cross-entropy term.
     """
+    other = "category" if kind == "style" else "style"
+    lam = cfg.lambda1 if kind == "style" else cfg.lambda2
     f_i = _image_features(batch, encoders)
-    y_s = [s.style for s in batch]
     base = ce_loss(
-        class_logits(f_i, encoders.adapted_prototypes("style", "style"), cfg.logit_scale), y_s
+        class_logits(f_i, encoders.adapted_prototypes(kind, kind), cfg.logit_scale),
+        [getattr(s, kind) for s in batch],
     )
-    if cfg.lambda1 == 0:
+    if lam == 0:
         return base
-    y_c = [s.category for s in batch]
     conf = confusion_loss(
-        class_logits(f_i, encoders.adapted_prototypes("style", "category"), cfg.logit_scale),
-        y_c,
+        class_logits(f_i, encoders.adapted_prototypes(kind, other), cfg.logit_scale),
+        [getattr(s, other) for s in batch],
         cfg.adversarial_mode,
     )
-    return T.add(base, T.scale(conf, cfg.lambda1))
+    return T.add(base, T.scale(conf, lam))
+
+
+def style_labeled_loss(batch, encoders: EncoderBundle, cfg: LossConfig) -> Tensor:
+    """Style-encoder objective on labeled samples (lambda1)."""
+    return _labeled_loss(batch, encoders, cfg, "style")
 
 
 def category_labeled_loss(batch, encoders: EncoderBundle, cfg: LossConfig) -> Tensor:
     """Mirror objective for the category encoder (swap roles, lambda2)."""
-    f_i = _image_features(batch, encoders)
-    y_c = [s.category for s in batch]
-    base = ce_loss(
-        class_logits(f_i, encoders.adapted_prototypes("category", "category"), cfg.logit_scale), y_c
-    )
-    if cfg.lambda2 == 0:
-        return base
-    y_s = [s.style for s in batch]
-    conf = confusion_loss(
-        class_logits(f_i, encoders.adapted_prototypes("category", "style"), cfg.logit_scale),
-        y_s,
-        cfg.adversarial_mode,
-    )
-    return T.add(base, T.scale(conf, cfg.lambda2))
+    return _labeled_loss(batch, encoders, cfg, "category")
 
 
 def _triplet(anchor: Tensor, positive: Tensor, negative: Tensor, margin: float) -> Tensor:

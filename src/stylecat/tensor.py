@@ -12,9 +12,12 @@ suite; it never touches the tape.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .checkpoint import CheckpointError
 
 
 class ShapeError(ValueError):
@@ -59,7 +62,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
-        return float(self.data)
+        return float(self.data.item())
 
     def detach(self) -> "Tensor":
         """A view of the same values with no tape attachment."""
@@ -68,9 +71,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def is_leaf(self) -> bool:
-        return self._grad_fn is None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -110,6 +110,32 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         return relu(self)
+
+
+class ParamGroup:
+    """Dataclass mixin for a group of trainable tensors, one per field.
+
+    The field order is the order of ``tensors()``, of ``arrays()`` and so of
+    the optimizer state and the checkpoint layout. A field whose default is
+    None is optional and is skipped while it holds None.
+    """
+
+    def tensors(self) -> list[Tensor]:
+        return [t for t in (getattr(self, f.name) for f in dataclasses.fields(self)) if t is not None]
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {f.name: t.data for f in dataclasses.fields(self)
+                if (t := getattr(self, f.name)) is not None}
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]):
+        """Trainable tensors from ``arrays()`` output; wrong names raise CheckpointError."""
+        fields = dataclasses.fields(cls)
+        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in arrays]
+        unknown = sorted(set(arrays) - {f.name for f in fields})
+        if missing or unknown:
+            raise CheckpointError(f"{cls.__name__}: missing arrays {missing}, unknown arrays {unknown}")
+        return cls(**{name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()})
 
 
 def _as_tensor(x) -> Tensor:
@@ -262,23 +288,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
     return _node(y, (a,), grad_fn)
-
-
-def l2_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Euclidean distance between two same-shape tensors (scalar output)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"l2_distance: shapes differ, {a.shape} vs {b.shape}")
-    diff = a.data - b.data
-    d = float(np.sqrt((diff * diff).sum()))
-
-    def grad_fn(g):
-        if d == 0.0:
-            z = np.zeros_like(diff)
-            return z, z.copy()
-        u = diff / d * float(g)
-        return u, -u
-
-    return _node(np.asarray(d), (a, b), grad_fn)
 
 
 def row_l2_distance(a: Tensor, b: Tensor) -> Tensor:

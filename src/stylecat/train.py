@@ -6,16 +6,16 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import FrozenWeights, Vocab, embed_image
+from .backbone import FrozenWeights, Vocab, embed_caption, embed_image
 from .captions import CategoryLexicon, decompose
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .datagen import DatasetError, SyntheticSpec, build_mixture, prototype_grids
 from .diffusion import (
     DenoiserParams,
@@ -29,7 +29,7 @@ from .diffusion import (
     sample,
     split_cross_attention,
 )
-from .encoders import AdapterParams, EncoderBundle, adapter_forward, blend
+from .encoders import PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapter_forward, blend
 from .losses import (
     ConfigError,
     LossConfig,
@@ -85,9 +85,6 @@ class TrainConfig:
     diffusion_steps: int = 3000
     diffusion_batch: int = 256
     timesteps: int = 200
-    pretrain_contrastive: bool = False
-    contrastive_steps: int = 100
-    contrastive_temperature: float = 0.07
 
     def __post_init__(self):
         if self.mode not in ("labeled", "unlabeled"):
@@ -191,8 +188,8 @@ class Adam:
 
 def build_backbone(spec: SyntheticSpec, config: TrainConfig) -> FrozenWeights:
     texts = [spec.caption(i, j) for i in range(spec.n_styles) for j in range(spec.n_categories)]
-    texts += [f"a {name} style" for name in spec.style_names]
-    texts += [f"a {name}" for name in spec.category_names]
+    texts += [PROMPT_TEMPLATES["style"].format(name) for name in spec.style_names]
+    texts += [PROMPT_TEMPLATES["category"].format(name) for name in spec.category_names]
     vocab = Vocab.from_texts(texts)
     return FrozenWeights.build(
         vocab,
@@ -247,14 +244,6 @@ def evaluate_classification(bundle: EncoderBundle, samples, alpha_style: float,
     )
 
 
-def prediction_entropy(logits: np.ndarray) -> float:
-    """Mean Shannon entropy (nats) of row-wise softmax predictions."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    return float(-(p * np.log(np.maximum(p, 1e-300))).sum(axis=1).mean())
-
-
 # ---------------------------------------------------------------------------
 # encoder training
 
@@ -289,23 +278,6 @@ def _decompose_batch(samples, lexicon: CategoryLexicon):
     return pairs
 
 
-class _FrozenTextCache:
-    """Frozen caption features computed once per distinct text."""
-
-    def __init__(self, backbone: FrozenWeights):
-        self.backbone = backbone
-        self._store: dict[str, np.ndarray] = {}
-
-    def get(self, text: str) -> np.ndarray:
-        hit = self._store.get(text)
-        if hit is None:
-            from .backbone import embed_caption
-
-            hit = embed_caption(text, self.backbone).data
-            self._store[text] = hit
-        return hit
-
-
 def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
                    lexicon: CategoryLexicon | None = None,
                    backbone: FrozenWeights | None = None):
@@ -327,8 +299,8 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     opt_cat = Adam.from_config(bundle.category_adapter.tensors(), config)
     rng = np.random.default_rng([config.seed, 11])
 
-    decomposed = _decompose_batch(data, lexicon) if config.mode == "unlabeled" else None
-    text_cache = _FrozenTextCache(bundle.backbone)
+    decomposed = _decompose_batch(data, lexicon) if config.mode == "unlabeled" else []
+    frozen_text = {text: embed_caption(text, bundle.backbone).data for pair in decomposed for text in pair}
 
     rows = []
     for epoch in range(config.epochs):
@@ -342,8 +314,8 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
                 loss_s = style_labeled_loss(batch, bundle, cfg)
             else:
                 f_i = Tensor(np.stack([embed_image(s.grid, bundle.backbone).data for s in batch]))
-                style_frozen = Tensor(np.stack([text_cache.get(decomposed[i][0]) for i in idx]))
-                cat_frozen = Tensor(np.stack([text_cache.get(decomposed[i][1]) for i in idx]))
+                style_frozen = Tensor(np.stack([frozen_text[decomposed[i][0]] for i in idx]))
+                cat_frozen = Tensor(np.stack([frozen_text[decomposed[i][1]] for i in idx]))
                 f_s = bundle.adapt_feature(style_frozen, "style")
                 with no_grad():
                     f_c = bundle.adapt_feature(cat_frozen, "category")
@@ -396,13 +368,7 @@ def write_metrics_csv(rows, path, columns=METRICS_COLUMNS) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt_cell(row.get(c, "")) for c in columns])
-
-
-def _fmt_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in (row.get(c, "") for c in columns)])
 
 
 # ---------------------------------------------------------------------------
@@ -504,104 +470,54 @@ def bundle_arrays(bundle: EncoderBundle) -> dict:
     return out
 
 
-def checkpoint_meta(config: TrainConfig, spec: SyntheticSpec, kind: str) -> dict:
-    return {"kind": kind, "config": config.to_json(), "dataset_spec": spec.to_json()}
-
-
 def save_encoder_checkpoint(path, bundle: EncoderBundle, config: TrainConfig, spec: SyntheticSpec,
                             denoiser: DenoiserParams | None = None) -> None:
     arrays = bundle_arrays(bundle)
-    kind = "encoders"
     if denoiser is not None:
-        kind = "diffusion"
-        for name, arr in denoiser.arrays().items():
-            arrays[f"denoiser.{name}"] = arr
-    save_checkpoint(path, arrays, checkpoint_meta(config, spec, kind))
+        arrays.update({f"denoiser.{name}": arr for name, arr in denoiser.arrays().items()})
+    meta = {"kind": "encoders" if denoiser is None else "diffusion",
+            "config": config.to_json(), "dataset_spec": spec.to_json()}
+    save_checkpoint(path, arrays, meta)
 
 
-def _adapter_from_arrays(arrays: dict, prefix: str) -> AdapterParams:
-    group = {name.split(".", 1)[1]: arr for name, arr in arrays.items() if name.startswith(prefix + ".")}
-    return AdapterParams(
-        w1=Tensor(group["w1"], requires_grad=True),
-        b1=Tensor(group["b1"], requires_grad=True),
-        w2=Tensor(group["w2"], requires_grad=True),
-        b2=Tensor(group["b2"], requires_grad=True),
-    )
+# Config keys of the removed contrastive backbone warm-up, still present in
+# checkpoints written before its removal.
+RETIRED_CONFIG_KEYS = ("pretrain_contrastive", "contrastive_steps", "contrastive_temperature")
 
 
 def load_encoder_checkpoint(path):
     """Rebuild (bundle, config, spec, denoiser-or-None) from a checkpoint."""
     arrays, meta = load_checkpoint(path)
-    config = TrainConfig.from_dict(meta["config"])
+    stored = dict(meta["config"])
+    if stored.get("pretrain_contrastive"):
+        raise CheckpointError(f"{path}: trained on a contrastively warmed-up backbone, which the "
+                              "checkpoint does not hold; retrain without the warm-up")
+    config = TrainConfig.from_dict({k: v for k, v in stored.items() if k not in RETIRED_CONFIG_KEYS})
     spec = SyntheticSpec.from_json(meta["dataset_spec"])
-    backbone = build_backbone(spec, config)
+    groups: dict[str, dict] = {"style_adapter": {}, "category_adapter": {}}
+    for name, arr in arrays.items():
+        prefix, _, short = name.partition(".")
+        groups.setdefault(prefix, {})[short] = arr
+    unknown = sorted(set(groups) - {"style_adapter", "category_adapter", "denoiser"})
+    if unknown:
+        raise CheckpointError(f"{path}: unknown array groups {unknown}")
+
+    def rebuild(cls, prefix):
+        try:
+            return cls.from_arrays(groups[prefix])
+        except CheckpointError as e:
+            raise CheckpointError(f"{path}: {prefix}: {e}") from e
+
     bundle = EncoderBundle(
-        backbone,
-        _adapter_from_arrays(arrays, "style_adapter"),
-        _adapter_from_arrays(arrays, "category_adapter"),
+        build_backbone(spec, config),
+        rebuild(AdapterParams, "style_adapter"),
+        rebuild(AdapterParams, "category_adapter"),
         spec.style_names,
         spec.category_names,
         alpha=config.generation_alpha,
     )
-    denoiser = None
-    if any(name.startswith("denoiser.") for name in arrays):
-        group = {name.split(".", 1)[1]: arr for name, arr in arrays.items() if name.startswith("denoiser.")}
-        offsets = group.get("cond_offsets")
-        denoiser = DenoiserParams(
-            time_embed=Tensor(group["time_embed"], requires_grad=True),
-            in_w=Tensor(group["in_w"], requires_grad=True),
-            in_b=Tensor(group["in_b"], requires_grad=True),
-            wq=Tensor(group["wq"], requires_grad=True),
-            wk=Tensor(group["wk"], requires_grad=True),
-            wv=Tensor(group["wv"], requires_grad=True),
-            wo=Tensor(group["wo"], requires_grad=True),
-            mlp_w1=Tensor(group["mlp_w1"], requires_grad=True),
-            mlp_b1=Tensor(group["mlp_b1"], requires_grad=True),
-            mlp_w2=Tensor(group["mlp_w2"], requires_grad=True),
-            mlp_b2=Tensor(group["mlp_b2"], requires_grad=True),
-            cond_offsets=Tensor(offsets, requires_grad=True) if offsets is not None else None,
-        )
+    denoiser = rebuild(DenoiserParams, "denoiser") if "denoiser" in groups else None
     return bundle, config, spec, denoiser
-
-
-# ---------------------------------------------------------------------------
-# optional contrastive warm-up for the backbone (excluded from acceptance)
-
-def pretrain_contrastive(weights: FrozenWeights, samples, steps: int = 100,
-                         temperature: float = 0.07, lr: float = 1e-3,
-                         batch_size: int = 32, seed: int = 0) -> FrozenWeights:
-    """Symmetric InfoNCE warm-up of the backbone on (image, caption) pairs.
-
-    Returns a new FrozenWeights; the input stays untouched.
-    """
-    table = Tensor(weights.token_embed.copy(), requires_grad=True)
-    proj = Tensor(weights.img_proj.copy(), requires_grad=True)
-    bias = Tensor(weights.img_bias.copy(), requires_grad=True)
-    opt = Adam([table, proj, bias], lr=lr)
-    rng = np.random.default_rng([seed, 31])
-
-    encoded = [weights.vocab.encode(s.caption) for s in samples]
-    flats = np.stack([np.asarray(s.grid, dtype=np.float64).reshape(-1) for s in samples])
-
-    for _ in range(steps):
-        idx = rng.choice(len(samples), size=min(batch_size, len(samples)), replace=False)
-        text_rows = []
-        for i in idx:
-            ids = encoded[i]
-            rows = T.take_rows(table, ids)
-            pooled = T.matmul(Tensor(np.full((1, len(ids)), 1.0 / len(ids))), rows)
-            text_rows.append(T.reshape(pooled, (pooled.shape[1],)))
-        f_t = T.normalize(T.stack_rows(text_rows))
-        f_v = T.normalize(T.add(T.matmul(Tensor(flats[idx]), proj), bias))
-        logits = T.scale(T.matmul(f_t, T.transpose(f_v)), 1.0 / temperature)
-        targets = np.arange(len(idx))
-        loss = T.scale(T.add(ce_loss(logits, targets), ce_loss(T.transpose(logits), targets)), 0.5)
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
-        _check_finite(loss.item(), "contrastive warm-up")
-
-    return replace(weights, token_embed=table.data, img_proj=proj.data, img_bias=bias.data)
 
 
 # ---------------------------------------------------------------------------
@@ -634,93 +550,79 @@ def _kink_margin_adapter(features: np.ndarray, p: AdapterParams) -> float:
     return float(np.abs(pre).min())
 
 
+_KINDS = ("style", "category")
+_OTHER = {"style": "category", "category": "style"}
+
+
 class _AuditWorld:
     """One random miniature configuration for the gradient audit.
 
     Rejection-samples until no ReLU pre-activation or hinge argument sits
-    near its kink, so central differences stay valid.
+    near its kink, so central differences stay valid. Adapters, prototypes
+    and labels are keyed by kind, "style" or "category".
     """
 
     DIM = 8
     HIDDEN = 3
     K = 3
     BATCH = 4
+    LAMBDA = {"style": 0.2, "category": 0.3}
 
     def __init__(self, seed: int):
         attempt = 0
         while True:
             rng = np.random.default_rng([seed, attempt, 101])
-            self.style_adapter = _random_adapter(rng, self.DIM, self.HIDDEN)
-            self.category_adapter = _random_adapter(rng, self.DIM, self.HIDDEN)
+            self.adapter = {kind: _random_adapter(rng, self.DIM, self.HIDDEN) for kind in _KINDS}
             self.f_i = _unit_rows(rng, self.BATCH, self.DIM)
-            self.style_protos = _unit_rows(rng, self.K, self.DIM)
-            self.cat_protos = _unit_rows(rng, self.K, self.DIM)
-            self.y_s = rng.integers(0, self.K, self.BATCH)
-            self.y_c = rng.integers(0, self.K, self.BATCH)
+            self.protos = {kind: _unit_rows(rng, self.K, self.DIM) for kind in _KINDS}
+            self.labels = {kind: rng.integers(0, self.K, self.BATCH) for kind in _KINDS}
             self.margin = 0.3
             if self._clean():
                 break
             attempt += 1
-        self.rng = rng
 
     def _clean(self, threshold: float = 1e-3) -> bool:
-        feats = np.concatenate([self.f_i, self.style_protos, self.cat_protos])
-        if _kink_margin_adapter(feats, self.style_adapter) < threshold:
-            return False
-        if _kink_margin_adapter(feats, self.category_adapter) < threshold:
+        feats = np.concatenate([self.f_i, *self.protos.values()])
+        if any(_kink_margin_adapter(feats, p) < threshold for p in self.adapter.values()):
             return False
         with no_grad():
-            f_s = self._adapt(Tensor(self.f_i), self.style_adapter).data
-            f_c = self._adapt(Tensor(self.f_i), self.category_adapter).data
-        d_pos = np.linalg.norm(f_s - self.f_i, axis=1)
-        d_neg = np.linalg.norm(f_s - f_c, axis=1)
-        if np.abs(d_pos - d_neg + self.margin).min() < threshold:
-            return False
-        d_pos_c = np.linalg.norm(f_c - self.f_i, axis=1)
-        d_neg_c = np.linalg.norm(f_c - f_s, axis=1)
-        if np.abs(d_pos_c - d_neg_c + self.margin).min() < threshold:
-            return False
+            f = {kind: self._adapt(Tensor(self.f_i), p).data for kind, p in self.adapter.items()}
+        for kind in _KINDS:
+            d_pos = np.linalg.norm(f[kind] - self.f_i, axis=1)
+            d_neg = np.linalg.norm(f[kind] - f[_OTHER[kind]], axis=1)
+            if np.abs(d_pos - d_neg + self.margin).min() < threshold:
+                return False
         return True
 
     @staticmethod
     def _adapt(f: Tensor, p: AdapterParams) -> Tensor:
         return T.normalize(T.add(f, adapter_forward(f, p)))
 
-    # loss closures; each reads the live adapter tensors
+    # loss closures of the ``kind`` adapter; each reads the live adapter tensors
 
-    def style_ce(self):
-        protos = self._adapt(Tensor(self.style_protos), self.style_adapter)
-        return ce_loss(class_logits(Tensor(self.f_i), protos, 10.0), self.y_s)
+    def ce(self, kind: str):
+        protos = self._adapt(Tensor(self.protos[kind]), self.adapter[kind])
+        return ce_loss(class_logits(Tensor(self.f_i), protos, 10.0), self.labels[kind])
 
-    def style_confusion(self):
-        protos = self._adapt(Tensor(self.cat_protos), self.style_adapter)
-        return confusion_loss(class_logits(Tensor(self.f_i), protos, 10.0), self.y_c, "uniform-kl")
+    def confusion(self, kind: str):
+        other = _OTHER[kind]
+        protos = self._adapt(Tensor(self.protos[other]), self.adapter[kind])
+        return confusion_loss(class_logits(Tensor(self.f_i), protos, 10.0), self.labels[other], "uniform-kl")
 
-    def style_labeled(self):
-        return T.add(self.style_ce(), T.scale(self.style_confusion(), 0.2))
+    def labeled(self, kind: str):
+        return T.add(self.ce(kind), T.scale(self.confusion(kind), self.LAMBDA[kind]))
 
-    def category_ce(self):
-        protos = self._adapt(Tensor(self.cat_protos), self.category_adapter)
-        return ce_loss(class_logits(Tensor(self.f_i), protos, 10.0), self.y_c)
-
-    def category_confusion(self):
-        protos = self._adapt(Tensor(self.style_protos), self.category_adapter)
-        return confusion_loss(class_logits(Tensor(self.f_i), protos, 10.0), self.y_s, "uniform-kl")
-
-    def category_labeled(self):
-        return T.add(self.category_ce(), T.scale(self.category_confusion(), 0.3))
-
-    def style_triplet(self):
-        f_s = self._adapt(Tensor(self.f_i), self.style_adapter)
+    def triplet(self, kind: str):
+        anchor = self._adapt(Tensor(self.f_i), self.adapter[kind])
         with no_grad():
-            f_c = self._adapt(Tensor(self.f_i), self.category_adapter)
-        return style_triplet_loss(f_s, Tensor(self.f_i), f_c, self.margin)
+            negative = self._adapt(Tensor(self.f_i), self.adapter[_OTHER[kind]])
+        loss = style_triplet_loss if kind == "style" else category_triplet_loss
+        return loss(anchor, Tensor(self.f_i), negative, self.margin)
 
-    def category_triplet(self):
-        f_c = self._adapt(Tensor(self.f_i), self.category_adapter)
-        with no_grad():
-            f_s = self._adapt(Tensor(self.f_i), self.style_adapter)
-        return category_triplet_loss(f_c, Tensor(self.f_i), f_s, self.margin)
+
+def _adapter_world(seed: int, kind: str, part: str):
+    world = _AuditWorld(seed)
+    return partial(getattr(world, part), kind), world.adapter[kind].tensors()
 
 
 def _attention_world(seed: int):
@@ -772,30 +674,13 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
 
     Returns a list of (component, worst_relative_error, passed) triples.
     """
-    components = [
-        ("style-ce", lambda w: (w.style_ce, w.style_adapter.tensors())),
-        ("style-confusion", lambda w: (w.style_confusion, w.style_adapter.tensors())),
-        ("style-labeled", lambda w: (w.style_labeled, w.style_adapter.tensors())),
-        ("category-ce", lambda w: (w.category_ce, w.category_adapter.tensors())),
-        ("category-confusion", lambda w: (w.category_confusion, w.category_adapter.tensors())),
-        ("category-labeled", lambda w: (w.category_labeled, w.category_adapter.tensors())),
-        ("style-triplet", lambda w: (w.style_triplet, w.style_adapter.tensors())),
-        ("category-triplet", lambda w: (w.category_triplet, w.category_adapter.tensors())),
-    ]
+    parts = [(kind, part) for kind in _KINDS for part in ("ce", "confusion", "labeled")]
+    parts += [(kind, "triplet") for kind in _KINDS]
+    components = [(f"{kind}-{part}", partial(_adapter_world, kind=kind, part=part)) for kind, part in parts]
+    components += [("cross-attention", _attention_world), ("denoiser-step", _denoiser_world),
+                   ("denoiser-grouped", partial(_denoiser_world, groups=3, n_cond_tokens=2, rows=6))]
     results = []
-    for name, select in components:
-        worst = 0.0
-        for seed in range(n_seeds):
-            world = _AuditWorld(seed)
-            loss_fn, params = select(world)
-            ad = _ad_grads(loss_fn, params)
-            for p, g in zip(params, ad):
-                fd = finite_diff_grad(lambda _: loss_fn(), p, eps=eps).data
-                worst = max(worst, relative_error(g, fd))
-        results.append((name, worst, worst < tol))
-
-    for name, world_fn in (("cross-attention", _attention_world), ("denoiser-step", _denoiser_world),
-                           ("denoiser-grouped", partial(_denoiser_world, groups=3, n_cond_tokens=2, rows=6))):
+    for name, world_fn in components:
         worst = 0.0
         for seed in range(n_seeds):
             loss_fn, params = world_fn(seed)

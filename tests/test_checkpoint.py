@@ -54,11 +54,12 @@ def test_version_checked(tmp_path):
 
 def test_truncated_file_rejected(tmp_path, arrays):
     path = tmp_path / "t.cclp"
-    save_checkpoint(path, arrays, {})
+    save_checkpoint(path, arrays, {"kind": "test"})
     blob = path.read_bytes()
-    path.write_bytes(blob[:20])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def test_metadata_blob_roundtrip_unicode(tmp_path):

@@ -76,19 +76,20 @@ class TestEncode:
     def test_zero_init_reduces_to_frozen_feature(self, bundle, spec):
         caption = spec.caption(0, 0)
         frozen = embed_caption(caption, bundle.backbone).data
-        out = bundle.encode_style_caption(caption).data
+        out = bundle.encode_caption(caption, "style").data
         assert np.abs(out - frozen).max() < 1e-12
 
     def test_determinism(self, bundle, spec):
-        toks = bundle.backbone.vocab.encode(spec.caption(1, 2))
-        assert np.array_equal(bundle.encode_style(toks).data, bundle.encode_style(toks).data)
+        caption = spec.caption(1, 2)
+        assert np.array_equal(bundle.encode_caption(caption, "style").data,
+                              bundle.encode_caption(caption, "style").data)
 
     def test_outputs_unit_norm(self, spec, backbone):
         rng = np.random.default_rng(4)
         b = fresh_bundle(spec, TrainConfig(), backbone)
         b.style_adapter.w2.data = rng.standard_normal(b.style_adapter.w2.shape)
         for i, j in itertools.product(range(spec.n_styles), range(spec.n_categories)):
-            f = b.encode_style_caption(spec.caption(i, j)).data
+            f = b.encode_caption(spec.caption(i, j), "style").data
             assert abs(np.linalg.norm(f) - 1.0) < 1e-9
 
     def test_trained_style_geometry(self, spec):
@@ -97,7 +98,7 @@ class TestEncode:
         trained, _ = train_encoders(config, spec, train)
         with no_grad():
             feats = {
-                (i, j): trained.encode_style_caption(spec.caption(i, j)).data
+                (i, j): trained.encode_caption(spec.caption(i, j), "style").data
                 for i in range(spec.n_styles)
                 for j in range(spec.n_categories)
             }

@@ -90,29 +90,31 @@ class TestLogSoftmax:
 
 
 class TestL2Distance:
+    """``row_l2_distance`` on one-row inputs."""
+
     def test_coincident_points(self):
-        a = Tensor([1.0, -2.0, 0.5])
-        assert T.l2_distance(a, Tensor(a.data.copy())).item() == 0.0
+        a = Tensor([[1.0, -2.0, 0.5]])
+        assert T.row_l2_distance(a, Tensor(a.data.copy())).item() == 0.0
 
     def test_three_four_five(self):
-        assert T.l2_distance(Tensor([3.0, 0.0]), Tensor([0.0, 4.0])).item() == 5.0
+        assert T.row_l2_distance(Tensor([[3.0, 0.0]]), Tensor([[0.0, 4.0]])).item() == 5.0
 
     def test_gradient_at_distinct_points(self):
         rng = np.random.default_rng(13)
-        a = Tensor(rng.standard_normal(6), requires_grad=True)
-        b = Tensor(rng.standard_normal(6))
-        loss_fn = lambda t: T.l2_distance(t, b)
+        a = Tensor(rng.standard_normal((1, 6)), requires_grad=True)
+        b = Tensor(rng.standard_normal((1, 6)))
+        loss_fn = lambda t: T.tensor_sum(T.row_l2_distance(t, b))
         fd = finite_diff_grad(loss_fn, a).data
         assert relative_error(grad_of(loss_fn, a), fd) < 1e-5
 
     def test_zero_subgradient_at_coincidence(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        backward(T.l2_distance(a, Tensor([1.0, 2.0])))
-        assert np.array_equal(a.grad, np.zeros(2))
+        a = Tensor([[1.0, 2.0]], requires_grad=True)
+        backward(T.tensor_sum(T.row_l2_distance(a, Tensor([[1.0, 2.0]]))))
+        assert np.array_equal(a.grad, np.zeros((1, 2)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.l2_distance(Tensor([1.0]), Tensor([1.0, 2.0]))
+            T.row_l2_distance(Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
 
 
 class TestElementwise:

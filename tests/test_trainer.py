@@ -8,6 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stylecat.train as train_mod
+from stylecat.captions import CategoryLexicon
+from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stylecat.cli import main
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset, write_dataset_dir
 from stylecat.losses import ConfigError
@@ -149,6 +152,34 @@ class TestTrainEncoders:
         b, _ = train_encoders(TrainConfig(**FAST, seed=1), spec, train)
         assert not np.array_equal(a.style_adapter.w1.data, b.style_adapter.w1.data)
 
+    @staticmethod
+    def _count_calls(monkeypatch, names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _real=getattr(train_mod, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(train_mod, name, counted)
+        return counts
+
+    def test_unlabeled_run_calls_each_triplet_once_per_batch(self, spec, dataset, monkeypatch):
+        train, _ = dataset
+        config = TrainConfig(mode="unlabeled", epochs=1, shots=4)
+        counts = self._count_calls(monkeypatch, ("style_triplet_loss", "category_triplet_loss"))
+        _, rows = train_encoders(config, spec, train, lexicon=CategoryLexicon.from_words(spec.category_names))
+        batches = -(-len(subsample_shots(train, 4)) // config.batch_size)
+        assert counts == {"style_triplet_loss": batches, "category_triplet_loss": batches}
+        assert len(rows) == 1
+        assert np.isfinite([rows[0]["style_loss"], rows[0]["category_loss"]]).all()
+
+    def test_labeled_run_calls_style_loss_once_per_batch(self, spec, dataset, monkeypatch):
+        train, _ = dataset
+        config = TrainConfig(epochs=1, shots=4)
+        counts = self._count_calls(monkeypatch, ("style_labeled_loss", "category_labeled_loss"))
+        train_encoders(config, spec, train)
+        batches = -(-len(subsample_shots(train, 4)) // config.batch_size)
+        assert counts == {"style_labeled_loss": batches, "category_labeled_loss": batches}
+
 
 class TestCheckpointRoundtrip:
     def test_bundle_survives_checkpoint(self, spec, dataset, tmp_path):
@@ -175,6 +206,46 @@ class TestCheckpointRoundtrip:
         loaded, config2, spec2, _ = load_encoder_checkpoint(p1)
         save_encoder_checkpoint(p2, loaded, config2, spec2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.fixture
+    def saved(self, spec, tmp_path):
+        config = TrainConfig(epochs=0)
+        bundle = fresh_bundle(spec, config)
+        path = tmp_path / "enc.cclp"
+        save_encoder_checkpoint(path, bundle, config, spec)
+        return path, load_checkpoint(path)
+
+    @pytest.mark.parametrize("retired", [{}, {"pretrain_contrastive": False, "contrastive_steps": 100,
+                                              "contrastive_temperature": 0.07}])
+    def test_checkpoint_from_before_warmup_removal_loads(self, saved, tmp_path, retired):
+        path, (arrays, meta) = saved
+        meta["config"].update(retired)
+        old = tmp_path / "old.cclp"
+        save_checkpoint(old, arrays, meta)
+        bundle, config, _, _ = load_encoder_checkpoint(old)
+        assert config == TrainConfig(epochs=0)
+        assert bundle_arrays(bundle).keys() == arrays.keys()
+
+    def test_warmed_up_checkpoint_rejected(self, saved, tmp_path):
+        path, (arrays, meta) = saved
+        meta["config"].update(pretrain_contrastive=True, contrastive_steps=100, contrastive_temperature=0.07)
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError, match="warmed-up"):
+            load_encoder_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "unknown-group"])
+    def test_wrong_array_names_rejected(self, saved, data_dir, edit):
+        path, (arrays, meta) = saved
+        if edit == "missing":
+            del arrays["style_adapter.w1"]
+        elif edit == "extra":
+            arrays["category_adapter.w3"] = np.zeros(2)
+        else:
+            arrays["decoder.w1"] = np.zeros(2)
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError):
+            load_encoder_checkpoint(path)
+        assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +319,11 @@ class TestCli:
     def test_unknown_flag_exits_one(self, capsys):
         assert self.run("gen-data", "--nope") == 1
 
+    def test_truncated_checkpoint_exits_one(self, tmp_path, data_dir):
+        ckpt = tmp_path / "short.cclp"
+        ckpt.write_bytes(b"CCLP\x01\x00")
+        assert self.run("eval-classify", "--checkpoint", str(ckpt), "--data", str(data_dir)) == 1
+
     def test_gradcheck_passes_and_mutation_fails(self, monkeypatch, capsys):
         assert self.run("gradcheck", "--seeds", "2") == 0
         out = capsys.readouterr().out
@@ -302,17 +378,3 @@ class TestCli:
         self.run("train-encoders", "--data", str(data), "--out", str(out2),
                  "--epochs", "1", "--seed", "7")
         assert out1.read_bytes() == out2.read_bytes()
-
-
-class TestPretrainContrastive:
-    def test_warmup_reduces_contrastive_loss_and_returns_new_weights(self, spec, dataset):
-        from stylecat.train import build_backbone, pretrain_contrastive
-
-        train, _ = dataset
-        config = TrainConfig()
-        frozen = build_backbone(spec, config)
-        before = frozen.checksum()
-        tuned = pretrain_contrastive(frozen, train[:64], steps=20, seed=0)
-        assert frozen.checksum() == before
-        assert tuned.checksum() != before
-        assert tuned.token_embed.shape == frozen.token_embed.shape
