@@ -2,7 +2,7 @@
 guided diffusion model and a gradient-checked autodiff core."""
 
 from .tensor import Tensor, ShapeError, backward, finite_diff_grad, no_grad
-from .backbone import FrozenWeights, Vocab, embed_image, embed_text, embed_prompt_prototypes
+from .backbone import FrozenWeights, Vocab, embed_captions, embed_image, embed_text
 from .encoders import AdapterParams, EncoderBundle, adapter_forward, blend
 from .losses import (
     LossConfig,
@@ -21,9 +21,9 @@ from .diffusion import (
     DiffusionSchedule,
     GuidanceCondition,
     attention,
-    build_conditions,
+    condition_for_caption,
     ddpm_train_step,
-    oracle_classify,
+    oracle_classify_batch,
     sample,
     split_cross_attention,
 )

@@ -23,6 +23,15 @@ WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 GRID_SHAPE = (8, 8, 3)
 GRID_SIZE = 8 * 8 * 3
 
+# Construction constants of the stand-in backbone: the seed of its random
+# draws, the scale of the per-word noise on factor words, the norm of filler
+# words, the noise on the image projection and the scale of the factor codes.
+SEED = 0
+WORD_NOISE = 0.10
+FILLER_SCALE = 0.15
+PROJ_NOISE = 0.01
+CODE_SCALE = 0.30
+
 
 def words_of(text: str) -> list[str]:
     """Split text into word tokens (runs of letters/digits)."""
@@ -62,36 +71,20 @@ class Vocab:
 
 @dataclass
 class FrozenWeights:
-    """Immutable backbone parameters, reproducible from (seed, vocab, dims)."""
+    """Immutable backbone parameters, reproducible from (vocab, names, grids, dim)."""
 
     vocab: Vocab
     dim: int
-    seed: int
     token_embed: np.ndarray       # [V, D]
     img_proj: np.ndarray          # [GRID_SIZE, D]
     img_bias: np.ndarray          # [D]
     style_words: tuple[str, ...]
     category_words: tuple[str, ...]
-    word_noise: float = 0.10
-    filler_scale: float = 0.15
-    proj_noise: float = 0.01
-    code_scale: float = 0.30
 
     @classmethod
-    def build(
-        cls,
-        vocab: Vocab,
-        style_names,
-        category_names,
-        prototype_grids,
-        dim: int = 32,
-        seed: int = 0,
-        word_noise: float = 0.10,
-        filler_scale: float = 0.15,
-        proj_noise: float = 0.01,
-        code_scale: float = 0.30,
-    ) -> "FrozenWeights":
-        """Construct aligned weights.
+    def build(cls, vocab: Vocab, style_names, category_names, prototype_grids,
+              dim: int = 32) -> "FrozenWeights":
+        """Construct aligned weights from the module's fixed construction constants.
 
         ``prototype_grids`` is a [K_s][K_c] nested sequence of clean
         (8, 8, 3) grids, one per (style, category) cell. Style and
@@ -106,7 +99,7 @@ class FrozenWeights:
         if dim < ks + kc + 2:
             raise ValueError(f"dim={dim} too small for {ks + kc} factor codes plus commons")
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SEED)
         basis, _ = np.linalg.qr(rng.standard_normal((dim, ks + kc + 2)))
         style_codes = basis[:, :ks].T
         category_codes = basis[:, ks : ks + kc].T
@@ -122,18 +115,18 @@ class FrozenWeights:
             if token in style_idx:
                 token_embed[tid] = (
                     style_common
-                    + code_scale * style_codes[style_idx[token]]
-                    + word_noise * rng.standard_normal(dim)
+                    + CODE_SCALE * style_codes[style_idx[token]]
+                    + WORD_NOISE * rng.standard_normal(dim)
                 )
             elif token in category_idx:
                 token_embed[tid] = (
                     category_common
-                    + code_scale * category_codes[category_idx[token]]
-                    + word_noise * rng.standard_normal(dim)
+                    + CODE_SCALE * category_codes[category_idx[token]]
+                    + WORD_NOISE * rng.standard_normal(dim)
                 )
             else:
                 v = rng.standard_normal(dim)
-                token_embed[tid] = filler_scale * v / np.linalg.norm(v)
+                token_embed[tid] = FILLER_SCALE * v / np.linalg.norm(v)
 
         # Min-norm least squares: clean cell grids -> style code + category code.
         xs, ys = [], []
@@ -146,7 +139,7 @@ class FrozenWeights:
         x_aug = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
         y = np.stack(ys)
         w = x_aug.T @ np.linalg.solve(x_aug @ x_aug.T, y)
-        img_proj = w[:-1] + proj_noise * rng.standard_normal((GRID_SIZE, dim))
+        img_proj = w[:-1] + PROJ_NOISE * rng.standard_normal((GRID_SIZE, dim))
         img_bias = w[-1]
         if np.linalg.norm(img_bias) < 1e-9:
             v = rng.standard_normal(dim)
@@ -155,16 +148,11 @@ class FrozenWeights:
         return cls(
             vocab=vocab,
             dim=dim,
-            seed=seed,
             token_embed=token_embed,
             img_proj=img_proj,
             img_bias=img_bias,
             style_words=style_words,
             category_words=category_words,
-            word_noise=word_noise,
-            filler_scale=filler_scale,
-            proj_noise=proj_noise,
-            code_scale=code_scale,
         )
 
     def checksum(self) -> str:
@@ -175,7 +163,7 @@ class FrozenWeights:
 
 
 def embed_text(token_ids, weights: FrozenWeights) -> Tensor:
-    """Mean of token embeddings, unit-normalized. Deterministic constant.
+    """Mean of token embeddings, unit-normalized: one (1, D) feature row.
 
     Ids are sorted before accumulation so permuted token lists produce
     bit-identical features, not merely equal ones.
@@ -184,28 +172,23 @@ def embed_text(token_ids, weights: FrozenWeights) -> Tensor:
     if not ids:
         raise ValueError("embed_text: empty token list")
     vec = weights.token_embed[np.asarray(ids, dtype=np.int64)].mean(axis=0)
-    return normalize(Tensor(vec))
+    return normalize(Tensor(vec[None, :]))
 
 
 def embed_caption(caption: str, weights: FrozenWeights) -> Tensor:
     return embed_text(weights.vocab.encode(caption), weights)
 
 
-def embed_image(grid, weights: FrozenWeights) -> Tensor:
-    """Flattened grid through the frozen projection, unit-normalized."""
-    arr = np.asarray(grid, dtype=np.float64)
-    if arr.shape != GRID_SHAPE:
-        raise ValueError(f"embed_image: expected grid shape {GRID_SHAPE}, got {arr.shape}")
+def embed_captions(captions, weights: FrozenWeights) -> Tensor:
+    """(n, D) feature rows of n captions, one ``embed_text`` call each."""
+    return Tensor(np.concatenate([embed_caption(c, weights).data for c in captions]))
+
+
+def embed_image(grids, weights: FrozenWeights) -> Tensor:
+    """A stack of n (8, 8, 3) grids through the frozen projection: (n, D) unit rows."""
+    arr = np.asarray(grids, dtype=np.float64)
+    if arr.ndim != 4 or arr.shape[1:] != GRID_SHAPE:
+        raise ValueError(f"embed_image: expected grid stack shape (n, 8, 8, 3), got {arr.shape}")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("embed_image: grid values must lie in [0, 1]")
-    vec = arr.reshape(-1) @ weights.img_proj + weights.img_bias
-    return normalize(Tensor(vec))
-
-
-def embed_prompt_prototypes(class_names, template: str, weights: FrozenWeights) -> list[Tensor]:
-    """One frozen unit feature per class name rendered through ``template``.
-
-    The template marks the class slot with ``{}``; a template without a
-    placeholder yields identical prototypes for every class.
-    """
-    return [embed_caption(template.format(name), weights) for name in class_names]
+    return normalize(Tensor(arr.reshape(len(arr), GRID_SIZE) @ weights.img_proj + weights.img_bias))

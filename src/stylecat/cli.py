@@ -142,13 +142,22 @@ def _load_config(args, **overrides) -> TrainConfig:
 
 
 def _load_dataset_dir(data_dir):
+    """Spec, classification splits and lexicon of a dataset directory."""
     spec = read_spec(data_dir)
     root = Path(data_dir)
     train = load(root / "clf_train.jsonl")
     test = load(root / "clf_test.jsonl")
-    points = load(root / "diff_train.jsonl")
     lexicon = CategoryLexicon.from_file(root / "lexicon.txt")
-    return spec, train, test, points, lexicon
+    return spec, train, test, lexicon
+
+
+def _load_generator(args):
+    """(bundle, spec, denoiser, alpha, schedule) of ``--checkpoint``, which must hold a denoiser."""
+    bundle, config, spec, denoiser = load_encoder_checkpoint(args.checkpoint)
+    if denoiser is None:
+        raise ConfigError("checkpoint has no denoiser parameters; run train-diffusion first")
+    alpha = config.generation_alpha if args.alpha is None else args.alpha
+    return bundle, spec, denoiser, alpha, DiffusionSchedule.make(config.timesteps)
 
 
 def _cmd_gen_data(args) -> int:
@@ -194,7 +203,7 @@ def _cmd_train_encoders(args) -> int:
         margin1=args.margin1, margin2=args.margin2, adversarial_mode=args.adversarial_mode,
         logit_scale=args.logit_scale,
     )
-    spec, train, test, _, lexicon = _load_dataset_dir(args.data)
+    spec, train, test, lexicon = _load_dataset_dir(args.data)
     started = time.perf_counter()
     bundle, rows = train_encoders(config, spec, train, lexicon=lexicon)
     s_top1, c_top1 = evaluate_classification(bundle, test, config.alpha_style,
@@ -213,7 +222,7 @@ def _cmd_eval_classify(args) -> int:
     bundle, config, spec, _ = load_encoder_checkpoint(args.checkpoint)
     alpha_style = config.alpha_style if args.alpha_style is None else args.alpha_style
     alpha_category = config.alpha_category if args.alpha_category is None else args.alpha_category
-    _, _, test, _, _ = _load_dataset_dir(args.data)
+    test = load(Path(args.data) / "clf_test.jsonl")
     s_top1, c_top1 = evaluate_classification(bundle, test, alpha_style, alpha_category, config.logit_scale)
     print(f"style_top1={s_top1:.6f} category_top1={c_top1:.6f} "
           f"(alpha_style={alpha_style}, alpha_category={alpha_category})")
@@ -234,14 +243,15 @@ def _parse_grid(raw: str | None, default):
 
 
 def _cmd_sweep(args) -> int:
-    spec, train, test, _, lexicon = _load_dataset_dir(args.data)
     if args.axis == "alpha":
         if not args.checkpoint:
             raise ConfigError("alpha sweep requires --checkpoint")
         bundle, config, _, _ = load_encoder_checkpoint(args.checkpoint)
         config = apply_seed_env(config.override(seed=args.seed))
+        test = load(Path(args.data) / "clf_test.jsonl")
         rows = alpha_sweep(bundle, test, config, grid=_parse_grid(args.grid, ALPHA_GRID))
     else:
+        spec, train, test, lexicon = _load_dataset_dir(args.data)
         config = _load_config(args, seed=args.seed)
         rows = lambda_sweep(config, spec, train, test,
                             grid=_parse_grid(args.grid, LAMBDA_GRID), lexicon=lexicon)
@@ -270,15 +280,11 @@ def _cmd_train_diffusion(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    bundle, config, spec, denoiser = load_encoder_checkpoint(args.checkpoint)
-    if denoiser is None:
-        raise ConfigError("checkpoint has no denoiser parameters; run train-diffusion first")
+    bundle, spec, denoiser, alpha, schedule = _load_generator(args)
     if args.style not in spec.style_names or args.category not in spec.category_names:
         raise ConfigError(
             f"unknown style/category; expected one of {spec.style_names} x {spec.category_names}"
         )
-    alpha = config.generation_alpha if args.alpha is None else args.alpha
-    schedule = DiffusionSchedule.make(config.timesteps)
     caption = spec.caption(spec.style_names.index(args.style), spec.category_names.index(args.category))
     cond = condition_for_caption(caption, bundle, alpha)
     pts = ddpm_sample(args.count, cond, schedule, denoiser, seed=args.seed)
@@ -301,11 +307,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_guidance_eval(args) -> int:
-    bundle, config, spec, denoiser = load_encoder_checkpoint(args.checkpoint)
-    if denoiser is None:
-        raise ConfigError("checkpoint has no denoiser parameters; run train-diffusion first")
-    alpha = config.generation_alpha if args.alpha is None else args.alpha
-    schedule = DiffusionSchedule.make(config.timesteps)
+    bundle, spec, denoiser, alpha, schedule = _load_generator(args)
     rows = guidance_eval(bundle, denoiser, schedule, spec, alpha=alpha,
                          n_per_cell=args.n_per_cell, seed=args.seed)
     write_metrics_csv(rows, args.out, ("style", "category", "matched_accuracy",

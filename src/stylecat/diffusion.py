@@ -195,32 +195,17 @@ def standard_cross_attention(z_hidden: Tensor, tau: np.ndarray, params: Denoiser
     return T.add(T.matmul(attention(q, k, v), params.wo), z_hidden)
 
 
-def build_conditions(
-    style_text: str,
-    category_text: str,
-    encoders: EncoderBundle,
-    alpha: float,
-    caption: str | None = None,
-) -> GuidanceCondition:
+def condition_for_caption(caption: str, encoders: EncoderBundle, alpha: float) -> GuidanceCondition:
     """Blend adapted and frozen caption features into condition tokens.
 
-    Both encoders read the full caption (reassembled from the two text
-    parts when not given explicitly); the split only decides which encoder
-    feeds keys and which feeds values downstream.
+    Both encoders read the full caption; the split only decides which
+    encoder feeds keys and which feeds values downstream.
     """
-    if caption is None:
-        caption = " ".join(part for part in (style_text, category_text) if part)
     with no_grad():
         f_text = embed_caption(caption, encoders.backbone)
-        f_s = encoders.encode_caption(caption, "style")
-        f_c = encoders.encode_caption(caption, "category")
-        tau_s = blend(f_s, f_text, alpha)
-        tau_c = blend(f_c, f_text, alpha)
-    return GuidanceCondition(tau_style=tau_s.data[None, :], tau_category=tau_c.data[None, :])
-
-
-def condition_for_caption(caption: str, encoders: EncoderBundle, alpha: float) -> GuidanceCondition:
-    return build_conditions(caption, "", encoders, alpha, caption=caption)
+        tau_s = blend(encoders.adapt_feature(f_text, "style"), f_text, alpha)
+        tau_c = blend(encoders.adapt_feature(f_text, "category"), f_text, alpha)
+    return GuidanceCondition(tau_style=tau_s.data, tau_category=tau_c.data)
 
 
 def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: np.ndarray, cond,
@@ -293,12 +278,6 @@ def sample(
                 var = (1.0 - schedule.alpha_bars[t - 1]) / (1.0 - schedule.alpha_bars[t]) * beta
                 z = z + np.sqrt(var) * rng.standard_normal((n, POINT_DIM))
     return z
-
-
-def oracle_classify(point, mixture) -> tuple[int, int]:
-    """Nearest mixture component by Mahalanobis distance (total function)."""
-    s, c = oracle_classify_batch(np.asarray(point, dtype=np.float64)[None, :], mixture)
-    return int(s[0]), int(c[0])
 
 
 def oracle_classify_batch(points: np.ndarray, mixture) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import FrozenWeights, embed_caption, embed_prompt_prototypes
+from .backbone import FrozenWeights, embed_caption, embed_captions
 from .tensor import ParamGroup, Tensor
 
 PROMPT_TEMPLATES = {"style": "a {} style", "category": "a {}"}
@@ -49,21 +49,20 @@ class AdapterParams(ParamGroup):
 
 
 def adapter_forward(f: Tensor, p: AdapterParams) -> Tensor:
-    """Raw bottleneck map w2' . relu(w1' . f + b1) + b2 (not normalized).
-
-    Accepts a single feature (D,) or a batch (n, D).
-    """
-    single = f.data.ndim == 1
-    x = T.reshape(f, (1, f.shape[0])) if single else f
-    if x.data.ndim != 2 or x.shape[1] != p.w1.shape[0]:
+    """Raw bottleneck map relu(f . w1 + b1) . w2 + b2 of (n, D) feature rows (not normalized)."""
+    if f.data.ndim != 2 or f.shape[1] != p.w1.shape[0]:
         raise T.ShapeError(f"adapter_forward: feature shape {f.shape} incompatible with w1 {p.w1.shape}")
-    h = T.relu(T.add(T.matmul(x, p.w1), p.b1))
-    out = T.add(T.matmul(h, p.w2), p.b2)
-    return T.reshape(out, (out.shape[1],)) if single else out
+    h = T.relu(T.add(T.matmul(f, p.w1), p.b1))
+    return T.add(T.matmul(h, p.w2), p.b2)
+
+
+def adapt(f: Tensor, p: AdapterParams) -> Tensor:
+    """normalize(f + adapter_forward(f, p)): (n, D) feature rows through one adapter."""
+    return T.normalize(T.add(f, adapter_forward(f, p)))
 
 
 def blend(f_adapted: Tensor, f_frozen: Tensor, alpha: float) -> Tensor:
-    """normalize(alpha * adapted + (1 - alpha) * frozen); rows if 2-D."""
+    """normalize(alpha * adapted + (1 - alpha) * frozen), row by row."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"blend: alpha must be in [0, 1], got {alpha}")
     return T.normalize(T.add(T.scale(f_adapted, alpha), T.scale(f_frozen, 1.0 - alpha)))
@@ -91,6 +90,11 @@ class EncoderBundle:
         self.style_names = tuple(style_names)
         self.category_names = tuple(category_names)
         self.alpha = alpha
+        # (K, D) frozen prompt features, one row per class name: constants of the backbone.
+        self.prompt_features = {
+            kind: embed_captions([PROMPT_TEMPLATES[kind].format(name) for name in names], backbone)
+            for kind, names in (("style", self.style_names), ("category", self.category_names))
+        }
 
     @classmethod
     def fresh(cls, backbone: FrozenWeights, style_names, category_names,
@@ -112,25 +116,16 @@ class EncoderBundle:
         raise ValueError(f"unknown adapter kind: {kind!r}")
 
     def adapt_feature(self, f: Tensor, kind: str) -> Tensor:
-        """normalize(f + adapter_delta(f)); f may be (D,) or (n, D)."""
-        p = self._adapter(kind)
-        return T.normalize(T.add(f, adapter_forward(f, p)))
+        """(n, D) feature rows through the ``kind`` adapter."""
+        return adapt(f, self._adapter(kind))
 
     def encode_caption(self, caption: str, kind: str) -> Tensor:
-        """The caption's frozen text feature through the ``kind`` adapter."""
+        """The caption's (1, D) frozen text feature through the ``kind`` adapter."""
         return self.adapt_feature(embed_caption(caption, self.backbone), kind)
-
-    def frozen_prototypes(self, prompt_kind: str) -> Tensor:
-        """(K, D) constant matrix of frozen prompt features."""
-        if prompt_kind not in PROMPT_TEMPLATES:
-            raise ValueError(f"unknown prompt kind: {prompt_kind!r}")
-        names = self.style_names if prompt_kind == "style" else self.category_names
-        protos = embed_prompt_prototypes(names, PROMPT_TEMPLATES[prompt_kind], self.backbone)
-        return Tensor(np.stack([p.data for p in protos]))
 
     def adapted_prototypes(self, adapter_kind: str, prompt_kind: str) -> Tensor:
         """(K, D) prompt features passed through one adapter (tape-attached)."""
-        return self.adapt_feature(self.frozen_prototypes(prompt_kind), adapter_kind)
+        return self.adapt_feature(self.prompt_features[prompt_kind], adapter_kind)
 
     def trainable_tensors(self) -> list[Tensor]:
         return self.style_adapter.tensors() + self.category_adapter.tensors()

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import embed_image
 from .encoders import EncoderBundle
 from .tensor import Tensor
 
@@ -42,27 +41,13 @@ class LossConfig:
             raise ConfigError("logit_scale must be > 0")
 
 
-def _as_matrix(f: Tensor) -> Tensor:
-    return T.reshape(f, (1, f.shape[0])) if f.data.ndim == 1 else f
-
-
-def class_logits(f: Tensor, prototypes, scale: float = 20.0) -> Tensor:
-    """Scaled cosine similarity of features against class prototypes.
-
-    ``f`` is (D,) or (n, D); ``prototypes`` a (K, D) tensor or a list of
-    (D,) tensors. Output is (n, K) ((K,) for a single feature).
-    """
-    single = f.data.ndim == 1
-    fm = T.normalize(_as_matrix(f))
-    if isinstance(prototypes, (list, tuple)):
-        prototypes = T.stack_rows(list(prototypes))
-    pm = T.normalize(prototypes)
-    logits = T.scale(T.matmul(fm, T.transpose(pm)), scale)
-    return T.reshape(logits, (logits.shape[1],)) if single else logits
+def class_logits(f: Tensor, prototypes: Tensor, scale: float = 20.0) -> Tensor:
+    """Scaled cosine similarity of (n, D) feature rows against (K, D) prototypes: (n, K)."""
+    return T.scale(T.matmul(T.normalize(f), T.transpose(T.normalize(prototypes))), scale)
 
 
 def _labels_array(labels, n: int, k: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    arr = np.asarray(labels, dtype=np.int64)
     if arr.shape != (n,):
         raise T.ShapeError(f"labels shape {arr.shape} does not match batch size {n}")
     if np.any(arr < 0) or np.any(arr >= k):
@@ -71,11 +56,10 @@ def _labels_array(labels, n: int, k: int) -> np.ndarray:
 
 
 def ce_loss(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of softmax(logits) against integer labels."""
-    lm = _as_matrix(logits)
-    n, k = lm.shape
+    """Mean cross-entropy of softmax over (n, K) logits against n integer labels."""
+    n, k = logits.shape
     arr = _labels_array(labels, n, k)
-    picked = T.pick_rows(T.log_softmax(lm, axis=1), arr)
+    picked = T.pick_rows(T.log_softmax(logits, axis=1), arr)
     return T.scale(T.tensor_mean(picked), -1.0)
 
 
@@ -87,23 +71,19 @@ def confusion_loss(logits: Tensor, labels, mode: str = "uniform-kl") -> Tensor:
     negated-ce: the literal sign-flipped cross-entropy (unbounded below).
     """
     if mode == "uniform-kl":
-        lm = _as_matrix(logits)
-        n, k = lm.shape
+        n, k = logits.shape
         _labels_array(labels, n, k)
-        return T.scale(T.tensor_sum(T.log_softmax(lm, axis=1)), -1.0 / (n * k))
+        return T.scale(T.tensor_sum(T.log_softmax(logits, axis=1)), -1.0 / (n * k))
     if mode == "negated-ce":
         return T.scale(ce_loss(logits, labels), -1.0)
     raise ConfigError(f"unknown adversarial mode: {mode!r}")
 
 
-def _image_features(batch, encoders: EncoderBundle) -> Tensor:
-    rows = [embed_image(s.grid, encoders.backbone).data for s in batch]
-    return Tensor(np.stack(rows))
+def _labeled_loss(f_i: Tensor, labels: dict[str, np.ndarray], encoders: EncoderBundle, cfg: LossConfig,
+                  kind: str) -> Tensor:
+    """Objective of the ``kind`` encoder on (n, D) image feature rows.
 
-
-def _labeled_loss(batch, encoders: EncoderBundle, cfg: LossConfig, kind: str) -> Tensor:
-    """Objective of the ``kind`` encoder on labeled samples.
-
+    ``labels`` maps "style" and "category" to (n,) label arrays.
     Cross-entropy on its own factor plus lambda times the confusion term on
     the other factor, both scored through the ``kind`` adapter; lambda is
     lambda1 for style and lambda2 for category. With lambda == 0 this is
@@ -111,35 +91,32 @@ def _labeled_loss(batch, encoders: EncoderBundle, cfg: LossConfig, kind: str) ->
     """
     other = "category" if kind == "style" else "style"
     lam = cfg.lambda1 if kind == "style" else cfg.lambda2
-    f_i = _image_features(batch, encoders)
-    base = ce_loss(
-        class_logits(f_i, encoders.adapted_prototypes(kind, kind), cfg.logit_scale),
-        [getattr(s, kind) for s in batch],
-    )
+    base = ce_loss(class_logits(f_i, encoders.adapted_prototypes(kind, kind), cfg.logit_scale), labels[kind])
     if lam == 0:
         return base
     conf = confusion_loss(
         class_logits(f_i, encoders.adapted_prototypes(kind, other), cfg.logit_scale),
-        [getattr(s, other) for s in batch],
+        labels[other],
         cfg.adversarial_mode,
     )
     return T.add(base, T.scale(conf, lam))
 
 
-def style_labeled_loss(batch, encoders: EncoderBundle, cfg: LossConfig) -> Tensor:
-    """Style-encoder objective on labeled samples (lambda1)."""
-    return _labeled_loss(batch, encoders, cfg, "style")
+def style_labeled_loss(f_i: Tensor, labels: dict[str, np.ndarray], encoders: EncoderBundle,
+                       cfg: LossConfig) -> Tensor:
+    """Style-encoder objective on labeled image features (lambda1)."""
+    return _labeled_loss(f_i, labels, encoders, cfg, "style")
 
 
-def category_labeled_loss(batch, encoders: EncoderBundle, cfg: LossConfig) -> Tensor:
+def category_labeled_loss(f_i: Tensor, labels: dict[str, np.ndarray], encoders: EncoderBundle,
+                          cfg: LossConfig) -> Tensor:
     """Mirror objective for the category encoder (swap roles, lambda2)."""
-    return _labeled_loss(batch, encoders, cfg, "category")
+    return _labeled_loss(f_i, labels, encoders, cfg, "category")
 
 
 def _triplet(anchor: Tensor, positive: Tensor, negative: Tensor, margin: float) -> Tensor:
-    a, p, n = _as_matrix(anchor), _as_matrix(positive), _as_matrix(negative)
-    d_pos = T.row_l2_distance(a, p)
-    d_neg = T.row_l2_distance(a, n)
+    d_pos = T.row_l2_distance(anchor, positive)
+    d_neg = T.row_l2_distance(anchor, negative)
     hinge = T.relu(T.add(T.sub(d_pos, d_neg), Tensor(float(margin))))
     return T.tensor_mean(hinge)
 

@@ -75,42 +75,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; all semantics live in the module-level functions.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
-    def mean(self) -> "Tensor":
-        return tensor_mean(self)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
 
 class ParamGroup:
     """Dataclass mixin for a group of trainable tensors, one per field.
@@ -128,18 +92,22 @@ class ParamGroup:
                 if (t := getattr(self, f.name)) is not None}
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]):
-        """Trainable tensors from ``arrays()`` output; wrong names raise CheckpointError."""
+    def from_arrays(cls, arrays: dict[str, np.ndarray], like: "ParamGroup"):
+        """Trainable tensors from ``arrays()`` output, each shaped as in ``like``.
+
+        Wrong array names and shapes raise CheckpointError.
+        """
         fields = dataclasses.fields(cls)
         missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in arrays]
         unknown = sorted(set(arrays) - {f.name for f in fields})
         if missing or unknown:
             raise CheckpointError(f"{cls.__name__}: missing arrays {missing}, unknown arrays {unknown}")
+        shapes = {name: arr.shape for name, arr in like.arrays().items()}
+        for name, arr in arrays.items():
+            if arr.shape != shapes.get(name):
+                raise CheckpointError(f"{cls.__name__}: array {name} has shape {arr.shape}, "
+                                      f"expected {shapes.get(name)}")
         return cls(**{name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()})
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
@@ -232,15 +200,6 @@ def transpose(a: Tensor) -> Tensor:
     return _node(a.data.T.copy(), (a,), grad_fn)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = a.shape
-
-    def grad_fn(g):
-        return (g.reshape(old),)
-
-    return _node(a.data.reshape(shape), (a,), grad_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     # Subgradient at 0 is 0.
     mask = a.data > 0
@@ -317,20 +276,6 @@ def normalize(a: Tensor, axis: int = -1) -> Tensor:
         return ((g - y * dot) / n,)
 
     return _node(y, (a,), grad_fn)
-
-
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a (k, D) matrix."""
-    if not tensors:
-        raise ShapeError("stack_rows: empty input")
-    dim = tensors[0].shape
-    if len(dim) != 1 or any(t.shape != dim for t in tensors):
-        raise ShapeError("stack_rows: all inputs must be 1-D with equal length")
-
-    def grad_fn(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return _node(np.stack([t.data for t in tensors]), tuple(tensors), grad_fn)
 
 
 def take_rows(table: Tensor, indices) -> Tensor:

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .backbone import FrozenWeights, Vocab, embed_caption, embed_image
+from .backbone import CODE_SCALE, FILLER_SCALE, PROJ_NOISE, SEED as BACKBONE_SEED, WORD_NOISE
+from .backbone import FrozenWeights, Vocab, embed_captions, embed_image
 from .captions import CategoryLexicon, decompose
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .datagen import DatasetError, SyntheticSpec, build_mixture, prototype_grids
@@ -29,7 +30,7 @@ from .diffusion import (
     sample,
     split_cross_attention,
 )
-from .encoders import PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapter_forward, blend
+from .encoders import PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt, blend
 from .losses import (
     ConfigError,
     LossConfig,
@@ -49,6 +50,8 @@ METRICS_COLUMNS = (
     "epoch", "split", "style_top1", "category_top1", "style_loss", "category_loss",
     "alpha_style", "alpha_category", "lambda1", "lambda2", "seed",
 )
+
+_KINDS = ("style", "category")
 
 
 class NumericalError(RuntimeError):
@@ -77,11 +80,6 @@ class TrainConfig:
     generation_alpha: float = 0.1
     dim: int = 32
     hidden: int | None = None
-    backbone_seed: int = 0
-    word_noise: float = 0.10
-    filler_scale: float = 0.15
-    proj_noise: float = 0.01
-    code_scale: float = 0.30
     diffusion_steps: int = 3000
     diffusion_batch: int = 256
     timesteps: int = 200
@@ -191,18 +189,8 @@ def build_backbone(spec: SyntheticSpec, config: TrainConfig) -> FrozenWeights:
     texts += [PROMPT_TEMPLATES["style"].format(name) for name in spec.style_names]
     texts += [PROMPT_TEMPLATES["category"].format(name) for name in spec.category_names]
     vocab = Vocab.from_texts(texts)
-    return FrozenWeights.build(
-        vocab,
-        spec.style_names,
-        spec.category_names,
-        prototype_grids(spec),
-        dim=config.dim,
-        seed=config.backbone_seed,
-        word_noise=config.word_noise,
-        filler_scale=config.filler_scale,
-        proj_noise=config.proj_noise,
-        code_scale=config.code_scale,
-    )
+    return FrozenWeights.build(vocab, spec.style_names, spec.category_names, prototype_grids(spec),
+                               dim=config.dim)
 
 
 def fresh_bundle(spec: SyntheticSpec, config: TrainConfig, backbone: FrozenWeights | None = None) -> EncoderBundle:
@@ -220,28 +208,28 @@ def fresh_bundle(spec: SyntheticSpec, config: TrainConfig, backbone: FrozenWeigh
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
-def prediction_logits(bundle: EncoderBundle, samples, adapter_kind: str, prompt_kind: str,
-                      alpha: float, logit_scale: float = 20.0) -> np.ndarray:
-    """Image features scored against blended prototypes; (n, K) array."""
+def _features(samples, backbone: FrozenWeights) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(n, D) frozen image features of the samples, from one ``embed_image`` call, and labels by kind."""
+    f_i = embed_image(np.stack([s.grid for s in samples]), backbone).data
+    return f_i, {kind: np.array([getattr(s, kind) for s in samples]) for kind in _KINDS}
+
+
+def _top1(bundle: EncoderBundle, f_i: np.ndarray, labels, alpha_style: float, alpha_category: float,
+          logit_scale: float) -> tuple[float, float]:
+    """Top-1 accuracy of image feature rows against each factor's blended prototypes."""
+    accuracy = []
     with no_grad():
-        f_i = np.stack([embed_image(s.grid, bundle.backbone).data for s in samples])
-        adapted = bundle.adapted_prototypes(adapter_kind, prompt_kind)
-        frozen = bundle.frozen_prototypes(prompt_kind)
-        protos = blend(adapted, frozen, alpha).data
-    return logit_scale * (f_i @ protos.T)
+        for kind, alpha in (("style", alpha_style), ("category", alpha_category)):
+            protos = blend(bundle.adapted_prototypes(kind, kind), bundle.prompt_features[kind], alpha).data
+            logits = logit_scale * (f_i @ protos.T)
+            accuracy.append(float((logits.argmax(axis=1) == labels[kind]).mean()))
+    return tuple(accuracy)
 
 
 def evaluate_classification(bundle: EncoderBundle, samples, alpha_style: float,
                             alpha_category: float, logit_scale: float = 20.0):
     """Top-1 accuracy for both factors under the blended prototypes."""
-    style_logits = prediction_logits(bundle, samples, "style", "style", alpha_style, logit_scale)
-    cat_logits = prediction_logits(bundle, samples, "category", "category", alpha_category, logit_scale)
-    y_s = np.array([s.style for s in samples])
-    y_c = np.array([s.category for s in samples])
-    return (
-        float((style_logits.argmax(axis=1) == y_s).mean()),
-        float((cat_logits.argmax(axis=1) == y_c).mean()),
-    )
+    return _top1(bundle, *_features(samples, bundle.backbone), alpha_style, alpha_category, logit_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +287,13 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     opt_cat = Adam.from_config(bundle.category_adapter.tensors(), config)
     rng = np.random.default_rng([config.seed, 11])
 
-    decomposed = _decompose_batch(data, lexicon) if config.mode == "unlabeled" else []
-    frozen_text = {text: embed_caption(text, bundle.backbone).data for pair in decomposed for text in pair}
+    # Frozen features are constants of the data: embedded once per run.
+    f_all, labels = _features(data, bundle.backbone)
+    if config.mode == "unlabeled":
+        pairs = _decompose_batch(data, lexicon)
+        texts = list(dict.fromkeys(text for pair in pairs for text in pair))
+        frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone).data))
+        style_text, category_text = (np.stack([frozen_text[pair[k]] for pair in pairs]) for k in (0, 1))
 
     rows = []
     for epoch in range(config.epochs):
@@ -308,14 +301,14 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         style_losses, cat_losses = [], []
         for start in range(0, len(data), config.batch_size):
             idx = order[start : start + config.batch_size]
-            batch = [data[i] for i in idx]
+            f_i = Tensor(f_all[idx])
 
             if config.mode == "labeled":
-                loss_s = style_labeled_loss(batch, bundle, cfg)
+                batch_labels = {kind: y[idx] for kind, y in labels.items()}
+                loss_s = style_labeled_loss(f_i, batch_labels, bundle, cfg)
             else:
-                f_i = Tensor(np.stack([embed_image(s.grid, bundle.backbone).data for s in batch]))
-                style_frozen = Tensor(np.stack([frozen_text[decomposed[i][0]] for i in idx]))
-                cat_frozen = Tensor(np.stack([frozen_text[decomposed[i][1]] for i in idx]))
+                style_frozen = Tensor(style_text[idx])
+                cat_frozen = Tensor(category_text[idx])
                 f_s = bundle.adapt_feature(style_frozen, "style")
                 with no_grad():
                     f_c = bundle.adapt_feature(cat_frozen, "category")
@@ -326,7 +319,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
             style_losses.append(_check_finite(loss_s.item(), "style step"))
 
             if config.mode == "labeled":
-                loss_c = category_labeled_loss(batch, bundle, cfg)
+                loss_c = category_labeled_loss(f_i, batch_labels, bundle, cfg)
             else:
                 with no_grad():
                     f_s_const = bundle.adapt_feature(style_frozen, "style")
@@ -337,9 +330,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
             opt_cat.step()
             cat_losses.append(_check_finite(loss_c.item(), "category step"))
 
-        s_top1, c_top1 = evaluate_classification(
-            bundle, data, config.alpha_style, config.alpha_category, cfg.logit_scale
-        )
+        s_top1, c_top1 = _top1(bundle, f_all, labels, config.alpha_style, config.alpha_category, cfg.logit_scale)
         rows.append(_metrics_row(epoch, "train", s_top1, c_top1,
                                  float(np.mean(style_losses)), float(np.mean(cat_losses)), config))
     return bundle, rows
@@ -480,20 +471,40 @@ def save_encoder_checkpoint(path, bundle: EncoderBundle, config: TrainConfig, sp
     save_checkpoint(path, arrays, meta)
 
 
-# Config keys of the removed contrastive backbone warm-up, still present in
-# checkpoints written before its removal.
-RETIRED_CONFIG_KEYS = ("pretrain_contrastive", "contrastive_steps", "contrastive_temperature")
+# The backbone's construction options, retired from TrainConfig: a checkpoint
+# may hold them only at the values of the constants the backbone is now built with.
+RETIRED_BACKBONE_KEYS = {"backbone_seed": BACKBONE_SEED, "word_noise": WORD_NOISE,
+                         "filler_scale": FILLER_SCALE, "proj_noise": PROJ_NOISE, "code_scale": CODE_SCALE}
+# Config keys still present in checkpoints written before their removal: those
+# of the contrastive backbone warm-up and the backbone options.
+RETIRED_CONFIG_KEYS = ("pretrain_contrastive", "contrastive_steps", "contrastive_temperature",
+                       *RETIRED_BACKBONE_KEYS)
+
+
+def _stored_config(path, meta) -> tuple[TrainConfig, SyntheticSpec]:
+    """The training config and dataset spec of a checkpoint's metadata; CheckpointError if malformed."""
+    if not (isinstance(meta, dict) and isinstance(meta.get("config"), dict)
+            and isinstance(meta.get("dataset_spec"), dict)):
+        raise CheckpointError(f"{path}: metadata must be an object with 'config' and 'dataset_spec' objects")
+    stored = meta["config"]
+    if stored.get("pretrain_contrastive"):
+        raise CheckpointError(f"{path}: trained on a contrastively warmed-up backbone, which the "
+                              "checkpoint does not hold; retrain without the warm-up")
+    changed = {k: stored[k] for k, v in RETIRED_BACKBONE_KEYS.items() if k in stored and stored[k] != v}
+    if changed:
+        raise CheckpointError(f"{path}: trained on a backbone built with {changed}, which can no longer "
+                              "be rebuilt")
+    try:
+        config = TrainConfig.from_dict({k: v for k, v in stored.items() if k not in RETIRED_CONFIG_KEYS})
+        return config, SyntheticSpec.from_json(meta["dataset_spec"])
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad config or dataset spec: {e}") from e
 
 
 def load_encoder_checkpoint(path):
     """Rebuild (bundle, config, spec, denoiser-or-None) from a checkpoint."""
     arrays, meta = load_checkpoint(path)
-    stored = dict(meta["config"])
-    if stored.get("pretrain_contrastive"):
-        raise CheckpointError(f"{path}: trained on a contrastively warmed-up backbone, which the "
-                              "checkpoint does not hold; retrain without the warm-up")
-    config = TrainConfig.from_dict({k: v for k, v in stored.items() if k not in RETIRED_CONFIG_KEYS})
-    spec = SyntheticSpec.from_json(meta["dataset_spec"])
+    config, spec = _stored_config(path, meta)
     groups: dict[str, dict] = {"style_adapter": {}, "category_adapter": {}}
     for name, arr in arrays.items():
         prefix, _, short = name.partition(".")
@@ -502,21 +513,24 @@ def load_encoder_checkpoint(path):
     if unknown:
         raise CheckpointError(f"{path}: unknown array groups {unknown}")
 
-    def rebuild(cls, prefix):
+    def rebuild(cls, prefix, like):
         try:
-            return cls.from_arrays(groups[prefix])
+            return cls.from_arrays(groups[prefix], like)
         except CheckpointError as e:
             raise CheckpointError(f"{path}: {prefix}: {e}") from e
 
-    bundle = EncoderBundle(
-        build_backbone(spec, config),
-        rebuild(AdapterParams, "style_adapter"),
-        rebuild(AdapterParams, "category_adapter"),
-        spec.style_names,
-        spec.category_names,
-        alpha=config.generation_alpha,
-    )
-    denoiser = rebuild(DenoiserParams, "denoiser") if "denoiser" in groups else None
+    adapter = AdapterParams.init(config.dim, config.hidden)
+    style_adapter = rebuild(AdapterParams, "style_adapter", adapter)
+    category_adapter = rebuild(AdapterParams, "category_adapter", adapter)
+    denoiser = None
+    if "denoiser" in groups:
+        # cond_offsets holds L >= 2 token rows for any L.
+        offsets = groups["denoiser"].get("cond_offsets")
+        tokens = offsets.shape[0] if offsets is not None and offsets.ndim == 2 else 0
+        like = DenoiserParams.init(dim=config.dim, steps=config.timesteps, n_cond_tokens=max(2, tokens))
+        denoiser = rebuild(DenoiserParams, "denoiser", like)
+    bundle = EncoderBundle(build_backbone(spec, config), style_adapter, category_adapter,
+                           spec.style_names, spec.category_names, alpha=config.generation_alpha)
     return bundle, config, spec, denoiser
 
 
@@ -550,7 +564,6 @@ def _kink_margin_adapter(features: np.ndarray, p: AdapterParams) -> float:
     return float(np.abs(pre).min())
 
 
-_KINDS = ("style", "category")
 _OTHER = {"style": "category", "category": "style"}
 
 
@@ -586,7 +599,7 @@ class _AuditWorld:
         if any(_kink_margin_adapter(feats, p) < threshold for p in self.adapter.values()):
             return False
         with no_grad():
-            f = {kind: self._adapt(Tensor(self.f_i), p).data for kind, p in self.adapter.items()}
+            f = {kind: adapt(Tensor(self.f_i), p).data for kind, p in self.adapter.items()}
         for kind in _KINDS:
             d_pos = np.linalg.norm(f[kind] - self.f_i, axis=1)
             d_neg = np.linalg.norm(f[kind] - f[_OTHER[kind]], axis=1)
@@ -594,28 +607,24 @@ class _AuditWorld:
                 return False
         return True
 
-    @staticmethod
-    def _adapt(f: Tensor, p: AdapterParams) -> Tensor:
-        return T.normalize(T.add(f, adapter_forward(f, p)))
-
     # loss closures of the ``kind`` adapter; each reads the live adapter tensors
 
     def ce(self, kind: str):
-        protos = self._adapt(Tensor(self.protos[kind]), self.adapter[kind])
+        protos = adapt(Tensor(self.protos[kind]), self.adapter[kind])
         return ce_loss(class_logits(Tensor(self.f_i), protos, 10.0), self.labels[kind])
 
     def confusion(self, kind: str):
         other = _OTHER[kind]
-        protos = self._adapt(Tensor(self.protos[other]), self.adapter[kind])
+        protos = adapt(Tensor(self.protos[other]), self.adapter[kind])
         return confusion_loss(class_logits(Tensor(self.f_i), protos, 10.0), self.labels[other], "uniform-kl")
 
     def labeled(self, kind: str):
         return T.add(self.ce(kind), T.scale(self.confusion(kind), self.LAMBDA[kind]))
 
     def triplet(self, kind: str):
-        anchor = self._adapt(Tensor(self.f_i), self.adapter[kind])
+        anchor = adapt(Tensor(self.f_i), self.adapter[kind])
         with no_grad():
-            negative = self._adapt(Tensor(self.f_i), self.adapter[_OTHER[kind]])
+            negative = adapt(Tensor(self.f_i), self.adapter[_OTHER[kind]])
         loss = style_triplet_loss if kind == "style" else category_triplet_loss
         return loss(anchor, Tensor(self.f_i), negative, self.margin)
 

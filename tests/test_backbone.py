@@ -9,12 +9,13 @@ from stylecat.backbone import (
     FrozenWeights,
     Vocab,
     embed_caption,
+    embed_captions,
     embed_image,
-    embed_prompt_prototypes,
     embed_text,
 )
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
-from stylecat.train import TrainConfig, build_backbone
+from stylecat.encoders import PROMPT_TEMPLATES
+from stylecat.train import TrainConfig, build_backbone, fresh_bundle
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,8 @@ class TestEmbedText:
         tid = weights.vocab.id_of("cat")
         row = weights.token_embed[tid]
         out = embed_text([tid], weights).data
-        assert np.allclose(out, row / np.linalg.norm(row), atol=1e-12)
+        assert out.shape == (1, weights.dim)
+        assert np.allclose(out[0], row / np.linalg.norm(row), atol=1e-12)
 
     def test_determinism_across_builds(self, spec):
         a = build_backbone(spec, TrainConfig())
@@ -71,26 +73,37 @@ class TestEmbedText:
 
 class TestEmbedImage:
     def test_zero_grid_returns_normalized_bias(self, weights):
-        out = embed_image(np.zeros((8, 8, 3)), weights).data
+        out = embed_image(np.zeros((1, 8, 8, 3)), weights).data
         expected = weights.img_bias / np.linalg.norm(weights.img_bias)
-        assert np.allclose(out, expected, atol=1e-12)
+        assert out.shape == (1, weights.dim)
+        assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_determinism(self, weights, spec):
-        grid = generate_classification_dataset(spec)[0][0].grid
-        assert np.array_equal(embed_image(grid, weights).data, embed_image(grid, weights).data)
+        grids = np.stack([s.grid for s in generate_classification_dataset(spec)[0][:5]])
+        assert np.array_equal(embed_image(grids, weights).data, embed_image(grids, weights).data)
+
+    def test_stack_matches_per_grid_reference(self, weights, spec):
+        # One matmul over the stack sums in another order than one product per
+        # grid; float64 rounding over a 192-term dot product stays far below 1e-14.
+        train, _ = generate_classification_dataset(spec)
+        feats = embed_image(np.stack([s.grid for s in train]), weights).data
+        for s, row in zip(train, feats):
+            vec = s.grid.reshape(-1) @ weights.img_proj + weights.img_bias
+            assert np.abs(row - vec / np.linalg.norm(vec)).max() < 1e-14
 
     def test_out_of_range_rejected(self, weights):
-        bad = np.full((8, 8, 3), 1.5)
+        bad = np.full((2, 8, 8, 3), 1.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             embed_image(bad, weights)
 
     def test_bad_shape_rejected(self, weights):
-        with pytest.raises(ValueError, match="shape"):
-            embed_image(np.zeros((4, 4, 3)), weights)
+        for bad in (np.zeros((1, 4, 4, 3)), np.zeros((8, 8, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                embed_image(bad, weights)
 
     def test_within_category_similarity_exceeds_across(self, weights, spec):
         _, test = generate_classification_dataset(spec)
-        feats = np.stack([embed_image(s.grid, weights).data for s in test])
+        feats = embed_image(np.stack([s.grid for s in test]), weights).data
         cats = np.array([s.category for s in test])
         sims = feats @ feats.T
         mask = ~np.eye(len(test), dtype=bool)
@@ -101,29 +114,29 @@ class TestEmbedImage:
 
 class TestPromptPrototypes:
     def test_one_unit_feature_per_class(self, weights):
-        protos = embed_prompt_prototypes(["cat", "dog"], "a {}", weights)
-        assert len(protos) == 2
-        for p in protos:
-            assert abs(np.linalg.norm(p.data) - 1.0) < 1e-9
+        protos = embed_captions([PROMPT_TEMPLATES["category"].format(n) for n in ("cat", "dog")], weights).data
+        assert protos.shape == (2, weights.dim)
+        assert np.abs(np.linalg.norm(protos, axis=1) - 1.0).max() < 1e-9
 
     def test_distinct_classes_distinct_prototypes(self, weights, spec):
-        protos = embed_prompt_prototypes(spec.category_names, "a {}", weights)
+        protos = fresh_bundle(spec, TrainConfig(), weights).prompt_features["category"].data
+        assert protos.shape == (spec.n_categories, weights.dim)
         for a, b in itertools.combinations(protos, 2):
-            assert not np.allclose(a.data, b.data)
+            assert not np.allclose(a, b)
 
     def test_placeholder_free_template_collapses(self, weights):
-        protos = embed_prompt_prototypes(["cat", "dog"], "a photo", weights)
-        assert np.array_equal(protos[0].data, protos[1].data)
+        protos = embed_captions(["a photo".format(n) for n in ("cat", "dog")], weights).data
+        assert np.array_equal(protos[0], protos[1])
 
 
 def test_alignment_own_caption_beats_mismatched(weights, spec):
     _, test = generate_classification_dataset(spec)
     wins = 0
-    for s in test:
-        f_i = embed_image(s.grid, weights).data
-        own = embed_caption(s.caption, weights).data
+    feats = embed_image(np.stack([s.grid for s in test]), weights).data
+    for s, f_i in zip(test, feats):
+        own = embed_caption(s.caption, weights).data[0]
         other_cap = spec.caption((s.style + 1) % spec.n_styles, (s.category + 1) % spec.n_categories)
-        other = embed_caption(other_cap, weights).data
+        other = embed_caption(other_cap, weights).data[0]
         wins += float(f_i @ own) > float(f_i @ other)
     assert wins / len(test) >= 0.95
 

@@ -16,11 +16,9 @@ from stylecat.diffusion import (
     DiffusionSchedule,
     GuidanceCondition,
     attention,
-    build_conditions,
     condition_for_caption,
     ddpm_train_step,
     noise_regression_loss,
-    oracle_classify,
     oracle_classify_batch,
     predict_noise,
     sample,
@@ -173,8 +171,8 @@ class TestBuildConditions:
         from stylecat.backbone import embed_caption
 
         caption = spec.caption(1, 2)
-        cond = build_conditions("a neon style", "dog", bundle2, 0.0, caption=caption)
-        f_text = embed_caption(caption, bundle.backbone).data
+        cond = condition_for_caption(caption, bundle2, 0.0)
+        f_text = embed_caption(caption, bundle.backbone).data[0]
         assert np.abs(cond.tau_style[0] - f_text).max() <= 1e-12
         assert np.abs(cond.tau_category[0] - f_text).max() <= 1e-12
 
@@ -183,17 +181,11 @@ class TestBuildConditions:
         from stylecat.backbone import embed_caption
 
         caption = spec.caption(0, 3)
-        f_text = embed_caption(caption, bundle.backbone).data
+        f_text = embed_caption(caption, bundle.backbone).data[0]
         for alpha in (0.0, 0.1, 0.5, 1.0):
             cond = condition_for_caption(caption, bundle, alpha)
             assert np.abs(cond.tau_style[0] - f_text).max() < 1e-12
             assert np.abs(cond.tau_category[0] - f_text).max() < 1e-12
-
-    def test_caption_reassembled_from_parts(self, world):
-        spec, _, bundle = world
-        whole = condition_for_caption("a neon style dog", bundle, 0.1)
-        parts = build_conditions("a neon style", "dog", bundle, 0.1)
-        assert np.array_equal(whole.tau_style, parts.tau_style)
 
     def test_default_generation_alpha_is_point_one(self):
         assert TrainConfig().generation_alpha == 0.1
@@ -389,14 +381,14 @@ class TestOracle:
     def test_component_means_classified_to_own_labels(self):
         spec = SyntheticSpec()
         mix = build_mixture(spec)
-        for i in range(spec.n_styles):
-            for j in range(spec.n_categories):
-                assert oracle_classify(mix.means[i, j], mix) == (i, j)
+        s_hat, c_hat = oracle_classify_batch(mix.means.reshape(-1, 2), mix)
+        cells = [(i, j) for i in range(spec.n_styles) for j in range(spec.n_categories)]
+        assert list(zip(s_hat, c_hat)) == cells
 
     def test_far_outlier_still_classified(self):
         mix = build_mixture(SyntheticSpec())
-        s, c = oracle_classify(np.array([1e6, -1e6]), mix)
-        assert 0 <= s < mix.n_styles and 0 <= c < mix.n_categories
+        s, c = oracle_classify_batch(np.array([[1e6, -1e6]]), mix)
+        assert 0 <= s[0] < mix.n_styles and 0 <= c[0] < mix.n_categories
 
     def test_agrees_with_brute_force_likelihood(self):
         """Equal-weight, equal-determinant mixture: max likelihood equals

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stylecat import tensor as T
-from stylecat.backbone import embed_caption
+from stylecat.backbone import embed_caption, embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
 from stylecat.encoders import AdapterParams, EncoderBundle, adapter_forward, blend
 from stylecat.losses import LossConfig, style_labeled_loss
@@ -35,8 +35,8 @@ class TestAdapterForward:
             w1=Tensor(np.zeros((4, 2))), b1=Tensor(np.zeros(2)),
             w2=Tensor(np.zeros((2, 4))), b2=Tensor(np.zeros(4)),
         )
-        out = adapter_forward(Tensor([1.0, -2.0, 3.0, 0.5]), p)
-        assert np.array_equal(out.data, np.zeros(4))
+        out = adapter_forward(Tensor([[1.0, -2.0, 3.0, 0.5]]), p)
+        assert np.array_equal(out.data, np.zeros((1, 4)))
 
     def test_identity_composition_on_nonnegative_input(self):
         d = 5
@@ -44,7 +44,7 @@ class TestAdapterForward:
             w1=Tensor(np.eye(d)), b1=Tensor(np.zeros(d)),
             w2=Tensor(np.eye(d)), b2=Tensor(np.zeros(d)),
         )
-        f = np.array([0.3, 0.0, 1.2, 0.7, 0.01])
+        f = np.array([[0.3, 0.0, 1.2, 0.7, 0.01]])
         assert np.allclose(adapter_forward(Tensor(f), p).data, f, atol=1e-15)
 
     def test_gradients_for_all_four_parameters(self):
@@ -64,8 +64,9 @@ class TestAdapterForward:
 
     def test_dimension_mismatch(self):
         p = AdapterParams.init(8, seed=0)
-        with pytest.raises(T.ShapeError):
-            adapter_forward(Tensor(np.zeros(5)), p)
+        for bad in (np.zeros((1, 5)), np.zeros(8)):
+            with pytest.raises(T.ShapeError):
+                adapter_forward(Tensor(bad), p)
 
     def test_hidden_width_validated(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -98,7 +99,7 @@ class TestEncode:
         trained, _ = train_encoders(config, spec, train)
         with no_grad():
             feats = {
-                (i, j): trained.encode_caption(spec.caption(i, j), "style").data
+                (i, j): trained.encode_caption(spec.caption(i, j), "style").data[0]
                 for i in range(spec.n_styles)
                 for j in range(spec.n_categories)
             }
@@ -146,8 +147,10 @@ class TestBlend:
 class TestParameterIsolation:
     def test_style_loss_leaves_category_adapter_untouched(self, spec, backbone):
         b = fresh_bundle(spec, TrainConfig(), backbone)
-        train, _ = generate_classification_dataset(spec)
-        loss = style_labeled_loss(train[:8], b, LossConfig())
+        batch = generate_classification_dataset(spec)[0][:8]
+        f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
+        labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
+        loss = style_labeled_loss(f_i, labels, b, LossConfig())
         for t in b.trainable_tensors():
             t.zero_grad()
         backward(loss)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stylecat import tensor as T
+from stylecat.backbone import embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
 from stylecat.losses import (
     ConfigError,
@@ -37,41 +38,42 @@ def vectors_at_distances(d_pos, d_neg):
     return anchor, positive, negative
 
 
+def row(v):
+    """One-row (1, D) feature tensor."""
+    return Tensor(np.asarray(v, dtype=float)[None, :])
+
+
 class TestClassLogits:
     def test_matching_prototype_wins(self):
         protos = Tensor(np.eye(3)[:, :3])
-        f = Tensor(np.eye(3)[0])
+        f = row(np.eye(3)[0])
         logits = class_logits(f, protos, 20.0).data
+        assert logits.shape == (1, 3)
         assert logits.argmax() == 0
 
     def test_scale_never_changes_argmax(self):
         rng = np.random.default_rng(1)
-        f = Tensor(unit(rng.standard_normal(6)))
+        f = row(unit(rng.standard_normal(6)))
         protos = Tensor(np.stack([unit(rng.standard_normal(6)) for _ in range(4)]))
         orders = {class_logits(f, protos, s).data.argmax() for s in (0.01, 1.0, 20.0, 500.0)}
         assert len(orders) == 1
 
     def test_vanishing_scale_gives_uniform_softmax(self):
         rng = np.random.default_rng(2)
-        f = Tensor(unit(rng.standard_normal(5)))
+        f = row(unit(rng.standard_normal(5)))
         protos = Tensor(np.stack([unit(rng.standard_normal(5)) for _ in range(3)]))
-        p = T.softmax(class_logits(f, protos, 1e-9)).data
+        p = T.softmax(class_logits(f, protos, 1e-9), axis=1).data
         assert np.abs(p - 1 / 3).max() < 1e-9
-
-    def test_accepts_prototype_list(self):
-        protos = [Tensor(unit([1.0, 0.0])), Tensor(unit([0.0, 1.0]))]
-        logits = class_logits(Tensor(unit([1.0, 0.1])), protos, 10.0)
-        assert logits.shape == (2,)
 
 
 class TestCeLoss:
     def test_uniform_logits_equal_log_k(self):
         for k in (2, 4, 7):
-            loss = ce_loss(Tensor(np.zeros(k)), 0)
+            loss = ce_loss(Tensor(np.zeros((1, k))), [0])
             assert abs(loss.item() - math.log(k)) < 1e-12
 
     def test_saturated_correct_logit_is_near_zero(self):
-        assert ce_loss(Tensor([1000.0, 0.0, 0.0]), 0).item() < 1e-12
+        assert ce_loss(Tensor([[1000.0, 0.0, 0.0]]), [0]).item() < 1e-12
 
     def test_gradient_on_random_logits(self):
         rng = np.random.default_rng(3)
@@ -122,18 +124,19 @@ class TestConfusionLoss:
     def test_direct_minimization_reaches_uniform(self):
         # 200 plain gradient steps drive predictions within 1e-3 of uniform
         rng = np.random.default_rng(6)
-        logits = Tensor(rng.standard_normal(4) * 3, requires_grad=True)
+        logits = Tensor(rng.standard_normal((1, 4)) * 3, requires_grad=True)
         for _ in range(200):
-            loss = confusion_loss(T.reshape(logits, (1, 4)), [0])
+            loss = confusion_loss(logits, [0])
             logits.zero_grad()
             backward(loss)
             logits.data = logits.data - 3.0 * logits.grad
-        p = T.softmax(logits).data
+        p = T.softmax(logits, axis=1).data
         assert np.abs(p - 0.25).max() < 1e-3
 
 
 @pytest.fixture(scope="module")
 def labeled_world():
+    """A bundle with nonzero adapters, and 12 image feature rows with their labels."""
     spec = SyntheticSpec()
     config = TrainConfig()
     backbone = build_backbone(spec, config)
@@ -141,20 +144,19 @@ def labeled_world():
     rng = np.random.default_rng(7)
     bundle.style_adapter.w2.data = 0.3 * rng.standard_normal(bundle.style_adapter.w2.shape)
     bundle.category_adapter.w2.data = 0.3 * rng.standard_normal(bundle.category_adapter.w2.shape)
-    train, _ = generate_classification_dataset(spec)
-    return spec, bundle, train[:12]
+    batch = generate_classification_dataset(spec)[0][:12]
+    f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
+    labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
+    return spec, bundle, (f_i, labels)
 
 
 class TestLabeledLosses:
     def test_lambda_zero_is_plain_ce_bitwise(self, labeled_world):
-        _, bundle, batch = labeled_world
+        _, bundle, (f_i, labels) = labeled_world
         cfg0 = LossConfig(lambda1=0.0)
-        full = style_labeled_loss(batch, bundle, cfg0).item()
+        full = style_labeled_loss(f_i, labels, bundle, cfg0).item()
         protos = bundle.adapted_prototypes("style", "style")
-        from stylecat.losses import _image_features
-
-        f_i = _image_features(batch, bundle)
-        plain = ce_loss(class_logits(f_i, protos, cfg0.logit_scale), [s.style for s in batch]).item()
+        plain = ce_loss(class_logits(f_i, protos, cfg0.logit_scale), labels["style"]).item()
         assert full == plain  # bit-for-bit
 
     def test_default_lambdas_from_sweep_optima(self):
@@ -165,7 +167,7 @@ class TestLabeledLosses:
     def test_style_loss_gradient_wrt_adapter(self, labeled_world):
         _, bundle, batch = labeled_world
         cfg = LossConfig()
-        loss_fn = lambda _: style_labeled_loss(batch, bundle, cfg)
+        loss_fn = lambda _: style_labeled_loss(*batch, bundle, cfg)
         params = bundle.style_adapter.tensors()
         for t in params:
             t.zero_grad()
@@ -176,7 +178,7 @@ class TestLabeledLosses:
 
     def test_category_loss_mirrors_style_loss(self, labeled_world):
         _, bundle, batch = labeled_world
-        loss = category_labeled_loss(batch, bundle, LossConfig())
+        loss = category_labeled_loss(*batch, bundle, LossConfig())
         assert loss.item() > 0
         for t in bundle.category_adapter.tensors() + bundle.style_adapter.tensors():
             t.zero_grad()
@@ -186,31 +188,33 @@ class TestLabeledLosses:
 
 
 class TestTripletLosses:
+    """The two hinges on one-row (1, D) features."""
+
     def test_inactive_hinge(self):
         a, p, n = vectors_at_distances(0.1, 0.5)
-        loss = style_triplet_loss(Tensor(a), Tensor(p), Tensor(n), 0.3)
+        loss = style_triplet_loss(row(a), row(p), row(n), 0.3)
         assert loss.item() == 0.0
 
     def test_active_hinge_value(self):
         a, p, n = vectors_at_distances(0.5, 0.1)
-        loss = style_triplet_loss(Tensor(a), Tensor(p), Tensor(n), 0.3)
+        loss = style_triplet_loss(row(a), row(p), row(n), 0.3)
         assert abs(loss.item() - 0.7) < 1e-12
 
     def test_degenerate_coincidence_returns_margin(self):
-        v = Tensor(unit([1.0, 2.0, 3.0]))
+        v = row(unit([1.0, 2.0, 3.0]))
         loss = style_triplet_loss(v, Tensor(v.data.copy()), Tensor(v.data.copy()), 0.3)
         assert loss.item() == 0.3
 
     def test_category_version_is_symmetric(self):
         a, p, n = vectors_at_distances(0.5, 0.1)
-        s = style_triplet_loss(Tensor(a), Tensor(p), Tensor(n), 0.3).item()
-        c = category_triplet_loss(Tensor(a), Tensor(p), Tensor(n), 0.3).item()
+        s = style_triplet_loss(row(a), row(p), row(n), 0.3).item()
+        c = category_triplet_loss(row(a), row(p), row(n), 0.3).item()
         assert s == c
 
     def test_nonnegative_and_zero_iff_margin_cleared(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            f = [Tensor(unit(rng.standard_normal(6))) for _ in range(3)]
+            f = [row(unit(rng.standard_normal(6))) for _ in range(3)]
             loss = style_triplet_loss(*f, 0.3).item()
             d_pos = np.linalg.norm(f[0].data - f[1].data)
             d_neg = np.linalg.norm(f[0].data - f[2].data)
@@ -222,9 +226,9 @@ class TestTripletLosses:
 
     def test_negative_is_detached(self):
         rng = np.random.default_rng(9)
-        f_s = Tensor(unit(rng.standard_normal(5)), requires_grad=True)
-        f_i = Tensor(unit(rng.standard_normal(5)))
-        f_c = Tensor(unit(rng.standard_normal(5)), requires_grad=True)
+        f_s = Tensor(unit(rng.standard_normal(5))[None, :], requires_grad=True)
+        f_i = row(unit(rng.standard_normal(5)))
+        f_c = Tensor(unit(rng.standard_normal(5))[None, :], requires_grad=True)
         loss = style_triplet_loss(f_s, f_i, f_c, 0.3)
         f_s.zero_grad()
         f_c.zero_grad()
@@ -235,9 +239,9 @@ class TestTripletLosses:
     def test_gradient_through_anchor_path(self):
         rng = np.random.default_rng(10)
         while True:
-            f_s = Tensor(unit(rng.standard_normal(6)), requires_grad=True)
-            f_i = Tensor(unit(rng.standard_normal(6)))
-            f_c = Tensor(unit(rng.standard_normal(6)))
+            f_s = Tensor(unit(rng.standard_normal(6))[None, :], requires_grad=True)
+            f_i = row(unit(rng.standard_normal(6)))
+            f_c = row(unit(rng.standard_normal(6)))
             d_pos = np.linalg.norm(f_s.data - f_i.data)
             d_neg = np.linalg.norm(f_s.data - f_c.data)
             if abs(d_pos - d_neg + 0.3) > 1e-2:  # stay off the hinge kink

@@ -3,6 +3,7 @@ determinism, checkpoints, sweeps, and exit codes."""
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from stylecat.captions import CategoryLexicon
 from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stylecat.cli import main
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset, write_dataset_dir
+from stylecat.diffusion import DenoiserParams
 from stylecat.losses import ConfigError
 from stylecat.train import (
     Adam,
@@ -216,7 +218,9 @@ class TestCheckpointRoundtrip:
         return path, load_checkpoint(path)
 
     @pytest.mark.parametrize("retired", [{}, {"pretrain_contrastive": False, "contrastive_steps": 100,
-                                              "contrastive_temperature": 0.07}])
+                                              "contrastive_temperature": 0.07},
+                                         {"backbone_seed": 0, "word_noise": 0.10, "filler_scale": 0.15,
+                                          "proj_noise": 0.01, "code_scale": 0.30}])
     def test_checkpoint_from_before_warmup_removal_loads(self, saved, tmp_path, retired):
         path, (arrays, meta) = saved
         meta["config"].update(retired)
@@ -232,6 +236,62 @@ class TestCheckpointRoundtrip:
         save_checkpoint(path, arrays, meta)
         with pytest.raises(CheckpointError, match="warmed-up"):
             load_encoder_checkpoint(path)
+
+    @pytest.mark.parametrize("retired", [{"backbone_seed": 3}, {"word_noise": 0.2}])
+    def test_checkpoint_of_other_backbone_rejected(self, saved, data_dir, retired):
+        path, (arrays, meta) = saved
+        meta["config"].update(retired)
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError, match="no longer"):
+            load_encoder_checkpoint(path)
+        assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
+
+    @pytest.mark.parametrize("edit", ["not-a-dict", "no-config", "config-not-a-dict", "no-spec",
+                                      "config-type", "spec-type"])
+    def test_malformed_metadata_rejected(self, saved, data_dir, edit):
+        path, (arrays, meta) = saved
+        if edit == "not-a-dict":
+            meta = [meta]
+        elif edit == "no-config":
+            meta = {"kind": "encoders"}
+        elif edit == "config-not-a-dict":
+            meta["config"] = "labeled"
+        elif edit == "no-spec":
+            del meta["dataset_spec"]
+        elif edit == "config-type":
+            meta["config"]["epochs"] = "3"
+        else:
+            meta["dataset_spec"]["n_styles"] = "3"
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_encoder_checkpoint(path)
+        assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
+
+    @pytest.mark.parametrize("edit", ["wrong-rank", "wrong-width"])
+    def test_wrong_array_shapes_rejected(self, saved, data_dir, edit):
+        path, (arrays, meta) = saved
+        if edit == "wrong-rank":
+            arrays["category_adapter.b2"] = np.zeros((1, 32))
+        else:
+            meta["config"]["dim"] = 16  # adapters of width 32 stored against dim 16
+        save_checkpoint(path, arrays, meta)
+        group, array = ("category_adapter", "b2") if edit == "wrong-rank" else ("style_adapter", "w1")
+        with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}: {group}: .*array {array} has shape"):
+            load_encoder_checkpoint(path)
+        assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
+
+    @pytest.mark.parametrize("tokens", [1, 3])
+    def test_condition_offsets_need_two_or_more_rows(self, saved, tokens):
+        path, (arrays, meta) = saved
+        denoiser = DenoiserParams.init(dim=32, steps=meta["config"]["timesteps"], n_cond_tokens=3)
+        arrays.update({f"denoiser.{k}": v for k, v in denoiser.arrays().items()})
+        arrays["denoiser.cond_offsets"] = arrays["denoiser.cond_offsets"][:tokens]
+        save_checkpoint(path, arrays, meta)
+        if tokens == 1:
+            with pytest.raises(CheckpointError, match="cond_offsets"):
+                load_encoder_checkpoint(path)
+        else:
+            assert load_encoder_checkpoint(path)[3].cond_offsets.shape == (3, 32)
 
     @pytest.mark.parametrize("edit", ["missing", "extra", "unknown-group"])
     def test_wrong_array_names_rejected(self, saved, data_dir, edit):
@@ -305,6 +365,16 @@ class TestCli:
         assert self.run("sweep", "--axis", "alpha", "--checkpoint", str(ckpt),
                         "--data", str(data), "--out", str(sweep_csv), "--grid", "0.0,0.8") == 0
         assert len(sweep_csv.read_text().splitlines()) == 3
+
+    def test_eval_and_alpha_sweep_read_only_the_test_split(self, spec, data_dir, tmp_path):
+        only_test = tmp_path / "only-test"
+        only_test.mkdir()
+        (only_test / "clf_test.jsonl").write_bytes((data_dir / "clf_test.jsonl").read_bytes())
+        ckpt = tmp_path / "enc.cclp"
+        save_encoder_checkpoint(ckpt, fresh_bundle(spec, TrainConfig(epochs=0)), TrainConfig(epochs=0), spec)
+        assert self.run("eval-classify", "--checkpoint", str(ckpt), "--data", str(only_test)) == 0
+        assert self.run("sweep", "--axis", "alpha", "--checkpoint", str(ckpt), "--data", str(only_test),
+                        "--out", str(tmp_path / "s.csv"), "--grid", "0.0") == 0
 
     def test_validation_errors_exit_one(self, tmp_path):
         assert self.run("train-encoders", "--data", str(tmp_path / "missing"),
