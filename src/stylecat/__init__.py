@@ -5,7 +5,6 @@ from .tensor import Tensor, ShapeError, backward, finite_diff_grad, no_grad
 from .backbone import FrozenWeights, Vocab, embed_captions, embed_image, embed_text
 from .encoders import AdapterParams, EncoderBundle, adapter_forward, blend
 from .losses import (
-    LossConfig,
     category_labeled_loss,
     category_triplet_loss,
     ce_loss,

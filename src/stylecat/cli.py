@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,11 +106,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--encoders", required=True, help="encoder checkpoint to condition on")
     p.add_argument("--out", required=True)
     p.add_argument("--metrics")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=int)
+    p.add_argument("--steps", type=int, dest="diffusion_steps")
+    p.add_argument("--batch-size", type=int, dest="diffusion_batch")
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=float, dest="generation_alpha")
     p.add_argument("--timesteps", type=int)
 
     p = sub.add_parser("sample", help="draw conditioned samples from a trained model")
@@ -117,16 +118,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--style", required=True)
     p.add_argument("--category", required=True)
     p.add_argument("-n", "--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--seed", type=int, default=0, dest="sample_seed", help="sampling seed")
+    p.add_argument("--alpha", type=float, dest="generation_alpha")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("guidance-eval", help="matched vs mismatched oracle accuracy")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-cell", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--seed", type=int, default=0, dest="sample_seed", help="sampling seed")
+    p.add_argument("--alpha", type=float, dest="generation_alpha")
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of all gradients")
     p.add_argument("--seeds", type=int, default=20)
@@ -135,18 +136,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args, **overrides) -> TrainConfig:
-    config = TrainConfig.from_file(args.config) if getattr(args, "config", None) else TrainConfig()
-    config = config.override(**{k: v for k, v in overrides.items() if v is not None})
-    return apply_seed_env(config)
+def _load_config(args, config: TrainConfig | None = None) -> TrainConfig:
+    """``config`` (else ``--config``, else the defaults) overridden by every flag whose dest
+    names a TrainConfig field, then by CCLIP_SEED."""
+    if config is None:
+        config = TrainConfig.from_file(args.config) if getattr(args, "config", None) else TrainConfig()
+    overrides = {f.name: v for f in fields(TrainConfig) if (v := getattr(args, f.name, None)) is not None}
+    return apply_seed_env(replace(config, **overrides))
 
 
 def _load_dataset_dir(data_dir):
     """Spec, classification splits and lexicon of a dataset directory."""
     spec = read_spec(data_dir)
     root = Path(data_dir)
-    train = load(root / "clf_train.jsonl")
-    test = load(root / "clf_test.jsonl")
+    train = load(root / "clf_train.jsonl", "grid", spec)
+    test = load(root / "clf_test.jsonl", "grid", spec)
     lexicon = CategoryLexicon.from_file(root / "lexicon.txt")
     return spec, train, test, lexicon
 
@@ -156,8 +160,8 @@ def _load_generator(args):
     bundle, config, spec, denoiser = load_encoder_checkpoint(args.checkpoint)
     if denoiser is None:
         raise ConfigError("checkpoint has no denoiser parameters; run train-diffusion first")
-    alpha = config.generation_alpha if args.alpha is None else args.alpha
-    return bundle, spec, denoiser, alpha, DiffusionSchedule.make(config.timesteps)
+    config = _load_config(args, config)
+    return bundle, spec, denoiser, config.generation_alpha, DiffusionSchedule.make(config.timesteps)
 
 
 def _cmd_gen_data(args) -> int:
@@ -196,13 +200,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_train_encoders(args) -> int:
-    config = _load_config(
-        args,
-        mode=args.mode, epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        seed=args.seed, shots=args.shots, lambda1=args.lambda1, lambda2=args.lambda2,
-        margin1=args.margin1, margin2=args.margin2, adversarial_mode=args.adversarial_mode,
-        logit_scale=args.logit_scale,
-    )
+    config = _load_config(args)
     spec, train, test, lexicon = _load_dataset_dir(args.data)
     started = time.perf_counter()
     bundle, rows = train_encoders(config, spec, train, lexicon=lexicon)
@@ -220,16 +218,14 @@ def _cmd_train_encoders(args) -> int:
 
 def _cmd_eval_classify(args) -> int:
     bundle, config, spec, _ = load_encoder_checkpoint(args.checkpoint)
-    alpha_style = config.alpha_style if args.alpha_style is None else args.alpha_style
-    alpha_category = config.alpha_category if args.alpha_category is None else args.alpha_category
-    test = load(Path(args.data) / "clf_test.jsonl")
-    s_top1, c_top1 = evaluate_classification(bundle, test, alpha_style, alpha_category, config.logit_scale)
+    config = _load_config(args, config)
+    test = load(Path(args.data) / "clf_test.jsonl", "grid", spec)
+    s_top1, c_top1 = evaluate_classification(bundle, test, config.alpha_style, config.alpha_category,
+                                             config.logit_scale)
     print(f"style_top1={s_top1:.6f} category_top1={c_top1:.6f} "
-          f"(alpha_style={alpha_style}, alpha_category={alpha_category})")
+          f"(alpha_style={config.alpha_style}, alpha_category={config.alpha_category})")
     if args.out:
-        row = _metrics_row(config.epochs, "test", s_top1, c_top1, "", "", config,
-                           alpha_style=alpha_style, alpha_category=alpha_category)
-        write_metrics_csv([row], args.out)
+        write_metrics_csv([_metrics_row(config.epochs, "test", s_top1, c_top1, "", "", config)], args.out)
     return 0
 
 
@@ -246,13 +242,13 @@ def _cmd_sweep(args) -> int:
     if args.axis == "alpha":
         if not args.checkpoint:
             raise ConfigError("alpha sweep requires --checkpoint")
-        bundle, config, _, _ = load_encoder_checkpoint(args.checkpoint)
-        config = apply_seed_env(config.override(seed=args.seed))
-        test = load(Path(args.data) / "clf_test.jsonl")
+        bundle, config, spec, _ = load_encoder_checkpoint(args.checkpoint)
+        config = _load_config(args, config)
+        test = load(Path(args.data) / "clf_test.jsonl", "grid", spec)
         rows = alpha_sweep(bundle, test, config, grid=_parse_grid(args.grid, ALPHA_GRID))
     else:
         spec, train, test, lexicon = _load_dataset_dir(args.data)
-        config = _load_config(args, seed=args.seed)
+        config = _load_config(args)
         rows = lambda_sweep(config, spec, train, test,
                             grid=_parse_grid(args.grid, LAMBDA_GRID), lexicon=lexicon)
     write_metrics_csv(rows, args.out)
@@ -262,12 +258,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_train_diffusion(args) -> int:
     bundle, config, spec, _ = load_encoder_checkpoint(args.encoders)
-    config = config.override(
-        diffusion_steps=args.steps, diffusion_batch=args.batch_size, lr=args.lr,
-        seed=args.seed, generation_alpha=args.alpha, timesteps=args.timesteps,
-    )
-    config = apply_seed_env(config)
-    points = load(Path(args.data) / "diff_train.jsonl")
+    config = _load_config(args, config)
+    points = load(Path(args.data) / "diff_train.jsonl", "point", spec)
     started = time.perf_counter()
     params, _, rows = train_diffusion(config, points, bundle)
     save_encoder_checkpoint(args.out, bundle, config, spec, denoiser=params)
@@ -287,9 +279,8 @@ def _cmd_sample(args) -> int:
         )
     caption = spec.caption(spec.style_names.index(args.style), spec.category_names.index(args.category))
     cond = condition_for_caption(caption, bundle, alpha)
-    pts = ddpm_sample(args.count, cond, schedule, denoiser, seed=args.seed)
-    mixture = build_mixture(spec)
-    s_hat, c_hat = oracle_classify_batch(pts, mixture) if len(pts) else (np.array([], dtype=int),) * 2
+    pts = ddpm_sample(args.count, cond, schedule, denoiser, seed=args.sample_seed)
+    s_hat, c_hat = oracle_classify_batch(pts, build_mixture(spec))
     rows = [
         {
             "x": float(p[0]),
@@ -309,7 +300,7 @@ def _cmd_sample(args) -> int:
 def _cmd_guidance_eval(args) -> int:
     bundle, spec, denoiser, alpha, schedule = _load_generator(args)
     rows = guidance_eval(bundle, denoiser, schedule, spec, alpha=alpha,
-                         n_per_cell=args.n_per_cell, seed=args.seed)
+                         n_per_cell=args.n_per_cell, seed=args.sample_seed)
     write_metrics_csv(rows, args.out, ("style", "category", "matched_accuracy",
                                        "mismatched_style", "mismatched_category", "mismatched_accuracy"))
     matched = float(np.mean([r["matched_accuracy"] for r in rows]))

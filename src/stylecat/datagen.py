@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .backbone import GRID_SHAPE
+
 DEFAULT_STYLES = ("sketch", "neon", "pastel")
 DEFAULT_CATEGORIES = ("cat", "dog", "car", "tree")
 
@@ -251,8 +253,40 @@ def export(samples, path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def load(path):
-    """Inverse of ``export``; reports the offending line on bad input."""
+RECORD_KEYS = {
+    "grid": {"grid", "style", "category", "caption"},
+    "point": {"x", "y", "style", "category", "caption"},
+}
+
+
+def _parse_record(obj: dict, kind: str, spec: SyntheticSpec):
+    """The sample of one record of ``kind``; ValueError naming what is wrong with it."""
+    style, category, caption = obj["style"], obj["category"], obj["caption"]
+    if type(style) is not int or type(category) is not int or not isinstance(caption, str):
+        raise ValueError("style and category must be integers and caption a string")
+    if not (0 <= style < spec.n_styles and 0 <= category < spec.n_categories):
+        raise ValueError(f"label (style {style}, category {category}) outside the spec's "
+                         f"{spec.n_styles} styles x {spec.n_categories} categories")
+    if kind == "point":
+        x, y = float(obj["x"]), float(obj["y"])
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise ValueError(f"point ({x}, {y}) is not finite")
+        return PointSample(x=x, y=y, style=style, category=category, caption=caption)
+    grid = np.asarray(obj["grid"], dtype=np.float64)
+    if grid.shape != GRID_SHAPE:
+        raise ValueError(f"grid shape {grid.shape}, expected {GRID_SHAPE}")
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
+        raise ValueError("grid values must lie in [0, 1]")
+    return ClassificationSample(grid=grid, style=style, category=category, caption=caption)
+
+
+def load(path, kind: str, spec: SyntheticSpec):
+    """Inverse of ``export`` for one record kind, "grid" or "point"; reports the offending line on bad input.
+
+    Every record must hold exactly the keys of ``kind``, integer labels within
+    ``spec``'s factor counts and a string caption; a point must be finite and
+    a grid (8, 8, 3) with values in [0, 1].
+    """
     samples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -262,23 +296,12 @@ def load(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetError(f"{path}: malformed JSON at line {lineno}: {e}") from e
+            if not isinstance(obj, dict) or set(obj) != RECORD_KEYS[kind]:
+                raise DatasetError(f"{path}: line {lineno} is not a {kind} record with keys "
+                                   f"{sorted(RECORD_KEYS[kind])}")
             try:
-                if "grid" in obj:
-                    grid = np.asarray(obj["grid"], dtype=np.float64)
-                    samples.append(
-                        ClassificationSample(
-                            grid=grid, style=int(obj["style"]),
-                            category=int(obj["category"]), caption=obj["caption"],
-                        )
-                    )
-                else:
-                    samples.append(
-                        PointSample(
-                            x=float(obj["x"]), y=float(obj["y"]), style=int(obj["style"]),
-                            category=int(obj["category"]), caption=obj["caption"],
-                        )
-                    )
-            except (KeyError, TypeError, ValueError) as e:
+                samples.append(_parse_record(obj, kind, spec))
+            except (TypeError, ValueError) as e:
                 raise DatasetError(f"{path}: invalid record at line {lineno}: {e}") from e
     return samples
 

@@ -265,6 +265,8 @@ def sample(
     Step noise uses the forward-posterior variance
     (1 - abar_{t-1}) / (1 - abar_t) * beta_t.
     """
+    if n < 0:
+        raise ValueError(f"sample: n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
     if n == 0:
         return np.zeros((0, POINT_DIM))

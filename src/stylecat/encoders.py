@@ -78,18 +78,14 @@ class EncoderBundle:
         category_adapter: AdapterParams,
         style_names,
         category_names,
-        alpha: float = 0.1,
     ):
         if style_adapter is category_adapter:
             raise ValueError("style and category adapters must not share parameters")
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self.backbone = backbone
         self.style_adapter = style_adapter
         self.category_adapter = category_adapter
         self.style_names = tuple(style_names)
         self.category_names = tuple(category_names)
-        self.alpha = alpha
         # (K, D) frozen prompt features, one row per class name: constants of the backbone.
         self.prompt_features = {
             kind: embed_captions([PROMPT_TEMPLATES[kind].format(name) for name in names], backbone)
@@ -97,15 +93,13 @@ class EncoderBundle:
         }
 
     @classmethod
-    def fresh(cls, backbone: FrozenWeights, style_names, category_names,
-              hidden: int | None = None, seed: int = 0, alpha: float = 0.1) -> "EncoderBundle":
+    def fresh(cls, backbone: FrozenWeights, style_names, category_names, seed: int = 0) -> "EncoderBundle":
         return cls(
             backbone,
-            AdapterParams.init(backbone.dim, hidden, seed=seed),
-            AdapterParams.init(backbone.dim, hidden, seed=seed + 1),
+            AdapterParams.init(backbone.dim, seed=seed),
+            AdapterParams.init(backbone.dim, seed=seed + 1),
             style_names,
             category_names,
-            alpha=alpha,
         )
 
     def _adapter(self, kind: str) -> AdapterParams:

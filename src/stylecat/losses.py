@@ -4,13 +4,16 @@ head shared by all of them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .encoders import EncoderBundle
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .train import TrainConfig
 
 ADVERSARIAL_MODES = ("uniform-kl", "negated-ce")
 
@@ -19,30 +22,8 @@ class ConfigError(ValueError):
     """Invalid hyperparameter or mode configuration."""
 
 
-@dataclass
-class LossConfig:
-    """Hyperparameters for the four labeled/unlabeled objectives."""
-
-    lambda1: float = 0.2   # style encoder: weight of its category-confusion term
-    lambda2: float = 0.3   # category encoder: weight of its style-confusion term
-    margin1: float = 0.3
-    margin2: float = 0.3
-    adversarial_mode: str = "uniform-kl"
-    logit_scale: float = 20.0
-
-    def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("lambda weights must be >= 0")
-        if self.margin1 < 0 or self.margin2 < 0:
-            raise ConfigError("margins must be >= 0")
-        if self.adversarial_mode not in ADVERSARIAL_MODES:
-            raise ConfigError(f"adversarial_mode must be one of {ADVERSARIAL_MODES}")
-        if self.logit_scale <= 0:
-            raise ConfigError("logit_scale must be > 0")
-
-
-def class_logits(f: Tensor, prototypes: Tensor, scale: float = 20.0) -> Tensor:
-    """Scaled cosine similarity of (n, D) feature rows against (K, D) prototypes: (n, K)."""
+def class_logits(f: Tensor, prototypes: Tensor, scale: float = 1.0) -> Tensor:
+    """Cosine similarity of (n, D) feature rows against (K, D) prototypes, times ``scale``: (n, K)."""
     return T.scale(T.matmul(T.normalize(f), T.transpose(T.normalize(prototypes))), scale)
 
 
@@ -63,7 +44,7 @@ def ce_loss(logits: Tensor, labels) -> Tensor:
     return T.scale(T.tensor_mean(picked), -1.0)
 
 
-def confusion_loss(logits: Tensor, labels, mode: str = "uniform-kl") -> Tensor:
+def confusion_loss(logits: Tensor, labels, mode: str) -> Tensor:
     """Adversarial term for the opposing attribute.
 
     uniform-kl: cross-entropy of predictions against the uniform
@@ -79,7 +60,7 @@ def confusion_loss(logits: Tensor, labels, mode: str = "uniform-kl") -> Tensor:
     raise ConfigError(f"unknown adversarial mode: {mode!r}")
 
 
-def _labeled_loss(f_i: Tensor, labels: dict[str, np.ndarray], encoders: EncoderBundle, cfg: LossConfig,
+def _labeled_loss(f_i: Tensor, labels: dict[str, np.ndarray], encoders: EncoderBundle, cfg: TrainConfig,
                   kind: str) -> Tensor:
     """Objective of the ``kind`` encoder on (n, D) image feature rows.
 
@@ -103,13 +84,13 @@ def _labeled_loss(f_i: Tensor, labels: dict[str, np.ndarray], encoders: EncoderB
 
 
 def style_labeled_loss(f_i: Tensor, labels: dict[str, np.ndarray], encoders: EncoderBundle,
-                       cfg: LossConfig) -> Tensor:
+                       cfg: TrainConfig) -> Tensor:
     """Style-encoder objective on labeled image features (lambda1)."""
     return _labeled_loss(f_i, labels, encoders, cfg, "style")
 
 
 def category_labeled_loss(f_i: Tensor, labels: dict[str, np.ndarray], encoders: EncoderBundle,
-                          cfg: LossConfig) -> Tensor:
+                          cfg: TrainConfig) -> Tensor:
     """Mirror objective for the category encoder (swap roles, lambda2)."""
     return _labeled_loss(f_i, labels, encoders, cfg, "category")
 
@@ -121,7 +102,7 @@ def _triplet(anchor: Tensor, positive: Tensor, negative: Tensor, margin: float) 
     return T.tensor_mean(hinge)
 
 
-def style_triplet_loss(f_s: Tensor, f_i: Tensor, f_c: Tensor, margin: float = 0.3) -> Tensor:
+def style_triplet_loss(f_s: Tensor, f_i: Tensor, f_c: Tensor, margin: float) -> Tensor:
     """Hinge pulling f_s toward the image anchor and away from f_c.
 
     f_c is treated as a constant here: the opposing encoder is not trained
@@ -130,6 +111,6 @@ def style_triplet_loss(f_s: Tensor, f_i: Tensor, f_c: Tensor, margin: float = 0.
     return _triplet(f_s, f_i, f_c.detach(), margin)
 
 
-def category_triplet_loss(f_c: Tensor, f_i: Tensor, f_s: Tensor, margin: float = 0.3) -> Tensor:
+def category_triplet_loss(f_c: Tensor, f_i: Tensor, f_s: Tensor, margin: float) -> Tensor:
     """Mirror hinge for the category encoder; f_s held constant."""
     return _triplet(f_c, f_i, f_s.detach(), margin)

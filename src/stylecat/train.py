@@ -32,8 +32,8 @@ from .diffusion import (
 )
 from .encoders import PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt, blend
 from .losses import (
+    ADVERSARIAL_MODES,
     ConfigError,
-    LossConfig,
     category_labeled_loss,
     category_triplet_loss,
     ce_loss,
@@ -62,15 +62,12 @@ class NumericalError(RuntimeError):
 class TrainConfig:
     mode: str = "labeled"
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
     shots: int | None = None
-    lambda1: float = 0.2
-    lambda2: float = 0.3
+    lambda1: float = 0.2   # style encoder: weight of its category-confusion term
+    lambda2: float = 0.3   # category encoder: weight of its style-confusion term
     margin1: float = 0.3
     margin2: float = 0.3
     adversarial_mode: str = "uniform-kl"
@@ -79,7 +76,6 @@ class TrainConfig:
     alpha_category: float = 0.4
     generation_alpha: float = 0.1
     dim: int = 32
-    hidden: int | None = None
     diffusion_steps: int = 3000
     diffusion_batch: int = 256
     timesteps: int = 200
@@ -89,8 +85,8 @@ class TrainConfig:
             raise ConfigError(f"mode must be 'labeled' or 'unlabeled', got {self.mode!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if self.lr <= 0 or not (0 <= self.beta1 < 1) or not (0 <= self.beta2 < 1) or self.adam_eps <= 0:
-            raise ConfigError("invalid optimizer hyperparameters")
+        if self.lr <= 0:
+            raise ConfigError("lr must be > 0")
         if self.shots is not None and self.shots < 1:
             raise ConfigError("shots must be >= 1 when given")
         for name in ("alpha_style", "alpha_category", "generation_alpha"):
@@ -101,17 +97,14 @@ class TrainConfig:
             raise ConfigError("dim and timesteps must be >= 2")
         if self.diffusion_steps < 0 or self.diffusion_batch < 1:
             raise ConfigError("invalid diffusion training sizes")
-        self.loss_config()  # validates the loss block
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            margin1=self.margin1,
-            margin2=self.margin2,
-            adversarial_mode=self.adversarial_mode,
-            logit_scale=self.logit_scale,
-        )
+        if self.lambda1 < 0 or self.lambda2 < 0:
+            raise ConfigError("lambda weights must be >= 0")
+        if self.margin1 < 0 or self.margin2 < 0:
+            raise ConfigError("margins must be >= 0")
+        if self.adversarial_mode not in ADVERSARIAL_MODES:
+            raise ConfigError(f"adversarial_mode must be one of {ADVERSARIAL_MODES}")
+        if self.logit_scale <= 0:
+            raise ConfigError("logit_scale must be > 0")
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -134,10 +127,6 @@ class TrainConfig:
             raise ConfigError(f"config {path} must be a JSON object")
         return cls.from_dict(obj)
 
-    def override(self, **kwargs) -> "TrainConfig":
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **updates) if updates else self
-
 
 def apply_seed_env(config: TrainConfig, env=os.environ) -> TrainConfig:
     """CCLIP_SEED, when set, overrides every other seed source."""
@@ -153,16 +142,16 @@ def apply_seed_env(config: TrainConfig, env=os.environ) -> TrainConfig:
 class Adam:
     """Standard bias-corrected Adam over a fixed tensor list."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr: float):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
-
-    @classmethod
-    def from_config(cls, params, cfg: TrainConfig) -> "Adam":
-        return cls(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
 
     def zero_grad(self):
         for p in self.params:
@@ -170,15 +159,15 @@ class Adam:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            p.data = p.data - self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
+            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
+            p.data = p.data - self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +184,7 @@ def build_backbone(spec: SyntheticSpec, config: TrainConfig) -> FrozenWeights:
 
 def fresh_bundle(spec: SyntheticSpec, config: TrainConfig, backbone: FrozenWeights | None = None) -> EncoderBundle:
     backbone = backbone if backbone is not None else build_backbone(spec, config)
-    return EncoderBundle.fresh(
-        backbone,
-        spec.style_names,
-        spec.category_names,
-        hidden=config.hidden,
-        seed=config.seed,
-        alpha=config.generation_alpha,
-    )
+    return EncoderBundle.fresh(backbone, spec.style_names, spec.category_names, seed=config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +209,7 @@ def _top1(bundle: EncoderBundle, f_i: np.ndarray, labels, alpha_style: float, al
 
 
 def evaluate_classification(bundle: EncoderBundle, samples, alpha_style: float,
-                            alpha_category: float, logit_scale: float = 20.0):
+                            alpha_category: float, logit_scale: float):
     """Top-1 accuracy for both factors under the blended prototypes."""
     return _top1(bundle, *_features(samples, bundle.backbone), alpha_style, alpha_category, logit_scale)
 
@@ -282,9 +264,8 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         raise ConfigError("training set is empty")
 
     bundle = fresh_bundle(spec, config, backbone)
-    cfg = config.loss_config()
-    opt_style = Adam.from_config(bundle.style_adapter.tensors(), config)
-    opt_cat = Adam.from_config(bundle.category_adapter.tensors(), config)
+    opt_style = Adam(bundle.style_adapter.tensors(), config.lr)
+    opt_cat = Adam(bundle.category_adapter.tensors(), config.lr)
     rng = np.random.default_rng([config.seed, 11])
 
     # Frozen features are constants of the data: embedded once per run.
@@ -305,39 +286,38 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
 
             if config.mode == "labeled":
                 batch_labels = {kind: y[idx] for kind, y in labels.items()}
-                loss_s = style_labeled_loss(f_i, batch_labels, bundle, cfg)
+                loss_s = style_labeled_loss(f_i, batch_labels, bundle, config)
             else:
                 style_frozen = Tensor(style_text[idx])
                 cat_frozen = Tensor(category_text[idx])
                 f_s = bundle.adapt_feature(style_frozen, "style")
                 with no_grad():
                     f_c = bundle.adapt_feature(cat_frozen, "category")
-                loss_s = style_triplet_loss(f_s, f_i, f_c, cfg.margin1)
+                loss_s = style_triplet_loss(f_s, f_i, f_c, config.margin1)
             opt_style.zero_grad()
             backward(loss_s)
             opt_style.step()
             style_losses.append(_check_finite(loss_s.item(), "style step"))
 
             if config.mode == "labeled":
-                loss_c = category_labeled_loss(f_i, batch_labels, bundle, cfg)
+                loss_c = category_labeled_loss(f_i, batch_labels, bundle, config)
             else:
                 with no_grad():
                     f_s_const = bundle.adapt_feature(style_frozen, "style")
                 f_c = bundle.adapt_feature(cat_frozen, "category")
-                loss_c = category_triplet_loss(f_c, f_i, f_s_const, cfg.margin2)
+                loss_c = category_triplet_loss(f_c, f_i, f_s_const, config.margin2)
             opt_cat.zero_grad()
             backward(loss_c)
             opt_cat.step()
             cat_losses.append(_check_finite(loss_c.item(), "category step"))
 
-        s_top1, c_top1 = _top1(bundle, f_all, labels, config.alpha_style, config.alpha_category, cfg.logit_scale)
+        s_top1, c_top1 = _top1(bundle, f_all, labels, config.alpha_style, config.alpha_category, config.logit_scale)
         rows.append(_metrics_row(epoch, "train", s_top1, c_top1,
                                  float(np.mean(style_losses)), float(np.mean(cat_losses)), config))
     return bundle, rows
 
 
-def _metrics_row(epoch, split, style_top1, category_top1, style_loss, category_loss,
-                 config: TrainConfig, alpha_style=None, alpha_category=None):
+def _metrics_row(epoch, split, style_top1, category_top1, style_loss, category_loss, config: TrainConfig):
     return {
         "epoch": epoch,
         "split": split,
@@ -345,8 +325,8 @@ def _metrics_row(epoch, split, style_top1, category_top1, style_loss, category_l
         "category_top1": category_top1,
         "style_loss": style_loss,
         "category_loss": category_loss,
-        "alpha_style": config.alpha_style if alpha_style is None else alpha_style,
-        "alpha_category": config.alpha_category if alpha_category is None else alpha_category,
+        "alpha_style": config.alpha_style,
+        "alpha_category": config.alpha_category,
         "lambda1": config.lambda1,
         "lambda2": config.lambda2,
         "seed": config.seed,
@@ -373,9 +353,10 @@ def alpha_sweep(bundle: EncoderBundle, testset, config: TrainConfig, grid=ALPHA_
     """Evaluate one trained bundle across the blending grid."""
     rows = []
     for a in grid:
-        s_top1, c_top1 = evaluate_classification(bundle, testset, a, a, config.logit_scale)
-        rows.append(_metrics_row(config.epochs, "test", s_top1, c_top1, "", "",
-                                 config, alpha_style=a, alpha_category=a))
+        cfg = replace(config, alpha_style=a, alpha_category=a)
+        s_top1, c_top1 = evaluate_classification(bundle, testset, cfg.alpha_style, cfg.alpha_category,
+                                                 cfg.logit_scale)
+        rows.append(_metrics_row(cfg.epochs, "test", s_top1, c_top1, "", "", cfg))
     return rows
 
 
@@ -406,7 +387,7 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
         raise DatasetError("diffusion dataset is empty; need at least one captioned point")
     schedule = DiffusionSchedule.make(config.timesteps)
     params = DenoiserParams.init(dim=config.dim, steps=config.timesteps, seed=config.seed)
-    opt = Adam.from_config(params.tensors(), config)
+    opt = Adam(params.tensors(), config.lr)
     rng = np.random.default_rng([config.seed, 21])
     caption_idx = {c: i for i, c in enumerate(dict.fromkeys(p.caption for p in points))}
     conditions = [condition_for_caption(c, bundle, config.generation_alpha) for c in caption_idx]
@@ -426,8 +407,10 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
 
 
 def guidance_eval(bundle: EncoderBundle, params: DenoiserParams, schedule: DiffusionSchedule,
-                  spec: SyntheticSpec, alpha: float = 0.1, n_per_cell: int = 200, seed: int = 0):
+                  spec: SyntheticSpec, alpha: float, n_per_cell: int, seed: int):
     """Matched vs deliberately mismatched oracle accuracy per condition cell."""
+    if n_per_cell < 1:
+        raise ConfigError(f"guidance_eval: n_per_cell must be >= 1, got {n_per_cell}")
     mixture = build_mixture(spec)
     rows = []
     for i in range(spec.n_styles):
@@ -471,14 +454,15 @@ def save_encoder_checkpoint(path, bundle: EncoderBundle, config: TrainConfig, sp
     save_checkpoint(path, arrays, meta)
 
 
-# The backbone's construction options, retired from TrainConfig: a checkpoint
-# may hold them only at the values of the constants the backbone is now built with.
-RETIRED_BACKBONE_KEYS = {"backbone_seed": BACKBONE_SEED, "word_noise": WORD_NOISE,
-                         "filler_scale": FILLER_SCALE, "proj_noise": PROJ_NOISE, "code_scale": CODE_SCALE}
-# Config keys still present in checkpoints written before their removal: those
-# of the contrastive backbone warm-up and the backbone options.
-RETIRED_CONFIG_KEYS = ("pretrain_contrastive", "contrastive_steps", "contrastive_temperature",
-                       *RETIRED_BACKBONE_KEYS)
+# The backbone's and Adam's options, retired from TrainConfig: a checkpoint may
+# hold them only at the values of the constants the code now uses.
+RETIRED_CONSTANT_KEYS = {"backbone_seed": BACKBONE_SEED, "word_noise": WORD_NOISE,
+                         "filler_scale": FILLER_SCALE, "proj_noise": PROJ_NOISE, "code_scale": CODE_SCALE,
+                         "beta1": Adam.BETA1, "beta2": Adam.BETA2, "adam_eps": Adam.EPS}
+# Config keys still present in checkpoints written before their removal: those of the contrastive
+# warm-up, the adapter width (now dim // 4, enforced by the array shapes) and the options above.
+RETIRED_CONFIG_KEYS = ("pretrain_contrastive", "contrastive_steps", "contrastive_temperature", "hidden",
+                       *RETIRED_CONSTANT_KEYS)
 
 
 def _stored_config(path, meta) -> tuple[TrainConfig, SyntheticSpec]:
@@ -490,10 +474,9 @@ def _stored_config(path, meta) -> tuple[TrainConfig, SyntheticSpec]:
     if stored.get("pretrain_contrastive"):
         raise CheckpointError(f"{path}: trained on a contrastively warmed-up backbone, which the "
                               "checkpoint does not hold; retrain without the warm-up")
-    changed = {k: stored[k] for k, v in RETIRED_BACKBONE_KEYS.items() if k in stored and stored[k] != v}
+    changed = {k: stored[k] for k, v in RETIRED_CONSTANT_KEYS.items() if k in stored and stored[k] != v}
     if changed:
-        raise CheckpointError(f"{path}: trained on a backbone built with {changed}, which can no longer "
-                              "be rebuilt")
+        raise CheckpointError(f"{path}: trained with {changed}, which can no longer be set")
     try:
         config = TrainConfig.from_dict({k: v for k, v in stored.items() if k not in RETIRED_CONFIG_KEYS})
         return config, SyntheticSpec.from_json(meta["dataset_spec"])
@@ -519,7 +502,7 @@ def load_encoder_checkpoint(path):
         except CheckpointError as e:
             raise CheckpointError(f"{path}: {prefix}: {e}") from e
 
-    adapter = AdapterParams.init(config.dim, config.hidden)
+    adapter = AdapterParams.init(config.dim)
     style_adapter = rebuild(AdapterParams, "style_adapter", adapter)
     category_adapter = rebuild(AdapterParams, "category_adapter", adapter)
     denoiser = None
@@ -530,7 +513,7 @@ def load_encoder_checkpoint(path):
         like = DenoiserParams.init(dim=config.dim, steps=config.timesteps, n_cond_tokens=max(2, tokens))
         denoiser = rebuild(DenoiserParams, "denoiser", like)
     bundle = EncoderBundle(build_backbone(spec, config), style_adapter, category_adapter,
-                           spec.style_names, spec.category_names, alpha=config.generation_alpha)
+                           spec.style_names, spec.category_names)
     return bundle, config, spec, denoiser
 
 

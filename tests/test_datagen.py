@@ -1,5 +1,8 @@
 """Synthetic data: determinism, balance, learnability, and persistence."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -132,31 +135,53 @@ class TestPersistence:
         train, _ = generate_classification_dataset(small)
         path = tmp_path / "d.jsonl"
         export(train, path)
-        assert load(path) == train
+        assert load(path, "grid", small) == train
 
     def test_point_roundtrip_exact(self, tmp_path, spec):
         points, _ = generate_diffusion_dataset(spec, n_per_cell=3)
         path = tmp_path / "p.jsonl"
         export(points, path)
-        assert load(path) == points
+        assert load(path, "point", spec) == points
 
     def test_empty_dataset_empty_file(self, tmp_path):
         path = tmp_path / "e.jsonl"
         export([], path)
         assert path.read_bytes() == b""
-        assert load(path) == []
+        assert load(path, "grid", SyntheticSpec()) == []
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"x": 1.0, "y": 2.0, "style": 0, "category": 0, "caption": "c"}\nnot json\n')
         with pytest.raises(DatasetError, match="line 2"):
-            load(path)
+            load(path, "point", SyntheticSpec())
 
     def test_missing_field_names_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"x": 1.0}\n')
         with pytest.raises(DatasetError, match="line 1"):
-            load(path)
+            load(path, "point", SyntheticSpec())
+
+    GRID = {"grid": np.full((8, 8, 3), 0.5).tolist(), "style": 0, "category": 0, "caption": "a sketch style cat"}
+    POINT = {"x": 1.0, "y": 2.0, "style": 0, "category": 0, "caption": "a sketch style cat"}
+
+    @pytest.mark.parametrize("kind, record, problem", [
+        ("grid", POINT, "not a grid record"),
+        ("point", GRID, "not a point record"),
+        ("grid", {**GRID, "grid": np.full((4, 8, 3), 0.5).tolist()}, r"grid shape \(4, 8, 3\)"),
+        ("grid", {**GRID, "style": 9}, "outside the spec's 3 styles"),
+        ("point", {**POINT, "category": -1}, "outside the spec's 3 styles x 4 categories"),
+        ("grid", {**GRID, "grid": np.full((8, 8, 3), 1.5).tolist()}, r"in \[0, 1\]"),
+        ("grid", {**GRID, "style": 1.7}, "must be integers"),
+        ("point", {**POINT, "caption": 5}, "caption a string"),
+        ("point", {**POINT, "x": float("nan")}, "not finite"),
+    ], ids=["point-as-grid", "grid-as-point", "four-rows", "style-9", "category-minus-1", "value-1.5",
+            "style-1.7", "caption-5", "x-nan"])
+    def test_record_checked_against_kind_and_spec(self, tmp_path, kind, record, problem):
+        path = tmp_path / "d.jsonl"
+        good = self.GRID if kind == "grid" else self.POINT
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DatasetError, match=rf"{re.escape(str(path))}: .*line 2.*{problem}"):
+            load(path, kind, SyntheticSpec())
 
     def test_lexicon_contains_exactly_category_nouns(self, tmp_path, spec):
         path = tmp_path / "lex.txt"

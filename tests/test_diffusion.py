@@ -375,6 +375,8 @@ class TestSampling:
         )
         out = sample(0, cond, schedule, params, seed=0)
         assert out.shape == (0, 2)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sample(-3, cond, schedule, params, seed=0)
 
 
 class TestOracle:

@@ -9,7 +9,7 @@ from stylecat import tensor as T
 from stylecat.backbone import embed_caption, embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
 from stylecat.encoders import AdapterParams, EncoderBundle, adapter_forward, blend
-from stylecat.losses import LossConfig, style_labeled_loss
+from stylecat.losses import style_labeled_loss
 from stylecat.tensor import Tensor, backward, finite_diff_grad, no_grad, relative_error
 from stylecat.train import TrainConfig, build_backbone, fresh_bundle, train_encoders
 
@@ -150,7 +150,7 @@ class TestParameterIsolation:
         batch = generate_classification_dataset(spec)[0][:8]
         f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
         labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
-        loss = style_labeled_loss(f_i, labels, b, LossConfig())
+        loss = style_labeled_loss(f_i, labels, b, TrainConfig())
         for t in b.trainable_tensors():
             t.zero_grad()
         backward(loss)

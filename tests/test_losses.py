@@ -10,7 +10,6 @@ from stylecat.backbone import embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
 from stylecat.losses import (
     ConfigError,
-    LossConfig,
     category_labeled_loss,
     category_triplet_loss,
     ce_loss,
@@ -100,16 +99,16 @@ class TestCeLoss:
 class TestConfusionLoss:
     def test_uniform_kl_minimum_at_uniform(self):
         k = 4
-        at_uniform = confusion_loss(Tensor(np.zeros((1, k))), [0]).item()
+        at_uniform = confusion_loss(Tensor(np.zeros((1, k))), [0], "uniform-kl").item()
         assert abs(at_uniform - math.log(k)) < 1e-12
         rng = np.random.default_rng(5)
         for _ in range(100):
             logits = Tensor(rng.standard_normal((1, k)) * rng.uniform(0.1, 10))
-            assert confusion_loss(logits, [0]).item() >= at_uniform - 1e-12
+            assert confusion_loss(logits, [0], "uniform-kl").item() >= at_uniform - 1e-12
 
     def test_saturated_prediction_penalized(self):
         k = 3
-        loss = confusion_loss(Tensor([[50.0, 0.0, 0.0]]), [1]).item()
+        loss = confusion_loss(Tensor([[50.0, 0.0, 0.0]]), [1], "uniform-kl").item()
         assert loss > math.log(k) + 1.0
 
     def test_negated_ce_at_uniform(self):
@@ -126,7 +125,7 @@ class TestConfusionLoss:
         rng = np.random.default_rng(6)
         logits = Tensor(rng.standard_normal((1, 4)) * 3, requires_grad=True)
         for _ in range(200):
-            loss = confusion_loss(logits, [0])
+            loss = confusion_loss(logits, [0], "uniform-kl")
             logits.zero_grad()
             backward(loss)
             logits.data = logits.data - 3.0 * logits.grad
@@ -153,20 +152,20 @@ def labeled_world():
 class TestLabeledLosses:
     def test_lambda_zero_is_plain_ce_bitwise(self, labeled_world):
         _, bundle, (f_i, labels) = labeled_world
-        cfg0 = LossConfig(lambda1=0.0)
+        cfg0 = TrainConfig(lambda1=0.0)
         full = style_labeled_loss(f_i, labels, bundle, cfg0).item()
         protos = bundle.adapted_prototypes("style", "style")
         plain = ce_loss(class_logits(f_i, protos, cfg0.logit_scale), labels["style"]).item()
         assert full == plain  # bit-for-bit
 
     def test_default_lambdas_from_sweep_optima(self):
-        cfg = LossConfig()
+        cfg = TrainConfig()
         assert cfg.lambda1 == 0.2 and cfg.lambda2 == 0.3
         assert cfg.margin1 == 0.3 and cfg.margin2 == 0.3
 
     def test_style_loss_gradient_wrt_adapter(self, labeled_world):
         _, bundle, batch = labeled_world
-        cfg = LossConfig()
+        cfg = TrainConfig()
         loss_fn = lambda _: style_labeled_loss(*batch, bundle, cfg)
         params = bundle.style_adapter.tensors()
         for t in params:
@@ -178,7 +177,7 @@ class TestLabeledLosses:
 
     def test_category_loss_mirrors_style_loss(self, labeled_world):
         _, bundle, batch = labeled_world
-        loss = category_labeled_loss(*batch, bundle, LossConfig())
+        loss = category_labeled_loss(*batch, bundle, TrainConfig())
         assert loss.item() > 0
         for t in bundle.category_adapter.tensors() + bundle.style_adapter.tensors():
             t.zero_grad()
@@ -255,10 +254,10 @@ class TestTripletLosses:
 
 def test_loss_config_validation():
     with pytest.raises(ConfigError):
-        LossConfig(lambda1=-0.1)
+        TrainConfig(lambda1=-0.1)
     with pytest.raises(ConfigError):
-        LossConfig(margin1=-1.0)
+        TrainConfig(margin1=-1.0)
     with pytest.raises(ConfigError):
-        LossConfig(adversarial_mode="nope")
+        TrainConfig(adversarial_mode="nope")
     with pytest.raises(ConfigError):
-        LossConfig(logit_scale=0.0)
+        TrainConfig(logit_scale=0.0)

@@ -1,20 +1,24 @@
 """Trainer orchestration and the CLI surface: config validation,
 determinism, checkpoints, sweeps, and exit codes."""
 
+import argparse
 import json
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stylecat.cli as cli_mod
 import stylecat.train as train_mod
 from stylecat.captions import CategoryLexicon
 from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stylecat.cli import main
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset, write_dataset_dir
-from stylecat.diffusion import DenoiserParams
+from stylecat.diffusion import DenoiserParams, DiffusionSchedule
+from stylecat.encoders import AdapterParams
 from stylecat.losses import ConfigError
 from stylecat.train import (
     Adam,
@@ -24,6 +28,8 @@ from stylecat.train import (
     bundle_arrays,
     evaluate_classification,
     fresh_bundle,
+    guidance_eval,
+    lambda_sweep,
     load_encoder_checkpoint,
     save_encoder_checkpoint,
     subsample_shots,
@@ -83,7 +89,7 @@ class TestConfig:
     def test_defaults_match_protocol(self):
         cfg = TrainConfig()
         assert cfg.epochs == 30 and cfg.batch_size == 32
-        assert cfg.lr == 1e-3 and cfg.beta1 == 0.9 and cfg.beta2 == 0.999 and cfg.adam_eps == 1e-8
+        assert cfg.lr == 1e-3 and Adam.BETA1 == 0.9 and Adam.BETA2 == 0.999 and Adam.EPS == 1e-8
         assert cfg.alpha_style == 0.8 and cfg.alpha_category == 0.4
 
 
@@ -193,8 +199,8 @@ class TestCheckpointRoundtrip:
         loaded, config2, spec2, denoiser = load_encoder_checkpoint(path)
         assert denoiser is None and spec2 == spec and config2 == config
         # float32 storage: accuracies must match exactly, parameters near-exactly
-        a = evaluate_classification(bundle, test, 0.8, 0.4)
-        b = evaluate_classification(loaded, test, 0.8, 0.4)
+        a = evaluate_classification(bundle, test, 0.8, 0.4, config.logit_scale)
+        b = evaluate_classification(loaded, test, 0.8, 0.4, config.logit_scale)
         assert a == b
         for x, y in zip(bundle.trainable_tensors(), loaded.trainable_tensors()):
             assert np.abs(x.data - y.data).max() < 1e-6
@@ -220,7 +226,8 @@ class TestCheckpointRoundtrip:
     @pytest.mark.parametrize("retired", [{}, {"pretrain_contrastive": False, "contrastive_steps": 100,
                                               "contrastive_temperature": 0.07},
                                          {"backbone_seed": 0, "word_noise": 0.10, "filler_scale": 0.15,
-                                          "proj_noise": 0.01, "code_scale": 0.30}])
+                                          "proj_noise": 0.01, "code_scale": 0.30},
+                                         {"beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8, "hidden": None}])
     def test_checkpoint_from_before_warmup_removal_loads(self, saved, tmp_path, retired):
         path, (arrays, meta) = saved
         meta["config"].update(retired)
@@ -237,7 +244,7 @@ class TestCheckpointRoundtrip:
         with pytest.raises(CheckpointError, match="warmed-up"):
             load_encoder_checkpoint(path)
 
-    @pytest.mark.parametrize("retired", [{"backbone_seed": 3}, {"word_noise": 0.2}])
+    @pytest.mark.parametrize("retired", [{"backbone_seed": 3}, {"word_noise": 0.2}, {"beta1": 0.5}])
     def test_checkpoint_of_other_backbone_rejected(self, saved, data_dir, retired):
         path, (arrays, meta) = saved
         meta["config"].update(retired)
@@ -267,13 +274,17 @@ class TestCheckpointRoundtrip:
             load_encoder_checkpoint(path)
         assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
 
-    @pytest.mark.parametrize("edit", ["wrong-rank", "wrong-width"])
+    @pytest.mark.parametrize("edit", ["wrong-rank", "wrong-width", "retired-hidden"])
     def test_wrong_array_shapes_rejected(self, saved, data_dir, edit):
         path, (arrays, meta) = saved
         if edit == "wrong-rank":
             arrays["category_adapter.b2"] = np.zeros((1, 32))
-        else:
+        elif edit == "wrong-width":
             meta["config"]["dim"] = 16  # adapters of width 32 stored against dim 16
+        else:  # trained with the retired TrainConfig(hidden=16); adapters are now dim // 4 = 8 wide
+            meta["config"]["hidden"] = 16
+            for prefix in ("style_adapter", "category_adapter"):
+                arrays.update({f"{prefix}.{k}": v for k, v in AdapterParams.init(32, hidden=16).arrays().items()})
         save_checkpoint(path, arrays, meta)
         group, array = ("category_adapter", "b2") if edit == "wrong-rank" else ("style_adapter", "w1")
         with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}: {group}: .*array {array} has shape"):
@@ -334,6 +345,66 @@ class TestSweeps:
         init = fresh_bundle(spec, config)
         zs = evaluate_classification(init, test, 0.0, 0.0, config.logit_scale)
         assert (row["style_top1"], row["category_top1"]) == zs
+
+    def test_lambda_sweep_retrains_per_grid_point(self, spec, dataset):
+        train, test = dataset
+        rows = lambda_sweep(TrainConfig(epochs=1, shots=4), spec, train, test, grid=(0.0, 0.3))
+        assert [(r["lambda1"], r["lambda2"]) for r in rows] == [(0.0, 0.0), (0.3, 0.3)]
+        assert np.isfinite([(r["style_top1"], r["category_top1"]) for r in rows]).all()
+
+
+def test_guidance_eval_needs_one_sample_per_cell(spec):
+    config = TrainConfig(epochs=0, timesteps=4)
+    with pytest.raises(ConfigError, match="n_per_cell must be >= 1"):
+        guidance_eval(fresh_bundle(spec, config), DenoiserParams.init(dim=config.dim, steps=4),
+                      DiffusionSchedule.make(4), spec, alpha=0.1, n_per_cell=0, seed=0)
+
+
+@pytest.fixture(scope="module")
+def generator(tmp_path_factory):
+    """A CLI-trained diffusion checkpoint on a small dataset."""
+    root = tmp_path_factory.mktemp("generator")
+    data, enc, diff = root / "data", root / "enc.cclp", root / "diff.cclp"
+    assert main(["gen-data", "--out", str(data), "--train-per-cell", "4", "--test-per-cell", "2"]) == 0
+    assert main(["train-encoders", "--data", str(data), "--out", str(enc), "--epochs", "0"]) == 0
+    assert main(["train-diffusion", "--data", str(data), "--encoders", str(enc), "--out", str(diff),
+                 "--steps", "2", "--timesteps", "4"]) == 0
+    return diff
+
+
+# Commands that read their TrainConfig through cli._load_config, and the
+# dests of their options that are not TrainConfig fields.
+CONFIG_COMMANDS = ("train-encoders", "eval-classify", "sweep", "train-diffusion", "sample", "guidance-eval")
+NON_FIELD_DESTS = {"help", "data", "out", "config", "metrics", "checkpoint", "encoders", "axis", "grid",
+                   "style", "category", "count", "sample_seed", "n_per_cell"}
+
+
+def _command_options():
+    parser = cli_mod._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in CONFIG_COMMANDS:
+        for action in sub.choices[command]._actions:
+            yield pytest.param(sub.choices[command], action, id=f"{command}{action.option_strings[-1]}")
+
+
+@pytest.mark.parametrize("parser, action", _command_options())
+def test_flag_overrides_its_config_field(monkeypatch, parser, action):
+    """A flag whose dest names a TrainConfig field overrides that field; a misspelled dest fails here."""
+    field_names = {f.name for f in fields(TrainConfig)}
+    if action.dest not in field_names:
+        assert action.dest in NON_FIELD_DESTS
+        return
+    monkeypatch.delenv("CCLIP_SEED", raising=False)
+    default = getattr(TrainConfig(), action.dest)
+    if action.choices:
+        value = next(c for c in action.choices if c != default)
+    else:
+        value = {int: 3, float: 0.5}[action.type]
+    assert value != default
+    required = [arg for a in parser._actions if a.required
+                for arg in (a.option_strings[-1], a.choices[0] if a.choices else "x")]
+    args = parser.parse_args([*required, action.option_strings[-1], str(value)])
+    assert getattr(cli_mod._load_config(args), action.dest) == value
 
 
 class TestCli:
@@ -427,6 +498,62 @@ class TestCli:
                             "--category", "cat", "-n", "9", "--seed", "5", "--out", str(out)) == 0
         assert len(s1.read_text().splitlines()) == 10  # header + 9 samples
         assert s1.read_bytes() == s2.read_bytes()
+
+    def test_sample_zero_writes_header_only(self, generator, tmp_path):
+        out = tmp_path / "s.csv"
+        assert self.run("sample", "--checkpoint", str(generator), "--style", "sketch", "--category", "cat",
+                        "-n", "0", "--out", str(out)) == 0
+        assert out.read_text() == "x,y,style_prompt,category_prompt,oracle_style,oracle_category\n"
+
+    @pytest.mark.parametrize("command", ["sample", "guidance-eval"])
+    def test_sampling_seed_stays_out_of_config(self, monkeypatch, command):
+        monkeypatch.delenv("CCLIP_SEED", raising=False)
+        required = ["--style", "x", "--category", "x"] if command == "sample" else []
+        args = cli_mod._build_parser().parse_args([command, "--checkpoint", "x", "--out", "x", *required,
+                                                   "--seed", "5"])
+        assert args.sample_seed == 5 and cli_mod._load_config(args).seed == TrainConfig().seed
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--style", "sketch", "--category", "cat", "-n", "-3"], "n must be >= 0, got -3"),
+        (["guidance-eval", "--n-per-cell", "0"], "n_per_cell must be >= 1, got 0"),
+        (["guidance-eval", "--n-per-cell", "-2"], "n_per_cell must be >= 1, got -2"),
+    ], ids=["sample-n-minus-3", "n-per-cell-0", "n-per-cell-minus-2"])
+    def test_bad_sample_counts_exit_one(self, generator, tmp_path, capsys, argv, message):
+        assert self.run(*argv, "--checkpoint", str(generator), "--out", str(tmp_path / "s.csv")) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("split, edit", [("clf_test", "point"), ("diff_train", "grid"), ("clf_test", "four-rows"),
+                                             ("clf_test", "style-9"), ("clf_test", "value-2")])
+    def test_damaged_dataset_exits_one(self, spec, data_dir, tmp_path, capsys, split, edit):
+        grid = json.loads((data_dir / "clf_test.jsonl").read_text().splitlines()[0])
+        record = {"point": json.loads((data_dir / "diff_train.jsonl").read_text().splitlines()[0]), "grid": grid,
+                  "four-rows": {**grid, "grid": grid["grid"][:4]}, "style-9": {**grid, "style": 9},
+                  "value-2": {**grid, "grid": (np.array(grid["grid"]) + 1.0).tolist()}}[edit]
+        data = tmp_path / "data"
+        data.mkdir()
+        path = data / f"{split}.jsonl"
+        lines = (data_dir / path.name).read_text().splitlines()
+        path.write_text("\n".join([*lines, json.dumps(record)]) + "\n")
+        ckpt = tmp_path / "enc.cclp"
+        save_encoder_checkpoint(ckpt, fresh_bundle(spec, TrainConfig(epochs=0)), TrainConfig(epochs=0), spec)
+        if split == "clf_test":
+            argv = ["eval-classify", "--checkpoint", str(ckpt), "--data", str(data)]
+        else:
+            argv = ["train-diffusion", "--encoders", str(ckpt), "--data", str(data), "--out", str(tmp_path / "d")]
+        assert self.run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and f"line {len(lines) + 1}" in err and "Traceback" not in err
+
+    def test_lambda_sweep_cli_writes_one_row_per_grid_point(self, data_dir, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"epochs": 1, "shots": 4}))
+        out = tmp_path / "s.csv"
+        assert self.run("sweep", "--axis", "lambda", "--data", str(data_dir), "--config", str(config),
+                        "--grid", "0.0,0.3", "--out", str(out)) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        assert [r.split(",")[8:10] for r in rows[1:]] == [["0.0", "0.0"], ["0.3", "0.3"]]
 
     def test_sample_requires_denoiser(self, tmp_path):
         data = tmp_path / "data"
