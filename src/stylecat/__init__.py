@@ -19,12 +19,11 @@ from .diffusion import (
     DenoiserParams,
     DiffusionSchedule,
     GuidanceCondition,
-    attention,
     condition_for_caption,
     ddpm_train_step,
     oracle_classify_batch,
     sample,
-    split_cross_attention,
+    value_paths,
 )
 from .train import TrainConfig, evaluate_classification, gradcheck_suite, train_encoders
 

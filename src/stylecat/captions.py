@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backbone import words_of
+from .losses import ConfigError
 
 ARTICLES = frozenset({"a", "an", "the"})
 
@@ -76,6 +77,14 @@ def decompose(caption: str, lexicon: CategoryLexicon) -> DecomposedCaption:
         else:
             style.append(tok)
     return DecomposedCaption(" ".join(style), " ".join(category))
+
+
+def split_caption(caption: str, lexicon: CategoryLexicon) -> tuple[str, str]:
+    """(style text, category text) of a caption; ConfigError unless both are non-empty."""
+    d = decompose(caption, lexicon)
+    if not d.style_text or not d.category_text:
+        raise ConfigError(f"caption {caption!r} does not decompose into non-empty style and category text")
+    return d.style_text, d.category_text
 
 
 def batch_decompose(captions_path, lexicon: CategoryLexicon, out_path) -> int:

@@ -80,16 +80,14 @@ class ParamGroup:
     """Dataclass mixin for a group of trainable tensors, one per field.
 
     The field order is the order of ``tensors()``, of ``arrays()`` and so of
-    the optimizer state and the checkpoint layout. A field whose default is
-    None is optional and is skipped while it holds None.
+    the optimizer state and the checkpoint layout.
     """
 
     def tensors(self) -> list[Tensor]:
-        return [t for t in (getattr(self, f.name) for f in dataclasses.fields(self)) if t is not None]
+        return [getattr(self, f.name) for f in dataclasses.fields(self)]
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {f.name: t.data for f in dataclasses.fields(self)
-                if (t := getattr(self, f.name)) is not None}
+        return {f.name: getattr(self, f.name).data for f in dataclasses.fields(self)}
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], like: "ParamGroup"):
@@ -97,9 +95,9 @@ class ParamGroup:
 
         Wrong array names and shapes raise CheckpointError.
         """
-        fields = dataclasses.fields(cls)
-        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in arrays]
-        unknown = sorted(set(arrays) - {f.name for f in fields})
+        names = [f.name for f in dataclasses.fields(cls)]
+        missing = [name for name in names if name not in arrays]
+        unknown = sorted(set(arrays) - set(names))
         if missing or unknown:
             raise CheckpointError(f"{cls.__name__}: missing arrays {missing}, unknown arrays {unknown}")
         shapes = {name: arr.shape for name, arr in like.arrays().items()}
@@ -224,18 +222,6 @@ def tensor_mean(a: Tensor) -> Tensor:
         return (np.full(a.shape, float(g) / n),)
 
     return _node(np.asarray(a.data.mean()), (a,), grad_fn)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return _node(y, (a,), grad_fn)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import CODE_SCALE, FILLER_SCALE, PROJ_NOISE, SEED as BACKBONE_SEED, WORD_NOISE
 from .backbone import FrozenWeights, Vocab, embed_captions, embed_image
-from .captions import CategoryLexicon, decompose
+from .captions import CategoryLexicon, split_caption
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .datagen import DatasetError, SyntheticSpec, build_mixture, prototype_grids
 from .diffusion import (
@@ -28,7 +28,7 @@ from .diffusion import (
     oracle_classify_batch,
     predict_noise,
     sample,
-    split_cross_attention,
+    value_paths,
 )
 from .encoders import PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt, blend
 from .losses import (
@@ -95,8 +95,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
         if self.dim < 2 or self.timesteps < 2:
             raise ConfigError("dim and timesteps must be >= 2")
-        if self.diffusion_steps < 0 or self.diffusion_batch < 1:
-            raise ConfigError("invalid diffusion training sizes")
+        if self.diffusion_steps < 1 or self.diffusion_batch < 1:
+            raise ConfigError("diffusion_steps and diffusion_batch must be >= 1")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigError("lambda weights must be >= 0")
         if self.margin1 < 0 or self.margin2 < 0:
@@ -236,18 +236,6 @@ def _check_finite(value: float, context: str) -> float:
     return value
 
 
-def _decompose_batch(samples, lexicon: CategoryLexicon):
-    pairs = []
-    for s in samples:
-        d = decompose(s.caption, lexicon)
-        if not d.style_text or not d.category_text:
-            raise ConfigError(
-                f"caption {s.caption!r} does not decompose into non-empty style and category text"
-            )
-        pairs.append((d.style_text, d.category_text))
-    return pairs
-
-
 def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
                    lexicon: CategoryLexicon | None = None,
                    backbone: FrozenWeights | None = None):
@@ -271,7 +259,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     # Frozen features are constants of the data: embedded once per run.
     f_all, labels = _features(data, bundle.backbone)
     if config.mode == "unlabeled":
-        pairs = _decompose_batch(data, lexicon)
+        pairs = [split_caption(s.caption, lexicon) for s in data]
         texts = list(dict.fromkeys(text for pair in pairs for text in pair))
         frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone).data))
         style_text, category_text = (np.stack([frozen_text[pair[k]] for pair in pairs]) for k in (0, 1))
@@ -380,8 +368,10 @@ def lambda_sweep(config: TrainConfig, spec: SyntheticSpec, train_samples, testse
 def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
     """Train the denoiser on captioned points; returns (params, schedule, rows).
 
-    The points are stacked into one (N, 2) array and each caption's
-    condition is built once, before the first step.
+    The points are stacked into one (N, 2) array, which must be finite,
+    and each caption's condition is built once, before the first step.
+    Whenever a loss row is logged, every parameter must still be finite:
+    a NaN parameter stays NaN under Adam, so one check per row suffices.
     """
     if not points:
         raise DatasetError("diffusion dataset is empty; need at least one captioned point")
@@ -392,6 +382,9 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
     caption_idx = {c: i for i, c in enumerate(dict.fromkeys(p.caption for p in points))}
     conditions = [condition_for_caption(c, bundle, config.generation_alpha) for c in caption_idx]
     xy = np.array([[p.x, p.y] for p in points])
+    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
+    if bad.size:
+        raise DatasetError(f"diffusion point {bad[0]} is not finite: {points[bad[0]]}")
     cond_idx = np.array([caption_idx[p.caption] for p in points])
     rows = []
     for step in range(config.diffusion_steps):
@@ -402,13 +395,21 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
         opt.step()
         value = _check_finite(loss.item(), f"diffusion step {step}")
         if step % 100 == 0 or step == config.diffusion_steps - 1:
+            bad = [name for name, arr in params.arrays().items() if not np.isfinite(arr).all()]
+            if bad:
+                raise NumericalError(f"non-finite denoiser parameters {bad} at diffusion step {step}")
             rows.append({"step": step, "loss": value})
     return params, schedule, rows
 
 
 def guidance_eval(bundle: EncoderBundle, params: DenoiserParams, schedule: DiffusionSchedule,
                   spec: SyntheticSpec, alpha: float, n_per_cell: int, seed: int):
-    """Matched vs deliberately mismatched oracle accuracy per condition cell."""
+    """Oracle accuracy of each (style, category) cell's samples on that cell.
+
+    Conditions are built from decomposed captions, so the condition of one
+    cell's style with another cell's category is exactly the condition of a
+    third cell: matched accuracy over all cells already tests composition.
+    """
     if n_per_cell < 1:
         raise ConfigError(f"guidance_eval: n_per_cell must be >= 1, got {n_per_cell}")
     mixture = build_mixture(spec)
@@ -418,17 +419,8 @@ def guidance_eval(bundle: EncoderBundle, params: DenoiserParams, schedule: Diffu
             cond = condition_for_caption(spec.caption(i, j), bundle, alpha)
             pts = sample(n_per_cell, cond, schedule, params, seed=seed + i * spec.n_categories + j)
             s_hat, c_hat = oracle_classify_batch(pts, mixture)
-            matched = float(((s_hat == i) & (c_hat == j)).mean())
-            mi, mj = (i + 1) % spec.n_styles, (j + 1) % spec.n_categories
-            mismatched = float(((s_hat == mi) & (c_hat == mj)).mean())
-            rows.append({
-                "style": spec.style_names[i],
-                "category": spec.category_names[j],
-                "matched_accuracy": matched,
-                "mismatched_style": spec.style_names[mi],
-                "mismatched_category": spec.category_names[mj],
-                "mismatched_accuracy": mismatched,
-            })
+            rows.append({"style": spec.style_names[i], "category": spec.category_names[j],
+                         "matched_accuracy": float(((s_hat == i) & (c_hat == j)).mean())})
     return rows
 
 
@@ -463,6 +455,9 @@ RETIRED_CONSTANT_KEYS = {"backbone_seed": BACKBONE_SEED, "word_noise": WORD_NOIS
 # warm-up, the adapter width (now dim // 4, enforced by the array shapes) and the options above.
 RETIRED_CONFIG_KEYS = ("pretrain_contrastive", "contrastive_steps", "contrastive_temperature", "hidden",
                        *RETIRED_CONSTANT_KEYS)
+# Arrays of the softmax-attention denoiser (its query, key and output projections and
+# its per-token condition offsets), which no current denoiser can be rebuilt from.
+RETIRED_DENOISER_ARRAYS = {"wq", "wk", "wo", "cond_offsets"}
 
 
 def _stored_config(path, meta) -> tuple[TrainConfig, SyntheticSpec]:
@@ -507,10 +502,11 @@ def load_encoder_checkpoint(path):
     category_adapter = rebuild(AdapterParams, "category_adapter", adapter)
     denoiser = None
     if "denoiser" in groups:
-        # cond_offsets holds L >= 2 token rows for any L.
-        offsets = groups["denoiser"].get("cond_offsets")
-        tokens = offsets.shape[0] if offsets is not None and offsets.ndim == 2 else 0
-        like = DenoiserParams.init(dim=config.dim, steps=config.timesteps, n_cond_tokens=max(2, tokens))
+        attention = sorted(set(groups["denoiser"]) & RETIRED_DENOISER_ARRAYS)
+        if attention:
+            raise CheckpointError(f"{path}: denoiser holds the retired attention weights {attention}; "
+                                  "re-run train-diffusion to train the current denoiser")
+        like = DenoiserParams.init(dim=config.dim, steps=config.timesteps)
         denoiser = rebuild(DenoiserParams, "denoiser", like)
     bundle = EncoderBundle(build_backbone(spec, config), style_adapter, category_adapter,
                            spec.style_names, spec.category_names)
@@ -617,27 +613,12 @@ def _adapter_world(seed: int, kind: str, part: str):
     return partial(getattr(world, part), kind), world.adapter[kind].tensors()
 
 
-def _attention_world(seed: int):
-    rng = np.random.default_rng([seed, 102])
-    dim = 8
-    params = DenoiserParams.init(dim=dim, steps=6, seed=seed + 7, n_cond_tokens=2)
-    z = Tensor(rng.standard_normal((3, dim)))
-    cond = GuidanceCondition(tau_style=_unit_rows(rng, 1, dim), tau_category=_unit_rows(rng, 1, dim))
-
-    def loss_fn():
-        out = split_cross_attention(z, cond, params)
-        return T.tensor_sum(T.mul(out, out))
-
-    check = [params.wq, params.wk, params.wv, params.wo, params.cond_offsets]
-    return loss_fn, check
-
-
-def _denoiser_world(seed: int, groups: int = 1, n_cond_tokens: int = 1, rows: int = 4):
-    """Full denoiser loss; with ``groups`` > 1, rows of every group share one block-masked forward."""
+def _denoiser_world(seed: int, groups: int = 1, rows: int = 4):
+    """Full denoiser loss; with ``groups`` > 1, rows of every group share one forward."""
     rng = np.random.default_rng([seed, 103])
     dim = 8
     steps = 6
-    params = DenoiserParams.init(dim=dim, steps=steps, seed=seed + 13, n_cond_tokens=n_cond_tokens)
+    params = DenoiserParams.init(dim=dim, steps=steps, seed=seed + 13)
     # randomize biases so every parameter has signal
     params.mlp_b1.data = 0.3 * rng.standard_normal(dim)
     params.in_b.data = 0.3 * rng.standard_normal(dim)
@@ -654,23 +635,23 @@ def _denoiser_world(seed: int, groups: int = 1, n_cond_tokens: int = 1, rows: in
     # keep clear of the MLP ReLU kink
     with no_grad():
         h = np.atleast_2d(z_t) @ params.in_w.data + params.in_b.data + params.time_embed.data[t_idx]
-        a = split_cross_attention(Tensor(h), conds, params, cond_idx).data
+        a = value_paths(Tensor(h), conds, params, cond_idx).data
         pre = a @ params.mlp_w1.data + params.mlp_b1.data
     if np.abs(pre).min() < 1e-3:
-        return _denoiser_world(seed + 1000, groups, n_cond_tokens, rows)
+        return _denoiser_world(seed + 1000, groups, rows)
     return loss_fn, params.tensors()
 
 
 def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
-    """Check every loss and the attention block against central differences.
+    """Check every loss and the denoiser against central differences.
 
     Returns a list of (component, worst_relative_error, passed) triples.
     """
     parts = [(kind, part) for kind in _KINDS for part in ("ce", "confusion", "labeled")]
     parts += [(kind, "triplet") for kind in _KINDS]
     components = [(f"{kind}-{part}", partial(_adapter_world, kind=kind, part=part)) for kind, part in parts]
-    components += [("cross-attention", _attention_world), ("denoiser-step", _denoiser_world),
-                   ("denoiser-grouped", partial(_denoiser_world, groups=3, n_cond_tokens=2, rows=6))]
+    components += [("denoiser-step", _denoiser_world),
+                   ("denoiser-grouped", partial(_denoiser_world, groups=3, rows=6))]
     results = []
     for name, world_fn in components:
         worst = 0.0

@@ -1,4 +1,4 @@
-"""Guided diffusion block: attention semantics, reductions, sampling, oracle."""
+"""Guided diffusion: the two value paths, condition building, training, sampling, oracle."""
 
 import math
 from dataclasses import replace
@@ -10,40 +10,23 @@ import pytest
 from stylecat import diffusion as diffusion_mod
 from stylecat import tensor as T
 from stylecat import train as train_mod
+from stylecat.backbone import embed_caption
 from stylecat.datagen import DatasetError, SyntheticSpec, build_mixture, generate_diffusion_dataset
 from stylecat.diffusion import (
     DenoiserParams,
     DiffusionSchedule,
     GuidanceCondition,
-    attention,
     condition_for_caption,
     ddpm_train_step,
     noise_regression_loss,
     oracle_classify_batch,
     predict_noise,
     sample,
-    split_cross_attention,
-    standard_cross_attention,
+    value_paths,
 )
+from stylecat.losses import ConfigError
 from stylecat.tensor import Tensor, backward, finite_diff_grad, relative_error
 from stylecat.train import TrainConfig, fresh_bundle, train_diffusion
-
-
-def naive_attention(q, k, v):
-    """Independent double-loop reference for softmax(q k^T / sqrt(d)) v."""
-    n, d = q.shape
-    l = k.shape[0]
-    out = np.zeros((n, v.shape[1]))
-    for i in range(n):
-        scores = np.empty(l)
-        for j in range(l):
-            scores[j] = sum(q[i, m] * k[j, m] for m in range(d)) / math.sqrt(d)
-        scores -= scores.max()
-        w = np.exp(scores)
-        w /= w.sum()
-        for j in range(l):
-            out[i] += w[j] * v[j]
-    return out
 
 
 def unit_rows(rng, n, d):
@@ -65,93 +48,39 @@ class TestSchedule:
             DiffusionSchedule(betas=np.array([0.5, 0.1]))
 
 
-class TestAttention:
-    def test_single_key_returns_value_row(self):
-        rng = np.random.default_rng(0)
-        q = Tensor(rng.standard_normal((5, 4)))
-        k = Tensor(rng.standard_normal((1, 4)))
-        v = Tensor(rng.standard_normal((1, 4)))
-        out = attention(q, k, v).data
-        assert np.allclose(out, np.tile(v.data, (5, 1)), atol=1e-15)
+class TestValuePaths:
+    DIM = 6
 
-    def test_identical_keys_average_values(self):
-        rng = np.random.default_rng(1)
-        q = Tensor(rng.standard_normal((3, 4)))
-        k = Tensor(np.tile(rng.standard_normal(4), (6, 1)))
-        v = Tensor(rng.standard_normal((6, 4)))
-        out = attention(q, k, v).data
-        assert np.allclose(out, np.tile(v.data.mean(axis=0), (3, 1)), atol=1e-12)
+    def parts(self, seed):
+        rng = np.random.default_rng(seed)
+        params = DenoiserParams.init(dim=self.DIM, steps=4, seed=seed)
+        h = Tensor(rng.standard_normal((5, self.DIM)))
+        conds = [GuidanceCondition(tau_style=unit_rows(rng, 1, self.DIM), tau_category=unit_rows(rng, 1, self.DIM))
+                 for _ in range(3)]
+        return rng, params, h, conds
 
-    def test_matches_naive_reference(self):
-        rng = np.random.default_rng(2)
-        q = rng.standard_normal((3, 4))
-        k = rng.standard_normal((5, 4))
-        v = rng.standard_normal((5, 4))
-        out = attention(Tensor(q), Tensor(k), Tensor(v)).data
-        assert np.abs(out - naive_attention(q, k, v)).max() < 1e-12
+    def test_each_row_adds_its_conditions_two_value_projections(self):
+        _, params, h, conds = self.parts(4)
+        cond_idx = np.array([2, 0, 0, 1, 2])
+        out = value_paths(h, conds, params, cond_idx).data
+        for i, g in enumerate(cond_idx):
+            expected = h.data[i] + conds[g].tau_style[0] @ params.ws.data + conds[g].tau_category[0] @ params.wv.data
+            assert np.abs(out[i] - expected).max() <= 1e-14
 
-    def test_weights_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        q = Tensor(rng.standard_normal((4, 6)) * 10)
-        k = Tensor(rng.standard_normal((3, 6)) * 10)
-        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(6))
-        w = T.softmax(scores, axis=1).data
-        assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
-
-    def test_shape_errors(self):
-        with pytest.raises(T.ShapeError):
-            attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
-        with pytest.raises(T.ShapeError):
-            attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))))
-
-
-class TestSplitCrossAttention:
-    def test_equal_conditions_reduce_to_standard(self):
-        rng = np.random.default_rng(4)
-        dim = 8
-        params = DenoiserParams.init(dim=dim, steps=4, seed=9)
-        z = Tensor(rng.standard_normal((5, dim)))
-        tau = unit_rows(rng, 2, dim)
-        cond = GuidanceCondition(tau_style=tau, tau_category=tau.copy())
-        split = split_cross_attention(z, cond, params).data
-        standard = standard_cross_attention(z, tau, params).data
-        assert np.abs(split - standard).max() <= 1e-12
-
-    def test_zero_value_projection_passes_residual(self):
-        rng = np.random.default_rng(5)
-        dim = 6
-        params = DenoiserParams.init(dim=dim, steps=4, seed=3)
+    def test_zero_value_weights_pass_the_residual(self):
+        _, params, h, conds = self.parts(5)
+        params.ws.data[:] = 0.0
         params.wv.data[:] = 0.0
-        z = Tensor(rng.standard_normal((4, dim)))
-        cond = GuidanceCondition(tau_style=unit_rows(rng, 1, dim), tau_category=unit_rows(rng, 1, dim))
-        out = split_cross_attention(z, cond, params).data
-        assert np.array_equal(out, z.data)
+        assert np.array_equal(value_paths(h, conds[0], params).data, h.data)
 
-    def test_gradients_through_block(self):
-        rng = np.random.default_rng(6)
-        dim = 6
-        params = DenoiserParams.init(dim=dim, steps=4, seed=11, n_cond_tokens=2)
-        z = Tensor(rng.standard_normal((3, dim)))
-        cond = GuidanceCondition(tau_style=unit_rows(rng, 1, dim), tau_category=unit_rows(rng, 1, dim))
-        w = rng.standard_normal((3, dim))
-        loss_fn = lambda _: T.tensor_sum(T.mul(split_cross_attention(z, cond, params), Tensor(w)))
-        check = [params.wq, params.wk, params.wv, params.wo, params.cond_offsets]
-        for t in check:
-            t.zero_grad()
-        backward(loss_fn(None))
-        for t in check:
-            fd = finite_diff_grad(loss_fn, t).data
-            assert relative_error(t.grad, fd) < 1e-4
-
-    def test_multi_token_rows_unit_norm(self):
-        rng = np.random.default_rng(7)
-        dim = 6
-        params = DenoiserParams.init(dim=dim, steps=4, seed=2, n_cond_tokens=3)
-        from stylecat.diffusion import _condition_tokens
-
-        tokens = _condition_tokens(unit_rows(rng, 1, dim), params).data
-        assert tokens.shape == (3, dim)
-        assert np.abs(np.linalg.norm(tokens, axis=1) - 1.0).max() < 1e-12
+    def test_replacing_only_the_style_row_changes_the_noise_estimate(self):
+        rng, params, _, conds = self.parts(6)
+        z = rng.standard_normal((8, 2))
+        t = rng.integers(0, 4, 8)
+        swapped = GuidanceCondition(tau_style=conds[1].tau_style, tau_category=conds[0].tau_category)
+        before = predict_noise(params, z, t, conds[0]).data
+        after = predict_noise(params, z, t, swapped).data
+        assert np.abs(after - before).max() > 1e-3
 
 
 @pytest.fixture(scope="module")
@@ -163,29 +92,43 @@ def world():
 
 
 class TestBuildConditions:
+    def frozen(self, spec, bundle, i, j):
+        """Frozen features of the style text and the category text of cell (i, j)'s caption."""
+        return (embed_caption(f"a {spec.style_names[i]} style", bundle.backbone).data[0],
+                embed_caption(spec.category_names[j], bundle.backbone).data[0])
+
     def test_alpha_zero_gives_frozen_caption_feature(self, world):
         spec, _, bundle = world
         rng = np.random.default_rng(8)
         bundle2 = fresh_bundle(spec, TrainConfig(), bundle.backbone)
         bundle2.style_adapter.w2.data = rng.standard_normal(bundle2.style_adapter.w2.shape)
-        from stylecat.backbone import embed_caption
-
-        caption = spec.caption(1, 2)
-        cond = condition_for_caption(caption, bundle2, 0.0)
-        f_text = embed_caption(caption, bundle.backbone).data[0]
-        assert np.abs(cond.tau_style[0] - f_text).max() <= 1e-12
-        assert np.abs(cond.tau_category[0] - f_text).max() <= 1e-12
+        cond = condition_for_caption(spec.caption(1, 2), bundle2, 0.0)
+        f_style, f_category = self.frozen(spec, bundle, 1, 2)
+        assert np.abs(cond.tau_style[0] - f_style).max() <= 1e-12
+        assert np.abs(cond.tau_category[0] - f_category).max() <= 1e-12
 
     def test_zero_init_adapters_give_frozen_feature_any_alpha(self, world):
         spec, _, bundle = world
-        from stylecat.backbone import embed_caption
-
-        caption = spec.caption(0, 3)
-        f_text = embed_caption(caption, bundle.backbone).data[0]
+        f_style, f_category = self.frozen(spec, bundle, 0, 3)
         for alpha in (0.0, 0.1, 0.5, 1.0):
-            cond = condition_for_caption(caption, bundle, alpha)
-            assert np.abs(cond.tau_style[0] - f_text).max() < 1e-12
-            assert np.abs(cond.tau_category[0] - f_text).max() < 1e-12
+            cond = condition_for_caption(spec.caption(0, 3), bundle, alpha)
+            assert np.abs(cond.tau_style[0] - f_style).max() < 1e-12
+            assert np.abs(cond.tau_category[0] - f_category).max() < 1e-12
+
+    def test_each_factor_reads_only_its_own_half(self, world):
+        spec, _, bundle = world
+        base = condition_for_caption(spec.caption(0, 0), bundle, 0.1)
+        other_style = condition_for_caption(spec.caption(1, 0), bundle, 0.1)
+        other_category = condition_for_caption(spec.caption(0, 1), bundle, 0.1)
+        assert np.array_equal(base.tau_category, other_style.tau_category)
+        assert np.array_equal(base.tau_style, other_category.tau_style)
+        assert not np.array_equal(base.tau_style, other_style.tau_style)
+
+    @pytest.mark.parametrize("caption", ["a neon style", "cat", ""])
+    def test_caption_without_both_halves_is_a_config_error(self, world, caption):
+        _, _, bundle = world
+        with pytest.raises(ConfigError, match="does not decompose"):
+            condition_for_caption(caption, bundle, 0.1)
 
     def test_default_generation_alpha_is_point_one(self):
         assert TrainConfig().generation_alpha == 0.1
@@ -193,6 +136,13 @@ class TestBuildConditions:
     def test_unit_row_validation(self):
         with pytest.raises(ValueError, match="unit"):
             GuidanceCondition(tau_style=np.array([[2.0, 0.0]]), tau_category=np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="unit"):
+            GuidanceCondition(tau_style=np.array([[np.nan, 0.0]]), tau_category=np.array([[1.0, 0.0]]))
+
+    def test_one_row_per_factor(self):
+        rows = np.eye(2)
+        with pytest.raises(ValueError, match="one style row"):
+            GuidanceCondition(tau_style=rows, tau_category=rows)
 
 
 class TestTrainStep:
@@ -228,7 +178,7 @@ class TestTrainStep:
         for t in params.tensors():
             t.zero_grad()
         backward(loss_fn(None))
-        for t in (params.wk, params.wv, params.mlp_w1, params.in_w, params.time_embed):
+        for t in (params.ws, params.wv, params.mlp_w1, params.in_w, params.time_embed):
             fd = finite_diff_grad(loss_fn, t).data
             assert relative_error(t.grad, fd) < 1e-4
 
@@ -267,23 +217,21 @@ class TestGroupedForward:
         return [GuidanceCondition(tau_style=unit_rows(rng, 1, self.DIM),
                                   tau_category=unit_rows(rng, 1, self.DIM)) for _ in range(groups)]
 
-    @pytest.mark.parametrize("n_cond_tokens", [1, 3])
-    def test_one_forward_matches_per_caption_reference(self, n_cond_tokens):
+    @pytest.mark.parametrize("present", [1, 3, 7])
+    def test_one_forward_matches_per_caption_reference(self, present):
+        """Grouped forward == one forward per caption, with 12 - ``present`` captions absent."""
         rng = np.random.default_rng(20)
-        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=4, n_cond_tokens=n_cond_tokens)
-        params.wk.data *= 4.0  # peaked attention over the L tokens
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=4)
         schedule = DiffusionSchedule.make(self.STEPS)
         conditions = self.conditions(rng, 12)
         points = rng.standard_normal((64, 2))
-        cond_idx = rng.choice([0, 2, 3, 5, 7, 8, 11], size=64)  # five captions absent
+        cond_idx = rng.choice([0, 2, 3, 5, 7, 8, 11][:present], size=64)
         args = (points, cond_idx, conditions, schedule, params)
         loss, grads = loss_and_grads(ddpm_train_step, params, *args, np.random.default_rng(21))
         ref_loss, ref_grads = loss_and_grads(per_caption_step, params, *args, np.random.default_rng(21))
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         for p, g, ref in zip(params.tensors(), grads, ref_grads):
             assert relative_error(g, ref) <= 1e-12, p
-        if n_cond_tokens > 1:
-            assert np.abs(params.wk.grad).max() > 0
 
     def test_single_condition_equals_one_element_list(self):
         rng = np.random.default_rng(22)
@@ -297,7 +245,7 @@ class TestGroupedForward:
 
     def test_rows_see_only_their_own_condition(self):
         rng = np.random.default_rng(23)
-        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=7, n_cond_tokens=2)
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=7)
         conditions = self.conditions(rng, 3)
         z = rng.standard_normal((6, 2))
         t = rng.integers(0, self.STEPS, 6)
@@ -326,6 +274,37 @@ class TestTrainDiffusion:
         _, config, bundle = world
         with pytest.raises(DatasetError, match="empty"):
             train_diffusion(config, [], bundle)
+
+    def test_non_finite_point_is_a_dataset_error(self, world):
+        spec, config, bundle = world
+        points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
+        points[5] = replace(points[5], x=float("nan"))
+        with pytest.raises(DatasetError, match="point 5 is not finite"):
+            train_diffusion(replace(config, diffusion_steps=50, timesteps=20), points, bundle)
+
+    def test_non_finite_parameter_is_a_numerical_error(self, world, monkeypatch):
+        # A NaN weight under a ReLU leaves the loss finite but poisons every upstream gradient.
+        spec, config, bundle = world
+        points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
+        real_init = DenoiserParams.init.__func__
+
+        def poisoned_init(cls, *args, **kwargs):
+            params = real_init(cls, *args, **kwargs)
+            params.mlp_w1.data[0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(DenoiserParams, "init", classmethod(poisoned_init))
+        with pytest.raises(train_mod.NumericalError, match="non-finite denoiser parameters"):
+            train_diffusion(replace(config, diffusion_steps=50, timesteps=20), points, bundle)
+
+    def test_style_and_category_value_weights_both_train(self, world):
+        spec, config, bundle = world
+        points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
+        cfg = replace(config, diffusion_steps=3, diffusion_batch=32, timesteps=20)
+        params, _, _ = train_diffusion(cfg, points, bundle)
+        init = DenoiserParams.init(dim=cfg.dim, steps=cfg.timesteps, seed=cfg.seed)
+        for name in ("ws", "wv"):
+            assert np.abs(getattr(params, name).data - getattr(init, name).data).min() > 0, name
 
     def test_one_forward_per_step_and_one_condition_per_caption(self, world, monkeypatch):
         spec, config, bundle = world

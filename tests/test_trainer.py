@@ -291,18 +291,38 @@ class TestCheckpointRoundtrip:
             load_encoder_checkpoint(path)
         assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
 
+    def test_attention_denoiser_checkpoint_rejected(self, saved, tmp_path, capsys):
+        """A denoiser saved with the retired attention weights is refused; its encoders alone still load."""
+        path, (arrays, meta) = saved
+        dim, steps = 32, meta["config"]["timesteps"]
+        rng = np.random.default_rng(0)
+        attention = {"time_embed": (steps, dim), "in_w": (2, dim), "in_b": (dim,), "wq": (dim, dim),
+                     "wk": (dim, dim), "wv": (dim, dim), "wo": (dim, dim), "mlp_w1": (dim, dim),
+                     "mlp_b1": (dim,), "mlp_w2": (dim, 2), "mlp_b2": (2,)}
+        old = tmp_path / "old-diffusion.cclp"
+        save_checkpoint(old, {**arrays, **{f"denoiser.{k}": rng.standard_normal(v) for k, v in attention.items()}},
+                        {**meta, "kind": "diffusion"})
+        with pytest.raises(CheckpointError, match=rf"{re.escape(str(old))}: .*re-run train-diffusion"):
+            load_encoder_checkpoint(old)
+        assert main(["sample", "--checkpoint", str(old), "--style", "sketch", "--category", "cat",
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert "re-run train-diffusion" in capsys.readouterr().err
+        bundle = load_encoder_checkpoint(path)[0]
+        assert all(np.array_equal(bundle_arrays(bundle)[k], arrays[k]) for k in arrays)
+
     @pytest.mark.parametrize("tokens", [1, 3])
     def test_condition_offsets_need_two_or_more_rows(self, saved, tokens):
+        """The attention denoiser's condition offsets (it needed two or more rows) are refused at any count."""
         path, (arrays, meta) = saved
-        denoiser = DenoiserParams.init(dim=32, steps=meta["config"]["timesteps"], n_cond_tokens=3)
+        denoiser = DenoiserParams.init(dim=32, steps=meta["config"]["timesteps"])
         arrays.update({f"denoiser.{k}": v for k, v in denoiser.arrays().items()})
-        arrays["denoiser.cond_offsets"] = arrays["denoiser.cond_offsets"][:tokens]
+        arrays["denoiser.cond_offsets"] = np.random.default_rng(tokens).standard_normal((tokens, 32))
         save_checkpoint(path, arrays, meta)
-        if tokens == 1:
-            with pytest.raises(CheckpointError, match="cond_offsets"):
-                load_encoder_checkpoint(path)
-        else:
-            assert load_encoder_checkpoint(path)[3].cond_offsets.shape == (3, 32)
+        with pytest.raises(CheckpointError, match=r"retired attention weights \['cond_offsets'\]; re-run"):
+            load_encoder_checkpoint(path)
+        del arrays["denoiser.cond_offsets"]
+        save_checkpoint(path, arrays, meta)
+        assert load_encoder_checkpoint(path)[3].arrays().keys() == denoiser.arrays().keys()
 
     @pytest.mark.parametrize("edit", ["missing", "extra", "unknown-group"])
     def test_wrong_array_names_rejected(self, saved, data_dir, edit):
@@ -470,7 +490,7 @@ class TestCli:
         out = capsys.readouterr().out
         for name in ("style-ce", "style-confusion", "style-labeled", "category-ce",
                      "category-confusion", "category-labeled", "style-triplet",
-                     "category-triplet", "cross-attention", "denoiser-step", "denoiser-grouped"):
+                     "category-triplet", "denoiser-step", "denoiser-grouped"):
             assert name in out
 
         import stylecat.train as train_mod
@@ -498,6 +518,21 @@ class TestCli:
                             "--category", "cat", "-n", "9", "--seed", "5", "--out", str(out)) == 0
         assert len(s1.read_text().splitlines()) == 10  # header + 9 samples
         assert s1.read_bytes() == s2.read_bytes()
+
+    def test_train_diffusion_zero_steps_exits_one(self, generator, tmp_path, capsys):
+        data = generator.parent / "data"
+        assert self.run("train-diffusion", "--data", str(data), "--encoders", str(generator.parent / "enc.cclp"),
+                        "--out", str(tmp_path / "d.cclp"), "--steps", "0") == 1
+        err = capsys.readouterr().err
+        assert "diffusion_steps and diffusion_batch must be >= 1" in err and "Traceback" not in err
+        assert not (tmp_path / "d.cclp").exists()
+
+    def test_guidance_eval_writes_one_matched_accuracy_per_cell(self, generator, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert self.run("guidance-eval", "--checkpoint", str(generator), "--out", str(out), "--n-per-cell", "2") == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "style,category,matched_accuracy" and len(lines) == 1 + 12
+        assert "matched accuracy" in capsys.readouterr().out
 
     def test_sample_zero_writes_header_only(self, generator, tmp_path):
         out = tmp_path / "s.csv"
