@@ -23,7 +23,6 @@ from .diffusion import (
     ddpm_train_step,
     oracle_classify_batch,
     sample,
-    value_paths,
 )
 from .train import TrainConfig, evaluate_classification, gradcheck_suite, train_encoders
 

@@ -103,34 +103,6 @@ class GuidanceCondition:
                 raise ValueError(f"{name} rows must be unit-norm")
 
 
-def value_paths(h: Tensor, cond, params: DenoiserParams, cond_idx=None) -> Tensor:
-    """``h + take_rows(tau_s @ ws + tau_c @ wv, cond_idx)``: both value paths plus the residual.
-
-    ``cond`` is one ``GuidanceCondition`` shared by every row, or a list of G
-    conditions with ``cond_idx[i]`` naming row i's condition. The G style and
-    category rows are stacked into (G, D) matrices, so each projection costs
-    G x D x D whatever the number of rows.
-    """
-    n = h.shape[0]
-    conds = [cond] if isinstance(cond, GuidanceCondition) else list(cond)
-    if not conds:
-        raise ValueError("at least one condition is required")
-    if len({c.tau_style.shape for c in conds}) != 1:
-        raise T.ShapeError("all conditions must have the same width")
-    if cond_idx is None:
-        if len(conds) > 1:
-            raise ValueError("cond_idx is required with more than one condition")
-        cond_idx = np.zeros(n, dtype=np.int64)
-    idx = np.asarray(cond_idx)
-    if (idx.shape != (n,) or not np.issubdtype(idx.dtype, np.integer)
-            or np.any(idx < 0) or np.any(idx >= len(conds))):
-        raise T.ShapeError(f"cond_idx must be {n} integers in [0, {len(conds)})")
-    style = Tensor(np.concatenate([c.tau_style for c in conds]))
-    category = Tensor(np.concatenate([c.tau_category for c in conds]))
-    values = T.add(T.matmul(style, params.ws), T.matmul(category, params.wv))
-    return T.add(h, T.take_rows(values, idx))
-
-
 def condition_for_caption(caption: str, encoders: EncoderBundle, alpha: float) -> GuidanceCondition:
     """The condition of a caption: each adapter reads its own half of the decomposed caption.
 
@@ -147,24 +119,90 @@ def condition_for_caption(caption: str, encoders: EncoderBundle, alpha: float) -
     return GuidanceCondition(tau_style=tau_s.data, tau_category=tau_c.data)
 
 
+def _check_rows(idx, n: int, limit: int, name: str) -> np.ndarray:
+    """``idx`` as n integers in [0, limit); ShapeError otherwise (no wrap-around of negatives)."""
+    idx = np.asarray(idx)
+    if idx.shape != (n,) or idx.dtype.kind not in "iu" or (n and (idx.min() < 0 or idx.max() >= limit)):
+        raise T.ShapeError(f"{name} must be {n} integers in [0, {limit})")
+    return idx
+
+
+def _scatter_rows(g: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, D) sums of the rows of g by target row: the gradient of a row gather.
+
+    One ``bincount`` over ``row * D + col`` adds each bin's terms in row
+    order, as ``np.add.at`` does, so the sums are the same to the bit.
+    """
+    d = g.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
 def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: np.ndarray, cond,
                   cond_idx=None) -> Tensor:
     """Denoiser forward pass: (n, 2) noised points -> (n, 2) noise estimate.
 
-    ``cond`` is one ``GuidanceCondition`` for every row, or a list of them
-    with the per-row index ``cond_idx``; see ``value_paths``.
+    ``relu((z @ in_w + in_b + time_embed[t] + values[cond_idx]) @ mlp_w1 + mlp_b1) @ mlp_w2 + mlp_b2``
+    with ``values = tau_s @ ws + tau_c @ wv`` over the conditions' stacked
+    (G, D) style and category rows, so each projection costs G x D x D
+    whatever the number of rows. ``cond`` is one ``GuidanceCondition`` for
+    every row, or a list of G conditions with ``cond_idx[i]`` naming row i's.
+
+    The result is one tape node whose hand-written backward returns the
+    gradients of all nine ``DenoiserParams`` tensors. Misshaped ``z_t``,
+    ``t_idx`` or ``cond_idx``, indices out of range and conditions of
+    another width raise ``ShapeError``.
     """
-    z = Tensor(np.atleast_2d(z_t))
-    h = T.add(T.add(T.matmul(z, params.in_w), params.in_b), T.take_rows(params.time_embed, t_idx))
-    a = value_paths(h, cond, params, cond_idx)
-    hidden = T.relu(T.add(T.matmul(a, params.mlp_w1), params.mlp_b1))
-    return T.add(T.matmul(hidden, params.mlp_w2), params.mlp_b2)
+    z = np.atleast_2d(np.asarray(z_t, dtype=np.float64))
+    if z.ndim != 2 or z.shape[1] != POINT_DIM:
+        raise T.ShapeError(f"z_t must be (n, {POINT_DIM}) points, got shape {z.shape}")
+    n = z.shape[0]
+    steps, dim = params.time_embed.shape
+    t = _check_rows(t_idx, n, steps, "t_idx")
+    conds = [cond] if isinstance(cond, GuidanceCondition) else list(cond)
+    if not conds:
+        raise ValueError("at least one condition is required")
+    if {c.tau_style.shape for c in conds} != {(1, dim)}:
+        raise T.ShapeError(f"every condition must hold rows of the denoiser's width {dim}")
+    if cond_idx is None:
+        if len(conds) > 1:
+            raise ValueError("cond_idx is required with more than one condition")
+        cond_idx = np.zeros(n, dtype=np.int64)
+    idx = _check_rows(cond_idx, n, len(conds), "cond_idx")
+    style = np.concatenate([c.tau_style for c in conds])
+    category = np.concatenate([c.tau_category for c in conds])
+
+    w1, w2 = params.mlp_w1.data, params.mlp_w2.data
+    values = style @ params.ws.data + category @ params.wv.data
+    a = z @ params.in_w.data + params.in_b.data + params.time_embed.data[t] + values[idx]
+    pre = a @ w1 + params.mlp_b1.data
+    mask = pre > 0
+    hidden = np.where(mask, pre, 0.0)
+
+    def grad_fn(g):
+        g_pre = (g @ w2.T) * mask
+        g_a = g_pre @ w1.T
+        g_values = _scatter_rows(g_a, idx, len(conds))
+        return (_scatter_rows(g_a, t, steps), z.T @ g_a, g_a.sum(axis=0),
+                style.T @ g_values, category.T @ g_values,
+                a.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0))
+
+    return T._node(hidden @ w2 + params.mlp_b2.data, params.tensors(), grad_fn)
 
 
 def noise_regression_loss(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
-    """Mean over the batch of the squared L2 error per point."""
-    diff = T.sub(eps_hat, Tensor(eps))
-    return T.scale(T.tensor_sum(T.mul(diff, diff)), 1.0 / diff.shape[0])
+    """Mean over the batch of the squared L2 error per point; one tape node."""
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != eps_hat.shape:
+        raise T.ShapeError(f"noise of shape {eps.shape} for estimates of shape {eps_hat.shape}")
+    diff = eps_hat.data - eps
+    c = 1.0 / diff.shape[0]
+
+    def grad_fn(g):
+        gd = (float(g) * c) * diff
+        return (gd + gd,)
+
+    return T._node(np.asarray((diff * diff).sum()) * c, (eps_hat,), grad_fn)
 
 
 def ddpm_train_step(

@@ -3,7 +3,9 @@
 Every differentiable operation builds a dynamic tape: each result tensor
 keeps references to its parents plus a closure computing parent gradients
 from its own. ``backward`` walks the tape once in reverse topological
-order and accumulates gradients on the leaf tensors.
+order and accumulates gradients on the leaf tensors. A coarse op, such as
+the denoiser in ``diffusion``, builds one node with ``_node`` and a
+hand-written backward over all its parents; ``gradcheck_suite`` audits it.
 
 ``finite_diff_grad`` is the independent oracle used throughout the test
 suite; it never touches the tape.
@@ -264,22 +266,6 @@ def normalize(a: Tensor, axis: int = -1) -> Tensor:
     return _node(y, (a,), grad_fn)
 
 
-def take_rows(table: Tensor, indices) -> Tensor:
-    """Row lookup ``table[indices]``; gradient scatter-adds into the table."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if table.data.ndim != 2:
-        raise ShapeError(f"take_rows: table must be 2-D, got {table.shape}")
-    if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= table.shape[0]):
-        raise ShapeError("take_rows: indices must be 1-D and within table rows")
-
-    def grad_fn(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
-
-    return _node(table.data[idx], (table,), grad_fn)
-
-
 def pick_rows(a: Tensor, indices) -> Tensor:
     """Select one column per row: out[i] = a[i, indices[i]]."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -336,9 +322,7 @@ def backward(loss: Tensor) -> None:
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
         elif node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad = node.grad + g
+            node.grad = g.copy() if node.grad is None else node.grad + g
 
 
 def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> Tensor:

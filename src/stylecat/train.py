@@ -28,7 +28,6 @@ from .diffusion import (
     oracle_classify_batch,
     predict_noise,
     sample,
-    value_paths,
 )
 from .encoders import PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt, blend
 from .losses import (
@@ -140,7 +139,15 @@ def apply_seed_env(config: TrainConfig, env=os.environ) -> TrainConfig:
 
 
 class Adam:
-    """Standard bias-corrected Adam over a fixed tensor list."""
+    """Standard bias-corrected Adam over a fixed tensor list.
+
+    The parameters' values live in one flat float64 buffer: on construction
+    each tensor's ``data`` is rebound to a view of its slice, and ``step``
+    updates the buffer, ``m`` and ``v`` in place. A tensor's ``data`` must
+    not be rebound once the optimizer exists, or the optimizer no longer
+    sees it; write into it (``p.data[...] = x``) instead. A tensor whose
+    ``grad`` is None is skipped: its values, ``m`` and ``v`` stay as they are.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -149,25 +156,57 @@ class Adam:
     def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        bounds = np.cumsum([0] + [p.size for p in self.params])
+        self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.flat = np.empty(bounds[-1])
+        for p, s in zip(self.params, self._slices):
+            self.flat[s] = p.data.ravel()
+            p.data = self.flat[s].reshape(p.shape)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._grad = np.zeros_like(self.flat)
+        self._tmp = np.zeros_like(self.flat)
         self.t = 0
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
 
+    def _runs(self) -> list[slice]:
+        """Maximal runs of adjacent tensors that have a gradient, as slices of the buffer."""
+        runs: list[slice] = []
+        for p, s in zip(self.params, self._slices):
+            if p.grad is None:
+                continue
+            self._grad[s] = p.grad.ravel()
+            if runs and runs[-1].stop == s.start:
+                runs[-1] = slice(runs[-1].start, s.stop)
+            else:
+                runs.append(s)
+        return runs
+
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.BETA1**self.t
         bc2 = 1.0 - self.BETA2**self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
-            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
-            p.data = p.data - self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.EPS)
+        for s in self._runs():
+            g, tmp, m, v = self._grad[s], self._tmp[s], self.m[s], self.v[s]
+            # m = BETA1 * m + (1 - BETA1) * g and v = BETA2 * v + (1 - BETA2) * g * g, in place
+            np.multiply(g, 1 - self.BETA1, out=tmp)
+            m *= self.BETA1
+            m += tmp
+            np.multiply(g, 1 - self.BETA2, out=tmp)
+            tmp *= g
+            v *= self.BETA2
+            v += tmp
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS), reusing g's slice
+            np.divide(m, bc1, out=g)
+            g *= self.lr
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.EPS
+            g /= tmp
+            self.flat[s] -= g
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +653,12 @@ def _adapter_world(seed: int, kind: str, part: str):
 
 
 def _denoiser_world(seed: int, groups: int = 1, rows: int = 4):
-    """Full denoiser loss; with ``groups`` > 1, rows of every group share one forward."""
+    """Full denoiser loss; with ``groups`` > 1, rows of every group share one forward.
+
+    The last row repeats the first row's timestep, and with ``rows`` > ``groups``
+    some condition index repeats too, so the scatter-add of both row gathers
+    meets a collision on every seed.
+    """
     rng = np.random.default_rng([seed, 103])
     dim = 8
     steps = 6
@@ -624,6 +668,7 @@ def _denoiser_world(seed: int, groups: int = 1, rows: int = 4):
     params.in_b.data = 0.3 * rng.standard_normal(dim)
     z_t = rng.standard_normal((rows, 2))
     t_idx = rng.integers(0, steps, rows)
+    t_idx[-1] = t_idx[0]
     eps = rng.standard_normal((rows, 2))
     conds = [GuidanceCondition(tau_style=_unit_rows(rng, 1, dim), tau_category=_unit_rows(rng, 1, dim))
              for _ in range(groups)]
@@ -633,10 +678,10 @@ def _denoiser_world(seed: int, groups: int = 1, rows: int = 4):
         return noise_regression_loss(predict_noise(params, z_t, t_idx, conds, cond_idx), eps)
 
     # keep clear of the MLP ReLU kink
-    with no_grad():
-        h = np.atleast_2d(z_t) @ params.in_w.data + params.in_b.data + params.time_embed.data[t_idx]
-        a = value_paths(Tensor(h), conds, params, cond_idx).data
-        pre = a @ params.mlp_w1.data + params.mlp_b1.data
+    values = (np.concatenate([c.tau_style for c in conds]) @ params.ws.data
+              + np.concatenate([c.tau_category for c in conds]) @ params.wv.data)
+    a = z_t @ params.in_w.data + params.in_b.data + params.time_embed.data[t_idx] + values[cond_idx]
+    pre = a @ params.mlp_w1.data + params.mlp_b1.data
     if np.abs(pre).min() < 1e-3:
         return _denoiser_world(seed + 1000, groups, rows)
     return loss_fn, params.tensors()

@@ -1,4 +1,4 @@
-"""Guided diffusion: the two value paths, condition building, training, sampling, oracle."""
+"""Guided diffusion: the fused denoiser, condition building, training, sampling, oracle."""
 
 import math
 from dataclasses import replace
@@ -22,10 +22,9 @@ from stylecat.diffusion import (
     oracle_classify_batch,
     predict_noise,
     sample,
-    value_paths,
 )
 from stylecat.losses import ConfigError
-from stylecat.tensor import Tensor, backward, finite_diff_grad, relative_error
+from stylecat.tensor import ShapeError, Tensor, backward, finite_diff_grad, relative_error
 from stylecat.train import TrainConfig, fresh_bundle, train_diffusion
 
 
@@ -48,35 +47,81 @@ class TestSchedule:
             DiffusionSchedule(betas=np.array([0.5, 0.1]))
 
 
+def stacks(conds):
+    return np.concatenate([c.tau_style for c in conds]), np.concatenate([c.tau_category for c in conds])
+
+
+def reference_forward(params, z, t, conds, cond_idx):
+    """The denoiser written out in numpy, with its pre-activation: (pre, a, estimate)."""
+    p = params.arrays()
+    style, category = stacks(conds)
+    values = style @ p["ws"] + category @ p["wv"]
+    a = z @ p["in_w"] + p["in_b"] + p["time_embed"][t] + values[cond_idx]
+    pre = a @ p["mlp_w1"] + p["mlp_b1"]
+    return pre, a, np.where(pre > 0, pre, 0.0) @ p["mlp_w2"] + p["mlp_b2"]
+
+
+def reference_grads(params, z, t, conds, cond_idx, eps):
+    """Gradients of the mean squared noise error, each row gather scattered back with np.add.at."""
+    p = params.arrays()
+    style, category = stacks(conds)
+    pre, a, out = reference_forward(params, z, t, conds, cond_idx)
+    diff = out - eps
+    gd = (1.0 / len(z)) * diff
+    g = gd + gd
+    hidden = np.where(pre > 0, pre, 0.0)
+    g_pre = (g @ p["mlp_w2"].T) * (pre > 0)
+    g_a = g_pre @ p["mlp_w1"].T
+    g_time = np.zeros_like(p["time_embed"])
+    np.add.at(g_time, t, g_a)
+    g_values = np.zeros((len(style), g_a.shape[1]))
+    np.add.at(g_values, cond_idx, g_a)
+    return {"time_embed": g_time, "in_w": z.T @ g_a, "in_b": g_a.sum(axis=0),
+            "ws": style.T @ g_values, "wv": category.T @ g_values, "mlp_w1": a.T @ g_pre,
+            "mlp_b1": g_pre.sum(axis=0), "mlp_w2": hidden.T @ g, "mlp_b2": g.sum(axis=0)}
+
+
 class TestValuePaths:
     DIM = 6
+    STEPS = 4
 
     def parts(self, seed):
         rng = np.random.default_rng(seed)
-        params = DenoiserParams.init(dim=self.DIM, steps=4, seed=seed)
-        h = Tensor(rng.standard_normal((5, self.DIM)))
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=seed)
+        params.mlp_b1.data[:] = 0.3 * rng.standard_normal(self.DIM)
         conds = [GuidanceCondition(tau_style=unit_rows(rng, 1, self.DIM), tau_category=unit_rows(rng, 1, self.DIM))
                  for _ in range(3)]
-        return rng, params, h, conds
+        return rng, params, conds
 
     def test_each_row_adds_its_conditions_two_value_projections(self):
-        _, params, h, conds = self.parts(4)
+        rng, params, conds = self.parts(4)
+        z = rng.standard_normal((5, 2))
+        t = np.array([3, 0, 1, 3, 2])
         cond_idx = np.array([2, 0, 0, 1, 2])
-        out = value_paths(h, conds, params, cond_idx).data
+        out = predict_noise(params, z, t, conds, cond_idx).data
+        p = params.arrays()
         for i, g in enumerate(cond_idx):
-            expected = h.data[i] + conds[g].tau_style[0] @ params.ws.data + conds[g].tau_category[0] @ params.wv.data
+            a = (z[i] @ p["in_w"] + p["in_b"] + p["time_embed"][t[i]]
+                 + conds[g].tau_style[0] @ p["ws"] + conds[g].tau_category[0] @ p["wv"])
+            expected = np.maximum(a @ p["mlp_w1"] + p["mlp_b1"], 0.0) @ p["mlp_w2"] + p["mlp_b2"]
             assert np.abs(out[i] - expected).max() <= 1e-14
 
     def test_zero_value_weights_pass_the_residual(self):
-        _, params, h, conds = self.parts(5)
+        rng, params, conds = self.parts(5)
         params.ws.data[:] = 0.0
         params.wv.data[:] = 0.0
-        assert np.array_equal(value_paths(h, conds[0], params).data, h.data)
+        z = rng.standard_normal((5, 2))
+        t = rng.integers(0, self.STEPS, 5)
+        p = params.arrays()
+        pre = (z @ p["in_w"] + p["in_b"] + p["time_embed"][t]) @ p["mlp_w1"] + p["mlp_b1"]
+        residual_only = np.where(pre > 0, pre, 0.0) @ p["mlp_w2"] + p["mlp_b2"]
+        for cond in conds:
+            assert np.array_equal(predict_noise(params, z, t, cond).data, residual_only)
 
     def test_replacing_only_the_style_row_changes_the_noise_estimate(self):
-        rng, params, _, conds = self.parts(6)
+        rng, params, conds = self.parts(6)
         z = rng.standard_normal((8, 2))
-        t = rng.integers(0, 4, 8)
+        t = rng.integers(0, self.STEPS, 8)
         swapped = GuidanceCondition(tau_style=conds[1].tau_style, tau_category=conds[0].tau_category)
         before = predict_noise(params, z, t, conds[0]).data
         after = predict_noise(params, z, t, swapped).data
@@ -150,6 +195,8 @@ class TestTrainStep:
         rng = np.random.default_rng(9)
         eps = rng.standard_normal((6, 2))
         assert noise_regression_loss(Tensor(eps.copy()), eps).item() == 0.0
+        with pytest.raises(ShapeError, match="noise"):
+            noise_regression_loss(Tensor(eps), eps[:5])
 
     def test_zero_output_denoiser_loss_near_two(self, world):
         spec, config, bundle = world
@@ -181,6 +228,51 @@ class TestTrainStep:
         for t in (params.ws, params.wv, params.mlp_w1, params.in_w, params.time_embed):
             fd = finite_diff_grad(loss_fn, t).data
             assert relative_error(t.grad, fd) < 1e-4
+
+    def test_repeated_rows_scatter_their_gradients(self):
+        """Repeated timesteps and conditions: gradients equal np.add.at's bit for bit, and finite differences."""
+        rng = np.random.default_rng(15)
+        params = DenoiserParams.init(dim=8, steps=6, seed=9)
+        params.mlp_b1.data[:] = 0.3 * rng.standard_normal(8)
+        conds = [GuidanceCondition(tau_style=unit_rows(rng, 1, 8), tau_category=unit_rows(rng, 1, 8))
+                 for _ in range(3)]
+        z_t = rng.standard_normal((7, 2))
+        t_idx = np.array([0, 2, 2, 5, 2, 0, 4])
+        cond_idx = np.array([1, 1, 0, 2, 1, 0, 0])
+        eps = rng.standard_normal((7, 2))
+        pre, _, _ = reference_forward(params, z_t, t_idx, conds, cond_idx)
+        assert np.abs(pre).min() > 1e-3  # central differences stay off the ReLU kink
+        loss_fn = lambda _: noise_regression_loss(predict_noise(params, z_t, t_idx, conds, cond_idx), eps)
+        for p in params.tensors():
+            p.zero_grad()
+        backward(loss_fn(None))
+        expected = reference_grads(params, z_t, t_idx, conds, cond_idx, eps)
+        for name, p in zip(params.arrays(), params.tensors()):
+            assert np.array_equal(p.grad, expected[name]), name
+        for p in (params.time_embed, params.ws, params.wv):
+            assert relative_error(p.grad, finite_diff_grad(loss_fn, p).data) < 1e-6
+
+    def test_one_step_tapes_two_nodes(self, world):
+        """The denoiser and its loss are one node each, over the nine parameter leaves."""
+        spec, config, bundle = world
+        points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
+        captions = list(dict.fromkeys(p.caption for p in points))
+        conditions = [condition_for_caption(c, bundle, 0.1) for c in captions]
+        xy = np.array([[p.x, p.y] for p in points])
+        cond_idx = np.array([captions.index(p.caption) for p in points])
+        params = DenoiserParams.init(dim=config.dim, steps=20, seed=0)
+        loss = ddpm_train_step(xy, cond_idx, conditions, DiffusionSchedule.make(20), params,
+                               np.random.default_rng(16))
+        seen, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        inner = [node for node in seen.values() if node._grad_fn is not None]
+        leaves = [node for node in seen.values() if node._grad_fn is None]
+        assert len(inner) == 2
+        assert sorted(map(id, leaves)) == sorted(map(id, params.tensors()))
 
 
 def per_caption_step(points, cond_idx, conditions, schedule, params, rng):
@@ -267,6 +359,29 @@ class TestGroupedForward:
         for bad in (np.array([0, 1, 2]), np.array([0, 1]), np.array([0.0, 1.0, 0.0])):
             with pytest.raises(T.ShapeError):
                 predict_noise(params, z, t, conditions, bad)
+
+    @pytest.mark.parametrize("z_shape, t_idx", [
+        ((3, 2), [0, -1, 2]),               # negative: must not wrap to the last timestep
+        ((3, 2), [0, 1, STEPS]),            # past the last timestep
+        ((3, 2), [0, 1]),                   # one per row
+        ((3, 2), [[0, 1, 2]]),              # a 1-D array
+        ((3, 2), [0.0, 1.0, 2.0]),          # integer timesteps
+        ((3, 3), [0, 1, 2]),                # two coordinates per point
+        ((3, 1, 2), [0, 1, 2]),             # a 2-D array of points
+    ])
+    def test_bad_timesteps_and_points_rejected(self, z_shape, t_idx):
+        rng = np.random.default_rng(25)
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=8)
+        (cond,) = self.conditions(rng, 1)
+        with pytest.raises(ShapeError):
+            predict_noise(params, np.zeros(z_shape), np.array(t_idx), cond)
+
+    def test_condition_of_another_width_rejected(self):
+        rng = np.random.default_rng(26)
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=8)
+        narrow = GuidanceCondition(tau_style=unit_rows(rng, 1, 4), tau_category=unit_rows(rng, 1, 4))
+        with pytest.raises(ShapeError, match="width"):
+            predict_noise(params, np.zeros((2, 2)), np.zeros(2, dtype=int), narrow)
 
 
 class TestTrainDiffusion:

@@ -93,6 +93,33 @@ class TestConfig:
         assert cfg.alpha_style == 0.8 and cfg.alpha_category == 0.4
 
 
+class ReferenceAdam:
+    """Per-tensor Adam, one new array per update: the reference for the flat-buffer optimizer."""
+
+    def __init__(self, params, lr: float):
+        self.params = list(params)
+        self.lr = lr
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
+
+    def zero_grad(self):
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - Adam.BETA1**self.t
+        bc2 = 1.0 - Adam.BETA2**self.t
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if g is None:
+                continue
+            self.m[i] = Adam.BETA1 * self.m[i] + (1 - Adam.BETA1) * g
+            self.v[i] = Adam.BETA2 * self.v[i] + (1 - Adam.BETA2) * g * g
+            p.data = p.data - self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + Adam.EPS)
+
+
 class TestAdam:
     def test_moves_toward_minimum(self):
         from stylecat import tensor as T
@@ -106,6 +133,54 @@ class TestAdam:
             backward(loss)
             opt.step()
         assert np.abs(x.data).max() < 1e-3
+
+    def test_flat_buffer_matches_per_tensor_reference(self):
+        """Five steps, with gradless tensors skipped on some of them, equal per-tensor Adam bit for bit."""
+        from stylecat.tensor import Tensor
+
+        rng = np.random.default_rng(17)
+        shapes = [(3, 4), (5,), (), (2, 2)]
+        init = [rng.standard_normal(shape) for shape in shapes]
+        flat = [Tensor(x.copy(), requires_grad=True) for x in init]
+        ref = [Tensor(x.copy(), requires_grad=True) for x in init]
+        opts = Adam(flat, lr=0.05), ReferenceAdam(ref, lr=0.05)
+        gradless = {1: {1}, 2: {0, 2}, 3: {1, 3}}  # step -> tensors without a gradient
+        for step in range(5):
+            for opt in opts:
+                opt.zero_grad()
+            for i, shape in enumerate(shapes):
+                if i not in gradless.get(step, ()):
+                    flat[i].grad = rng.standard_normal(shape)
+                    ref[i].grad = flat[i].grad.copy()
+            for opt in opts:
+                opt.step()
+            for f, r in zip(flat, ref):
+                assert f.data.shape == r.data.shape and np.array_equal(f.data, r.data), step
+
+    def test_empty_parameter_list(self):
+        opt = Adam([], lr=0.1)
+        opt.zero_grad()
+        opt.step()
+        assert opt.t == 1
+
+    def test_trained_denoiser_is_read_back_and_survives_checkpoint(self, spec, dataset, tmp_path, monkeypatch):
+        from stylecat.datagen import generate_diffusion_dataset
+
+        config = TrainConfig(epochs=0, diffusion_steps=5, diffusion_batch=16, timesteps=20)
+        bundle = fresh_bundle(spec, config)
+        points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
+        params, _, _ = train_mod.train_diffusion(config, points, bundle)
+        monkeypatch.setattr(train_mod, "Adam", ReferenceAdam)
+        expected = train_mod.train_diffusion(config, points, bundle)[0].arrays()
+        init = DenoiserParams.init(dim=config.dim, steps=config.timesteps, seed=config.seed).arrays()
+        trained = params.arrays()
+        for name, arr in expected.items():
+            assert np.array_equal(trained[name], arr) and not np.array_equal(arr, init[name]), name
+        path = tmp_path / "diff.cclp"
+        save_encoder_checkpoint(path, bundle, config, spec, denoiser=params)
+        loaded = load_encoder_checkpoint(path)[3].arrays()
+        for name, arr in expected.items():
+            assert np.array_equal(loaded[name], arr.astype(np.float32).astype(np.float64)), name
 
 
 class TestShots:
