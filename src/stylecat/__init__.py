@@ -3,7 +3,7 @@ guided diffusion model and a gradient-checked autodiff core."""
 
 from .tensor import Tensor, ShapeError, backward, finite_diff_grad, no_grad
 from .backbone import FrozenWeights, Vocab, embed_captions, embed_image, embed_text
-from .encoders import AdapterParams, EncoderBundle, adapter_forward, blend
+from .encoders import AdapterParams, EncoderBundle, adapt, blend
 from .losses import (
     category_labeled_loss,
     category_triplet_loss,

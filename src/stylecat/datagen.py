@@ -47,6 +47,9 @@ class SyntheticSpec:
             raise DatasetError("need at least 2 styles and 2 categories")
         if self.n_train < 1 or self.n_test < 1:
             raise DatasetError("per-cell sample counts must be >= 1")
+        noise = self.noise
+        if isinstance(noise, bool) or not isinstance(noise, (int, float)) or not 0 <= noise < np.inf:
+            raise DatasetError(f"noise must be a finite number >= 0, got {noise!r}")
         if len(self.style_names) != self.n_styles or len(self.category_names) != self.n_categories:
             raise DatasetError("factor name lists must match the factor counts")
         object.__setattr__(self, "style_names", tuple(self.style_names))
@@ -93,10 +96,6 @@ class PointSample:
     style: int
     category: int
     caption: str
-
-    @property
-    def point(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 def _cell_rng(seed: int, style_idx: int, category_idx: int, stream: int) -> np.random.Generator:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import FrozenWeights, embed_caption, embed_captions
+from .backbone import FrozenWeights, embed_captions
 from .tensor import ParamGroup, Tensor
 
 PROMPT_TEMPLATES = {"style": "a {} style", "category": "a {}"}
@@ -48,17 +48,26 @@ class AdapterParams(ParamGroup):
         )
 
 
-def adapter_forward(f: Tensor, p: AdapterParams) -> Tensor:
-    """Raw bottleneck map relu(f . w1 + b1) . w2 + b2 of (n, D) feature rows (not normalized)."""
-    if f.data.ndim != 2 or f.shape[1] != p.w1.shape[0]:
-        raise T.ShapeError(f"adapter_forward: feature shape {f.shape} incompatible with w1 {p.w1.shape}")
-    h = T.relu(T.add(T.matmul(f, p.w1), p.b1))
-    return T.add(T.matmul(h, p.w2), p.b2)
-
-
 def adapt(f: Tensor, p: AdapterParams) -> Tensor:
-    """normalize(f + adapter_forward(f, p)): (n, D) feature rows through one adapter."""
-    return T.normalize(T.add(f, adapter_forward(f, p)))
+    """(n, D) feature rows through one adapter: normalize(f + relu(f . w1 + b1) . w2 + b2).
+
+    One tape node whose hand-written backward returns the gradients of
+    ``f``, ``w1``, ``b1``, ``w2`` and ``b2``.
+    """
+    if f.data.ndim != 2 or f.shape[1] != p.w1.shape[0]:
+        raise T.ShapeError(f"adapt: feature shape {f.shape} incompatible with w1 {p.w1.shape}")
+    x, w1, w2 = f.data, p.w1.data, p.w2.data
+    pre = x @ w1 + p.b1.data
+    mask = pre > 0
+    hidden = np.where(mask, pre, 0.0)
+    y, norm = T._unit_rows(x + (hidden @ w2 + p.b2.data))
+
+    def grad_fn(g):
+        g_sum = T._unit_rows_grad(g, y, norm)
+        g_pre = (g_sum @ w2.T) * mask
+        return g_sum + g_pre @ w1.T, x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g_sum, g_sum.sum(axis=0)
+
+    return T._node(y, (f, p.w1, p.b1, p.w2, p.b2), grad_fn)
 
 
 def blend(f_adapted: Tensor, f_frozen: Tensor, alpha: float) -> Tensor:
@@ -113,13 +122,6 @@ class EncoderBundle:
         """(n, D) feature rows through the ``kind`` adapter."""
         return adapt(f, self._adapter(kind))
 
-    def encode_caption(self, caption: str, kind: str) -> Tensor:
-        """The caption's (1, D) frozen text feature through the ``kind`` adapter."""
-        return self.adapt_feature(embed_caption(caption, self.backbone), kind)
-
     def adapted_prototypes(self, adapter_kind: str, prompt_kind: str) -> Tensor:
         """(K, D) prompt features passed through one adapter (tape-attached)."""
         return self.adapt_feature(self.prompt_features[prompt_kind], adapter_kind)
-
-    def trainable_tensors(self) -> list[Tensor]:
-        return self.style_adapter.tensors() + self.category_adapter.tensors()

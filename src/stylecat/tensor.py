@@ -3,12 +3,17 @@
 Every differentiable operation builds a dynamic tape: each result tensor
 keeps references to its parents plus a closure computing parent gradients
 from its own. ``backward`` walks the tape once in reverse topological
-order and accumulates gradients on the leaf tensors. A coarse op, such as
-the denoiser in ``diffusion``, builds one node with ``_node`` and a
-hand-written backward over all its parents; ``gradcheck_suite`` audits it.
+order and accumulates gradients on the leaf tensors.
 
-``finite_diff_grad`` is the independent oracle used throughout the test
-suite; it never touches the tape.
+There are three generic ops: ``add`` (operands of one shape), ``scale`` and
+``normalize``. Every model layer is one coarse node, built with ``_node``
+and a hand-written backward over all its parents: the adapter
+(``encoders.adapt``), the cosine logits and each objective in ``losses``,
+the denoiser and its loss in ``diffusion``. ``train.gradcheck_suite``
+audits each of them against central differences.
+
+``finite_diff_grad``, the oracle of those audits and of the tests, never
+touches the tape.
 """
 
 from __future__ import annotations
@@ -66,11 +71,6 @@ class Tensor:
             raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        """A view of the same values with no tape attachment."""
-        out = Tensor(self.data)
-        return out
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -119,53 +119,15 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
     return out
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return np.asarray(g.sum())
-    # row-broadcast case: (n, D) gradient onto (D,) operand
-    return g.sum(axis=0)
-
-
-def _check_addlike(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.shape == b.shape:
-        return
-    if b.shape == () or a.shape == ():
-        return
-    if a.data.ndim == 2 and b.shape == (a.shape[1],):
-        return
-    raise ShapeError(f"{opname}: incompatible shapes {a.shape} and {b.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_addlike(a, b, "add")
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: operand shapes {a.shape} and {b.shape} differ")
 
     def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return g, g
 
     return _node(a.data + b.data, (a, b), grad_fn)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_addlike(a, b, "sub")
-
-    def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
-
-    return _node(a.data - b.data, (a, b), grad_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; one operand may be scalar or a broadcast row."""
-    _check_addlike(a, b, "mul")
-    ad, bd = a.data, b.data
-
-    def grad_fn(g):
-        return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
-
-    return _node(ad * bd, (a, b), grad_fn)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -177,111 +139,28 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), grad_fn)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ for {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-
-    def grad_fn(g):
-        return g @ bd.T, ad.T @ g
-
-    return _node(ad @ bd, (a, b), grad_fn)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose requires a 2-D tensor, got {a.shape}")
-
-    def grad_fn(g):
-        return (g.T,)
-
-    return _node(a.data.T.copy(), (a,), grad_fn)
-
-
-def relu(a: Tensor) -> Tensor:
-    # Subgradient at 0 is 0.
-    mask = a.data > 0
-
-    def grad_fn(g):
-        return (g * mask,)
-
-    return _node(np.where(mask, a.data, 0.0), (a,), grad_fn)
-
-
-def tensor_sum(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        return (np.full(a.shape, float(g)),)
-
-    return _node(np.asarray(a.data.sum()), (a,), grad_fn)
-
-
-def tensor_mean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def grad_fn(g):
-        return (np.full(a.shape, float(g) / n),)
-
-    return _node(np.asarray(a.data.mean()), (a,), grad_fn)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-
-    def grad_fn(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
-
-    return _node(y, (a,), grad_fn)
-
-
-def row_l2_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row Euclidean distance between two (n, D) tensors -> (n,)."""
-    if a.shape != b.shape or a.data.ndim != 2:
-        raise ShapeError(f"row_l2_distance: need matching 2-D shapes, got {a.shape} vs {b.shape}")
-    diff = a.data - b.data
-    d = np.sqrt((diff * diff).sum(axis=1))
-
-    def grad_fn(g):
-        safe = np.where(d > 0, d, 1.0)
-        u = diff / safe[:, None] * np.where(d > 0, g, 0.0)[:, None]
-        return u, -u
-
-    return _node(d, (a, b), grad_fn)
-
-
-def normalize(a: Tensor, axis: int = -1) -> Tensor:
-    """Scale rows (along ``axis``) to unit L2 norm. Rejects zero-norm input."""
-    n = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x / norm, norm) with the L2 norm over the last axis; rejects zero-norm rows."""
+    n = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     if np.any(n < 1e-12):
         raise ValueError("normalize: input has (near-)zero norm")
-    y = a.data / n
+    return x / n, n
+
+
+def _unit_rows_grad(g: np.ndarray, y: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Gradient through ``y, n = _unit_rows(x)`` of ``g``, the gradient at ``y``."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return (g - y * dot) / n
+
+
+def normalize(a: Tensor) -> Tensor:
+    """Scale rows (the last axis) to unit L2 norm. Rejects zero-norm input."""
+    y, n = _unit_rows(a.data)
 
     def grad_fn(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - y * dot) / n,)
+        return (_unit_rows_grad(g, y, n),)
 
     return _node(y, (a,), grad_fn)
-
-
-def pick_rows(a: Tensor, indices) -> Tensor:
-    """Select one column per row: out[i] = a[i, indices[i]]."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ShapeError(f"pick_rows: input must be 2-D, got {a.shape}")
-    n, k = a.shape
-    if idx.shape != (n,) or np.any(idx < 0) or np.any(idx >= k):
-        raise ShapeError("pick_rows: indices out of range")
-    rows = np.arange(n)
-
-    def grad_fn(g):
-        ga = np.zeros_like(a.data)
-        ga[rows, idx] = g
-        return (ga,)
-
-    return _node(a.data[rows, idx], (a,), grad_fn)
 
 
 def backward(loss: Tensor) -> None:
@@ -346,9 +225,5 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     """L2 relative error between two gradient arrays."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    denom = max(na, nb)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a - b)) / denom
+    denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    return 0.0 if denom == 0.0 else float(np.linalg.norm(a - b)) / denom

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -80,6 +81,15 @@ class TrainConfig:
     timesteps: int = 200
 
     def __post_init__(self):
+        for f in fields(self):  # types first: the range checks below compare numbers
+            v = getattr(self, f.name)
+            if f.type == "int | None" and v is None:
+                continue
+            if f.type in ("int", "int | None") and (isinstance(v, bool) or not isinstance(v, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+            if f.type == "float" and (isinstance(v, bool) or not isinstance(v, (int, float))
+                                      or not -math.inf < v < math.inf):
+                raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
         if self.mode not in ("labeled", "unlabeled"):
             raise ConfigError(f"mode must be 'labeled' or 'unlabeled', got {self.mode!r}")
         if self.epochs < 0 or self.batch_size < 1:
@@ -249,7 +259,9 @@ def _top1(bundle: EncoderBundle, f_i: np.ndarray, labels, alpha_style: float, al
 
 def evaluate_classification(bundle: EncoderBundle, samples, alpha_style: float,
                             alpha_category: float, logit_scale: float):
-    """Top-1 accuracy for both factors under the blended prototypes."""
+    """Top-1 accuracy for both factors under the blended prototypes; ``samples`` must not be empty."""
+    if not samples:
+        raise DatasetError("no samples to evaluate")
     return _top1(bundle, *_features(samples, bundle.backbone), alpha_style, alpha_category, logit_scale)
 
 
@@ -691,7 +703,10 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
     """Check every loss and the denoiser against central differences.
 
     Returns a list of (component, worst_relative_error, passed) triples.
+    ConfigError unless ``n_seeds`` >= 1 and ``tol`` is a positive finite number.
     """
+    if n_seeds < 1 or not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"gradcheck needs n_seeds >= 1 and a positive finite tol, got {n_seeds} and {tol}")
     parts = [(kind, part) for kind in _KINDS for part in ("ce", "confusion", "labeled")]
     parts += [(kind, "triplet") for kind in _KINDS]
     components = [(f"{kind}-{part}", partial(_adapter_world, kind=kind, part=part)) for kind, part in parts]
@@ -705,6 +720,6 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
             ad = _ad_grads(loss_fn, params)
             for p, g in zip(params, ad):
                 fd = finite_diff_grad(lambda _: loss_fn(), p, eps=eps).data
-                worst = max(worst, relative_error(g, fd))
+                worst = max(worst, float(np.nan_to_num(relative_error(g, fd), nan=np.inf)))  # NaN fails
         results.append((name, worst, worst < tol))
     return results

@@ -39,6 +39,12 @@ class TestSpecValidation:
         with pytest.raises(DatasetError, match="unknown"):
             SyntheticSpec.from_json({"n_styles": 3, "bogus": 1})
 
+    def test_noise_must_be_finite_and_nonnegative(self):
+        for bad in (float("nan"), float("inf"), -0.01, "0.05", None):
+            with pytest.raises(DatasetError, match="noise"):
+                SyntheticSpec(noise=bad)
+        assert SyntheticSpec(noise=0).noise == 0
+
     def test_json_roundtrip(self, spec):
         assert SyntheticSpec.from_json(spec.to_json()) == spec
 
@@ -112,7 +118,7 @@ class TestMixture:
 
     def test_empirical_covariance_within_20_percent(self, spec):
         points, mix = generate_diffusion_dataset(spec, n_per_cell=500)
-        arr = np.stack([p.point for p in points])
+        arr = np.array([[p.x, p.y] for p in points])
         labels = np.array([(p.style, p.category) for p in points])
         for i in range(spec.n_styles):
             for j in range(spec.n_categories):

@@ -288,9 +288,9 @@ def per_caption_step(points, cond_idx, conditions, schedule, params, rng):
     parts = []
     for g in np.unique(cond_idx):
         sel = np.flatnonzero(cond_idx == g)
-        diff = T.sub(predict_noise(params, z_t[sel], t[sel], conditions[g]), Tensor(eps[sel]))
-        parts.append(T.tensor_sum(T.mul(diff, diff)))
-    return T.scale(reduce(T.add, parts), 1.0 / n)
+        group_loss = noise_regression_loss(predict_noise(params, z_t[sel], t[sel], conditions[g]), eps[sel])
+        parts.append(T.scale(group_loss, len(sel) / n))
+    return reduce(T.add, parts)
 
 
 def loss_and_grads(step_fn, params, *args):

@@ -8,7 +8,7 @@ import pytest
 from stylecat import tensor as T
 from stylecat.backbone import embed_caption, embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
-from stylecat.encoders import AdapterParams, EncoderBundle, adapter_forward, blend
+from stylecat.encoders import AdapterParams, EncoderBundle, adapt, blend
 from stylecat.losses import style_labeled_loss
 from stylecat.tensor import Tensor, backward, finite_diff_grad, no_grad, relative_error
 from stylecat.train import TrainConfig, build_backbone, fresh_bundle, train_encoders
@@ -29,36 +29,51 @@ def bundle(spec, backbone):
     return fresh_bundle(spec, TrainConfig(), backbone)
 
 
+def weighted_sum(x, w):
+    """Scalar sum(w * x) with ``w`` constant, as one tape node."""
+    return T._node(np.asarray((x.data * w).sum()), (x,), lambda g: (float(g) * w,))
+
+
+def encode_caption(bundle, caption, kind):
+    """The caption's (1, D) frozen text feature through the ``kind`` adapter."""
+    return bundle.adapt_feature(embed_caption(caption, bundle.backbone), kind)
+
+
 class TestAdapterForward:
+    """``adapt``: normalize(f + relu(f . w1 + b1) . w2 + b2) as one tape node."""
+
     def test_zero_parameters_give_zero_vector(self):
+        # a zero adapter adds a zero delta: the output is the normalized input
         p = AdapterParams(
             w1=Tensor(np.zeros((4, 2))), b1=Tensor(np.zeros(2)),
             w2=Tensor(np.zeros((2, 4))), b2=Tensor(np.zeros(4)),
         )
-        out = adapter_forward(Tensor([[1.0, -2.0, 3.0, 0.5]]), p)
-        assert np.array_equal(out.data, np.zeros((1, 4)))
+        f = np.array([[1.0, -2.0, 3.0, 0.5]])
+        out = adapt(Tensor(f), p)
+        assert np.array_equal(out.data, f / np.linalg.norm(f))
 
     def test_identity_composition_on_nonnegative_input(self):
+        # identity layers double a nonnegative row, which normalizes to the normalized row
         d = 5
         p = AdapterParams(
             w1=Tensor(np.eye(d)), b1=Tensor(np.zeros(d)),
             w2=Tensor(np.eye(d)), b2=Tensor(np.zeros(d)),
         )
         f = np.array([[0.3, 0.0, 1.2, 0.7, 0.01]])
-        assert np.allclose(adapter_forward(Tensor(f), p).data, f, atol=1e-15)
+        assert np.allclose(adapt(Tensor(f), p).data, f / np.linalg.norm(f), atol=1e-15)
 
     def test_gradients_for_all_four_parameters(self):
         rng = np.random.default_rng(2)
         p = AdapterParams.init(6, hidden=2, seed=0)
         p.w2.data = 0.4 * rng.standard_normal(p.w2.shape)
         p.b2.data = 0.1 * rng.standard_normal(p.b2.shape)
-        f = Tensor(rng.standard_normal((3, 6)))
+        f = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
         w = rng.standard_normal((3, 6))
-        loss_fn = lambda _: T.tensor_sum(T.mul(adapter_forward(f, p), Tensor(w)))
-        for t in p.tensors():
+        loss_fn = lambda _: weighted_sum(adapt(f, p), w)
+        for t in p.tensors() + [f]:
             t.zero_grad()
         backward(loss_fn(None))
-        for t in p.tensors():
+        for t in p.tensors() + [f]:
             fd = finite_diff_grad(loss_fn, t).data
             assert relative_error(t.grad, fd) < 1e-4
 
@@ -66,7 +81,7 @@ class TestAdapterForward:
         p = AdapterParams.init(8, seed=0)
         for bad in (np.zeros((1, 5)), np.zeros(8)):
             with pytest.raises(T.ShapeError):
-                adapter_forward(Tensor(bad), p)
+                adapt(Tensor(bad), p)
 
     def test_hidden_width_validated(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -77,20 +92,20 @@ class TestEncode:
     def test_zero_init_reduces_to_frozen_feature(self, bundle, spec):
         caption = spec.caption(0, 0)
         frozen = embed_caption(caption, bundle.backbone).data
-        out = bundle.encode_caption(caption, "style").data
+        out = encode_caption(bundle, caption, "style").data
         assert np.abs(out - frozen).max() < 1e-12
 
     def test_determinism(self, bundle, spec):
         caption = spec.caption(1, 2)
-        assert np.array_equal(bundle.encode_caption(caption, "style").data,
-                              bundle.encode_caption(caption, "style").data)
+        assert np.array_equal(encode_caption(bundle, caption, "style").data,
+                              encode_caption(bundle, caption, "style").data)
 
     def test_outputs_unit_norm(self, spec, backbone):
         rng = np.random.default_rng(4)
         b = fresh_bundle(spec, TrainConfig(), backbone)
         b.style_adapter.w2.data = rng.standard_normal(b.style_adapter.w2.shape)
         for i, j in itertools.product(range(spec.n_styles), range(spec.n_categories)):
-            f = b.encode_caption(spec.caption(i, j), "style").data
+            f = encode_caption(b, spec.caption(i, j), "style").data
             assert abs(np.linalg.norm(f) - 1.0) < 1e-9
 
     def test_trained_style_geometry(self, spec):
@@ -99,7 +114,7 @@ class TestEncode:
         trained, _ = train_encoders(config, spec, train)
         with no_grad():
             feats = {
-                (i, j): trained.encode_caption(spec.caption(i, j), "style").data[0]
+                (i, j): encode_caption(trained, spec.caption(i, j), "style").data[0]
                 for i in range(spec.n_styles)
                 for j in range(spec.n_categories)
             }
@@ -151,7 +166,7 @@ class TestParameterIsolation:
         f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
         labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
         loss = style_labeled_loss(f_i, labels, b, TrainConfig())
-        for t in b.trainable_tensors():
+        for t in b.style_adapter.tensors() + b.category_adapter.tensors():
             t.zero_grad()
         backward(loss)
         assert all(t.grad is not None for t in b.style_adapter.tensors())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stylecat import tensor as T
-from stylecat.backbone import embed_image
+from stylecat.backbone import embed_captions, embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
 from stylecat.losses import (
     ConfigError,
@@ -190,6 +190,41 @@ class TestLabeledLosses:
         backward(loss)
         assert all(t.grad is not None for t in bundle.category_adapter.tensors())
         assert all(t.grad is None for t in bundle.style_adapter.tensors())
+
+
+def tape(loss):
+    """(non-leaf nodes, trainable leaves) of the tape that ends at ``loss``."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    inner = [node for node in seen.values() if node._grad_fn is not None]
+    leaves = [node for node in seen.values() if node._grad_fn is None and node.requires_grad]
+    return inner, leaves
+
+
+class TestTapes:
+    """Each layer is one coarse node; these pin the node counts of one training step."""
+
+    def test_labeled_objective_tapes_ten_nodes(self, labeled_world):
+        # per factor: adapt, cosine, scale, ce or confusion; then scale(conf, lambda) and add
+        _, bundle, (f_i, labels) = labeled_world
+        for kind, loss_fn in (("style", style_labeled_loss), ("category", category_labeled_loss)):
+            inner, leaves = tape(loss_fn(f_i, labels, bundle, TrainConfig()))
+            assert len(inner) == 10
+            assert sorted(map(id, leaves)) == sorted(map(id, bundle._adapter(kind).tensors()))
+
+    def test_unlabeled_style_step_tapes_two_nodes(self, labeled_world):
+        spec, bundle, (f_i, _) = labeled_world
+        texts = [spec.caption(0, 0), spec.caption(1, 1)]
+        frozen = embed_captions(texts, bundle.backbone)
+        f_s = bundle.adapt_feature(Tensor(frozen.data[:1].repeat(12, axis=0)), "style")
+        f_c = bundle.adapt_feature(Tensor(frozen.data[1:].repeat(12, axis=0)), "category")
+        inner, leaves = tape(style_triplet_loss(f_s, f_i, f_c, 0.3))
+        assert len(inner) == 2
+        assert sorted(map(id, leaves)) == sorted(map(id, bundle.style_adapter.tensors()))
 
 
 class TestTripletLosses:

@@ -1,9 +1,12 @@
-"""Tensor engine: op semantics plus reverse-mode vs central-difference checks."""
+"""Tensor engine: the generic ops, the tape walk and the coarse nodes' arithmetic,
+checked against values and central differences."""
 
 import numpy as np
 import pytest
 
 from stylecat import tensor as T
+from stylecat.encoders import AdapterParams, adapt
+from stylecat.losses import ConfigError, ce_loss, class_logits, confusion_loss, style_triplet_loss
 from stylecat.tensor import (
     ShapeError,
     Tensor,
@@ -12,6 +15,7 @@ from stylecat.tensor import (
     no_grad,
     relative_error,
 )
+from stylecat.train import gradcheck_suite
 
 
 def grad_of(loss_fn, x):
@@ -20,108 +24,113 @@ def grad_of(loss_fn, x):
     return x.grad.copy()
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = Tensor(np.eye(2))
-        b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(T.matmul(a, b).data, b.data)
+def weighted_sum(x, w=1.0):
+    """Scalar sum(w * x) with ``w`` constant: a test-local one-node op."""
+    w = np.broadcast_to(np.asarray(w, dtype=float), x.shape)
+    return T._node(np.asarray((x.data * w).sum()), (x,), lambda g: (float(g) * w,))
 
-    def test_direct_arithmetic(self):
-        out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
-        assert np.array_equal(out.data, [[3.0], [7.0]])
+
+def sum_of_squares(x):
+    """Scalar sum(x * x): a test-local one-node op."""
+    return T._node(np.asarray((x.data * x.data).sum()), (x,), lambda g: (2.0 * float(g) * x.data,))
+
+
+class TestMatmul:
+    """The matrix product of the cosine logits, inside ``class_logits``' one node."""
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        a = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        b = Tensor(rng.standard_normal((3, 3)))
-        loss_fn = lambda x: T.tensor_sum(T.matmul(x, b))
-        fd = finite_diff_grad(loss_fn, a).data
-        assert relative_error(grad_of(loss_fn, a), fd) < 1e-6
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        w = rng.standard_normal((3, 5))
+        loss_fn = lambda _: weighted_sum(class_logits(a, b, 2.0), w)
+        for x in (a, b):
+            fd = finite_diff_grad(loss_fn, x).data
+            assert relative_error(grad_of(loss_fn, x), fd) < 1e-6
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            class_logits(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
 
 
 class TestLogSoftmax:
+    """The row-wise log-softmax inside ``ce_loss`` and ``confusion_loss``."""
+
     def test_uniform_pair(self):
-        out = T.log_softmax(Tensor([0.0, 0.0]))
-        assert np.allclose(out.data, -np.log(2), atol=1e-15)
+        assert abs(ce_loss(Tensor([[0.0, 0.0]]), [1]).item() - np.log(2)) <= 1e-15
+        assert abs(confusion_loss(Tensor([[0.0, 0.0]]), [1], "uniform-kl").item() - np.log(2)) <= 1e-15
 
     def test_exp_normalizes(self):
+        # n * grad is softmax - onehot for ce and softmax - 1/k for uniform-kl
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 9)) * 40
-        y = T.log_softmax(Tensor(x), axis=1).data
-        assert np.abs(np.exp(y).sum(axis=1) - 1.0).max() < 1e-12
+        x = Tensor(rng.standard_normal((3, 9)) * 40, requires_grad=True)
+        labels = rng.integers(0, 9, 3)
+        onehot = np.eye(9)[labels]
+        ce_p = 3 * grad_of(lambda t: ce_loss(t, labels), x) + onehot
+        kl_p = 3 * grad_of(lambda t: confusion_loss(t, labels, "uniform-kl"), x) + 1 / 9
+        for p in (ce_p, kl_p):
+            assert p.min() > -1e-12
+            assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_gradient_random_vector(self):
         rng = np.random.default_rng(9)
-        w = rng.standard_normal(8)
-        x = Tensor(rng.standard_normal(8), requires_grad=True)
-        loss_fn = lambda t: T.tensor_sum(T.mul(T.log_softmax(t), Tensor(w)))
-        fd = finite_diff_grad(loss_fn, x).data
-        assert relative_error(grad_of(loss_fn, x), fd) < 1e-6
+        x = Tensor(rng.standard_normal((1, 8)), requires_grad=True)
+        for loss_fn in (lambda t: ce_loss(t, [3]), lambda t: confusion_loss(t, [3], "uniform-kl")):
+            fd = finite_diff_grad(loss_fn, x).data
+            assert relative_error(grad_of(loss_fn, x), fd) < 1e-6
 
 
 class TestL2Distance:
-    """``row_l2_distance`` on one-row inputs."""
+    """The two row distances inside the triplet hinge, on one-row inputs."""
 
     def test_coincident_points(self):
         a = Tensor([[1.0, -2.0, 0.5]])
-        assert T.row_l2_distance(a, Tensor(a.data.copy())).item() == 0.0
+        negative = Tensor(a.data + [[3.0, 4.0, 0.0]])
+        # hinge (0 - 5) + 7 = 2 holds exactly only if the coincident distance is exactly 0
+        assert style_triplet_loss(a, Tensor(a.data.copy()), negative, 7.0).item() == 2.0
 
     def test_three_four_five(self):
-        assert T.row_l2_distance(Tensor([[3.0, 0.0]]), Tensor([[0.0, 4.0]])).item() == 5.0
+        a = Tensor([[3.0, 0.0]])
+        assert style_triplet_loss(a, Tensor([[0.0, 4.0]]), Tensor(a.data.copy()), 0.0).item() == 5.0
 
     def test_gradient_at_distinct_points(self):
         rng = np.random.default_rng(13)
-        a = Tensor(rng.standard_normal((1, 6)), requires_grad=True)
-        b = Tensor(rng.standard_normal((1, 6)))
-        loss_fn = lambda t: T.tensor_sum(T.row_l2_distance(t, b))
-        fd = finite_diff_grad(loss_fn, a).data
-        assert relative_error(grad_of(loss_fn, a), fd) < 1e-5
+        a = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+        negative = Tensor(rng.standard_normal((2, 6)))
+        loss_fn = lambda _: style_triplet_loss(a, b, negative, 10.0)  # margin 10 keeps both hinges active
+        for x in (a, b):
+            fd = finite_diff_grad(loss_fn, x).data
+            assert relative_error(grad_of(loss_fn, x), fd) < 1e-5
 
     def test_zero_subgradient_at_coincidence(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
-        backward(T.tensor_sum(T.row_l2_distance(a, Tensor([[1.0, 2.0]]))))
-        assert np.array_equal(a.grad, np.zeros((1, 2)))
+        b = Tensor([[1.0, 2.0]], requires_grad=True)
+        backward(style_triplet_loss(a, b, Tensor([[4.0, 6.0]]), 10.0))
+        assert np.array_equal(b.grad, np.zeros((1, 2)))
+        assert np.array_equal(a.grad, [[0.6, 0.8]])  # the negative distance's gradient alone
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.row_l2_distance(Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
+            style_triplet_loss(Tensor([[1.0]]), Tensor([[1.0, 2.0]]), Tensor([[1.0]]), 0.3)
 
 
 class TestElementwise:
-    def test_relu_values(self):
-        assert T.relu(Tensor([-1.0])).data[0] == 0.0
-        assert T.relu(Tensor([2.0])).data[0] == 2.0
-
-    def test_mean(self):
-        assert T.tensor_mean(Tensor([1.0, 2.0, 3.0])).item() == 2.0
-
-    def test_add_row_broadcast_gradient(self):
-        rng = np.random.default_rng(17)
-        a = Tensor(rng.standard_normal((4, 3)))
-        b = Tensor(rng.standard_normal(3), requires_grad=True)
-        weights = rng.standard_normal((4, 3))
-        loss_fn = lambda t: T.tensor_sum(T.mul(T.add(a, t), Tensor(weights)))
-        fd = finite_diff_grad(loss_fn, b).data
-        assert relative_error(grad_of(loss_fn, b), fd) < 1e-6
-
     def test_add_shape_error(self):
-        with pytest.raises(ShapeError):
-            T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        for b in (np.zeros((3, 2)), np.zeros(3), np.zeros(())):  # no broadcasting
+            with pytest.raises(ShapeError):
+                T.add(Tensor(np.zeros((2, 3))), Tensor(b))
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(5, dtype=float), requires_grad=True)
-        backward(T.tensor_sum(x))
+        backward(weighted_sum(x))
         assert np.array_equal(x.grad, np.ones(5))
 
     def test_square_at_three(self):
         x = Tensor([3.0], requires_grad=True)
-        backward(T.tensor_sum(T.mul(x, x)))
+        backward(sum_of_squares(x))
         assert np.allclose(x.grad, [6.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -132,11 +141,10 @@ class TestBackward:
     def test_accumulation_and_determinism(self):
         rng = np.random.default_rng(23)
         x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 3)))
+        w = Tensor(rng.standard_normal((4, 3)))
 
         def loss():
-            y = T.matmul(x, w)
-            return T.tensor_sum(T.mul(T.log_softmax(y, axis=1), y))
+            return ce_loss(class_logits(x, w, 3.0), [0, 2, 3])
 
         x.zero_grad()
         backward(loss())
@@ -150,14 +158,14 @@ class TestBackward:
     def test_shared_node_grads_accumulate(self):
         x = Tensor([2.0], requires_grad=True)
         y = T.add(x, x)
-        backward(T.tensor_sum(y))
+        backward(weighted_sum(y))
         assert np.array_equal(x.grad, [2.0])
 
     def test_leaves_own_their_first_gradient(self):
         # add hands both parents the same array; each leaf must get its own copy
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=True)
-        backward(T.tensor_sum(T.add(x, y)))
+        backward(weighted_sum(T.add(x, y)))
         x.grad[0] = 5.0
         assert np.array_equal(y.grad, [1.0, 1.0])
 
@@ -165,23 +173,22 @@ class TestBackward:
 class TestFiniteDiff:
     def test_sum_yields_ones(self):
         x = Tensor(np.arange(4, dtype=float))
-        g = finite_diff_grad(lambda t: T.tensor_sum(t), x).data
+        g = finite_diff_grad(weighted_sum, x).data
         assert np.allclose(g, 1.0, atol=1e-9)
 
     def test_square_at_three(self):
         x = Tensor([3.0])
-        g = finite_diff_grad(lambda t: T.tensor_sum(T.mul(t, t)), x).data
+        g = finite_diff_grad(sum_of_squares, x).data
         assert abs(g[0] - 6.0) < 1e-6
 
     def test_agrees_with_backward_on_adapter_pass(self):
-        from stylecat.encoders import AdapterParams, adapter_forward
-
         rng = np.random.default_rng(29)
         p = AdapterParams.init(6, hidden=3, seed=1)
         p.w2.data = 0.5 * rng.standard_normal(p.w2.shape)
         p.b2.data = 0.1 * rng.standard_normal(p.b2.shape)
         f = Tensor(rng.standard_normal((1, 6)))
-        loss_fn = lambda _: T.tensor_sum(T.mul(adapter_forward(f, p), adapter_forward(f, p)))
+        w = rng.standard_normal((1, 6))
+        loss_fn = lambda _: weighted_sum(adapt(f, p), w)
         for t in p.tensors():
             t.zero_grad()
         backward(loss_fn(None))
@@ -191,32 +198,60 @@ class TestFiniteDiff:
 
 
 class TestOpFamilyGradients:
-    """Every differentiable op agrees with the oracle across 20 seeds."""
+    """Gradients at the inputs of every coarse node agree with the oracle across 20 seeds.
+
+    ``gradcheck_suite`` checks the parameter gradients; here one (4, 5)
+    input feeds the adapter, both sides of the cosine logits, the positive
+    of the triplet hinge and ``normalize``, so its gradient sums them all.
+    """
 
     @pytest.mark.parametrize("seed", range(20))
     def test_composite_pipeline(self, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        w = Tensor(rng.standard_normal((5, 4)))
-        bias = Tensor(rng.standard_normal(4))
-        idx = rng.integers(0, 4, size=4)
+        labels = rng.integers(0, 4, size=4)
+        negative = Tensor(rng.standard_normal((4, 5)))
+        while True:  # redraw until no ReLU pre-activation or hinge argument is near its kink
+            x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+            p = AdapterParams(w1=Tensor(rng.standard_normal((5, 3))), b1=Tensor(rng.standard_normal(3)),
+                              w2=Tensor(rng.standard_normal((3, 5))), b2=Tensor(rng.standard_normal(5)))
+            with T.no_grad():
+                h = adapt(x, p).data
+            unit_x = x.data / np.linalg.norm(x.data, axis=1, keepdims=True)
+            hinge = (np.linalg.norm(h - unit_x, axis=1) - np.linalg.norm(h - negative.data, axis=1) + 0.3)
+            if np.abs(x.data @ p.w1.data + p.b1.data).min() > 1e-3 and np.abs(hinge).min() > 1e-3:
+                break
 
         def loss_fn(_):
-            h = T.relu(T.add(T.matmul(x, w), bias))
-            y = T.normalize(T.add(h, Tensor(np.full((4, 4), 0.7))))
-            lp = T.log_softmax(T.scale(y, 3.0), axis=1)
-            picked = T.pick_rows(lp, idx)
-            d = T.row_l2_distance(y, Tensor(np.tile(np.eye(4)[0], (4, 1))))
-            return T.add(T.tensor_mean(picked), T.scale(T.tensor_sum(d), 0.1))
+            h = adapt(x, p)
+            logits = class_logits(x, h, 3.0)
+            conf = T.scale(confusion_loss(logits, labels, "uniform-kl"), 0.5)
+            trip = T.scale(style_triplet_loss(h, T.normalize(x), negative, 0.3), 0.1)
+            return T.add(T.add(ce_loss(logits, labels), conf), trip)
 
-        x.zero_grad()
-        backward(loss_fn(None))
-        # ReLU kink guard: skip seeds whose pre-activations sit at the kink
-        pre = x.data @ w.data + bias.data
-        if np.abs(pre).min() < 1e-4:
-            pytest.skip("kink-adjacent draw")
         fd = finite_diff_grad(loss_fn, x).data
-        assert relative_error(x.grad, fd) < 1e-6
+        assert relative_error(grad_of(loss_fn, x), fd) < 1e-6
+
+
+def test_gradcheck_suite_passes_every_component():
+    results = gradcheck_suite(n_seeds=20)
+    assert len(results) == 10
+    assert [name for name, _, ok in results if not ok] == []
+
+
+def test_gradcheck_suite_fails_on_nan_gradients(monkeypatch):
+    import stylecat.train as train_mod
+
+    real = train_mod._ad_grads
+    monkeypatch.setattr(train_mod, "_ad_grads", lambda loss_fn, params: [g * np.nan for g in real(loss_fn, params)])
+    results = gradcheck_suite(n_seeds=2)
+    assert all(worst == np.inf and not ok for _, worst, ok in results)
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_seeds=0), dict(n_seeds=-3), dict(tol=0.0), dict(tol=-1e-4),
+                                    dict(tol=float("nan")), dict(tol=float("inf"))])
+def test_gradcheck_suite_refuses_vacuous_audits(kwargs):
+    with pytest.raises(ConfigError):
+        gradcheck_suite(**kwargs)
 
 
 def test_no_grad_suppresses_tape():
@@ -232,6 +267,7 @@ def test_normalize_rejects_zero_norm():
 
 
 def test_values_stay_finite_on_extreme_finite_input():
-    x = Tensor([[1e8, -1e8, 0.0]])
-    for out in (T.log_softmax(x, axis=1), T.relu(x)):
-        assert np.isfinite(out.data).all()
+    x = Tensor([[1e8, -1e8, 0.0]], requires_grad=True)
+    for loss_fn in (lambda t: ce_loss(t, [1]), lambda t: confusion_loss(t, [1], "uniform-kl")):
+        assert np.isfinite(loss_fn(x).item())
+        assert np.isfinite(grad_of(loss_fn, x)).all()

@@ -16,7 +16,7 @@ import stylecat.train as train_mod
 from stylecat.captions import CategoryLexicon
 from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stylecat.cli import main
-from stylecat.datagen import SyntheticSpec, generate_classification_dataset, write_dataset_dir
+from stylecat.datagen import DatasetError, SyntheticSpec, generate_classification_dataset, write_dataset_dir
 from stylecat.diffusion import DenoiserParams, DiffusionSchedule
 from stylecat.encoders import AdapterParams
 from stylecat.losses import ConfigError
@@ -86,6 +86,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             apply_seed_env(TrainConfig(), env={"CCLIP_SEED": "abc"})
 
+    def test_non_finite_and_mistyped_values_rejected(self):
+        for bad in (dict(lr=float("nan")), dict(margin2=float("inf")), dict(lr="0.1"), dict(alpha_style=None),
+                    dict(epochs=1.5), dict(epochs=True), dict(shots=2.0), dict(dim="32")):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                TrainConfig(**bad)
+        assert TrainConfig(lr=1, logit_scale=20).lr == 1  # an int is a number
+
     def test_defaults_match_protocol(self):
         cfg = TrainConfig()
         assert cfg.epochs == 30 and cfg.batch_size == 32
@@ -128,7 +135,7 @@ class TestAdam:
         x = Tensor([5.0, -3.0], requires_grad=True)
         opt = Adam([x], lr=0.1)
         for _ in range(300):
-            loss = T.tensor_sum(T.mul(x, x))
+            loss = T._node(np.asarray((x.data * x.data).sum()), (x,), lambda g: (2.0 * float(g) * x.data,))
             opt.zero_grad()
             backward(loss)
             opt.step()
@@ -204,8 +211,8 @@ class TestTrainEncoders:
         config = TrainConfig(epochs=0)
         bundle, rows = train_encoders(config, spec, train)
         init = fresh_bundle(spec, config)
-        for a, b in zip(bundle.trainable_tensors(), init.trainable_tensors()):
-            assert np.array_equal(a.data, b.data)
+        for a, b in zip(bundle_arrays(bundle).values(), bundle_arrays(init).values()):
+            assert np.array_equal(a, b)
         assert rows == []
 
     def test_final_loss_below_initial(self, spec, dataset):
@@ -277,8 +284,8 @@ class TestCheckpointRoundtrip:
         a = evaluate_classification(bundle, test, 0.8, 0.4, config.logit_scale)
         b = evaluate_classification(loaded, test, 0.8, 0.4, config.logit_scale)
         assert a == b
-        for x, y in zip(bundle.trainable_tensors(), loaded.trainable_tensors()):
-            assert np.abs(x.data - y.data).max() < 1e-6
+        for x, y in zip(bundle_arrays(bundle).values(), bundle_arrays(loaded).values()):
+            assert np.abs(x - y).max() < 1e-6
 
     def test_save_load_save_byte_identical(self, spec, dataset, tmp_path):
         train, _ = dataset
@@ -448,6 +455,11 @@ class TestSweeps:
         assert np.isfinite([(r["style_top1"], r["category_top1"]) for r in rows]).all()
 
 
+def test_evaluate_classification_needs_samples(spec):
+    with pytest.raises(DatasetError, match="no samples"):
+        evaluate_classification(fresh_bundle(spec, TrainConfig()), [], 0.8, 0.4, 20.0)
+
+
 def test_guidance_eval_needs_one_sample_per_cell(spec):
     config = TrainConfig(epochs=0, timesteps=4)
     with pytest.raises(ConfigError, match="n_per_cell must be >= 1"):
@@ -577,6 +589,45 @@ class TestCli:
 
         monkeypatch.setattr(train_mod, "_ad_grads", flipped)
         assert self.run("gradcheck", "--seeds", "2") == 2
+
+    @pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-3"], ["--tol", "nan"], ["--tol", "0"],
+                                      ["--tol", "inf"]], ids=["seeds-0", "seeds-minus-3", "tol-nan", "tol-0", "tol-inf"])
+    def test_vacuous_gradcheck_exits_one(self, capsys, argv):
+        assert self.run("gradcheck", *argv) == 1
+        captured = capsys.readouterr()
+        assert "within tolerance" not in captured.out and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--lr", "nan"], None, "lr must be a finite number, got nan"),
+        (["--lambda1", "nan"], None, "lambda1 must be a finite number, got nan"),
+        (["--logit-scale", "inf"], None, "logit_scale must be a finite number, got inf"),
+        ([], {"lr": "0.1"}, "lr must be a finite number, got '0.1'"),
+        ([], {"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+    ], ids=["lr-nan", "lambda1-nan", "logit-scale-inf", "lr-string", "epochs-float"])
+    def test_non_finite_or_mistyped_config_exits_one(self, data_dir, tmp_path, capsys, flags, config, message):
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            flags = ["--config", str(tmp_path / "c.json")]
+        assert self.run("train-encoders", "--data", str(data_dir), "--out", str(tmp_path / "e.cclp"), *flags) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "e.cclp").exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_bad_noise_exits_one(self, tmp_path, capsys, noise):
+        assert self.run("gen-data", "--out", str(tmp_path / "d"), "--noise", noise) == 1
+        err = capsys.readouterr().err
+        assert "noise must be a finite number >= 0" in err and "Traceback" not in err
+
+    def test_empty_test_split_exits_one(self, spec, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "clf_test.jsonl").write_text("")
+        ckpt = tmp_path / "enc.cclp"
+        save_encoder_checkpoint(ckpt, fresh_bundle(spec, TrainConfig(epochs=0)), TrainConfig(epochs=0), spec)
+        assert self.run("eval-classify", "--checkpoint", str(ckpt), "--data", str(data)) == 1
+        err = capsys.readouterr().err
+        assert "no samples to evaluate" in err and "Traceback" not in err
 
     def test_sample_count_and_determinism(self, tmp_path):
         data = tmp_path / "data"
