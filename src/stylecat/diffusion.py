@@ -127,6 +127,22 @@ def _check_rows(idx, n: int, limit: int, name: str) -> np.ndarray:
     return idx
 
 
+def _check_timesteps(t_idx, n: int, steps: int) -> np.ndarray:
+    """``t_idx`` as one integer timestep for every row (a 0-d array) or n of them; ShapeError otherwise."""
+    t = np.asarray(t_idx)
+    if t.ndim:
+        return _check_rows(t, n, steps, "t_idx")
+    if t.dtype.kind not in "iu" or not 0 <= t < steps:  # kind "b" refuses bools
+        raise T.ShapeError(f"t_idx must be one integer in [0, {steps}) or {n} of them")
+    return t
+
+
+def _check_steps(schedule: DiffusionSchedule, params: DenoiserParams) -> None:
+    if schedule.steps != params.time_embed.shape[0]:
+        raise T.ShapeError(f"the schedule has {schedule.steps} steps but the denoiser embeds "
+                           f"{params.time_embed.shape[0]} timesteps")
+
+
 def _scatter_rows(g: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
     """(n_rows, D) sums of the rows of g by target row: the gradient of a row gather.
 
@@ -138,27 +154,42 @@ def _scatter_rows(g: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
     return np.bincount(flat, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
-def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: np.ndarray, cond,
+def _relu_(x: np.ndarray) -> np.ndarray:
+    """``np.where(x > 0, x, 0.0)`` in place, to the bit.
+
+    ``fmax`` maps NaN to 0.0 (``maximum`` would keep it), but it may keep a
+    -0.0, so adding +0.0 turns that into +0.0 and changes nothing else.
+    """
+    np.fmax(x, 0.0, out=x)
+    x += 0.0
+    return x
+
+
+def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarray, cond,
                   cond_idx=None) -> Tensor:
     """Denoiser forward pass: (n, 2) noised points -> (n, 2) noise estimate.
 
     ``relu((z @ in_w + in_b + time_embed[t] + values[cond_idx]) @ mlp_w1 + mlp_b1) @ mlp_w2 + mlp_b2``
     with ``values = tau_s @ ws + tau_c @ wv`` over the conditions' stacked
     (G, D) style and category rows, so each projection costs G x D x D
-    whatever the number of rows. ``cond`` is one ``GuidanceCondition`` for
-    every row, or a list of G conditions with ``cond_idx[i]`` naming row i's.
+    whatever the number of rows. ``t_idx`` is one integer timestep for every
+    row, as the sampler passes it, or n of them. ``cond`` is one
+    ``GuidanceCondition`` for every row, or a list of G conditions with
+    ``cond_idx[i]`` naming row i's. A shared timestep or condition is added
+    as one broadcast row. The ReLU maps a NaN pre-activation to 0.0, so a
+    NaN weight leaves the forward finite and shows in the gradients.
 
     The result is one tape node whose hand-written backward returns the
     gradients of all nine ``DenoiserParams`` tensors. Misshaped ``z_t``,
-    ``t_idx`` or ``cond_idx``, indices out of range and conditions of
-    another width raise ``ShapeError``.
+    ``t_idx`` or ``cond_idx``, indices out of range, timesteps that are not
+    integers and conditions of another width raise ``ShapeError``.
     """
     z = np.atleast_2d(np.asarray(z_t, dtype=np.float64))
     if z.ndim != 2 or z.shape[1] != POINT_DIM:
         raise T.ShapeError(f"z_t must be (n, {POINT_DIM}) points, got shape {z.shape}")
     n = z.shape[0]
     steps, dim = params.time_embed.shape
-    t = _check_rows(t_idx, n, steps, "t_idx")
+    t = _check_timesteps(t_idx, n, steps)
     conds = [cond] if isinstance(cond, GuidanceCondition) else list(cond)
     if not conds:
         raise ValueError("at least one condition is required")
@@ -174,20 +205,25 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: np.ndarray, co
 
     w1, w2 = params.mlp_w1.data, params.mlp_w2.data
     values = style @ params.ws.data + category @ params.wv.data
-    a = z @ params.in_w.data + params.in_b.data + params.time_embed.data[t] + values[idx]
-    pre = a @ w1 + params.mlp_b1.data
-    mask = pre > 0
-    hidden = np.where(mask, pre, 0.0)
+    a = z @ params.in_w.data
+    a += params.in_b.data
+    a += params.time_embed.data[t]
+    a += values if len(conds) == 1 else values[idx]
+    hidden = a @ w1
+    hidden += params.mlp_b1.data
+    _relu_(hidden)
+    out = hidden @ w2
+    out += params.mlp_b2.data
 
     def grad_fn(g):
-        g_pre = (g @ w2.T) * mask
+        g_pre = (g @ w2.T) * (hidden > 0)
         g_a = g_pre @ w1.T
         g_values = _scatter_rows(g_a, idx, len(conds))
-        return (_scatter_rows(g_a, t, steps), z.T @ g_a, g_a.sum(axis=0),
+        return (_scatter_rows(g_a, np.broadcast_to(t, (n,)), steps), z.T @ g_a, g_a.sum(axis=0),
                 style.T @ g_values, category.T @ g_values,
                 a.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0))
 
-    return T._node(hidden @ w2 + params.mlp_b2.data, params.tensors(), grad_fn)
+    return T._node(out, params.tensors(), grad_fn)
 
 
 def noise_regression_loss(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
@@ -219,8 +255,10 @@ def ddpm_train_step(
     condition (built once per caption, no gradient) of row i. Samples a
     uniform timestep and then Gaussian noise per point, perturbs with the
     closed-form forward process, and scores one denoiser forward over the
-    whole batch.
+    whole batch. ``ShapeError``, before anything is drawn, if the schedule
+    and the denoiser differ in their number of steps.
     """
+    _check_steps(schedule, params)
     n = len(points)
     t = rng.integers(0, schedule.steps, size=n)
     eps = rng.standard_normal((n, POINT_DIM))
@@ -238,23 +276,34 @@ def sample(
 ) -> np.ndarray:
     """Ancestral sampling from pure noise; bit-reproducible per seed.
 
-    Step noise uses the forward-posterior variance
-    (1 - abar_{t-1}) / (1 - abar_t) * beta_t.
+    Each reverse step is one ``predict_noise`` call with one integer
+    timestep for all n rows. Step noise uses the forward-posterior variance
+    (1 - abar_{t-1}) / (1 - abar_t) * beta_t. The per-step coefficients are
+    computed for every t before the loop; IEEE division and square root round
+    correctly, so each equals the scalar it replaces. ``ShapeError`` if the
+    schedule and the denoiser differ in their number of steps.
     """
     if n < 0:
         raise ValueError(f"sample: n must be >= 0, got {n}")
+    _check_steps(schedule, params)
     rng = np.random.default_rng(seed)
     if n == 0:
         return np.zeros((0, POINT_DIM))
+    ab = schedule.alpha_bars
+    shrink = schedule.betas / np.sqrt(1.0 - ab)
+    scale = np.sqrt(schedule.alphas)
+    sd = np.sqrt((1.0 - ab[:-1]) / (1.0 - ab[1:]) * schedule.betas[1:])  # sd[t - 1] is step t's
     z = rng.standard_normal((n, POINT_DIM))
     with no_grad():
         for t in range(schedule.steps - 1, -1, -1):
-            eps_hat = predict_noise(params, z, np.full(n, t), condition).data
-            beta = schedule.betas[t]
-            z = (z - beta / np.sqrt(1.0 - schedule.alpha_bars[t]) * eps_hat) / np.sqrt(schedule.alphas[t])
+            eps_hat = predict_noise(params, z, t, condition).data
+            eps_hat *= shrink[t]
+            z -= eps_hat
+            z /= scale[t]
             if t > 0:
-                var = (1.0 - schedule.alpha_bars[t - 1]) / (1.0 - schedule.alpha_bars[t]) * beta
-                z = z + np.sqrt(var) * rng.standard_normal((n, POINT_DIM))
+                noise = rng.standard_normal((n, POINT_DIM))
+                noise *= sd[t - 1]
+                z += noise
     return z
 
 

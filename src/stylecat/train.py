@@ -664,12 +664,13 @@ def _adapter_world(seed: int, kind: str, part: str):
     return partial(getattr(world, part), kind), world.adapter[kind].tensors()
 
 
-def _denoiser_world(seed: int, groups: int = 1, rows: int = 4):
+def _denoiser_world(seed: int, groups: int = 1, rows: int = 4, one_timestep: bool = False):
     """Full denoiser loss; with ``groups`` > 1, rows of every group share one forward.
 
     The last row repeats the first row's timestep, and with ``rows`` > ``groups``
     some condition index repeats too, so the scatter-add of both row gathers
-    meets a collision on every seed.
+    meets a collision on every seed. With ``one_timestep`` the call has the
+    sampler's shape: one integer timestep and one condition for every row.
     """
     rng = np.random.default_rng([seed, 103])
     dim = 8
@@ -681,13 +682,16 @@ def _denoiser_world(seed: int, groups: int = 1, rows: int = 4):
     z_t = rng.standard_normal((rows, 2))
     t_idx = rng.integers(0, steps, rows)
     t_idx[-1] = t_idx[0]
+    if one_timestep:
+        t_idx[:] = t_idx[0]
     eps = rng.standard_normal((rows, 2))
     conds = [GuidanceCondition(tau_style=_unit_rows(rng, 1, dim), tau_category=_unit_rows(rng, 1, dim))
              for _ in range(groups)]
     cond_idx = rng.permutation(np.arange(rows) % groups)
+    call = (int(t_idx[0]), conds[0], None) if one_timestep else (t_idx, conds, cond_idx)
 
     def loss_fn():
-        return noise_regression_loss(predict_noise(params, z_t, t_idx, conds, cond_idx), eps)
+        return noise_regression_loss(predict_noise(params, z_t, *call), eps)
 
     # keep clear of the MLP ReLU kink
     values = (np.concatenate([c.tau_style for c in conds]) @ params.ws.data
@@ -695,7 +699,7 @@ def _denoiser_world(seed: int, groups: int = 1, rows: int = 4):
     a = z_t @ params.in_w.data + params.in_b.data + params.time_embed.data[t_idx] + values[cond_idx]
     pre = a @ params.mlp_w1.data + params.mlp_b1.data
     if np.abs(pre).min() < 1e-3:
-        return _denoiser_world(seed + 1000, groups, rows)
+        return _denoiser_world(seed + 1000, groups, rows, one_timestep)
     return loss_fn, params.tensors()
 
 
@@ -711,7 +715,8 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
     parts += [(kind, "triplet") for kind in _KINDS]
     components = [(f"{kind}-{part}", partial(_adapter_world, kind=kind, part=part)) for kind, part in parts]
     components += [("denoiser-step", _denoiser_world),
-                   ("denoiser-grouped", partial(_denoiser_world, groups=3, rows=6))]
+                   ("denoiser-grouped", partial(_denoiser_world, groups=3, rows=6)),
+                   ("denoiser-one-timestep", partial(_denoiser_world, one_timestep=True))]
     results = []
     for name, world_fn in components:
         worst = 0.0

@@ -368,13 +368,18 @@ class TestGroupedForward:
         ((3, 2), [0.0, 1.0, 2.0]),          # integer timesteps
         ((3, 3), [0, 1, 2]),                # two coordinates per point
         ((3, 1, 2), [0, 1, 2]),             # a 2-D array of points
+        ((3, 2), True),                     # one timestep for every row: not a bool,
+        ((3, 2), -1),                       # not negative,
+        ((3, 2), STEPS),                    # not past the last timestep,
+        ((3, 2), 2.0),                      # and an integer
     ])
     def test_bad_timesteps_and_points_rejected(self, z_shape, t_idx):
         rng = np.random.default_rng(25)
         params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=8)
         (cond,) = self.conditions(rng, 1)
-        with pytest.raises(ShapeError):
-            predict_noise(params, np.zeros(z_shape), np.array(t_idx), cond)
+        for t in (t_idx, np.array(t_idx)):
+            with pytest.raises(ShapeError):
+                predict_noise(params, np.zeros(z_shape), t, cond)
 
     def test_condition_of_another_width_rejected(self):
         rng = np.random.default_rng(26)
@@ -471,6 +476,87 @@ class TestSampling:
         assert out.shape == (0, 2)
         with pytest.raises(ValueError, match="n must be >= 0"):
             sample(-3, cond, schedule, params, seed=0)
+
+
+def reference_sample(n, condition, schedule, params, seed):
+    """The reverse loop as first written: np.where ReLU, one timestep per row, scalar coefficients."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, 2))
+    for t in range(schedule.steps - 1, -1, -1):
+        eps_hat = reference_forward(params, z, np.full(n, t), [condition], np.zeros(n, dtype=int))[2]
+        beta = schedule.betas[t]
+        z = (z - beta / np.sqrt(1.0 - schedule.alpha_bars[t]) * eps_hat) / np.sqrt(schedule.alphas[t])
+        if t > 0:
+            var = (1.0 - schedule.alpha_bars[t - 1]) / (1.0 - schedule.alpha_bars[t]) * beta
+            z = z + np.sqrt(var) * rng.standard_normal((n, 2))
+    return z
+
+
+class TestReverseStep:
+    DIM = 8
+    STEPS = 20
+
+    def parts(self, seed):
+        rng = np.random.default_rng(seed)
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=seed)
+        for bias in (params.in_b, params.mlp_b1, params.mlp_b2):
+            bias.data[:] = 0.3 * rng.standard_normal(bias.shape)
+        cond = GuidanceCondition(tau_style=unit_rows(rng, 1, self.DIM), tau_category=unit_rows(rng, 1, self.DIM))
+        return rng, params, cond
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sample_equals_reference_loop_to_the_bit(self, seed):
+        _, params, cond = self.parts(30 + seed)
+        schedule = DiffusionSchedule.make(self.STEPS)
+        out = sample(64, cond, schedule, params, seed=seed)
+        assert out.tobytes() == reference_sample(64, cond, schedule, params, seed).tobytes()
+
+    def test_integer_timestep_equals_one_per_row(self):
+        """Output and all nine gradients, to the bit."""
+        rng, params, cond = self.parts(31)
+        z = rng.standard_normal((9, 2))
+        eps = rng.standard_normal((9, 2))
+        results = []
+        for t in (np.full(9, 11), 11, np.int64(11), np.array(11)):
+            for p in params.tensors():
+                p.zero_grad()
+            loss = noise_regression_loss(predict_noise(params, z, t, cond), eps)
+            backward(loss)
+            results.append([loss.data] + [p.grad.copy() for p in params.tensors()])
+        for other in results[1:]:
+            for ref, got in zip(results[0], other):
+                assert ref.tobytes() == got.tobytes()
+
+    def test_nan_weight_keeps_the_forward_finite(self):
+        rng, params, cond = self.parts(32)
+        params.mlp_w1.data[0, 0] = np.nan
+        z = rng.standard_normal((6, 2))
+        out = predict_noise(params, z, 4, cond).data
+        assert np.isfinite(out).all()
+        expected = reference_forward(params, z, np.full(6, 4), [cond], np.zeros(6, dtype=int))[2]
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 33, 100])
+    def test_relu_is_np_where_to_the_bit(self, n):
+        """Signed zeros and NaNs of either sign included, at every offset of a vector loop."""
+        x = np.random.default_rng(n).standard_normal((n, 3))
+        specials = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf]
+        x.ravel()[::2] = np.resize(specials, x.ravel()[::2].shape)
+        expected = np.where(x > 0, x, 0.0)
+        assert diffusion_mod._relu_(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("steps", [5, 30])
+    def test_schedule_of_another_length_rejected(self, steps):
+        _, params, cond = self.parts(33)
+        for n in (0, 4):
+            with pytest.raises(ShapeError, match=f"schedule has {steps} steps but the denoiser embeds 20"):
+                sample(n, cond, DiffusionSchedule.make(steps), params)
+        rng = np.random.default_rng(34)
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError, match=f"schedule has {steps} steps but the denoiser embeds 20"):
+            ddpm_train_step(np.zeros((4, 2)), np.zeros(4, dtype=int), [cond], DiffusionSchedule.make(steps),
+                            params, rng)
+        assert rng.bit_generator.state == state  # refused before drawing anything
 
 
 class TestOracle:

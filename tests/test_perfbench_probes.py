@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from stylecat import diffusion, train
+from stylecat.datagen import SyntheticSpec
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
@@ -23,3 +26,22 @@ def test_probes_find_a_site(name):
         pass
     with tracing.captured("diffusion", "sample"):
         pass
+
+
+def test_generate_reads_one_sample_per_cell_and_one_forward_per_step():
+    """``generate`` captures ``sample`` per cell and times a step at each ``predict_noise``.
+
+    Batching the cells into one reverse loop, or inlining the forward into
+    the sampler, would fail that workload's operations or leave it no steps.
+    """
+    spec, config = SyntheticSpec(), train.TrainConfig(timesteps=5)
+    bundle = train.fresh_bundle(spec, config)
+    params = diffusion.DenoiserParams.init(dim=config.dim, steps=config.timesteps)
+    schedule = diffusion.DiffusionSchedule.make(config.timesteps)
+    clock = tracing.StepClock()
+    with tracing.step_probes(clock, WORKLOADS["generate"].step_targets), \
+            tracing.captured("diffusion", "sample") as points:
+        rows = train.guidance_eval(bundle, params, schedule, spec, alpha=0.1, n_per_cell=3, seed=0)
+    cells = spec.n_styles * spec.n_categories
+    assert len(rows) == len(points) == cells
+    assert len(clock.periods["reverse"]) == cells * schedule.steps - 1  # the first tick starts the clock

@@ -577,7 +577,7 @@ class TestCli:
         out = capsys.readouterr().out
         for name in ("style-ce", "style-confusion", "style-labeled", "category-ce",
                      "category-confusion", "category-labeled", "style-triplet",
-                     "category-triplet", "denoiser-step", "denoiser-grouped"):
+                     "category-triplet", "denoiser-step", "denoiser-grouped", "denoiser-one-timestep"):
             assert name in out
 
         import stylecat.train as train_mod
