@@ -82,8 +82,7 @@ class FrozenWeights:
     category_words: tuple[str, ...]
 
     @classmethod
-    def build(cls, vocab: Vocab, style_names, category_names, prototype_grids,
-              dim: int = 32) -> "FrozenWeights":
+    def build(cls, vocab: Vocab, style_names, category_names, prototype_grids, dim: int) -> "FrozenWeights":
         """Construct aligned weights from the module's fixed construction constants.
 
         ``prototype_grids`` is a [K_s][K_c] nested sequence of clean
@@ -106,38 +105,25 @@ class FrozenWeights:
         style_common = basis[:, ks + kc]
         category_common = basis[:, ks + kc + 1]
 
-        style_idx = {w: i for i, w in enumerate(style_words)}
-        category_idx = {w: i for i, w in enumerate(category_words)}
+        # factor word -> (its group's common direction, its code); a word of both groups is a style word
+        factor = {w: (category_common, category_codes[i]) for i, w in enumerate(category_words)}
+        factor.update({w: (style_common, style_codes[i]) for i, w in enumerate(style_words)})
 
         token_embed = np.zeros((vocab.size, dim))
         for token in [None] + vocab.tokens():  # slot 0 first, then id order
             tid = 0 if token is None else vocab.id_of(token)
-            if token in style_idx:
-                token_embed[tid] = (
-                    style_common
-                    + CODE_SCALE * style_codes[style_idx[token]]
-                    + WORD_NOISE * rng.standard_normal(dim)
-                )
-            elif token in category_idx:
-                token_embed[tid] = (
-                    category_common
-                    + CODE_SCALE * category_codes[category_idx[token]]
-                    + WORD_NOISE * rng.standard_normal(dim)
-                )
+            if token in factor:
+                common, code = factor[token]
+                token_embed[tid] = common + CODE_SCALE * code + WORD_NOISE * rng.standard_normal(dim)
             else:
                 v = rng.standard_normal(dim)
                 token_embed[tid] = FILLER_SCALE * v / np.linalg.norm(v)
 
         # Min-norm least squares: clean cell grids -> style code + category code.
-        xs, ys = [], []
-        for i in range(ks):
-            for j in range(kc):
-                grid = np.asarray(prototype_grids[i][j], dtype=np.float64)
-                xs.append(grid.reshape(-1))
-                ys.append(style_codes[i] + category_codes[j])
-        x = np.stack(xs)
+        cells = [(i, j) for i in range(ks) for j in range(kc)]
+        x = np.stack([np.asarray(prototype_grids[i][j], dtype=np.float64).reshape(-1) for i, j in cells])
         x_aug = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-        y = np.stack(ys)
+        y = np.stack([style_codes[i] + category_codes[j] for i, j in cells])
         w = x_aug.T @ np.linalg.solve(x_aug @ x_aug.T, y)
         img_proj = w[:-1] + PROJ_NOISE * rng.standard_normal((GRID_SIZE, dim))
         img_bias = w[-1]

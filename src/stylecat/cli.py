@@ -16,10 +16,8 @@ import numpy as np
 
 from .captions import CategoryLexicon, LexiconError, batch_decompose
 from .checkpoint import CheckpointError
-from .datagen import DatasetError, SyntheticSpec, load, read_spec, write_dataset_dir
-from .diffusion import condition_for_caption, oracle_classify_batch, sample as ddpm_sample
-from .diffusion import DiffusionSchedule
-from .datagen import build_mixture
+from .datagen import DatasetError, SyntheticSpec, build_mixture, load, read_spec, write_dataset_dir
+from .diffusion import DiffusionSchedule, condition_for_caption, oracle_classify_batch, sample as ddpm_sample
 from .losses import ConfigError
 from .train import (
     ALPHA_GRID,
@@ -182,14 +180,11 @@ def _cmd_gen_data(args) -> int:
 
 
 def _default_names(n: int, kind: str):
-    banks = {
+    bank = {
         "style": ("sketch", "neon", "pastel", "mosaic", "chalk", "glitch", "inkwash", "vapor"),
         "category": ("cat", "dog", "car", "tree", "boat", "bird", "lamp", "kite"),
-    }
-    bank = banks[kind]
-    if n <= len(bank):
-        return bank[:n]
-    return bank + tuple(f"{kind}{i}" for i in range(len(bank), n))
+    }[kind]
+    return bank[:n] + tuple(f"{kind}{i}" for i in range(len(bank), n))
 
 
 def _cmd_decompose(args) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import GRID_SHAPE
+from .backbone import GRID_SHAPE, words_of
 
 DEFAULT_STYLES = ("sketch", "neon", "pastel")
 DEFAULT_CATEGORIES = ("cat", "dog", "car", "tree")
@@ -25,6 +25,8 @@ CAPTION_TEMPLATE = "a {style} style {category}"
 # shape per ring, inner to outer: the outer ring gets the isotropic shape so
 # its Mahalanobis basin tolerates the generator's radial spread
 COV_SHAPES = ("radial", "tangential", "isotropic")
+SIGMA = 0.15       # every component's covariance determinant is SIGMA**4
+ELONGATION = 1.4   # elongated axes: ELONGATION * SIGMA long, SIGMA / ELONGATION short
 
 
 class DatasetError(ValueError):
@@ -43,15 +45,28 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_styles", "n_categories", "n_train", "n_test", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise DatasetError(f"{name} must be an integer, got {v!r}")
         if self.n_styles < 2 or self.n_categories < 2:
             raise DatasetError("need at least 2 styles and 2 categories")
-        if self.n_train < 1 or self.n_test < 1:
-            raise DatasetError("per-cell sample counts must be >= 1")
+        if self.n_train < 1 or self.n_test < 1 or self.seed < 0:
+            raise DatasetError("per-cell sample counts must be >= 1 and the seed >= 0")
         noise = self.noise
         if isinstance(noise, bool) or not isinstance(noise, (int, float)) or not 0 <= noise < np.inf:
             raise DatasetError(f"noise must be a finite number >= 0, got {noise!r}")
+        for name in ("style_names", "category_names"):
+            names = getattr(self, name)
+            if not isinstance(names, (list, tuple)) or not all(isinstance(w, str) and words_of(w) == [w]
+                                                               for w in names):
+                raise DatasetError(f"{name} must be a list of one-word names, got {names!r}")
         if len(self.style_names) != self.n_styles or len(self.category_names) != self.n_categories:
             raise DatasetError("factor name lists must match the factor counts")
+        folded = [w.casefold() for w in (*self.style_names, *self.category_names)]
+        repeated = sorted({w for w in folded if folded.count(w) > 1})
+        if repeated:
+            raise DatasetError(f"style_names and category_names repeat {repeated}, ignoring case")
         object.__setattr__(self, "style_names", tuple(self.style_names))
         object.__setattr__(self, "category_names", tuple(self.category_names))
 
@@ -66,6 +81,8 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SyntheticSpec":
+        if not isinstance(obj, dict):
+            raise DatasetError(f"a dataset spec must be a JSON object, got {type(obj).__name__}")
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise DatasetError(f"unknown spec keys: {sorted(unknown)}")
@@ -190,11 +207,11 @@ def _style_radius(style_idx: int, n_styles: int) -> float:
     return 0.8 + 2.4 * style_idx / (n_styles - 1)
 
 
-def build_mixture(spec: SyntheticSpec, sigma: float = 0.15, elongation: float = 1.4) -> Mixture:
+def build_mixture(spec: SyntheticSpec) -> Mixture:
     """Category -> angle; style -> ring radius plus covariance shape.
 
-    Covariance axes are (elongation * sigma, sigma / elongation) so every
-    component shares the determinant sigma**4.
+    Covariance axes are (ELONGATION * SIGMA, SIGMA / ELONGATION) so every
+    component shares the determinant SIGMA**4.
     """
     ks, kc = spec.n_styles, spec.n_categories
     means = np.zeros((ks, kc, 2))
@@ -208,11 +225,11 @@ def build_mixture(spec: SyntheticSpec, sigma: float = 0.15, elongation: float = 
             t = np.array([-np.sin(theta), np.cos(theta)])      # tangential direction
             means[i, j] = r * u
             if shape == "isotropic":
-                covs[i, j] = sigma**2 * np.eye(2)
+                covs[i, j] = SIGMA**2 * np.eye(2)
             else:
                 long_ax, short_ax = (u, t) if shape == "radial" else (t, u)
-                covs[i, j] = (elongation * sigma) ** 2 * np.outer(long_ax, long_ax) + (
-                    sigma / elongation
+                covs[i, j] = (ELONGATION * SIGMA) ** 2 * np.outer(long_ax, long_ax) + (
+                    SIGMA / ELONGATION
                 ) ** 2 * np.outer(short_ax, short_ax)
     return Mixture(means=means, covs=covs, style_names=spec.style_names,
                    category_names=spec.category_names)

@@ -23,6 +23,8 @@ from .encoders import EncoderBundle, blend
 from .tensor import ParamGroup, Tensor, no_grad
 
 POINT_DIM = 2
+BETA_START = 1e-4  # the linear noise schedule's first and last beta
+BETA_END = 0.02
 
 
 @dataclass
@@ -39,8 +41,8 @@ class DiffusionSchedule:
         self.alpha_bars = np.cumprod(self.alphas)
 
     @classmethod
-    def make(cls, steps: int = 200, beta_start: float = 1e-4, beta_end: float = 0.02) -> "DiffusionSchedule":
-        return cls(betas=np.linspace(beta_start, beta_end, steps))
+    def make(cls, steps: int) -> "DiffusionSchedule":
+        return cls(betas=np.linspace(BETA_START, BETA_END, steps))
 
     @property
     def steps(self) -> int:
@@ -62,7 +64,7 @@ class DenoiserParams(ParamGroup):
     mlp_b2: Tensor       # [2]
 
     @classmethod
-    def init(cls, dim: int = 32, steps: int = 200, seed: int = 0) -> "DenoiserParams":
+    def init(cls, dim: int, steps: int, seed: int = 0) -> "DenoiserParams":
         rng = np.random.default_rng(seed)
 
         def mat(rows, cols, scl):
@@ -81,26 +83,31 @@ class DenoiserParams(ParamGroup):
             mlp_b2=Tensor(np.zeros(POINT_DIM), requires_grad=True),
         )
 
-    @property
-    def dim(self) -> int:
-        return self.in_w.shape[1]
-
 
 @dataclass
 class GuidanceCondition:
-    """One (1, D) unit row per factor: the style path's and the category path's input."""
+    """G >= 1 conditions as two (G, D) stacks of unit rows: the style and the category path inputs.
 
-    tau_style: np.ndarray     # [1, D]
-    tau_category: np.ndarray  # [1, D]
+    A caption's condition has G = 1; ``stack`` concatenates conditions, in
+    order, into one whose row g is condition g's.
+    """
+
+    tau_style: np.ndarray     # [G, D]
+    tau_category: np.ndarray  # [G, D]
 
     def __post_init__(self):
         self.tau_style = np.atleast_2d(np.asarray(self.tau_style, dtype=np.float64))
         self.tau_category = np.atleast_2d(np.asarray(self.tau_category, dtype=np.float64))
-        if self.tau_style.shape[0] != 1 or self.tau_style.shape != self.tau_category.shape:
-            raise ValueError("a condition holds one style row and one category row of one width")
+        if self.tau_style.ndim != 2 or not len(self.tau_style) or self.tau_style.shape != self.tau_category.shape:
+            raise ValueError("a condition holds G >= 1 style rows and as many category rows, all of one width")
         for name, m in (("tau_style", self.tau_style), ("tau_category", self.tau_category)):
-            if not abs(np.linalg.norm(m) - 1.0) <= 1e-6:  # also refuses NaN
+            if not (np.abs(np.linalg.norm(m, axis=1) - 1.0) <= 1e-6).all():  # also refuses NaN
                 raise ValueError(f"{name} rows must be unit-norm")
+
+    @classmethod
+    def stack(cls, conditions: Sequence["GuidanceCondition"]) -> "GuidanceCondition":
+        return cls(tau_style=np.concatenate([c.tau_style for c in conditions]),
+                   tau_category=np.concatenate([c.tau_category for c in conditions]))
 
 
 def condition_for_caption(caption: str, encoders: EncoderBundle, alpha: float) -> GuidanceCondition:
@@ -165,24 +172,24 @@ def _relu_(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarray, cond,
+def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarray, cond: GuidanceCondition,
                   cond_idx=None) -> Tensor:
     """Denoiser forward pass: (n, 2) noised points -> (n, 2) noise estimate.
 
     ``relu((z @ in_w + in_b + time_embed[t] + values[cond_idx]) @ mlp_w1 + mlp_b1) @ mlp_w2 + mlp_b2``
-    with ``values = tau_s @ ws + tau_c @ wv`` over the conditions' stacked
-    (G, D) style and category rows, so each projection costs G x D x D
-    whatever the number of rows. ``t_idx`` is one integer timestep for every
-    row, as the sampler passes it, or n of them. ``cond`` is one
-    ``GuidanceCondition`` for every row, or a list of G conditions with
-    ``cond_idx[i]`` naming row i's. A shared timestep or condition is added
-    as one broadcast row. The ReLU maps a NaN pre-activation to 0.0, so a
-    NaN weight leaves the forward finite and shows in the gradients.
+    with ``values = tau_s @ ws + tau_c @ wv`` over the condition's (G, D)
+    style and category stacks, so each projection costs G x D x D whatever
+    the number of rows. ``t_idx`` is one integer timestep for every row, as
+    the sampler passes it, or n of them. ``cond`` is one ``GuidanceCondition``
+    of G rows; ``cond_idx[i]`` names row i's, and is required exactly when
+    G > 1. With G = 1 the value row, like a shared timestep, is added as one
+    broadcast row. The ReLU maps a NaN pre-activation to 0.0, so a NaN
+    weight leaves the forward finite and shows in the gradients.
 
     The result is one tape node whose hand-written backward returns the
     gradients of all nine ``DenoiserParams`` tensors. Misshaped ``z_t``,
     ``t_idx`` or ``cond_idx``, indices out of range, timesteps that are not
-    integers and conditions of another width raise ``ShapeError``.
+    integers and a condition of another width raise ``ShapeError``.
     """
     z = np.atleast_2d(np.asarray(z_t, dtype=np.float64))
     if z.ndim != 2 or z.shape[1] != POINT_DIM:
@@ -190,25 +197,23 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     n = z.shape[0]
     steps, dim = params.time_embed.shape
     t = _check_timesteps(t_idx, n, steps)
-    conds = [cond] if isinstance(cond, GuidanceCondition) else list(cond)
-    if not conds:
-        raise ValueError("at least one condition is required")
-    if {c.tau_style.shape for c in conds} != {(1, dim)}:
-        raise T.ShapeError(f"every condition must hold rows of the denoiser's width {dim}")
-    if cond_idx is None:
-        if len(conds) > 1:
-            raise ValueError("cond_idx is required with more than one condition")
-        cond_idx = np.zeros(n, dtype=np.int64)
-    idx = _check_rows(cond_idx, n, len(conds), "cond_idx")
-    style = np.concatenate([c.tau_style for c in conds])
-    category = np.concatenate([c.tau_category for c in conds])
+    if not isinstance(cond, GuidanceCondition):
+        raise TypeError(f"cond must be one GuidanceCondition, got {type(cond).__name__}")
+    style, category = cond.tau_style, cond.tau_category
+    groups = len(style)
+    if style.shape[1] != dim:
+        raise T.ShapeError(f"the condition must hold rows of the denoiser's width {dim}")
+    if cond_idx is not None:
+        cond_idx = _check_rows(cond_idx, n, groups, "cond_idx")
+    elif groups > 1:
+        raise ValueError(f"cond_idx is required with a condition of {groups} rows")
 
     w1, w2 = params.mlp_w1.data, params.mlp_w2.data
     values = style @ params.ws.data + category @ params.wv.data
     a = z @ params.in_w.data
     a += params.in_b.data
     a += params.time_embed.data[t]
-    a += values if len(conds) == 1 else values[idx]
+    a += values if groups == 1 else values[cond_idx]
     hidden = a @ w1
     hidden += params.mlp_b1.data
     _relu_(hidden)
@@ -218,7 +223,8 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     def grad_fn(g):
         g_pre = (g @ w2.T) * (hidden > 0)
         g_a = g_pre @ w1.T
-        g_values = _scatter_rows(g_a, idx, len(conds))
+        idx = np.zeros(n, dtype=np.int64) if cond_idx is None else cond_idx
+        g_values = _scatter_rows(g_a, idx, groups)
         return (_scatter_rows(g_a, np.broadcast_to(t, (n,)), steps), z.T @ g_a, g_a.sum(axis=0),
                 style.T @ g_values, category.T @ g_values,
                 a.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0))
@@ -244,15 +250,15 @@ def noise_regression_loss(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
 def ddpm_train_step(
     points: np.ndarray,
     cond_idx: np.ndarray,
-    conditions: Sequence[GuidanceCondition],
+    condition: GuidanceCondition,
     schedule: DiffusionSchedule,
     params: DenoiserParams,
     rng: np.random.Generator,
 ) -> Tensor:
     """One noise-prediction objective evaluation over a captioned point batch.
 
-    ``points`` is the (n, 2) batch and ``cond_idx[i]`` indexes the
-    condition (built once per caption, no gradient) of row i. Samples a
+    ``points`` is the (n, 2) batch, ``condition`` holds one row per caption
+    (built once, no gradient) and ``cond_idx[i]`` names point i's. Samples a
     uniform timestep and then Gaussian noise per point, perturbs with the
     closed-form forward process, and scores one denoiser forward over the
     whole batch. ``ShapeError``, before anything is drawn, if the schedule
@@ -264,7 +270,7 @@ def ddpm_train_step(
     eps = rng.standard_normal((n, POINT_DIM))
     ab = schedule.alpha_bars[t][:, None]
     z_t = np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps
-    return noise_regression_loss(predict_noise(params, z_t, t, conditions, cond_idx), eps)
+    return noise_regression_loss(predict_noise(params, z_t, t, condition, cond_idx), eps)
 
 
 def sample(

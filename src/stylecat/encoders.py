@@ -29,13 +29,13 @@ class AdapterParams(ParamGroup):
     b2: Tensor  # [D]
 
     @classmethod
-    def init(cls, dim: int, hidden: int | None = None, seed: int = 0) -> "AdapterParams":
-        """Uniform first layer, zero-initialized output layer.
+    def init(cls, dim: int, seed: int = 0) -> "AdapterParams":
+        """Uniform first layer, zero-initialized output layer, ``dim // 4`` hidden units.
 
         The zero output layer makes a fresh adapter the identity delta, so
         the untrained encoder reduces to the frozen backbone.
         """
-        hidden = dim // 4 if hidden is None else hidden
+        hidden = dim // 4
         if hidden < 1:
             raise ValueError(f"adapter hidden width must be >= 1, got {hidden}")
         rng = np.random.default_rng(seed)

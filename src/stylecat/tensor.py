@@ -5,6 +5,10 @@ keeps references to its parents plus a closure computing parent gradients
 from its own. ``backward`` walks the tape once in reverse topological
 order and accumulates gradients on the leaf tensors.
 
+Trainable tensors live in a ``ParamGroup``: their ``data`` and ``grad`` are
+views of the group's two flat buffers, which ``backward`` adds into and
+``train.Adam`` updates in place.
+
 There are three generic ops: ``add`` (operands of one shape), ``scale`` and
 ``normalize``. Every model layer is one coarse node, built with ``_node``
 and a hand-written backward over all its parents: the adapter
@@ -72,7 +76,9 @@ class Tensor:
         return float(self.data.item())
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Zero an existing gradient in place, so a view of a group's ``flat_grad`` stays one."""
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -81,9 +87,27 @@ class Tensor:
 class ParamGroup:
     """Dataclass mixin for a group of trainable tensors, one per field.
 
-    The field order is the order of ``tensors()``, of ``arrays()`` and so of
-    the optimizer state and the checkpoint layout.
+    The field order is the order of ``tensors()``, of ``arrays()``, of the
+    optimizer state and of the checkpoint layout. On construction the
+    fields' values are copied, in that order, into one float64 buffer
+    ``flat``, and a zeroed buffer ``flat_grad`` of the same length is made;
+    each tensor's ``data`` and ``grad`` become views of its slice of the two.
+    Write into ``data`` (``p.data[...] = x``), never rebind it: a rebound
+    array is no longer part of ``flat``, so the optimizer no longer sees it.
     """
+
+    def __post_init__(self):
+        tensors = self.tensors()
+        bounds = np.cumsum([0] + [p.size for p in tensors])
+        self.flat = np.empty(bounds[-1])
+        self.flat_grad = np.zeros(bounds[-1])
+        for p, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
+            self.flat[lo:hi] = p.data.ravel()
+            p.data = self.flat[lo:hi].reshape(p.shape)
+            p.grad = self.flat_grad[lo:hi].reshape(p.shape)
+
+    def zero_grad(self) -> None:
+        self.flat_grad[:] = 0.0
 
     def tensors(self) -> list[Tensor]:
         return [getattr(self, f.name) for f in dataclasses.fields(self)]
@@ -166,8 +190,10 @@ def normalize(a: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf tensor reachable from ``loss``.
 
-    Gradients accumulate (+=) into existing buffers; call ``zero_grad``
-    between passes for fresh values.
+    Gradients accumulate in place (+=) into existing buffers, so a group
+    tensor's ``grad`` stays a view of its group's ``flat_grad``; a free
+    tensor without one gets a copy of its first gradient. Call
+    ``zero_grad`` between passes for fresh values.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -201,7 +227,10 @@ def backward(loss: Tensor) -> None:
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
         elif node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            if node.grad is None:
+                node.grad = g.copy()
+            else:
+                node.grad += g
 
 
 def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> Tensor:

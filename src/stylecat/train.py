@@ -149,74 +149,49 @@ def apply_seed_env(config: TrainConfig, env=os.environ) -> TrainConfig:
 
 
 class Adam:
-    """Standard bias-corrected Adam over a fixed tensor list.
+    """Standard bias-corrected Adam over one ``ParamGroup``.
 
-    The parameters' values live in one flat float64 buffer: on construction
-    each tensor's ``data`` is rebound to a view of its slice, and ``step``
-    updates the buffer, ``m`` and ``v`` in place. A tensor's ``data`` must
-    not be rebound once the optimizer exists, or the optimizer no longer
-    sees it; write into it (``p.data[...] = x``) instead. A tensor whose
-    ``grad`` is None is skipped: its values, ``m`` and ``v`` stay as they are.
+    ``step`` reads the group's ``flat_grad`` and updates ``m``, ``v`` and
+    the group's ``flat`` values in place, elementwise over the whole
+    buffers. It leaves ``flat_grad`` as it is, so the gradients stay
+    readable after the step. A tensor that the loss does not reach has a
+    zero gradient and is updated with g = 0.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params, lr: float):
-        self.params = list(params)
+    def __init__(self, group: T.ParamGroup, lr: float):
+        self.group = group
         self.lr = lr
-        bounds = np.cumsum([0] + [p.size for p in self.params])
-        self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        self.flat = np.empty(bounds[-1])
-        for p, s in zip(self.params, self._slices):
-            self.flat[s] = p.data.ravel()
-            p.data = self.flat[s].reshape(p.shape)
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
-        self._grad = np.zeros_like(self.flat)
-        self._tmp = np.zeros_like(self.flat)
+        self.m = np.zeros_like(group.flat)
+        self.v = np.zeros_like(group.flat)
+        self._update = np.zeros_like(group.flat)
+        self._tmp = np.zeros_like(group.flat)
         self.t = 0
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
-    def _runs(self) -> list[slice]:
-        """Maximal runs of adjacent tensors that have a gradient, as slices of the buffer."""
-        runs: list[slice] = []
-        for p, s in zip(self.params, self._slices):
-            if p.grad is None:
-                continue
-            self._grad[s] = p.grad.ravel()
-            if runs and runs[-1].stop == s.start:
-                runs[-1] = slice(runs[-1].start, s.stop)
-            else:
-                runs.append(s)
-        return runs
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.BETA1**self.t
         bc2 = 1.0 - self.BETA2**self.t
-        for s in self._runs():
-            g, tmp, m, v = self._grad[s], self._tmp[s], self.m[s], self.v[s]
-            # m = BETA1 * m + (1 - BETA1) * g and v = BETA2 * v + (1 - BETA2) * g * g, in place
-            np.multiply(g, 1 - self.BETA1, out=tmp)
-            m *= self.BETA1
-            m += tmp
-            np.multiply(g, 1 - self.BETA2, out=tmp)
-            tmp *= g
-            v *= self.BETA2
-            v += tmp
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS), reusing g's slice
-            np.divide(m, bc1, out=g)
-            g *= self.lr
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.EPS
-            g /= tmp
-            self.flat[s] -= g
+        g, update, tmp, m, v = self.group.flat_grad, self._update, self._tmp, self.m, self.v
+        # m = BETA1 * m + (1 - BETA1) * g and v = BETA2 * v + (1 - BETA2) * g * g, in place
+        np.multiply(g, 1 - self.BETA1, out=tmp)
+        m *= self.BETA1
+        m += tmp
+        np.multiply(g, 1 - self.BETA2, out=tmp)
+        tmp *= g
+        v *= self.BETA2
+        v += tmp
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+        np.divide(m, bc1, out=update)
+        update *= self.lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.EPS
+        update /= tmp
+        self.group.flat -= update
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +278,8 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         raise ConfigError("training set is empty")
 
     bundle = fresh_bundle(spec, config, backbone)
-    opt_style = Adam(bundle.style_adapter.tensors(), config.lr)
-    opt_cat = Adam(bundle.category_adapter.tensors(), config.lr)
+    opt_style = Adam(bundle.style_adapter, config.lr)
+    opt_cat = Adam(bundle.category_adapter, config.lr)
     rng = np.random.default_rng([config.seed, 11])
 
     # Frozen features are constants of the data: embedded once per run.
@@ -333,7 +308,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
                 with no_grad():
                     f_c = bundle.adapt_feature(cat_frozen, "category")
                 loss_s = style_triplet_loss(f_s, f_i, f_c, config.margin1)
-            opt_style.zero_grad()
+            bundle.style_adapter.zero_grad()
             backward(loss_s)
             opt_style.step()
             style_losses.append(_check_finite(loss_s.item(), "style step"))
@@ -345,7 +320,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
                     f_s_const = bundle.adapt_feature(style_frozen, "style")
                 f_c = bundle.adapt_feature(cat_frozen, "category")
                 loss_c = category_triplet_loss(f_c, f_i, f_s_const, config.margin2)
-            opt_cat.zero_grad()
+            bundle.category_adapter.zero_grad()
             backward(loss_c)
             opt_cat.step()
             cat_losses.append(_check_finite(loss_c.item(), "category step"))
@@ -357,19 +332,9 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
 
 
 def _metrics_row(epoch, split, style_top1, category_top1, style_loss, category_loss, config: TrainConfig):
-    return {
-        "epoch": epoch,
-        "split": split,
-        "style_top1": style_top1,
-        "category_top1": category_top1,
-        "style_loss": style_loss,
-        "category_loss": category_loss,
-        "alpha_style": config.alpha_style,
-        "alpha_category": config.alpha_category,
-        "lambda1": config.lambda1,
-        "lambda2": config.lambda2,
-        "seed": config.seed,
-    }
+    """One ``METRICS_COLUMNS`` row; the last five columns are config fields."""
+    values = (epoch, split, style_top1, category_top1, style_loss, category_loss)
+    return {**dict(zip(METRICS_COLUMNS, values)), **{k: getattr(config, k) for k in METRICS_COLUMNS[6:]}}
 
 
 def write_metrics_csv(rows, path, columns=METRICS_COLUMNS) -> None:
@@ -420,7 +385,8 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
     """Train the denoiser on captioned points; returns (params, schedule, rows).
 
     The points are stacked into one (N, 2) array, which must be finite,
-    and each caption's condition is built once, before the first step.
+    and each caption's condition is built once, before the first step, and
+    stacked into one ``GuidanceCondition`` with a row per caption.
     Whenever a loss row is logged, every parameter must still be finite:
     a NaN parameter stays NaN under Adam, so one check per row suffices.
     """
@@ -428,10 +394,11 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
         raise DatasetError("diffusion dataset is empty; need at least one captioned point")
     schedule = DiffusionSchedule.make(config.timesteps)
     params = DenoiserParams.init(dim=config.dim, steps=config.timesteps, seed=config.seed)
-    opt = Adam(params.tensors(), config.lr)
+    opt = Adam(params, config.lr)
     rng = np.random.default_rng([config.seed, 21])
     caption_idx = {c: i for i, c in enumerate(dict.fromkeys(p.caption for p in points))}
-    conditions = [condition_for_caption(c, bundle, config.generation_alpha) for c in caption_idx]
+    conditions = GuidanceCondition.stack([condition_for_caption(c, bundle, config.generation_alpha)
+                                          for c in caption_idx])
     xy = np.array([[p.x, p.y] for p in points])
     bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
     if bad.size:
@@ -441,7 +408,7 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
     for step in range(config.diffusion_steps):
         batch_idx = rng.integers(0, len(points), size=min(config.diffusion_batch, len(points)))
         loss = ddpm_train_step(xy[batch_idx], cond_idx[batch_idx], conditions, schedule, params, rng)
-        opt.zero_grad()
+        params.zero_grad()
         backward(loss)
         opt.step()
         value = _check_finite(loss.item(), f"diffusion step {step}")
@@ -572,7 +539,7 @@ def _ad_grads(loss_fn, params):
     for p in params:
         p.zero_grad()
     backward(loss_fn())
-    return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    return [p.grad.copy() for p in params]
 
 
 def _random_adapter(rng, dim: int, hidden: int) -> AdapterParams:
@@ -589,11 +556,6 @@ def _unit_rows(rng, n, d) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def _kink_margin_adapter(features: np.ndarray, p: AdapterParams) -> float:
-    pre = features @ p.w1.data + p.b1.data
-    return float(np.abs(pre).min())
-
-
 _OTHER = {"style": "category", "category": "style"}
 
 
@@ -602,7 +564,9 @@ class _AuditWorld:
 
     Rejection-samples until no ReLU pre-activation or hinge argument sits
     near its kink, so central differences stay valid. Adapters, prototypes
-    and labels are keyed by kind, "style" or "category".
+    and labels are keyed by kind, "style" or "category". The first row of
+    each triplet's positive equals its anchor row, so the audit meets the
+    zero distance, whose gradient is taken to be zero.
     """
 
     DIM = 8
@@ -620,19 +584,21 @@ class _AuditWorld:
             self.protos = {kind: _unit_rows(rng, self.K, self.DIM) for kind in _KINDS}
             self.labels = {kind: rng.integers(0, self.K, self.BATCH) for kind in _KINDS}
             self.margin = 0.3
+            with no_grad():
+                self.adapted = {kind: adapt(Tensor(self.f_i), p).data for kind, p in self.adapter.items()}
+            self.positive = {kind: np.concatenate([f[:1], self.f_i[1:]]) for kind, f in self.adapted.items()}
             if self._clean():
                 break
             attempt += 1
 
     def _clean(self, threshold: float = 1e-3) -> bool:
         feats = np.concatenate([self.f_i, *self.protos.values()])
-        if any(_kink_margin_adapter(feats, p) < threshold for p in self.adapter.values()):
+        if any(np.abs(feats @ p.w1.data + p.b1.data).min() < threshold for p in self.adapter.values()):
             return False
-        with no_grad():
-            f = {kind: adapt(Tensor(self.f_i), p).data for kind, p in self.adapter.items()}
         for kind in _KINDS:
-            d_pos = np.linalg.norm(f[kind] - self.f_i, axis=1)
-            d_neg = np.linalg.norm(f[kind] - f[_OTHER[kind]], axis=1)
+            f = self.adapted[kind]
+            d_pos = np.linalg.norm(f - self.positive[kind], axis=1)
+            d_neg = np.linalg.norm(f - self.adapted[_OTHER[kind]], axis=1)
             if np.abs(d_pos - d_neg + self.margin).min() < threshold:
                 return False
         return True
@@ -653,10 +619,8 @@ class _AuditWorld:
 
     def triplet(self, kind: str):
         anchor = adapt(Tensor(self.f_i), self.adapter[kind])
-        with no_grad():
-            negative = adapt(Tensor(self.f_i), self.adapter[_OTHER[kind]])
         loss = style_triplet_loss if kind == "style" else category_triplet_loss
-        return loss(anchor, Tensor(self.f_i), negative, self.margin)
+        return loss(anchor, Tensor(self.positive[kind]), Tensor(self.adapted[_OTHER[kind]]), self.margin)
 
 
 def _adapter_world(seed: int, kind: str, part: str):
@@ -677,25 +641,25 @@ def _denoiser_world(seed: int, groups: int = 1, rows: int = 4, one_timestep: boo
     steps = 6
     params = DenoiserParams.init(dim=dim, steps=steps, seed=seed + 13)
     # randomize biases so every parameter has signal
-    params.mlp_b1.data = 0.3 * rng.standard_normal(dim)
-    params.in_b.data = 0.3 * rng.standard_normal(dim)
+    params.mlp_b1.data[:] = 0.3 * rng.standard_normal(dim)
+    params.in_b.data[:] = 0.3 * rng.standard_normal(dim)
     z_t = rng.standard_normal((rows, 2))
     t_idx = rng.integers(0, steps, rows)
     t_idx[-1] = t_idx[0]
     if one_timestep:
         t_idx[:] = t_idx[0]
     eps = rng.standard_normal((rows, 2))
-    conds = [GuidanceCondition(tau_style=_unit_rows(rng, 1, dim), tau_category=_unit_rows(rng, 1, dim))
-             for _ in range(groups)]
+    cond = GuidanceCondition.stack([GuidanceCondition(tau_style=_unit_rows(rng, 1, dim),
+                                                      tau_category=_unit_rows(rng, 1, dim))
+                                    for _ in range(groups)])
     cond_idx = rng.permutation(np.arange(rows) % groups)
-    call = (int(t_idx[0]), conds[0], None) if one_timestep else (t_idx, conds, cond_idx)
+    call = (int(t_idx[0]), cond, None) if one_timestep else (t_idx, cond, cond_idx)
 
     def loss_fn():
         return noise_regression_loss(predict_noise(params, z_t, *call), eps)
 
     # keep clear of the MLP ReLU kink
-    values = (np.concatenate([c.tau_style for c in conds]) @ params.ws.data
-              + np.concatenate([c.tau_category for c in conds]) @ params.wv.data)
+    values = cond.tau_style @ params.ws.data + cond.tau_category @ params.wv.data
     a = z_t @ params.in_w.data + params.in_b.data + params.time_embed.data[t_idx] + values[cond_idx]
     pre = a @ params.mlp_w1.data + params.mlp_b1.data
     if np.abs(pre).min() < 1e-3:

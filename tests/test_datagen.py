@@ -48,6 +48,20 @@ class TestSpecValidation:
     def test_json_roundtrip(self, spec):
         assert SyntheticSpec.from_json(spec.to_json()) == spec
 
+    def test_non_object_json_rejected(self):
+        with pytest.raises(DatasetError, match="must be a JSON object, got list"):
+            SyntheticSpec.from_json([3, 4])
+
+    @pytest.mark.parametrize("names", ["sketch neon pastel", ("sketch", "neon", None), ("sketch", "neon", "")],
+                             ids=["one-string", "none", "empty"])
+    def test_names_must_be_a_list_of_words(self, names):
+        with pytest.raises(DatasetError, match="style_names must be a list of one-word names"):
+            SyntheticSpec(style_names=names)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DatasetError, match="seed >= 0"):
+            SyntheticSpec(seed=-1)
+
 
 class TestClassificationData:
     def test_determinism(self, spec):

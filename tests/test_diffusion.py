@@ -47,25 +47,20 @@ class TestSchedule:
             DiffusionSchedule(betas=np.array([0.5, 0.1]))
 
 
-def stacks(conds):
-    return np.concatenate([c.tau_style for c in conds]), np.concatenate([c.tau_category for c in conds])
-
-
-def reference_forward(params, z, t, conds, cond_idx):
+def reference_forward(params, z, t, cond, cond_idx):
     """The denoiser written out in numpy, with its pre-activation: (pre, a, estimate)."""
     p = params.arrays()
-    style, category = stacks(conds)
-    values = style @ p["ws"] + category @ p["wv"]
+    values = cond.tau_style @ p["ws"] + cond.tau_category @ p["wv"]
     a = z @ p["in_w"] + p["in_b"] + p["time_embed"][t] + values[cond_idx]
     pre = a @ p["mlp_w1"] + p["mlp_b1"]
     return pre, a, np.where(pre > 0, pre, 0.0) @ p["mlp_w2"] + p["mlp_b2"]
 
 
-def reference_grads(params, z, t, conds, cond_idx, eps):
+def reference_grads(params, z, t, cond, cond_idx, eps):
     """Gradients of the mean squared noise error, each row gather scattered back with np.add.at."""
     p = params.arrays()
-    style, category = stacks(conds)
-    pre, a, out = reference_forward(params, z, t, conds, cond_idx)
+    style, category = cond.tau_style, cond.tau_category
+    pre, a, out = reference_forward(params, z, t, cond, cond_idx)
     diff = out - eps
     gd = (1.0 / len(z)) * diff
     g = gd + gd
@@ -98,7 +93,7 @@ class TestValuePaths:
         z = rng.standard_normal((5, 2))
         t = np.array([3, 0, 1, 3, 2])
         cond_idx = np.array([2, 0, 0, 1, 2])
-        out = predict_noise(params, z, t, conds, cond_idx).data
+        out = predict_noise(params, z, t, GuidanceCondition.stack(conds), cond_idx).data
         p = params.arrays()
         for i, g in enumerate(cond_idx):
             a = (z[i] @ p["in_w"] + p["in_b"] + p["time_embed"][t[i]]
@@ -146,7 +141,7 @@ class TestBuildConditions:
         spec, _, bundle = world
         rng = np.random.default_rng(8)
         bundle2 = fresh_bundle(spec, TrainConfig(), bundle.backbone)
-        bundle2.style_adapter.w2.data = rng.standard_normal(bundle2.style_adapter.w2.shape)
+        bundle2.style_adapter.w2.data[...] = rng.standard_normal(bundle2.style_adapter.w2.shape)
         cond = condition_for_caption(spec.caption(1, 2), bundle2, 0.0)
         f_style, f_category = self.frozen(spec, bundle, 1, 2)
         assert np.abs(cond.tau_style[0] - f_style).max() <= 1e-12
@@ -184,10 +179,39 @@ class TestBuildConditions:
         with pytest.raises(ValueError, match="unit"):
             GuidanceCondition(tau_style=np.array([[np.nan, 0.0]]), tau_category=np.array([[1.0, 0.0]]))
 
-    def test_one_row_per_factor(self):
-        rows = np.eye(2)
-        with pytest.raises(ValueError, match="one style row"):
-            GuidanceCondition(tau_style=rows, tau_category=rows)
+
+
+class TestStackedConditions:
+    def test_stack_concatenates_in_order(self):
+        rng = np.random.default_rng(27)
+        conds = [GuidanceCondition(tau_style=unit_rows(rng, 1, 4), tau_category=unit_rows(rng, 1, 4))
+                 for _ in range(3)]
+        stacked = GuidanceCondition.stack(conds)
+        assert stacked.tau_style.shape == stacked.tau_category.shape == (3, 4)
+        for g, c in enumerate(conds):
+            assert np.array_equal(stacked.tau_style[g], c.tau_style[0])
+            assert np.array_equal(stacked.tau_category[g], c.tau_category[0])
+        assert np.array_equal(GuidanceCondition.stack(conds[:1]).tau_style, conds[0].tau_style)
+
+    @pytest.mark.parametrize("style_shape, category_shape", [
+        ((0, 4), (0, 4)),     # zero rows
+        ((3, 4), (2, 4)),     # stacks of unequal height
+        ((2, 4), (2, 3)),     # or width
+        ((2, 2, 4), (2, 2, 4)),
+    ])
+    def test_misshaped_stacks_rejected(self, style_shape, category_shape):
+        rows = lambda shape: np.ones(shape) / np.sqrt(shape[-1])
+        with pytest.raises(ValueError, match="G >= 1 style rows"):
+            GuidanceCondition(tau_style=rows(style_shape), tau_category=rows(category_shape))
+
+    @pytest.mark.parametrize("bad", [2.0, np.nan, 0.0])
+    @pytest.mark.parametrize("factor", ["tau_style", "tau_category"])
+    def test_one_bad_row_among_three_rejected(self, factor, bad):
+        rng = np.random.default_rng(28)
+        rows = {name: unit_rows(rng, 3, 4) for name in ("tau_style", "tau_category")}
+        rows[factor][1] = [bad, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match=f"{factor} rows must be unit-norm"):
+            GuidanceCondition(**rows)
 
 
 class TestTrainStep:
@@ -206,7 +230,7 @@ class TestTrainStep:
         schedule = DiffusionSchedule.make(50)
         points, _ = generate_diffusion_dataset(spec, n_per_cell=40)
         captions = list(dict.fromkeys(p.caption for p in points))
-        conditions = [condition_for_caption(c, bundle, 0.1) for c in captions]
+        conditions = GuidanceCondition.stack([condition_for_caption(c, bundle, 0.1) for c in captions])
         xy = np.array([[p.x, p.y] for p in points])
         cond_idx = np.array([captions.index(p.caption) for p in points])
         rng = np.random.default_rng(10)
@@ -234,8 +258,8 @@ class TestTrainStep:
         rng = np.random.default_rng(15)
         params = DenoiserParams.init(dim=8, steps=6, seed=9)
         params.mlp_b1.data[:] = 0.3 * rng.standard_normal(8)
-        conds = [GuidanceCondition(tau_style=unit_rows(rng, 1, 8), tau_category=unit_rows(rng, 1, 8))
-                 for _ in range(3)]
+        conds = GuidanceCondition.stack([GuidanceCondition(tau_style=unit_rows(rng, 1, 8),
+                                                           tau_category=unit_rows(rng, 1, 8)) for _ in range(3)])
         z_t = rng.standard_normal((7, 2))
         t_idx = np.array([0, 2, 2, 5, 2, 0, 4])
         cond_idx = np.array([1, 1, 0, 2, 1, 0, 0])
@@ -243,8 +267,7 @@ class TestTrainStep:
         pre, _, _ = reference_forward(params, z_t, t_idx, conds, cond_idx)
         assert np.abs(pre).min() > 1e-3  # central differences stay off the ReLU kink
         loss_fn = lambda _: noise_regression_loss(predict_noise(params, z_t, t_idx, conds, cond_idx), eps)
-        for p in params.tensors():
-            p.zero_grad()
+        params.zero_grad()
         backward(loss_fn(None))
         expected = reference_grads(params, z_t, t_idx, conds, cond_idx, eps)
         for name, p in zip(params.arrays(), params.tensors()):
@@ -257,7 +280,7 @@ class TestTrainStep:
         spec, config, bundle = world
         points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
         captions = list(dict.fromkeys(p.caption for p in points))
-        conditions = [condition_for_caption(c, bundle, 0.1) for c in captions]
+        conditions = GuidanceCondition.stack([condition_for_caption(c, bundle, 0.1) for c in captions])
         xy = np.array([[p.x, p.y] for p in points])
         cond_idx = np.array([captions.index(p.caption) for p in points])
         params = DenoiserParams.init(dim=config.dim, steps=20, seed=0)
@@ -274,8 +297,26 @@ class TestTrainStep:
         assert len(inner) == 2
         assert sorted(map(id, leaves)) == sorted(map(id, params.tensors()))
 
+    def test_backward_fills_the_flat_gradient(self):
+        """After one step's backward, ``flat_grad`` holds the nine reference gradients in field order."""
+        rng = np.random.default_rng(18)
+        params = DenoiserParams.init(dim=8, steps=6, seed=3)
+        cond = GuidanceCondition(tau_style=unit_rows(rng, 3, 8), tau_category=unit_rows(rng, 3, 8))
+        points = rng.standard_normal((9, 2))
+        cond_idx = np.array([0, 2, 1, 1, 0, 2, 2, 0, 1])
+        schedule = DiffusionSchedule.make(6)
+        params.zero_grad()
+        backward(ddpm_train_step(points, cond_idx, cond, schedule, params, np.random.default_rng(19)))
+        draws = np.random.default_rng(19)  # ddpm_train_step's draws: timesteps, then noise
+        t = draws.integers(0, 6, size=9)
+        eps = draws.standard_normal((9, 2))
+        ab = schedule.alpha_bars[t][:, None]
+        z_t = np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps
+        expected = reference_grads(params, z_t, t, cond, cond_idx, eps)
+        assert np.array_equal(params.flat_grad, np.concatenate([expected[name].ravel() for name in params.arrays()]))
 
-def per_caption_step(points, cond_idx, conditions, schedule, params, rng):
+
+def per_caption_step(points, cond_idx, condition, schedule, params, rng):
     """Reference objective: one denoiser forward per caption group, summed.
 
     Draws t and then the noise exactly as ``ddpm_train_step`` does.
@@ -288,14 +329,14 @@ def per_caption_step(points, cond_idx, conditions, schedule, params, rng):
     parts = []
     for g in np.unique(cond_idx):
         sel = np.flatnonzero(cond_idx == g)
-        group_loss = noise_regression_loss(predict_noise(params, z_t[sel], t[sel], conditions[g]), eps[sel])
+        own = GuidanceCondition(tau_style=condition.tau_style[g], tau_category=condition.tau_category[g])
+        group_loss = noise_regression_loss(predict_noise(params, z_t[sel], t[sel], own), eps[sel])
         parts.append(T.scale(group_loss, len(sel) / n))
     return reduce(T.add, parts)
 
 
 def loss_and_grads(step_fn, params, *args):
-    for p in params.tensors():
-        p.zero_grad()
+    params.zero_grad()
     loss = step_fn(*args)
     backward(loss)
     return loss.item(), [p.grad.copy() for p in params.tensors()]
@@ -306,8 +347,8 @@ class TestGroupedForward:
     STEPS = 10
 
     def conditions(self, rng, groups):
-        return [GuidanceCondition(tau_style=unit_rows(rng, 1, self.DIM),
-                                  tau_category=unit_rows(rng, 1, self.DIM)) for _ in range(groups)]
+        return GuidanceCondition(tau_style=unit_rows(rng, groups, self.DIM),
+                                 tau_category=unit_rows(rng, groups, self.DIM))
 
     @pytest.mark.parametrize("present", [1, 3, 7])
     def test_one_forward_matches_per_caption_reference(self, present):
@@ -325,15 +366,15 @@ class TestGroupedForward:
         for p, g, ref in zip(params.tensors(), grads, ref_grads):
             assert relative_error(g, ref) <= 1e-12, p
 
-    def test_single_condition_equals_one_element_list(self):
+    def test_one_row_needs_no_condition_index(self):
         rng = np.random.default_rng(22)
         params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=6)
-        (cond,) = self.conditions(rng, 1)
+        cond = self.conditions(rng, 1)
         z = rng.standard_normal((9, 2))
         t = rng.integers(0, self.STEPS, 9)
-        single = predict_noise(params, z, t, cond).data
-        listed = predict_noise(params, z, t, [cond], cond_idx=np.zeros(9, dtype=int)).data
-        assert np.array_equal(single, listed)
+        broadcast = predict_noise(params, z, t, cond).data
+        indexed = predict_noise(params, z, t, cond, cond_idx=np.zeros(9, dtype=int)).data
+        assert np.array_equal(broadcast, indexed)
 
     def test_rows_see_only_their_own_condition(self):
         rng = np.random.default_rng(23)
@@ -343,7 +384,8 @@ class TestGroupedForward:
         t = rng.integers(0, self.STEPS, 6)
         cond_idx = np.array([2, 0, 1, 1, 0, 2])
         before = predict_noise(params, z, t, conditions, cond_idx).data
-        conditions[1] = self.conditions(rng, 1)[0]
+        other = self.conditions(rng, 1)
+        conditions.tau_style[1], conditions.tau_category[1] = other.tau_style[0], other.tau_category[0]
         after = predict_noise(params, z, t, conditions, cond_idx).data
         changed = np.abs(after - before).max(axis=1) > 0
         assert changed.tolist() == (cond_idx == 1).tolist()
@@ -354,11 +396,20 @@ class TestGroupedForward:
         conditions = self.conditions(rng, 2)
         z = rng.standard_normal((3, 2))
         t = np.zeros(3, dtype=int)
-        with pytest.raises(ValueError, match="cond_idx"):
+        with pytest.raises(ValueError, match="cond_idx is required with a condition of 2 rows"):
             predict_noise(params, z, t, conditions)
         for bad in (np.array([0, 1, 2]), np.array([0, 1]), np.array([0.0, 1.0, 0.0])):
             with pytest.raises(T.ShapeError):
                 predict_noise(params, z, t, conditions, bad)
+        with pytest.raises(T.ShapeError):
+            predict_noise(params, z, t, self.conditions(rng, 1), np.array([0, 1, 0]))
+
+    def test_list_of_conditions_rejected(self):
+        rng = np.random.default_rng(29)
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=8)
+        cond = self.conditions(rng, 1)
+        with pytest.raises(TypeError, match="one GuidanceCondition, got list"):
+            predict_noise(params, np.zeros((2, 2)), np.zeros(2, dtype=int), [cond, cond], np.array([0, 1]))
 
     @pytest.mark.parametrize("z_shape, t_idx", [
         ((3, 2), [0, -1, 2]),               # negative: must not wrap to the last timestep
@@ -376,7 +427,7 @@ class TestGroupedForward:
     def test_bad_timesteps_and_points_rejected(self, z_shape, t_idx):
         rng = np.random.default_rng(25)
         params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=8)
-        (cond,) = self.conditions(rng, 1)
+        cond = self.conditions(rng, 1)
         for t in (t_idx, np.array(t_idx)):
             with pytest.raises(ShapeError):
                 predict_noise(params, np.zeros(z_shape), t, cond)
@@ -448,6 +499,22 @@ class TestTrainDiffusion:
         assert len(forwards) == steps
         assert sorted(built) == sorted({p.caption for p in points})
 
+    def test_every_step_reads_one_stacked_condition(self, world, monkeypatch):
+        spec, config, bundle = world
+        points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
+        seen = []
+        real_predict = diffusion_mod.predict_noise
+
+        def recording_predict(params, z_t, t_idx, cond, cond_idx=None):
+            seen.append(cond)
+            return real_predict(params, z_t, t_idx, cond, cond_idx)
+
+        monkeypatch.setattr(diffusion_mod, "predict_noise", recording_predict)
+        train_diffusion(replace(config, diffusion_steps=3, diffusion_batch=32, timesteps=20), points, bundle)
+        assert len(seen) == 3 and all(cond is seen[0] for cond in seen)
+        assert isinstance(seen[0], GuidanceCondition)
+        assert seen[0].tau_style.shape == seen[0].tau_category.shape == (12, config.dim)
+
 
 class TestSampling:
     def test_same_seed_identical(self, world):
@@ -483,7 +550,7 @@ def reference_sample(n, condition, schedule, params, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, 2))
     for t in range(schedule.steps - 1, -1, -1):
-        eps_hat = reference_forward(params, z, np.full(n, t), [condition], np.zeros(n, dtype=int))[2]
+        eps_hat = reference_forward(params, z, np.full(n, t), condition, np.zeros(n, dtype=int))[2]
         beta = schedule.betas[t]
         z = (z - beta / np.sqrt(1.0 - schedule.alpha_bars[t]) * eps_hat) / np.sqrt(schedule.alphas[t])
         if t > 0:
@@ -518,8 +585,7 @@ class TestReverseStep:
         eps = rng.standard_normal((9, 2))
         results = []
         for t in (np.full(9, 11), 11, np.int64(11), np.array(11)):
-            for p in params.tensors():
-                p.zero_grad()
+            params.zero_grad()
             loss = noise_regression_loss(predict_noise(params, z, t, cond), eps)
             backward(loss)
             results.append([loss.data] + [p.grad.copy() for p in params.tensors()])
@@ -533,7 +599,7 @@ class TestReverseStep:
         z = rng.standard_normal((6, 2))
         out = predict_noise(params, z, 4, cond).data
         assert np.isfinite(out).all()
-        expected = reference_forward(params, z, np.full(6, 4), [cond], np.zeros(6, dtype=int))[2]
+        expected = reference_forward(params, z, np.full(6, 4), cond, np.zeros(6, dtype=int))[2]
         assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 9, 33, 100])
@@ -554,7 +620,7 @@ class TestReverseStep:
         rng = np.random.default_rng(34)
         state = rng.bit_generator.state
         with pytest.raises(ShapeError, match=f"schedule has {steps} steps but the denoiser embeds 20"):
-            ddpm_train_step(np.zeros((4, 2)), np.zeros(4, dtype=int), [cond], DiffusionSchedule.make(steps),
+            ddpm_train_step(np.zeros((4, 2)), np.zeros(4, dtype=int), cond, DiffusionSchedule.make(steps),
                             params, rng)
         assert rng.bit_generator.state == state  # refused before drawing anything
 

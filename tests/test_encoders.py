@@ -64,9 +64,9 @@ class TestAdapterForward:
 
     def test_gradients_for_all_four_parameters(self):
         rng = np.random.default_rng(2)
-        p = AdapterParams.init(6, hidden=2, seed=0)
-        p.w2.data = 0.4 * rng.standard_normal(p.w2.shape)
-        p.b2.data = 0.1 * rng.standard_normal(p.b2.shape)
+        w1 = np.random.default_rng(0).uniform(-1 / np.sqrt(6), 1 / np.sqrt(6), size=(6, 2))
+        w2, b2 = 0.4 * rng.standard_normal((2, 6)), 0.1 * rng.standard_normal(6)
+        p = AdapterParams(*(Tensor(x, requires_grad=True) for x in (w1, np.zeros(2), w2, b2)))
         f = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
         w = rng.standard_normal((3, 6))
         loss_fn = lambda _: weighted_sum(adapt(f, p), w)
@@ -84,8 +84,9 @@ class TestAdapterForward:
                 adapt(Tensor(bad), p)
 
     def test_hidden_width_validated(self):
+        assert AdapterParams.init(8).w1.shape == (8, 2)
         with pytest.raises(ValueError, match=">= 1"):
-            AdapterParams.init(2, hidden=0)
+            AdapterParams.init(3)
 
 
 class TestEncode:
@@ -103,7 +104,7 @@ class TestEncode:
     def test_outputs_unit_norm(self, spec, backbone):
         rng = np.random.default_rng(4)
         b = fresh_bundle(spec, TrainConfig(), backbone)
-        b.style_adapter.w2.data = rng.standard_normal(b.style_adapter.w2.shape)
+        b.style_adapter.w2.data[...] = rng.standard_normal(b.style_adapter.w2.shape)
         for i, j in itertools.product(range(spec.n_styles), range(spec.n_categories)):
             f = encode_caption(b, spec.caption(i, j), "style").data
             assert abs(np.linalg.norm(f) - 1.0) < 1e-9
@@ -166,11 +167,11 @@ class TestParameterIsolation:
         f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
         labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
         loss = style_labeled_loss(f_i, labels, b, TrainConfig())
-        for t in b.style_adapter.tensors() + b.category_adapter.tensors():
-            t.zero_grad()
+        b.style_adapter.zero_grad()
+        b.category_adapter.zero_grad()
         backward(loss)
-        assert all(t.grad is not None for t in b.style_adapter.tensors())
-        assert all(t.grad is None for t in b.category_adapter.tensors())
+        assert np.abs(b.style_adapter.flat_grad).max() > 0
+        assert not b.category_adapter.flat_grad.any()
 
     def test_shared_adapter_rejected(self, backbone, spec):
         a = AdapterParams.init(backbone.dim, seed=0)

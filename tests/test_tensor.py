@@ -170,6 +170,52 @@ class TestBackward:
         assert np.array_equal(y.grad, [1.0, 1.0])
 
 
+class TestParamGroup:
+    def group(self):
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal(shape) for shape in [(3, 2), (2,), (2, 3), (3,)]]
+        return arrays, AdapterParams(*(Tensor(x.copy(), requires_grad=True) for x in arrays))
+
+    def test_fields_are_views_of_the_flat_buffers_in_field_order(self):
+        arrays, p = self.group()
+        assert np.array_equal(p.flat, np.concatenate([x.ravel() for x in arrays]))
+        assert p.flat_grad.shape == p.flat.shape and not p.flat_grad.any()
+        offset = 0
+        for t, x in zip(p.tensors(), arrays):
+            assert t.data.shape == t.grad.shape == x.shape
+            assert np.shares_memory(t.data, p.flat[offset:offset + x.size])
+            assert np.shares_memory(t.grad, p.flat_grad[offset:offset + x.size])
+            offset += x.size
+        p.b1.data[1] = 7.0
+        p.b2.grad[2] = 5.0
+        assert p.flat[6 + 1] == 7.0 and p.flat_grad[6 + 2 + 6 + 2] == 5.0
+
+    def test_backward_and_zero_grad_keep_the_views(self):
+        rng = np.random.default_rng(4)
+        _, p = self.group()
+        f, w = Tensor(rng.standard_normal((5, 3))), rng.standard_normal((5, 3))
+        grads = []
+        for _ in range(2):
+            p.zero_grad()
+            backward(weighted_sum(adapt(f, p), w))
+            grads.append(p.flat_grad.copy())
+        assert np.abs(grads[0]).max() > 0 and np.array_equal(grads[0], grads[1])
+        backward(weighted_sum(adapt(f, p), w))  # no zero_grad: accumulates
+        assert np.array_equal(p.flat_grad, grads[0] + grads[0])
+        for t in p.tensors():
+            t.zero_grad()
+        assert not p.flat_grad.any()
+        assert all(np.shares_memory(t.grad, p.flat_grad) for t in p.tensors())
+
+    def test_free_tensor_copies_its_first_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+        backward(weighted_sum(T.add(x, y)))  # both parents receive one shared gradient array
+        assert not np.shares_memory(x.grad, y.grad)
+        x.grad += 1.0
+        assert np.array_equal(y.grad, [1.0, 1.0])
+
+
 class TestFiniteDiff:
     def test_sum_yields_ones(self):
         x = Tensor(np.arange(4, dtype=float))
@@ -183,9 +229,9 @@ class TestFiniteDiff:
 
     def test_agrees_with_backward_on_adapter_pass(self):
         rng = np.random.default_rng(29)
-        p = AdapterParams.init(6, hidden=3, seed=1)
-        p.w2.data = 0.5 * rng.standard_normal(p.w2.shape)
-        p.b2.data = 0.1 * rng.standard_normal(p.b2.shape)
+        w1 = np.random.default_rng(1).uniform(-1 / np.sqrt(6), 1 / np.sqrt(6), size=(6, 3))
+        w2, b2 = 0.5 * rng.standard_normal((3, 6)), 0.1 * rng.standard_normal(6)
+        p = AdapterParams(*(Tensor(x, requires_grad=True) for x in (w1, np.zeros(3), w2, b2)))
         f = Tensor(rng.standard_normal((1, 6)))
         w = rng.standard_normal((1, 6))
         loss_fn = lambda _: weighted_sum(adapt(f, p), w)

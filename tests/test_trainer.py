@@ -5,7 +5,7 @@ import argparse
 import json
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,8 @@ from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoin
 from stylecat.cli import main
 from stylecat.datagen import DatasetError, SyntheticSpec, generate_classification_dataset, write_dataset_dir
 from stylecat.diffusion import DenoiserParams, DiffusionSchedule
-from stylecat.encoders import AdapterParams
 from stylecat.losses import ConfigError
+from stylecat.tensor import ParamGroup, Tensor, _node, backward
 from stylecat.train import (
     Adam,
     TrainConfig,
@@ -103,16 +103,12 @@ class TestConfig:
 class ReferenceAdam:
     """Per-tensor Adam, one new array per update: the reference for the flat-buffer optimizer."""
 
-    def __init__(self, params, lr: float):
-        self.params = list(params)
+    def __init__(self, group, lr: float):
+        self.params = group.tensors()
         self.lr = lr
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
 
     def step(self):
         self.t += 1
@@ -120,55 +116,44 @@ class ReferenceAdam:
         bc2 = 1.0 - Adam.BETA2**self.t
         for i, p in enumerate(self.params):
             g = p.grad
-            if g is None:
-                continue
             self.m[i] = Adam.BETA1 * self.m[i] + (1 - Adam.BETA1) * g
             self.v[i] = Adam.BETA2 * self.v[i] + (1 - Adam.BETA2) * g * g
-            p.data = p.data - self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + Adam.EPS)
+            p.data[...] = p.data - self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + Adam.EPS)
+
+
+def free_group(*arrays):
+    """A ParamGroup of one trainable tensor per array, fields p0, p1, ..."""
+    cls = make_dataclass("FreeGroup", [(f"p{i}", Tensor) for i in range(len(arrays))], bases=(ParamGroup,))
+    return cls(*(Tensor(x, requires_grad=True) for x in arrays))
 
 
 class TestAdam:
     def test_moves_toward_minimum(self):
-        from stylecat import tensor as T
-        from stylecat.tensor import Tensor, backward
-
-        x = Tensor([5.0, -3.0], requires_grad=True)
-        opt = Adam([x], lr=0.1)
+        group = free_group(np.array([5.0, -3.0]))
+        (x,) = group.tensors()
+        opt = Adam(group, lr=0.1)
         for _ in range(300):
-            loss = T._node(np.asarray((x.data * x.data).sum()), (x,), lambda g: (2.0 * float(g) * x.data,))
-            opt.zero_grad()
+            loss = _node(np.asarray((x.data * x.data).sum()), (x,), lambda g: (2.0 * float(g) * x.data,))
+            group.zero_grad()
             backward(loss)
             opt.step()
         assert np.abs(x.data).max() < 1e-3
 
     def test_flat_buffer_matches_per_tensor_reference(self):
-        """Five steps, with gradless tensors skipped on some of them, equal per-tensor Adam bit for bit."""
-        from stylecat.tensor import Tensor
-
+        """Five steps over one group equal per-tensor Adam bit for bit, and leave the gradients readable."""
         rng = np.random.default_rng(17)
-        shapes = [(3, 4), (5,), (), (2, 2)]
-        init = [rng.standard_normal(shape) for shape in shapes]
-        flat = [Tensor(x.copy(), requires_grad=True) for x in init]
-        ref = [Tensor(x.copy(), requires_grad=True) for x in init]
+        init = [rng.standard_normal(shape) for shape in [(3, 4), (5,), (), (2, 2)]]
+        flat, ref = free_group(*init), free_group(*init)
         opts = Adam(flat, lr=0.05), ReferenceAdam(ref, lr=0.05)
-        gradless = {1: {1}, 2: {0, 2}, 3: {1, 3}}  # step -> tensors without a gradient
         for step in range(5):
-            for opt in opts:
-                opt.zero_grad()
-            for i, shape in enumerate(shapes):
-                if i not in gradless.get(step, ()):
-                    flat[i].grad = rng.standard_normal(shape)
-                    ref[i].grad = flat[i].grad.copy()
+            grads = rng.standard_normal(flat.flat_grad.shape)
+            flat.flat_grad[:] = grads
+            ref.flat_grad[:] = grads
             for opt in opts:
                 opt.step()
-            for f, r in zip(flat, ref):
+            assert np.array_equal(flat.flat_grad, grads), step
+            for f, r in zip(flat.tensors(), ref.tensors()):
                 assert f.data.shape == r.data.shape and np.array_equal(f.data, r.data), step
-
-    def test_empty_parameter_list(self):
-        opt = Adam([], lr=0.1)
-        opt.zero_grad()
-        opt.step()
-        assert opt.t == 1
 
     def test_trained_denoiser_is_read_back_and_survives_checkpoint(self, spec, dataset, tmp_path, monkeypatch):
         from stylecat.datagen import generate_diffusion_dataset
@@ -356,6 +341,14 @@ class TestCheckpointRoundtrip:
             load_encoder_checkpoint(path)
         assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
 
+    def test_damaged_spec_rejected(self, saved):
+        path, (arrays, meta) = saved
+        meta["dataset_spec"]["style_names"] = ["sketch", "Sketch", "neon"]
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: bad config or dataset spec: "
+                                                            "style_names and category_names repeat ['sketch']")):
+            load_encoder_checkpoint(path)
+
     @pytest.mark.parametrize("edit", ["wrong-rank", "wrong-width", "retired-hidden"])
     def test_wrong_array_shapes_rejected(self, saved, data_dir, edit):
         path, (arrays, meta) = saved
@@ -366,7 +359,8 @@ class TestCheckpointRoundtrip:
         else:  # trained with the retired TrainConfig(hidden=16); adapters are now dim // 4 = 8 wide
             meta["config"]["hidden"] = 16
             for prefix in ("style_adapter", "category_adapter"):
-                arrays.update({f"{prefix}.{k}": v for k, v in AdapterParams.init(32, hidden=16).arrays().items()})
+                arrays.update({f"{prefix}.w1": np.zeros((32, 16)), f"{prefix}.b1": np.zeros(16),
+                               f"{prefix}.w2": np.zeros((16, 32)), f"{prefix}.b2": np.zeros(32)})
         save_checkpoint(path, arrays, meta)
         group, array = ("category_adapter", "b2") if edit == "wrong-rank" else ("style_adapter", "w1")
         with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}: {group}: .*array {array} has shape"):
@@ -590,6 +584,33 @@ class TestCli:
         monkeypatch.setattr(train_mod, "_ad_grads", flipped)
         assert self.run("gradcheck", "--seeds", "2") == 2
 
+    def test_gradcheck_meets_the_triplet_zero_distance(self, monkeypatch, capsys):
+        """Each triplet world holds a zero anchor-positive distance, so a triplet without its
+        ``d > 0`` guard divides 0 by 0 there and fails both triplet audits, and only those."""
+        import stylecat.losses as losses_mod
+
+        real = losses_mod._triplet
+
+        def unguarded(anchor, positive, negative, margin):
+            out = real(anchor, positive, negative, margin)
+            diff_pos, diff_neg = anchor.data - positive.data, anchor.data - negative.data
+            d_pos = np.linalg.norm(diff_pos, axis=1, keepdims=True)
+            d_neg = np.linalg.norm(diff_neg, axis=1, keepdims=True)
+            active = (d_pos - d_neg + margin > 0) / len(d_pos)
+
+            def grad_fn(g):
+                u_pos = diff_pos / d_pos * (float(g) * active)
+                return u_pos - diff_neg / d_neg * (float(g) * active), -u_pos
+
+            out._grad_fn = grad_fn
+            return out
+
+        monkeypatch.setattr(losses_mod, "_triplet", unguarded)
+        with np.errstate(invalid="ignore"):
+            assert self.run("gradcheck", "--seeds", "2") == 2
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("inf FAIL")]
+        assert failed == ["style-triplet", "category-triplet"]
+
     @pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-3"], ["--tol", "nan"], ["--tol", "0"],
                                       ["--tol", "inf"]], ids=["seeds-0", "seeds-minus-3", "tol-nan", "tol-0", "tol-inf"])
     def test_vacuous_gradcheck_exits_one(self, capsys, argv):
@@ -611,6 +632,31 @@ class TestCli:
         assert self.run("train-encoders", "--data", str(data_dir), "--out", str(tmp_path / "e.cclp"), *flags) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "e.cclp").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"n_styles": "3"}, "n_styles must be an integer, got '3'"),
+        ({"n_categories": 4.0}, "n_categories must be an integer, got 4.0"),
+        ({"n_train": True}, "n_train must be an integer, got True"),
+        ({"n_test": 2.5}, "n_test must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"style_names": [5, "neon", "pastel"]}, "style_names must be a list of one-word names, got [5, "),
+        ({"category_names": ["cat", "hot dog", "car", "tree"]}, "category_names must be a list of one-word "
+                                                                "names, got ['cat', 'hot dog', 'car', 'tree']"),
+        ({"style_names": ["sketch", "sketch", "neon"]}, "repeat ['sketch']"),
+        ({"category_names": ["cat", "Neon", "car", "tree"]}, "repeat ['neon']"),
+    ], ids=["n-styles-string", "n-categories-float", "n-train-bool", "n-test-float", "seed-float", "seed-string",
+            "name-int", "name-two-words", "names-repeat", "names-repeat-across-factors"])
+    def test_damaged_spec_exits_one(self, tmp_path, capsys, edit, message):
+        data = tmp_path / "d"
+        write_dataset_dir(SyntheticSpec(n_train=2, n_test=1), data)
+        spec = json.loads((data / "spec.json").read_text(encoding="utf-8"))
+        (data / "spec.json").write_text(json.dumps({**spec, **edit}), encoding="utf-8")
+        assert self.run("train-encoders", "--data", str(data), "--out", str(tmp_path / "e.cclp"),
+                        "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not (tmp_path / "e.cclp").exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
