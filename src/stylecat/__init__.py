@@ -12,6 +12,7 @@ from .losses import (
     confusion_loss,
     style_labeled_loss,
     style_triplet_loss,
+    triplet_hinge,
 )
 from .captions import CategoryLexicon, DecomposedCaption, batch_decompose, decompose
 from .datagen import SyntheticSpec, generate_classification_dataset, generate_diffusion_dataset

@@ -306,7 +306,7 @@ def _cmd_gradcheck(args) -> int:
     results = gradcheck_suite(n_seeds=args.seeds, tol=args.tol)
     failed = False
     for name, worst, ok in results:
-        print(f"{name:22s} worst_rel_err={worst:.3e} {'ok' if ok else 'FAIL'}")
+        print(f"{name:28s} worst_rel_err={worst:.3e} {'ok' if ok else 'FAIL'}")
         failed |= not ok
     if failed:
         raise NumericalError("gradient audit failed")

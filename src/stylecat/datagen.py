@@ -174,10 +174,11 @@ def generate_classification_dataset(spec: SyntheticSpec):
             rng = _cell_rng(spec.seed, i, j, stream=1)
             caption = spec.caption(i, j)
             for split, count in ((train, spec.n_train), (test, spec.n_test)):
-                for _ in range(count):
-                    noise = rng.uniform(-spec.noise, spec.noise, size=proto.shape)
-                    grid = np.clip(proto + noise, 0.0, 1.0)
-                    split.append(ClassificationSample(grid=grid, style=i, category=j, caption=caption))
+                # one draw of ``count`` grids reads the same uniform stream as ``count`` draws of one
+                noise = rng.uniform(-spec.noise, spec.noise, size=(count, *proto.shape))
+                grids = np.clip(proto + noise, 0.0, 1.0)
+                split.extend(ClassificationSample(grid=grid, style=i, category=j, caption=caption)
+                             for grid in grids)
     return train, test
 
 

@@ -4,6 +4,10 @@ Each encoder adds a small trainable bottleneck delta to the frozen text
 feature and re-normalizes; with the zero-initialized output layer the
 untrained encoders reproduce the backbone exactly. ``blend`` implements
 the residual mixing of adapted and frozen features.
+
+``adapt_array`` is the adapter's numpy forward and hand-written backward.
+The training objectives in ``losses`` fold it into their one tape node per
+optimiser step; ``adapt`` wraps it as a node of its own.
 """
 
 from __future__ import annotations
@@ -48,26 +52,34 @@ class AdapterParams(ParamGroup):
         )
 
 
-def adapt(f: Tensor, p: AdapterParams) -> Tensor:
-    """(n, D) feature rows through one adapter: normalize(f + relu(f . w1 + b1) . w2 + b2).
+def adapt_array(x: np.ndarray, p: AdapterParams):
+    """Constant (n, D) rows through one adapter: normalize(x + relu(x . w1 + b1) . w2 + b2).
 
-    One tape node whose hand-written backward returns the gradients of
-    ``f``, ``w1``, ``b1``, ``w2`` and ``b2``.
+    Returns the (n, D) adapted rows and their backward, which maps the
+    gradient at those rows to the gradients of ``x``, ``w1``, ``b1``, ``w2``
+    and ``b2``; with ``need_x`` false the gradient of ``x`` is None.
     """
-    if f.data.ndim != 2 or f.shape[1] != p.w1.shape[0]:
-        raise T.ShapeError(f"adapt: feature shape {f.shape} incompatible with w1 {p.w1.shape}")
-    x, w1, w2 = f.data, p.w1.data, p.w2.data
+    if x.ndim != 2 or x.shape[1] != p.w1.shape[0]:
+        raise T.ShapeError(f"adapt: feature shape {x.shape} incompatible with w1 {p.w1.shape}")
+    w1, w2 = p.w1.data, p.w2.data
     pre = x @ w1 + p.b1.data
     mask = pre > 0
     hidden = np.where(mask, pre, 0.0)
     y, norm = T._unit_rows(x + (hidden @ w2 + p.b2.data))
 
-    def grad_fn(g):
+    def grad(g, need_x=True):
         g_sum = T._unit_rows_grad(g, y, norm)
         g_pre = (g_sum @ w2.T) * mask
-        return g_sum + g_pre @ w1.T, x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g_sum, g_sum.sum(axis=0)
+        g_x = g_sum + g_pre @ w1.T if need_x else None
+        return g_x, x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g_sum, g_sum.sum(axis=0)
 
-    return T._node(y, (f, p.w1, p.b1, p.w2, p.b2), grad_fn)
+    return y, grad
+
+
+def adapt(f: Tensor, p: AdapterParams) -> Tensor:
+    """(n, D) feature rows through one adapter, as one tape node over ``f`` and the adapter's tensors."""
+    y, grad = adapt_array(f.data, p)
+    return T._node(y, (f, p.w1, p.b1, p.w2, p.b2), lambda g: grad(g, f.requires_grad))
 
 
 def blend(f_adapted: Tensor, f_frozen: Tensor, alpha: float) -> Tensor:
@@ -111,7 +123,7 @@ class EncoderBundle:
             category_names,
         )
 
-    def _adapter(self, kind: str) -> AdapterParams:
+    def adapter(self, kind: str) -> AdapterParams:
         if kind == "style":
             return self.style_adapter
         if kind == "category":
@@ -120,7 +132,7 @@ class EncoderBundle:
 
     def adapt_feature(self, f: Tensor, kind: str) -> Tensor:
         """(n, D) feature rows through the ``kind`` adapter."""
-        return adapt(f, self._adapter(kind))
+        return adapt(f, self.adapter(kind))
 
     def adapted_prototypes(self, adapter_kind: str, prompt_kind: str) -> Tensor:
         """(K, D) prompt features passed through one adapter (tape-attached)."""

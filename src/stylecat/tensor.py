@@ -10,11 +10,15 @@ views of the group's two flat buffers, which ``backward`` adds into and
 ``train.Adam`` updates in place.
 
 There are three generic ops: ``add`` (operands of one shape), ``scale`` and
-``normalize``. Every model layer is one coarse node, built with ``_node``
-and a hand-written backward over all its parents: the adapter
-(``encoders.adapt``), the cosine logits and each objective in ``losses``,
-the denoiser and its loss in ``diffusion``. ``train.gradcheck_suite``
-audits each of them against central differences.
+``normalize``. Everything else is a coarse node, built with ``_node`` and a
+hand-written backward over all its parents. Each training step records one
+such node per objective: an encoder step one node over the four tensors of
+its adapter (the objectives in ``losses``), a denoiser step the denoiser
+and its loss in ``diffusion``. The single layers the encoder objectives are
+made of (``encoders.adapt``, the cosine logits and each loss head) stay
+nodes of their own, built from the same numpy pieces.
+``train.gradcheck_suite`` audits the objectives and the layers against
+central differences.
 
 ``finite_diff_grad``, the oracle of those audits and of the tests, never
 touches the tape.

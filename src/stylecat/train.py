@@ -30,7 +30,7 @@ from .diffusion import (
     predict_noise,
     sample,
 )
-from .encoders import PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt, blend
+from .encoders import PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt, adapt_array, blend
 from .losses import (
     ADVERSARIAL_MODES,
     ConfigError,
@@ -296,18 +296,15 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         style_losses, cat_losses = [], []
         for start in range(0, len(data), config.batch_size):
             idx = order[start : start + config.batch_size]
-            f_i = Tensor(f_all[idx])
+            f_i = f_all[idx]
 
             if config.mode == "labeled":
                 batch_labels = {kind: y[idx] for kind, y in labels.items()}
                 loss_s = style_labeled_loss(f_i, batch_labels, bundle, config)
             else:
-                style_frozen = Tensor(style_text[idx])
-                cat_frozen = Tensor(category_text[idx])
-                f_s = bundle.adapt_feature(style_frozen, "style")
-                with no_grad():
-                    f_c = bundle.adapt_feature(cat_frozen, "category")
-                loss_s = style_triplet_loss(f_s, f_i, f_c, config.margin1)
+                t_s, t_c = style_text[idx], category_text[idx]
+                f_c = adapt_array(t_c, bundle.category_adapter)[0]
+                loss_s = style_triplet_loss(t_s, bundle.style_adapter, f_i, f_c, config.margin1)
             bundle.style_adapter.zero_grad()
             backward(loss_s)
             opt_style.step()
@@ -316,10 +313,8 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
             if config.mode == "labeled":
                 loss_c = category_labeled_loss(f_i, batch_labels, bundle, config)
             else:
-                with no_grad():
-                    f_s_const = bundle.adapt_feature(style_frozen, "style")
-                f_c = bundle.adapt_feature(cat_frozen, "category")
-                loss_c = category_triplet_loss(f_c, f_i, f_s_const, config.margin2)
+                f_s = adapt_array(t_s, bundle.style_adapter)[0]
+                loss_c = category_triplet_loss(t_c, bundle.category_adapter, f_i, f_s, config.margin2)
             bundle.category_adapter.zero_grad()
             backward(loss_c)
             opt_cat.step()
@@ -559,14 +554,15 @@ def _unit_rows(rng, n, d) -> np.ndarray:
 _OTHER = {"style": "category", "category": "style"}
 
 
-class _AuditWorld:
-    """One random miniature configuration for the gradient audit.
+class _AuditWorld(EncoderBundle):
+    """One random miniature encoder bundle for the gradient audit.
 
     Rejection-samples until no ReLU pre-activation or hinge argument sits
-    near its kink, so central differences stay valid. Adapters, prototypes
-    and labels are keyed by kind, "style" or "category". The first row of
-    each triplet's positive equals its anchor row, so the audit meets the
-    zero distance, whose gradient is taken to be zero.
+    near its kink, so central differences stay valid. The prompt features
+    are random unit rows and there is no backbone; adapters, prompt
+    features and labels are keyed by kind, "style" or "category". The first
+    row of each triplet's positive equals its anchor row, so the audit
+    meets the zero distance, whose gradient is taken to be zero.
     """
 
     DIM = 8
@@ -574,28 +570,30 @@ class _AuditWorld:
     K = 3
     BATCH = 4
     LAMBDA = {"style": 0.2, "category": 0.3}
+    LOGIT_SCALE = 10.0
 
     def __init__(self, seed: int):
         attempt = 0
         while True:
             rng = np.random.default_rng([seed, attempt, 101])
-            self.adapter = {kind: _random_adapter(rng, self.DIM, self.HIDDEN) for kind in _KINDS}
+            self.style_adapter, self.category_adapter = (_random_adapter(rng, self.DIM, self.HIDDEN)
+                                                         for _ in _KINDS)
             self.f_i = _unit_rows(rng, self.BATCH, self.DIM)
-            self.protos = {kind: _unit_rows(rng, self.K, self.DIM) for kind in _KINDS}
+            self.prompt_features = {kind: Tensor(_unit_rows(rng, self.K, self.DIM)) for kind in _KINDS}
             self.labels = {kind: rng.integers(0, self.K, self.BATCH) for kind in _KINDS}
             self.margin = 0.3
-            with no_grad():
-                self.adapted = {kind: adapt(Tensor(self.f_i), p).data for kind, p in self.adapter.items()}
+            self.adapted = {kind: adapt_array(self.f_i, self.adapter(kind))[0] for kind in _KINDS}
             self.positive = {kind: np.concatenate([f[:1], self.f_i[1:]]) for kind, f in self.adapted.items()}
             if self._clean():
                 break
             attempt += 1
 
     def _clean(self, threshold: float = 1e-3) -> bool:
-        feats = np.concatenate([self.f_i, *self.protos.values()])
-        if any(np.abs(feats @ p.w1.data + p.b1.data).min() < threshold for p in self.adapter.values()):
-            return False
+        feats = np.concatenate([self.f_i, *(f.data for f in self.prompt_features.values())])
         for kind in _KINDS:
+            p = self.adapter(kind)
+            if np.abs(feats @ p.w1.data + p.b1.data).min() < threshold:
+                return False
             f = self.adapted[kind]
             d_pos = np.linalg.norm(f - self.positive[kind], axis=1)
             d_neg = np.linalg.norm(f - self.adapted[_OTHER[kind]], axis=1)
@@ -606,26 +604,32 @@ class _AuditWorld:
     # loss closures of the ``kind`` adapter; each reads the live adapter tensors
 
     def ce(self, kind: str):
-        protos = adapt(Tensor(self.protos[kind]), self.adapter[kind])
-        return ce_loss(class_logits(Tensor(self.f_i), protos, 10.0), self.labels[kind])
+        protos = adapt(self.prompt_features[kind], self.adapter(kind))
+        return ce_loss(class_logits(Tensor(self.f_i), protos, self.LOGIT_SCALE), self.labels[kind])
 
     def confusion(self, kind: str):
         other = _OTHER[kind]
-        protos = adapt(Tensor(self.protos[other]), self.adapter[kind])
-        return confusion_loss(class_logits(Tensor(self.f_i), protos, 10.0), self.labels[other], "uniform-kl")
+        protos = adapt(self.prompt_features[other], self.adapter(kind))
+        return confusion_loss(class_logits(Tensor(self.f_i), protos, self.LOGIT_SCALE), self.labels[other],
+                              "uniform-kl")
 
-    def labeled(self, kind: str):
-        return T.add(self.ce(kind), T.scale(self.confusion(kind), self.LAMBDA[kind]))
+    def labeled(self, kind: str, mode: str = "uniform-kl"):
+        cfg = TrainConfig(lambda1=self.LAMBDA["style"], lambda2=self.LAMBDA["category"],
+                          logit_scale=self.LOGIT_SCALE, adversarial_mode=mode)
+        loss = style_labeled_loss if kind == "style" else category_labeled_loss
+        return loss(self.f_i, self.labels, self, cfg)
+
+    def labeled_negated_ce(self, kind: str):
+        return self.labeled(kind, "negated-ce")
 
     def triplet(self, kind: str):
-        anchor = adapt(Tensor(self.f_i), self.adapter[kind])
         loss = style_triplet_loss if kind == "style" else category_triplet_loss
-        return loss(anchor, Tensor(self.positive[kind]), Tensor(self.adapted[_OTHER[kind]]), self.margin)
+        return loss(self.f_i, self.adapter(kind), self.positive[kind], self.adapted[_OTHER[kind]], self.margin)
 
 
 def _adapter_world(seed: int, kind: str, part: str):
     world = _AuditWorld(seed)
-    return partial(getattr(world, part), kind), world.adapter[kind].tensors()
+    return partial(getattr(world, part.replace("-", "_")), kind), world.adapter(kind).tensors()
 
 
 def _denoiser_world(seed: int, groups: int = 1, rows: int = 4, one_timestep: bool = False):
@@ -675,7 +679,7 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
     """
     if n_seeds < 1 or not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck needs n_seeds >= 1 and a positive finite tol, got {n_seeds} and {tol}")
-    parts = [(kind, part) for kind in _KINDS for part in ("ce", "confusion", "labeled")]
+    parts = [(kind, part) for kind in _KINDS for part in ("ce", "confusion", "labeled", "labeled-negated-ce")]
     parts += [(kind, "triplet") for kind in _KINDS]
     components = [(f"{kind}-{part}", partial(_adapter_world, kind=kind, part=part)) for kind, part in parts]
     components += [("denoiser-step", _denoiser_world),

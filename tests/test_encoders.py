@@ -164,7 +164,7 @@ class TestParameterIsolation:
     def test_style_loss_leaves_category_adapter_untouched(self, spec, backbone):
         b = fresh_bundle(spec, TrainConfig(), backbone)
         batch = generate_classification_dataset(spec)[0][:8]
-        f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
+        f_i = embed_image(np.stack([s.grid for s in batch]), backbone).data
         labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
         loss = style_labeled_loss(f_i, labels, b, TrainConfig())
         b.style_adapter.zero_grad()

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from stylecat import tensor as T
-from stylecat.backbone import embed_captions, embed_image
+from stylecat.backbone import embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
+from stylecat.encoders import AdapterParams, adapt, adapt_array
 from stylecat.losses import (
+    ADVERSARIAL_MODES,
     ConfigError,
     category_labeled_loss,
     category_triplet_loss,
@@ -17,6 +19,7 @@ from stylecat.losses import (
     confusion_loss,
     style_labeled_loss,
     style_triplet_loss,
+    triplet_hinge,
 )
 from stylecat.tensor import Tensor, backward, finite_diff_grad, relative_error
 from stylecat.train import TrainConfig, build_backbone, fresh_bundle
@@ -150,7 +153,7 @@ def labeled_world():
     bundle.style_adapter.w2.data[...] = 0.3 * rng.standard_normal(bundle.style_adapter.w2.shape)
     bundle.category_adapter.w2.data[...] = 0.3 * rng.standard_normal(bundle.category_adapter.w2.shape)
     batch = generate_classification_dataset(spec)[0][:12]
-    f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
+    f_i = embed_image(np.stack([s.grid for s in batch]), backbone).data
     labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
     return spec, bundle, (f_i, labels)
 
@@ -161,7 +164,7 @@ class TestLabeledLosses:
         cfg0 = TrainConfig(lambda1=0.0)
         full = style_labeled_loss(f_i, labels, bundle, cfg0).item()
         protos = bundle.adapted_prototypes("style", "style")
-        plain = ce_loss(class_logits(f_i, protos, cfg0.logit_scale), labels["style"]).item()
+        plain = ce_loss(class_logits(Tensor(f_i), protos, cfg0.logit_scale), labels["style"]).item()
         assert full == plain  # bit-for-bit
 
     def test_default_lambdas_from_sweep_optima(self):
@@ -193,69 +196,125 @@ class TestLabeledLosses:
 
 
 def tape(loss):
-    """(non-leaf nodes, trainable leaves) of the tape that ends at ``loss``."""
+    """The non-leaf nodes of the tape that ends at ``loss``."""
     seen, stack = {}, [loss]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
             stack.extend(node._parents)
-    inner = [node for node in seen.values() if node._grad_fn is not None]
-    leaves = [node for node in seen.values() if node._grad_fn is None and node.requires_grad]
-    return inner, leaves
+    return [node for node in seen.values() if node._grad_fn is not None]
+
+
+def triplet_inputs(labeled_world, kind):
+    """Frozen text rows, adapter, positive and negative of one ``kind`` triplet step.
+
+    The text rows cycle through the prompt features; the first positive row
+    equals the first adapted anchor row, so one distance is zero.
+    """
+    _, bundle, (f_i, _) = labeled_world
+    texts = {k: t.data[np.arange(len(f_i)) % len(t.data)] for k, t in bundle.prompt_features.items()}
+    other = "category" if kind == "style" else "style"
+    negative = adapt_array(texts[other], bundle.adapter(other))[0]
+    positive = f_i.copy()
+    positive[0] = adapt_array(texts[kind], bundle.adapter(kind))[0][0]
+    return texts[kind], bundle.adapter(kind), positive, negative
+
+
+def layered_labeled(f_i, labels, bundle, cfg, kind):
+    """The labeled objective as a composition of the single-layer ops."""
+    other = "category" if kind == "style" else "style"
+    lam = cfg.lambda1 if kind == "style" else cfg.lambda2
+    p, f = bundle.adapter(kind), Tensor(f_i)
+    base = ce_loss(class_logits(f, adapt(bundle.prompt_features[kind], p), cfg.logit_scale), labels[kind])
+    if lam == 0:
+        return base
+    conf = confusion_loss(class_logits(f, adapt(bundle.prompt_features[other], p), cfg.logit_scale),
+                          labels[other], cfg.adversarial_mode)
+    return T.add(base, T.scale(conf, lam))
+
+
+def value_and_grads(loss, p):
+    """Bytes of the loss value and of each adapter gradient after one backward."""
+    p.zero_grad()
+    backward(loss)
+    return [loss.data.tobytes()] + [t.grad.tobytes() for t in p.tensors()]
+
+
+class TestFusedObjectives:
+    """Each objective matches the composition of the single-layer ops byte for byte."""
+
+    @pytest.mark.parametrize("mode", ADVERSARIAL_MODES)
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    @pytest.mark.parametrize("kind", ["style", "category"])
+    def test_labeled_matches_layered_bitwise(self, labeled_world, kind, lam, mode):
+        _, bundle, (f_i, labels) = labeled_world
+        cfg = TrainConfig(lambda1=lam, lambda2=lam, adversarial_mode=mode)
+        fused = style_labeled_loss if kind == "style" else category_labeled_loss
+        p = bundle.adapter(kind)
+        expected = value_and_grads(layered_labeled(f_i, labels, bundle, cfg, kind), p)
+        assert value_and_grads(fused(f_i, labels, bundle, cfg), p) == expected
+        assert any(np.frombuffer(g).any() for g in expected[1:])
+
+    @pytest.mark.parametrize("kind", ["style", "category"])
+    def test_triplet_matches_layered_bitwise(self, labeled_world, kind):
+        text, p, positive, negative = triplet_inputs(labeled_world, kind)
+        fused = style_triplet_loss if kind == "style" else category_triplet_loss
+        layered = triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.3)
+        expected = value_and_grads(layered, p)
+        assert value_and_grads(fused(text, p, positive, negative, 0.3), p) == expected
+        assert np.frombuffer(expected[1]).any()
 
 
 class TestTapes:
-    """Each layer is one coarse node; these pin the node counts of one training step."""
+    """One encoder training step records one node, over the stepped adapter's four tensors."""
 
-    def test_labeled_objective_tapes_ten_nodes(self, labeled_world):
-        # per factor: adapt, cosine, scale, ce or confusion; then scale(conf, lambda) and add
+    def test_labeled_objective_tapes_one_node(self, labeled_world):
         _, bundle, (f_i, labels) = labeled_world
         for kind, loss_fn in (("style", style_labeled_loss), ("category", category_labeled_loss)):
-            inner, leaves = tape(loss_fn(f_i, labels, bundle, TrainConfig()))
-            assert len(inner) == 10
-            assert sorted(map(id, leaves)) == sorted(map(id, bundle._adapter(kind).tensors()))
+            inner = tape(loss_fn(f_i, labels, bundle, TrainConfig()))
+            assert len(inner) == 1
+            assert list(map(id, inner[0]._parents)) == list(map(id, bundle.adapter(kind).tensors()))
 
-    def test_unlabeled_style_step_tapes_two_nodes(self, labeled_world):
-        spec, bundle, (f_i, _) = labeled_world
-        texts = [spec.caption(0, 0), spec.caption(1, 1)]
-        frozen = embed_captions(texts, bundle.backbone)
-        f_s = bundle.adapt_feature(Tensor(frozen.data[:1].repeat(12, axis=0)), "style")
-        f_c = bundle.adapt_feature(Tensor(frozen.data[1:].repeat(12, axis=0)), "category")
-        inner, leaves = tape(style_triplet_loss(f_s, f_i, f_c, 0.3))
-        assert len(inner) == 2
-        assert sorted(map(id, leaves)) == sorted(map(id, bundle.style_adapter.tensors()))
+    def test_unlabeled_style_step_tapes_one_node(self, labeled_world):
+        _, bundle, _ = labeled_world
+        inner = tape(style_triplet_loss(*triplet_inputs(labeled_world, "style"), 0.3))
+        assert len(inner) == 1
+        assert list(map(id, inner[0]._parents)) == list(map(id, bundle.style_adapter.tensors()))
 
 
 class TestTripletLosses:
-    """The two hinges on one-row (1, D) features."""
+    """The hinge on one-row (1, D) features, and the two triplet objectives built on it."""
 
     def test_inactive_hinge(self):
         a, p, n = vectors_at_distances(0.1, 0.5)
-        loss = style_triplet_loss(row(a), row(p), row(n), 0.3)
+        loss = triplet_hinge(row(a), row(p), row(n), 0.3)
         assert loss.item() == 0.0
 
     def test_active_hinge_value(self):
         a, p, n = vectors_at_distances(0.5, 0.1)
-        loss = style_triplet_loss(row(a), row(p), row(n), 0.3)
+        loss = triplet_hinge(row(a), row(p), row(n), 0.3)
         assert abs(loss.item() - 0.7) < 1e-12
 
     def test_degenerate_coincidence_returns_margin(self):
         v = row(unit([1.0, 2.0, 3.0]))
-        loss = style_triplet_loss(v, Tensor(v.data.copy()), Tensor(v.data.copy()), 0.3)
+        loss = triplet_hinge(v, Tensor(v.data.copy()), Tensor(v.data.copy()), 0.3)
         assert loss.item() == 0.3
 
     def test_category_version_is_symmetric(self):
         a, p, n = vectors_at_distances(0.5, 0.1)
-        s = style_triplet_loss(row(a), row(p), row(n), 0.3).item()
-        c = category_triplet_loss(row(a), row(p), row(n), 0.3).item()
+        adapter = AdapterParams.init(4)  # zero output layer: the adapted rows are the input rows
+        text, positive, negative = (np.append(v, 0.0)[None, :] for v in (a, p, n))
+        s = style_triplet_loss(text, adapter, positive, negative, 0.3).item()
+        c = category_triplet_loss(text, adapter, positive, negative, 0.3).item()
         assert s == c
+        assert abs(s - 0.7) < 1e-12
 
     def test_nonnegative_and_zero_iff_margin_cleared(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             f = [row(unit(rng.standard_normal(6))) for _ in range(3)]
-            loss = style_triplet_loss(*f, 0.3).item()
+            loss = triplet_hinge(*f, 0.3).item()
             d_pos = np.linalg.norm(f[0].data - f[1].data)
             d_neg = np.linalg.norm(f[0].data - f[2].data)
             assert loss >= 0.0
@@ -269,7 +328,7 @@ class TestTripletLosses:
         f_s = Tensor(unit(rng.standard_normal(5))[None, :], requires_grad=True)
         f_i = row(unit(rng.standard_normal(5)))
         f_c = Tensor(unit(rng.standard_normal(5))[None, :], requires_grad=True)
-        loss = style_triplet_loss(f_s, f_i, f_c, 0.3)
+        loss = triplet_hinge(f_s, f_i, f_c, 0.3)
         f_s.zero_grad()
         f_c.zero_grad()
         backward(loss)
@@ -278,19 +337,24 @@ class TestTripletLosses:
 
     def test_gradient_through_anchor_path(self):
         rng = np.random.default_rng(10)
+        adapter = AdapterParams(w1=Tensor(rng.standard_normal((8, 2)), requires_grad=True),
+                                b1=Tensor(rng.standard_normal(2), requires_grad=True),
+                                w2=Tensor(rng.standard_normal((2, 8)), requires_grad=True),
+                                b2=Tensor(rng.standard_normal(8), requires_grad=True))
         while True:
-            f_s = Tensor(unit(rng.standard_normal(6))[None, :], requires_grad=True)
-            f_i = row(unit(rng.standard_normal(6)))
-            f_c = row(unit(rng.standard_normal(6)))
-            d_pos = np.linalg.norm(f_s.data - f_i.data)
-            d_neg = np.linalg.norm(f_s.data - f_c.data)
-            if abs(d_pos - d_neg + 0.3) > 1e-2:  # stay off the hinge kink
+            text, f_i, f_c = (np.stack([unit(rng.standard_normal(8)) for _ in range(3)]) for _ in range(3))
+            anchor = adapt_array(text, adapter)[0]
+            hinge = np.linalg.norm(anchor - f_i, axis=1) - np.linalg.norm(anchor - f_c, axis=1) + 0.3
+            pre = text @ adapter.w1.data + adapter.b1.data
+            if np.abs(hinge).min() > 1e-2 and np.abs(pre).min() > 1e-2:  # stay off both kinks
                 break
-        loss_fn = lambda _: style_triplet_loss(f_s, f_i, f_c, 0.3)
-        f_s.zero_grad()
+        loss_fn = lambda _: style_triplet_loss(text, adapter, f_i, f_c, 0.3)
+        adapter.zero_grad()
         backward(loss_fn(None))
-        fd = finite_diff_grad(loss_fn, f_s).data
-        assert relative_error(f_s.grad, fd) < 1e-4
+        assert adapter.flat_grad.any()
+        for t in adapter.tensors():
+            fd = finite_diff_grad(loss_fn, t).data
+            assert relative_error(t.grad, fd) < 1e-4
 
 
 def test_loss_config_validation():

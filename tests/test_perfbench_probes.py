@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from stylecat import diffusion, train
-from stylecat.datagen import SyntheticSpec
+from stylecat import captions, diffusion, train
+from stylecat.datagen import SyntheticSpec, generate_classification_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -45,3 +45,23 @@ def test_generate_reads_one_sample_per_cell_and_one_forward_per_step():
     cells = spec.n_styles * spec.n_categories
     assert len(rows) == len(points) == cells
     assert len(clock.periods["reverse"]) == cells * schedule.steps - 1  # the first tick starts the clock
+
+
+@pytest.mark.parametrize("mode", ["labeled", "unlabeled"])
+def test_encoders_times_one_step_per_batch_in_each_mode(mode):
+    """``encoders`` ticks its phase's clock at each entry to that phase's style objective.
+
+    An objective that training renames, inlines or calls twice per batch
+    would leave the phase with the wrong number of steps.
+    """
+    spec = SyntheticSpec(n_train=4, n_test=1)
+    train_set, _ = generate_classification_dataset(spec)
+    config = train.TrainConfig(mode=mode, epochs=2, batch_size=16)
+    lexicon = captions.CategoryLexicon.from_words(spec.category_names)
+    clock = tracing.StepClock()
+    with tracing.step_probes(clock, WORKLOADS["encoders"].step_targets):
+        train.train_encoders(config, spec, train_set, lexicon=lexicon)
+    batches = -(-len(train_set) // config.batch_size)
+    assert batches > 1
+    assert list(clock.periods) == [mode]
+    assert len(clock.periods[mode]) == config.epochs * batches - 1  # the first tick starts the clock

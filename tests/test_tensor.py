@@ -6,7 +6,7 @@ import pytest
 
 from stylecat import tensor as T
 from stylecat.encoders import AdapterParams, adapt
-from stylecat.losses import ConfigError, ce_loss, class_logits, confusion_loss, style_triplet_loss
+from stylecat.losses import ConfigError, ce_loss, class_logits, confusion_loss, triplet_hinge
 from stylecat.tensor import (
     ShapeError,
     Tensor,
@@ -87,18 +87,18 @@ class TestL2Distance:
         a = Tensor([[1.0, -2.0, 0.5]])
         negative = Tensor(a.data + [[3.0, 4.0, 0.0]])
         # hinge (0 - 5) + 7 = 2 holds exactly only if the coincident distance is exactly 0
-        assert style_triplet_loss(a, Tensor(a.data.copy()), negative, 7.0).item() == 2.0
+        assert triplet_hinge(a, Tensor(a.data.copy()), negative, 7.0).item() == 2.0
 
     def test_three_four_five(self):
         a = Tensor([[3.0, 0.0]])
-        assert style_triplet_loss(a, Tensor([[0.0, 4.0]]), Tensor(a.data.copy()), 0.0).item() == 5.0
+        assert triplet_hinge(a, Tensor([[0.0, 4.0]]), Tensor(a.data.copy()), 0.0).item() == 5.0
 
     def test_gradient_at_distinct_points(self):
         rng = np.random.default_rng(13)
         a = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
         b = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
         negative = Tensor(rng.standard_normal((2, 6)))
-        loss_fn = lambda _: style_triplet_loss(a, b, negative, 10.0)  # margin 10 keeps both hinges active
+        loss_fn = lambda _: triplet_hinge(a, b, negative, 10.0)  # margin 10 keeps both hinges active
         for x in (a, b):
             fd = finite_diff_grad(loss_fn, x).data
             assert relative_error(grad_of(loss_fn, x), fd) < 1e-5
@@ -106,13 +106,13 @@ class TestL2Distance:
     def test_zero_subgradient_at_coincidence(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
         b = Tensor([[1.0, 2.0]], requires_grad=True)
-        backward(style_triplet_loss(a, b, Tensor([[4.0, 6.0]]), 10.0))
+        backward(triplet_hinge(a, b, Tensor([[4.0, 6.0]]), 10.0))
         assert np.array_equal(b.grad, np.zeros((1, 2)))
         assert np.array_equal(a.grad, [[0.6, 0.8]])  # the negative distance's gradient alone
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            style_triplet_loss(Tensor([[1.0]]), Tensor([[1.0, 2.0]]), Tensor([[1.0]]), 0.3)
+            triplet_hinge(Tensor([[1.0]]), Tensor([[1.0, 2.0]]), Tensor([[1.0]]), 0.3)
 
 
 class TestElementwise:
@@ -271,7 +271,7 @@ class TestOpFamilyGradients:
             h = adapt(x, p)
             logits = class_logits(x, h, 3.0)
             conf = T.scale(confusion_loss(logits, labels, "uniform-kl"), 0.5)
-            trip = T.scale(style_triplet_loss(h, T.normalize(x), negative, 0.3), 0.1)
+            trip = T.scale(triplet_hinge(h, T.normalize(x), negative, 0.3), 0.1)
             return T.add(T.add(ce_loss(logits, labels), conf), trip)
 
         fd = finite_diff_grad(loss_fn, x).data
@@ -280,7 +280,7 @@ class TestOpFamilyGradients:
 
 def test_gradcheck_suite_passes_every_component():
     results = gradcheck_suite(n_seeds=20)
-    assert len(results) == 11
+    assert len(results) == 13
     assert [name for name, _, ok in results if not ok] == []
 
 

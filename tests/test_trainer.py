@@ -569,10 +569,11 @@ class TestCli:
     def test_gradcheck_passes_and_mutation_fails(self, monkeypatch, capsys):
         assert self.run("gradcheck", "--seeds", "2") == 0
         out = capsys.readouterr().out
-        for name in ("style-ce", "style-confusion", "style-labeled", "category-ce",
-                     "category-confusion", "category-labeled", "style-triplet",
-                     "category-triplet", "denoiser-step", "denoiser-grouped", "denoiser-one-timestep"):
-            assert name in out
+        names = [line.split()[0] for line in out.splitlines() if line.endswith(" ok")]
+        assert names == ["style-ce", "style-confusion", "style-labeled", "style-labeled-negated-ce",
+                         "category-ce", "category-confusion", "category-labeled", "category-labeled-negated-ce",
+                         "style-triplet", "category-triplet", "denoiser-step", "denoiser-grouped",
+                         "denoiser-one-timestep"]
 
         import stylecat.train as train_mod
 
@@ -585,27 +586,26 @@ class TestCli:
         assert self.run("gradcheck", "--seeds", "2") == 2
 
     def test_gradcheck_meets_the_triplet_zero_distance(self, monkeypatch, capsys):
-        """Each triplet world holds a zero anchor-positive distance, so a triplet without its
+        """Each triplet world holds a zero anchor-positive distance, so a hinge without its
         ``d > 0`` guard divides 0 by 0 there and fails both triplet audits, and only those."""
         import stylecat.losses as losses_mod
 
-        real = losses_mod._triplet
+        real = losses_mod._hinge
 
         def unguarded(anchor, positive, negative, margin):
-            out = real(anchor, positive, negative, margin)
-            diff_pos, diff_neg = anchor.data - positive.data, anchor.data - negative.data
+            value, _ = real(anchor, positive, negative, margin)
+            diff_pos, diff_neg = anchor - positive, anchor - negative
             d_pos = np.linalg.norm(diff_pos, axis=1, keepdims=True)
             d_neg = np.linalg.norm(diff_neg, axis=1, keepdims=True)
             active = (d_pos - d_neg + margin > 0) / len(d_pos)
 
-            def grad_fn(g):
+            def grad(g):
                 u_pos = diff_pos / d_pos * (float(g) * active)
                 return u_pos - diff_neg / d_neg * (float(g) * active), -u_pos
 
-            out._grad_fn = grad_fn
-            return out
+            return value, grad
 
-        monkeypatch.setattr(losses_mod, "_triplet", unguarded)
+        monkeypatch.setattr(losses_mod, "_hinge", unguarded)
         with np.errstate(invalid="ignore"):
             assert self.run("gradcheck", "--seeds", "2") == 2
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("inf FAIL")]
