@@ -7,6 +7,17 @@ hidden state, ``tau_style @ ws + tau_category @ wv``, and a small MLP head
 predicts the injected noise. This is decoupled cross-attention (IP-Adapter,
 Ye et al. 2023) with one token per path: a softmax over one key is 1, so
 each attention path reduces to its value projection.
+
+One forward, ``_forward_``, adds the rows in one fixed order: ``in_b``,
+the time row, the value row, then ``mlp_b1`` and after the head
+``mlp_b2``. Training lets it allocate its activations, which the tape node
+keeps for the backward, and passes broadcast rows. ``sample`` builds one
+workspace (``_ReverseBuffers``) before its reverse loop: the value row
+projected once, the four constant rows tiled to the batch, and the
+activations, the noise estimate and the step noise allocated once, so its
+reverse steps allocate no (n, D) array. An elementwise add gives the same
+bits whether its operand is broadcast or tiled, so both give the same
+samples.
 """
 
 from __future__ import annotations
@@ -172,8 +183,81 @@ def _relu_(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_condition(cond, dim: int) -> None:
+    if not isinstance(cond, GuidanceCondition):
+        raise TypeError(f"cond must be one GuidanceCondition, got {type(cond).__name__}")
+    if cond.tau_style.shape[1] != dim:
+        raise T.ShapeError(f"the condition must hold rows of the denoiser's width {dim}")
+
+
+def _forward_(params: DenoiserParams, z: np.ndarray, in_b, time_row, value, mlp_b1, mlp_b2,
+              a=None, hidden=None, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The denoiser forward in one fixed order: (activations ``a``, ``hidden``, estimate ``out``).
+
+    ``a = z @ in_w; a += in_b; a += time_row; a += value; hidden = a @ mlp_w1;
+    hidden += mlp_b1``, the ReLU, ``out = hidden @ mlp_w2; out += mlp_b2``.
+    Each of the five rows may be a broadcast row or tiled to the shape it
+    is added to: an elementwise add gives the same bits either way. Each
+    matmul writes into the buffer given for its result, or allocates one.
+    """
+    a = np.matmul(z, params.in_w.data, out=a)
+    a += in_b
+    a += time_row
+    a += value
+    hidden = np.matmul(a, params.mlp_w1.data, out=hidden)
+    hidden += mlp_b1
+    _relu_(hidden)
+    out = np.matmul(hidden, params.mlp_w2.data, out=out)
+    out += mlp_b2
+    return a, hidden, out
+
+
+class _ReverseBuffers:
+    """The workspace of one ``sample`` call: its per-sample constants and its buffers.
+
+    Built once before the reverse loop for one ``params`` object, one
+    one-row condition and n rows. It holds ``in_b``, the condition's value
+    row ``tau_s @ ws + tau_c @ wv`` and ``mlp_b1``, each tiled to (n, D),
+    ``mlp_b2`` tiled to (n, 2), the (n, D) activations ``a`` and
+    ``hidden``, the (n, 2) noise estimate ``out`` and the (n, 2) step
+    noise ``noise``. It copies the denoiser's biases and value row, so it
+    is valid only while ``params`` does not change. ``TypeError``,
+    ``ShapeError`` or ``ValueError`` for a condition of another type, width
+    or row count.
+    """
+
+    def __init__(self, params: DenoiserParams, cond: GuidanceCondition, n: int):
+        dim = params.time_embed.shape[1]
+        _check_condition(cond, dim)
+        if len(cond.tau_style) != 1:
+            raise ValueError(f"sample takes a one-row condition, got one of {len(cond.tau_style)} rows")
+        value = cond.tau_style @ params.ws.data + cond.tau_category @ params.wv.data
+        self.params, self.cond, self.n = params, cond, n
+        self.in_b, self.value, self.mlp_b1, self.mlp_b2 = (
+            np.tile(row, (n, 1)) for row in (params.in_b.data, value, params.mlp_b1.data, params.mlp_b2.data))
+        self.a, self.hidden = np.empty((n, dim)), np.empty((n, dim))
+        self.out, self.noise = np.empty((n, POINT_DIM)), np.empty((n, POINT_DIM))
+
+    def forward(self, params: DenoiserParams, z_t: np.ndarray, t_idx, cond: GuidanceCondition,
+                cond_idx) -> np.ndarray:
+        """``predict_noise``'s output written into ``out``, with no tape node; see ``predict_noise``."""
+        if T._grad_enabled:
+            raise RuntimeError("predict_noise: a forward into a workspace records no tape node; "
+                               "call it under no_grad")
+        if params is not self.params or cond is not self.cond or cond_idx is not None:
+            raise ValueError("predict_noise: the workspace was built for another denoiser or condition, "
+                             "and takes no cond_idx")
+        z = np.asarray(z_t, dtype=np.float64)
+        if z.shape != (self.n, POINT_DIM):
+            raise T.ShapeError(f"z_t must be the workspace's ({self.n}, {POINT_DIM}) points, "
+                               f"got shape {z.shape}")
+        t = _check_timesteps(t_idx, self.n, params.time_embed.shape[0])
+        return _forward_(params, z, self.in_b, params.time_embed.data[t], self.value, self.mlp_b1,
+                         self.mlp_b2, self.a, self.hidden, self.out)[2]
+
+
 def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarray, cond: GuidanceCondition,
-                  cond_idx=None) -> Tensor:
+                  cond_idx=None, *, buffers: _ReverseBuffers | None = None) -> Tensor:
     """Denoiser forward pass: (n, 2) noised points -> (n, 2) noise estimate.
 
     ``relu((z @ in_w + in_b + time_embed[t] + values[cond_idx]) @ mlp_w1 + mlp_b1) @ mlp_w2 + mlp_b2``
@@ -184,25 +268,36 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     of G rows; ``cond_idx[i]`` names row i's, and is required exactly when
     G > 1. With G = 1 the value row, like a shared timestep, is added as one
     broadcast row. The ReLU maps a NaN pre-activation to 0.0, so a NaN
-    weight leaves the forward finite and shows in the gradients.
+    weight leaves the forward finite and shows in the gradients. The adds
+    run in the order ``_forward_`` gives.
 
-    The result is one tape node whose hand-written backward returns the
-    gradients of all nine ``DenoiserParams`` tensors. Misshaped ``z_t``,
-    ``t_idx`` or ``cond_idx``, indices out of range, timesteps that are not
-    integers and a condition of another width raise ``ShapeError``.
+    Without ``buffers`` the result is one tape node whose hand-written
+    backward returns the gradients of all nine ``DenoiserParams`` tensors.
+    Misshaped ``z_t``, ``t_idx`` or ``cond_idx``, indices out of range,
+    timesteps that are not integers and a condition of another width raise
+    ``ShapeError``.
+
+    With ``buffers``, the workspace ``sample`` builds for its reverse loop,
+    the forward writes into the workspace, adds its tiled ``in_b``, value
+    row, ``mlp_b1`` and ``mlp_b2`` as same-shape arrays, and returns a
+    tensor over its ``out`` buffer, which the next call overwrites; there
+    is no tape node, and the bits are those of the call without
+    ``buffers``. The call must pass the ``params`` and the condition the
+    workspace was built for and no ``cond_idx`` (``ValueError``), ``z_t``
+    of the workspace's (n, 2) shape and integer timesteps in range
+    (``ShapeError``), and run under ``no_grad`` (``RuntimeError``).
     """
+    if buffers is not None:
+        return Tensor(buffers.forward(params, z_t, t_idx, cond, cond_idx))
     z = np.atleast_2d(np.asarray(z_t, dtype=np.float64))
     if z.ndim != 2 or z.shape[1] != POINT_DIM:
         raise T.ShapeError(f"z_t must be (n, {POINT_DIM}) points, got shape {z.shape}")
     n = z.shape[0]
     steps, dim = params.time_embed.shape
     t = _check_timesteps(t_idx, n, steps)
-    if not isinstance(cond, GuidanceCondition):
-        raise TypeError(f"cond must be one GuidanceCondition, got {type(cond).__name__}")
+    _check_condition(cond, dim)
     style, category = cond.tau_style, cond.tau_category
     groups = len(style)
-    if style.shape[1] != dim:
-        raise T.ShapeError(f"the condition must hold rows of the denoiser's width {dim}")
     if cond_idx is not None:
         cond_idx = _check_rows(cond_idx, n, groups, "cond_idx")
     elif groups > 1:
@@ -210,15 +305,9 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
 
     w1, w2 = params.mlp_w1.data, params.mlp_w2.data
     values = style @ params.ws.data + category @ params.wv.data
-    a = z @ params.in_w.data
-    a += params.in_b.data
-    a += params.time_embed.data[t]
-    a += values if groups == 1 else values[cond_idx]
-    hidden = a @ w1
-    hidden += params.mlp_b1.data
-    _relu_(hidden)
-    out = hidden @ w2
-    out += params.mlp_b2.data
+    a, hidden, out = _forward_(params, z, params.in_b.data, params.time_embed.data[t],
+                               values if groups == 1 else values[cond_idx], params.mlp_b1.data,
+                               params.mlp_b2.data)
 
     def grad_fn(g):
         g_pre = (g @ w2.T) * (hidden > 0)
@@ -282,16 +371,30 @@ def sample(
 ) -> np.ndarray:
     """Ancestral sampling from pure noise; bit-reproducible per seed.
 
-    Each reverse step is one ``predict_noise`` call with one integer
-    timestep for all n rows. Step noise uses the forward-posterior variance
-    (1 - abar_{t-1}) / (1 - abar_t) * beta_t. The per-step coefficients are
-    computed for every t before the loop; IEEE division and square root round
-    correctly, so each equals the scalar it replaces. ``ShapeError`` if the
-    schedule and the denoiser differ in their number of steps.
+    Before the loop, ``sample`` builds one workspace (``_ReverseBuffers``)
+    for its one-row condition and n rows: the value row is projected once,
+    ``in_b``, the value row and ``mlp_b1`` are tiled to (n, D) and
+    ``mlp_b2`` to (n, 2), and the activations, the noise estimate and the
+    step noise are allocated once. Each reverse step is one
+    ``predict_noise`` call into that workspace with one integer timestep
+    for all n rows; it adds the rows in the order of the call without a
+    workspace, so the bits are the same. Step noise uses the
+    forward-posterior variance (1 - abar_{t-1}) / (1 - abar_t) * beta_t and
+    is drawn into its buffer, the same stream as fresh draws. The per-step coefficients are computed
+    for every t before the loop; IEEE division and square root round
+    correctly, so each equals the scalar it replaces. ``z`` is updated in
+    place and returned.
+
+    ``ValueError`` if n is not an integer >= 0 or the condition has more
+    than one row; ``ShapeError`` if the schedule and the denoiser differ in
+    their number of steps or the condition in its width.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"sample: n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"sample: n must be >= 0, got {n}")
     _check_steps(schedule, params)
+    buffers = _ReverseBuffers(params, condition, n)
     rng = np.random.default_rng(seed)
     if n == 0:
         return np.zeros((0, POINT_DIM))
@@ -300,14 +403,15 @@ def sample(
     scale = np.sqrt(schedule.alphas)
     sd = np.sqrt((1.0 - ab[:-1]) / (1.0 - ab[1:]) * schedule.betas[1:])  # sd[t - 1] is step t's
     z = rng.standard_normal((n, POINT_DIM))
+    noise = buffers.noise
     with no_grad():
         for t in range(schedule.steps - 1, -1, -1):
-            eps_hat = predict_noise(params, z, t, condition).data
+            eps_hat = predict_noise(params, z, t, condition, buffers=buffers).data
             eps_hat *= shrink[t]
             z -= eps_hat
             z /= scale[t]
             if t > 0:
-                noise = rng.standard_normal((n, POINT_DIM))
+                rng.standard_normal(out=noise)
                 noise *= sd[t - 1]
                 z += noise
     return z

@@ -24,7 +24,7 @@ from stylecat.diffusion import (
     sample,
 )
 from stylecat.losses import ConfigError
-from stylecat.tensor import ShapeError, Tensor, backward, finite_diff_grad, relative_error
+from stylecat.tensor import ShapeError, Tensor, backward, finite_diff_grad, no_grad, relative_error
 from stylecat.train import TrainConfig, fresh_bundle, train_diffusion
 
 
@@ -544,6 +544,22 @@ class TestSampling:
         with pytest.raises(ValueError, match="n must be >= 0"):
             sample(-3, cond, schedule, params, seed=0)
 
+    def test_bad_count_and_condition_name_sample(self, world):
+        _, config, _ = world
+        params = DenoiserParams.init(dim=config.dim, steps=10, seed=1)
+        schedule = DiffusionSchedule.make(10)
+        rng = np.random.default_rng(14)
+        cond = GuidanceCondition(
+            tau_style=unit_rows(rng, 1, config.dim), tau_category=unit_rows(rng, 1, config.dim)
+        )
+        assert np.array_equal(sample(np.int64(3), cond, schedule, params), sample(3, cond, schedule, params))
+        for n in (2.0, np.float64(3.0), True, "3", None):
+            with pytest.raises(ValueError, match="sample: n must be an integer"):
+                sample(n, cond, schedule, params)
+        for n in (0, 3):
+            with pytest.raises(ValueError, match="sample takes a one-row condition, got one of 2 rows"):
+                sample(n, GuidanceCondition.stack([cond, cond]), schedule, params)
+
 
 def reference_sample(n, condition, schedule, params, seed):
     """The reverse loop as first written: np.where ReLU, one timestep per row, scalar coefficients."""
@@ -573,10 +589,12 @@ class TestReverseStep:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_sample_equals_reference_loop_to_the_bit(self, seed):
+        """At n = 1 a broadcast and a tiled row add coincide; at n = 64 they do not."""
         _, params, cond = self.parts(30 + seed)
         schedule = DiffusionSchedule.make(self.STEPS)
-        out = sample(64, cond, schedule, params, seed=seed)
-        assert out.tobytes() == reference_sample(64, cond, schedule, params, seed).tobytes()
+        for n in (1, 64):
+            out = sample(n, cond, schedule, params, seed=seed)
+            assert out.tobytes() == reference_sample(n, cond, schedule, params, seed).tobytes()
 
     def test_integer_timestep_equals_one_per_row(self):
         """Output and all nine gradients, to the bit."""
@@ -623,6 +641,72 @@ class TestReverseStep:
             ddpm_train_step(np.zeros((4, 2)), np.zeros(4, dtype=int), cond, DiffusionSchedule.make(steps),
                             params, rng)
         assert rng.bit_generator.state == state  # refused before drawing anything
+
+
+class TestReverseBuffers:
+    """``predict_noise`` into the workspace ``sample`` builds once per call."""
+
+    DIM = 8
+    STEPS = 20
+    parts = TestReverseStep.parts
+
+    @pytest.mark.parametrize("nan_weight", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("t", [0, 5, STEPS - 1])
+    def test_buffered_forward_equals_plain_to_the_bit(self, t, n, nan_weight):
+        rng, params, cond = self.parts(40 + n)
+        if nan_weight:
+            params.mlp_w1.data[0, 0] = np.nan
+        z = rng.standard_normal((n, 2))
+        buffers = diffusion_mod._ReverseBuffers(params, cond, n)
+        with no_grad():
+            plain = predict_noise(params, z, t, cond).data
+            buffered = predict_noise(params, z, t, cond, buffers=buffers).data
+        assert np.isfinite(buffered).all()
+        assert np.shares_memory(buffered, buffers.out)
+        assert buffered.tobytes() == plain.tobytes()
+
+    def test_misuse_rejected(self):
+        rng, params, cond = self.parts(41)
+        buffers = diffusion_mod._ReverseBuffers(params, cond, 5)
+        z = rng.standard_normal((5, 2))
+        other_params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=41)
+        equal_cond = GuidanceCondition(tau_style=cond.tau_style.copy(), tau_category=cond.tau_category.copy())
+        with pytest.raises(RuntimeError, match="no_grad"):
+            predict_noise(params, z, 3, cond, buffers=buffers)
+        with no_grad():
+            with pytest.raises(ValueError, match="another denoiser or condition"):
+                predict_noise(other_params, z, 3, cond, buffers=buffers)
+            with pytest.raises(ValueError, match="another denoiser or condition"):
+                predict_noise(params, z, 3, equal_cond, buffers=buffers)
+            with pytest.raises(ValueError, match="no cond_idx"):
+                predict_noise(params, z, 3, cond, np.zeros(5, dtype=int), buffers=buffers)
+            for shape in ((4, 2), (6, 2), (5, 3), (10,), (5, 1, 2)):
+                with pytest.raises(ShapeError, match=r"workspace's \(5, 2\) points"):
+                    predict_noise(params, np.zeros(shape), 3, cond, buffers=buffers)
+            for t in (-1, self.STEPS, 2.0, True, np.array([0, 1])):
+                with pytest.raises(ShapeError, match="t_idx"):
+                    predict_noise(params, z, t, cond, buffers=buffers)
+
+    def test_every_step_writes_one_buffer(self, monkeypatch):
+        """One workspace per ``sample`` call: no step allocates its own output."""
+        _, params, cond = self.parts(42)
+        calls = []
+        real_predict = diffusion_mod.predict_noise
+
+        def capturing_predict(*args, **kwargs):
+            out = real_predict(*args, **kwargs)
+            calls.append((kwargs.get("buffers"), out.data))
+            return out
+
+        monkeypatch.setattr(diffusion_mod, "predict_noise", capturing_predict)
+        z = sample(6, cond, DiffusionSchedule.make(self.STEPS), params, seed=3)
+        assert len(calls) == self.STEPS
+        buffers, first = calls[0]
+        assert buffers is not None and np.shares_memory(first, buffers.out)
+        for step_buffers, out in calls:
+            assert step_buffers is buffers and np.shares_memory(out, first)
+        assert not np.shares_memory(z, first)
 
 
 class TestOracle:
