@@ -8,16 +8,21 @@ predicts the injected noise. This is decoupled cross-attention (IP-Adapter,
 Ye et al. 2023) with one token per path: a softmax over one key is 1, so
 each attention path reduces to its value projection.
 
-One forward, ``_forward_``, adds the rows in one fixed order: ``in_b``,
-the time row, the value row, then ``mlp_b1`` and after the head
-``mlp_b2``. Training lets it allocate its activations, which the tape node
-keeps for the backward, and passes broadcast rows. ``sample`` builds one
-workspace (``_ReverseBuffers``) before its reverse loop: the value row
-projected once, the four constant rows tiled to the batch, and the
-activations, the noise estimate and the step noise allocated once, so its
-reverse steps allocate no (n, D) array. An elementwise add gives the same
-bits whether its operand is broadcast or tiled, so both give the same
-samples.
+The denoiser has two forward bodies. ``predict_noise`` without a workspace
+is the layered forward that training records on the tape: ``a = z @ in_w +
+in_b + time_embed[t] + value``, ``hidden = relu(a @ mlp_w1 + mlp_b1)``,
+``out = hidden @ mlp_w2 + mlp_b2``, with a timestep and a condition per row,
+keeping ``a`` and ``hidden`` for its backward. ``sample`` has one condition
+and one timestep per step, and nothing between the input layer and the
+first MLP layer is nonlinear, so its workspace (``_ReverseBuffers``)
+composes the two affine maps once per call: ``fold = in_w @ mlp_w1`` and the
+(T, D) table ``(in_b + time_embed + value) @ mlp_w1 + mlp_b1``. A reverse
+step is then ``relu(z @ fold + table[t]) @ mlp_w2 + mlp_b2``, written into
+buffers allocated once. The fold reassociates sums, so the two bodies agree
+to within a few ulps of the magnitudes summed, not to the bit: the tests
+hold one forward to rtol = atol = 1e-12 and a 20-step sample to atol =
+1e-10 of the layered forward. Where every sum is exact, as on dyadic
+weights, they are equal.
 """
 
 from __future__ import annotations
@@ -190,40 +195,19 @@ def _check_condition(cond, dim: int) -> None:
         raise T.ShapeError(f"the condition must hold rows of the denoiser's width {dim}")
 
 
-def _forward_(params: DenoiserParams, z: np.ndarray, in_b, time_row, value, mlp_b1, mlp_b2,
-              a=None, hidden=None, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The denoiser forward in one fixed order: (activations ``a``, ``hidden``, estimate ``out``).
-
-    ``a = z @ in_w; a += in_b; a += time_row; a += value; hidden = a @ mlp_w1;
-    hidden += mlp_b1``, the ReLU, ``out = hidden @ mlp_w2; out += mlp_b2``.
-    Each of the five rows may be a broadcast row or tiled to the shape it
-    is added to: an elementwise add gives the same bits either way. Each
-    matmul writes into the buffer given for its result, or allocates one.
-    """
-    a = np.matmul(z, params.in_w.data, out=a)
-    a += in_b
-    a += time_row
-    a += value
-    hidden = np.matmul(a, params.mlp_w1.data, out=hidden)
-    hidden += mlp_b1
-    _relu_(hidden)
-    out = np.matmul(hidden, params.mlp_w2.data, out=out)
-    out += mlp_b2
-    return a, hidden, out
-
-
 class _ReverseBuffers:
-    """The workspace of one ``sample`` call: its per-sample constants and its buffers.
+    """The workspace of one ``sample`` call: its folded first layer and its buffers.
 
     Built once before the reverse loop for one ``params`` object, one
-    one-row condition and n rows. It holds ``in_b``, the condition's value
-    row ``tau_s @ ws + tau_c @ wv`` and ``mlp_b1``, each tiled to (n, D),
-    ``mlp_b2`` tiled to (n, 2), the (n, D) activations ``a`` and
-    ``hidden``, the (n, 2) noise estimate ``out`` and the (n, 2) step
-    noise ``noise``. It copies the denoiser's biases and value row, so it
-    is valid only while ``params`` does not change. ``TypeError``,
-    ``ShapeError`` or ``ValueError`` for a condition of another type, width
-    or row count.
+    one-row condition and n rows. With the condition's value row
+    ``value = tau_s @ ws + tau_c @ wv`` it holds ``fold = in_w @ mlp_w1``,
+    (2, D); the table ``(in_b + time_embed + value) @ mlp_w1 + mlp_b1``,
+    (T, D), whose row t is the first MLP layer's pre-activation at z = 0
+    and timestep t; ``mlp_b2`` tiled to (n, 2); and the buffers ``hidden``,
+    (n, D), ``out``, the (n, 2) noise estimate, and ``noise``, the (n, 2)
+    step noise. It is computed from the denoiser's weights, so it is valid
+    only while ``params`` does not change. ``TypeError``, ``ShapeError`` or
+    ``ValueError`` for a condition of another type, width or row count.
     """
 
     def __init__(self, params: DenoiserParams, cond: GuidanceCondition, n: int):
@@ -231,11 +215,13 @@ class _ReverseBuffers:
         _check_condition(cond, dim)
         if len(cond.tau_style) != 1:
             raise ValueError(f"sample takes a one-row condition, got one of {len(cond.tau_style)} rows")
+        w1 = params.mlp_w1.data
         value = cond.tau_style @ params.ws.data + cond.tau_category @ params.wv.data
         self.params, self.cond, self.n = params, cond, n
-        self.in_b, self.value, self.mlp_b1, self.mlp_b2 = (
-            np.tile(row, (n, 1)) for row in (params.in_b.data, value, params.mlp_b1.data, params.mlp_b2.data))
-        self.a, self.hidden = np.empty((n, dim)), np.empty((n, dim))
+        self.fold = params.in_w.data @ w1
+        self.table = (params.in_b.data + params.time_embed.data + value) @ w1 + params.mlp_b1.data
+        self.mlp_b2 = np.tile(params.mlp_b2.data, (n, 1))
+        self.hidden = np.empty((n, dim))
         self.out, self.noise = np.empty((n, POINT_DIM)), np.empty((n, POINT_DIM))
 
     def forward(self, params: DenoiserParams, z_t: np.ndarray, t_idx, cond: GuidanceCondition,
@@ -252,8 +238,12 @@ class _ReverseBuffers:
             raise T.ShapeError(f"z_t must be the workspace's ({self.n}, {POINT_DIM}) points, "
                                f"got shape {z.shape}")
         t = _check_timesteps(t_idx, self.n, params.time_embed.shape[0])
-        return _forward_(params, z, self.in_b, params.time_embed.data[t], self.value, self.mlp_b1,
-                         self.mlp_b2, self.a, self.hidden, self.out)[2]
+        hidden = np.matmul(z, self.fold, out=self.hidden)
+        hidden += self.table[t]
+        _relu_(hidden)
+        out = np.matmul(hidden, params.mlp_w2.data, out=self.out)
+        out += self.mlp_b2
+        return out
 
 
 def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarray, cond: GuidanceCondition,
@@ -268,24 +258,28 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     of G rows; ``cond_idx[i]`` names row i's, and is required exactly when
     G > 1. With G = 1 the value row, like a shared timestep, is added as one
     broadcast row. The ReLU maps a NaN pre-activation to 0.0, so a NaN
-    weight leaves the forward finite and shows in the gradients. The adds
-    run in the order ``_forward_`` gives.
+    weight leaves the forward finite and shows in the gradients.
 
-    Without ``buffers`` the result is one tape node whose hand-written
-    backward returns the gradients of all nine ``DenoiserParams`` tensors.
-    Misshaped ``z_t``, ``t_idx`` or ``cond_idx``, indices out of range,
-    timesteps that are not integers and a condition of another width raise
-    ``ShapeError``.
+    Without ``buffers`` this is the layered forward, which adds, in order,
+    ``z @ in_w``, ``in_b``, the time row and the value row, then
+    ``mlp_b1`` after the first MLP layer and ``mlp_b2`` after the head. The
+    result is one tape node whose hand-written backward returns the
+    gradients of all nine ``DenoiserParams`` tensors. Misshaped ``z_t``,
+    ``t_idx`` or ``cond_idx``, indices out of range, timesteps that are not
+    integers and a condition of another width raise ``ShapeError``.
 
     With ``buffers``, the workspace ``sample`` builds for its reverse loop,
-    the forward writes into the workspace, adds its tiled ``in_b``, value
-    row, ``mlp_b1`` and ``mlp_b2`` as same-shape arrays, and returns a
-    tensor over its ``out`` buffer, which the next call overwrites; there
-    is no tape node, and the bits are those of the call without
-    ``buffers``. The call must pass the ``params`` and the condition the
-    workspace was built for and no ``cond_idx`` (``ValueError``), ``z_t``
-    of the workspace's (n, 2) shape and integer timesteps in range
-    (``ShapeError``), and run under ``no_grad`` (``RuntimeError``).
+    the forward is the folded one, ``relu(z @ fold + table[t]) @ mlp_w2 +
+    mlp_b2`` (see ``_ReverseBuffers``), written into the workspace; it
+    returns a tensor over the ``out`` buffer, which the next call
+    overwrites, and records no tape node. The fold reassociates each
+    pre-activation's sum, so the estimate agrees with the layered one to
+    within a few ulps of the magnitudes summed (rtol = atol = 1e-12 in the
+    tests), not to the bit. The call must pass the ``params`` and the
+    condition the workspace was built for and no ``cond_idx``
+    (``ValueError``), ``z_t`` of the workspace's (n, 2) shape and integer
+    timesteps in range (``ShapeError``), and run under ``no_grad``
+    (``RuntimeError``).
     """
     if buffers is not None:
         return Tensor(buffers.forward(params, z_t, t_idx, cond, cond_idx))
@@ -305,9 +299,15 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
 
     w1, w2 = params.mlp_w1.data, params.mlp_w2.data
     values = style @ params.ws.data + category @ params.wv.data
-    a, hidden, out = _forward_(params, z, params.in_b.data, params.time_embed.data[t],
-                               values if groups == 1 else values[cond_idx], params.mlp_b1.data,
-                               params.mlp_b2.data)
+    a = z @ params.in_w.data
+    a += params.in_b.data
+    a += params.time_embed.data[t]
+    a += values if groups == 1 else values[cond_idx]
+    hidden = a @ w1
+    hidden += params.mlp_b1.data
+    _relu_(hidden)
+    out = hidden @ w2
+    out += params.mlp_b2.data
 
     def grad_fn(g):
         g_pre = (g @ w2.T) * (hidden > 0)
@@ -372,18 +372,20 @@ def sample(
     """Ancestral sampling from pure noise; bit-reproducible per seed.
 
     Before the loop, ``sample`` builds one workspace (``_ReverseBuffers``)
-    for its one-row condition and n rows: the value row is projected once,
-    ``in_b``, the value row and ``mlp_b1`` are tiled to (n, D) and
-    ``mlp_b2`` to (n, 2), and the activations, the noise estimate and the
-    step noise are allocated once. Each reverse step is one
-    ``predict_noise`` call into that workspace with one integer timestep
-    for all n rows; it adds the rows in the order of the call without a
-    workspace, so the bits are the same. Step noise uses the
+    for its one-row condition and n rows: it folds the input layer into the
+    first MLP layer, ``fold = in_w @ mlp_w1`` and a (T, D) table of the
+    remaining constant rows, tiles ``mlp_b2`` to (n, 2), and allocates the
+    hidden rows, the noise estimate and the step noise once. Each reverse
+    step is one ``predict_noise`` call into that workspace with one integer
+    timestep for all n rows: ``relu(z @ fold + table[t]) @ mlp_w2 +
+    mlp_b2``. The fold reassociates sums, so the samples agree with a loop
+    over the layered forward to within rounding (atol = 1e-10 on a 20-step
+    sample in the tests), not to the bit. Step noise uses the
     forward-posterior variance (1 - abar_{t-1}) / (1 - abar_t) * beta_t and
-    is drawn into its buffer, the same stream as fresh draws. The per-step coefficients are computed
-    for every t before the loop; IEEE division and square root round
-    correctly, so each equals the scalar it replaces. ``z`` is updated in
-    place and returned.
+    is drawn into its buffer, the same stream as fresh draws. The per-step
+    coefficients are computed for every t before the loop; IEEE division
+    and square root round correctly, so each equals the scalar it replaces.
+    ``z`` is updated in place and returned.
 
     ``ValueError`` if n is not an integer >= 0 or the condition has more
     than one row; ``ShapeError`` if the schedule and the denoiser differ in

@@ -35,16 +35,18 @@ class ConfigError(ValueError):
 # numpy helpers: each returns a forward value and its backward
 
 
-def _cosine(f: np.ndarray, prototypes: np.ndarray):
+def _cosine(f: np.ndarray, prototypes: np.ndarray, f_unit=None):
     """Cosine similarity of (n, D) rows against (K, D) prototype rows: (n, K), and its backward.
 
     The backward maps the gradient at the similarities to the gradients of
-    ``f`` (None unless ``need_f``) and of ``prototypes``.
+    ``f`` (None unless ``need_f``) and of ``prototypes``. ``f_unit`` is
+    ``T._unit_rows(f)``, passed by a caller that scores the same rows
+    against several prototype sets; it is computed here when omitted.
     """
     if f.ndim != 2 or prototypes.ndim != 2 or f.shape[1] != prototypes.shape[1]:
         raise T.ShapeError(f"class_logits: features {f.shape} and prototypes {prototypes.shape} "
                            "must be rows of one width")
-    fn, f_norm = T._unit_rows(f)
+    fn, f_norm = T._unit_rows(f) if f_unit is None else f_unit
     pn, p_norm = T._unit_rows(prototypes)
     pn_t = pn.T.copy()
 
@@ -182,10 +184,11 @@ def _labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encoders: Enco
     lam = cfg.lambda1 if kind == "style" else cfg.lambda2
     p = encoders.adapter(kind)
     scale = float(cfg.logit_scale)
+    f_unit = T._unit_rows(f_i)  # shared by both heads
 
     def term(prompt_kind, loss, weight):
         protos, adapt_grad = adapt_array(encoders.prompt_features[prompt_kind].data, p)
-        cos, cos_grad = _cosine(f_i, protos)
+        cos, cos_grad = _cosine(f_i, protos, f_unit)
         value, loss_grad = loss(cos * scale)
 
         def grad(g):  # the gradients of w1, b1, w2 and b2

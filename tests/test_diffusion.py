@@ -588,13 +588,13 @@ class TestReverseStep:
         return rng, params, cond
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_sample_equals_reference_loop_to_the_bit(self, seed):
-        """At n = 1 a broadcast and a tiled row add coincide; at n = 64 they do not."""
+    def test_sample_matches_reference_loop(self, seed):
+        """The folded reverse step reassociates sums: equal to the layered loop within rounding."""
         _, params, cond = self.parts(30 + seed)
         schedule = DiffusionSchedule.make(self.STEPS)
         for n in (1, 64):
             out = sample(n, cond, schedule, params, seed=seed)
-            assert out.tobytes() == reference_sample(n, cond, schedule, params, seed).tobytes()
+            np.testing.assert_allclose(out, reference_sample(n, cond, schedule, params, seed), rtol=0, atol=1e-10)
 
     def test_integer_timestep_equals_one_per_row(self):
         """Output and all nine gradients, to the bit."""
@@ -644,26 +644,52 @@ class TestReverseStep:
 
 
 class TestReverseBuffers:
-    """``predict_noise`` into the workspace ``sample`` builds once per call."""
+    """``predict_noise`` into the workspace ``sample`` builds once per call: the folded forward."""
 
     DIM = 8
     STEPS = 20
     parts = TestReverseStep.parts
 
+    def forwards(self, params, cond, z, t):
+        """(plain, buffered) estimates at one timestep; the buffered one lies in its workspace's ``out``."""
+        buffers = diffusion_mod._ReverseBuffers(params, cond, len(z))
+        with no_grad():
+            plain = predict_noise(params, z, t, cond).data
+            buffered = predict_noise(params, z, t, cond, buffers=buffers).data
+        assert np.shares_memory(buffered, buffers.out)
+        return plain, buffered
+
+    @pytest.mark.parametrize("nan_at", [None, "mlp_w1", "in_w", "time_embed"])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("t", [0, 5, STEPS - 1])
+    def test_buffered_forward_matches_plain(self, t, n, nan_at):
+        """Within the fold's rounding; a NaN weight or time row still gives the plain, finite estimate."""
+        rng, params, cond = self.parts(40 + n)
+        if nan_at is not None:
+            getattr(params, nan_at).data[t if nan_at == "time_embed" else 0, 0] = np.nan
+        z = rng.standard_normal((n, 2))
+        plain, buffered = self.forwards(params, cond, z, t)
+        assert np.isfinite(buffered).all()
+        np.testing.assert_allclose(buffered, plain, rtol=1e-12, atol=1e-12)
+        layered = reference_forward(params, z, np.full(n, t), cond, np.zeros(n, dtype=int))[2]
+        assert plain.tobytes() == layered.tobytes()
+
     @pytest.mark.parametrize("nan_weight", [False, True])
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("t", [0, 5, STEPS - 1])
     def test_buffered_forward_equals_plain_to_the_bit(self, t, n, nan_weight):
-        rng, params, cond = self.parts(40 + n)
+        """Dyadic weights and points, one-hot conditions: every sum is exact, so the fold is the same function."""
+        rng = np.random.default_rng(50 + n)
+        params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS)
+        for p in params.tensors():
+            p.data[...] = rng.integers(-8, 9, p.shape) / 8
         if nan_weight:
             params.mlp_w1.data[0, 0] = np.nan
-        z = rng.standard_normal((n, 2))
-        buffers = diffusion_mod._ReverseBuffers(params, cond, n)
-        with no_grad():
-            plain = predict_noise(params, z, t, cond).data
-            buffered = predict_noise(params, z, t, cond, buffers=buffers).data
+        one_hot = np.eye(self.DIM)
+        cond = GuidanceCondition(tau_style=one_hot[[2]], tau_category=one_hot[[5]])
+        z = rng.integers(-16, 17, (n, 2)) / 4
+        plain, buffered = self.forwards(params, cond, z, t)
         assert np.isfinite(buffered).all()
-        assert np.shares_memory(buffered, buffers.out)
         assert buffered.tobytes() == plain.tobytes()
 
     def test_misuse_rejected(self):
