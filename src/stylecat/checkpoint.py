@@ -4,7 +4,9 @@ Layout: magic ``CCLP``, u32 format version, u32 array count, then per
 array a u32 name length + UTF-8 name, u32 rank, u32 dims, and raw 32-bit
 little-endian float data; a UTF-8 JSON metadata blob trails the arrays.
 All integers are little-endian. Saving is order-preserving, so
-save -> load -> save is byte-identical.
+save -> load -> save is byte-identical. Every array is finite: a NaN or an
+infinity is refused on save (after the float32 cast, so an overflow is
+refused too) and on load.
 """
 
 from __future__ import annotations
@@ -23,13 +25,26 @@ class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
 
 
+def _check_finite(path, name: str, data: np.ndarray) -> None:
+    if not np.isfinite(data).all():
+        raise CheckpointError(f"{path}: array {name} holds a non-finite value")
+
+
 def save_checkpoint(path, arrays: dict, meta: dict) -> None:
+    """Writes ``arrays`` as float32 and ``meta`` as JSON.
+
+    ``CheckpointError``, before the file is opened, if an array is not
+    finite once cast to float32.
+    """
+    with np.errstate(over="ignore"):  # a float32 overflow is refused below as an infinity
+        cast = {name: np.ascontiguousarray(arr, dtype="<f4") for name, arr in arrays.items()}
+    for name, data in cast.items():
+        _check_finite(path, name, data)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
+        fh.write(struct.pack("<I", len(cast)))
+        for name, data in cast.items():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
@@ -43,7 +58,9 @@ def load_checkpoint(path):
     """Returns (arrays, meta); arrays come back as float32-valued float64.
 
     Every read is bound-checked, so a truncated or corrupt file raises
-    ``CheckpointError`` and nothing else.
+    ``CheckpointError`` and nothing else; so does an array holding a NaN or
+    an infinity, which would otherwise load and, through a ReLU that maps
+    NaN to 0, give finite but wrong results.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -76,6 +93,7 @@ def load_checkpoint(path):
             shape = u32s(u32s()[0])
             n = math.prod(shape)
             data = np.frombuffer(blob, dtype="<f4", count=n, offset=take(4 * n)).reshape(shape)
+            _check_finite(path, name, data)
             arrays[name] = data.astype(np.float64)
         meta = json.loads(blob[offset:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

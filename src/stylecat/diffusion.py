@@ -15,14 +15,16 @@ in_b + time_embed[t] + value``, ``hidden = relu(a @ mlp_w1 + mlp_b1)``,
 keeping ``a`` and ``hidden`` for its backward. ``sample`` has one condition
 and one timestep per step, and nothing between the input layer and the
 first MLP layer is nonlinear, so its workspace (``_ReverseBuffers``)
-composes the two affine maps once per call: ``fold = in_w @ mlp_w1`` and the
-(T, D) table ``(in_b + time_embed + value) @ mlp_w1 + mlp_b1``. A reverse
-step is then ``relu(z @ fold + table[t]) @ mlp_w2 + mlp_b2``, written into
-buffers allocated once. The fold reassociates sums, so the two bodies agree
-to within a few ulps of the magnitudes summed, not to the bit: the tests
-hold one forward to rtol = atol = 1e-12 and a 20-step sample to atol =
-1e-10 of the layered forward. Where every sum is exact, as on dyadic
-weights, they are equal.
+composes the two affine maps once per call into one (T, 3, D) stack
+``first``: rows 0-1 of ``first[t]`` are ``fold = in_w @ mlp_w1`` and row 2
+is ``table[t] = (in_b + time_embed[t] + value) @ mlp_w1 + mlp_b1``. A
+reverse step is then one GEMM, ``[z, 1] @ first[t]``, over the points with
+a ones column appended, a one-pass ReLU and the head ``@ mlp_w2 + mlp_b2``,
+written into buffers allocated once. The fold reassociates sums, so the
+two bodies agree to within a few ulps of the magnitudes summed, not to the
+bit: the tests hold one forward to rtol = atol = 1e-12 and a 20-step sample
+to atol = 1e-10 of the layered forward. Where every sum is exact, as on
+dyadic weights, they are equal.
 """
 
 from __future__ import annotations
@@ -200,14 +202,23 @@ class _ReverseBuffers:
 
     Built once before the reverse loop for one ``params`` object, one
     one-row condition and n rows. With the condition's value row
-    ``value = tau_s @ ws + tau_c @ wv`` it holds ``fold = in_w @ mlp_w1``,
-    (2, D); the table ``(in_b + time_embed + value) @ mlp_w1 + mlp_b1``,
-    (T, D), whose row t is the first MLP layer's pre-activation at z = 0
-    and timestep t; ``mlp_b2`` tiled to (n, 2); and the buffers ``hidden``,
-    (n, D), ``out``, the (n, 2) noise estimate, and ``noise``, the (n, 2)
-    step noise. It is computed from the denoiser's weights, so it is valid
-    only while ``params`` does not change. ``TypeError``, ``ShapeError`` or
-    ``ValueError`` for a condition of another type, width or row count.
+    ``value = tau_s @ ws + tau_c @ wv`` it holds ``first``, (T, 3, D),
+    whose ``first[t]`` stacks ``fold = in_w @ mlp_w1`` (rows 0-1) on the
+    first MLP layer's pre-activation at z = 0 and timestep t,
+    ``(in_b + time_embed[t] + value) @ mlp_w1 + mlp_b1`` (row 2); ``z1``,
+    (n, 3), whose last column is 1.0 and whose first two each step
+    overwrites with the points, so ``z1 @ first[t]`` is the pre-activation
+    in one GEMM with no broadcast add; ``mlp_b2`` tiled to (n, 2); and the
+    buffers ``hidden``, (n, D), ``out``, the (n, 2) noise estimate, and
+    ``noise``, the (n, 2) step noise. It is computed from the denoiser's
+    weights, so it is valid only while ``params`` does not change.
+    ``TypeError``, ``ShapeError`` or ``ValueError`` for a condition of
+    another type, width or row count.
+
+    The ReLU is ``fmax(hidden, 0.0)`` in one pass: it maps NaN to 0.0 like
+    ``_relu_`` but may leave a -0.0, which ``_relu_`` turns into +0.0.
+    ``hidden`` feeds only the head's dot products, where a signed zero
+    changes no sum with a nonzero term, and ``mlp_b2`` is added after.
     """
 
     def __init__(self, params: DenoiserParams, cond: GuidanceCondition, n: int):
@@ -218,8 +229,11 @@ class _ReverseBuffers:
         w1 = params.mlp_w1.data
         value = cond.tau_style @ params.ws.data + cond.tau_category @ params.wv.data
         self.params, self.cond, self.n = params, cond, n
-        self.fold = params.in_w.data @ w1
-        self.table = (params.in_b.data + params.time_embed.data + value) @ w1 + params.mlp_b1.data
+        steps = params.time_embed.shape[0]
+        self.first = np.empty((steps, POINT_DIM + 1, dim))
+        self.first[:, :POINT_DIM] = params.in_w.data @ w1
+        self.first[:, POINT_DIM] = (params.in_b.data + params.time_embed.data + value) @ w1 + params.mlp_b1.data
+        self.z1 = np.ones((n, POINT_DIM + 1))
         self.mlp_b2 = np.tile(params.mlp_b2.data, (n, 1))
         self.hidden = np.empty((n, dim))
         self.out, self.noise = np.empty((n, POINT_DIM)), np.empty((n, POINT_DIM))
@@ -238,9 +252,9 @@ class _ReverseBuffers:
             raise T.ShapeError(f"z_t must be the workspace's ({self.n}, {POINT_DIM}) points, "
                                f"got shape {z.shape}")
         t = _check_timesteps(t_idx, self.n, params.time_embed.shape[0])
-        hidden = np.matmul(z, self.fold, out=self.hidden)
-        hidden += self.table[t]
-        _relu_(hidden)
+        self.z1[:, :POINT_DIM] = z
+        hidden = np.matmul(self.z1, self.first[t], out=self.hidden)
+        np.fmax(hidden, 0.0, out=hidden)  # NaN to 0.0; a -0.0 left here meets only the head's dot products
         out = np.matmul(hidden, params.mlp_w2.data, out=self.out)
         out += self.mlp_b2
         return out
@@ -269,17 +283,18 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     integers and a condition of another width raise ``ShapeError``.
 
     With ``buffers``, the workspace ``sample`` builds for its reverse loop,
-    the forward is the folded one, ``relu(z @ fold + table[t]) @ mlp_w2 +
-    mlp_b2`` (see ``_ReverseBuffers``), written into the workspace; it
-    returns a tensor over the ``out`` buffer, which the next call
-    overwrites, and records no tape node. The fold reassociates each
-    pre-activation's sum, so the estimate agrees with the layered one to
-    within a few ulps of the magnitudes summed (rtol = atol = 1e-12 in the
-    tests), not to the bit. The call must pass the ``params`` and the
-    condition the workspace was built for and no ``cond_idx``
-    (``ValueError``), ``z_t`` of the workspace's (n, 2) shape and integer
-    timesteps in range (``ShapeError``), and run under ``no_grad``
-    (``RuntimeError``).
+    the forward is the folded one, ``relu([z, 1] @ first[t]) @ mlp_w2 +
+    mlp_b2`` with ``first[t]`` the fold stacked on the timestep's constant
+    row and a one-pass ReLU (see ``_ReverseBuffers``), written into the
+    workspace, so a step allocates no rows. It returns a tensor over the
+    ``out`` buffer, which the next call overwrites, and records no tape
+    node. The fold reassociates each pre-activation's sum, so the estimate
+    agrees with the layered one to within a few ulps of the magnitudes
+    summed (rtol = atol = 1e-12 in the tests), not to the bit. The call
+    must pass the ``params`` and the condition the workspace was built for
+    and no ``cond_idx`` (``ValueError``), ``z_t`` of the workspace's (n, 2)
+    shape and integer timesteps in range (``ShapeError``), and run under
+    ``no_grad`` (``RuntimeError``).
     """
     if buffers is not None:
         return Tensor(buffers.forward(params, z_t, t_idx, cond, cond_idx))
@@ -373,18 +388,20 @@ def sample(
 
     Before the loop, ``sample`` builds one workspace (``_ReverseBuffers``)
     for its one-row condition and n rows: it folds the input layer into the
-    first MLP layer, ``fold = in_w @ mlp_w1`` and a (T, D) table of the
-    remaining constant rows, tiles ``mlp_b2`` to (n, 2), and allocates the
-    hidden rows, the noise estimate and the step noise once. Each reverse
-    step is one ``predict_noise`` call into that workspace with one integer
-    timestep for all n rows: ``relu(z @ fold + table[t]) @ mlp_w2 +
-    mlp_b2``. The fold reassociates sums, so the samples agree with a loop
-    over the layered forward to within rounding (atol = 1e-10 on a 20-step
-    sample in the tests), not to the bit. Step noise uses the
-    forward-posterior variance (1 - abar_{t-1}) / (1 - abar_t) * beta_t and
-    is drawn into its buffer, the same stream as fresh draws. The per-step
-    coefficients are computed for every t before the loop; IEEE division
-    and square root round correctly, so each equals the scalar it replaces.
+    first MLP layer and stacks the fold on each timestep's constant row,
+    ``first`` (T, 3, D), keeps the points in an (n, 3) buffer with a ones
+    column, tiles ``mlp_b2`` to (n, 2), and allocates the hidden rows, the
+    noise estimate and the step noise once. Each reverse step is one
+    ``predict_noise`` call into that workspace with one integer timestep
+    for all n rows: one GEMM ``[z, 1] @ first[t]``, a one-pass ReLU, then
+    ``@ mlp_w2 + mlp_b2``; no step allocates. The fold reassociates sums,
+    so the samples agree with a loop over the layered forward to within
+    rounding (atol = 1e-10 on a 20-step sample in the tests), not to the
+    bit. Step noise uses the forward-posterior variance
+    (1 - abar_{t-1}) / (1 - abar_t) * beta_t and is drawn into its buffer,
+    the same stream as fresh draws. The per-step coefficients are computed
+    for every t before the loop; IEEE division and square root round
+    correctly, so each equals the scalar it replaces.
     ``z`` is updated in place and returned.
 
     ``ValueError`` if n is not an integer >= 0 or the condition has more

@@ -61,7 +61,7 @@ def _labels_array(labels, n: int, k: int) -> np.ndarray:
     arr = np.asarray(labels, dtype=np.int64)
     if arr.shape != (n,):
         raise T.ShapeError(f"labels shape {arr.shape} does not match batch size {n}")
-    if np.any(arr < 0) or np.any(arr >= k):
+    if (arr.view(np.uint64) >= k).any():  # a negative label views as at least 2**63
         raise ValueError(f"labels must lie in [0, {k})")
     return arr
 

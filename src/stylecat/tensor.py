@@ -170,7 +170,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x / norm, norm) with the L2 norm over the last axis; rejects zero-norm rows."""
     n = np.sqrt((x * x).sum(axis=-1, keepdims=True))
-    if np.any(n < 1e-12):
+    if (n < 1e-12).any():
         raise ValueError("normalize: input has (near-)zero norm")
     return x / n, n
 

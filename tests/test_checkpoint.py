@@ -68,3 +68,38 @@ def test_metadata_blob_roundtrip_unicode(tmp_path):
     save_checkpoint(path, {"a": np.zeros(1)}, meta)
     _, loaded = load_checkpoint(path)
     assert loaded == meta
+
+
+SENTINEL = np.float32(1234.5)  # exact in float32; its four bytes occur once in the files below
+
+
+def write_with_value(path, arrays, name, value):
+    """A checkpoint of ``arrays`` whose ``name`` array holds ``value`` at its first element.
+
+    ``save_checkpoint`` refuses a non-finite array, so the file is saved
+    with a finite sentinel that is then overwritten in place.
+    """
+    arrays = {k: v.copy() for k, v in arrays.items()}
+    arrays[name].flat[0] = SENTINEL
+    save_checkpoint(path, arrays, {"kind": "test"})
+    blob = path.read_bytes()
+    assert blob.count(SENTINEL.tobytes()) == 1
+    path.write_bytes(blob.replace(SENTINEL.tobytes(), np.float32(value).tobytes()))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_non_finite_array_refused_on_load(tmp_path, arrays, value):
+    path = tmp_path / "n.cclp"
+    write_with_value(path, arrays, "denoiser.time_embed", value)
+    with pytest.raises(CheckpointError, match=r"n\.cclp: array denoiser\.time_embed holds a non-finite value"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39], ids=["nan", "inf", "above-float32-max"])
+def test_non_finite_array_refused_on_save(tmp_path, arrays, value):
+    """A finite float64 above the float32 maximum overflows in the cast and is refused too."""
+    path = tmp_path / "n.cclp"
+    arrays["style_adapter.b1"][1] = value
+    with pytest.raises(CheckpointError, match=r"array style_adapter\.b1 holds a non-finite value"):
+        save_checkpoint(path, arrays, {"kind": "test"})
+    assert not path.exists()

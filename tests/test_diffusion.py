@@ -1,6 +1,7 @@
 """Guided diffusion: the fused denoiser, condition building, training, sampling, oracle."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -733,6 +734,38 @@ class TestReverseBuffers:
         for step_buffers, out in calls:
             assert step_buffers is buffers and np.shares_memory(out, first)
         assert not np.shares_memory(z, first)
+
+    def test_reverse_step_allocates_no_rows(self):
+        """20 buffered steps at n = 1000, D = 32 raise the traced peak by under 8 KiB, not by (n, D) rows."""
+        dim, n = 32, 1000
+        rng = np.random.default_rng(43)
+        params = DenoiserParams.init(dim=dim, steps=self.STEPS, seed=43)
+        cond = GuidanceCondition(tau_style=unit_rows(rng, 1, dim), tau_category=unit_rows(rng, 1, dim))
+        buffers = diffusion_mod._ReverseBuffers(params, cond, n)
+        z = rng.standard_normal((n, 2))
+        with no_grad():
+            predict_noise(params, z, 0, cond, buffers=buffers)  # first call outside the trace
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for t in range(self.STEPS - 1, -1, -1):
+                    predict_noise(params, z, t, cond, buffers=buffers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - before < 8 * 1024
+
+    def test_buffered_forward_leaves_z_unchanged(self):
+        """The points are copied into the workspace, never written or aliased."""
+        rng, params, cond = self.parts(44)
+        z = rng.standard_normal((7, 2))
+        expected = z.copy()
+        buffers = diffusion_mod._ReverseBuffers(params, cond, len(z))
+        with no_grad():
+            for t in (self.STEPS - 1, 0):
+                out = predict_noise(params, z, t, cond, buffers=buffers).data
+                assert z.tobytes() == expected.tobytes()
+        assert not any(np.shares_memory(z, b) for b in (out, buffers.z1, buffers.hidden))
 
 
 class TestOracle:

@@ -97,6 +97,16 @@ class TestCeLoss:
         with pytest.raises(ValueError, match="labels"):
             ce_loss(Tensor(np.zeros((1, 3))), [3])
 
+    def test_label_range_is_checked_at_both_ends(self):
+        """Negative labels, the most negative int64 included, are refused; 0 and K - 1 are not."""
+        logits = Tensor(np.zeros((2, 3)))
+        for bad in ([0, -1], [-(2**63), 1], [2, 3], [1, 2**62]):
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+                ce_loss(logits, bad)
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+                confusion_loss(logits, bad, "uniform-kl")
+        assert np.isfinite(ce_loss(logits, [0, 2]).item())
+
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(4)
         for _ in range(50):

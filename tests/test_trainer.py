@@ -762,6 +762,23 @@ class TestCli:
         assert len(rows) == 3
         assert [r.split(",")[8:10] for r in rows[1:]] == [["0.0", "0.0"], ["0.3", "0.3"]]
 
+    def test_sample_refuses_nan_checkpoint(self, generator, tmp_path, capsys):
+        """A NaN weight would be mapped to 0 by the ReLU and sample finite points; the load refuses it."""
+        arrays, meta = load_checkpoint(generator)
+        sentinel = np.float32(1234.5)
+        arrays["denoiser.mlp_w1"][0, 0] = sentinel
+        path = tmp_path / "nan.cclp"
+        save_checkpoint(path, arrays, meta)
+        blob = path.read_bytes()
+        assert blob.count(sentinel.tobytes()) == 1
+        path.write_bytes(blob.replace(sentinel.tobytes(), np.float32(np.nan).tobytes()))
+        out = tmp_path / "s.csv"
+        assert self.run("sample", "--checkpoint", str(path), "--style", "sketch", "--category", "cat",
+                        "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: array denoiser.mlp_w1 holds a non-finite value" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_sample_requires_denoiser(self, tmp_path):
         data = tmp_path / "data"
         self.run("gen-data", "--out", str(data), "--train-per-cell", "4", "--test-per-cell", "2")
