@@ -8,11 +8,19 @@ predicts the injected noise. This is decoupled cross-attention (IP-Adapter,
 Ye et al. 2023) with one token per path: a softmax over one key is 1, so
 each attention path reduces to its value projection.
 
-The denoiser has two forward bodies. ``predict_noise`` without a workspace
-is the layered forward that training records on the tape: ``a = z @ in_w +
-in_b + time_embed[t] + value``, ``hidden = relu(a @ mlp_w1 + mlp_b1)``,
-``out = hidden @ mlp_w2 + mlp_b2``, with a timestep and a condition per row,
-keeping ``a`` and ``hidden`` for its backward. ``sample`` has one condition
+The denoiser has two forward bodies. The layered one, ``_LayeredBuffers``,
+is what training records on the tape: ``a = z @ in_w + in_b +
+time_embed[t] + value``, ``hidden = relu(a @ mlp_w1 + mlp_b1)``, ``out =
+hidden @ mlp_w2 + mlp_b2``, with a timestep and a condition per row,
+keeping ``a`` and ``hidden`` for its hand-written backward. It has two
+callers. ``predict_noise`` without a workspace runs it in a one-off
+workspace and records one node over the nine parameters.
+``ddpm_train_step`` runs it with the noise regression loss and records one
+node for both, into the workspace ``train_diffusion`` builds once per run
+(``_TrainBuffers``: the schedule's square-root tables, the scatter bins and
+every (n, D) and (n, 2) buffer of a step), so no step allocates such rows,
+and the step gives the same bits as the two nodes
+``noise_regression_loss(predict_noise(...), eps)``. ``sample`` has one condition
 and one timestep per step, and nothing between the input layer and the
 first MLP layer is nonlinear, so its workspace (``_ReverseBuffers``)
 composes the two affine maps once per call into one (T, 3, D) stack
@@ -168,17 +176,6 @@ def _check_steps(schedule: DiffusionSchedule, params: DenoiserParams) -> None:
                            f"{params.time_embed.shape[0]} timesteps")
 
 
-def _scatter_rows(g: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """(n_rows, D) sums of the rows of g by target row: the gradient of a row gather.
-
-    One ``bincount`` over ``row * D + col`` adds each bin's terms in row
-    order, as ``np.add.at`` does, so the sums are the same to the bit.
-    """
-    d = g.shape[1]
-    flat = (rows[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=g.ravel(), minlength=n_rows * d).reshape(n_rows, d)
-
-
 def _relu_(x: np.ndarray) -> np.ndarray:
     """``np.where(x > 0, x, 0.0)`` in place, to the bit.
 
@@ -195,6 +192,97 @@ def _check_condition(cond, dim: int) -> None:
         raise TypeError(f"cond must be one GuidanceCondition, got {type(cond).__name__}")
     if cond.tau_style.shape[1] != dim:
         raise T.ShapeError(f"the condition must hold rows of the denoiser's width {dim}")
+
+
+def _check_cond_idx(cond_idx, n: int, groups: int) -> np.ndarray | None:
+    """``cond_idx`` as n row indices into a condition of G rows; may be None only when G = 1."""
+    if cond_idx is not None:
+        return _check_rows(cond_idx, n, groups, "cond_idx")
+    if groups > 1:
+        raise ValueError(f"cond_idx is required with a condition of {groups} rows")
+    return None
+
+
+class _LayeredBuffers:
+    """The layered denoiser forward over n rows, and its backward, written into buffers.
+
+    Built for one ``params`` object and one ``GuidanceCondition`` of G rows
+    (``TypeError`` for another type, ``ShapeError`` for another width). It
+    holds ``a``, ``hidden`` and ``out``, the gathered time or value rows,
+    the backward's ``g_pre``, ``g_a`` and ReLU mask, and the flat
+    ``bincount`` bins of the two row gathers: row r of ``time_bins`` (T, D)
+    and of ``cond_bins`` (G, D) is ``r * D + arange(D)``. ``forward`` keeps
+    its points, timesteps and condition indices for the backward, so every
+    array ``record``'s node reads lives here until the next ``forward``; a
+    node recorded before that raises ``RuntimeError`` in its backward
+    rather than return gradients of overwritten buffers.
+    """
+
+    def __init__(self, params: DenoiserParams, cond: GuidanceCondition, n: int):
+        steps, dim = params.time_embed.shape
+        _check_condition(cond, dim)
+        self.params, self.cond, self.n = params, cond, n
+        self.leaves = params.tensors()
+        self.time_bins = np.arange(steps * dim).reshape(steps, dim)
+        self.cond_bins = np.arange(len(cond.tau_style) * dim).reshape(-1, dim)
+        self.a, self.rows, self.hidden = np.empty((n, dim)), np.empty((n, dim)), np.empty((n, dim))
+        self.out = np.empty((n, POINT_DIM))
+        self.g_pre, self.g_a = np.empty((n, dim)), np.empty((n, dim))
+        self.mask = np.empty((n, dim), dtype=bool)
+        self.bins = np.empty((n, dim), dtype=np.int64)
+        self.generation = 0
+
+    def forward(self, z: np.ndarray, t: np.ndarray, cond_idx: np.ndarray | None) -> np.ndarray:
+        """``out`` for checked (n, 2) points, timesteps (one or n) and condition indices (or None)."""
+        p, cond = self.params, self.cond
+        self.generation += 1
+        self.z, self.t, self.cond_idx = z, t, cond_idx
+        values = cond.tau_style @ p.ws.data + cond.tau_category @ p.wv.data
+        a = np.matmul(z, p.in_w.data, out=self.a)
+        a += p.in_b.data
+        time = p.time_embed.data
+        a += time[t] if t.ndim == 0 else time.take(t, axis=0, out=self.rows, mode="clip")
+        a += values if len(values) == 1 else values.take(cond_idx, axis=0, out=self.rows, mode="clip")
+        hidden = np.matmul(a, p.mlp_w1.data, out=self.hidden)
+        hidden += p.mlp_b1.data
+        _relu_(hidden)
+        out = np.matmul(hidden, p.mlp_w2.data, out=self.out)
+        out += p.mlp_b2.data
+        return out
+
+    def record(self, data, grad_at_out) -> Tensor:
+        """One tape node of ``data`` over the nine parameters; ``grad_at_out(g)`` is the gradient at ``out``."""
+        generation = self.generation
+
+        def grad_fn(g):
+            if self.generation != generation:
+                raise RuntimeError("backward through a denoiser node whose workspace a later forward has "
+                                   "overwritten; call backward before the next step")
+            return self._grads(grad_at_out(g))
+
+        return T._node(data, self.leaves, grad_fn)
+
+    def _grads(self, g: np.ndarray) -> tuple:
+        """The nine parameter gradients, in field order, given ``g``, the (n, 2) gradient at ``out``."""
+        p, cond, n = self.params, self.cond, self.n
+        g_pre = np.matmul(g, p.mlp_w2.data.T, out=self.g_pre)
+        g_pre *= np.greater(self.hidden, 0, out=self.mask)
+        g_a = np.matmul(g_pre, p.mlp_w1.data.T, out=self.g_a)
+        time_rows = self.t if self.t.ndim else np.full(n, self.t)
+        cond_rows = np.zeros(n, dtype=np.int64) if self.cond_idx is None else self.cond_idx
+        g_values = self._scatter(g_a, self.cond_bins, cond_rows)
+        return (self._scatter(g_a, self.time_bins, time_rows), self.z.T @ g_a, g_a.sum(axis=0),
+                cond.tau_style.T @ g_values, cond.tau_category.T @ g_values,
+                self.a.T @ g_pre, g_pre.sum(axis=0), self.hidden.T @ g, g.sum(axis=0))
+
+    def _scatter(self, g: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Sums of the rows of g by target row, shaped like ``table``: the gradient of a row gather.
+
+        One ``bincount`` over the gathered bins adds each bin's terms in row
+        order, as ``np.add.at`` does, so the sums are the same to the bit.
+        """
+        bins = table.take(rows, axis=0, out=self.bins, mode="clip")
+        return np.bincount(bins.ravel(), weights=g.ravel(), minlength=table.size).reshape(table.shape)
 
 
 class _ReverseBuffers:
@@ -276,11 +364,13 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
 
     Without ``buffers`` this is the layered forward, which adds, in order,
     ``z @ in_w``, ``in_b``, the time row and the value row, then
-    ``mlp_b1`` after the first MLP layer and ``mlp_b2`` after the head. The
-    result is one tape node whose hand-written backward returns the
-    gradients of all nine ``DenoiserParams`` tensors. Misshaped ``z_t``,
-    ``t_idx`` or ``cond_idx``, indices out of range, timesteps that are not
-    integers and a condition of another width raise ``ShapeError``.
+    ``mlp_b1`` after the first MLP layer and ``mlp_b2`` after the head. It
+    runs in a one-off ``_LayeredBuffers``, the code ``ddpm_train_step``
+    runs too, and the result is one tape node whose hand-written backward
+    returns the gradients of all nine ``DenoiserParams`` tensors.
+    Misshaped ``z_t``, ``t_idx`` or ``cond_idx``, indices out of range,
+    timesteps that are not integers and a condition of another width raise
+    ``ShapeError``.
 
     With ``buffers``, the workspace ``sample`` builds for its reverse loop,
     the forward is the folded one, ``relu([z, 1] @ first[t]) @ mlp_w2 +
@@ -302,38 +392,10 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     if z.ndim != 2 or z.shape[1] != POINT_DIM:
         raise T.ShapeError(f"z_t must be (n, {POINT_DIM}) points, got shape {z.shape}")
     n = z.shape[0]
-    steps, dim = params.time_embed.shape
-    t = _check_timesteps(t_idx, n, steps)
-    _check_condition(cond, dim)
-    style, category = cond.tau_style, cond.tau_category
-    groups = len(style)
-    if cond_idx is not None:
-        cond_idx = _check_rows(cond_idx, n, groups, "cond_idx")
-    elif groups > 1:
-        raise ValueError(f"cond_idx is required with a condition of {groups} rows")
-
-    w1, w2 = params.mlp_w1.data, params.mlp_w2.data
-    values = style @ params.ws.data + category @ params.wv.data
-    a = z @ params.in_w.data
-    a += params.in_b.data
-    a += params.time_embed.data[t]
-    a += values if groups == 1 else values[cond_idx]
-    hidden = a @ w1
-    hidden += params.mlp_b1.data
-    _relu_(hidden)
-    out = hidden @ w2
-    out += params.mlp_b2.data
-
-    def grad_fn(g):
-        g_pre = (g @ w2.T) * (hidden > 0)
-        g_a = g_pre @ w1.T
-        idx = np.zeros(n, dtype=np.int64) if cond_idx is None else cond_idx
-        g_values = _scatter_rows(g_a, idx, groups)
-        return (_scatter_rows(g_a, np.broadcast_to(t, (n,)), steps), z.T @ g_a, g_a.sum(axis=0),
-                style.T @ g_values, category.T @ g_values,
-                a.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0))
-
-    return T._node(out, params.tensors(), grad_fn)
+    t = _check_timesteps(t_idx, n, params.time_embed.shape[0])
+    layers = _LayeredBuffers(params, cond, n)
+    out = layers.forward(z, t, _check_cond_idx(cond_idx, n, len(cond.tau_style)))
+    return layers.record(out, lambda g: g)
 
 
 def noise_regression_loss(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
@@ -351,6 +413,56 @@ def noise_regression_loss(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
     return T._node(np.asarray((diff * diff).sum()) * c, (eps_hat,), grad_fn)
 
 
+class _TrainBuffers(_LayeredBuffers):
+    """The workspace of one ``train_diffusion`` run: a ``_LayeredBuffers`` plus the step's own.
+
+    Built once before the loop for one schedule, one ``params`` object, one
+    stacked condition and n rows per batch. It checks the schedule against
+    the denoiser (``ShapeError``) and the condition (see
+    ``_LayeredBuffers``) once, holds the ``sqrt(alpha_bars)`` and
+    ``sqrt(1 - alpha_bars)`` tables, the (n,) buffer ``coef`` that each
+    gathers into, and the (n, 2) buffers of the noised points ``z_t``, the
+    noise ``eps``, the error ``diff``, its gradient ``g_out`` and a scratch
+    product. A step's node reads them, so it is valid until the next step.
+    """
+
+    def __init__(self, schedule: DiffusionSchedule, params: DenoiserParams, cond: GuidanceCondition, n: int):
+        _check_steps(schedule, params)
+        super().__init__(params, cond, n)
+        self.schedule = schedule
+        self.sqrt_ab, self.sqrt_1m_ab = np.sqrt(schedule.alpha_bars), np.sqrt(1.0 - schedule.alpha_bars)
+        self.coef = np.empty(n)
+        self.z_t, self.eps, self.diff, self.g_out, self.scratch = (np.empty((n, POINT_DIM)) for _ in range(5))
+
+    def step(self, points: np.ndarray, cond_idx, cond: GuidanceCondition, schedule: DiffusionSchedule,
+             params: DenoiserParams, rng: np.random.Generator) -> Tensor:
+        """``ddpm_train_step`` on (n, 2) ``points`` for the run this workspace was built for."""
+        if params is not self.params or cond is not self.cond or schedule is not self.schedule:
+            raise ValueError("ddpm_train_step: the workspace was built for another denoiser, condition "
+                             "or schedule")
+        n = self.n
+        if points.shape != (n, POINT_DIM):
+            raise T.ShapeError(f"points must be the workspace's ({n}, {POINT_DIM}) batch, got shape {points.shape}")
+        cond_idx = _check_cond_idx(cond_idx, n, len(cond.tau_style))
+        t = rng.integers(0, schedule.steps, size=n)
+        eps = rng.standard_normal(out=self.eps)
+        # z_t = sqrt(abar[t]) * points + sqrt(1 - abar[t]) * eps, each product into a buffer
+        col = self.coef[:, None]
+        self.sqrt_ab.take(t, out=self.coef, mode="clip")
+        z = np.multiply(col, points, out=self.z_t)
+        self.sqrt_1m_ab.take(t, out=self.coef, mode="clip")
+        z += np.multiply(col, eps, out=self.scratch)
+        diff = np.subtract(self.forward(z, t, cond_idx), eps, out=self.diff)
+        loss = np.asarray(np.multiply(diff, diff, out=self.scratch).sum()) * (1.0 / n)
+        return self.record(loss, self._grad_at_out)
+
+    def _grad_at_out(self, g) -> np.ndarray:
+        """``noise_regression_loss``'s gradient at the estimate, 2 g diff / n, into ``g_out``."""
+        gd = np.multiply(self.diff, float(g) * (1.0 / self.n), out=self.g_out)
+        gd += gd
+        return gd
+
+
 def ddpm_train_step(
     points: np.ndarray,
     cond_idx: np.ndarray,
@@ -358,23 +470,40 @@ def ddpm_train_step(
     schedule: DiffusionSchedule,
     params: DenoiserParams,
     rng: np.random.Generator,
+    *,
+    buffers: _TrainBuffers | None = None,
 ) -> Tensor:
-    """One noise-prediction objective evaluation over a captioned point batch.
+    """One noise-prediction objective evaluation over a captioned point batch; one tape node.
 
     ``points`` is the (n, 2) batch, ``condition`` holds one row per caption
     (built once, no gradient) and ``cond_idx[i]`` names point i's. Samples a
     uniform timestep and then Gaussian noise per point, perturbs with the
-    closed-form forward process, and scores one denoiser forward over the
-    whole batch. ``ShapeError``, before anything is drawn, if the schedule
-    and the denoiser differ in their number of steps.
+    closed-form forward process, and scores one layered denoiser forward
+    (``predict_noise``'s) over the whole batch with the mean squared error
+    of ``noise_regression_loss``. The result is one tape node whose
+    hand-written backward returns the gradients of all nine
+    ``DenoiserParams`` tensors, the same to the bit as a backward through
+    ``noise_regression_loss(predict_noise(...), eps)``.
+
+    ``buffers`` is the run's workspace (``_TrainBuffers``), which
+    ``train_diffusion`` builds once before its loop; without it the step
+    builds a one-off workspace. The step writes into the workspace, so a
+    node must be back-propagated before the next step into the same
+    workspace, or its backward raises ``RuntimeError``.
+
+    Before anything is drawn: ``ShapeError`` unless ``points`` is (n, 2)
+    with n >= 1 (with a workspace, its n), if the schedule and the denoiser
+    differ in their number of steps, or for misshaped or out-of-range
+    ``cond_idx``; ``ValueError`` if ``cond_idx`` is missing for a condition
+    of several rows or the workspace was built for another denoiser,
+    condition or schedule; ``TypeError`` for a condition of another type.
     """
-    _check_steps(schedule, params)
-    n = len(points)
-    t = rng.integers(0, schedule.steps, size=n)
-    eps = rng.standard_normal((n, POINT_DIM))
-    ab = schedule.alpha_bars[t][:, None]
-    z_t = np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps
-    return noise_regression_loss(predict_noise(params, z_t, t, condition, cond_idx), eps)
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != POINT_DIM or not len(points):
+        raise T.ShapeError(f"points must be (n, {POINT_DIM}) with n >= 1, got shape {points.shape}")
+    if buffers is None:
+        buffers = _TrainBuffers(schedule, params, condition, len(points))
+    return buffers.step(points, cond_idx, condition, schedule, params, rng)
 
 
 def sample(

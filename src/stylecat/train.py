@@ -23,6 +23,7 @@ from .diffusion import (
     DenoiserParams,
     DiffusionSchedule,
     GuidanceCondition,
+    _TrainBuffers,
     condition_for_caption,
     ddpm_train_step,
     noise_regression_loss,
@@ -399,10 +400,13 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
     if bad.size:
         raise DatasetError(f"diffusion point {bad[0]} is not finite: {points[bad[0]]}")
     cond_idx = np.array([caption_idx[p.caption] for p in points])
+    batch = min(config.diffusion_batch, len(points))
+    buffers = _TrainBuffers(schedule, params, conditions, batch)
     rows = []
     for step in range(config.diffusion_steps):
-        batch_idx = rng.integers(0, len(points), size=min(config.diffusion_batch, len(points)))
-        loss = ddpm_train_step(xy[batch_idx], cond_idx[batch_idx], conditions, schedule, params, rng)
+        batch_idx = rng.integers(0, len(points), size=batch)
+        loss = ddpm_train_step(xy[batch_idx], cond_idx[batch_idx], conditions, schedule, params, rng,
+                               buffers=buffers)
         params.zero_grad()
         backward(loss)
         opt.step()
@@ -671,8 +675,40 @@ def _denoiser_world(seed: int, groups: int = 1, rows: int = 4, one_timestep: boo
     return loss_fn, params.tensors()
 
 
+def _denoiser_train_world(seed: int):
+    """``ddpm_train_step``'s one node through a workspace; each call re-seeds the step's draws.
+
+    Every evaluation draws the same timesteps and noise, so the loss is a
+    function of the parameters alone. Six rows share three conditions, so
+    the condition scatter meets a collision on every seed.
+    """
+    rng = np.random.default_rng([seed, 107])
+    dim, steps, rows, groups = 8, 6, 6, 3
+    params = DenoiserParams.init(dim=dim, steps=steps, seed=seed + 17)
+    params.mlp_b1.data[:] = 0.3 * rng.standard_normal(dim)
+    params.in_b.data[:] = 0.3 * rng.standard_normal(dim)
+    schedule = DiffusionSchedule.make(steps)
+    points = rng.standard_normal((rows, 2))
+    cond = GuidanceCondition.stack([GuidanceCondition(tau_style=_unit_rows(rng, 1, dim),
+                                                      tau_category=_unit_rows(rng, 1, dim))
+                                    for _ in range(groups)])
+    cond_idx = rng.permutation(np.arange(rows) % groups)
+    buffers = _TrainBuffers(schedule, params, cond, rows)
+
+    def loss_fn():
+        draws = np.random.default_rng([seed, 109])
+        return ddpm_train_step(points, cond_idx, cond, schedule, params, draws, buffers=buffers)
+
+    with no_grad():
+        loss_fn()
+    # keep clear of the MLP ReLU kink
+    if np.abs(buffers.a @ params.mlp_w1.data + params.mlp_b1.data).min() < 1e-3:
+        return _denoiser_train_world(seed + 1000)
+    return loss_fn, params.tensors()
+
+
 def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
-    """Check every loss and the denoiser against central differences.
+    """Check every loss, the denoiser and its training step against central differences.
 
     Returns a list of (component, worst_relative_error, passed) triples.
     ConfigError unless ``n_seeds`` >= 1 and ``tol`` is a positive finite number.
@@ -684,7 +720,8 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
     components = [(f"{kind}-{part}", partial(_adapter_world, kind=kind, part=part)) for kind, part in parts]
     components += [("denoiser-step", _denoiser_world),
                    ("denoiser-grouped", partial(_denoiser_world, groups=3, rows=6)),
-                   ("denoiser-one-timestep", partial(_denoiser_world, one_timestep=True))]
+                   ("denoiser-one-timestep", partial(_denoiser_world, one_timestep=True)),
+                   ("denoiser-train-step", _denoiser_train_world)]
     results = []
     for name, world_fn in components:
         worst = 0.0

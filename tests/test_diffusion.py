@@ -276,8 +276,8 @@ class TestTrainStep:
         for p in (params.time_embed, params.ws, params.wv):
             assert relative_error(p.grad, finite_diff_grad(loss_fn, p).data) < 1e-6
 
-    def test_one_step_tapes_two_nodes(self, world):
-        """The denoiser and its loss are one node each, over the nine parameter leaves."""
+    def test_one_step_tapes_one_node(self, world):
+        """The denoiser and its loss are one node over the nine parameter leaves, with or without a workspace."""
         spec, config, bundle = world
         points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
         captions = list(dict.fromkeys(p.caption for p in points))
@@ -285,18 +285,13 @@ class TestTrainStep:
         xy = np.array([[p.x, p.y] for p in points])
         cond_idx = np.array([captions.index(p.caption) for p in points])
         params = DenoiserParams.init(dim=config.dim, steps=20, seed=0)
-        loss = ddpm_train_step(xy, cond_idx, conditions, DiffusionSchedule.make(20), params,
-                               np.random.default_rng(16))
-        seen, stack = {}, [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen[id(node)] = node
-                stack.extend(node._parents)
-        inner = [node for node in seen.values() if node._grad_fn is not None]
-        leaves = [node for node in seen.values() if node._grad_fn is None]
-        assert len(inner) == 2
-        assert sorted(map(id, leaves)) == sorted(map(id, params.tensors()))
+        schedule = DiffusionSchedule.make(20)
+        buffers = diffusion_mod._TrainBuffers(schedule, params, conditions, len(xy))
+        for kwargs in ({}, {"buffers": buffers}):
+            loss = ddpm_train_step(xy, cond_idx, conditions, schedule, params, np.random.default_rng(16), **kwargs)
+            assert loss._grad_fn is not None
+            assert [id(p) for p in loss._parents] == [id(p) for p in params.tensors()]
+            assert all(p._grad_fn is None and not p._parents for p in loss._parents)
 
     def test_backward_fills_the_flat_gradient(self):
         """After one step's backward, ``flat_grad`` holds the nine reference gradients in field order."""
@@ -315,6 +310,71 @@ class TestTrainStep:
         z_t = np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps
         expected = reference_grads(params, z_t, t, cond, cond_idx, eps)
         assert np.array_equal(params.flat_grad, np.concatenate([expected[name].ravel() for name in params.arrays()]))
+
+    def step_parts(self, rows=6, groups=3, steps=6, seed=30):
+        rng = np.random.default_rng(seed)
+        params = DenoiserParams.init(dim=8, steps=steps, seed=seed)
+        cond = GuidanceCondition(tau_style=unit_rows(rng, groups, 8), tau_category=unit_rows(rng, groups, 8))
+        return params, cond, DiffusionSchedule.make(steps), rng.standard_normal((rows, 2)), np.arange(rows) % groups
+
+    @pytest.mark.parametrize("with_buffers", [False, True], ids=["one-off", "workspace"])
+    @pytest.mark.parametrize("shape", [(2,), (3,), (3, 3), (3, 1), (0, 2), (3, 2, 1)])
+    def test_malformed_points_refused_before_drawing(self, shape, with_buffers):
+        """Only (n, 2) points train: a (2,) vector would broadcast into a (2, 2) batch."""
+        params, cond, schedule, _, cond_idx = self.step_parts(rows=3)
+        kwargs = {"buffers": diffusion_mod._TrainBuffers(schedule, params, cond, 3)} if with_buffers else {}
+        rng = np.random.default_rng(31)
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError, match="points must be"):
+            ddpm_train_step(np.zeros(shape), cond_idx, cond, schedule, params, rng, **kwargs)
+        assert rng.bit_generator.state == state
+
+    def test_stale_node_refuses_its_backward(self):
+        """A node whose workspace a later step has overwritten raises; the latest node back-propagates."""
+        params, cond, schedule, points, cond_idx = self.step_parts()
+        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, len(points))
+        rng = np.random.default_rng(32)
+        first = ddpm_train_step(points, cond_idx, cond, schedule, params, rng, buffers=buffers)
+        second = ddpm_train_step(points, cond_idx, cond, schedule, params, rng, buffers=buffers)
+        params.zero_grad()
+        with pytest.raises(RuntimeError, match="overwritten"):
+            backward(first)
+        assert not params.flat_grad.any()
+        backward(second)
+        assert params.flat_grad.any()
+
+    def test_workspace_of_another_run_refused(self):
+        """A workspace is for one denoiser, condition, schedule and batch size, all checked before drawing."""
+        params, cond, schedule, points, cond_idx = self.step_parts()
+        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, len(points))
+        other_params = DenoiserParams.init(dim=8, steps=6, seed=30)
+        equal_cond = GuidanceCondition(tau_style=cond.tau_style.copy(), tau_category=cond.tau_category.copy())
+        rng = np.random.default_rng(33)
+        state = rng.bit_generator.state
+        for args in ((points, cond_idx, cond, schedule, other_params),
+                     (points, cond_idx, equal_cond, schedule, params),
+                     (points, cond_idx, cond, DiffusionSchedule.make(6), params)):
+            with pytest.raises(ValueError, match="another denoiser, condition or schedule"):
+                ddpm_train_step(*args, rng, buffers=buffers)
+        with pytest.raises(ShapeError, match=r"workspace's \(6, 2\) batch"):
+            ddpm_train_step(points[:5], cond_idx[:5], cond, schedule, params, rng, buffers=buffers)
+        with pytest.raises(ShapeError, match="cond_idx"):
+            ddpm_train_step(points, cond_idx + 1, cond, schedule, params, rng, buffers=buffers)
+        with pytest.raises(ValueError, match="cond_idx is required"):
+            ddpm_train_step(points, None, cond, schedule, params, rng, buffers=buffers)
+        assert rng.bit_generator.state == state
+
+    def test_workspace_checks_its_run_once(self):
+        """The schedule and the condition are checked when the workspace is built."""
+        params, cond, schedule, _, _ = self.step_parts()
+        rng = np.random.default_rng(34)
+        with pytest.raises(ShapeError, match="schedule has 7 steps but the denoiser embeds 6"):
+            diffusion_mod._TrainBuffers(DiffusionSchedule.make(7), params, cond, 6)
+        with pytest.raises(TypeError, match="one GuidanceCondition"):
+            diffusion_mod._TrainBuffers(schedule, params, [cond], 6)
+        narrow = GuidanceCondition(tau_style=unit_rows(rng, 3, 4), tau_category=unit_rows(rng, 3, 4))
+        with pytest.raises(ShapeError, match="width"):
+            diffusion_mod._TrainBuffers(schedule, params, narrow, 6)
 
 
 def per_caption_step(points, cond_idx, condition, schedule, params, rng):
@@ -482,39 +542,84 @@ class TestTrainDiffusion:
         spec, config, bundle = world
         points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
         forwards, built = [], []
-        real_predict, real_condition = diffusion_mod.predict_noise, train_mod.condition_for_caption
+        real_forward, real_condition = diffusion_mod._LayeredBuffers.forward, train_mod.condition_for_caption
 
-        def counting_predict(*args, **kwargs):
-            forwards.append(1)
-            return real_predict(*args, **kwargs)
+        def counting_forward(self, *args, **kwargs):
+            forwards.append(len(args[0]))
+            return real_forward(self, *args, **kwargs)
 
         def counting_condition(caption, *args, **kwargs):
             built.append(caption)
             return real_condition(caption, *args, **kwargs)
 
-        monkeypatch.setattr(diffusion_mod, "predict_noise", counting_predict)
+        monkeypatch.setattr(diffusion_mod._LayeredBuffers, "forward", counting_forward)
         monkeypatch.setattr(train_mod, "condition_for_caption", counting_condition)
         steps = 4
         cfg = replace(config, diffusion_steps=steps, diffusion_batch=32, timesteps=20)
         train_diffusion(cfg, points, bundle)
-        assert len(forwards) == steps
+        assert forwards == [32] * steps
         assert sorted(built) == sorted({p.caption for p in points})
 
     def test_every_step_reads_one_stacked_condition(self, world, monkeypatch):
+        """Every step gets the one stacked condition and the one workspace built before the loop."""
         spec, config, bundle = world
         points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
         seen = []
-        real_predict = diffusion_mod.predict_noise
+        real_step = train_mod.ddpm_train_step
 
-        def recording_predict(params, z_t, t_idx, cond, cond_idx=None):
-            seen.append(cond)
-            return real_predict(params, z_t, t_idx, cond, cond_idx)
+        def recording_step(points, cond_idx, condition, *args, **kwargs):
+            seen.append((condition, kwargs["buffers"]))
+            return real_step(points, cond_idx, condition, *args, **kwargs)
 
-        monkeypatch.setattr(diffusion_mod, "predict_noise", recording_predict)
+        monkeypatch.setattr(train_mod, "ddpm_train_step", recording_step)
         train_diffusion(replace(config, diffusion_steps=3, diffusion_batch=32, timesteps=20), points, bundle)
-        assert len(seen) == 3 and all(cond is seen[0] for cond in seen)
-        assert isinstance(seen[0], GuidanceCondition)
-        assert seen[0].tau_style.shape == seen[0].tau_category.shape == (12, config.dim)
+        assert len(seen) == 3 and all(step == seen[0] for step in seen)
+        cond, buffers = seen[0]
+        assert isinstance(cond, GuidanceCondition) and buffers.cond is cond
+        assert cond.tau_style.shape == cond.tau_category.shape == (12, config.dim)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_the_two_node_reference_loop(self, seed):
+        """Parameters, loss rows and the last flat gradient equal a loop over ``predict_noise``,
+        ``noise_regression_loss``, ``backward`` and ``Adam``, to the bit."""
+        spec = SyntheticSpec(n_styles=2, n_categories=2, style_names=SyntheticSpec.style_names[:2],
+                             category_names=SyntheticSpec.category_names[:2])
+        config = TrainConfig(dim=8, timesteps=20, diffusion_steps=40, diffusion_batch=32, seed=seed)
+        bundle = fresh_bundle(spec, config)
+        points, _ = generate_diffusion_dataset(spec, n_per_cell=10)
+        params, _, rows = train_diffusion(config, points, bundle)
+        ref_params, ref_rows = reference_train(config, points, bundle)
+        assert rows == ref_rows and [r["step"] for r in rows] == [0, 39]
+        assert params.flat.tobytes() == ref_params.flat.tobytes()
+        assert params.flat_grad.tobytes() == ref_params.flat_grad.tobytes()
+
+
+def reference_train(config, points, bundle):
+    """``train_diffusion``'s loop with the denoiser and its loss as two tape nodes: (params, rows)."""
+    schedule = DiffusionSchedule.make(config.timesteps)
+    params = DenoiserParams.init(dim=config.dim, steps=config.timesteps, seed=config.seed)
+    opt = train_mod.Adam(params, config.lr)
+    rng = np.random.default_rng([config.seed, 21])
+    captions = list(dict.fromkeys(p.caption for p in points))
+    conditions = GuidanceCondition.stack([condition_for_caption(c, bundle, config.generation_alpha)
+                                          for c in captions])
+    xy = np.array([[p.x, p.y] for p in points])
+    cond_idx = np.array([captions.index(p.caption) for p in points])
+    n = min(config.diffusion_batch, len(points))
+    rows = []
+    for step in range(config.diffusion_steps):
+        batch = rng.integers(0, len(points), size=n)
+        t = rng.integers(0, schedule.steps, size=n)
+        eps = rng.standard_normal((n, 2))
+        ab = schedule.alpha_bars[t][:, None]
+        z_t = np.sqrt(ab) * xy[batch] + np.sqrt(1.0 - ab) * eps
+        loss = noise_regression_loss(predict_noise(params, z_t, t, conditions, cond_idx[batch]), eps)
+        params.zero_grad()
+        backward(loss)
+        opt.step()
+        if step % 100 == 0 or step == config.diffusion_steps - 1:
+            rows.append({"step": step, "loss": loss.item()})
+    return params, rows
 
 
 class TestSampling:

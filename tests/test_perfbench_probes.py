@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from stylecat import captions, diffusion, train
-from stylecat.datagen import SyntheticSpec, generate_classification_dataset
+from stylecat.datagen import SyntheticSpec, generate_classification_dataset, generate_diffusion_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -45,6 +45,23 @@ def test_generate_reads_one_sample_per_cell_and_one_forward_per_step():
     cells = spec.n_styles * spec.n_categories
     assert len(rows) == len(points) == cells
     assert len(clock.periods["reverse"]) == cells * schedule.steps - 1  # the first tick starts the clock
+
+
+def test_diffusion_train_times_one_step_per_ddpm_step():
+    """``diffusion-train`` ticks its clock at each entry to ``ddpm_train_step``.
+
+    A step inlined into ``train_diffusion``, or split into several calls,
+    would leave that workload with no steps or the wrong number of them.
+    """
+    spec = SyntheticSpec()
+    config = train.TrainConfig(timesteps=5, diffusion_steps=4, diffusion_batch=16)
+    bundle = train.fresh_bundle(spec, config)
+    points, _ = generate_diffusion_dataset(spec, n_per_cell=2)
+    clock = tracing.StepClock()
+    with tracing.step_probes(clock, WORKLOADS["diffusion-train"].step_targets):
+        train.train_diffusion(config, points, bundle)
+    assert list(clock.periods) == ["train"]
+    assert len(clock.periods["train"]) == config.diffusion_steps - 1  # the first tick starts the clock
 
 
 @pytest.mark.parametrize("mode", ["labeled", "unlabeled"])

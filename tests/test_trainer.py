@@ -573,7 +573,7 @@ class TestCli:
         assert names == ["style-ce", "style-confusion", "style-labeled", "style-labeled-negated-ce",
                          "category-ce", "category-confusion", "category-labeled", "category-labeled-negated-ce",
                          "style-triplet", "category-triplet", "denoiser-step", "denoiser-grouped",
-                         "denoiser-one-timestep"]
+                         "denoiser-one-timestep", "denoiser-train-step"]
 
         import stylecat.train as train_mod
 
