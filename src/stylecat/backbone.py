@@ -6,6 +6,9 @@ noise), and the image projection is solved so that clean images of a
 (style, category) cell land near the sum of the two codes. Text and image
 features of matching content are therefore aligned by construction, with
 enough word-level noise left in that adapter fine-tuning has room to help.
+
+The backbone is frozen: its features are plain (n, D) float64 arrays of
+unit rows, constants that no tape records.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, normalize
+from .tensor import _unit_rows
 
 WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -148,7 +151,7 @@ class FrozenWeights:
         return h.hexdigest()
 
 
-def embed_text(token_ids, weights: FrozenWeights) -> Tensor:
+def embed_text(token_ids, weights: FrozenWeights) -> np.ndarray:
     """Mean of token embeddings, unit-normalized: one (1, D) feature row.
 
     Ids are sorted before accumulation so permuted token lists produce
@@ -158,23 +161,23 @@ def embed_text(token_ids, weights: FrozenWeights) -> Tensor:
     if not ids:
         raise ValueError("embed_text: empty token list")
     vec = weights.token_embed[np.asarray(ids, dtype=np.int64)].mean(axis=0)
-    return normalize(Tensor(vec[None, :]))
+    return _unit_rows(vec[None, :])[0]
 
 
-def embed_caption(caption: str, weights: FrozenWeights) -> Tensor:
+def embed_caption(caption: str, weights: FrozenWeights) -> np.ndarray:
     return embed_text(weights.vocab.encode(caption), weights)
 
 
-def embed_captions(captions, weights: FrozenWeights) -> Tensor:
+def embed_captions(captions, weights: FrozenWeights) -> np.ndarray:
     """(n, D) feature rows of n captions, one ``embed_text`` call each."""
-    return Tensor(np.concatenate([embed_caption(c, weights).data for c in captions]))
+    return np.concatenate([embed_caption(c, weights) for c in captions])
 
 
-def embed_image(grids, weights: FrozenWeights) -> Tensor:
+def embed_image(grids, weights: FrozenWeights) -> np.ndarray:
     """A stack of n (8, 8, 3) grids through the frozen projection: (n, D) unit rows."""
     arr = np.asarray(grids, dtype=np.float64)
     if arr.ndim != 4 or arr.shape[1:] != GRID_SHAPE:
         raise ValueError(f"embed_image: expected grid stack shape (n, 8, 8, 3), got {arr.shape}")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("embed_image: grid values must lie in [0, 1]")
-    return normalize(Tensor(arr.reshape(len(arr), GRID_SIZE) @ weights.img_proj + weights.img_bias))
+    return _unit_rows(arr.reshape(len(arr), GRID_SIZE) @ weights.img_proj + weights.img_bias)[0]

@@ -41,7 +41,10 @@ class CategoryLexicon:
 
     @classmethod
     def from_file(cls, path) -> "CategoryLexicon":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as e:
+            raise LexiconError(f"lexicon file {path} is not UTF-8 text: {e}") from e
         entries = [ln.strip().casefold() for ln in lines if ln.strip()]
         if not entries:
             raise LexiconError(f"lexicon file {path} contains no entries")

@@ -305,8 +305,12 @@ def load(path, kind: str, spec: SyntheticSpec):
     a grid (8, 8, 3) with values in [0, 1].
     """
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:  # decoded line by line, so a decode error names its line
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DatasetError(f"{path}: line {lineno} is not UTF-8 text: {e}") from e
             if not line.strip():
                 raise DatasetError(f"{path}: blank record at line {lineno}")
             try:
@@ -348,7 +352,14 @@ def write_dataset_dir(spec: SyntheticSpec, out_dir) -> dict:
 
 
 def read_spec(data_dir) -> SyntheticSpec:
+    """The ``SyntheticSpec`` in ``data_dir``'s spec.json.
+
+    DatasetError naming that file if it is missing, not UTF-8 JSON or not a valid spec.
+    """
     path = Path(data_dir) / "spec.json"
     if not path.exists():
         raise DatasetError(f"missing dataset spec: {path}")
-    return SyntheticSpec.from_json(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        return SyntheticSpec.from_json(json.loads(path.read_text(encoding="utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError, DatasetError) as e:
+        raise DatasetError(f"{path}: invalid dataset spec: {e}") from e

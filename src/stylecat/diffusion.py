@@ -8,31 +8,14 @@ predicts the injected noise. This is decoupled cross-attention (IP-Adapter,
 Ye et al. 2023) with one token per path: a softmax over one key is 1, so
 each attention path reduces to its value projection.
 
-The denoiser has two forward bodies. The layered one, ``_LayeredBuffers``,
-is what training records on the tape: ``a = z @ in_w + in_b +
-time_embed[t] + value``, ``hidden = relu(a @ mlp_w1 + mlp_b1)``, ``out =
-hidden @ mlp_w2 + mlp_b2``, with a timestep and a condition per row,
-keeping ``a`` and ``hidden`` for its hand-written backward. It has two
-callers. ``predict_noise`` without a workspace runs it in a one-off
-workspace and records one node over the nine parameters.
-``ddpm_train_step`` runs it with the noise regression loss and records one
-node for both, into the workspace ``train_diffusion`` builds once per run
-(``_TrainBuffers``: the schedule's square-root tables, the scatter bins and
-every (n, D) and (n, 2) buffer of a step), so no step allocates such rows,
-and the step gives the same bits as the two nodes
-``noise_regression_loss(predict_noise(...), eps)``. ``sample`` has one condition
-and one timestep per step, and nothing between the input layer and the
-first MLP layer is nonlinear, so its workspace (``_ReverseBuffers``)
-composes the two affine maps once per call into one (T, 3, D) stack
-``first``: rows 0-1 of ``first[t]`` are ``fold = in_w @ mlp_w1`` and row 2
-is ``table[t] = (in_b + time_embed[t] + value) @ mlp_w1 + mlp_b1``. A
-reverse step is then one GEMM, ``[z, 1] @ first[t]``, over the points with
-a ones column appended, a one-pass ReLU and the head ``@ mlp_w2 + mlp_b2``,
-written into buffers allocated once. The fold reassociates sums, so the
-two bodies agree to within a few ulps of the magnitudes summed, not to the
-bit: the tests hold one forward to rtol = atol = 1e-12 and a 20-step sample
-to atol = 1e-10 of the layered forward. Where every sum is exact, as on
-dyadic weights, they are equal.
+The denoiser has two forward bodies. Training (``predict_noise`` and
+``ddpm_train_step``) runs the layered one, ``_LayeredBuffers``, and records
+one tape node over the nine parameters. ``sample`` runs the folded one,
+``_ReverseBuffers``, which composes the input layer into the first MLP
+layer. The fold reassociates sums, so the two agree to within a few ulps
+of the magnitudes summed, not to the bit: the tests hold one forward to
+rtol = atol = 1e-12 and a 20-step sample to atol = 1e-10 of the layered
+forward. Where every sum is exact, as on dyadic weights, they are equal.
 """
 
 from __future__ import annotations
@@ -144,12 +127,11 @@ def condition_for_caption(caption: str, encoders: EncoderBundle, alpha: float) -
     category text, and each adapted feature is blended with its frozen one.
     """
     texts = split_caption(caption, CategoryLexicon.from_words(encoders.category_names))
-    f = embed_captions(texts, encoders.backbone).data
-    f_style, f_category = Tensor(f[:1]), Tensor(f[1:])
-    with no_grad():
-        tau_s = blend(encoders.adapt_feature(f_style, "style"), f_style, alpha)
-        tau_c = blend(encoders.adapt_feature(f_category, "category"), f_category, alpha)
-    return GuidanceCondition(tau_style=tau_s.data, tau_category=tau_c.data)
+    f = embed_captions(texts, encoders.backbone)
+    f_style, f_category = f[:1], f[1:]
+    tau_s = blend(encoders.adapt_feature(f_style, "style"), f_style, alpha)
+    tau_c = blend(encoders.adapt_feature(f_category, "category"), f_category, alpha)
+    return GuidanceCondition(tau_style=tau_s, tau_category=tau_c)
 
 
 def _check_rows(idx, n: int, limit: int, name: str) -> np.ndarray:
@@ -355,36 +337,25 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     ``relu((z @ in_w + in_b + time_embed[t] + values[cond_idx]) @ mlp_w1 + mlp_b1) @ mlp_w2 + mlp_b2``
     with ``values = tau_s @ ws + tau_c @ wv`` over the condition's (G, D)
     style and category stacks, so each projection costs G x D x D whatever
-    the number of rows. ``t_idx`` is one integer timestep for every row, as
-    the sampler passes it, or n of them. ``cond`` is one ``GuidanceCondition``
-    of G rows; ``cond_idx[i]`` names row i's, and is required exactly when
-    G > 1. With G = 1 the value row, like a shared timestep, is added as one
-    broadcast row. The ReLU maps a NaN pre-activation to 0.0, so a NaN
-    weight leaves the forward finite and shows in the gradients.
+    the number of rows. ``t_idx`` is one integer timestep for every row or n
+    of them. ``cond`` is one ``GuidanceCondition`` of G rows;
+    ``cond_idx[i]`` names row i's, and is required exactly when G > 1
+    (``ValueError``). The ReLU maps a NaN pre-activation to 0.0.
 
-    Without ``buffers`` this is the layered forward, which adds, in order,
-    ``z @ in_w``, ``in_b``, the time row and the value row, then
-    ``mlp_b1`` after the first MLP layer and ``mlp_b2`` after the head. It
-    runs in a one-off ``_LayeredBuffers``, the code ``ddpm_train_step``
-    runs too, and the result is one tape node whose hand-written backward
-    returns the gradients of all nine ``DenoiserParams`` tensors.
-    Misshaped ``z_t``, ``t_idx`` or ``cond_idx``, indices out of range,
-    timesteps that are not integers and a condition of another width raise
-    ``ShapeError``.
+    Without ``buffers`` this is the layered forward, one tape node over the
+    nine ``DenoiserParams`` tensors. ``ShapeError`` for misshaped ``z_t``,
+    ``t_idx`` or ``cond_idx``, indices out of range, timesteps that are not
+    integers and a condition of another width; ``TypeError`` for a
+    condition of another type.
 
-    With ``buffers``, the workspace ``sample`` builds for its reverse loop,
-    the forward is the folded one, ``relu([z, 1] @ first[t]) @ mlp_w2 +
-    mlp_b2`` with ``first[t]`` the fold stacked on the timestep's constant
-    row and a one-pass ReLU (see ``_ReverseBuffers``), written into the
-    workspace, so a step allocates no rows. It returns a tensor over the
-    ``out`` buffer, which the next call overwrites, and records no tape
-    node. The fold reassociates each pre-activation's sum, so the estimate
-    agrees with the layered one to within a few ulps of the magnitudes
-    summed (rtol = atol = 1e-12 in the tests), not to the bit. The call
-    must pass the ``params`` and the condition the workspace was built for
-    and no ``cond_idx`` (``ValueError``), ``z_t`` of the workspace's (n, 2)
-    shape and integer timesteps in range (``ShapeError``), and run under
-    ``no_grad`` (``RuntimeError``).
+    With ``buffers``, the workspace ``sample`` builds, this is the folded
+    forward (``_ReverseBuffers``). It records no tape node and returns a
+    tensor over the workspace's (n, 2) ``out``, which the next call
+    overwrites. It agrees with the layered forward to rtol = atol = 1e-12,
+    not to the bit. ``ValueError`` unless the call passes the ``params`` and
+    the condition the workspace was built for and no ``cond_idx``;
+    ``ShapeError`` unless ``z_t`` has the workspace's (n, 2) shape and the
+    timesteps are integers in range; ``RuntimeError`` outside ``no_grad``.
     """
     if buffers is not None:
         return Tensor(buffers.forward(params, z_t, t_idx, cond, cond_idx))
@@ -513,29 +484,18 @@ def sample(
     params: DenoiserParams,
     seed: int = 0,
 ) -> np.ndarray:
-    """Ancestral sampling from pure noise; bit-reproducible per seed.
+    """Ancestral sampling of n points, (n, 2), from pure noise; bit-reproducible per seed.
 
-    Before the loop, ``sample`` builds one workspace (``_ReverseBuffers``)
-    for its one-row condition and n rows: it folds the input layer into the
-    first MLP layer and stacks the fold on each timestep's constant row,
-    ``first`` (T, 3, D), keeps the points in an (n, 3) buffer with a ones
-    column, tiles ``mlp_b2`` to (n, 2), and allocates the hidden rows, the
-    noise estimate and the step noise once. Each reverse step is one
-    ``predict_noise`` call into that workspace with one integer timestep
-    for all n rows: one GEMM ``[z, 1] @ first[t]``, a one-pass ReLU, then
-    ``@ mlp_w2 + mlp_b2``; no step allocates. The fold reassociates sums,
-    so the samples agree with a loop over the layered forward to within
-    rounding (atol = 1e-10 on a 20-step sample in the tests), not to the
-    bit. Step noise uses the forward-posterior variance
-    (1 - abar_{t-1}) / (1 - abar_t) * beta_t and is drawn into its buffer,
-    the same stream as fresh draws. The per-step coefficients are computed
-    for every t before the loop; IEEE division and square root round
-    correctly, so each equals the scalar it replaces.
-    ``z`` is updated in place and returned.
+    Every reverse step runs the folded forward in one workspace that is
+    built before the loop (``_ReverseBuffers``), so the samples agree with a
+    loop over the layered forward to within rounding (atol = 1e-10 on a
+    20-step sample in the tests), not to the bit. Step noise has the
+    forward-posterior variance (1 - abar_{t-1}) / (1 - abar_t) * beta_t.
 
     ``ValueError`` if n is not an integer >= 0 or the condition has more
-    than one row; ``ShapeError`` if the schedule and the denoiser differ in
-    their number of steps or the condition in its width.
+    than one row; ``TypeError`` for a condition of another type;
+    ``ShapeError`` if the schedule and the denoiser differ in their number
+    of steps or the condition in its width.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"sample: n must be an integer, got {n!r}")

@@ -5,9 +5,11 @@ feature and re-normalizes; with the zero-initialized output layer the
 untrained encoders reproduce the backbone exactly. ``blend`` implements
 the residual mixing of adapted and frozen features.
 
+Frozen features, prompt features and blends are plain (n, D) arrays.
 ``adapt_array`` is the adapter's numpy forward and hand-written backward.
 The training objectives in ``losses`` fold it into their one tape node per
-optimiser step; ``adapt`` wraps it as a node of its own.
+optimiser step; ``adapt`` wraps it as a node of its own, and
+``EncoderBundle.adapt_feature`` runs its forward alone.
 """
 
 from __future__ import annotations
@@ -82,11 +84,17 @@ def adapt(f: Tensor, p: AdapterParams) -> Tensor:
     return T._node(y, (f, p.w1, p.b1, p.w2, p.b2), lambda g: grad(g, f.requires_grad))
 
 
-def blend(f_adapted: Tensor, f_frozen: Tensor, alpha: float) -> Tensor:
-    """normalize(alpha * adapted + (1 - alpha) * frozen), row by row."""
+def blend(f_adapted: np.ndarray, f_frozen: np.ndarray, alpha: float) -> np.ndarray:
+    """normalize(alpha * adapted + (1 - alpha) * frozen), row by row.
+
+    ShapeError unless both arrays have one shape; ValueError if alpha is
+    outside [0, 1] or a blended row has (near-)zero norm.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"blend: alpha must be in [0, 1], got {alpha}")
-    return T.normalize(T.add(T.scale(f_adapted, alpha), T.scale(f_frozen, 1.0 - alpha)))
+    if f_adapted.shape != f_frozen.shape:
+        raise T.ShapeError(f"blend: feature shapes {f_adapted.shape} and {f_frozen.shape} differ")
+    return T._unit_rows(f_adapted * alpha + f_frozen * (1.0 - alpha))[0]
 
 
 class EncoderBundle:
@@ -107,7 +115,7 @@ class EncoderBundle:
         self.category_adapter = category_adapter
         self.style_names = tuple(style_names)
         self.category_names = tuple(category_names)
-        # (K, D) frozen prompt features, one row per class name: constants of the backbone.
+        # (K, D) frozen prompt feature arrays, one row per class name: constants of the backbone.
         self.prompt_features = {
             kind: embed_captions([PROMPT_TEMPLATES[kind].format(name) for name in names], backbone)
             for kind, names in (("style", self.style_names), ("category", self.category_names))
@@ -130,10 +138,6 @@ class EncoderBundle:
             return self.category_adapter
         raise ValueError(f"unknown adapter kind: {kind!r}")
 
-    def adapt_feature(self, f: Tensor, kind: str) -> Tensor:
-        """(n, D) feature rows through the ``kind`` adapter."""
-        return adapt(f, self.adapter(kind))
-
-    def adapted_prototypes(self, adapter_kind: str, prompt_kind: str) -> Tensor:
-        """(K, D) prompt features passed through one adapter (tape-attached)."""
-        return self.adapt_feature(self.prompt_features[prompt_kind], adapter_kind)
+    def adapt_feature(self, f: np.ndarray, kind: str) -> np.ndarray:
+        """Constant (n, D) feature rows through the ``kind`` adapter, as an array; records no tape node."""
+        return adapt_array(f, self.adapter(kind))[0]

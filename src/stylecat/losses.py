@@ -187,7 +187,7 @@ def _labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encoders: Enco
     f_unit = T._unit_rows(f_i)  # shared by both heads
 
     def term(prompt_kind, loss, weight):
-        protos, adapt_grad = adapt_array(encoders.prompt_features[prompt_kind].data, p)
+        protos, adapt_grad = adapt_array(encoders.prompt_features[prompt_kind], p)
         cos, cos_grad = _cosine(f_i, protos, f_unit)
         value, loss_grad = loss(cos * scale)
 

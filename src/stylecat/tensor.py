@@ -9,17 +9,18 @@ Trainable tensors live in a ``ParamGroup``: their ``data`` and ``grad`` are
 views of the group's two flat buffers, which ``backward`` adds into and
 ``train.Adam`` updates in place.
 
-There are three generic ops: ``add`` (operands of one shape), ``scale`` and
-``normalize``. Everything else is a coarse node, built with ``_node`` and a
-hand-written backward over all its parents. Each training step records one
-such node per objective: an encoder step one node over the four tensors of
-its adapter (the objectives in ``losses``), a denoiser step one node over
-the nine tensors of the denoiser for the denoiser and its loss
-(``diffusion.ddpm_train_step``). The single layers the encoder objectives are
-made of (``encoders.adapt``, the cosine logits and each loss head) stay
-nodes of their own, built from the same numpy pieces.
-``train.gradcheck_suite`` audits the objectives and the layers against
-central differences.
+A ``Tensor`` wraps only a trainable parameter or a node of the tape; the
+frozen features of the backbone are plain arrays. There are two generic
+ops, ``add`` (operands of one shape) and ``scale``. Everything else is a
+coarse node, built with ``_node`` and a hand-written backward over all its
+parents. Each training step records one such node per objective: an
+encoder step one node over the four tensors of its adapter (the objectives
+in ``losses``), a denoiser step one node over the nine tensors of the
+denoiser for the denoiser and its loss (``diffusion.ddpm_train_step``).
+The single layers the encoder objectives are made of (``encoders.adapt``,
+the cosine logits and each loss head) stay nodes of their own, built from
+the same numpy pieces. ``train.gradcheck_suite`` audits the objectives and
+the layers against central differences.
 
 ``finite_diff_grad``, the oracle of those audits and of the tests, never
 touches the tape.
@@ -169,10 +170,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x / norm, norm) with the L2 norm over the last axis; rejects zero-norm rows."""
+    """(x / norm, norm) with the L2 norm over the last axis; ValueError for a row of norm below 1e-12."""
     n = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     if (n < 1e-12).any():
-        raise ValueError("normalize: input has (near-)zero norm")
+        raise ValueError("cannot scale a row of (near-)zero norm to unit length")
     return x / n, n
 
 
@@ -180,16 +181,6 @@ def _unit_rows_grad(g: np.ndarray, y: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Gradient through ``y, n = _unit_rows(x)`` of ``g``, the gradient at ``y``."""
     dot = (g * y).sum(axis=-1, keepdims=True)
     return (g - y * dot) / n
-
-
-def normalize(a: Tensor) -> Tensor:
-    """Scale rows (the last axis) to unit L2 norm. Rejects zero-norm input."""
-    y, n = _unit_rows(a.data)
-
-    def grad_fn(g):
-        return (_unit_rows_grad(g, y, n),)
-
-    return _node(y, (a,), grad_fn)
 
 
 def backward(loss: Tensor) -> None:
@@ -238,8 +229,8 @@ def backward(loss: Tensor) -> None:
                 node.grad += g
 
 
-def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Central-difference gradient of scalar ``f`` at ``x`` (the oracle).
+def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of scalar ``f`` at ``x`` (the oracle), an array of ``x``'s shape.
 
     Perturbs each coordinate of ``x`` in place and restores it; ``f`` is
     evaluated with the tape disabled.
@@ -254,7 +245,7 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5
             lo = float(f(x).data)
             x.data[idx] = base[idx]
             g[idx] = (hi - lo) / (2.0 * eps)
-    return Tensor(g)
+    return g
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -131,7 +131,7 @@ class TrainConfig:
     def from_file(cls, path) -> "TrainConfig":
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
         if not isinstance(obj, dict):
             raise ConfigError(f"config {path} must be a JSON object")
@@ -217,7 +217,7 @@ def fresh_bundle(spec: SyntheticSpec, config: TrainConfig, backbone: FrozenWeigh
 
 def _features(samples, backbone: FrozenWeights) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """(n, D) frozen image features of the samples, from one ``embed_image`` call, and labels by kind."""
-    f_i = embed_image(np.stack([s.grid for s in samples]), backbone).data
+    f_i = embed_image(np.stack([s.grid for s in samples]), backbone)
     return f_i, {kind: np.array([getattr(s, kind) for s in samples]) for kind in _KINDS}
 
 
@@ -225,11 +225,11 @@ def _top1(bundle: EncoderBundle, f_i: np.ndarray, labels, alpha_style: float, al
           logit_scale: float) -> tuple[float, float]:
     """Top-1 accuracy of image feature rows against each factor's blended prototypes."""
     accuracy = []
-    with no_grad():
-        for kind, alpha in (("style", alpha_style), ("category", alpha_category)):
-            protos = blend(bundle.adapted_prototypes(kind, kind), bundle.prompt_features[kind], alpha).data
-            logits = logit_scale * (f_i @ protos.T)
-            accuracy.append(float((logits.argmax(axis=1) == labels[kind]).mean()))
+    for kind, alpha in (("style", alpha_style), ("category", alpha_category)):
+        frozen = bundle.prompt_features[kind]
+        protos = blend(bundle.adapt_feature(frozen, kind), frozen, alpha)
+        logits = logit_scale * (f_i @ protos.T)
+        accuracy.append(float((logits.argmax(axis=1) == labels[kind]).mean()))
     return tuple(accuracy)
 
 
@@ -288,7 +288,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     if config.mode == "unlabeled":
         pairs = [split_caption(s.caption, lexicon) for s in data]
         texts = list(dict.fromkeys(text for pair in pairs for text in pair))
-        frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone).data))
+        frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone)))
         style_text, category_text = (np.stack([frozen_text[pair[k]] for pair in pairs]) for k in (0, 1))
 
     rows = []
@@ -583,7 +583,7 @@ class _AuditWorld(EncoderBundle):
             self.style_adapter, self.category_adapter = (_random_adapter(rng, self.DIM, self.HIDDEN)
                                                          for _ in _KINDS)
             self.f_i = _unit_rows(rng, self.BATCH, self.DIM)
-            self.prompt_features = {kind: Tensor(_unit_rows(rng, self.K, self.DIM)) for kind in _KINDS}
+            self.prompt_features = {kind: _unit_rows(rng, self.K, self.DIM) for kind in _KINDS}
             self.labels = {kind: rng.integers(0, self.K, self.BATCH) for kind in _KINDS}
             self.margin = 0.3
             self.adapted = {kind: adapt_array(self.f_i, self.adapter(kind))[0] for kind in _KINDS}
@@ -593,7 +593,7 @@ class _AuditWorld(EncoderBundle):
             attempt += 1
 
     def _clean(self, threshold: float = 1e-3) -> bool:
-        feats = np.concatenate([self.f_i, *(f.data for f in self.prompt_features.values())])
+        feats = np.concatenate([self.f_i, *self.prompt_features.values()])
         for kind in _KINDS:
             p = self.adapter(kind)
             if np.abs(feats @ p.w1.data + p.b1.data).min() < threshold:
@@ -608,12 +608,12 @@ class _AuditWorld(EncoderBundle):
     # loss closures of the ``kind`` adapter; each reads the live adapter tensors
 
     def ce(self, kind: str):
-        protos = adapt(self.prompt_features[kind], self.adapter(kind))
+        protos = adapt(Tensor(self.prompt_features[kind]), self.adapter(kind))
         return ce_loss(class_logits(Tensor(self.f_i), protos, self.LOGIT_SCALE), self.labels[kind])
 
     def confusion(self, kind: str):
         other = _OTHER[kind]
-        protos = adapt(self.prompt_features[other], self.adapter(kind))
+        protos = adapt(Tensor(self.prompt_features[other]), self.adapter(kind))
         return confusion_loss(class_logits(Tensor(self.f_i), protos, self.LOGIT_SCALE), self.labels[other],
                               "uniform-kl")
 
@@ -729,7 +729,7 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
             loss_fn, params = world_fn(seed)
             ad = _ad_grads(loss_fn, params)
             for p, g in zip(params, ad):
-                fd = finite_diff_grad(lambda _: loss_fn(), p, eps=eps).data
+                fd = finite_diff_grad(lambda _: loss_fn(), p, eps=eps)
                 worst = max(worst, float(np.nan_to_num(relative_error(g, fd), nan=np.inf)))  # NaN fails
         results.append((name, worst, worst < tol))
     return results

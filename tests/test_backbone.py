@@ -46,8 +46,8 @@ class TestEmbedText:
     def test_single_token_is_normalized_row(self, weights):
         tid = weights.vocab.id_of("cat")
         row = weights.token_embed[tid]
-        out = embed_text([tid], weights).data
-        assert out.shape == (1, weights.dim)
+        out = embed_text([tid], weights)
+        assert type(out) is np.ndarray and out.shape == (1, weights.dim)
         assert np.allclose(out[0], row / np.linalg.norm(row), atol=1e-12)
 
     def test_determinism_across_builds(self, spec):
@@ -55,11 +55,11 @@ class TestEmbedText:
         b = build_backbone(spec, TrainConfig())
         assert a.checksum() == b.checksum()
         ids = a.vocab.encode("a sketch style cat")
-        assert np.array_equal(embed_text(ids, a).data, embed_text(ids, b).data)
+        assert np.array_equal(embed_text(ids, a), embed_text(ids, b))
 
     def test_permutation_invariance(self, weights):
         ids = weights.vocab.encode("a sketch style cat")
-        assert np.array_equal(embed_text(ids, weights).data, embed_text(ids[::-1], weights).data)
+        assert np.array_equal(embed_text(ids, weights), embed_text(ids[::-1], weights))
 
     def test_empty_tokens_error(self, weights):
         with pytest.raises(ValueError, match="empty"):
@@ -67,26 +67,26 @@ class TestEmbedText:
 
     def test_unit_norm(self, weights):
         for text in ("a cat", "a sketch style dog", "tree"):
-            f = embed_caption(text, weights).data
+            f = embed_caption(text, weights)
             assert abs(np.linalg.norm(f) - 1.0) < 1e-9
 
 
 class TestEmbedImage:
     def test_zero_grid_returns_normalized_bias(self, weights):
-        out = embed_image(np.zeros((1, 8, 8, 3)), weights).data
+        out = embed_image(np.zeros((1, 8, 8, 3)), weights)
         expected = weights.img_bias / np.linalg.norm(weights.img_bias)
-        assert out.shape == (1, weights.dim)
+        assert type(out) is np.ndarray and out.shape == (1, weights.dim)
         assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_determinism(self, weights, spec):
         grids = np.stack([s.grid for s in generate_classification_dataset(spec)[0][:5]])
-        assert np.array_equal(embed_image(grids, weights).data, embed_image(grids, weights).data)
+        assert np.array_equal(embed_image(grids, weights), embed_image(grids, weights))
 
     def test_stack_matches_per_grid_reference(self, weights, spec):
         # One matmul over the stack sums in another order than one product per
         # grid; float64 rounding over a 192-term dot product stays far below 1e-14.
         train, _ = generate_classification_dataset(spec)
-        feats = embed_image(np.stack([s.grid for s in train]), weights).data
+        feats = embed_image(np.stack([s.grid for s in train]), weights)
         for s, row in zip(train, feats):
             vec = s.grid.reshape(-1) @ weights.img_proj + weights.img_bias
             assert np.abs(row - vec / np.linalg.norm(vec)).max() < 1e-14
@@ -103,7 +103,7 @@ class TestEmbedImage:
 
     def test_within_category_similarity_exceeds_across(self, weights, spec):
         _, test = generate_classification_dataset(spec)
-        feats = embed_image(np.stack([s.grid for s in test]), weights).data
+        feats = embed_image(np.stack([s.grid for s in test]), weights)
         cats = np.array([s.category for s in test])
         sims = feats @ feats.T
         mask = ~np.eye(len(test), dtype=bool)
@@ -114,29 +114,29 @@ class TestEmbedImage:
 
 class TestPromptPrototypes:
     def test_one_unit_feature_per_class(self, weights):
-        protos = embed_captions([PROMPT_TEMPLATES["category"].format(n) for n in ("cat", "dog")], weights).data
-        assert protos.shape == (2, weights.dim)
+        protos = embed_captions([PROMPT_TEMPLATES["category"].format(n) for n in ("cat", "dog")], weights)
+        assert type(protos) is np.ndarray and protos.shape == (2, weights.dim)
         assert np.abs(np.linalg.norm(protos, axis=1) - 1.0).max() < 1e-9
 
     def test_distinct_classes_distinct_prototypes(self, weights, spec):
-        protos = fresh_bundle(spec, TrainConfig(), weights).prompt_features["category"].data
-        assert protos.shape == (spec.n_categories, weights.dim)
+        protos = fresh_bundle(spec, TrainConfig(), weights).prompt_features["category"]
+        assert type(protos) is np.ndarray and protos.shape == (spec.n_categories, weights.dim)
         for a, b in itertools.combinations(protos, 2):
             assert not np.allclose(a, b)
 
     def test_placeholder_free_template_collapses(self, weights):
-        protos = embed_captions(["a photo".format(n) for n in ("cat", "dog")], weights).data
+        protos = embed_captions(["a photo".format(n) for n in ("cat", "dog")], weights)
         assert np.array_equal(protos[0], protos[1])
 
 
 def test_alignment_own_caption_beats_mismatched(weights, spec):
     _, test = generate_classification_dataset(spec)
     wins = 0
-    feats = embed_image(np.stack([s.grid for s in test]), weights).data
+    feats = embed_image(np.stack([s.grid for s in test]), weights)
     for s, f_i in zip(test, feats):
-        own = embed_caption(s.caption, weights).data[0]
+        own = embed_caption(s.caption, weights)[0]
         other_cap = spec.caption((s.style + 1) % spec.n_styles, (s.category + 1) % spec.n_categories)
-        other = embed_caption(other_cap, weights).data[0]
+        other = embed_caption(other_cap, weights)[0]
         wins += float(f_i @ own) > float(f_i @ other)
     assert wins / len(test) >= 0.95
 

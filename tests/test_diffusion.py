@@ -135,8 +135,8 @@ def world():
 class TestBuildConditions:
     def frozen(self, spec, bundle, i, j):
         """Frozen features of the style text and the category text of cell (i, j)'s caption."""
-        return (embed_caption(f"a {spec.style_names[i]} style", bundle.backbone).data[0],
-                embed_caption(spec.category_names[j], bundle.backbone).data[0])
+        return (embed_caption(f"a {spec.style_names[i]} style", bundle.backbone)[0],
+                embed_caption(spec.category_names[j], bundle.backbone)[0])
 
     def test_alpha_zero_gives_frozen_caption_feature(self, world):
         spec, _, bundle = world
@@ -251,7 +251,7 @@ class TestTrainStep:
             t.zero_grad()
         backward(loss_fn(None))
         for t in (params.ws, params.wv, params.mlp_w1, params.in_w, params.time_embed):
-            fd = finite_diff_grad(loss_fn, t).data
+            fd = finite_diff_grad(loss_fn, t)
             assert relative_error(t.grad, fd) < 1e-4
 
     def test_repeated_rows_scatter_their_gradients(self):
@@ -274,7 +274,7 @@ class TestTrainStep:
         for name, p in zip(params.arrays(), params.tensors()):
             assert np.array_equal(p.grad, expected[name]), name
         for p in (params.time_embed, params.ws, params.wv):
-            assert relative_error(p.grad, finite_diff_grad(loss_fn, p).data) < 1e-6
+            assert relative_error(p.grad, finite_diff_grad(loss_fn, p)) < 1e-6
 
     def test_one_step_tapes_one_node(self, world):
         """The denoiser and its loss are one node over the nine parameter leaves, with or without a workspace."""

@@ -10,7 +10,7 @@ from stylecat.backbone import embed_caption, embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
 from stylecat.encoders import AdapterParams, EncoderBundle, adapt, blend
 from stylecat.losses import style_labeled_loss
-from stylecat.tensor import Tensor, backward, finite_diff_grad, no_grad, relative_error
+from stylecat.tensor import Tensor, backward, finite_diff_grad, relative_error
 from stylecat.train import TrainConfig, build_backbone, fresh_bundle, train_encoders
 
 
@@ -74,7 +74,7 @@ class TestAdapterForward:
             t.zero_grad()
         backward(loss_fn(None))
         for t in p.tensors() + [f]:
-            fd = finite_diff_grad(loss_fn, t).data
+            fd = finite_diff_grad(loss_fn, t)
             assert relative_error(t.grad, fd) < 1e-4
 
     def test_dimension_mismatch(self):
@@ -92,33 +92,33 @@ class TestAdapterForward:
 class TestEncode:
     def test_zero_init_reduces_to_frozen_feature(self, bundle, spec):
         caption = spec.caption(0, 0)
-        frozen = embed_caption(caption, bundle.backbone).data
-        out = encode_caption(bundle, caption, "style").data
+        frozen = embed_caption(caption, bundle.backbone)
+        out = encode_caption(bundle, caption, "style")
+        assert type(out) is np.ndarray and out.shape == frozen.shape
         assert np.abs(out - frozen).max() < 1e-12
 
     def test_determinism(self, bundle, spec):
         caption = spec.caption(1, 2)
-        assert np.array_equal(encode_caption(bundle, caption, "style").data,
-                              encode_caption(bundle, caption, "style").data)
+        assert np.array_equal(encode_caption(bundle, caption, "style"),
+                              encode_caption(bundle, caption, "style"))
 
     def test_outputs_unit_norm(self, spec, backbone):
         rng = np.random.default_rng(4)
         b = fresh_bundle(spec, TrainConfig(), backbone)
         b.style_adapter.w2.data[...] = rng.standard_normal(b.style_adapter.w2.shape)
         for i, j in itertools.product(range(spec.n_styles), range(spec.n_categories)):
-            f = encode_caption(b, spec.caption(i, j), "style").data
+            f = encode_caption(b, spec.caption(i, j), "style")
             assert abs(np.linalg.norm(f) - 1.0) < 1e-9
 
     def test_trained_style_geometry(self, spec):
         train, _ = generate_classification_dataset(spec)
         config = TrainConfig(shots=16)
         trained, _ = train_encoders(config, spec, train)
-        with no_grad():
-            feats = {
-                (i, j): encode_caption(trained, spec.caption(i, j), "style").data[0]
-                for i in range(spec.n_styles)
-                for j in range(spec.n_categories)
-            }
+        feats = {
+            (i, j): encode_caption(trained, spec.caption(i, j), "style")[0]
+            for i in range(spec.n_styles)
+            for j in range(spec.n_categories)
+        }
         same_style, diff_style = [], []
         for (k1, v1), (k2, v2) in itertools.combinations(feats.items(), 2):
             cos = float(v1 @ v2)
@@ -138,33 +138,43 @@ class TestBlend:
             frozen /= np.linalg.norm(frozen)
             adapted = rng.standard_normal(8)
             adapted /= np.linalg.norm(adapted)
-            out = blend(Tensor(adapted), Tensor(frozen), 0.0).data
+            out = blend(adapted, frozen, 0.0)
+            assert type(out) is np.ndarray
             assert np.abs(out - frozen).max() <= 1e-12
 
     def test_alpha_one_returns_adapted(self):
         rng = np.random.default_rng(7)
         adapted = rng.standard_normal(8)
         adapted /= np.linalg.norm(adapted)
-        out = blend(Tensor(adapted), Tensor(np.roll(adapted, 1)), 1.0).data
+        out = blend(adapted, np.roll(adapted, 1), 1.0)
         assert np.abs(out - adapted).max() <= 1e-12
 
     def test_equal_inputs_idempotent(self):
         v = np.array([0.6, 0.8, 0.0])
-        out = blend(Tensor(v), Tensor(v.copy()), 0.5).data
+        out = blend(v, v.copy(), 0.5)
         assert np.abs(out - v).max() <= 1e-12
 
     def test_alpha_out_of_range(self):
-        v = Tensor([1.0, 0.0])
+        v = np.array([1.0, 0.0])
         for bad in (-0.1, 1.0001):
             with pytest.raises(ValueError, match="alpha"):
                 blend(v, v, bad)
+
+    def test_opposite_rows_at_half_alpha_rejected(self):
+        v = np.array([[0.6, 0.8, 0.0]])
+        with pytest.raises(ValueError, match="zero norm"):
+            blend(v, -v, 0.5)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(T.ShapeError):
+            blend(np.ones((2, 3)), np.ones((1, 3)), 0.5)
 
 
 class TestParameterIsolation:
     def test_style_loss_leaves_category_adapter_untouched(self, spec, backbone):
         b = fresh_bundle(spec, TrainConfig(), backbone)
         batch = generate_classification_dataset(spec)[0][:8]
-        f_i = embed_image(np.stack([s.grid for s in batch]), backbone).data
+        f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
         labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
         loss = style_labeled_loss(f_i, labels, b, TrainConfig())
         b.style_adapter.zero_grad()

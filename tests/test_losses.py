@@ -90,7 +90,7 @@ class TestCeLoss:
         loss_fn = lambda _: ce_loss(logits, labels)
         logits.zero_grad()
         backward(loss_fn(None))
-        fd = finite_diff_grad(loss_fn, logits).data
+        fd = finite_diff_grad(loss_fn, logits)
         assert relative_error(logits.grad, fd) < 1e-6
 
     def test_label_out_of_range(self):
@@ -163,7 +163,7 @@ def labeled_world():
     bundle.style_adapter.w2.data[...] = 0.3 * rng.standard_normal(bundle.style_adapter.w2.shape)
     bundle.category_adapter.w2.data[...] = 0.3 * rng.standard_normal(bundle.category_adapter.w2.shape)
     batch = generate_classification_dataset(spec)[0][:12]
-    f_i = embed_image(np.stack([s.grid for s in batch]), backbone).data
+    f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
     labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
     return spec, bundle, (f_i, labels)
 
@@ -173,7 +173,7 @@ class TestLabeledLosses:
         _, bundle, (f_i, labels) = labeled_world
         cfg0 = TrainConfig(lambda1=0.0)
         full = style_labeled_loss(f_i, labels, bundle, cfg0).item()
-        protos = bundle.adapted_prototypes("style", "style")
+        protos = adapt(Tensor(bundle.prompt_features["style"]), bundle.style_adapter)
         plain = ce_loss(class_logits(Tensor(f_i), protos, cfg0.logit_scale), labels["style"]).item()
         assert full == plain  # bit-for-bit
 
@@ -191,7 +191,7 @@ class TestLabeledLosses:
             t.zero_grad()
         backward(loss_fn(None))
         for t in params:
-            fd = finite_diff_grad(loss_fn, t).data
+            fd = finite_diff_grad(loss_fn, t)
             assert relative_error(t.grad, fd) < 1e-4
 
     def test_category_loss_mirrors_style_loss(self, labeled_world):
@@ -223,7 +223,7 @@ def triplet_inputs(labeled_world, kind):
     equals the first adapted anchor row, so one distance is zero.
     """
     _, bundle, (f_i, _) = labeled_world
-    texts = {k: t.data[np.arange(len(f_i)) % len(t.data)] for k, t in bundle.prompt_features.items()}
+    texts = {k: t[np.arange(len(f_i)) % len(t)] for k, t in bundle.prompt_features.items()}
     other = "category" if kind == "style" else "style"
     negative = adapt_array(texts[other], bundle.adapter(other))[0]
     positive = f_i.copy()
@@ -236,10 +236,10 @@ def layered_labeled(f_i, labels, bundle, cfg, kind):
     other = "category" if kind == "style" else "style"
     lam = cfg.lambda1 if kind == "style" else cfg.lambda2
     p, f = bundle.adapter(kind), Tensor(f_i)
-    base = ce_loss(class_logits(f, adapt(bundle.prompt_features[kind], p), cfg.logit_scale), labels[kind])
+    base = ce_loss(class_logits(f, adapt(Tensor(bundle.prompt_features[kind]), p), cfg.logit_scale), labels[kind])
     if lam == 0:
         return base
-    conf = confusion_loss(class_logits(f, adapt(bundle.prompt_features[other], p), cfg.logit_scale),
+    conf = confusion_loss(class_logits(f, adapt(Tensor(bundle.prompt_features[other]), p), cfg.logit_scale),
                           labels[other], cfg.adversarial_mode)
     return T.add(base, T.scale(conf, lam))
 
@@ -363,7 +363,7 @@ class TestTripletLosses:
         backward(loss_fn(None))
         assert adapter.flat_grad.any()
         for t in adapter.tensors():
-            fd = finite_diff_grad(loss_fn, t).data
+            fd = finite_diff_grad(loss_fn, t)
             assert relative_error(t.grad, fd) < 1e-4
 
 
