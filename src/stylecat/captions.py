@@ -8,6 +8,7 @@ dangling in the style text.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,10 @@ ARTICLES = frozenset({"a", "an", "the"})
 
 class LexiconError(ValueError):
     """Invalid or empty category lexicon."""
+
+
+class CaptionsError(ValueError):
+    """A captions file that is not UTF-8 text; the message names the file and the line."""
 
 
 @dataclass(frozen=True)
@@ -91,17 +96,25 @@ def split_caption(caption: str, lexicon: CategoryLexicon) -> tuple[str, str]:
 
 
 def batch_decompose(captions_path, lexicon: CategoryLexicon, out_path) -> int:
-    """Stream a captions file (one per line) into JSON-lines records.
+    """Decompose a captions file (one per line, any newline convention) into JSON-lines records.
 
+    The whole input is read and decoded before ``out_path`` is opened, so a
+    captions file that is not UTF-8 (``CaptionsError``) leaves it as it was.
     Returns the number of records written. Output bytes are a pure
     function of the input, so re-runs are byte-identical.
     """
-    n = 0
-    with open(captions_path, encoding="utf-8") as src, open(out_path, "w", encoding="utf-8") as dst:
-        for line in src:
-            caption = line.rstrip("\n")
-            d = decompose(caption, lexicon)
-            record = {"caption": caption, "style_text": d.style_text, "category_text": d.category_text}
-            dst.write(json.dumps(record, ensure_ascii=False) + "\n")
-            n += 1
-    return n
+    raw = Path(captions_path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise CaptionsError(f"captions file {captions_path}, line {line}: not UTF-8 text ({e.reason})") from e
+    records = []
+    for line in io.StringIO(text, newline=None):
+        caption = line.rstrip("\n")
+        d = decompose(caption, lexicon)
+        record = {"caption": caption, "style_text": d.style_text, "category_text": d.category_text}
+        records.append(json.dumps(record, ensure_ascii=False) + "\n")
+    with open(out_path, "w", encoding="utf-8") as dst:
+        dst.writelines(records)
+    return len(records)

@@ -143,13 +143,14 @@ def _load_config(args, config: TrainConfig | None = None) -> TrainConfig:
     return apply_seed_env(replace(config, **overrides))
 
 
-def _load_dataset_dir(data_dir):
-    """Spec, classification splits and lexicon of a dataset directory."""
+def _load_dataset_dir(data_dir, mode: str):
+    """Spec, classification splits and lexicon of a dataset directory; the lexicon is
+    read only for the unlabeled ``mode``, which alone uses it, and is None otherwise."""
     spec = read_spec(data_dir)
     root = Path(data_dir)
     train = load(root / "clf_train.jsonl", "grid", spec)
     test = load(root / "clf_test.jsonl", "grid", spec)
-    lexicon = CategoryLexicon.from_file(root / "lexicon.txt")
+    lexicon = CategoryLexicon.from_file(root / "lexicon.txt") if mode == "unlabeled" else None
     return spec, train, test, lexicon
 
 
@@ -196,7 +197,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_train_encoders(args) -> int:
     config = _load_config(args)
-    spec, train, test, lexicon = _load_dataset_dir(args.data)
+    spec, train, test, lexicon = _load_dataset_dir(args.data, config.mode)
     started = time.perf_counter()
     bundle, rows = train_encoders(config, spec, train, lexicon=lexicon)
     s_top1, c_top1 = evaluate_classification(bundle, test, config.alpha_style,
@@ -242,8 +243,8 @@ def _cmd_sweep(args) -> int:
         test = load(Path(args.data) / "clf_test.jsonl", "grid", spec)
         rows = alpha_sweep(bundle, test, config, grid=_parse_grid(args.grid, ALPHA_GRID))
     else:
-        spec, train, test, lexicon = _load_dataset_dir(args.data)
         config = _load_config(args)
+        spec, train, test, lexicon = _load_dataset_dir(args.data, config.mode)
         rows = lambda_sweep(config, spec, train, test,
                             grid=_parse_grid(args.grid, LAMBDA_GRID), lexicon=lexicon)
     write_metrics_csv(rows, args.out)

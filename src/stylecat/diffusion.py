@@ -279,16 +279,18 @@ class _ReverseBuffers:
     (n, 3), whose last column is 1.0 and whose first two each step
     overwrites with the points, so ``z1 @ first[t]`` is the pre-activation
     in one GEMM with no broadcast add; ``mlp_b2`` tiled to (n, 2); and the
-    buffers ``hidden``, (n, D), ``out``, the (n, 2) noise estimate, and
-    ``noise``, the (n, 2) step noise. It is computed from the denoiser's
-    weights, so it is valid only while ``params`` does not change.
-    ``TypeError``, ``ShapeError`` or ``ValueError`` for a condition of
-    another type, width or row count.
+    buffers ``hidden`` and ``zeros``, (n, D), ``out``, the (n, 2) noise
+    estimate, and ``noise``, the (n, 2) step noise. It is computed from the
+    denoiser's weights, so it is valid only while ``params`` does not
+    change. ``TypeError``, ``ShapeError`` or ``ValueError`` for a condition
+    of another type, width or row count.
 
-    The ReLU is ``fmax(hidden, 0.0)`` in one pass: it maps NaN to 0.0 like
-    ``_relu_`` but may leave a -0.0, which ``_relu_`` turns into +0.0.
-    ``hidden`` feeds only the head's dot products, where a signed zero
-    changes no sum with a nonzero term, and ``mlp_b2`` is added after.
+    The ReLU is ``fmax(hidden, zeros)`` in one pass, against an array
+    because a scalar operand misses numpy's vector loop (numpy 2.4): it maps
+    NaN to 0.0 like ``_relu_`` but may leave a -0.0, which ``_relu_`` turns
+    into +0.0. ``hidden`` feeds only the head's dot products, where a
+    signed zero changes no sum with a nonzero term, and ``mlp_b2`` is added
+    after.
     """
 
     def __init__(self, params: DenoiserParams, cond: GuidanceCondition, n: int):
@@ -305,7 +307,7 @@ class _ReverseBuffers:
         self.first[:, POINT_DIM] = (params.in_b.data + params.time_embed.data + value) @ w1 + params.mlp_b1.data
         self.z1 = np.ones((n, POINT_DIM + 1))
         self.mlp_b2 = np.tile(params.mlp_b2.data, (n, 1))
-        self.hidden = np.empty((n, dim))
+        self.hidden, self.zeros = np.empty((n, dim)), np.zeros((n, dim))
         self.out, self.noise = np.empty((n, POINT_DIM)), np.empty((n, POINT_DIM))
 
     def forward(self, params: DenoiserParams, z_t: np.ndarray, t_idx, cond: GuidanceCondition,
@@ -324,7 +326,7 @@ class _ReverseBuffers:
         t = _check_timesteps(t_idx, self.n, params.time_embed.shape[0])
         self.z1[:, :POINT_DIM] = z
         hidden = np.matmul(self.z1, self.first[t], out=self.hidden)
-        np.fmax(hidden, 0.0, out=hidden)  # NaN to 0.0; a -0.0 left here meets only the head's dot products
+        np.fmax(hidden, self.zeros, out=hidden)  # NaN to 0.0; a -0.0 left here meets only the head's dot products
         out = np.matmul(hidden, params.mlp_w2.data, out=self.out)
         out += self.mlp_b2
         return out
@@ -526,12 +528,19 @@ def sample(
 
 
 def oracle_classify_batch(points: np.ndarray, mixture) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest-component labels for an (n, 2) point array."""
+    """Vectorized nearest-component labels for an (n, 2) point array.
+
+    The squared Mahalanobis distance to each of the K components is the
+    2 x 2 quadratic form written out on (n, K) arrays.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.ndim != 2 or pts.shape[1] != POINT_DIM:
+        raise T.ShapeError(f"oracle_classify_batch: points must be (n, {POINT_DIM}), got shape {pts.shape}")
     ks, kc = mixture.n_styles, mixture.n_categories
     means = mixture.means.reshape(ks * kc, POINT_DIM)
-    inv = mixture.inv_covs.reshape(ks * kc, POINT_DIM, POINT_DIM)
-    diff = pts[:, None, :] - means[None, :, :]                      # (n, K, 2)
-    d2 = np.einsum("nki,kij,nkj->nk", diff, inv, diff)
+    i00, i01, i10, i11 = mixture.inv_covs.reshape(ks * kc, POINT_DIM * POINT_DIM).T
+    dx = pts[:, :1] - means[:, 0]                                   # (n, K)
+    dy = pts[:, 1:] - means[:, 1]
+    d2 = dx * (i00 * dx + i01 * dy) + dy * (i10 * dx + i11 * dy)
     best = d2.argmin(axis=1)
     return best // kc, best % kc

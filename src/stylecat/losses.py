@@ -5,7 +5,9 @@ four tensors of the adapter being stepped. ``style_labeled_loss`` and
 ``category_labeled_loss`` run the adapter over both factors' prompt
 features, the cosine logits, and cross-entropy plus lambda times the
 confusion term. ``style_triplet_loss`` and ``category_triplet_loss`` run
-the adapter over the anchor's frozen text rows and the hinge. Their
+the adapter over the anchor's frozen text rows and the hinge; when no
+triplet of the batch is active their loss is the exact 0.0 with no
+parents, so that step's ``backward`` runs no backward at all. Their
 forward and hand-written backward are put together from the numpy helpers
 below, which also make the single-layer ops ``class_logits``, ``ce_loss``,
 ``confusion_loss`` and ``triplet_hinge``; so an objective gives the same
@@ -110,10 +112,13 @@ def _confusion(logits: np.ndarray, labels, mode: str):
 
 
 def _hinge(anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray, margin: float):
-    """Mean over rows of relu(|anchor - positive| - |anchor - negative| + margin), and its backward.
+    """Mean over rows of relu(|anchor - positive| - |anchor - negative| + margin), its backward,
+    and whether any row is active (its hinge argument above zero).
 
     The backward returns the gradients of ``anchor`` and ``positive``;
-    ``negative`` is a constant. A distance of zero passes no gradient.
+    ``negative`` is a constant. A distance of zero passes no gradient. With
+    no active row the value is exactly 0.0 and, on finite rows, the backward
+    returns signed zeros.
     """
     if not anchor.shape == positive.shape == negative.shape or anchor.ndim != 2:
         raise T.ShapeError(f"triplet: need (n, D) rows of one shape, got {anchor.shape}, "
@@ -132,7 +137,7 @@ def _hinge(anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray, margi
         u_neg = diff_neg / np.where(d_neg > 0, d_neg, 1.0)[:, None] * np.where(d_neg > 0, -g_pre, 0.0)[:, None]
         return u_pos + u_neg, -u_pos
 
-    return np.asarray(np.where(mask, pre, 0.0).mean()), grad
+    return np.asarray(np.where(mask, pre, 0.0).mean()), grad, bool(mask.any())
 
 
 # single-layer ops
@@ -163,7 +168,7 @@ def confusion_loss(logits: Tensor, labels, mode: str) -> Tensor:
 
 def triplet_hinge(anchor: Tensor, positive: Tensor, negative: Tensor, margin: float) -> Tensor:
     """The triplet hinge of ``_hinge`` on (n, D) rows; one tape node, ``negative`` held constant."""
-    value, grad = _hinge(anchor.data, positive.data, negative.data, margin)
+    value, grad, _ = _hinge(anchor.data, positive.data, negative.data, margin)
     return T._node(value, (anchor, positive), grad)
 
 
@@ -219,9 +224,14 @@ def category_labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encode
 
 def _triplet_loss(text: np.ndarray, p: AdapterParams, positive: np.ndarray, negative: np.ndarray,
                   margin: float) -> Tensor:
-    """The hinge with anchor ``adapt(text, p)``; one tape node over the adapter's four tensors."""
+    """The hinge with anchor ``adapt(text, p)``; one tape node over the adapter's four tensors,
+    or a parentless 0.0 when no row is active. That is decided on the rows, not on the value:
+    a mean of active rows can underflow to 0.0.
+    """
     anchor, adapt_grad = adapt_array(text, p)
-    value, hinge_grad = _hinge(anchor, positive, negative, margin)
+    value, hinge_grad, active = _hinge(anchor, positive, negative, margin)
+    if not active:
+        return Tensor(value)
     return T._node(value, (p.w1, p.b1, p.w2, p.b2), lambda g: adapt_grad(hinge_grad(g)[0], need_x=False)[1:])
 
 
@@ -231,11 +241,17 @@ def style_triplet_loss(t_s: np.ndarray, p: AdapterParams, f_i: np.ndarray, f_c: 
 
     ``p`` is the style adapter. f_c, the category-adapted rows, is a
     constant here: the opposing encoder is not trained through this loss.
+    One tape node over ``p``'s four tensors, or, when no triplet is active,
+    the exact 0.0 with no parents: the gradient is then zero and
+    ``backward`` computes none.
     """
     return _triplet_loss(t_s, p, f_i, f_c, margin)
 
 
 def category_triplet_loss(t_c: np.ndarray, p: AdapterParams, f_i: np.ndarray, f_s: np.ndarray,
                           margin: float) -> Tensor:
-    """Mirror hinge for the category adapter ``p`` on text rows ``t_c``; f_s held constant."""
+    """Mirror hinge for the category adapter ``p`` on text rows ``t_c``; f_s held constant.
+
+    As for the style hinge, no active triplet gives the exact 0.0 with no parents.
+    """
     return _triplet_loss(t_c, p, f_i, f_s, margin)

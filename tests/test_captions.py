@@ -1,5 +1,7 @@
 """Caption decomposition: matching rules, article handling, conservation."""
 
+import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,11 +10,13 @@ import pytest
 from stylecat.backbone import words_of
 from stylecat.captions import (
     ARTICLES,
+    CaptionsError,
     CategoryLexicon,
     LexiconError,
     batch_decompose,
     decompose,
 )
+from stylecat.cli import main
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
 
 
@@ -139,8 +143,6 @@ class TestBatchDecompose:
         assert batch_decompose(src, lexicon, out) == 3
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
-        import json
-
         rec = json.loads(lines[0])
         assert rec == {"caption": "a neon cat", "style_text": "a neon", "category_text": "cat"}
 
@@ -151,3 +153,30 @@ class TestBatchDecompose:
         batch_decompose(src, lexicon, out1)
         batch_decompose(src, lexicon, out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_any_newline_convention_ends_a_line(self, tmp_path, lexicon):
+        src = tmp_path / "caps.txt"
+        src.write_bytes(b"a neon cat\r\nthe dog\rplain landscape")
+        out = tmp_path / "out.jsonl"
+        assert batch_decompose(src, lexicon, out) == 3
+        captions = [json.loads(line)["caption"] for line in out.read_text(encoding="utf-8").splitlines()]
+        assert captions == ["a neon cat", "the dog", "plain landscape"]
+
+    def test_non_utf8_captions_raise_naming_file_and_line(self, tmp_path, lexicon):
+        src = tmp_path / "caps.txt"
+        src.write_bytes(b"a neon cat\nthe d\xffg\n")
+        with pytest.raises(CaptionsError, match=rf"captions file {re.escape(str(src))}, line 2: not UTF-8"):
+            batch_decompose(src, lexicon, tmp_path / "out.jsonl")
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_non_utf8_captions_exit_one_and_leave_out_untouched(self, tmp_path, capsys):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("cat\ndog\n", encoding="utf-8")
+        src = tmp_path / "caps.txt"
+        src.write_bytes(b"a neon cat\nthe d\xffg runs\n")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b'{"caption": "from an earlier run"}\n')
+        before = out.read_bytes()
+        assert main(["decompose", "--captions", str(src), "--lexicon", str(lexicon), "--out", str(out)]) == 1
+        assert f"error: captions file {src}, line 2: not UTF-8 text" in capsys.readouterr().err
+        assert out.read_bytes() == before

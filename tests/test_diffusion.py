@@ -886,6 +886,24 @@ class TestOracle:
         s, c = oracle_classify_batch(np.array([[1e6, -1e6]]), mix)
         assert 0 <= s[0] < mix.n_styles and 0 <= c[0] < mix.n_categories
 
+    @pytest.mark.parametrize("seed", [0, 7, 23])
+    def test_closed_form_labels_equal_the_einsum(self, seed):
+        """The written-out 2 x 2 quadratic form labels every point as the three-operand einsum does."""
+        mix = build_mixture(SyntheticSpec())
+        rng = np.random.default_rng([seed, 15])
+        ks, kc = mix.n_styles, mix.n_categories
+        means = mix.means.reshape(ks * kc, 2)
+        near = means[rng.integers(0, ks * kc, 2000)] + 0.5 * rng.standard_normal((2000, 2))
+        pts = np.concatenate([rng.uniform(-4, 4, size=(1000, 2)), near])
+        diff = pts[:, None, :] - means[None, :, :]
+        best = np.einsum("nki,kij,nkj->nk", diff, mix.inv_covs.reshape(ks * kc, 2, 2), diff).argmin(axis=1)
+        s_hat, c_hat = oracle_classify_batch(pts, mix)
+        assert np.array_equal(s_hat, best // kc) and np.array_equal(c_hat, best % kc)
+
+    def test_points_of_another_width_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(n, 2\)"):
+            oracle_classify_batch(np.zeros((5, 3)), build_mixture(SyntheticSpec()))
+
     def test_agrees_with_brute_force_likelihood(self):
         """Equal-weight, equal-determinant mixture: max likelihood equals
         min Mahalanobis. The reference computes full log densities."""

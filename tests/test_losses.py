@@ -292,6 +292,52 @@ class TestTapes:
         assert len(inner) == 1
         assert list(map(id, inner[0]._parents)) == list(map(id, bundle.style_adapter.tensors()))
 
+    def test_unlabeled_category_step_tapes_one_node(self, labeled_world):
+        _, bundle, _ = labeled_world
+        inner = tape(category_triplet_loss(*triplet_inputs(labeled_world, "category"), 0.3))
+        assert len(inner) == 1
+        assert list(map(id, inner[0]._parents)) == list(map(id, bundle.category_adapter.tensors()))
+
+
+def inactive_triplet_inputs(labeled_world, kind):
+    """``triplet_inputs`` with each positive on its anchor and each negative opposite it: no active triplet."""
+    text, p, _, _ = triplet_inputs(labeled_world, kind)
+    anchor = adapt_array(text, p)[0]
+    return text, p, anchor.copy(), -anchor
+
+
+class TestInactiveTriplets:
+    """A triplet objective with no active triplet is a constant 0.0 whose backward adds nothing."""
+
+    @pytest.mark.parametrize("kind", ["style", "category"])
+    def test_no_active_triplet_gives_a_parentless_zero(self, labeled_world, kind):
+        text, p, positive, negative = inactive_triplet_inputs(labeled_world, kind)
+        fused = style_triplet_loss if kind == "style" else category_triplet_loss
+        loss = fused(text, p, positive, negative, 0.3)
+        assert loss.data.tobytes() == np.float64(0.0).tobytes()
+        assert loss._parents == () and loss._grad_fn is None and not loss.requires_grad
+        p.zero_grad()
+        backward(loss)
+        assert p.flat_grad.tobytes() == np.zeros_like(p.flat_grad).tobytes()
+
+    @pytest.mark.parametrize("kind", ["style", "category"])
+    def test_no_active_triplet_matches_layered_bitwise(self, labeled_world, kind):
+        """The layered hinge back-propagates signed zeros that sum into the zeroed gradient as +0.0."""
+        text, p, positive, negative = inactive_triplet_inputs(labeled_world, kind)
+        fused = style_triplet_loss if kind == "style" else category_triplet_loss
+        layered = triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.3)
+        assert tape(layered)
+        assert value_and_grads(fused(text, p, positive, negative, 0.3), p) == value_and_grads(layered, p)
+
+    def test_an_active_row_whose_mean_underflows_keeps_its_node(self, labeled_world):
+        """Activity is decided on the rows: one hinge of the least subnormal over four rows means 0.0."""
+        text, p, positive, negative = inactive_triplet_inputs(labeled_world, "style")
+        positive[0] = negative[0]  # equal distances: the first hinge argument is the margin itself
+        tiny = float(np.nextafter(0.0, 1.0))
+        loss = style_triplet_loss(text[:4], p, positive[:4], negative[:4], tiny)
+        assert loss.item() == 0.0
+        assert len(tape(loss)) == 1
+
 
 class TestTripletLosses:
     """The hinge on one-row (1, D) features, and the two triplet objectives built on it."""

@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 from dataclasses import fields, make_dataclass
 from pathlib import Path
 
@@ -13,12 +14,14 @@ import pytest
 
 import stylecat.cli as cli_mod
 import stylecat.train as train_mod
-from stylecat.captions import CategoryLexicon
+from stylecat.backbone import embed_captions
+from stylecat.captions import CategoryLexicon, LexiconError, split_caption
 from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stylecat.cli import main
 from stylecat.datagen import DatasetError, SyntheticSpec, generate_classification_dataset, write_dataset_dir
 from stylecat.diffusion import DenoiserParams, DiffusionSchedule
-from stylecat.losses import ConfigError
+from stylecat.encoders import adapt, adapt_array
+from stylecat.losses import ConfigError, triplet_hinge
 from stylecat.tensor import ParamGroup, Tensor, _node, backward
 from stylecat.train import (
     Adam,
@@ -247,6 +250,20 @@ class TestTrainEncoders:
         assert len(rows) == 1
         assert np.isfinite([rows[0]["style_loss"], rows[0]["category_loss"]]).all()
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_unlabeled_run_equals_the_layered_reference_loop(self, spec, dataset, seed):
+        """Both adapters and the loss rows equal a loop that back-propagates
+        ``triplet_hinge(adapt(...))`` on every step, active or not, to the bit."""
+        train, _ = dataset
+        config = TrainConfig(mode="unlabeled", epochs=3, seed=seed)
+        lexicon = CategoryLexicon.from_words(spec.category_names)
+        bundle, rows = train_encoders(config, spec, train, lexicon=lexicon)
+        ref_bundle, ref_losses, active = reference_unlabeled(config, spec, train, lexicon)
+        assert [(r["style_loss"], r["category_loss"]) for r in rows] == ref_losses
+        for kind in ("style", "category"):
+            assert bundle.adapter(kind).flat.tobytes() == ref_bundle.adapter(kind).flat.tobytes()
+        assert any(active) and not all(active)
+
     def test_labeled_run_calls_style_loss_once_per_batch(self, spec, dataset, monkeypatch):
         train, _ = dataset
         config = TrainConfig(epochs=1, shots=4)
@@ -254,6 +271,38 @@ class TestTrainEncoders:
         train_encoders(config, spec, train)
         batches = -(-len(subsample_shots(train, 4)) // config.batch_size)
         assert counts == {"style_labeled_loss": batches, "category_labeled_loss": batches}
+
+
+def reference_unlabeled(config, spec, train, lexicon):
+    """``train_encoders``' unlabeled loop with each step the layered ``triplet_hinge(adapt(...))``:
+    (bundle, per-epoch mean style and category losses, whether each step's hinge was active)."""
+    data = subsample_shots(train, config.shots)
+    bundle = fresh_bundle(spec, config)
+    opts = {kind: Adam(bundle.adapter(kind), config.lr) for kind in ("style", "category")}
+    rng = np.random.default_rng([config.seed, 11])
+    f_all, _ = train_mod._features(data, bundle.backbone)
+    pairs = [split_caption(s.caption, lexicon) for s in data]
+    unique = list(dict.fromkeys(text for pair in pairs for text in pair))
+    frozen = dict(zip(unique, embed_captions(unique, bundle.backbone)))
+    texts = {kind: np.stack([frozen[pair[k]] for pair in pairs]) for k, kind in enumerate(("style", "category"))}
+    steps = (("style", "category", config.margin1), ("category", "style", config.margin2))
+    losses, active = [], []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(data))
+        epoch = {"style": [], "category": []}
+        for start in range(0, len(data), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            for kind, other, margin in steps:
+                p = bundle.adapter(kind)
+                negative = adapt_array(texts[other][idx], bundle.adapter(other))[0]
+                loss = triplet_hinge(adapt(Tensor(texts[kind][idx]), p), Tensor(f_all[idx]), Tensor(negative), margin)
+                p.zero_grad()
+                backward(loss)
+                opts[kind].step()
+                epoch[kind].append(loss.item())
+                active.append(loss.item() > 0)
+        losses.append((float(np.mean(epoch["style"])), float(np.mean(epoch["category"]))))
+    return bundle, losses, active
 
 
 class TestCheckpointRoundtrip:
@@ -593,7 +642,7 @@ class TestCli:
         real = losses_mod._hinge
 
         def unguarded(anchor, positive, negative, margin):
-            value, _ = real(anchor, positive, negative, margin)
+            value, _, any_active = real(anchor, positive, negative, margin)
             diff_pos, diff_neg = anchor - positive, anchor - negative
             d_pos = np.linalg.norm(diff_pos, axis=1, keepdims=True)
             d_neg = np.linalg.norm(diff_neg, axis=1, keepdims=True)
@@ -603,7 +652,7 @@ class TestCli:
                 u_pos = diff_pos / d_pos * (float(g) * active)
                 return u_pos - diff_neg / d_neg * (float(g) * active), -u_pos
 
-            return value, grad
+            return value, grad, any_active
 
         monkeypatch.setattr(losses_mod, "_hinge", unguarded)
         with np.errstate(invalid="ignore"):
@@ -751,6 +800,23 @@ class TestCli:
         assert self.run(*argv) == 1
         err = capsys.readouterr().err
         assert f"error: {path}: " in err and f"line {len(lines) + 1}" in err and "Traceback" not in err
+
+    def test_only_unlabeled_runs_read_the_lexicon(self, data_dir, tmp_path, capsys):
+        """A blank ``lexicon.txt`` stops an unlabeled run, and no labeled one."""
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "lexicon.txt").write_text("\n  \n", encoding="utf-8")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"epochs": 1, "shots": 1}))
+        train = ("train-encoders", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "x.cclp"))
+        assert self.run(*train, "--mode", "labeled") == 0
+        assert self.run("sweep", "--axis", "lambda", "--data", str(data), "--config", str(config),
+                        "--grid", "0.0", "--out", str(tmp_path / "s.csv")) == 0
+        capsys.readouterr()
+        assert self.run(*train, "--mode", "unlabeled") == 1
+        assert f"error: lexicon file {data / 'lexicon.txt'} contains no entries" in capsys.readouterr().err
+        with pytest.raises(LexiconError, match="contains no entries"):
+            cli_mod._load_dataset_dir(data, "unlabeled")
 
     def test_lambda_sweep_cli_writes_one_row_per_grid_point(self, data_dir, tmp_path):
         config = tmp_path / "c.json"
