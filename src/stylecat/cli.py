@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .captions import CategoryLexicon, LexiconError, batch_decompose
+from .captions import CategoryLexicon, LexiconError, batch_decompose, split_caption
 from .checkpoint import CheckpointError
 from .datagen import DatasetError, SyntheticSpec, build_mixture, load, read_spec, write_dataset_dir
 from .diffusion import DiffusionSchedule, condition_for_caption, oracle_classify_batch, sample as ddpm_sample
@@ -145,12 +145,21 @@ def _load_config(args, config: TrainConfig | None = None) -> TrainConfig:
 
 def _load_dataset_dir(data_dir, mode: str):
     """Spec, classification splits and lexicon of a dataset directory; the lexicon is
-    read only for the unlabeled ``mode``, which alone uses it, and is None otherwise."""
+    read only for the unlabeled ``mode``, which alone uses it, and is None otherwise.
+    LexiconError naming both files if the lexicon does not split every training caption."""
     spec = read_spec(data_dir)
     root = Path(data_dir)
     train = load(root / "clf_train.jsonl", "grid", spec)
     test = load(root / "clf_test.jsonl", "grid", spec)
-    lexicon = CategoryLexicon.from_file(root / "lexicon.txt") if mode == "unlabeled" else None
+    if mode != "unlabeled":
+        return spec, train, test, None
+    lexicon_path = root / "lexicon.txt"
+    lexicon = CategoryLexicon.from_file(lexicon_path)
+    try:
+        for s in train:
+            split_caption(s.caption, lexicon)
+    except ConfigError as e:
+        raise LexiconError(f"lexicon file {lexicon_path} does not fit {root / 'clf_train.jsonl'}: {e}") from e
     return spec, train, test, lexicon
 
 

@@ -276,14 +276,14 @@ class _ReverseBuffers:
     whose ``first[t]`` stacks ``fold = in_w @ mlp_w1`` (rows 0-1) on the
     first MLP layer's pre-activation at z = 0 and timestep t,
     ``(in_b + time_embed[t] + value) @ mlp_w1 + mlp_b1`` (row 2); ``z1``,
-    (n, 3), whose last column is 1.0 and whose first two each step
-    overwrites with the points, so ``z1 @ first[t]`` is the pre-activation
-    in one GEMM with no broadcast add; ``mlp_b2`` tiled to (n, 2); and the
-    buffers ``hidden`` and ``zeros``, (n, D), ``out``, the (n, 2) noise
-    estimate, and ``noise``, the (n, 2) step noise. It is computed from the
-    denoiser's weights, so it is valid only while ``params`` does not
-    change. ``TypeError``, ``ShapeError`` or ``ValueError`` for a condition
-    of another type, width or row count.
+    C-contiguous (3, n), points in rows 0-1 and 1.0 in row 2, so
+    ``z1.T @ first[t]`` is the pre-activation in one GEMM; ``z``, the
+    (n, 2) view of its point rows, a ``z_t`` that no step copies;
+    ``mlp_b2`` tiled to (n, 2); and the buffers ``hidden`` and ``zeros``,
+    (n, D), ``out``, the (n, 2) noise estimate, and ``noise``, the (n, 2)
+    step noise. It is computed from the denoiser's weights, so it is valid
+    only while ``params`` does not change. ``TypeError``, ``ShapeError``
+    or ``ValueError`` for a condition of another type, width or row count.
 
     The ReLU is ``fmax(hidden, zeros)`` in one pass, against an array
     because a scalar operand misses numpy's vector loop (numpy 2.4): it maps
@@ -305,7 +305,8 @@ class _ReverseBuffers:
         self.first = np.empty((steps, POINT_DIM + 1, dim))
         self.first[:, :POINT_DIM] = params.in_w.data @ w1
         self.first[:, POINT_DIM] = (params.in_b.data + params.time_embed.data + value) @ w1 + params.mlp_b1.data
-        self.z1 = np.ones((n, POINT_DIM + 1))
+        self.z1 = np.ones((POINT_DIM + 1, n))
+        self.z = self.z1[:POINT_DIM].T
         self.mlp_b2 = np.tile(params.mlp_b2.data, (n, 1))
         self.hidden, self.zeros = np.empty((n, dim)), np.zeros((n, dim))
         self.out, self.noise = np.empty((n, POINT_DIM)), np.empty((n, POINT_DIM))
@@ -319,13 +320,16 @@ class _ReverseBuffers:
         if params is not self.params or cond is not self.cond or cond_idx is not None:
             raise ValueError("predict_noise: the workspace was built for another denoiser or condition, "
                              "and takes no cond_idx")
-        z = np.asarray(z_t, dtype=np.float64)
-        if z.shape != (self.n, POINT_DIM):
-            raise T.ShapeError(f"z_t must be the workspace's ({self.n}, {POINT_DIM}) points, "
-                               f"got shape {z.shape}")
-        t = _check_timesteps(t_idx, self.n, params.time_embed.shape[0])
-        self.z1[:, :POINT_DIM] = z
-        hidden = np.matmul(self.z1, self.first[t], out=self.hidden)
+        if z_t is not self.z:
+            z = np.asarray(z_t, dtype=np.float64)
+            if z.shape != (self.n, POINT_DIM):
+                raise T.ShapeError(f"z_t must be the workspace's ({self.n}, {POINT_DIM}) points, "
+                                   f"got shape {z.shape}")
+            self.z[...] = z
+        steps = len(self.first)
+        # type(), not isinstance(): a bool is an int but must reach the check, which refuses it
+        t = t_idx if type(t_idx) is int and 0 <= t_idx < steps else _check_timesteps(t_idx, self.n, steps)
+        hidden = np.matmul(self.z1.T, self.first[t], out=self.hidden)
         np.fmax(hidden, self.zeros, out=hidden)  # NaN to 0.0; a -0.0 left here meets only the head's dot products
         out = np.matmul(hidden, params.mlp_w2.data, out=self.out)
         out += self.mlp_b2
@@ -486,13 +490,13 @@ def sample(
     params: DenoiserParams,
     seed: int = 0,
 ) -> np.ndarray:
-    """Ancestral sampling of n points, (n, 2), from pure noise; bit-reproducible per seed.
+    """Ancestral sampling of n points, a new C-contiguous (n, 2) array, from pure noise; bit-reproducible per seed.
 
-    Every reverse step runs the folded forward in one workspace that is
-    built before the loop (``_ReverseBuffers``), so the samples agree with a
-    loop over the layered forward to within rounding (atol = 1e-10 on a
-    20-step sample in the tests), not to the bit. Step noise has the
-    forward-posterior variance (1 - abar_{t-1}) / (1 - abar_t) * beta_t.
+    The points live in the rows of one workspace built before the loop
+    (``_ReverseBuffers``); each step runs the folded forward on its ``z``,
+    so the samples agree with the layered forward's loop to within rounding
+    (atol = 1e-10 on a 20-step sample in the tests), not to the bit. Step
+    noise has the forward-posterior variance (1 - abar_{t-1}) / (1 - abar_t) * beta_t.
 
     ``ValueError`` if n is not an integer >= 0 or the condition has more
     than one row; ``TypeError`` for a condition of another type;
@@ -512,19 +516,20 @@ def sample(
     shrink = schedule.betas / np.sqrt(1.0 - ab)
     scale = np.sqrt(schedule.alphas)
     sd = np.sqrt((1.0 - ab[:-1]) / (1.0 - ab[1:]) * schedule.betas[1:])  # sd[t - 1] is step t's
-    z = rng.standard_normal((n, POINT_DIM))
+    points = buffers.z1[:POINT_DIM]  # (2, n): on the (n, 2) view numpy's inner loop would run over 2 elements
+    points[...] = rng.standard_normal((n, POINT_DIM)).T
     noise = buffers.noise
     with no_grad():
         for t in range(schedule.steps - 1, -1, -1):
-            eps_hat = predict_noise(params, z, t, condition, buffers=buffers).data
+            eps_hat = predict_noise(params, buffers.z, t, condition, buffers=buffers).data
             eps_hat *= shrink[t]
-            z -= eps_hat
-            z /= scale[t]
+            points -= eps_hat.T
+            points /= scale[t]
             if t > 0:
                 rng.standard_normal(out=noise)
                 noise *= sd[t - 1]
-                z += noise
-    return z
+                points += noise.T
+    return points.T.copy()
 
 
 def oracle_classify_batch(points: np.ndarray, mixture) -> tuple[np.ndarray, np.ndarray]:

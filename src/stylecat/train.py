@@ -562,11 +562,13 @@ class _AuditWorld(EncoderBundle):
     """One random miniature encoder bundle for the gradient audit.
 
     Rejection-samples until no ReLU pre-activation or hinge argument sits
-    near its kink, so central differences stay valid. The prompt features
-    are random unit rows and there is no backbone; adapters, prompt
-    features and labels are keyed by kind, "style" or "category". The first
-    row of each triplet's positive equals its anchor row, so the audit
-    meets the zero distance, whose gradient is taken to be zero.
+    near its kink, so central differences stay valid, and until each kind's
+    hinge has an active row, so its audit checks a nonzero gradient. The
+    prompt features are random unit rows and there is no backbone;
+    adapters, prompt features and labels are keyed by kind, "style" or
+    "category". The first row of each triplet's positive equals its anchor
+    row, so the audit meets the zero distance, whose gradient is taken to
+    be zero.
     """
 
     DIM = 8
@@ -601,7 +603,8 @@ class _AuditWorld(EncoderBundle):
             f = self.adapted[kind]
             d_pos = np.linalg.norm(f - self.positive[kind], axis=1)
             d_neg = np.linalg.norm(f - self.adapted[_OTHER[kind]], axis=1)
-            if np.abs(d_pos - d_neg + self.margin).min() < threshold:
+            pre = d_pos - d_neg + self.margin
+            if np.abs(pre).min() < threshold or not (pre > 0).any():
                 return False
         return True
 

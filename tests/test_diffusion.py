@@ -838,7 +838,45 @@ class TestReverseBuffers:
         assert buffers is not None and np.shares_memory(first, buffers.out)
         for step_buffers, out in calls:
             assert step_buffers is buffers and np.shares_memory(out, first)
-        assert not np.shares_memory(z, first)
+        assert z.shape == (6, 2) and z.flags.c_contiguous
+        workspace = [v for v in vars(buffers).values() if isinstance(v, np.ndarray)]
+        assert len(workspace) >= 8 and not any(np.shares_memory(z, b) for b in workspace)
+
+    def test_sample_allocates_only_its_workspace_and_result(self):
+        """A 20-step sample at n = 1000, D = 32 raises the traced peak by its workspace, its fresh
+        (n, 2) result and under 8 KiB: no step allocates (n, D) rows or keeps what it allocates."""
+        dim, n = 32, 1000
+        rng = np.random.default_rng(45)
+        params = DenoiserParams.init(dim=dim, steps=self.STEPS, seed=45)
+        cond = GuidanceCondition(tau_style=unit_rows(rng, 1, dim), tau_category=unit_rows(rng, 1, dim))
+        schedule = DiffusionSchedule.make(self.STEPS)
+        sample(2, cond, schedule, params)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            workspace = diffusion_mod._ReverseBuffers(params, cond, n)
+            held = tracemalloc.get_traced_memory()[0] - before
+            del workspace
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sample(n, cond, schedule, params, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held >= 2 * n * dim * 8
+        assert peak - before <= held + n * 2 * 8 + 8 * 1024
+
+    def test_workspace_points_equal_an_outside_copy(self):
+        """``buffers.z`` is read in place; any other array of its shape is copied in, to the same bits."""
+        rng, params, cond = self.parts(46)
+        z = rng.standard_normal((9, 2))
+        buffers = diffusion_mod._ReverseBuffers(params, cond, len(z))
+        with no_grad():
+            outside = predict_noise(params, z, 4, cond, buffers=buffers).data.copy()
+            assert np.array_equal(buffers.z, z)
+            inside = predict_noise(params, buffers.z, 4, cond, buffers=buffers).data
+        assert inside.tobytes() == outside.tobytes()
+        assert np.array_equal(buffers.z, z)
 
     def test_reverse_step_allocates_no_rows(self):
         """20 buffered steps at n = 1000, D = 32 raise the traced peak by under 8 KiB, not by (n, D) rows."""

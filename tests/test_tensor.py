@@ -6,7 +6,7 @@ import pytest
 
 from stylecat import tensor as T
 from stylecat.encoders import AdapterParams, adapt
-from stylecat.losses import ConfigError, ce_loss, class_logits, confusion_loss, triplet_hinge
+from stylecat.losses import ConfigError, _hinge, ce_loss, class_logits, confusion_loss, triplet_hinge
 from stylecat.tensor import (
     ShapeError,
     Tensor,
@@ -15,7 +15,7 @@ from stylecat.tensor import (
     no_grad,
     relative_error,
 )
-from stylecat.train import gradcheck_suite
+from stylecat.train import _AuditWorld, gradcheck_suite
 
 
 def grad_of(loss_fn, x):
@@ -282,6 +282,15 @@ def test_gradcheck_suite_passes_every_component():
     results = gradcheck_suite(n_seeds=20)
     assert len(results) == 14
     assert [name for name, _, ok in results if not ok] == []
+
+
+def test_every_audit_world_has_an_active_triplet_row():
+    """Without one, a triplet audit compares a zero gradient with a zero difference and checks nothing."""
+    for seed in range(20):
+        world = _AuditWorld(seed)
+        for kind, other in (("style", "category"), ("category", "style")):
+            assert _hinge(world.adapted[kind], world.positive[kind], world.adapted[other], world.margin)[2], \
+                (seed, kind)
 
 
 def test_gradcheck_suite_fails_on_nan_gradients(monkeypatch):
