@@ -10,12 +10,15 @@ each attention path reduces to its value projection.
 
 The denoiser has two forward bodies. Training (``predict_noise`` and
 ``ddpm_train_step``) runs the layered one, ``_LayeredBuffers``, and records
-one tape node over the nine parameters. ``sample`` runs the folded one,
-``_ReverseBuffers``, which composes the input layer into the first MLP
-layer. The fold reassociates sums, so the two agree to within a few ulps
-of the magnitudes summed, not to the bit: the tests hold one forward to
-rtol = atol = 1e-12 and a 20-step sample to atol = 1e-10 of the layered
-forward. Where every sum is exact, as on dyadic weights, they are equal.
+one tape node over the nine parameters. It takes one input form, n
+timesteps and n condition indices: its callers broadcast one timestep and
+give a one-row condition's missing indices as zeros. ``sample`` runs the
+folded one, ``_ReverseBuffers``, which composes the input layer into the
+first MLP layer. The fold reassociates sums, so the two agree to within
+a few ulps of the magnitudes summed, not to the bit: the tests hold one
+forward to rtol = atol = 1e-12 and a 20-step sample to atol = 1e-10 of
+the layered forward. Where every sum is exact, as on dyadic weights, they
+are equal.
 """
 
 from __future__ import annotations
@@ -176,20 +179,22 @@ def _check_condition(cond, dim: int) -> None:
         raise T.ShapeError(f"the condition must hold rows of the denoiser's width {dim}")
 
 
-def _check_cond_idx(cond_idx, n: int, groups: int) -> np.ndarray | None:
-    """``cond_idx`` as n row indices into a condition of G rows; may be None only when G = 1."""
+def _check_cond_idx(cond_idx, n: int, groups: int) -> np.ndarray:
+    """``cond_idx`` as n row indices into a condition of G rows; None means all zeros, and only when G = 1."""
     if cond_idx is not None:
         return _check_rows(cond_idx, n, groups, "cond_idx")
     if groups > 1:
         raise ValueError(f"cond_idx is required with a condition of {groups} rows")
-    return None
+    return np.zeros(n, np.intp)
 
 
 class _LayeredBuffers:
     """The layered denoiser forward over n rows, and its backward, written into buffers.
 
     Built for one ``params`` object and one ``GuidanceCondition`` of G rows
-    (``TypeError`` for another type, ``ShapeError`` for another width). It
+    (``TypeError`` for another type, ``ShapeError`` for another width).
+    ``forward`` takes one input form, checked n timesteps and n condition
+    indices, so its two row gathers and their scatters are its only path. It
     holds ``a``, ``hidden`` and ``out``, the gathered time or value rows,
     the backward's ``g_pre``, ``g_a`` and ReLU mask, and the flat
     ``bincount`` bins of the two row gathers: row r of ``time_bins`` (T, D)
@@ -214,17 +219,16 @@ class _LayeredBuffers:
         self.bins = np.empty((n, dim), dtype=np.int64)
         self.generation = 0
 
-    def forward(self, z: np.ndarray, t: np.ndarray, cond_idx: np.ndarray | None) -> np.ndarray:
-        """``out`` for checked (n, 2) points, timesteps (one or n) and condition indices (or None)."""
+    def forward(self, z: np.ndarray, t: np.ndarray, cond_idx: np.ndarray) -> np.ndarray:
+        """``out`` for checked (n, 2) points, n timesteps and n condition indices."""
         p, cond = self.params, self.cond
         self.generation += 1
         self.z, self.t, self.cond_idx = z, t, cond_idx
         values = cond.tau_style @ p.ws.data + cond.tau_category @ p.wv.data
         a = np.matmul(z, p.in_w.data, out=self.a)
         a += p.in_b.data
-        time = p.time_embed.data
-        a += time[t] if t.ndim == 0 else time.take(t, axis=0, out=self.rows, mode="clip")
-        a += values if len(values) == 1 else values.take(cond_idx, axis=0, out=self.rows, mode="clip")
+        a += p.time_embed.data.take(t, axis=0, out=self.rows, mode="clip")
+        a += values.take(cond_idx, axis=0, out=self.rows, mode="clip")
         hidden = np.matmul(a, p.mlp_w1.data, out=self.hidden)
         hidden += p.mlp_b1.data
         _relu_(hidden)
@@ -246,14 +250,12 @@ class _LayeredBuffers:
 
     def _grads(self, g: np.ndarray) -> tuple:
         """The nine parameter gradients, in field order, given ``g``, the (n, 2) gradient at ``out``."""
-        p, cond, n = self.params, self.cond, self.n
+        p, cond = self.params, self.cond
         g_pre = np.matmul(g, p.mlp_w2.data.T, out=self.g_pre)
         g_pre *= np.greater(self.hidden, 0, out=self.mask)
         g_a = np.matmul(g_pre, p.mlp_w1.data.T, out=self.g_a)
-        time_rows = self.t if self.t.ndim else np.full(n, self.t)
-        cond_rows = np.zeros(n, dtype=np.int64) if self.cond_idx is None else self.cond_idx
-        g_values = self._scatter(g_a, self.cond_bins, cond_rows)
-        return (self._scatter(g_a, self.time_bins, time_rows), self.z.T @ g_a, g_a.sum(axis=0),
+        g_values = self._scatter(g_a, self.cond_bins, self.cond_idx)
+        return (self._scatter(g_a, self.time_bins, self.t), self.z.T @ g_a, g_a.sum(axis=0),
                 cond.tau_style.T @ g_values, cond.tau_category.T @ g_values,
                 self.a.T @ g_pre, g_pre.sum(axis=0), self.hidden.T @ g, g.sum(axis=0))
 
@@ -349,10 +351,11 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     (``ValueError``). The ReLU maps a NaN pre-activation to 0.0.
 
     Without ``buffers`` this is the layered forward, one tape node over the
-    nine ``DenoiserParams`` tensors. ``ShapeError`` for misshaped ``z_t``,
-    ``t_idx`` or ``cond_idx``, indices out of range, timesteps that are not
-    integers and a condition of another width; ``TypeError`` for a
-    condition of another type.
+    nine ``DenoiserParams`` tensors; it broadcasts one timestep to n and a
+    missing ``cond_idx`` to n zeros, its one input form. ``ShapeError`` for
+    misshaped ``z_t``, ``t_idx`` or ``cond_idx``, indices out of range,
+    timesteps that are not integers and a condition of another width;
+    ``TypeError`` for a condition of another type.
 
     With ``buffers``, the workspace ``sample`` builds, this is the folded
     forward (``_ReverseBuffers``). It records no tape node and returns a
@@ -369,7 +372,7 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     if z.ndim != 2 or z.shape[1] != POINT_DIM:
         raise T.ShapeError(f"z_t must be (n, {POINT_DIM}) points, got shape {z.shape}")
     n = z.shape[0]
-    t = _check_timesteps(t_idx, n, params.time_embed.shape[0])
+    t = np.broadcast_to(_check_timesteps(t_idx, n, params.time_embed.shape[0]), (n,))
     layers = _LayeredBuffers(params, cond, n)
     out = layers.forward(z, t, _check_cond_idx(cond_idx, n, len(cond.tau_style)))
     return layers.record(out, lambda g: g)
@@ -450,30 +453,22 @@ def ddpm_train_step(
     *,
     buffers: _TrainBuffers | None = None,
 ) -> Tensor:
-    """One noise-prediction objective evaluation over a captioned point batch; one tape node.
+    """The noise-prediction loss on an (n, 2) batch of captioned points; one tape node.
 
-    ``points`` is the (n, 2) batch, ``condition`` holds one row per caption
-    (built once, no gradient) and ``cond_idx[i]`` names point i's. Samples a
-    uniform timestep and then Gaussian noise per point, perturbs with the
-    closed-form forward process, and scores one layered denoiser forward
-    (``predict_noise``'s) over the whole batch with the mean squared error
-    of ``noise_regression_loss``. The result is one tape node whose
-    hand-written backward returns the gradients of all nine
-    ``DenoiserParams`` tensors, the same to the bit as a backward through
-    ``noise_regression_loss(predict_noise(...), eps)``.
+    ``cond_idx[i]`` names point i's row of ``condition`` (None only for one
+    row). Draws a uniform timestep, then Gaussian noise, per point and
+    returns the mean squared error of the layered forward's estimate. Its
+    backward gives all nine ``DenoiserParams`` gradients, the same to the bit
+    as through ``noise_regression_loss(predict_noise(...), eps)``.
+    ``buffers`` is the run's ``_TrainBuffers`` (a one-off without it); a
+    node's backward after the next step into it raises ``RuntimeError``.
 
-    ``buffers`` is the run's workspace (``_TrainBuffers``), which
-    ``train_diffusion`` builds once before its loop; without it the step
-    builds a one-off workspace. The step writes into the workspace, so a
-    node must be back-propagated before the next step into the same
-    workspace, or its backward raises ``RuntimeError``.
-
-    Before anything is drawn: ``ShapeError`` unless ``points`` is (n, 2)
-    with n >= 1 (with a workspace, its n), if the schedule and the denoiser
-    differ in their number of steps, or for misshaped or out-of-range
-    ``cond_idx``; ``ValueError`` if ``cond_idx`` is missing for a condition
-    of several rows or the workspace was built for another denoiser,
-    condition or schedule; ``TypeError`` for a condition of another type.
+    Before any draw: ``ShapeError`` for points not (n, 2) with n >= 1 (the
+    workspace's n), a schedule of another length than the denoiser's, or a
+    misshaped or out-of-range ``cond_idx``; ``ValueError`` for a missing
+    ``cond_idx`` with several condition rows, or a workspace built for
+    another denoiser, condition or schedule; ``TypeError`` for a condition
+    of another type.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != POINT_DIM or not len(points):

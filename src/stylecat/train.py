@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .backbone import CODE_SCALE, FILLER_SCALE, PROJ_NOISE, SEED as BACKBONE_SEED, WORD_NOISE
 from .backbone import FrozenWeights, Vocab, embed_captions, embed_image
 from .captions import CategoryLexicon, split_caption
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -26,9 +25,7 @@ from .diffusion import (
     _TrainBuffers,
     condition_for_caption,
     ddpm_train_step,
-    noise_regression_loss,
     oracle_classify_batch,
-    predict_noise,
     sample,
 )
 from .encoders import PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt, adapt_array, blend
@@ -463,35 +460,13 @@ def save_encoder_checkpoint(path, bundle: EncoderBundle, config: TrainConfig, sp
     save_checkpoint(path, arrays, meta)
 
 
-# The backbone's and Adam's options, retired from TrainConfig: a checkpoint may
-# hold them only at the values of the constants the code now uses.
-RETIRED_CONSTANT_KEYS = {"backbone_seed": BACKBONE_SEED, "word_noise": WORD_NOISE,
-                         "filler_scale": FILLER_SCALE, "proj_noise": PROJ_NOISE, "code_scale": CODE_SCALE,
-                         "beta1": Adam.BETA1, "beta2": Adam.BETA2, "adam_eps": Adam.EPS}
-# Config keys still present in checkpoints written before their removal: those of the contrastive
-# warm-up, the adapter width (now dim // 4, enforced by the array shapes) and the options above.
-RETIRED_CONFIG_KEYS = ("pretrain_contrastive", "contrastive_steps", "contrastive_temperature", "hidden",
-                       *RETIRED_CONSTANT_KEYS)
-# Arrays of the softmax-attention denoiser (its query, key and output projections and
-# its per-token condition offsets), which no current denoiser can be rebuilt from.
-RETIRED_DENOISER_ARRAYS = {"wq", "wk", "wo", "cond_offsets"}
-
-
 def _stored_config(path, meta) -> tuple[TrainConfig, SyntheticSpec]:
     """The training config and dataset spec of a checkpoint's metadata; CheckpointError if malformed."""
     if not (isinstance(meta, dict) and isinstance(meta.get("config"), dict)
             and isinstance(meta.get("dataset_spec"), dict)):
         raise CheckpointError(f"{path}: metadata must be an object with 'config' and 'dataset_spec' objects")
-    stored = meta["config"]
-    if stored.get("pretrain_contrastive"):
-        raise CheckpointError(f"{path}: trained on a contrastively warmed-up backbone, which the "
-                              "checkpoint does not hold; retrain without the warm-up")
-    changed = {k: stored[k] for k, v in RETIRED_CONSTANT_KEYS.items() if k in stored and stored[k] != v}
-    if changed:
-        raise CheckpointError(f"{path}: trained with {changed}, which can no longer be set")
     try:
-        config = TrainConfig.from_dict({k: v for k, v in stored.items() if k not in RETIRED_CONFIG_KEYS})
-        return config, SyntheticSpec.from_json(meta["dataset_spec"])
+        return TrainConfig.from_dict(meta["config"]), SyntheticSpec.from_json(meta["dataset_spec"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config or dataset spec: {e}") from e
 
@@ -519,10 +494,6 @@ def load_encoder_checkpoint(path):
     category_adapter = rebuild(AdapterParams, "category_adapter", adapter)
     denoiser = None
     if "denoiser" in groups:
-        attention = sorted(set(groups["denoiser"]) & RETIRED_DENOISER_ARRAYS)
-        if attention:
-            raise CheckpointError(f"{path}: denoiser holds the retired attention weights {attention}; "
-                                  "re-run train-diffusion to train the current denoiser")
         like = DenoiserParams.init(dim=config.dim, steps=config.timesteps)
         denoiser = rebuild(DenoiserParams, "denoiser", like)
     bundle = EncoderBundle(build_backbone(spec, config), style_adapter, category_adapter,
@@ -639,45 +610,6 @@ def _adapter_world(seed: int, kind: str, part: str):
     return partial(getattr(world, part.replace("-", "_")), kind), world.adapter(kind).tensors()
 
 
-def _denoiser_world(seed: int, groups: int = 1, rows: int = 4, one_timestep: bool = False):
-    """Full denoiser loss; with ``groups`` > 1, rows of every group share one forward.
-
-    The last row repeats the first row's timestep, and with ``rows`` > ``groups``
-    some condition index repeats too, so the scatter-add of both row gathers
-    meets a collision on every seed. With ``one_timestep`` the call has the
-    sampler's shape: one integer timestep and one condition for every row.
-    """
-    rng = np.random.default_rng([seed, 103])
-    dim = 8
-    steps = 6
-    params = DenoiserParams.init(dim=dim, steps=steps, seed=seed + 13)
-    # randomize biases so every parameter has signal
-    params.mlp_b1.data[:] = 0.3 * rng.standard_normal(dim)
-    params.in_b.data[:] = 0.3 * rng.standard_normal(dim)
-    z_t = rng.standard_normal((rows, 2))
-    t_idx = rng.integers(0, steps, rows)
-    t_idx[-1] = t_idx[0]
-    if one_timestep:
-        t_idx[:] = t_idx[0]
-    eps = rng.standard_normal((rows, 2))
-    cond = GuidanceCondition.stack([GuidanceCondition(tau_style=_unit_rows(rng, 1, dim),
-                                                      tau_category=_unit_rows(rng, 1, dim))
-                                    for _ in range(groups)])
-    cond_idx = rng.permutation(np.arange(rows) % groups)
-    call = (int(t_idx[0]), cond, None) if one_timestep else (t_idx, cond, cond_idx)
-
-    def loss_fn():
-        return noise_regression_loss(predict_noise(params, z_t, *call), eps)
-
-    # keep clear of the MLP ReLU kink
-    values = cond.tau_style @ params.ws.data + cond.tau_category @ params.wv.data
-    a = z_t @ params.in_w.data + params.in_b.data + params.time_embed.data[t_idx] + values[cond_idx]
-    pre = a @ params.mlp_w1.data + params.mlp_b1.data
-    if np.abs(pre).min() < 1e-3:
-        return _denoiser_world(seed + 1000, groups, rows, one_timestep)
-    return loss_fn, params.tensors()
-
-
 def _denoiser_train_world(seed: int):
     """``ddpm_train_step``'s one node through a workspace; each call re-seeds the step's draws.
 
@@ -711,20 +643,20 @@ def _denoiser_train_world(seed: int):
 
 
 def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
-    """Check every loss, the denoiser and its training step against central differences.
+    """Check every loss and the denoiser's training step against central differences.
 
-    Returns a list of (component, worst_relative_error, passed) triples.
-    ConfigError unless ``n_seeds`` >= 1 and ``tol`` is a positive finite number.
+    The denoiser is audited once, through ``ddpm_train_step``'s node
+    (``denoiser-train-step``): the layered forward has one input form, n
+    timesteps and n condition indices, so that node runs all of its forward
+    and backward. Returns a list of (component, worst_relative_error,
+    passed) triples. ConfigError unless ``n_seeds`` >= 1 and ``tol`` is a positive finite number.
     """
     if n_seeds < 1 or not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck needs n_seeds >= 1 and a positive finite tol, got {n_seeds} and {tol}")
     parts = [(kind, part) for kind in _KINDS for part in ("ce", "confusion", "labeled", "labeled-negated-ce")]
     parts += [(kind, "triplet") for kind in _KINDS]
     components = [(f"{kind}-{part}", partial(_adapter_world, kind=kind, part=part)) for kind, part in parts]
-    components += [("denoiser-step", _denoiser_world),
-                   ("denoiser-grouped", partial(_denoiser_world, groups=3, rows=6)),
-                   ("denoiser-one-timestep", partial(_denoiser_world, one_timestep=True)),
-                   ("denoiser-train-step", _denoiser_train_world)]
+    components.append(("denoiser-train-step", _denoiser_train_world))
     results = []
     for name, world_fn in components:
         worst = 0.0

@@ -428,14 +428,22 @@ class TestGroupedForward:
             assert relative_error(g, ref) <= 1e-12, p
 
     def test_one_row_needs_no_condition_index(self):
+        """Output, loss and all nine gradients, to the bit."""
         rng = np.random.default_rng(22)
         params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=6)
         cond = self.conditions(rng, 1)
         z = rng.standard_normal((9, 2))
         t = rng.integers(0, self.STEPS, 9)
-        broadcast = predict_noise(params, z, t, cond).data
-        indexed = predict_noise(params, z, t, cond, cond_idx=np.zeros(9, dtype=int)).data
-        assert np.array_equal(broadcast, indexed)
+        eps = rng.standard_normal((9, 2))
+        results = []
+        for cond_idx in (None, np.zeros(9, dtype=int)):
+            params.zero_grad()
+            out = predict_noise(params, z, t, cond, cond_idx=cond_idx)
+            loss = noise_regression_loss(out, eps)
+            backward(loss)
+            results.append([out.data, loss.data] + [p.grad.copy() for p in params.tensors()])
+        for ref, got in zip(*results):
+            assert ref.tobytes() == got.tobytes()
 
     def test_rows_see_only_their_own_condition(self):
         rng = np.random.default_rng(23)

@@ -345,10 +345,16 @@ class TestCheckpointRoundtrip:
                                           "proj_noise": 0.01, "code_scale": 0.30},
                                          {"beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8, "hidden": None}])
     def test_checkpoint_from_before_warmup_removal_loads(self, saved, tmp_path, retired):
+        """Only a config without the retired keys loads: a retired key is unknown even at its old default."""
         path, (arrays, meta) = saved
         meta["config"].update(retired)
         old = tmp_path / "old.cclp"
         save_checkpoint(old, arrays, meta)
+        if retired:
+            unknown = re.escape(f"{old}: bad config or dataset spec: unknown config keys: {sorted(retired)}")
+            with pytest.raises(CheckpointError, match=unknown):
+                load_encoder_checkpoint(old)
+            return
         bundle, config, _, _ = load_encoder_checkpoint(old)
         assert config == TrainConfig(epochs=0)
         assert bundle_arrays(bundle).keys() == arrays.keys()
@@ -357,7 +363,9 @@ class TestCheckpointRoundtrip:
         path, (arrays, meta) = saved
         meta["config"].update(pretrain_contrastive=True, contrastive_steps=100, contrastive_temperature=0.07)
         save_checkpoint(path, arrays, meta)
-        with pytest.raises(CheckpointError, match="warmed-up"):
+        unknown = "['contrastive_steps', 'contrastive_temperature', 'pretrain_contrastive']"
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: bad config or dataset spec: "
+                                                            f"unknown config keys: {unknown}")):
             load_encoder_checkpoint(path)
 
     @pytest.mark.parametrize("retired", [{"backbone_seed": 3}, {"word_noise": 0.2}, {"beta1": 0.5}])
@@ -365,7 +373,8 @@ class TestCheckpointRoundtrip:
         path, (arrays, meta) = saved
         meta["config"].update(retired)
         save_checkpoint(path, arrays, meta)
-        with pytest.raises(CheckpointError, match="no longer"):
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: bad config or dataset spec: "
+                                                            f"unknown config keys: {sorted(retired)}")):
             load_encoder_checkpoint(path)
         assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
 
@@ -411,8 +420,12 @@ class TestCheckpointRoundtrip:
                 arrays.update({f"{prefix}.w1": np.zeros((32, 16)), f"{prefix}.b1": np.zeros(16),
                                f"{prefix}.w2": np.zeros((16, 32)), f"{prefix}.b2": np.zeros(32)})
         save_checkpoint(path, arrays, meta)
-        group, array = ("category_adapter", "b2") if edit == "wrong-rank" else ("style_adapter", "w1")
-        with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}: {group}: .*array {array} has shape"):
+        if edit == "retired-hidden":  # its config is refused before any array is read
+            match = re.escape(f"{path}: bad config or dataset spec: unknown config keys: ['hidden']")
+        else:
+            group, array = ("category_adapter", "b2") if edit == "wrong-rank" else ("style_adapter", "w1")
+            match = rf"{re.escape(str(path))}: {group}: .*array {array} has shape"
+        with pytest.raises(CheckpointError, match=match):
             load_encoder_checkpoint(path)
         assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
 
@@ -427,11 +440,12 @@ class TestCheckpointRoundtrip:
         old = tmp_path / "old-diffusion.cclp"
         save_checkpoint(old, {**arrays, **{f"denoiser.{k}": rng.standard_normal(v) for k, v in attention.items()}},
                         {**meta, "kind": "diffusion"})
-        with pytest.raises(CheckpointError, match=rf"{re.escape(str(old))}: .*re-run train-diffusion"):
+        refusal = f"{old}: denoiser: DenoiserParams: missing arrays ['ws'], unknown arrays ['wk', 'wo', 'wq']"
+        with pytest.raises(CheckpointError, match=re.escape(refusal)):
             load_encoder_checkpoint(old)
         assert main(["sample", "--checkpoint", str(old), "--style", "sketch", "--category", "cat",
                      "--out", str(tmp_path / "s.csv")]) == 1
-        assert "re-run train-diffusion" in capsys.readouterr().err
+        assert f"error: {refusal}" in capsys.readouterr().err
         bundle = load_encoder_checkpoint(path)[0]
         assert all(np.array_equal(bundle_arrays(bundle)[k], arrays[k]) for k in arrays)
 
@@ -443,7 +457,8 @@ class TestCheckpointRoundtrip:
         arrays.update({f"denoiser.{k}": v for k, v in denoiser.arrays().items()})
         arrays["denoiser.cond_offsets"] = np.random.default_rng(tokens).standard_normal((tokens, 32))
         save_checkpoint(path, arrays, meta)
-        with pytest.raises(CheckpointError, match=r"retired attention weights \['cond_offsets'\]; re-run"):
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: denoiser: DenoiserParams: missing arrays [], "
+                                                            "unknown arrays ['cond_offsets']")):
             load_encoder_checkpoint(path)
         del arrays["denoiser.cond_offsets"]
         save_checkpoint(path, arrays, meta)
@@ -621,8 +636,7 @@ class TestCli:
         names = [line.split()[0] for line in out.splitlines() if line.endswith(" ok")]
         assert names == ["style-ce", "style-confusion", "style-labeled", "style-labeled-negated-ce",
                          "category-ce", "category-confusion", "category-labeled", "category-labeled-negated-ce",
-                         "style-triplet", "category-triplet", "denoiser-step", "denoiser-grouped",
-                         "denoiser-one-timestep", "denoiser-train-step"]
+                         "style-triplet", "category-triplet", "denoiser-train-step"]
 
         import stylecat.train as train_mod
 
@@ -633,6 +647,21 @@ class TestCli:
 
         monkeypatch.setattr(train_mod, "_ad_grads", flipped)
         assert self.run("gradcheck", "--seeds", "2") == 2
+
+    def test_gradcheck_catches_a_colliding_denoiser_scatter(self, monkeypatch, capsys):
+        """A row gather's gradient that keeps only the last row of each target fails the one
+        denoiser audit, and only it: its condition scatter meets a collision on every seed."""
+        import stylecat.diffusion as diffusion_mod
+
+        def last_write_wins(self, g, table, rows):
+            out = np.zeros(table.shape)
+            out[rows] = g
+            return out
+
+        monkeypatch.setattr(diffusion_mod._LayeredBuffers, "_scatter", last_write_wins)
+        assert self.run("gradcheck", "--seeds", "2") == 2
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith(" FAIL")]
+        assert failed == ["denoiser-train-step"]
 
     def test_gradcheck_meets_the_triplet_zero_distance(self, monkeypatch, capsys):
         """Each triplet world holds a zero anchor-positive distance, so a hinge without its
