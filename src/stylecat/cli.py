@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 validation/config error, 2 numerical failure
-(non-finite loss or a failed gradient audit).
+Exit codes: 0 success, 1 validation/config error or a path that cannot be
+read or written, 2 numerical failure (non-finite loss or a failed gradient
+audit).
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .captions import CategoryLexicon, LexiconError, batch_decompose, split_caption
-from .checkpoint import CheckpointError
-from .datagen import DatasetError, SyntheticSpec, build_mixture, load, read_spec, write_dataset_dir
+from .datagen import SyntheticSpec, build_mixture, load, read_spec, write_dataset_dir
 from .diffusion import DiffusionSchedule, condition_for_caption, oracle_classify_batch, sample as ddpm_sample
 from .losses import ConfigError
 from .train import (
@@ -24,10 +24,9 @@ from .train import (
     LAMBDA_GRID,
     NumericalError,
     TrainConfig,
-    _metrics_row,
     alpha_sweep,
     apply_seed_env,
-    evaluate_classification,
+    eval_row,
     gradcheck_suite,
     guidance_eval,
     lambda_sweep,
@@ -38,7 +37,9 @@ from .train import (
     write_metrics_csv,
 )
 
-VALIDATION_ERRORS = (ConfigError, DatasetError, LexiconError, CheckpointError, ValueError, FileNotFoundError)
+# Each typed error of the package (ConfigError, DatasetError, LexiconError, CheckpointError) is a
+# ValueError; an OSError names a path that the command could not open, read or write.
+VALIDATION_ERRORS = (ValueError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,15 +210,15 @@ def _cmd_train_encoders(args) -> int:
     spec, train, test, lexicon = _load_dataset_dir(args.data, config.mode)
     started = time.perf_counter()
     bundle, rows = train_encoders(config, spec, train, lexicon=lexicon)
-    s_top1, c_top1 = evaluate_classification(bundle, test, config.alpha_style,
-                                             config.alpha_category, config.logit_scale)
-    rows.append(_metrics_row(config.epochs, "test", s_top1, c_top1, "", "", config))
+    test_row = eval_row(bundle, test, config)
+    rows.append(test_row)
     save_encoder_checkpoint(args.out, bundle, config, spec)
     if args.metrics:
         write_metrics_csv(rows, args.metrics)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"trained {config.mode} encoders in {elapsed_ms:.0f} ms; "
-          f"test style_top1={s_top1:.4f} category_top1={c_top1:.4f}; saved {args.out}")
+          f"test style_top1={test_row['style_top1']:.4f} category_top1={test_row['category_top1']:.4f}; "
+          f"saved {args.out}")
     return 0
 
 
@@ -225,12 +226,11 @@ def _cmd_eval_classify(args) -> int:
     bundle, config, spec, _ = load_encoder_checkpoint(args.checkpoint)
     config = _load_config(args, config)
     test = load(Path(args.data) / "clf_test.jsonl", "grid", spec)
-    s_top1, c_top1 = evaluate_classification(bundle, test, config.alpha_style, config.alpha_category,
-                                             config.logit_scale)
-    print(f"style_top1={s_top1:.6f} category_top1={c_top1:.6f} "
+    row = eval_row(bundle, test, config)
+    print(f"style_top1={row['style_top1']:.6f} category_top1={row['category_top1']:.6f} "
           f"(alpha_style={config.alpha_style}, alpha_category={config.alpha_category})")
     if args.out:
-        write_metrics_csv([_metrics_row(config.epochs, "test", s_top1, c_top1, "", "", config)], args.out)
+        write_metrics_csv([row], args.out)
     return 0
 
 

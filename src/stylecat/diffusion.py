@@ -31,7 +31,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import embed_captions
 from .captions import CategoryLexicon, split_caption
-from .encoders import EncoderBundle, blend
+from .encoders import _KINDS, EncoderBundle, blend
 from .tensor import ParamGroup, Tensor, no_grad
 
 POINT_DIM = 2
@@ -131,10 +131,8 @@ def condition_for_caption(caption: str, encoders: EncoderBundle, alpha: float) -
     """
     texts = split_caption(caption, CategoryLexicon.from_words(encoders.category_names))
     f = embed_captions(texts, encoders.backbone)
-    f_style, f_category = f[:1], f[1:]
-    tau_s = blend(encoders.adapt_feature(f_style, "style"), f_style, alpha)
-    tau_c = blend(encoders.adapt_feature(f_category, "category"), f_category, alpha)
-    return GuidanceCondition(tau_style=tau_s, tau_category=tau_c)
+    return GuidanceCondition(*(blend(encoders.adapt_feature(f[k : k + 1], kind), f[k : k + 1], alpha)
+                               for k, kind in enumerate(_KINDS)))
 
 
 def _check_rows(idx, n: int, limit: int, name: str) -> np.ndarray:
@@ -280,12 +278,13 @@ class _ReverseBuffers:
     ``(in_b + time_embed[t] + value) @ mlp_w1 + mlp_b1`` (row 2); ``z1``,
     C-contiguous (3, n), points in rows 0-1 and 1.0 in row 2, so
     ``z1.T @ first[t]`` is the pre-activation in one GEMM; ``z``, the
-    (n, 2) view of its point rows, a ``z_t`` that no step copies;
-    ``mlp_b2`` tiled to (n, 2); and the buffers ``hidden`` and ``zeros``,
-    (n, D), ``out``, the (n, 2) noise estimate, and ``noise``, the (n, 2)
-    step noise. It is computed from the denoiser's weights, so it is valid
-    only while ``params`` does not change. ``TypeError``, ``ShapeError``
-    or ``ValueError`` for a condition of another type, width or row count.
+    (n, 2) view of its point rows and the only ``z_t`` that ``forward``
+    takes, so no step copies points; ``mlp_b2`` tiled to (n, 2); and the
+    buffers ``hidden`` and ``zeros``, (n, D), ``out``, the (n, 2) noise
+    estimate, and ``noise``, the (n, 2) step noise. It is computed from
+    the denoiser's weights, so it is valid only while ``params`` does not
+    change. ``TypeError``, ``ShapeError`` or ``ValueError`` for a
+    condition of another type, width or row count.
 
     The ReLU is ``fmax(hidden, zeros)`` in one pass, against an array
     because a scalar operand misses numpy's vector loop (numpy 2.4): it maps
@@ -302,7 +301,7 @@ class _ReverseBuffers:
             raise ValueError(f"sample takes a one-row condition, got one of {len(cond.tau_style)} rows")
         w1 = params.mlp_w1.data
         value = cond.tau_style @ params.ws.data + cond.tau_category @ params.wv.data
-        self.params, self.cond, self.n = params, cond, n
+        self.params, self.cond = params, cond
         steps = params.time_embed.shape[0]
         self.first = np.empty((steps, POINT_DIM + 1, dim))
         self.first[:, :POINT_DIM] = params.in_w.data @ w1
@@ -323,15 +322,11 @@ class _ReverseBuffers:
             raise ValueError("predict_noise: the workspace was built for another denoiser or condition, "
                              "and takes no cond_idx")
         if z_t is not self.z:
-            z = np.asarray(z_t, dtype=np.float64)
-            if z.shape != (self.n, POINT_DIM):
-                raise T.ShapeError(f"z_t must be the workspace's ({self.n}, {POINT_DIM}) points, "
-                                   f"got shape {z.shape}")
-            self.z[...] = z
-        steps = len(self.first)
-        # type(), not isinstance(): a bool is an int but must reach the check, which refuses it
-        t = t_idx if type(t_idx) is int and 0 <= t_idx < steps else _check_timesteps(t_idx, self.n, steps)
-        hidden = np.matmul(self.z1.T, self.first[t], out=self.hidden)
+            raise ValueError("predict_noise: z_t must be the workspace's own points, buffers.z")
+        # type(), not isinstance(): a bool is an int
+        if type(t_idx) is not int or not 0 <= t_idx < len(self.first):
+            raise T.ShapeError(f"predict_noise: t_idx must be one plain int in [0, {len(self.first)})")
+        hidden = np.matmul(self.z1.T, self.first[t_idx], out=self.hidden)
         np.fmax(hidden, self.zeros, out=hidden)  # NaN to 0.0; a -0.0 left here meets only the head's dot products
         out = np.matmul(hidden, params.mlp_w2.data, out=self.out)
         out += self.mlp_b2
@@ -361,10 +356,12 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     forward (``_ReverseBuffers``). It records no tape node and returns a
     tensor over the workspace's (n, 2) ``out``, which the next call
     overwrites. It agrees with the layered forward to rtol = atol = 1e-12,
-    not to the bit. ``ValueError`` unless the call passes the ``params`` and
-    the condition the workspace was built for and no ``cond_idx``;
-    ``ShapeError`` unless ``z_t`` has the workspace's (n, 2) shape and the
-    timesteps are integers in range; ``RuntimeError`` outside ``no_grad``.
+    not to the bit. It takes only what ``sample`` passes: ``ValueError``
+    unless the call passes the ``params`` and the condition the workspace
+    was built for, the workspace's own points ``buffers.z`` as ``z_t``, and
+    no ``cond_idx``; ``ShapeError`` unless ``t_idx`` is one plain ``int`` in
+    range (not a numpy integer, a bool or an array); ``RuntimeError``
+    outside ``no_grad``.
     """
     if buffers is not None:
         return Tensor(buffers.forward(params, z_t, t_idx, cond, cond_idx))

@@ -23,6 +23,8 @@ from .backbone import FrozenWeights, embed_captions
 from .tensor import ParamGroup, Tensor
 
 PROMPT_TEMPLATES = {"style": "a {} style", "category": "a {}"}
+_KINDS = ("style", "category")  # the two adapters, in training-step order
+_OTHER = {"style": "category", "category": "style"}
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .encoders import AdapterParams, EncoderBundle, adapt_array
+from .encoders import _OTHER, AdapterParams, EncoderBundle, adapt_array
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -185,7 +185,7 @@ def _labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encoders: Enco
     lambda1 for style and lambda2 for category. With lambda == 0 this is
     exactly the plain cross-entropy term.
     """
-    other = "category" if kind == "style" else "style"
+    other = _OTHER[kind]
     lam = cfg.lambda1 if kind == "style" else cfg.lambda2
     p = encoders.adapter(kind)
     scale = float(cfg.logit_scale)

@@ -28,7 +28,7 @@ from .diffusion import (
     oracle_classify_batch,
     sample,
 )
-from .encoders import PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt, adapt_array, blend
+from .encoders import _KINDS, _OTHER, PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt, adapt_array, blend
 from .losses import (
     ADVERSARIAL_MODES,
     ConfigError,
@@ -48,8 +48,6 @@ METRICS_COLUMNS = (
     "epoch", "split", "style_top1", "category_top1", "style_loss", "category_loss",
     "alpha_style", "alpha_category", "lambda1", "lambda2", "seed",
 )
-
-_KINDS = ("style", "category")
 
 
 class NumericalError(RuntimeError):
@@ -261,13 +259,14 @@ def _check_finite(value: float, context: str) -> float:
 
 
 def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
-                   lexicon: CategoryLexicon | None = None,
-                   backbone: FrozenWeights | None = None):
+                   lexicon: CategoryLexicon | None = None):
     """Train both adapters; returns (bundle, metrics_rows).
 
-    Labeled mode alternates a style step and a category step per batch on
-    the cross-entropy/confusion objectives; unlabeled mode runs the two
-    triplet objectives over decomposed captions.
+    Each batch runs one step per kind, style then category, each with its
+    own Adam. Labeled mode steps the cross-entropy/confusion objectives.
+    Unlabeled mode steps the triplet objectives over decomposed captions;
+    a kind's negative is the other adapter's feature of the other half
+    caption, taken at the start of that kind's step.
     """
     if config.mode == "unlabeled" and lexicon is None:
         raise ConfigError("unlabeled mode requires a category lexicon")
@@ -275,52 +274,47 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     if not data:
         raise ConfigError("training set is empty")
 
-    bundle = fresh_bundle(spec, config, backbone)
-    opt_style = Adam(bundle.style_adapter, config.lr)
-    opt_cat = Adam(bundle.category_adapter, config.lr)
+    bundle = fresh_bundle(spec, config)
+    opts = {kind: Adam(bundle.adapter(kind), config.lr) for kind in _KINDS}
     rng = np.random.default_rng([config.seed, 11])
 
     # Frozen features are constants of the data: embedded once per run.
     f_all, labels = _features(data, bundle.backbone)
-    if config.mode == "unlabeled":
+    labeled = config.mode == "labeled"
+    # Built per run from the module's names, so that a replaced objective is the one each step calls.
+    if labeled:
+        objective = {"style": style_labeled_loss, "category": category_labeled_loss}
+    else:
+        objective = {"style": style_triplet_loss, "category": category_triplet_loss}
+        margin = {"style": config.margin1, "category": config.margin2}
         pairs = [split_caption(s.caption, lexicon) for s in data]
         texts = list(dict.fromkeys(text for pair in pairs for text in pair))
         frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone)))
-        style_text, category_text = (np.stack([frozen_text[pair[k]] for pair in pairs]) for k in (0, 1))
+        text = {kind: np.stack([frozen_text[pair[k]] for pair in pairs]) for k, kind in enumerate(_KINDS)}
 
     rows = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(data))
-        style_losses, cat_losses = [], []
+        losses = {kind: [] for kind in _KINDS}
         for start in range(0, len(data), config.batch_size):
             idx = order[start : start + config.batch_size]
             f_i = f_all[idx]
+            batch = {kind: (labels if labeled else text)[kind][idx] for kind in _KINDS}
+            for kind in _KINDS:
+                p = bundle.adapter(kind)
+                if labeled:
+                    loss = objective[kind](f_i, batch, bundle, config)
+                else:
+                    other = _OTHER[kind]
+                    negative = adapt_array(batch[other], bundle.adapter(other))[0]
+                    loss = objective[kind](batch[kind], p, f_i, negative, margin[kind])
+                p.zero_grad()
+                backward(loss)
+                opts[kind].step()
+                losses[kind].append(_check_finite(loss.item(), f"{kind} step"))
 
-            if config.mode == "labeled":
-                batch_labels = {kind: y[idx] for kind, y in labels.items()}
-                loss_s = style_labeled_loss(f_i, batch_labels, bundle, config)
-            else:
-                t_s, t_c = style_text[idx], category_text[idx]
-                f_c = adapt_array(t_c, bundle.category_adapter)[0]
-                loss_s = style_triplet_loss(t_s, bundle.style_adapter, f_i, f_c, config.margin1)
-            bundle.style_adapter.zero_grad()
-            backward(loss_s)
-            opt_style.step()
-            style_losses.append(_check_finite(loss_s.item(), "style step"))
-
-            if config.mode == "labeled":
-                loss_c = category_labeled_loss(f_i, batch_labels, bundle, config)
-            else:
-                f_s = adapt_array(t_s, bundle.style_adapter)[0]
-                loss_c = category_triplet_loss(t_c, bundle.category_adapter, f_i, f_s, config.margin2)
-            bundle.category_adapter.zero_grad()
-            backward(loss_c)
-            opt_cat.step()
-            cat_losses.append(_check_finite(loss_c.item(), "category step"))
-
-        s_top1, c_top1 = _top1(bundle, f_all, labels, config.alpha_style, config.alpha_category, config.logit_scale)
-        rows.append(_metrics_row(epoch, "train", s_top1, c_top1,
-                                 float(np.mean(style_losses)), float(np.mean(cat_losses)), config))
+        top1 = _top1(bundle, f_all, labels, config.alpha_style, config.alpha_category, config.logit_scale)
+        rows.append(_metrics_row(epoch, "train", *top1, *(float(np.mean(losses[kind])) for kind in _KINDS), config))
     return bundle, rows
 
 
@@ -328,6 +322,12 @@ def _metrics_row(epoch, split, style_top1, category_top1, style_loss, category_l
     """One ``METRICS_COLUMNS`` row; the last five columns are config fields."""
     values = (epoch, split, style_top1, category_top1, style_loss, category_loss)
     return {**dict(zip(METRICS_COLUMNS, values)), **{k: getattr(config, k) for k in METRICS_COLUMNS[6:]}}
+
+
+def eval_row(bundle: EncoderBundle, testset, config: TrainConfig) -> dict:
+    """The "test" metrics row of ``bundle`` on ``testset``, at the config's alphas and epoch ``config.epochs``."""
+    top1 = evaluate_classification(bundle, testset, config.alpha_style, config.alpha_category, config.logit_scale)
+    return _metrics_row(config.epochs, "test", *top1, "", "", config)
 
 
 def write_metrics_csv(rows, path, columns=METRICS_COLUMNS) -> None:
@@ -348,13 +348,7 @@ LAMBDA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 def alpha_sweep(bundle: EncoderBundle, testset, config: TrainConfig, grid=ALPHA_GRID):
     """Evaluate one trained bundle across the blending grid."""
-    rows = []
-    for a in grid:
-        cfg = replace(config, alpha_style=a, alpha_category=a)
-        s_top1, c_top1 = evaluate_classification(bundle, testset, cfg.alpha_style, cfg.alpha_category,
-                                                 cfg.logit_scale)
-        rows.append(_metrics_row(cfg.epochs, "test", s_top1, c_top1, "", "", cfg))
-    return rows
+    return [eval_row(bundle, testset, replace(config, alpha_style=a, alpha_category=a)) for a in grid]
 
 
 def lambda_sweep(config: TrainConfig, spec: SyntheticSpec, train_samples, testset,
@@ -363,11 +357,7 @@ def lambda_sweep(config: TrainConfig, spec: SyntheticSpec, train_samples, testse
     rows = []
     for lam in grid:
         cfg = replace(config, lambda1=lam, lambda2=lam)
-        bundle, _ = train_encoders(cfg, spec, train_samples, lexicon=lexicon)
-        s_top1, c_top1 = evaluate_classification(
-            bundle, testset, cfg.alpha_style, cfg.alpha_category, cfg.logit_scale
-        )
-        rows.append(_metrics_row(cfg.epochs, "test", s_top1, c_top1, "", "", cfg))
+        rows.append(eval_row(train_encoders(cfg, spec, train_samples, lexicon=lexicon)[0], testset, cfg))
     return rows
 
 
@@ -442,12 +432,9 @@ def guidance_eval(bundle: EncoderBundle, params: DenoiserParams, schedule: Diffu
 # checkpoint assembly
 
 def bundle_arrays(bundle: EncoderBundle) -> dict:
-    out = {}
-    for prefix, adapter in (("style_adapter", bundle.style_adapter),
-                            ("category_adapter", bundle.category_adapter)):
-        for name, arr in adapter.arrays().items():
-            out[f"{prefix}.{name}"] = arr
-    return out
+    """The adapters' arrays, named ``<kind>_adapter.<field>``, style first."""
+    return {f"{kind}_adapter.{name}": arr
+            for kind in _KINDS for name, arr in bundle.adapter(kind).arrays().items()}
 
 
 def save_encoder_checkpoint(path, bundle: EncoderBundle, config: TrainConfig, spec: SyntheticSpec,
@@ -475,11 +462,12 @@ def load_encoder_checkpoint(path):
     """Rebuild (bundle, config, spec, denoiser-or-None) from a checkpoint."""
     arrays, meta = load_checkpoint(path)
     config, spec = _stored_config(path, meta)
-    groups: dict[str, dict] = {"style_adapter": {}, "category_adapter": {}}
+    prefixes = [f"{kind}_adapter" for kind in _KINDS]
+    groups: dict[str, dict] = {prefix: {} for prefix in prefixes}
     for name, arr in arrays.items():
         prefix, _, short = name.partition(".")
         groups.setdefault(prefix, {})[short] = arr
-    unknown = sorted(set(groups) - {"style_adapter", "category_adapter", "denoiser"})
+    unknown = sorted(set(groups) - {*prefixes, "denoiser"})
     if unknown:
         raise CheckpointError(f"{path}: unknown array groups {unknown}")
 
@@ -490,14 +478,12 @@ def load_encoder_checkpoint(path):
             raise CheckpointError(f"{path}: {prefix}: {e}") from e
 
     adapter = AdapterParams.init(config.dim)
-    style_adapter = rebuild(AdapterParams, "style_adapter", adapter)
-    category_adapter = rebuild(AdapterParams, "category_adapter", adapter)
+    adapters = [rebuild(AdapterParams, prefix, adapter) for prefix in prefixes]
     denoiser = None
     if "denoiser" in groups:
         like = DenoiserParams.init(dim=config.dim, steps=config.timesteps)
         denoiser = rebuild(DenoiserParams, "denoiser", like)
-    bundle = EncoderBundle(build_backbone(spec, config), style_adapter, category_adapter,
-                           spec.style_names, spec.category_names)
+    bundle = EncoderBundle(build_backbone(spec, config), *adapters, spec.style_names, spec.category_names)
     return bundle, config, spec, denoiser
 
 
@@ -519,14 +505,6 @@ def _random_adapter(rng, dim: int, hidden: int) -> AdapterParams:
         w2=Tensor(0.5 * rng.standard_normal((hidden, dim)), requires_grad=True),
         b2=Tensor(0.1 * rng.standard_normal(dim), requires_grad=True),
     )
-
-
-def _unit_rows(rng, n, d) -> np.ndarray:
-    m = rng.standard_normal((n, d))
-    return m / np.linalg.norm(m, axis=1, keepdims=True)
-
-
-_OTHER = {"style": "category", "category": "style"}
 
 
 class _AuditWorld(EncoderBundle):
@@ -555,8 +533,9 @@ class _AuditWorld(EncoderBundle):
             rng = np.random.default_rng([seed, attempt, 101])
             self.style_adapter, self.category_adapter = (_random_adapter(rng, self.DIM, self.HIDDEN)
                                                          for _ in _KINDS)
-            self.f_i = _unit_rows(rng, self.BATCH, self.DIM)
-            self.prompt_features = {kind: _unit_rows(rng, self.K, self.DIM) for kind in _KINDS}
+            self.f_i = T._unit_rows(rng.standard_normal((self.BATCH, self.DIM)))[0]
+            self.prompt_features = {kind: T._unit_rows(rng.standard_normal((self.K, self.DIM)))[0]
+                                    for kind in _KINDS}
             self.labels = {kind: rng.integers(0, self.K, self.BATCH) for kind in _KINDS}
             self.margin = 0.3
             self.adapted = {kind: adapt_array(self.f_i, self.adapter(kind))[0] for kind in _KINDS}
@@ -624,8 +603,7 @@ def _denoiser_train_world(seed: int):
     params.in_b.data[:] = 0.3 * rng.standard_normal(dim)
     schedule = DiffusionSchedule.make(steps)
     points = rng.standard_normal((rows, 2))
-    cond = GuidanceCondition.stack([GuidanceCondition(tau_style=_unit_rows(rng, 1, dim),
-                                                      tau_category=_unit_rows(rng, 1, dim))
+    cond = GuidanceCondition.stack([GuidanceCondition(*T._unit_rows(rng.standard_normal((2, 1, dim)))[0])
                                     for _ in range(groups)])
     cond_idx = rng.permutation(np.arange(rows) % groups)
     buffers = _TrainBuffers(schedule, params, cond, rows)

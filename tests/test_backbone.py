@@ -145,11 +145,9 @@ def test_frozen_weights_unchanged_by_training(spec):
     from stylecat.train import train_encoders
 
     config = TrainConfig(epochs=2, shots=4)
-    backbone = build_backbone(spec, config)
-    before = backbone.checksum()
     train, _ = generate_classification_dataset(spec)
-    train_encoders(config, spec, train, backbone=backbone)
-    assert backbone.checksum() == before
+    bundle, _ = train_encoders(config, spec, train)
+    assert bundle.backbone.checksum() == build_backbone(spec, config).checksum()
 
 
 def test_build_requires_capacity_for_codes():

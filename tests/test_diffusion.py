@@ -767,9 +767,10 @@ class TestReverseBuffers:
     def forwards(self, params, cond, z, t):
         """(plain, buffered) estimates at one timestep; the buffered one lies in its workspace's ``out``."""
         buffers = diffusion_mod._ReverseBuffers(params, cond, len(z))
+        buffers.z[...] = z
         with no_grad():
             plain = predict_noise(params, z, t, cond).data
-            buffered = predict_noise(params, z, t, cond, buffers=buffers).data
+            buffered = predict_noise(params, buffers.z, t, cond, buffers=buffers).data
         assert np.shares_memory(buffered, buffers.out)
         return plain, buffered
 
@@ -809,7 +810,8 @@ class TestReverseBuffers:
     def test_misuse_rejected(self):
         rng, params, cond = self.parts(41)
         buffers = diffusion_mod._ReverseBuffers(params, cond, 5)
-        z = rng.standard_normal((5, 2))
+        buffers.z[...] = rng.standard_normal((5, 2))
+        z = buffers.z
         other_params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=41)
         equal_cond = GuidanceCondition(tau_style=cond.tau_style.copy(), tau_category=cond.tau_category.copy())
         with pytest.raises(RuntimeError, match="no_grad"):
@@ -821,11 +823,8 @@ class TestReverseBuffers:
                 predict_noise(params, z, 3, equal_cond, buffers=buffers)
             with pytest.raises(ValueError, match="no cond_idx"):
                 predict_noise(params, z, 3, cond, np.zeros(5, dtype=int), buffers=buffers)
-            for shape in ((4, 2), (6, 2), (5, 3), (10,), (5, 1, 2)):
-                with pytest.raises(ShapeError, match=r"workspace's \(5, 2\) points"):
-                    predict_noise(params, np.zeros(shape), 3, cond, buffers=buffers)
-            for t in (-1, self.STEPS, 2.0, True, np.array([0, 1])):
-                with pytest.raises(ShapeError, match="t_idx"):
+            for t in (-1, self.STEPS, 2.0, True, np.int64(3), np.array(3), np.array([0, 1])):
+                with pytest.raises(ShapeError, match=r"t_idx must be one plain int in \[0, 20\)"):
                     predict_noise(params, z, t, cond, buffers=buffers)
 
     def test_every_step_writes_one_buffer(self, monkeypatch):
@@ -874,17 +873,22 @@ class TestReverseBuffers:
         assert held >= 2 * n * dim * 8
         assert peak - before <= held + n * 2 * 8 + 8 * 1024
 
-    def test_workspace_points_equal_an_outside_copy(self):
-        """``buffers.z`` is read in place; any other array of its shape is copied in, to the same bits."""
+    def test_points_other_than_the_workspace_z_refused(self):
+        """The buffered forward reads ``buffers.z`` in place and takes no other points: an equal copy,
+        another view of the same rows and an array of another shape are refused, and the refusal
+        writes neither the points, the outside array nor the output."""
         rng, params, cond = self.parts(46)
-        z = rng.standard_normal((9, 2))
-        buffers = diffusion_mod._ReverseBuffers(params, cond, len(z))
+        buffers = diffusion_mod._ReverseBuffers(params, cond, 9)
+        buffers.z[...] = rng.standard_normal((9, 2))
         with no_grad():
-            outside = predict_noise(params, z, 4, cond, buffers=buffers).data.copy()
-            assert np.array_equal(buffers.z, z)
-            inside = predict_noise(params, buffers.z, 4, cond, buffers=buffers).data
-        assert inside.tobytes() == outside.tobytes()
-        assert np.array_equal(buffers.z, z)
+            out = predict_noise(params, buffers.z, 4, cond, buffers=buffers).data
+            expected_z, expected_out = buffers.z.tobytes(), out.tobytes()
+            for outside in (buffers.z.copy(), buffers.z1[:2].T, rng.standard_normal((9, 2)), np.zeros((9, 3))):
+                before = outside.tobytes()
+                with pytest.raises(ValueError, match=r"z_t must be the workspace's own points, buffers\.z"):
+                    predict_noise(params, outside, 4, cond, buffers=buffers)
+                assert outside.tobytes() == before
+                assert buffers.z.tobytes() == expected_z and out.tobytes() == expected_out
 
     def test_reverse_step_allocates_no_rows(self):
         """20 buffered steps at n = 1000, D = 32 raise the traced peak by under 8 KiB, not by (n, D) rows."""
@@ -893,7 +897,8 @@ class TestReverseBuffers:
         params = DenoiserParams.init(dim=dim, steps=self.STEPS, seed=43)
         cond = GuidanceCondition(tau_style=unit_rows(rng, 1, dim), tau_category=unit_rows(rng, 1, dim))
         buffers = diffusion_mod._ReverseBuffers(params, cond, n)
-        z = rng.standard_normal((n, 2))
+        buffers.z[...] = rng.standard_normal((n, 2))
+        z = buffers.z
         with no_grad():
             predict_noise(params, z, 0, cond, buffers=buffers)  # first call outside the trace
             tracemalloc.start()
@@ -907,16 +912,16 @@ class TestReverseBuffers:
         assert peak - before < 8 * 1024
 
     def test_buffered_forward_leaves_z_unchanged(self):
-        """The points are copied into the workspace, never written or aliased."""
+        """The workspace points are read in place, never written, and no output buffer aliases them."""
         rng, params, cond = self.parts(44)
-        z = rng.standard_normal((7, 2))
-        expected = z.copy()
-        buffers = diffusion_mod._ReverseBuffers(params, cond, len(z))
+        buffers = diffusion_mod._ReverseBuffers(params, cond, 7)
+        buffers.z[...] = rng.standard_normal((7, 2))
+        expected = buffers.z.tobytes()
         with no_grad():
             for t in (self.STEPS - 1, 0):
-                out = predict_noise(params, z, t, cond, buffers=buffers).data
-                assert z.tobytes() == expected.tobytes()
-        assert not any(np.shares_memory(z, b) for b in (out, buffers.z1, buffers.hidden))
+                out = predict_noise(params, buffers.z, t, cond, buffers=buffers).data
+                assert buffers.z.tobytes() == expected
+        assert not any(np.shares_memory(buffers.z, b) for b in (out, buffers.hidden, buffers.noise))
 
 
 class TestOracle:

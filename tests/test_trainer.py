@@ -21,8 +21,8 @@ from stylecat.cli import main
 from stylecat.datagen import DatasetError, SyntheticSpec, generate_classification_dataset, write_dataset_dir
 from stylecat.diffusion import DenoiserParams, DiffusionSchedule
 from stylecat.encoders import adapt, adapt_array
-from stylecat.losses import ConfigError, triplet_hinge
-from stylecat.tensor import ParamGroup, Tensor, _node, backward
+from stylecat.losses import ConfigError, ce_loss, class_logits, confusion_loss, triplet_hinge
+from stylecat.tensor import ParamGroup, Tensor, _node, add, backward, scale
 from stylecat.train import (
     Adam,
     TrainConfig,
@@ -251,18 +251,19 @@ class TestTrainEncoders:
         assert np.isfinite([rows[0]["style_loss"], rows[0]["category_loss"]]).all()
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_unlabeled_run_equals_the_layered_reference_loop(self, spec, dataset, seed):
-        """Both adapters and the loss rows equal a loop that back-propagates
-        ``triplet_hinge(adapt(...))`` on every step, active or not, to the bit."""
+    @pytest.mark.parametrize("mode", ["unlabeled", "labeled"])
+    def test_run_equals_the_layered_reference_loop(self, spec, dataset, mode, seed):
+        """Both adapters and the loss rows equal a loop that back-propagates the composition of the
+        single-layer ops on every step, to the bit; unlabeled, active or not."""
         train, _ = dataset
-        config = TrainConfig(mode="unlabeled", epochs=3, seed=seed)
+        config = TrainConfig(mode=mode, epochs=3, seed=seed)
         lexicon = CategoryLexicon.from_words(spec.category_names)
         bundle, rows = train_encoders(config, spec, train, lexicon=lexicon)
-        ref_bundle, ref_losses, active = reference_unlabeled(config, spec, train, lexicon)
+        ref_bundle, ref_losses, active = reference_run(config, spec, train, lexicon)
         assert [(r["style_loss"], r["category_loss"]) for r in rows] == ref_losses
         for kind in ("style", "category"):
             assert bundle.adapter(kind).flat.tobytes() == ref_bundle.adapter(kind).flat.tobytes()
-        assert any(active) and not all(active)
+        assert (any(active) and not all(active)) if mode == "unlabeled" else all(active)
 
     def test_labeled_run_calls_style_loss_once_per_batch(self, spec, dataset, monkeypatch):
         train, _ = dataset
@@ -273,29 +274,40 @@ class TestTrainEncoders:
         assert counts == {"style_labeled_loss": batches, "category_labeled_loss": batches}
 
 
-def reference_unlabeled(config, spec, train, lexicon):
-    """``train_encoders``' unlabeled loop with each step the layered ``triplet_hinge(adapt(...))``:
-    (bundle, per-epoch mean style and category losses, whether each step's hinge was active)."""
+def reference_run(config, spec, train, lexicon):
+    """``train_encoders``' loop with each step the composition of the single-layer ops: labeled,
+    ``ce_loss`` plus lambda times ``confusion_loss`` over ``class_logits(..., adapt(...))``;
+    unlabeled, ``triplet_hinge(adapt(...))``. Returns (bundle, per-epoch mean style and category
+    losses, whether each step's loss was positive)."""
     data = subsample_shots(train, config.shots)
     bundle = fresh_bundle(spec, config)
     opts = {kind: Adam(bundle.adapter(kind), config.lr) for kind in ("style", "category")}
     rng = np.random.default_rng([config.seed, 11])
-    f_all, _ = train_mod._features(data, bundle.backbone)
-    pairs = [split_caption(s.caption, lexicon) for s in data]
-    unique = list(dict.fromkeys(text for pair in pairs for text in pair))
-    frozen = dict(zip(unique, embed_captions(unique, bundle.backbone)))
-    texts = {kind: np.stack([frozen[pair[k]] for pair in pairs]) for k, kind in enumerate(("style", "category"))}
-    steps = (("style", "category", config.margin1), ("category", "style", config.margin2))
+    f_all, labels = train_mod._features(data, bundle.backbone)
+    if config.mode == "unlabeled":
+        pairs = [split_caption(s.caption, lexicon) for s in data]
+        unique = list(dict.fromkeys(text for pair in pairs for text in pair))
+        frozen = dict(zip(unique, embed_captions(unique, bundle.backbone)))
+        texts = {kind: np.stack([frozen[pair[k]] for pair in pairs]) for k, kind in enumerate(("style", "category"))}
+    steps = (("style", "category", config.lambda1, config.margin1),
+             ("category", "style", config.lambda2, config.margin2))
     losses, active = [], []
     for _ in range(config.epochs):
         order = rng.permutation(len(data))
         epoch = {"style": [], "category": []}
         for start in range(0, len(data), config.batch_size):
             idx = order[start : start + config.batch_size]
-            for kind, other, margin in steps:
+            f_i = Tensor(f_all[idx])
+            for kind, other, lam, margin in steps:
                 p = bundle.adapter(kind)
-                negative = adapt_array(texts[other][idx], bundle.adapter(other))[0]
-                loss = triplet_hinge(adapt(Tensor(texts[kind][idx]), p), Tensor(f_all[idx]), Tensor(negative), margin)
+                if config.mode == "labeled":
+                    logits = {k: class_logits(f_i, adapt(Tensor(bundle.prompt_features[k]), p), config.logit_scale)
+                              for k in (kind, other)}
+                    conf = confusion_loss(logits[other], labels[other][idx], config.adversarial_mode)
+                    loss = add(ce_loss(logits[kind], labels[kind][idx]), scale(conf, lam))
+                else:
+                    negative = adapt_array(texts[other][idx], bundle.adapter(other))[0]
+                    loss = triplet_hinge(adapt(Tensor(texts[kind][idx]), p), f_i, Tensor(negative), margin)
                 p.zero_grad()
                 backward(loss)
                 opts[kind].step()
@@ -612,7 +624,7 @@ class TestCli:
         assert self.run("sweep", "--axis", "alpha", "--checkpoint", str(ckpt), "--data", str(only_test),
                         "--out", str(tmp_path / "s.csv"), "--grid", "0.0") == 0
 
-    def test_validation_errors_exit_one(self, tmp_path):
+    def test_validation_errors_exit_one(self, tmp_path, capsys):
         assert self.run("train-encoders", "--data", str(tmp_path / "missing"),
                         "--out", str(tmp_path / "x.cclp")) == 1
         bad_cfg = tmp_path / "bad.json"
@@ -621,6 +633,17 @@ class TestCli:
         write_dataset_dir(SyntheticSpec(n_train=2, n_test=1), data)
         assert self.run("train-encoders", "--data", str(data), "--out",
                         str(tmp_path / "x.cclp"), "--config", str(bad_cfg)) == 1
+        # a directory where a file is expected: an OSError, reported with its path
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        capsys.readouterr()
+        for argv in (("train-encoders", "--data", str(data), "--out", str(folder), "--epochs", "1"),
+                     ("decompose", "--captions", str(folder), "--lexicon", str(data / "lexicon.txt"),
+                      "--out", str(tmp_path / "dec.jsonl"))):
+            assert self.run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(folder) in err
+        assert not (tmp_path / "dec.jsonl").exists()
 
     def test_unknown_flag_exits_one(self, capsys):
         assert self.run("gen-data", "--nope") == 1
