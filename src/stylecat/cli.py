@@ -8,6 +8,7 @@ audit).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -164,6 +165,14 @@ def _load_dataset_dir(data_dir, mode: str):
     return spec, train, test, lexicon
 
 
+def _check_writable(*paths) -> None:
+    """OSError naming the first given output path that is a directory or whose parent is not an
+    existing, writable directory: run before training, so that a run is not lost at its save."""
+    for path in filter(None, paths):
+        if Path(path).is_dir() or not Path(path).parent.is_dir() or not os.access(Path(path).parent, os.W_OK):
+            raise OSError(f"cannot write {path}: it must be a file in an existing, writable directory")
+
+
 def _load_generator(args):
     """(bundle, spec, denoiser, alpha, schedule) of ``--checkpoint``, which must hold a denoiser."""
     bundle, config, spec, denoiser = load_encoder_checkpoint(args.checkpoint)
@@ -206,6 +215,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_train_encoders(args) -> int:
+    _check_writable(args.out, args.metrics)
     config = _load_config(args)
     spec, train, test, lexicon = _load_dataset_dir(args.data, config.mode)
     started = time.perf_counter()
@@ -262,6 +272,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train_diffusion(args) -> int:
+    _check_writable(args.out, args.metrics)
     bundle, config, spec, _ = load_encoder_checkpoint(args.encoders)
     config = _load_config(args, config)
     points = load(Path(args.data) / "diff_train.jsonl", "point", spec)

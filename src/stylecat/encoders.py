@@ -61,7 +61,10 @@ def adapt_array(x: np.ndarray, p: AdapterParams):
 
     Returns the (n, D) adapted rows and their backward, which maps the
     gradient at those rows to the gradients of ``x``, ``w1``, ``b1``, ``w2``
-    and ``b2``; with ``need_x`` false the gradient of ``x`` is None.
+    and ``b2``; with ``need_x`` false the gradient of ``x`` is None. With a
+    row index ``split``, each parameter gradient is the product over the rows
+    before it plus the product over the rows from it on: the bits of adapting
+    the two blocks apart and adding their gradients.
     """
     if x.ndim != 2 or x.shape[1] != p.w1.shape[0]:
         raise T.ShapeError(f"adapt: feature shape {x.shape} incompatible with w1 {p.w1.shape}")
@@ -71,11 +74,15 @@ def adapt_array(x: np.ndarray, p: AdapterParams):
     hidden = np.where(mask, pre, 0.0)
     y, norm = T._unit_rows(x + (hidden @ w2 + p.b2.data))
 
-    def grad(g, need_x=True):
+    def grad(g, need_x=True, split=None):
         g_sum = T._unit_rows_grad(g, y, norm)
         g_pre = (g_sum @ w2.T) * mask
         g_x = g_sum + g_pre @ w1.T if need_x else None
-        return g_x, x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g_sum, g_sum.sum(axis=0)
+        if split is None:
+            return g_x, x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g_sum, g_sum.sum(axis=0)
+        a, b = np.s_[:split], np.s_[split:]
+        return (g_x, x[a].T @ g_pre[a] + x[b].T @ g_pre[b], g_pre[a].sum(axis=0) + g_pre[b].sum(axis=0),
+                hidden[a].T @ g_sum[a] + hidden[b].T @ g_sum[b], g_sum[a].sum(axis=0) + g_sum[b].sum(axis=0))
 
     return y, grad
 

@@ -2,10 +2,12 @@
 
 Every encoder optimiser step records one tape node, whose parents are the
 four tensors of the adapter being stepped. ``style_labeled_loss`` and
-``category_labeled_loss`` run the adapter over both factors' prompt
-features, the cosine logits, and cross-entropy plus lambda times the
-confusion term. ``style_triplet_loss`` and ``category_triplet_loss`` run
-the adapter over the anchor's frozen text rows and the hinge; when no
+``category_labeled_loss`` run the adapter once over both factors' prompt
+features stacked, then the cosine logits of each factor and cross-entropy
+plus lambda times the confusion term; the image rows' unit rows and the
+labels come checked from the run's ``_LabeledRun``. ``style_triplet_loss``
+and ``category_triplet_loss`` run the adapter over the anchor's frozen
+text rows, or take that pass from the caller, and the hinge; when no
 triplet of the batch is active their loss is the exact 0.0 with no
 parents, so that step's ``backward`` runs no backward at all. Their
 forward and hand-written backward are put together from the numpy helpers
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .encoders import _OTHER, AdapterParams, EncoderBundle, adapt_array
+from .encoders import _KINDS, _OTHER, AdapterParams, EncoderBundle, adapt_array
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -37,18 +39,16 @@ class ConfigError(ValueError):
 # numpy helpers: each returns a forward value and its backward
 
 
-def _cosine(f: np.ndarray, prototypes: np.ndarray, f_unit=None):
+def _cosine(f: np.ndarray, prototypes: np.ndarray):
     """Cosine similarity of (n, D) rows against (K, D) prototype rows: (n, K), and its backward.
 
     The backward maps the gradient at the similarities to the gradients of
-    ``f`` (None unless ``need_f``) and of ``prototypes``. ``f_unit`` is
-    ``T._unit_rows(f)``, passed by a caller that scores the same rows
-    against several prototype sets; it is computed here when omitted.
+    ``f`` (None unless ``need_f``) and of ``prototypes``.
     """
     if f.ndim != 2 or prototypes.ndim != 2 or f.shape[1] != prototypes.shape[1]:
         raise T.ShapeError(f"class_logits: features {f.shape} and prototypes {prototypes.shape} "
                            "must be rows of one width")
-    fn, f_norm = T._unit_rows(f) if f_unit is None else f_unit
+    fn, f_norm = T._unit_rows(f)
     pn, p_norm = T._unit_rows(prototypes)
     pn_t = pn.T.copy()
 
@@ -59,7 +59,9 @@ def _cosine(f: np.ndarray, prototypes: np.ndarray, f_unit=None):
     return fn @ pn_t, grad
 
 
-def _labels_array(labels, n: int, k: int) -> np.ndarray:
+def _labels_array(labels, shape: tuple[int, int]) -> np.ndarray:
+    """``labels`` as an int64 array, checked against the (n, K) ``shape`` of their logits."""
+    n, k = shape
     arr = np.asarray(labels, dtype=np.int64)
     if arr.shape != (n,):
         raise T.ShapeError(f"labels shape {arr.shape} does not match batch size {n}")
@@ -79,25 +81,22 @@ def _log_softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return g - np.exp(y) * g.sum(axis=1, keepdims=True)
 
 
-def _ce(logits: np.ndarray, labels):
-    """Mean cross-entropy of softmax over (n, K) logits against n labels, and its backward."""
-    n, k = logits.shape
-    rows, arr = np.arange(n), _labels_array(labels, n, k)
-    y = _log_softmax(logits)
+def _ce(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy of softmax over (n, K) logits against n checked labels, and its backward."""
+    n, rows, y = len(labels), np.arange(len(labels)), _log_softmax(logits)
 
     def grad(g):
         g_picked = np.zeros_like(y)
-        g_picked[rows, arr] = float(g * -1.0) / n
+        g_picked[rows, labels] = float(g * -1.0) / n
         return _log_softmax_grad(g_picked, y)
 
-    return np.asarray(y[rows, arr].mean()) * -1.0, grad
+    return np.asarray(y[rows, labels].sum() / n) * -1.0, grad  # the mean's bits, without its wrapper
 
 
-def _confusion(logits: np.ndarray, labels, mode: str):
-    """The ``confusion_loss`` of (n, K) logits, and its backward."""
+def _confusion(logits: np.ndarray, labels: np.ndarray, mode: str):
+    """The ``confusion_loss`` of (n, K) logits against n checked labels, and its backward."""
     if mode == "uniform-kl":
         n, k = logits.shape
-        _labels_array(labels, n, k)
         c = -1.0 / (n * k)
         y = _log_softmax(logits)
 
@@ -137,7 +136,8 @@ def _hinge(anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray, margi
         u_neg = diff_neg / np.where(d_neg > 0, d_neg, 1.0)[:, None] * np.where(d_neg > 0, -g_pre, 0.0)[:, None]
         return u_pos + u_neg, -u_pos
 
-    return np.asarray(np.where(mask, pre, 0.0).mean()), grad, bool(mask.any())
+    active = bool(mask.any())  # with none, the mean is exactly 0.0: no need to take it
+    return (np.asarray(np.where(mask, pre, 0.0).sum() / n) if active else np.asarray(0.0)), grad, active
 
 
 # single-layer ops
@@ -151,7 +151,7 @@ def class_logits(f: Tensor, prototypes: Tensor, scale: float = 1.0) -> Tensor:
 
 def ce_loss(logits: Tensor, labels) -> Tensor:
     """Mean cross-entropy of softmax over (n, K) logits against n integer labels; one tape node."""
-    value, grad = _ce(logits.data, labels)
+    value, grad = _ce(logits.data, _labels_array(labels, logits.shape))
     return T._node(value, (logits,), lambda g: (grad(g),))
 
 
@@ -162,7 +162,7 @@ def confusion_loss(logits: Tensor, labels, mode: str) -> Tensor:
     distribution (minimized exactly when predictions are uniform).
     negated-ce: the literal sign-flipped cross-entropy (unbounded below).
     """
-    value, grad = _confusion(logits.data, labels, mode)
+    value, grad = _confusion(logits.data, _labels_array(labels, logits.shape), mode)
     return T._node(value, (logits,), lambda g: (grad(g),))
 
 
@@ -175,60 +175,100 @@ def triplet_hinge(anchor: Tensor, positive: Tensor, negative: Tensor, margin: fl
 # objectives: one tape node per optimiser step
 
 
+class _LabeledRun:
+    """The constants of a labeled run, which its objectives read on every step.
+
+    Built once per ``train_encoders`` run over all (N, D) image feature
+    rows ``f_all`` and their labels by kind, and as a one-off by an
+    objective called without one. It checks, once, that ``f_all`` and each
+    kind's prompt features are rows of the adapters' width D
+    (``ShapeError``), that no row of ``f_all`` has (near-)zero norm and that
+    each kind's labels are an (N,) array in [0, K) (``ValueError``). It
+    holds the unit rows of ``f_all``, the checked labels, and per kind that
+    kind's prompt rows stacked over the other kind's. ``select(idx)`` makes
+    rows ``idx`` the batch the objectives score; until then every row is.
+    Rows are normalized one by one, so a selected row has the bits of the
+    same row normalized within its batch.
+    """
+
+    def __init__(self, f_all: np.ndarray, labels: dict[str, np.ndarray], encoders: EncoderBundle):
+        dim = encoders.adapter("style").w1.shape[0]
+        prompts = encoders.prompt_features
+        for name, rows in (("image features", f_all), *prompts.items()):
+            if rows.ndim != 2 or rows.shape[1] != dim:
+                raise T.ShapeError(f"labeled objective: {name} {rows.shape} must be rows of width {dim}")
+        self.unit = T._unit_rows(f_all)[0]
+        self.labels = {kind: _labels_array(labels[kind], (len(f_all), len(prompts[kind]))) for kind in _KINDS}
+        self.prompts = {kind: np.concatenate([prompts[kind], prompts[other]]) for kind, other in _OTHER.items()}
+        self.fn, self.batch = self.unit, self.labels
+
+    def select(self, idx: np.ndarray) -> dict[str, np.ndarray]:
+        """Make rows ``idx`` the batch; returns its labels by kind."""
+        self.fn = self.unit[idx]
+        self.batch = {kind: arr[idx] for kind, arr in self.labels.items()}
+        return self.batch
+
+
 def _labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encoders: EncoderBundle, cfg: TrainConfig,
-                  kind: str) -> Tensor:
+                  kind: str, run: _LabeledRun | None) -> Tensor:
     """Objective of the ``kind`` encoder on (n, D) image feature rows.
 
     ``labels`` maps "style" and "category" to (n,) label arrays.
     Cross-entropy on its own factor plus lambda times the confusion term on
     the other factor, both scored through the ``kind`` adapter; lambda is
     lambda1 for style and lambda2 for category. With lambda == 0 this is
-    exactly the plain cross-entropy term.
+    exactly the plain cross-entropy term. ``run`` is the run's
+    ``_LabeledRun``, whose selected batch ``f_i`` and ``labels`` are; the
+    objective reads their checked unit rows and labels from it. Without it
+    a one-off is built over ``f_i`` and ``labels``, which checks them.
+
+    One adapter pass covers both factors' prompt rows, and the backward
+    takes the two heads' gradients through it together; each parameter
+    gradient is still the sum of one product per head, as on the layered tape.
     """
-    other = _OTHER[kind]
+    run = _LabeledRun(f_i, labels, encoders) if run is None else run
     lam = cfg.lambda1 if kind == "style" else cfg.lambda2
-    p = encoders.adapter(kind)
     scale = float(cfg.logit_scale)
-    f_unit = T._unit_rows(f_i)  # shared by both heads
+    p, k, fn = encoders.adapter(kind), len(encoders.prompt_features[kind]), run.fn
+    protos, adapt_grad = adapt_array(run.prompts[kind] if lam else run.prompts[kind][:k], p)
+    pn, p_norm = T._unit_rows(protos)
 
-    def term(prompt_kind, loss, weight):
-        protos, adapt_grad = adapt_array(encoders.prompt_features[prompt_kind], p)
-        cos, cos_grad = _cosine(f_i, protos, f_unit)
-        value, loss_grad = loss(cos * scale)
+    def head(rows, loss):  # one cosine GEMM per head: one GEMM over both heads' rows gives other bits
+        value, loss_grad = loss((fn @ pn[rows].T) * scale)
+        return value, lambda g: (fn.T @ (loss_grad(g) * scale)).T  # the gradient at pn[rows]
 
-        def grad(g):  # the gradients of w1, b1, w2 and b2
-            return adapt_grad(cos_grad(loss_grad(g * weight) * scale, need_f=False)[1], need_x=False)[1:]
+    value, ce_grad = head(np.s_[:k], lambda z: _ce(z, run.batch[kind]))
+    if lam:
+        conf, conf_grad = head(np.s_[k:], lambda z: _confusion(z, run.batch[_OTHER[kind]], cfg.adversarial_mode))
+        value = value + conf * lam
 
-        return value, grad
+    def grad(g):  # the gradients of w1, b1, w2 and b2
+        g_pn = np.concatenate([ce_grad(g), conf_grad(g * lam)]) if lam else ce_grad(g)
+        return adapt_grad(T._unit_rows_grad(g_pn, pn, p_norm), need_x=False, split=k if lam else None)[1:]
 
-    params = (p.w1, p.b1, p.w2, p.b2)
-    value, ce_grad = term(kind, lambda z: _ce(z, labels[kind]), 1.0)
-    if lam == 0:
-        return T._node(value, params, ce_grad)
-    conf, conf_grad = term(other, lambda z: _confusion(z, labels[other], cfg.adversarial_mode), lam)
-    # Two terms per tensor: their sum is the same in either order, so this matches the layered tape.
-    return T._node(value + conf * lam, params, lambda g: tuple(a + b for a, b in zip(ce_grad(g), conf_grad(g))))
+    return T._node(value, (p.w1, p.b1, p.w2, p.b2), grad)
 
 
 def style_labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encoders: EncoderBundle,
-                       cfg: TrainConfig) -> Tensor:
+                       cfg: TrainConfig, *, run: _LabeledRun | None = None) -> Tensor:
     """Style-encoder objective on labeled image features (lambda1)."""
-    return _labeled_loss(f_i, labels, encoders, cfg, "style")
+    return _labeled_loss(f_i, labels, encoders, cfg, "style", run)
 
 
 def category_labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encoders: EncoderBundle,
-                          cfg: TrainConfig) -> Tensor:
+                          cfg: TrainConfig, *, run: _LabeledRun | None = None) -> Tensor:
     """Mirror objective for the category encoder (swap roles, lambda2)."""
-    return _labeled_loss(f_i, labels, encoders, cfg, "category")
+    return _labeled_loss(f_i, labels, encoders, cfg, "category", run)
 
 
 def _triplet_loss(text: np.ndarray, p: AdapterParams, positive: np.ndarray, negative: np.ndarray,
-                  margin: float) -> Tensor:
+                  margin: float, anchor) -> Tensor:
     """The hinge with anchor ``adapt(text, p)``; one tape node over the adapter's four tensors,
     or a parentless 0.0 when no row is active. That is decided on the rows, not on the value:
-    a mean of active rows can underflow to 0.0.
+    a mean of active rows can underflow to 0.0. ``anchor``, when given, is
+    ``adapt_array(text, p)`` already computed, rows and backward.
     """
-    anchor, adapt_grad = adapt_array(text, p)
+    anchor, adapt_grad = adapt_array(text, p) if anchor is None else anchor
     value, hinge_grad, active = _hinge(anchor, positive, negative, margin)
     if not active:
         return Tensor(value)
@@ -236,22 +276,24 @@ def _triplet_loss(text: np.ndarray, p: AdapterParams, positive: np.ndarray, nega
 
 
 def style_triplet_loss(t_s: np.ndarray, p: AdapterParams, f_i: np.ndarray, f_c: np.ndarray,
-                       margin: float) -> Tensor:
+                       margin: float, *, anchor=None) -> Tensor:
     """Hinge pulling the style-adapted text rows ``t_s`` toward the image rows f_i and away from f_c.
 
     ``p`` is the style adapter. f_c, the category-adapted rows, is a
     constant here: the opposing encoder is not trained through this loss.
     One tape node over ``p``'s four tensors, or, when no triplet is active,
     the exact 0.0 with no parents: the gradient is then zero and
-    ``backward`` computes none.
+    ``backward`` computes none. ``anchor`` is ``adapt_array(t_s, p)`` when
+    the caller has it.
     """
-    return _triplet_loss(t_s, p, f_i, f_c, margin)
+    return _triplet_loss(t_s, p, f_i, f_c, margin, anchor)
 
 
 def category_triplet_loss(t_c: np.ndarray, p: AdapterParams, f_i: np.ndarray, f_s: np.ndarray,
-                          margin: float) -> Tensor:
+                          margin: float, *, anchor=None) -> Tensor:
     """Mirror hinge for the category adapter ``p`` on text rows ``t_c``; f_s held constant.
 
-    As for the style hinge, no active triplet gives the exact 0.0 with no parents.
+    As for the style hinge, no active triplet gives the exact 0.0 with no
+    parents, and ``anchor`` is ``adapt_array(t_c, p)`` when the caller has it.
     """
-    return _triplet_loss(t_c, p, f_i, f_s, margin)
+    return _triplet_loss(t_c, p, f_i, f_s, margin, anchor)

@@ -15,7 +15,8 @@ ops, ``add`` (operands of one shape) and ``scale``. Everything else is a
 coarse node, built with ``_node`` and a hand-written backward over all its
 parents. Each training step records one such node per objective: an
 encoder step one node over the four tensors of its adapter (the objectives
-in ``losses``; a triplet objective with no active triplet records none, and
+in ``losses``: a labeled step runs the adapter once over both factors'
+prompt rows; a triplet objective with no active triplet records none, and
 its loss is a constant 0.0 whose ``backward`` adds nothing), a denoiser
 step one node over the nine tensors of the denoiser for the denoiser and
 its loss (``diffusion.ddpm_train_step``).

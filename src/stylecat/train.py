@@ -32,6 +32,7 @@ from .encoders import _KINDS, _OTHER, PROMPT_TEMPLATES, AdapterParams, EncoderBu
 from .losses import (
     ADVERSARIAL_MODES,
     ConfigError,
+    _LabeledRun,
     category_labeled_loss,
     category_triplet_loss,
     ce_loss,
@@ -253,7 +254,7 @@ def subsample_shots(samples, shots: int | None):
 
 
 def _check_finite(value: float, context: str) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError(f"non-finite loss in {context}: {value}")
     return value
 
@@ -263,10 +264,11 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     """Train both adapters; returns (bundle, metrics_rows).
 
     Each batch runs one step per kind, style then category, each with its
-    own Adam. Labeled mode steps the cross-entropy/confusion objectives.
-    Unlabeled mode steps the triplet objectives over decomposed captions;
-    a kind's negative is the other adapter's feature of the other half
-    caption, taken at the start of that kind's step.
+    own Adam. Labeled mode steps the cross-entropy/confusion objectives,
+    which read the run's checked unit rows and labels from one
+    ``_LabeledRun``. Unlabeled mode steps the triplet objectives over
+    decomposed captions; a kind's negative is the other adapter's feature
+    of the other half caption, taken at the start of that kind's step.
     """
     if config.mode == "unlabeled" and lexicon is None:
         raise ConfigError("unlabeled mode requires a category lexicon")
@@ -284,6 +286,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     # Built per run from the module's names, so that a replaced objective is the one each step calls.
     if labeled:
         objective = {"style": style_labeled_loss, "category": category_labeled_loss}
+        run = _LabeledRun(f_all, labels, bundle)
     else:
         objective = {"style": style_triplet_loss, "category": category_triplet_loss}
         margin = {"style": config.margin1, "category": config.margin2}
@@ -299,15 +302,18 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         for start in range(0, len(data), config.batch_size):
             idx = order[start : start + config.batch_size]
             f_i = f_all[idx]
-            batch = {kind: (labels if labeled else text)[kind][idx] for kind in _KINDS}
+            batch = run.select(idx) if labeled else {kind: text[kind][idx] for kind in _KINDS}
+            adapted = {}
             for kind in _KINDS:
                 p = bundle.adapter(kind)
                 if labeled:
-                    loss = objective[kind](f_i, batch, bundle, config)
+                    loss = objective[kind](f_i, batch, bundle, config, run=run)
                 else:
+                    # The style step leaves the category adapter as it is, so the category rows it
+                    # adapts for its negative are the category step's anchor, rows and backward.
                     other = _OTHER[kind]
-                    negative = adapt_array(batch[other], bundle.adapter(other))[0]
-                    loss = objective[kind](batch[kind], p, f_i, negative, margin[kind])
+                    adapted[other] = adapt_array(batch[other], bundle.adapter(other))
+                    loss = objective[kind](batch[kind], p, f_i, adapted[other][0], margin[kind], anchor=adapted.get(kind))
                 p.zero_grad()
                 backward(loss)
                 opts[kind].step()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stylecat import losses
 from stylecat import tensor as T
 from stylecat.backbone import embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
@@ -194,6 +195,21 @@ class TestLabeledLosses:
             fd = finite_diff_grad(loss_fn, t)
             assert relative_error(t.grad, fd) < 1e-4
 
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda f, y: (f, {**y, "category": y["category"] + 4}), ValueError, r"labels must lie in \[0, 4\)"),
+        (lambda f, y: (f, {**y, "style": y["style"][:-1]}), T.ShapeError, "labels shape"),
+        (lambda f, y: (f[:, :16], y), T.ShapeError, "width"),
+        (lambda f, y: (f[0], y), T.ShapeError, "width"),
+        (lambda f, y: (np.concatenate([f[:-1], 0.0 * f[-1:]]), y), ValueError, "zero norm"),
+    ], ids=["label-range", "label-shape", "feature-width", "one-row", "zero-row"])
+    @pytest.mark.parametrize("kind", ["style", "category"])
+    def test_direct_call_checks_its_inputs(self, labeled_world, kind, edit, error, message):
+        """Without a run's workspace an objective checks its labels and feature rows on each call."""
+        _, bundle, (f_i, labels) = labeled_world
+        fused = style_labeled_loss if kind == "style" else category_labeled_loss
+        with pytest.raises(error, match=message):
+            fused(*edit(f_i, labels), bundle, TrainConfig())
+
     def test_category_loss_mirrors_style_loss(self, labeled_world):
         _, bundle, batch = labeled_world
         loss = category_labeled_loss(*batch, bundle, TrainConfig())
@@ -265,6 +281,21 @@ class TestFusedObjectives:
         expected = value_and_grads(layered_labeled(f_i, labels, bundle, cfg, kind), p)
         assert value_and_grads(fused(f_i, labels, bundle, cfg), p) == expected
         assert any(np.frombuffer(g).any() for g in expected[1:])
+
+    @pytest.mark.parametrize("mode", ADVERSARIAL_MODES)
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    @pytest.mark.parametrize("kind", ["style", "category"])
+    def test_run_workspace_matches_one_off_bitwise(self, labeled_world, kind, lam, mode):
+        """A batch selected from a run's workspace scores as the same rows passed alone."""
+        _, bundle, (f_i, labels) = labeled_world
+        cfg = TrainConfig(lambda1=lam, lambda2=lam, adversarial_mode=mode)
+        fused = style_labeled_loss if kind == "style" else category_labeled_loss
+        p = bundle.adapter(kind)
+        idx = np.random.default_rng(11).permutation(len(f_i))[:8]
+        batch_labels = {k: v[idx] for k, v in labels.items()}
+        expected = value_and_grads(fused(f_i[idx], batch_labels, bundle, cfg), p)
+        run = losses._LabeledRun(f_i, labels, bundle)
+        assert value_and_grads(fused(f_i[idx], run.select(idx), bundle, cfg, run=run), p) == expected
 
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_triplet_matches_layered_bitwise(self, labeled_world, kind):

@@ -6,7 +6,7 @@ import json
 import os
 import re
 import shutil
-from dataclasses import fields, make_dataclass
+from dataclasses import fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +264,17 @@ class TestTrainEncoders:
         for kind in ("style", "category"):
             assert bundle.adapter(kind).flat.tobytes() == ref_bundle.adapter(kind).flat.tobytes()
         assert (any(active) and not all(active)) if mode == "unlabeled" else all(active)
+
+    def test_a_bad_label_fails_before_the_first_objective(self, spec, dataset, monkeypatch):
+        """The run checks every label once, before its first step, with the objectives' error."""
+        train, _ = dataset
+        config = TrainConfig(epochs=1, shots=4)
+        data = subsample_shots(train, 4)
+        data[5] = replace(data[5], style=spec.n_styles)
+        counts = self._count_calls(monkeypatch, ("style_labeled_loss", "category_labeled_loss"))
+        with pytest.raises(ValueError, match=rf"labels must lie in \[0, {spec.n_styles}\)"):
+            train_encoders(config, spec, data)
+        assert counts == {"style_labeled_loss": 0, "category_labeled_loss": 0}
 
     def test_labeled_run_calls_style_loss_once_per_batch(self, spec, dataset, monkeypatch):
         train, _ = dataset
@@ -644,6 +655,25 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and str(folder) in err
         assert not (tmp_path / "dec.jsonl").exists()
+
+    def test_unwritable_out_fails_before_training(self, spec, data_dir, tmp_path, monkeypatch, capsys):
+        """An --out that is a directory, or whose directory is missing, exits 1 before training starts."""
+        def never(*args, **kwargs):
+            raise AssertionError("training started")
+        monkeypatch.setattr(cli_mod, "train_encoders", never)
+        monkeypatch.setattr(cli_mod, "train_diffusion", never)
+        enc = tmp_path / "enc.cclp"
+        save_encoder_checkpoint(enc, fresh_bundle(spec, TrainConfig(epochs=0)), TrainConfig(epochs=0), spec)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        capsys.readouterr()
+        for out in (folder, tmp_path / "missing" / "x.cclp"):
+            for argv in (("train-encoders", "--data", str(data_dir)),
+                         ("train-diffusion", "--data", str(data_dir), "--encoders", str(enc))):
+                assert self.run(*argv, "--out", str(out)) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and str(out) in err
+        assert not (tmp_path / "missing").exists()
 
     def test_unknown_flag_exits_one(self, capsys):
         assert self.run("gen-data", "--nope") == 1
