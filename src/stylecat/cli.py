@@ -166,11 +166,16 @@ def _load_dataset_dir(data_dir, mode: str):
 
 
 def _check_writable(*paths) -> None:
-    """OSError naming the first given output path that is a directory or whose parent is not an
-    existing, writable directory: run before training, so that a run is not lost at its save."""
+    """OSError naming the first given output path that is a directory, whose parent is not an
+    existing, writable directory, or that names the same file as an earlier one: run before a
+    command's work, so that its result is not lost at the write."""
+    seen = set()
     for path in filter(None, paths):
         if Path(path).is_dir() or not Path(path).parent.is_dir() or not os.access(Path(path).parent, os.W_OK):
             raise OSError(f"cannot write {path}: it must be a file in an existing, writable directory")
+        if Path(path).resolve() in seen:
+            raise OSError(f"cannot write {path}: another output names the same file")
+        seen.add(Path(path).resolve())
 
 
 def _load_generator(args):
@@ -215,7 +220,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_train_encoders(args) -> int:
-    _check_writable(args.out, args.metrics)
     config = _load_config(args)
     spec, train, test, lexicon = _load_dataset_dir(args.data, config.mode)
     started = time.perf_counter()
@@ -272,7 +276,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train_diffusion(args) -> int:
-    _check_writable(args.out, args.metrics)
     bundle, config, spec, _ = load_encoder_checkpoint(args.encoders)
     config = _load_config(args, config)
     points = load(Path(args.data) / "diff_train.jsonl", "point", spec)
@@ -352,6 +355,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command != "gen-data":  # whose --out is a directory
+            _check_writable(getattr(args, "out", None), getattr(args, "metrics", None))
         return _COMMANDS[args.command](args)
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -13,7 +13,8 @@ parents, so that step's ``backward`` runs no backward at all. Their
 forward and hand-written backward are put together from the numpy helpers
 below, which also make the single-layer ops ``class_logits``, ``ce_loss``,
 ``confusion_loss`` and ``triplet_hinge``; so an objective gives the same
-bits as the composition of those ops.
+bits as the composition of those ops. Those ops are the tests' references;
+``train.gradcheck_suite`` audits the objectives themselves.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ step one node over the nine tensors of the denoiser for the denoiser and
 its loss (``diffusion.ddpm_train_step``).
 The single layers the encoder objectives are made of (``encoders.adapt``,
 the cosine logits and each loss head) stay nodes of their own, built from
-the same numpy pieces. ``train.gradcheck_suite`` audits the objectives and
-the layers against central differences.
+the same numpy pieces, as the tests' references for the objectives.
+``train.gradcheck_suite`` audits against central differences the
+objectives that training steps and the denoiser's training step.
 
 ``finite_diff_grad``, the oracle of those audits and of the tests, never
 touches the tape.

@@ -28,16 +28,13 @@ from .diffusion import (
     oracle_classify_batch,
     sample,
 )
-from .encoders import _KINDS, _OTHER, PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt, adapt_array, blend
+from .encoders import _KINDS, _OTHER, PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt_array, blend
 from .losses import (
     ADVERSARIAL_MODES,
     ConfigError,
     _LabeledRun,
     category_labeled_loss,
     category_triplet_loss,
-    ce_loss,
-    class_logits,
-    confusion_loss,
     style_labeled_loss,
     style_triplet_loss,
 )
@@ -530,8 +527,6 @@ class _AuditWorld(EncoderBundle):
     HIDDEN = 3
     K = 3
     BATCH = 4
-    LAMBDA = {"style": 0.2, "category": 0.3}
-    LOGIT_SCALE = 10.0
 
     def __init__(self, seed: int):
         attempt = 0
@@ -549,6 +544,7 @@ class _AuditWorld(EncoderBundle):
             if self._clean():
                 break
             attempt += 1
+        self.run = _LabeledRun(self.f_i, self.labels, self)  # as train_encoders passes it, built once
 
     def _clean(self, threshold: float = 1e-3) -> bool:
         feats = np.concatenate([self.f_i, *self.prompt_features.values()])
@@ -566,33 +562,26 @@ class _AuditWorld(EncoderBundle):
 
     # loss closures of the ``kind`` adapter; each reads the live adapter tensors
 
-    def ce(self, kind: str):
-        protos = adapt(Tensor(self.prompt_features[kind]), self.adapter(kind))
-        return ce_loss(class_logits(Tensor(self.f_i), protos, self.LOGIT_SCALE), self.labels[kind])
-
-    def confusion(self, kind: str):
-        other = _OTHER[kind]
-        protos = adapt(Tensor(self.prompt_features[other]), self.adapter(kind))
-        return confusion_loss(class_logits(Tensor(self.f_i), protos, self.LOGIT_SCALE), self.labels[other],
-                              "uniform-kl")
-
-    def labeled(self, kind: str, mode: str = "uniform-kl"):
-        cfg = TrainConfig(lambda1=self.LAMBDA["style"], lambda2=self.LAMBDA["category"],
-                          logit_scale=self.LOGIT_SCALE, adversarial_mode=mode)
+    def labeled(self, kind: str, cfg: TrainConfig):
         loss = style_labeled_loss if kind == "style" else category_labeled_loss
-        return loss(self.f_i, self.labels, self, cfg)
-
-    def labeled_negated_ce(self, kind: str):
-        return self.labeled(kind, "negated-ce")
+        return loss(self.f_i, self.labels, self, cfg, run=self.run)
 
     def triplet(self, kind: str):
         loss = style_triplet_loss if kind == "style" else category_triplet_loss
         return loss(self.f_i, self.adapter(kind), self.positive[kind], self.adapted[_OTHER[kind]], self.margin)
 
 
-def _adapter_world(seed: int, kind: str, part: str):
+# The labeled configurations that training steps, by audit component: both adversarial modes at the
+# default lambdas, and lambda = 0, whose objective adapts only the kind's own prompt rows.
+LABELED_AUDITS = {name: TrainConfig(logit_scale=10.0, **overrides) for name, overrides in (
+    ("labeled", {}), ("labeled-negated-ce", {"adversarial_mode": "negated-ce"}),
+    ("labeled-lambda0", {"lambda1": 0.0, "lambda2": 0.0}))}
+
+
+def _adapter_world(seed: int, kind: str, loss):
+    """``loss(world, kind)`` over a fresh ``_AuditWorld(seed)``, and the ``kind`` adapter's tensors."""
     world = _AuditWorld(seed)
-    return partial(getattr(world, part.replace("-", "_")), kind), world.adapter(kind).tensors()
+    return partial(loss, world, kind), world.adapter(kind).tensors()
 
 
 def _denoiser_train_world(seed: int):
@@ -627,9 +616,11 @@ def _denoiser_train_world(seed: int):
 
 
 def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
-    """Check every loss and the denoiser's training step against central differences.
+    """Check the objectives that training steps, and the denoiser's, against central differences.
 
-    The denoiser is audited once, through ``ddpm_train_step``'s node
+    Each kind's labeled objective under each ``LABELED_AUDITS`` config
+    (both adversarial modes, and lambda = 0), then each kind's triplet
+    objective. The denoiser is audited once, through ``ddpm_train_step``'s node
     (``denoiser-train-step``): the layered forward has one input form, n
     timesteps and n condition indices, so that node runs all of its forward
     and backward. Returns a list of (component, worst_relative_error,
@@ -637,9 +628,9 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
     """
     if n_seeds < 1 or not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck needs n_seeds >= 1 and a positive finite tol, got {n_seeds} and {tol}")
-    parts = [(kind, part) for kind in _KINDS for part in ("ce", "confusion", "labeled", "labeled-negated-ce")]
-    parts += [(kind, "triplet") for kind in _KINDS]
-    components = [(f"{kind}-{part}", partial(_adapter_world, kind=kind, part=part)) for kind, part in parts]
+    components = [(f"{kind}-{name}", partial(_adapter_world, kind=kind, loss=partial(_AuditWorld.labeled, cfg=cfg)))
+                  for kind in _KINDS for name, cfg in LABELED_AUDITS.items()]
+    components += [(f"{kind}-triplet", partial(_adapter_world, kind=kind, loss=_AuditWorld.triplet)) for kind in _KINDS]
     components.append(("denoiser-train-step", _denoiser_train_world))
     results = []
     for name, world_fn in components:

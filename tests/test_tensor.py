@@ -6,7 +6,7 @@ import pytest
 
 from stylecat import tensor as T
 from stylecat.encoders import AdapterParams, adapt
-from stylecat.losses import ConfigError, _hinge, ce_loss, class_logits, confusion_loss, triplet_hinge
+from stylecat.losses import ADVERSARIAL_MODES, ConfigError, _hinge, ce_loss, class_logits, confusion_loss, triplet_hinge
 from stylecat.tensor import (
     ShapeError,
     Tensor,
@@ -15,7 +15,7 @@ from stylecat.tensor import (
     no_grad,
     relative_error,
 )
-from stylecat.train import _AuditWorld, gradcheck_suite
+from stylecat.train import LABELED_AUDITS, _AuditWorld, gradcheck_suite
 
 
 def grad_of(loss_fn, x):
@@ -280,8 +280,18 @@ class TestOpFamilyGradients:
 
 def test_gradcheck_suite_passes_every_component():
     results = gradcheck_suite(n_seeds=20)
-    assert len(results) == 11
+    assert [name for name, _, _ in results] == [
+        "style-labeled", "style-labeled-negated-ce", "style-labeled-lambda0", "category-labeled",
+        "category-labeled-negated-ce", "category-labeled-lambda0", "style-triplet", "category-triplet",
+        "denoiser-train-step"]
     assert [name for name, _, ok in results if not ok] == []
+
+
+def test_labeled_audits_cover_every_adversarial_mode_and_lambda_zero():
+    """A new adversarial mode, or the lambda = 0 branch, cannot go unaudited."""
+    configs = LABELED_AUDITS.values()
+    assert {cfg.adversarial_mode for cfg in configs if cfg.lambda1 > 0 and cfg.lambda2 > 0} == set(ADVERSARIAL_MODES)
+    assert any(cfg.lambda1 == cfg.lambda2 == 0 for cfg in configs)
 
 
 def test_every_audit_world_has_an_active_triplet_row():

@@ -675,6 +675,37 @@ class TestCli:
                 assert err.startswith("error: ") and str(out) in err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("argv", [
+        "sweep --axis lambda --data {data} --out {folder}",
+        "sweep --axis alpha --checkpoint {ckpt} --data {data} --out {folder}",
+        "eval-classify --checkpoint {ckpt} --data {data} --out {folder}",
+        "guidance-eval --checkpoint {ckpt} --n-per-cell 1 --out {folder}",
+        "sample --checkpoint {ckpt} --style neon --category cat --out {folder}",
+        "decompose --captions {data}/lexicon.txt --lexicon {data}/lexicon.txt --out {folder}",
+        "train-encoders --data {data} --out {tmp}/x.cclp --metrics {tmp}/./x.cclp",
+        "train-diffusion --data {data} --encoders {ckpt} --out {tmp}/x.cclp --metrics {tmp}/./x.cclp",
+    ], ids=["sweep-lambda", "sweep-alpha", "eval-classify", "guidance-eval", "sample", "decompose",
+            "train-encoders-metrics", "train-diffusion-metrics"])
+    def test_unwritable_outputs_fail_before_any_work(self, spec, data_dir, tmp_path, monkeypatch, capsys, argv):
+        """An --out that is a directory, or --out and --metrics naming one file, exits 1 with a
+        "cannot write" line before the command reads, trains, samples or prints anything."""
+        def never(*args, **kwargs):
+            raise AssertionError("the command started its work")
+        for name in ("lambda_sweep", "alpha_sweep", "eval_row", "guidance_eval", "ddpm_sample", "batch_decompose",
+                     "train_encoders", "train_diffusion"):
+            monkeypatch.setattr(cli_mod, name, never)
+        config = TrainConfig(epochs=0, timesteps=4)
+        ckpt = tmp_path / "gen.cclp"
+        save_encoder_checkpoint(ckpt, fresh_bundle(spec, config), config, spec,
+                                denoiser=DenoiserParams.init(dim=config.dim, steps=config.timesteps))
+        (tmp_path / "folder").mkdir()
+        capsys.readouterr()
+        assert self.run(*argv.format(data=data_dir, ckpt=ckpt, folder=tmp_path / "folder", tmp=tmp_path).split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ") and "Traceback" not in captured.err
+        assert not (tmp_path / "x.cclp").exists()
+
     def test_unknown_flag_exits_one(self, capsys):
         assert self.run("gen-data", "--nope") == 1
 
@@ -687,9 +718,9 @@ class TestCli:
         assert self.run("gradcheck", "--seeds", "2") == 0
         out = capsys.readouterr().out
         names = [line.split()[0] for line in out.splitlines() if line.endswith(" ok")]
-        assert names == ["style-ce", "style-confusion", "style-labeled", "style-labeled-negated-ce",
-                         "category-ce", "category-confusion", "category-labeled", "category-labeled-negated-ce",
-                         "style-triplet", "category-triplet", "denoiser-train-step"]
+        assert names == ["style-labeled", "style-labeled-negated-ce", "style-labeled-lambda0", "category-labeled",
+                         "category-labeled-negated-ce", "category-labeled-lambda0", "style-triplet",
+                         "category-triplet", "denoiser-train-step"]
 
         import stylecat.train as train_mod
 
@@ -700,6 +731,35 @@ class TestCli:
 
         monkeypatch.setattr(train_mod, "_ad_grads", flipped)
         assert self.run("gradcheck", "--seeds", "2") == 2
+
+    @pytest.mark.parametrize("mutation, failing", [
+        ("confusion-sign", ["style-labeled", "category-labeled"]),
+        ("ce-times-batch", [f"{kind}-labeled{mode}" for kind in ("style", "category")
+                            for mode in ("", "-negated-ce", "-lambda0")]),
+    ], ids=["confusion-sign", "ce-times-batch"])
+    def test_gradcheck_catches_a_labeled_head_mutation(self, monkeypatch, capsys, mutation, failing):
+        """A uniform-kl confusion backward with its sign flipped fails the two uniform-kl labeled
+        audits, and only those; a cross-entropy backward scaled by the batch size fails all six
+        labeled audits, negated-ce and lambda = 0 included, and nothing else."""
+        import stylecat.losses as losses_mod
+
+        real_confusion, real_ce = losses_mod._confusion, losses_mod._ce
+
+        def flipped_confusion(logits, labels, mode):
+            value, grad = real_confusion(logits, labels, mode)
+            return value, (lambda g: -grad(g)) if mode == "uniform-kl" else grad
+
+        def scaled_ce(logits, labels):
+            value, grad = real_ce(logits, labels)
+            return value, lambda g: grad(g) * len(labels)
+
+        if mutation == "confusion-sign":
+            monkeypatch.setattr(losses_mod, "_confusion", flipped_confusion)
+        else:
+            monkeypatch.setattr(losses_mod, "_ce", scaled_ce)
+        assert self.run("gradcheck", "--seeds", "2") == 2
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith(" FAIL")]
+        assert failed == failing
 
     def test_gradcheck_catches_a_colliding_denoiser_scatter(self, monkeypatch, capsys):
         """A row gather's gradient that keeps only the last row of each target fails the one
