@@ -165,16 +165,21 @@ def _load_dataset_dir(data_dir, mode: str):
     return spec, train, test, lexicon
 
 
-def _check_writable(*paths) -> None:
-    """OSError naming the first given output path that is a directory, whose parent is not an
-    existing, writable directory, or that names the same file as an earlier one: run before a
-    command's work, so that its result is not lost at the write."""
-    seen = set()
-    for path in filter(None, paths):
+# The options that name a file a command reads.
+_INPUT_FILES = ("checkpoint", "encoders", "config", "captions", "lexicon")
+
+
+def _check_writable(args) -> None:
+    """OSError naming the first of ``--out`` and ``--metrics`` that is a directory, whose parent is
+    not an existing, writable directory, or that names the same file as an input (``_INPUT_FILES``)
+    or an earlier output: run before a command's work, so that neither its result nor an input is
+    lost at the write."""
+    seen = {Path(path).resolve() for name in _INPUT_FILES if (path := getattr(args, name, None))}
+    for path in filter(None, (getattr(args, "out", None), getattr(args, "metrics", None))):
         if Path(path).is_dir() or not Path(path).parent.is_dir() or not os.access(Path(path).parent, os.W_OK):
             raise OSError(f"cannot write {path}: it must be a file in an existing, writable directory")
         if Path(path).resolve() in seen:
-            raise OSError(f"cannot write {path}: another output names the same file")
+            raise OSError(f"cannot write {path}: an input or another output names the same file")
         seen.add(Path(path).resolve())
 
 
@@ -283,7 +288,7 @@ def _cmd_train_diffusion(args) -> int:
     params, _, rows = train_diffusion(config, points, bundle)
     save_encoder_checkpoint(args.out, bundle, config, spec, denoiser=params)
     if args.metrics:
-        write_metrics_csv(rows, args.metrics, ("step", "loss"))
+        write_metrics_csv(rows, args.metrics, ("step", "loss", "grad_norm"))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"trained denoiser for {config.diffusion_steps} steps in {elapsed_ms:.0f} ms; "
           f"final loss {rows[-1]['loss']:.4f}; saved {args.out}")
@@ -356,7 +361,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command != "gen-data":  # whose --out is a directory
-            _check_writable(getattr(args, "out", None), getattr(args, "metrics", None))
+            _check_writable(args)
         return _COMMANDS[args.command](args)
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -8,17 +8,20 @@ predicts the injected noise. This is decoupled cross-attention (IP-Adapter,
 Ye et al. 2023) with one token per path: a softmax over one key is 1, so
 each attention path reduces to its value projection.
 
-The denoiser has two forward bodies. Training (``predict_noise`` and
-``ddpm_train_step``) runs the layered one, ``_LayeredBuffers``, and records
-one tape node over the nine parameters. It takes one input form, n
-timesteps and n condition indices: its callers broadcast one timestep and
-give a one-row condition's missing indices as zeros. ``sample`` runs the
-folded one, ``_ReverseBuffers``, which composes the input layer into the
-first MLP layer. The fold reassociates sums, so the two agree to within
-a few ulps of the magnitudes summed, not to the bit: the tests hold one
-forward to rtol = atol = 1e-12 and a 20-step sample to atol = 1e-10 of
-the layered forward. Where every sum is exact, as on dyadic weights, they
-are equal.
+The denoiser has two forward bodies. ``predict_noise`` and
+``ddpm_train_step`` run the layered one, ``_LayeredBuffers``, with its
+hand-written backward: ``predict_noise`` records it as one tape node over
+the nine parameters, and ``ddpm_train_step`` runs forward, loss and
+backward in one call that writes the gradients into the denoiser's
+``flat_grad`` and returns the loss as a float. The layered body takes one
+input form, n timesteps and n condition indices: its callers broadcast
+one timestep and give a one-row condition's missing indices as zeros.
+``sample`` runs the folded one, ``_ReverseBuffers``, which composes the
+input layer into the first MLP layer. The fold reassociates sums, so the
+two agree to within a few ulps of the magnitudes summed, not to the bit:
+the tests hold one forward to rtol = atol = 1e-12 and a 20-step sample to
+atol = 1e-10 of the layered forward. Where every sum is exact, as on
+dyadic weights, they are equal.
 """
 
 from __future__ import annotations
@@ -191,23 +194,15 @@ class _LayeredBuffers:
 
     Built for one ``params`` object and one ``GuidanceCondition`` of G rows
     (``TypeError`` for another type, ``ShapeError`` for another width).
-    ``forward`` takes one input form, checked n timesteps and n condition
-    indices, so its two row gathers and their scatters are its only path. It
-    holds ``a``, ``hidden`` and ``out``, the gathered time or value rows,
-    the backward's ``g_pre``, ``g_a`` and ReLU mask, and the flat
-    ``bincount`` bins of the two row gathers: row r of ``time_bins`` (T, D)
-    and of ``cond_bins`` (G, D) is ``r * D + arange(D)``. ``forward`` keeps
-    its points, timesteps and condition indices for the backward, so every
-    array ``record``'s node reads lives here until the next ``forward``; a
-    node recorded before that raises ``RuntimeError`` in its backward
-    rather than return gradients of overwritten buffers.
+    ``forward`` takes checked (n, 2) points, n timesteps and n condition
+    indices and keeps them; ``_grads`` reads them and the forward's buffers,
+    so it holds only until the next ``forward``.
     """
 
     def __init__(self, params: DenoiserParams, cond: GuidanceCondition, n: int):
         steps, dim = params.time_embed.shape
         _check_condition(cond, dim)
         self.params, self.cond, self.n = params, cond, n
-        self.leaves = params.tensors()
         self.time_bins = np.arange(steps * dim).reshape(steps, dim)
         self.cond_bins = np.arange(len(cond.tau_style) * dim).reshape(-1, dim)
         self.a, self.rows, self.hidden = np.empty((n, dim)), np.empty((n, dim)), np.empty((n, dim))
@@ -215,12 +210,10 @@ class _LayeredBuffers:
         self.g_pre, self.g_a = np.empty((n, dim)), np.empty((n, dim))
         self.mask = np.empty((n, dim), dtype=bool)
         self.bins = np.empty((n, dim), dtype=np.int64)
-        self.generation = 0
 
     def forward(self, z: np.ndarray, t: np.ndarray, cond_idx: np.ndarray) -> np.ndarray:
         """``out`` for checked (n, 2) points, n timesteps and n condition indices."""
         p, cond = self.params, self.cond
-        self.generation += 1
         self.z, self.t, self.cond_idx = z, t, cond_idx
         values = cond.tau_style @ p.ws.data + cond.tau_category @ p.wv.data
         a = np.matmul(z, p.in_w.data, out=self.a)
@@ -234,28 +227,28 @@ class _LayeredBuffers:
         out += p.mlp_b2.data
         return out
 
-    def record(self, data, grad_at_out) -> Tensor:
-        """One tape node of ``data`` over the nine parameters; ``grad_at_out(g)`` is the gradient at ``out``."""
-        generation = self.generation
+    def _grads(self, g: np.ndarray, grads) -> None:
+        """The nine parameter gradients, given ``g``, the (n, 2) gradient at ``out``, written into
+        ``grads``, nine arrays of the parameters' shapes in field order.
 
-        def grad_fn(g):
-            if self.generation != generation:
-                raise RuntimeError("backward through a denoiser node whose workspace a later forward has "
-                                   "overwritten; call backward before the next step")
-            return self._grads(grad_at_out(g))
-
-        return T._node(data, self.leaves, grad_fn)
-
-    def _grads(self, g: np.ndarray) -> tuple:
-        """The nine parameter gradients, in field order, given ``g``, the (n, 2) gradient at ``out``."""
+        A gradient that is a product or a sum may be -0.0 where ``backward``'s
+        add into a zeroed buffer gives +0.0; the ``bincount`` ones never are.
+        """
         p, cond = self.params, self.cond
+        g_time, g_in_w, g_in_b, g_ws, g_wv, g_w1, g_b1, g_w2, g_b2 = grads
         g_pre = np.matmul(g, p.mlp_w2.data.T, out=self.g_pre)
         g_pre *= np.greater(self.hidden, 0, out=self.mask)
         g_a = np.matmul(g_pre, p.mlp_w1.data.T, out=self.g_a)
         g_values = self._scatter(g_a, self.cond_bins, self.cond_idx)
-        return (self._scatter(g_a, self.time_bins, self.t), self.z.T @ g_a, g_a.sum(axis=0),
-                cond.tau_style.T @ g_values, cond.tau_category.T @ g_values,
-                self.a.T @ g_pre, g_pre.sum(axis=0), self.hidden.T @ g, g.sum(axis=0))
+        g_time[...] = self._scatter(g_a, self.time_bins, self.t)
+        np.matmul(self.z.T, g_a, out=g_in_w)
+        g_a.sum(axis=0, out=g_in_b)
+        np.matmul(cond.tau_style.T, g_values, out=g_ws)
+        np.matmul(cond.tau_category.T, g_values, out=g_wv)
+        np.matmul(self.a.T, g_pre, out=g_w1)
+        g_pre.sum(axis=0, out=g_b1)
+        np.matmul(self.hidden.T, g, out=g_w2)
+        g.sum(axis=0, out=g_b2)
 
     def _scatter(self, g: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Sums of the rows of g by target row, shaped like ``table``: the gradient of a row gather.
@@ -372,7 +365,13 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     t = np.broadcast_to(_check_timesteps(t_idx, n, params.time_embed.shape[0]), (n,))
     layers = _LayeredBuffers(params, cond, n)
     out = layers.forward(z, t, _check_cond_idx(cond_idx, n, len(cond.tau_style)))
-    return layers.record(out, lambda g: g)
+
+    def grad_fn(g):
+        grads = [np.empty(x.shape) for x in params.tensors()]
+        layers._grads(g, grads)
+        return grads
+
+    return T._node(out, params.tensors(), grad_fn)
 
 
 def noise_regression_loss(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
@@ -394,25 +393,22 @@ class _TrainBuffers(_LayeredBuffers):
     """The workspace of one ``train_diffusion`` run: a ``_LayeredBuffers`` plus the step's own.
 
     Built once before the loop for one schedule, one ``params`` object, one
-    stacked condition and n rows per batch. It checks the schedule against
-    the denoiser (``ShapeError``) and the condition (see
-    ``_LayeredBuffers``) once, holds the ``sqrt(alpha_bars)`` and
-    ``sqrt(1 - alpha_bars)`` tables, the (n,) buffer ``coef`` that each
-    gathers into, and the (n, 2) buffers of the noised points ``z_t``, the
-    noise ``eps``, the error ``diff``, its gradient ``g_out`` and a scratch
-    product. A step's node reads them, so it is valid until the next step.
+    stacked condition and n rows per batch; it checks the schedule against
+    the denoiser (``ShapeError``) and the condition (see ``_LayeredBuffers``)
+    once. ``step`` writes the gradients into the parameters' ``grad`` views
+    of ``flat_grad``.
     """
 
     def __init__(self, schedule: DiffusionSchedule, params: DenoiserParams, cond: GuidanceCondition, n: int):
         _check_steps(schedule, params)
         super().__init__(params, cond, n)
-        self.schedule = schedule
+        self.schedule, self.grads = schedule, [x.grad for x in params.tensors()]
         self.sqrt_ab, self.sqrt_1m_ab = np.sqrt(schedule.alpha_bars), np.sqrt(1.0 - schedule.alpha_bars)
         self.coef = np.empty(n)
         self.z_t, self.eps, self.diff, self.g_out, self.scratch = (np.empty((n, POINT_DIM)) for _ in range(5))
 
     def step(self, points: np.ndarray, cond_idx, cond: GuidanceCondition, schedule: DiffusionSchedule,
-             params: DenoiserParams, rng: np.random.Generator) -> Tensor:
+             params: DenoiserParams, rng: np.random.Generator) -> float:
         """``ddpm_train_step`` on (n, 2) ``points`` for the run this workspace was built for."""
         if params is not self.params or cond is not self.cond or schedule is not self.schedule:
             raise ValueError("ddpm_train_step: the workspace was built for another denoiser, condition "
@@ -430,14 +426,12 @@ class _TrainBuffers(_LayeredBuffers):
         self.sqrt_1m_ab.take(t, out=self.coef, mode="clip")
         z += np.multiply(col, eps, out=self.scratch)
         diff = np.subtract(self.forward(z, t, cond_idx), eps, out=self.diff)
-        loss = np.asarray(np.multiply(diff, diff, out=self.scratch).sum()) * (1.0 / n)
-        return self.record(loss, self._grad_at_out)
-
-    def _grad_at_out(self, g) -> np.ndarray:
-        """``noise_regression_loss``'s gradient at the estimate, 2 g diff / n, into ``g_out``."""
-        gd = np.multiply(self.diff, float(g) * (1.0 / self.n), out=self.g_out)
-        gd += gd
-        return gd
+        loss = np.multiply(diff, diff, out=self.scratch).sum() * (1.0 / n)
+        g = np.multiply(diff, 1.0 / n, out=self.g_out)  # the loss's gradient at the estimate, 2 diff / n
+        g += g
+        self._grads(g, self.grads)
+        params.flat_grad += 0.0  # -0.0 to +0.0, as backward's add into a zeroed buffer gives
+        return float(loss)
 
 
 def ddpm_train_step(
@@ -449,16 +443,17 @@ def ddpm_train_step(
     rng: np.random.Generator,
     *,
     buffers: _TrainBuffers | None = None,
-) -> Tensor:
-    """The noise-prediction loss on an (n, 2) batch of captioned points; one tape node.
+) -> float:
+    """One noise-prediction training step on an (n, 2) batch of captioned points: the loss, as a float.
 
     ``cond_idx[i]`` names point i's row of ``condition`` (None only for one
     row). Draws a uniform timestep, then Gaussian noise, per point and
-    returns the mean squared error of the layered forward's estimate. Its
-    backward gives all nine ``DenoiserParams`` gradients, the same to the bit
-    as through ``noise_regression_loss(predict_noise(...), eps)``.
-    ``buffers`` is the run's ``_TrainBuffers`` (a one-off without it); a
-    node's backward after the next step into it raises ``RuntimeError``.
+    returns the mean squared error of the layered forward's estimate. It
+    records no tape node: it writes all nine ``DenoiserParams`` gradients
+    into ``params.flat_grad``, overwriting what it held, the same to the
+    bit as ``zero_grad`` and ``backward`` through
+    ``noise_regression_loss(predict_noise(...), eps)`` leave there.
+    ``buffers`` is the run's ``_TrainBuffers`` (a one-off without it).
 
     Before any draw: ``ShapeError`` for points not (n, 2) with n >= 1 (the
     workspace's n), a schedule of another length than the denoiser's, or a

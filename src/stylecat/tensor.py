@@ -6,23 +6,27 @@ from its own. ``backward`` walks the tape once in reverse topological
 order and accumulates gradients on the leaf tensors.
 
 Trainable tensors live in a ``ParamGroup``: their ``data`` and ``grad`` are
-views of the group's two flat buffers, which ``backward`` adds into and
-``train.Adam`` updates in place.
+views of the group's two flat buffers, which ``backward`` adds into (or a
+fused step writes) and ``train.Adam`` updates in place.
 
 A ``Tensor`` wraps only a trainable parameter or a node of the tape; the
 frozen features of the backbone are plain arrays. There are two generic
 ops, ``add`` (operands of one shape) and ``scale``. Everything else is a
 coarse node, built with ``_node`` and a hand-written backward over all its
-parents. Each training step records one such node per objective: an
-encoder step one node over the four tensors of its adapter (the objectives
-in ``losses``: a labeled step runs the adapter once over both factors'
-prompt rows; a triplet objective with no active triplet records none, and
-its loss is a constant 0.0 whose ``backward`` adds nothing), a denoiser
-step one node over the nine tensors of the denoiser for the denoiser and
-its loss (``diffusion.ddpm_train_step``).
+parents. An encoder training step records one such node per objective,
+over the four tensors of its adapter (the objectives in ``losses``: a
+labeled step runs the adapter once over both factors' prompt rows; a
+triplet objective with no active triplet records none, and its loss is a
+constant 0.0 whose ``backward`` adds nothing). A denoiser training step
+(``diffusion.ddpm_train_step``) records no node: it runs the denoiser, its
+loss and their backward in one call, writes the nine gradients into the
+denoiser's ``flat_grad`` and returns the loss as a float, so it takes no
+``zero_grad`` or ``backward``.
 The single layers the encoder objectives are made of (``encoders.adapt``,
 the cosine logits and each loss head) stay nodes of their own, built from
-the same numpy pieces, as the tests' references for the objectives.
+the same numpy pieces, as the tests' references for the objectives; so
+does ``diffusion.predict_noise``, one node over the denoiser step's own
+forward and backward, as the reference for that step.
 ``train.gradcheck_suite`` audits against central differences the
 objectives that training steps and the denoiser's training step.
 
@@ -84,6 +88,8 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data.item())
+
+    __float__ = item
 
     def zero_grad(self) -> None:
         """Zero an existing gradient in place, so a view of a group's ``flat_grad`` stays one."""
@@ -233,8 +239,9 @@ def backward(loss: Tensor) -> None:
                 node.grad += g
 
 
-def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar ``f`` at ``x`` (the oracle), an array of ``x``'s shape.
+def finite_diff_grad(f: Callable[[Tensor], Tensor | float], x: Tensor, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of ``f``, a scalar tensor or a float, at ``x`` (the oracle), an
+    array of ``x``'s shape.
 
     Perturbs each coordinate of ``x`` in place and restores it; ``f`` is
     evaluated with the tape disabled.
@@ -244,9 +251,9 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5
     with no_grad():
         for idx in np.ndindex(base.shape):
             x.data[idx] = base[idx] + eps
-            hi = float(f(x).data)
+            hi = float(f(x))
             x.data[idx] = base[idx] - eps
-            lo = float(f(x).data)
+            lo = float(f(x))
             x.data[idx] = base[idx]
             g[idx] = (hi - lo) / (2.0 * eps)
     return g

@@ -38,7 +38,7 @@ from .losses import (
     style_labeled_loss,
     style_triplet_loss,
 )
-from .tensor import Tensor, backward, finite_diff_grad, no_grad, relative_error
+from .tensor import Tensor, backward, finite_diff_grad, relative_error
 
 SEED_ENV_VAR = "CCLIP_SEED"
 
@@ -372,9 +372,13 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
 
     The points are stacked into one (N, 2) array, which must be finite,
     and each caption's condition is built once, before the first step, and
-    stacked into one ``GuidanceCondition`` with a row per caption.
-    Whenever a loss row is logged, every parameter must still be finite:
-    a NaN parameter stays NaN under Adam, so one check per row suffices.
+    stacked into one ``GuidanceCondition`` with a row per caption. Each
+    step is one ``ddpm_train_step``, which leaves its gradients in
+    ``flat_grad``, and one ``Adam.step``. A row, every 100 steps and at the
+    last, holds the step, its loss and ``grad_norm``, the L2 norm of that
+    step's ``flat_grad``. Whenever a row is logged, every parameter must
+    still be finite: a NaN parameter stays NaN under Adam, so one check per
+    row suffices.
     """
     if not points:
         raise DatasetError("diffusion dataset is empty; need at least one captioned point")
@@ -392,20 +396,19 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
     cond_idx = np.array([caption_idx[p.caption] for p in points])
     batch = min(config.diffusion_batch, len(points))
     buffers = _TrainBuffers(schedule, params, conditions, batch)
+    batch_xy, batch_cond = np.empty((batch, xy.shape[1])), np.empty(batch, cond_idx.dtype)
     rows = []
     for step in range(config.diffusion_steps):
         batch_idx = rng.integers(0, len(points), size=batch)
-        loss = ddpm_train_step(xy[batch_idx], cond_idx[batch_idx], conditions, schedule, params, rng,
-                               buffers=buffers)
-        params.zero_grad()
-        backward(loss)
+        loss = ddpm_train_step(xy.take(batch_idx, axis=0, out=batch_xy), cond_idx.take(batch_idx, out=batch_cond),
+                               conditions, schedule, params, rng, buffers=buffers)
         opt.step()
-        value = _check_finite(loss.item(), f"diffusion step {step}")
+        _check_finite(loss, f"diffusion step {step}")
         if step % 100 == 0 or step == config.diffusion_steps - 1:
             bad = [name for name, arr in params.arrays().items() if not np.isfinite(arr).all()]
             if bad:
                 raise NumericalError(f"non-finite denoiser parameters {bad} at diffusion step {step}")
-            rows.append({"step": step, "loss": value})
+            rows.append({"step": step, "loss": loss, "grad_norm": float(np.linalg.norm(params.flat_grad))})
     return params, schedule, rows
 
 
@@ -494,10 +497,13 @@ def load_encoder_checkpoint(path):
 # finite-difference audit
 
 def _ad_grads(loss_fn, params):
-    """Reverse-mode gradients of loss_fn() w.r.t. each tensor in params."""
+    """Gradients of loss_fn() w.r.t. each tensor in params: through ``backward`` for a tape node,
+    and as they are left in each ``grad`` for a fused training step, which returns a float."""
     for p in params:
         p.zero_grad()
-    backward(loss_fn())
+    loss = loss_fn()
+    if isinstance(loss, Tensor):
+        backward(loss)
     return [p.grad.copy() for p in params]
 
 
@@ -585,7 +591,7 @@ def _adapter_world(seed: int, kind: str, loss):
 
 
 def _denoiser_train_world(seed: int):
-    """``ddpm_train_step``'s one node through a workspace; each call re-seeds the step's draws.
+    """``ddpm_train_step`` through a workspace, its loss and gradients; each call re-seeds the step's draws.
 
     Every evaluation draws the same timesteps and noise, so the loss is a
     function of the parameters alone. Six rows share three conditions, so
@@ -607,8 +613,7 @@ def _denoiser_train_world(seed: int):
         draws = np.random.default_rng([seed, 109])
         return ddpm_train_step(points, cond_idx, cond, schedule, params, draws, buffers=buffers)
 
-    with no_grad():
-        loss_fn()
+    loss_fn()
     # keep clear of the MLP ReLU kink
     if np.abs(buffers.a @ params.mlp_w1.data + params.mlp_b1.data).min() < 1e-3:
         return _denoiser_train_world(seed + 1000)
@@ -620,11 +625,11 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
 
     Each kind's labeled objective under each ``LABELED_AUDITS`` config
     (both adversarial modes, and lambda = 0), then each kind's triplet
-    objective. The denoiser is audited once, through ``ddpm_train_step``'s node
-    (``denoiser-train-step``): the layered forward has one input form, n
-    timesteps and n condition indices, so that node runs all of its forward
-    and backward. Returns a list of (component, worst_relative_error,
-    passed) triples. ConfigError unless ``n_seeds`` >= 1 and ``tol`` is a positive finite number.
+    objective. The denoiser is audited once, through the gradients that
+    ``ddpm_train_step`` writes (``denoiser-train-step``): the layered forward
+    has one input form, n timesteps and n condition indices, so that step
+    runs all of its forward and backward. Returns a list of (component,
+    worst_relative_error, passed) triples. ConfigError unless ``n_seeds`` >= 1 and ``tol`` is a positive finite number.
     """
     if n_seeds < 1 or not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck needs n_seeds >= 1 and a positive finite tol, got {n_seeds} and {tol}")

@@ -215,6 +215,14 @@ class TestStackedConditions:
             GuidanceCondition(**rows)
 
 
+def step_draws(points, schedule, rng):
+    """``ddpm_train_step``'s draws, timesteps then noise, and the noised points: (t, z_t, eps)."""
+    t = rng.integers(0, schedule.steps, size=len(points))
+    eps = rng.standard_normal((len(points), 2))
+    ab = schedule.alpha_bars[t][:, None]
+    return t, np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps, eps
+
+
 class TestTrainStep:
     def test_perfect_prediction_gives_zero_loss(self):
         rng = np.random.default_rng(9)
@@ -236,7 +244,7 @@ class TestTrainStep:
         cond_idx = np.array([captions.index(p.caption) for p in points])
         rng = np.random.default_rng(10)
         loss = ddpm_train_step(xy, cond_idx, conditions, schedule, params, rng)
-        assert abs(loss.item() - 2.0) < 0.2
+        assert abs(loss - 2.0) < 0.2
 
     def test_gradcheck_small_params(self, world):
         spec, config, bundle = world
@@ -276,8 +284,8 @@ class TestTrainStep:
         for p in (params.time_embed, params.ws, params.wv):
             assert relative_error(p.grad, finite_diff_grad(loss_fn, p)) < 1e-6
 
-    def test_one_step_tapes_one_node(self, world):
-        """The denoiser and its loss are one node over the nine parameter leaves, with or without a workspace."""
+    def test_one_step_returns_a_float_with_or_without_a_workspace(self, world):
+        """The step returns its loss as a float and leaves the same gradient bytes, with or without a workspace."""
         spec, config, bundle = world
         points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
         captions = list(dict.fromkeys(p.caption for p in points))
@@ -287,29 +295,63 @@ class TestTrainStep:
         params = DenoiserParams.init(dim=config.dim, steps=20, seed=0)
         schedule = DiffusionSchedule.make(20)
         buffers = diffusion_mod._TrainBuffers(schedule, params, conditions, len(xy))
+        results = []
         for kwargs in ({}, {"buffers": buffers}):
             loss = ddpm_train_step(xy, cond_idx, conditions, schedule, params, np.random.default_rng(16), **kwargs)
-            assert loss._grad_fn is not None
-            assert [id(p) for p in loss._parents] == [id(p) for p in params.tensors()]
-            assert all(p._grad_fn is None and not p._parents for p in loss._parents)
+            assert type(loss) is float
+            results.append((loss, params.flat_grad.tobytes()))
+        assert results[0] == results[1]
 
     def test_backward_fills_the_flat_gradient(self):
-        """After one step's backward, ``flat_grad`` holds the nine reference gradients in field order."""
+        """After one step, ``flat_grad`` holds the nine reference gradients in field order."""
         rng = np.random.default_rng(18)
         params = DenoiserParams.init(dim=8, steps=6, seed=3)
         cond = GuidanceCondition(tau_style=unit_rows(rng, 3, 8), tau_category=unit_rows(rng, 3, 8))
         points = rng.standard_normal((9, 2))
         cond_idx = np.array([0, 2, 1, 1, 0, 2, 2, 0, 1])
         schedule = DiffusionSchedule.make(6)
-        params.zero_grad()
-        backward(ddpm_train_step(points, cond_idx, cond, schedule, params, np.random.default_rng(19)))
-        draws = np.random.default_rng(19)  # ddpm_train_step's draws: timesteps, then noise
-        t = draws.integers(0, 6, size=9)
-        eps = draws.standard_normal((9, 2))
-        ab = schedule.alpha_bars[t][:, None]
-        z_t = np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps
+        ddpm_train_step(points, cond_idx, cond, schedule, params, np.random.default_rng(19))
+        t, z_t, eps = step_draws(points, schedule, np.random.default_rng(19))
         expected = reference_grads(params, z_t, t, cond, cond_idx, eps)
         assert np.array_equal(params.flat_grad, np.concatenate([expected[name].ravel() for name in params.arrays()]))
+
+    def test_step_overwrites_the_flat_gradient(self):
+        """A step writes every gradient: after one into a NaN-filled ``flat_grad``, its bytes are a fresh step's."""
+        params, cond, schedule, points, cond_idx = self.step_parts()
+        results = []
+        for fill in (np.nan, 0.0):
+            params.flat_grad[:] = fill
+            loss = ddpm_train_step(points, cond_idx, cond, schedule, params, np.random.default_rng(35))
+            results.append((loss, params.flat_grad.tobytes()))
+        assert results[0] == results[1]
+        assert not np.isnan(params.flat_grad).any()
+
+    def test_dead_relu_units_leave_no_negative_zero(self, monkeypatch):
+        """With hidden units dead on the batch, the step's gradient bytes equal ``zero_grad`` and
+        ``backward`` through the two-node reference, whose add into zeros turns any -0.0 into +0.0;
+        also when the gradient body writes every zero as -0.0."""
+        params, cond, schedule, points, cond_idx = self.step_parts(rows=1, groups=1, seed=36)
+        params.mlp_b1.data[::2] = -50.0  # every other hidden unit is dead
+        params.mlp_w2.data[:] = np.abs(params.mlp_w2.data)
+        params.mlp_b2.data[:] = -50.0  # the estimate is far below the noise: its gradient is negative
+        t, z_t, eps = step_draws(points, schedule, np.random.default_rng(37))
+        params.zero_grad()
+        backward(noise_regression_loss(predict_noise(params, z_t, t, cond, cond_idx), eps))
+        reference = params.flat_grad.tobytes()
+        assert (params.mlp_b1.grad[::2] == 0).all() and not np.signbit(params.flat_grad[params.flat_grad == 0]).any()
+        real_grads = diffusion_mod._LayeredBuffers._grads
+
+        def negative_zeros(self, g, grads):
+            real_grads(self, g, grads)
+            for x in grads:
+                np.copysign(x, -1.0, out=x, where=x == 0)
+
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(diffusion_mod._LayeredBuffers, "_grads", negative_zeros)
+            params.flat_grad[:] = np.nan
+            ddpm_train_step(points, cond_idx, cond, schedule, params, np.random.default_rng(37))
+            assert params.flat_grad.tobytes() == reference
 
     def step_parts(self, rows=6, groups=3, steps=6, seed=30):
         rng = np.random.default_rng(seed)
@@ -329,19 +371,15 @@ class TestTrainStep:
             ddpm_train_step(np.zeros(shape), cond_idx, cond, schedule, params, rng, **kwargs)
         assert rng.bit_generator.state == state
 
-    def test_stale_node_refuses_its_backward(self):
-        """A node whose workspace a later step has overwritten raises; the latest node back-propagates."""
+    def test_step_loss_refuses_a_backward(self):
+        """The loss is a float, not a parentless tensor, so a leftover ``backward`` fails loudly, not silently."""
         params, cond, schedule, points, cond_idx = self.step_parts()
         buffers = diffusion_mod._TrainBuffers(schedule, params, cond, len(points))
-        rng = np.random.default_rng(32)
-        first = ddpm_train_step(points, cond_idx, cond, schedule, params, rng, buffers=buffers)
-        second = ddpm_train_step(points, cond_idx, cond, schedule, params, rng, buffers=buffers)
-        params.zero_grad()
-        with pytest.raises(RuntimeError, match="overwritten"):
-            backward(first)
-        assert not params.flat_grad.any()
-        backward(second)
-        assert params.flat_grad.any()
+        loss = ddpm_train_step(points, cond_idx, cond, schedule, params, np.random.default_rng(32), buffers=buffers)
+        written = params.flat_grad.tobytes()
+        with pytest.raises(AttributeError):
+            backward(loss)
+        assert params.flat_grad.any() and params.flat_grad.tobytes() == written
 
     def test_workspace_of_another_run_refused(self):
         """A workspace is for one denoiser, condition, schedule and batch size, all checked before drawing."""
@@ -382,25 +420,24 @@ def per_caption_step(points, cond_idx, condition, schedule, params, rng):
 
     Draws t and then the noise exactly as ``ddpm_train_step`` does.
     """
-    n = len(points)
-    t = rng.integers(0, schedule.steps, size=n)
-    eps = rng.standard_normal((n, 2))
-    ab = schedule.alpha_bars[t][:, None]
-    z_t = np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps
+    t, z_t, eps = step_draws(points, schedule, rng)
     parts = []
     for g in np.unique(cond_idx):
         sel = np.flatnonzero(cond_idx == g)
         own = GuidanceCondition(tau_style=condition.tau_style[g], tau_category=condition.tau_category[g])
         group_loss = noise_regression_loss(predict_noise(params, z_t[sel], t[sel], own), eps[sel])
-        parts.append(T.scale(group_loss, len(sel) / n))
+        parts.append(T.scale(group_loss, len(sel) / len(points)))
     return reduce(T.add, parts)
 
 
 def loss_and_grads(step_fn, params, *args):
+    """The loss and the nine gradients: through ``backward`` for a tape reference, and as the fused
+    step, which returns a float, leaves them in ``flat_grad``."""
     params.zero_grad()
     loss = step_fn(*args)
-    backward(loss)
-    return loss.item(), [p.grad.copy() for p in params.tensors()]
+    if isinstance(loss, Tensor):
+        backward(loss)
+    return float(loss), [p.grad.copy() for p in params.tensors()]
 
 
 class TestGroupedForward:
@@ -586,6 +623,21 @@ class TestTrainDiffusion:
         assert isinstance(cond, GuidanceCondition) and buffers.cond is cond
         assert cond.tau_style.shape == cond.tau_category.shape == (12, config.dim)
 
+    def test_runs_no_backward_and_no_zero_grad(self, world, monkeypatch):
+        """A step's gradients come from ``ddpm_train_step`` alone: no tape walk, no zeroing."""
+        spec, config, bundle = world
+        points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
+
+        def never(*args, **kwargs):
+            raise AssertionError("train_diffusion entered backward or zero_grad")
+
+        for owner, name in ((T, "backward"), (train_mod, "backward"), (T.ParamGroup, "zero_grad"),
+                            (T.Tensor, "zero_grad")):
+            monkeypatch.setattr(owner, name, never)
+        _, _, rows = train_diffusion(replace(config, diffusion_steps=3, diffusion_batch=32, timesteps=20),
+                                     points, bundle)
+        assert [r["step"] for r in rows] == [0, 2] and all(r["grad_norm"] > 0 for r in rows)
+
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_the_two_node_reference_loop(self, seed):
         """Parameters, loss rows and the last flat gradient equal a loop over ``predict_noise``,
@@ -626,7 +678,7 @@ def reference_train(config, points, bundle):
         backward(loss)
         opt.step()
         if step % 100 == 0 or step == config.diffusion_steps - 1:
-            rows.append({"step": step, "loss": loss.item()})
+            rows.append({"step": step, "loss": loss.item(), "grad_norm": float(np.linalg.norm(params.flat_grad))})
     return params, rows
 
 

@@ -706,6 +706,37 @@ class TestCli:
         assert captured.err.startswith("error: cannot write ") and "Traceback" not in captured.err
         assert not (tmp_path / "x.cclp").exists()
 
+    @pytest.mark.parametrize("argv", [
+        "eval-classify --checkpoint {ckpt} --data {data} --out {ckpt}",
+        "sweep --axis alpha --checkpoint {ckpt} --data {data} --out {tmp}/./gen.cclp",
+        "sample --checkpoint {ckpt} --style neon --category cat --out {ckpt}",
+        "guidance-eval --checkpoint {ckpt} --n-per-cell 1 --out {ckpt}",
+        "train-diffusion --data {data} --encoders {ckpt} --out {ckpt} --steps 2",
+        "train-diffusion --data {data} --encoders {ckpt} --out {tmp}/d.cclp --metrics {ckpt} --steps 2",
+        "train-encoders --data {data} --config {ckpt} --out {ckpt}",
+        "decompose --captions {ckpt} --lexicon {data}/lexicon.txt --out {ckpt}",
+    ], ids=["eval-classify", "sweep-alpha", "sample", "guidance-eval", "train-diffusion",
+            "train-diffusion-metrics", "train-encoders-config", "decompose"])
+    def test_an_output_naming_an_input_is_refused(self, spec, data_dir, tmp_path, monkeypatch, capsys, argv):
+        """An --out or --metrics that names a file the command reads, by its resolved path, exits 1
+        with a "cannot write" line before any work, and leaves that file's bytes as they were."""
+        def never(*args, **kwargs):
+            raise AssertionError("the command started its work")
+        for name in ("alpha_sweep", "eval_row", "guidance_eval", "ddpm_sample", "batch_decompose",
+                     "train_encoders", "train_diffusion"):
+            monkeypatch.setattr(cli_mod, name, never)
+        config = TrainConfig(epochs=0, timesteps=4)
+        ckpt = tmp_path / "gen.cclp"
+        save_encoder_checkpoint(ckpt, fresh_bundle(spec, config), config, spec,
+                                denoiser=DenoiserParams.init(dim=config.dim, steps=config.timesteps))
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        assert self.run(*argv.format(data=data_dir, ckpt=ckpt, tmp=tmp_path).split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: cannot write ") and "names the same file" in captured.err
+        assert ckpt.read_bytes() == before and not (tmp_path / "d.cclp").exists()
+
     def test_unknown_flag_exits_one(self, capsys):
         assert self.run("gen-data", "--nope") == 1
 
@@ -772,6 +803,23 @@ class TestCli:
             return out
 
         monkeypatch.setattr(diffusion_mod._LayeredBuffers, "_scatter", last_write_wins)
+        assert self.run("gradcheck", "--seeds", "2") == 2
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith(" FAIL")]
+        assert failed == ["denoiser-train-step"]
+
+    def test_gradcheck_catches_a_doubled_time_embedding_gradient(self, monkeypatch, capsys):
+        """The denoiser audit reads the gradients that the fused step writes into ``flat_grad``:
+        doubling the time-embedding one fails ``denoiser-train-step``, and only it."""
+        import stylecat.diffusion as diffusion_mod
+
+        real_step = diffusion_mod._TrainBuffers.step
+
+        def doubled(self, *args):
+            loss = real_step(self, *args)
+            self.params.time_embed.grad *= 2.0
+            return loss
+
+        monkeypatch.setattr(diffusion_mod._TrainBuffers, "step", doubled)
         assert self.run("gradcheck", "--seeds", "2") == 2
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith(" FAIL")]
         assert failed == ["denoiser-train-step"]
@@ -889,6 +937,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "diffusion_steps and diffusion_batch must be >= 1" in err and "Traceback" not in err
         assert not (tmp_path / "d.cclp").exists()
+
+    def test_train_diffusion_metrics_log_the_gradient_norm(self, generator, tmp_path):
+        """``--metrics`` writes a ``step,loss,grad_norm`` row at step 0 and at the last step."""
+        metrics = tmp_path / "m.csv"
+        assert self.run("train-diffusion", "--data", str(generator.parent / "data"), "--encoders",
+                        str(generator.parent / "enc.cclp"), "--out", str(tmp_path / "d.cclp"), "--steps", "3",
+                        "--timesteps", "4", "--metrics", str(metrics)) == 0
+        lines = metrics.read_text().splitlines()
+        assert lines[0] == "step,loss,grad_norm" and [line.split(",")[0] for line in lines[1:]] == ["0", "2"]
+        assert all(float(line.split(",")[2]) > 0 for line in lines[1:])
 
     def test_guidance_eval_writes_one_matched_accuracy_per_cell(self, generator, tmp_path, capsys):
         out = tmp_path / "g.csv"
