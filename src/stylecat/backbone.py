@@ -81,8 +81,6 @@ class FrozenWeights:
     token_embed: np.ndarray       # [V, D]
     img_proj: np.ndarray          # [GRID_SIZE, D]
     img_bias: np.ndarray          # [D]
-    style_words: tuple[str, ...]
-    category_words: tuple[str, ...]
 
     @classmethod
     def build(cls, vocab: Vocab, style_names, category_names, prototype_grids, dim: int) -> "FrozenWeights":
@@ -140,8 +138,6 @@ class FrozenWeights:
             token_embed=token_embed,
             img_proj=img_proj,
             img_bias=img_bias,
-            style_words=style_words,
-            category_words=category_words,
         )
 
     def checksum(self) -> str:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .captions import CategoryLexicon, LexiconError, batch_decompose, split_caption
-from .datagen import SyntheticSpec, build_mixture, load, read_spec, write_dataset_dir
+from .datagen import DATASET_FILES, SyntheticSpec, build_mixture, default_names, load, read_spec, write_dataset_dir
 from .diffusion import DiffusionSchedule, condition_for_caption, oracle_classify_batch, sample as ddpm_sample
 from .losses import ConfigError
 from .train import (
@@ -151,30 +151,32 @@ def _load_dataset_dir(data_dir, mode: str):
     LexiconError naming both files if the lexicon does not split every training caption."""
     spec = read_spec(data_dir)
     root = Path(data_dir)
-    train = load(root / "clf_train.jsonl", "grid", spec)
-    test = load(root / "clf_test.jsonl", "grid", spec)
+    train = load(root / DATASET_FILES["train"], "grid", spec)
+    test = load(root / DATASET_FILES["test"], "grid", spec)
     if mode != "unlabeled":
         return spec, train, test, None
-    lexicon_path = root / "lexicon.txt"
+    lexicon_path = root / DATASET_FILES["lexicon"]
     lexicon = CategoryLexicon.from_file(lexicon_path)
     try:
         for s in train:
             split_caption(s.caption, lexicon)
     except ConfigError as e:
-        raise LexiconError(f"lexicon file {lexicon_path} does not fit {root / 'clf_train.jsonl'}: {e}") from e
+        raise LexiconError(f"lexicon file {lexicon_path} does not fit {root / DATASET_FILES['train']}: {e}") from e
     return spec, train, test, lexicon
 
 
-# The options that name a file a command reads.
+# The options that name a file a command reads; ``--data`` names a directory of ``DATASET_FILES``.
 _INPUT_FILES = ("checkpoint", "encoders", "config", "captions", "lexicon")
 
 
 def _check_writable(args) -> None:
     """OSError naming the first of ``--out`` and ``--metrics`` that is a directory, whose parent is
-    not an existing, writable directory, or that names the same file as an input (``_INPUT_FILES``)
-    or an earlier output: run before a command's work, so that neither its result nor an input is
-    lost at the write."""
+    not an existing, writable directory, or that names the same file as an input (``_INPUT_FILES``,
+    or a dataset file under ``--data``) or an earlier output: run before a command's work, so that
+    neither its result nor an input is lost at the write."""
     seen = {Path(path).resolve() for name in _INPUT_FILES if (path := getattr(args, name, None))}
+    if data := getattr(args, "data", None):
+        seen.update((Path(data) / name).resolve() for name in DATASET_FILES.values())
     for path in filter(None, (getattr(args, "out", None), getattr(args, "metrics", None))):
         if Path(path).is_dir() or not Path(path).parent.is_dir() or not os.access(Path(path).parent, os.W_OK):
             raise OSError(f"cannot write {path}: it must be a file in an existing, writable directory")
@@ -196,8 +198,8 @@ def _cmd_gen_data(args) -> int:
     spec = SyntheticSpec(
         n_styles=args.styles,
         n_categories=args.categories,
-        style_names=_default_names(args.styles, "style"),
-        category_names=_default_names(args.categories, "category"),
+        style_names=default_names(args.styles, "style"),
+        category_names=default_names(args.categories, "category"),
         n_train=args.train_per_cell,
         n_test=args.test_per_cell,
         noise=args.noise,
@@ -207,14 +209,6 @@ def _cmd_gen_data(args) -> int:
     print(f"wrote {counts['train']} train / {counts['test']} test grids, "
           f"{counts['points']} points, {counts['lexicon']} lexicon nouns to {args.out}")
     return 0
-
-
-def _default_names(n: int, kind: str):
-    bank = {
-        "style": ("sketch", "neon", "pastel", "mosaic", "chalk", "glitch", "inkwash", "vapor"),
-        "category": ("cat", "dog", "car", "tree", "boat", "bird", "lamp", "kite"),
-    }[kind]
-    return bank[:n] + tuple(f"{kind}{i}" for i in range(len(bank), n))
 
 
 def _cmd_decompose(args) -> int:
@@ -244,7 +238,7 @@ def _cmd_train_encoders(args) -> int:
 def _cmd_eval_classify(args) -> int:
     bundle, config, spec, _ = load_encoder_checkpoint(args.checkpoint)
     config = _load_config(args, config)
-    test = load(Path(args.data) / "clf_test.jsonl", "grid", spec)
+    test = load(Path(args.data) / DATASET_FILES["test"], "grid", spec)
     row = eval_row(bundle, test, config)
     print(f"style_top1={row['style_top1']:.6f} category_top1={row['category_top1']:.6f} "
           f"(alpha_style={config.alpha_style}, alpha_category={config.alpha_category})")
@@ -268,7 +262,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError("alpha sweep requires --checkpoint")
         bundle, config, spec, _ = load_encoder_checkpoint(args.checkpoint)
         config = _load_config(args, config)
-        test = load(Path(args.data) / "clf_test.jsonl", "grid", spec)
+        test = load(Path(args.data) / DATASET_FILES["test"], "grid", spec)
         rows = alpha_sweep(bundle, test, config, grid=_parse_grid(args.grid, ALPHA_GRID))
     else:
         config = _load_config(args)
@@ -283,7 +277,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_train_diffusion(args) -> int:
     bundle, config, spec, _ = load_encoder_checkpoint(args.encoders)
     config = _load_config(args, config)
-    points = load(Path(args.data) / "diff_train.jsonl", "point", spec)
+    points = load(Path(args.data) / DATASET_FILES["points"], "point", spec)
     started = time.perf_counter()
     params, _, rows = train_diffusion(config, points, bundle)
     save_encoder_checkpoint(args.out, bundle, config, spec, denoiser=params)

@@ -17,8 +17,17 @@ import numpy as np
 
 from .backbone import GRID_SHAPE, words_of
 
-DEFAULT_STYLES = ("sketch", "neon", "pastel")
-DEFAULT_CATEGORIES = ("cat", "dog", "car", "tree")
+# The default factor names by kind: ``default_names`` takes the first n of a bank.
+NAME_BANKS = {
+    "style": ("sketch", "neon", "pastel", "mosaic", "chalk", "glitch", "inkwash", "vapor"),
+    "category": ("cat", "dog", "car", "tree", "boat", "bird", "lamp", "kite"),
+}
+DEFAULT_STYLES = NAME_BANKS["style"][:3]
+DEFAULT_CATEGORIES = NAME_BANKS["category"][:4]
+
+# The files of a dataset directory, by role: ``write_dataset_dir`` writes them and the readers find them here.
+DATASET_FILES = {"spec": "spec.json", "train": "clf_train.jsonl", "test": "clf_test.jsonl",
+                 "points": "diff_train.jsonl", "lexicon": "lexicon.txt"}
 
 CAPTION_TEMPLATE = "a {style} style {category}"
 
@@ -31,6 +40,12 @@ ELONGATION = 1.4   # elongated axes: ELONGATION * SIGMA long, SIGMA / ELONGATION
 
 class DatasetError(ValueError):
     """Malformed dataset specification or file."""
+
+
+def default_names(n: int, kind: str) -> tuple:
+    """The first n default names of ``kind``, "style" or "category"; past its bank, ``<kind><i>``."""
+    bank = NAME_BANKS[kind]
+    return bank[:n] + tuple(f"{kind}{i}" for i in range(len(bank), n))
 
 
 @dataclass(frozen=True)
@@ -338,11 +353,11 @@ def write_dataset_dir(spec: SyntheticSpec, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     train, test = generate_classification_dataset(spec)
     points, _ = generate_diffusion_dataset(spec)
-    (out / "spec.json").write_text(json.dumps(spec.to_json(), indent=2) + "\n", encoding="utf-8")
-    export(train, out / "clf_train.jsonl")
-    export(test, out / "clf_test.jsonl")
-    export(points, out / "diff_train.jsonl")
-    export_lexicon(spec, out / "lexicon.txt")
+    (out / DATASET_FILES["spec"]).write_text(json.dumps(spec.to_json(), indent=2) + "\n", encoding="utf-8")
+    export(train, out / DATASET_FILES["train"])
+    export(test, out / DATASET_FILES["test"])
+    export(points, out / DATASET_FILES["points"])
+    export_lexicon(spec, out / DATASET_FILES["lexicon"])
     return {
         "train": len(train),
         "test": len(test),
@@ -356,7 +371,7 @@ def read_spec(data_dir) -> SyntheticSpec:
 
     DatasetError naming that file if it is missing, not UTF-8 JSON or not a valid spec.
     """
-    path = Path(data_dir) / "spec.json"
+    path = Path(data_dir) / DATASET_FILES["spec"]
     if not path.exists():
         raise DatasetError(f"missing dataset spec: {path}")
     try:

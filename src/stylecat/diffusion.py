@@ -12,16 +12,16 @@ The denoiser has two forward bodies. ``predict_noise`` and
 ``ddpm_train_step`` run the layered one, ``_LayeredBuffers``, with its
 hand-written backward: ``predict_noise`` records it as one tape node over
 the nine parameters, and ``ddpm_train_step`` runs forward, loss and
-backward in one call that writes the gradients into the denoiser's
-``flat_grad`` and returns the loss as a float. The layered body takes one
-input form, n timesteps and n condition indices: its callers broadcast
-one timestep and give a one-row condition's missing indices as zeros.
-``sample`` runs the folded one, ``_ReverseBuffers``, which composes the
-input layer into the first MLP layer. The fold reassociates sums, so the
-two agree to within a few ulps of the magnitudes summed, not to the bit:
-the tests hold one forward to rtol = atol = 1e-12 and a 20-step sample to
-atol = 1e-10 of the layered forward. Where every sum is exact, as on
-dyadic weights, they are equal.
+backward in one call on the run's ``_TrainBuffers``, which writes the
+gradients into the denoiser's ``flat_grad`` and returns the loss as a
+float. The layered body takes one input form, n timesteps and n condition
+indices: its callers broadcast one timestep and give a one-row condition's
+missing indices as zeros. ``sample`` runs the folded one,
+``_ReverseBuffers``, which composes the input layer into the first MLP
+layer. The fold reassociates sums, so the two agree to within a few ulps of
+the magnitudes summed, not to the bit: the tests hold one forward to
+rtol = atol = 1e-12 and a 20-step sample to atol = 1e-10 of the layered
+forward. Where every sum is exact, as on dyadic weights, they are equal.
 """
 
 from __future__ import annotations
@@ -263,28 +263,17 @@ class _LayeredBuffers:
 class _ReverseBuffers:
     """The workspace of one ``sample`` call: its folded first layer and its buffers.
 
-    Built once before the reverse loop for one ``params`` object, one
-    one-row condition and n rows. With the condition's value row
-    ``value = tau_s @ ws + tau_c @ wv`` it holds ``first``, (T, 3, D),
-    whose ``first[t]`` stacks ``fold = in_w @ mlp_w1`` (rows 0-1) on the
-    first MLP layer's pre-activation at z = 0 and timestep t,
-    ``(in_b + time_embed[t] + value) @ mlp_w1 + mlp_b1`` (row 2); ``z1``,
-    C-contiguous (3, n), points in rows 0-1 and 1.0 in row 2, so
-    ``z1.T @ first[t]`` is the pre-activation in one GEMM; ``z``, the
-    (n, 2) view of its point rows and the only ``z_t`` that ``forward``
-    takes, so no step copies points; ``mlp_b2`` tiled to (n, 2); and the
-    buffers ``hidden`` and ``zeros``, (n, D), ``out``, the (n, 2) noise
-    estimate, and ``noise``, the (n, 2) step noise. It is computed from
-    the denoiser's weights, so it is valid only while ``params`` does not
-    change. ``TypeError``, ``ShapeError`` or ``ValueError`` for a
-    condition of another type, width or row count.
-
-    The ReLU is ``fmax(hidden, zeros)`` in one pass, against an array
-    because a scalar operand misses numpy's vector loop (numpy 2.4): it maps
-    NaN to 0.0 like ``_relu_`` but may leave a -0.0, which ``_relu_`` turns
-    into +0.0. ``hidden`` feeds only the head's dot products, where a
-    signed zero changes no sum with a nonzero term, and ``mlp_b2`` is added
-    after.
+    Built before the reverse loop for one ``params`` object, one one-row
+    condition and n rows; ``TypeError``, ``ShapeError`` or ``ValueError``
+    for a condition of another type, width or row count. Valid only while
+    ``params`` does not change. ``first``, (T, 3, D): rows 0-1 are
+    ``in_w @ mlp_w1``, row 2 is ``(in_b + time_embed[t] + value) @ mlp_w1 + mlp_b1``
+    with ``value = tau_s @ ws + tau_c @ wv``. ``z1``, C-contiguous (3, n):
+    points in rows 0-1 and 1.0 in row 2, so ``z1.T @ first[t]`` is the
+    pre-activation; ``z`` is the (n, 2) view of its point rows. ``mlp_b2``
+    tiled to (n, 2); ``hidden`` and ``zeros``, (n, D); ``out`` and
+    ``noise``, (n, 2). Its ReLU maps NaN to 0.0 like ``_relu_`` but may keep
+    a -0.0, which changes none of the head's sums with a nonzero term.
     """
 
     def __init__(self, params: DenoiserParams, cond: GuidanceCondition, n: int):
@@ -345,16 +334,13 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     timesteps that are not integers and a condition of another width;
     ``TypeError`` for a condition of another type.
 
-    With ``buffers``, the workspace ``sample`` builds, this is the folded
-    forward (``_ReverseBuffers``). It records no tape node and returns a
-    tensor over the workspace's (n, 2) ``out``, which the next call
-    overwrites. It agrees with the layered forward to rtol = atol = 1e-12,
-    not to the bit. It takes only what ``sample`` passes: ``ValueError``
-    unless the call passes the ``params`` and the condition the workspace
-    was built for, the workspace's own points ``buffers.z`` as ``z_t``, and
-    no ``cond_idx``; ``ShapeError`` unless ``t_idx`` is one plain ``int`` in
-    range (not a numpy integer, a bool or an array); ``RuntimeError``
-    outside ``no_grad``.
+    With ``buffers``, ``sample``'s ``_ReverseBuffers``, this is the folded
+    forward, within rtol = atol = 1e-12 of the layered one: no tape node,
+    and a tensor over its (n, 2) ``out``, which the next call overwrites.
+    ``ValueError`` unless ``params``, ``cond`` and ``z_t`` (``buffers.z``)
+    are the workspace's and ``cond_idx`` is None; ``ShapeError`` unless
+    ``t_idx`` is one plain ``int`` in range (no numpy integer, bool or
+    array); ``RuntimeError`` outside ``no_grad``.
     """
     if buffers is not None:
         return Tensor(buffers.forward(params, z_t, t_idx, cond, cond_idx))
@@ -393,13 +379,15 @@ class _TrainBuffers(_LayeredBuffers):
     """The workspace of one ``train_diffusion`` run: a ``_LayeredBuffers`` plus the step's own.
 
     Built once before the loop for one schedule, one ``params`` object, one
-    stacked condition and n rows per batch; it checks the schedule against
-    the denoiser (``ShapeError``) and the condition (see ``_LayeredBuffers``)
-    once. ``step`` writes the gradients into the parameters' ``grad`` views
-    of ``flat_grad``.
+    stacked condition and n >= 1 rows per batch; it checks n and the
+    schedule against the denoiser (``ShapeError``) and the condition (see
+    ``_LayeredBuffers``) once, and each step reads them from here. ``step``
+    writes the gradients into the parameters' ``grad`` views of ``flat_grad``.
     """
 
     def __init__(self, schedule: DiffusionSchedule, params: DenoiserParams, cond: GuidanceCondition, n: int):
+        if n < 1:
+            raise T.ShapeError(f"a training batch needs n >= 1 rows, got {n}")
         _check_steps(schedule, params)
         super().__init__(params, cond, n)
         self.schedule, self.grads = schedule, [x.grad for x in params.tensors()]
@@ -407,17 +395,14 @@ class _TrainBuffers(_LayeredBuffers):
         self.coef = np.empty(n)
         self.z_t, self.eps, self.diff, self.g_out, self.scratch = (np.empty((n, POINT_DIM)) for _ in range(5))
 
-    def step(self, points: np.ndarray, cond_idx, cond: GuidanceCondition, schedule: DiffusionSchedule,
-             params: DenoiserParams, rng: np.random.Generator) -> float:
-        """``ddpm_train_step`` on (n, 2) ``points`` for the run this workspace was built for."""
-        if params is not self.params or cond is not self.cond or schedule is not self.schedule:
-            raise ValueError("ddpm_train_step: the workspace was built for another denoiser, condition "
-                             "or schedule")
+    def step(self, points: np.ndarray, cond_idx, rng: np.random.Generator) -> float:
+        """``ddpm_train_step`` on this run's (n, 2) ``points``."""
         n = self.n
+        points = np.asarray(points, dtype=np.float64)
         if points.shape != (n, POINT_DIM):
             raise T.ShapeError(f"points must be the workspace's ({n}, {POINT_DIM}) batch, got shape {points.shape}")
-        cond_idx = _check_cond_idx(cond_idx, n, len(cond.tau_style))
-        t = rng.integers(0, schedule.steps, size=n)
+        cond_idx = _check_cond_idx(cond_idx, n, len(self.cond.tau_style))
+        t = rng.integers(0, self.schedule.steps, size=n)
         eps = rng.standard_normal(out=self.eps)
         # z_t = sqrt(abar[t]) * points + sqrt(1 - abar[t]) * eps, each product into a buffer
         col = self.coef[:, None]
@@ -430,44 +415,28 @@ class _TrainBuffers(_LayeredBuffers):
         g = np.multiply(diff, 1.0 / n, out=self.g_out)  # the loss's gradient at the estimate, 2 diff / n
         g += g
         self._grads(g, self.grads)
-        params.flat_grad += 0.0  # -0.0 to +0.0, as backward's add into a zeroed buffer gives
+        self.params.flat_grad += 0.0  # -0.0 to +0.0, as backward's add into a zeroed buffer gives
         return float(loss)
 
 
-def ddpm_train_step(
-    points: np.ndarray,
-    cond_idx: np.ndarray,
-    condition: GuidanceCondition,
-    schedule: DiffusionSchedule,
-    params: DenoiserParams,
-    rng: np.random.Generator,
-    *,
-    buffers: _TrainBuffers | None = None,
-) -> float:
+def ddpm_train_step(buffers: _TrainBuffers, points: np.ndarray, cond_idx, rng: np.random.Generator) -> float:
     """One noise-prediction training step on an (n, 2) batch of captioned points: the loss, as a float.
 
-    ``cond_idx[i]`` names point i's row of ``condition`` (None only for one
+    ``buffers`` is the run's ``_TrainBuffers``, which holds its denoiser,
+    its stacked condition and its schedule, checked once when it was built.
+    ``cond_idx[i]`` names point i's row of the condition (None only for one
     row). Draws a uniform timestep, then Gaussian noise, per point and
     returns the mean squared error of the layered forward's estimate. It
     records no tape node: it writes all nine ``DenoiserParams`` gradients
-    into ``params.flat_grad``, overwriting what it held, the same to the
-    bit as ``zero_grad`` and ``backward`` through
+    into the denoiser's ``flat_grad``, overwriting what it held, the same to
+    the bit as ``zero_grad`` and ``backward`` through
     ``noise_regression_loss(predict_noise(...), eps)`` leave there.
-    ``buffers`` is the run's ``_TrainBuffers`` (a one-off without it).
 
-    Before any draw: ``ShapeError`` for points not (n, 2) with n >= 1 (the
-    workspace's n), a schedule of another length than the denoiser's, or a
-    misshaped or out-of-range ``cond_idx``; ``ValueError`` for a missing
-    ``cond_idx`` with several condition rows, or a workspace built for
-    another denoiser, condition or schedule; ``TypeError`` for a condition
-    of another type.
+    Before any draw: ``ShapeError`` for points that are not the workspace's
+    (n, 2) batch, or a misshaped or out-of-range ``cond_idx``;
+    ``ValueError`` for a missing ``cond_idx`` with several condition rows.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != POINT_DIM or not len(points):
-        raise T.ShapeError(f"points must be (n, {POINT_DIM}) with n >= 1, got shape {points.shape}")
-    if buffers is None:
-        buffers = _TrainBuffers(schedule, params, condition, len(points))
-    return buffers.step(points, cond_idx, condition, schedule, params, rng)
+    return buffers.step(points, cond_idx, rng)
 
 
 def sample(

@@ -130,16 +130,6 @@ class EncoderBundle:
             for kind, names in (("style", self.style_names), ("category", self.category_names))
         }
 
-    @classmethod
-    def fresh(cls, backbone: FrozenWeights, style_names, category_names, seed: int = 0) -> "EncoderBundle":
-        return cls(
-            backbone,
-            AdapterParams.init(backbone.dim, seed=seed),
-            AdapterParams.init(backbone.dim, seed=seed + 1),
-            style_names,
-            category_names,
-        )
-
     def adapter(self, kind: str) -> AdapterParams:
         if kind == "style":
             return self.style_adapter

@@ -2,18 +2,19 @@
 
 Every encoder optimiser step records one tape node, whose parents are the
 four tensors of the adapter being stepped. ``style_labeled_loss`` and
-``category_labeled_loss`` run the adapter once over both factors' prompt
+``category_labeled_loss`` take the run's ``_LabeledRun``, which holds the
+encoders, the image rows' unit rows and the labels, checked once, and score
+the batch its ``select`` chose: the adapter once over both factors' prompt
 features stacked, then the cosine logits of each factor and cross-entropy
-plus lambda times the confusion term; the image rows' unit rows and the
-labels come checked from the run's ``_LabeledRun``. ``style_triplet_loss``
-and ``category_triplet_loss`` run the adapter over the anchor's frozen
-text rows, or take that pass from the caller, and the hinge; when no
-triplet of the batch is active their loss is the exact 0.0 with no
-parents, so that step's ``backward`` runs no backward at all. Their
-forward and hand-written backward are put together from the numpy helpers
-below, which also make the single-layer ops ``class_logits``, ``ce_loss``,
-``confusion_loss`` and ``triplet_hinge``; so an objective gives the same
-bits as the composition of those ops. Those ops are the tests' references;
+plus lambda times the confusion term. ``style_triplet_loss`` and
+``category_triplet_loss`` run the adapter over the anchor's frozen text
+rows, or take that pass from the caller, and the hinge; when no triplet of
+the batch is active their loss is the exact 0.0 with no parents, so that
+step's ``backward`` runs no backward at all. Their forward and hand-written
+backward are put together from the numpy helpers below, which also make the
+single-layer ops ``class_logits``, ``ce_loss``, ``confusion_loss`` and
+``triplet_hinge``; so an objective gives the same bits as the composition
+of those ops. Those ops are the tests' references;
 ``train.gradcheck_suite`` audits the objectives themselves.
 """
 
@@ -179,17 +180,17 @@ def triplet_hinge(anchor: Tensor, positive: Tensor, negative: Tensor, margin: fl
 class _LabeledRun:
     """The constants of a labeled run, which its objectives read on every step.
 
-    Built once per ``train_encoders`` run over all (N, D) image feature
-    rows ``f_all`` and their labels by kind, and as a one-off by an
-    objective called without one. It checks, once, that ``f_all`` and each
-    kind's prompt features are rows of the adapters' width D
-    (``ShapeError``), that no row of ``f_all`` has (near-)zero norm and that
-    each kind's labels are an (N,) array in [0, K) (``ValueError``). It
-    holds the unit rows of ``f_all``, the checked labels, and per kind that
-    kind's prompt rows stacked over the other kind's. ``select(idx)`` makes
-    rows ``idx`` the batch the objectives score; until then every row is.
-    Rows are normalized one by one, so a selected row has the bits of the
-    same row normalized within its batch.
+    Built once per ``train_encoders`` run from all (N, D) image feature
+    rows ``f_all``, their labels by kind and the ``encoders`` being trained,
+    which it keeps. It checks, once, that ``f_all`` and each kind's prompt
+    features are rows of the adapters' width D (``ShapeError``), that no row
+    of ``f_all`` has (near-)zero norm and that each kind's labels are an
+    (N,) array in [0, K) (``ValueError``). It holds the unit rows of
+    ``f_all``, the checked labels, and per kind that kind's prompt rows
+    stacked over the other kind's. ``select(idx)`` makes rows ``idx`` the
+    batch the objectives score; until then every row is. Rows are
+    normalized one by one, so a selected row has the bits of the same row
+    normalized within its batch.
     """
 
     def __init__(self, f_all: np.ndarray, labels: dict[str, np.ndarray], encoders: EncoderBundle):
@@ -198,39 +199,34 @@ class _LabeledRun:
         for name, rows in (("image features", f_all), *prompts.items()):
             if rows.ndim != 2 or rows.shape[1] != dim:
                 raise T.ShapeError(f"labeled objective: {name} {rows.shape} must be rows of width {dim}")
+        self.encoders = encoders
         self.unit = T._unit_rows(f_all)[0]
         self.labels = {kind: _labels_array(labels[kind], (len(f_all), len(prompts[kind]))) for kind in _KINDS}
         self.prompts = {kind: np.concatenate([prompts[kind], prompts[other]]) for kind, other in _OTHER.items()}
         self.fn, self.batch = self.unit, self.labels
 
-    def select(self, idx: np.ndarray) -> dict[str, np.ndarray]:
-        """Make rows ``idx`` the batch; returns its labels by kind."""
+    def select(self, idx: np.ndarray) -> None:
+        """Make rows ``idx`` the batch."""
         self.fn = self.unit[idx]
         self.batch = {kind: arr[idx] for kind, arr in self.labels.items()}
-        return self.batch
 
 
-def _labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encoders: EncoderBundle, cfg: TrainConfig,
-                  kind: str, run: _LabeledRun | None) -> Tensor:
-    """Objective of the ``kind`` encoder on (n, D) image feature rows.
+def _labeled_loss(run: _LabeledRun, cfg: TrainConfig, kind: str) -> Tensor:
+    """Objective of the ``kind`` adapter of ``run.encoders`` on the batch ``run.select`` chose.
 
-    ``labels`` maps "style" and "category" to (n,) label arrays.
     Cross-entropy on its own factor plus lambda times the confusion term on
     the other factor, both scored through the ``kind`` adapter; lambda is
     lambda1 for style and lambda2 for category. With lambda == 0 this is
-    exactly the plain cross-entropy term. ``run`` is the run's
-    ``_LabeledRun``, whose selected batch ``f_i`` and ``labels`` are; the
-    objective reads their checked unit rows and labels from it. Without it
-    a one-off is built over ``f_i`` and ``labels``, which checks them.
+    exactly the plain cross-entropy term. The image rows and labels are the
+    run's, checked when it was built.
 
     One adapter pass covers both factors' prompt rows, and the backward
     takes the two heads' gradients through it together; each parameter
     gradient is still the sum of one product per head, as on the layered tape.
     """
-    run = _LabeledRun(f_i, labels, encoders) if run is None else run
     lam = cfg.lambda1 if kind == "style" else cfg.lambda2
     scale = float(cfg.logit_scale)
-    p, k, fn = encoders.adapter(kind), len(encoders.prompt_features[kind]), run.fn
+    p, k, fn = run.encoders.adapter(kind), len(run.encoders.prompt_features[kind]), run.fn
     protos, adapt_grad = adapt_array(run.prompts[kind] if lam else run.prompts[kind][:k], p)
     pn, p_norm = T._unit_rows(protos)
 
@@ -250,16 +246,14 @@ def _labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encoders: Enco
     return T._node(value, (p.w1, p.b1, p.w2, p.b2), grad)
 
 
-def style_labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encoders: EncoderBundle,
-                       cfg: TrainConfig, *, run: _LabeledRun | None = None) -> Tensor:
-    """Style-encoder objective on labeled image features (lambda1)."""
-    return _labeled_loss(f_i, labels, encoders, cfg, "style", run)
+def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> Tensor:
+    """Style-encoder objective on the run's labeled batch (lambda1)."""
+    return _labeled_loss(run, cfg, "style")
 
 
-def category_labeled_loss(f_i: np.ndarray, labels: dict[str, np.ndarray], encoders: EncoderBundle,
-                          cfg: TrainConfig, *, run: _LabeledRun | None = None) -> Tensor:
+def category_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> Tensor:
     """Mirror objective for the category encoder (swap roles, lambda2)."""
-    return _labeled_loss(f_i, labels, encoders, cfg, "category", run)
+    return _labeled_loss(run, cfg, "category")
 
 
 def _triplet_loss(text: np.ndarray, p: AdapterParams, positive: np.ndarray, negative: np.ndarray,

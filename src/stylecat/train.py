@@ -201,8 +201,11 @@ def build_backbone(spec: SyntheticSpec, config: TrainConfig) -> FrozenWeights:
 
 
 def fresh_bundle(spec: SyntheticSpec, config: TrainConfig, backbone: FrozenWeights | None = None) -> EncoderBundle:
+    """A bundle with new adapters, seeded ``config.seed`` (style) and ``config.seed + 1`` (category)."""
     backbone = backbone if backbone is not None else build_backbone(spec, config)
-    return EncoderBundle.fresh(backbone, spec.style_names, spec.category_names, seed=config.seed)
+    return EncoderBundle(backbone, AdapterParams.init(backbone.dim, seed=config.seed),
+                         AdapterParams.init(backbone.dim, seed=config.seed + 1),
+                         spec.style_names, spec.category_names)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +263,13 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
                    lexicon: CategoryLexicon | None = None):
     """Train both adapters; returns (bundle, metrics_rows).
 
-    Each batch runs one step per kind, style then category, each with its
-    own Adam. Labeled mode steps the cross-entropy/confusion objectives,
-    which read the run's checked unit rows and labels from one
-    ``_LabeledRun``. Unlabeled mode steps the triplet objectives over
-    decomposed captions; a kind's negative is the other adapter's feature
-    of the other half caption, taken at the start of that kind's step.
+    Each batch runs one step per kind, style then category, each with its own
+    Adam. Labeled mode steps the cross-entropy/confusion objectives on the
+    run's one ``_LabeledRun``, which holds the bundle and the checked unit
+    rows and labels, and selects each batch there. Unlabeled mode steps the
+    triplet objectives over decomposed captions; a kind's negative is the
+    other adapter's feature of the other half caption, taken at the start
+    of that kind's step.
     """
     if config.mode == "unlabeled" and lexicon is None:
         raise ConfigError("unlabeled mode requires a category lexicon")
@@ -298,13 +302,15 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         losses = {kind: [] for kind in _KINDS}
         for start in range(0, len(data), config.batch_size):
             idx = order[start : start + config.batch_size]
-            f_i = f_all[idx]
-            batch = run.select(idx) if labeled else {kind: text[kind][idx] for kind in _KINDS}
+            if labeled:
+                run.select(idx)
+            else:
+                f_i, batch = f_all[idx], {kind: text[kind][idx] for kind in _KINDS}
             adapted = {}
             for kind in _KINDS:
                 p = bundle.adapter(kind)
                 if labeled:
-                    loss = objective[kind](f_i, batch, bundle, config, run=run)
+                    loss = objective[kind](run, config)
                 else:
                     # The style step leaves the category adapter as it is, so the category rows it
                     # adapts for its negative are the category step's anchor, rows and backward.
@@ -372,9 +378,11 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
 
     The points are stacked into one (N, 2) array, which must be finite,
     and each caption's condition is built once, before the first step, and
-    stacked into one ``GuidanceCondition`` with a row per caption. Each
-    step is one ``ddpm_train_step``, which leaves its gradients in
-    ``flat_grad``, and one ``Adam.step``. A row, every 100 steps and at the
+    stacked into one ``GuidanceCondition`` with a row per caption; the
+    run's ``_TrainBuffers``, built once from them, the denoiser and the
+    schedule, is every step's workspace. Each step is one
+    ``ddpm_train_step``, which leaves its gradients in ``flat_grad``, and
+    one ``Adam.step``. A row, every 100 steps and at the
     last, holds the step, its loss and ``grad_norm``, the L2 norm of that
     step's ``flat_grad``. Whenever a row is logged, every parameter must
     still be finite: a NaN parameter stays NaN under Adam, so one check per
@@ -400,8 +408,8 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
     rows = []
     for step in range(config.diffusion_steps):
         batch_idx = rng.integers(0, len(points), size=batch)
-        loss = ddpm_train_step(xy.take(batch_idx, axis=0, out=batch_xy), cond_idx.take(batch_idx, out=batch_cond),
-                               conditions, schedule, params, rng, buffers=buffers)
+        loss = ddpm_train_step(buffers, xy.take(batch_idx, axis=0, out=batch_xy),
+                               cond_idx.take(batch_idx, out=batch_cond), rng)
         opt.step()
         _check_finite(loss, f"diffusion step {step}")
         if step % 100 == 0 or step == config.diffusion_steps - 1:
@@ -570,7 +578,7 @@ class _AuditWorld(EncoderBundle):
 
     def labeled(self, kind: str, cfg: TrainConfig):
         loss = style_labeled_loss if kind == "style" else category_labeled_loss
-        return loss(self.f_i, self.labels, self, cfg, run=self.run)
+        return loss(self.run, cfg)
 
     def triplet(self, kind: str):
         loss = style_triplet_loss if kind == "style" else category_triplet_loss
@@ -611,7 +619,7 @@ def _denoiser_train_world(seed: int):
 
     def loss_fn():
         draws = np.random.default_rng([seed, 109])
-        return ddpm_train_step(points, cond_idx, cond, schedule, params, draws, buffers=buffers)
+        return ddpm_train_step(buffers, points, cond_idx, draws)
 
     loss_fn()
     # keep clear of the MLP ReLU kink

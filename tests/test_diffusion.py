@@ -223,6 +223,12 @@ def step_draws(points, schedule, rng):
     return t, np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps, eps
 
 
+def one_step(points, cond_idx, condition, schedule, params, rng):
+    """``ddpm_train_step`` on a workspace built for this one batch."""
+    buffers = diffusion_mod._TrainBuffers(schedule, params, condition, len(points))
+    return ddpm_train_step(buffers, points, cond_idx, rng)
+
+
 class TestTrainStep:
     def test_perfect_prediction_gives_zero_loss(self):
         rng = np.random.default_rng(9)
@@ -243,7 +249,7 @@ class TestTrainStep:
         xy = np.array([[p.x, p.y] for p in points])
         cond_idx = np.array([captions.index(p.caption) for p in points])
         rng = np.random.default_rng(10)
-        loss = ddpm_train_step(xy, cond_idx, conditions, schedule, params, rng)
+        loss = one_step(xy, cond_idx, conditions, schedule, params, rng)
         assert abs(loss - 2.0) < 0.2
 
     def test_gradcheck_small_params(self, world):
@@ -285,7 +291,8 @@ class TestTrainStep:
             assert relative_error(p.grad, finite_diff_grad(loss_fn, p)) < 1e-6
 
     def test_one_step_returns_a_float_with_or_without_a_workspace(self, world):
-        """The step returns its loss as a float and leaves the same gradient bytes, with or without a workspace."""
+        """The step returns its loss as a float, and the same loss and gradient bytes on a new workspace
+        as on one that a step of another batch has used: a workspace carries nothing between steps."""
         spec, config, bundle = world
         points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
         captions = list(dict.fromkeys(p.caption for p in points))
@@ -294,10 +301,11 @@ class TestTrainStep:
         cond_idx = np.array([captions.index(p.caption) for p in points])
         params = DenoiserParams.init(dim=config.dim, steps=20, seed=0)
         schedule = DiffusionSchedule.make(20)
-        buffers = diffusion_mod._TrainBuffers(schedule, params, conditions, len(xy))
+        used = diffusion_mod._TrainBuffers(schedule, params, conditions, len(xy))
+        ddpm_train_step(used, xy[::-1], cond_idx[::-1], np.random.default_rng(15))
         results = []
-        for kwargs in ({}, {"buffers": buffers}):
-            loss = ddpm_train_step(xy, cond_idx, conditions, schedule, params, np.random.default_rng(16), **kwargs)
+        for buffers in (diffusion_mod._TrainBuffers(schedule, params, conditions, len(xy)), used):
+            loss = ddpm_train_step(buffers, xy, cond_idx, np.random.default_rng(16))
             assert type(loss) is float
             results.append((loss, params.flat_grad.tobytes()))
         assert results[0] == results[1]
@@ -310,7 +318,7 @@ class TestTrainStep:
         points = rng.standard_normal((9, 2))
         cond_idx = np.array([0, 2, 1, 1, 0, 2, 2, 0, 1])
         schedule = DiffusionSchedule.make(6)
-        ddpm_train_step(points, cond_idx, cond, schedule, params, np.random.default_rng(19))
+        one_step(points, cond_idx, cond, schedule, params, np.random.default_rng(19))
         t, z_t, eps = step_draws(points, schedule, np.random.default_rng(19))
         expected = reference_grads(params, z_t, t, cond, cond_idx, eps)
         assert np.array_equal(params.flat_grad, np.concatenate([expected[name].ravel() for name in params.arrays()]))
@@ -321,7 +329,7 @@ class TestTrainStep:
         results = []
         for fill in (np.nan, 0.0):
             params.flat_grad[:] = fill
-            loss = ddpm_train_step(points, cond_idx, cond, schedule, params, np.random.default_rng(35))
+            loss = one_step(points, cond_idx, cond, schedule, params, np.random.default_rng(35))
             results.append((loss, params.flat_grad.tobytes()))
         assert results[0] == results[1]
         assert not np.isnan(params.flat_grad).any()
@@ -350,7 +358,7 @@ class TestTrainStep:
             if patch:
                 monkeypatch.setattr(diffusion_mod._LayeredBuffers, "_grads", negative_zeros)
             params.flat_grad[:] = np.nan
-            ddpm_train_step(points, cond_idx, cond, schedule, params, np.random.default_rng(37))
+            one_step(points, cond_idx, cond, schedule, params, np.random.default_rng(37))
             assert params.flat_grad.tobytes() == reference
 
     def step_parts(self, rows=6, groups=3, steps=6, seed=30):
@@ -359,51 +367,42 @@ class TestTrainStep:
         cond = GuidanceCondition(tau_style=unit_rows(rng, groups, 8), tau_category=unit_rows(rng, groups, 8))
         return params, cond, DiffusionSchedule.make(steps), rng.standard_normal((rows, 2)), np.arange(rows) % groups
 
-    @pytest.mark.parametrize("with_buffers", [False, True], ids=["one-off", "workspace"])
-    @pytest.mark.parametrize("shape", [(2,), (3,), (3, 3), (3, 1), (0, 2), (3, 2, 1)])
-    def test_malformed_points_refused_before_drawing(self, shape, with_buffers):
-        """Only (n, 2) points train: a (2,) vector would broadcast into a (2, 2) batch."""
-        params, cond, schedule, _, cond_idx = self.step_parts(rows=3)
-        kwargs = {"buffers": diffusion_mod._TrainBuffers(schedule, params, cond, 3)} if with_buffers else {}
+    @pytest.mark.parametrize("n", [3], ids=["workspace"])
+    @pytest.mark.parametrize("shape", [(2,), (3,), (3, 3), (3, 1), (0, 2), (3, 2, 1), (2, 2)])
+    def test_malformed_points_refused_before_drawing(self, shape, n):
+        """Only the workspace's (n, 2) batch trains: a (2,) vector would broadcast into a (2, 2) batch."""
+        params, cond, schedule, _, cond_idx = self.step_parts(rows=n)
+        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, n)
         rng = np.random.default_rng(31)
         state = rng.bit_generator.state
-        with pytest.raises(ShapeError, match="points must be"):
-            ddpm_train_step(np.zeros(shape), cond_idx, cond, schedule, params, rng, **kwargs)
+        with pytest.raises(ShapeError, match=rf"points must be the workspace's \({n}, 2\) batch"):
+            ddpm_train_step(buffers, np.zeros(shape), cond_idx, rng)
+        assert rng.bit_generator.state == state
+
+    def test_malformed_cond_idx_refused_before_drawing(self):
+        """Each step checks its condition indices: in range, and given when the condition has several rows."""
+        params, cond, schedule, points, cond_idx = self.step_parts()
+        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, len(points))
+        rng = np.random.default_rng(33)
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError, match="cond_idx"):
+            ddpm_train_step(buffers, points, cond_idx + 1, rng)
+        with pytest.raises(ValueError, match="cond_idx is required"):
+            ddpm_train_step(buffers, points, None, rng)
         assert rng.bit_generator.state == state
 
     def test_step_loss_refuses_a_backward(self):
         """The loss is a float, not a parentless tensor, so a leftover ``backward`` fails loudly, not silently."""
         params, cond, schedule, points, cond_idx = self.step_parts()
         buffers = diffusion_mod._TrainBuffers(schedule, params, cond, len(points))
-        loss = ddpm_train_step(points, cond_idx, cond, schedule, params, np.random.default_rng(32), buffers=buffers)
+        loss = ddpm_train_step(buffers, points, cond_idx, np.random.default_rng(32))
         written = params.flat_grad.tobytes()
         with pytest.raises(AttributeError):
             backward(loss)
         assert params.flat_grad.any() and params.flat_grad.tobytes() == written
 
-    def test_workspace_of_another_run_refused(self):
-        """A workspace is for one denoiser, condition, schedule and batch size, all checked before drawing."""
-        params, cond, schedule, points, cond_idx = self.step_parts()
-        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, len(points))
-        other_params = DenoiserParams.init(dim=8, steps=6, seed=30)
-        equal_cond = GuidanceCondition(tau_style=cond.tau_style.copy(), tau_category=cond.tau_category.copy())
-        rng = np.random.default_rng(33)
-        state = rng.bit_generator.state
-        for args in ((points, cond_idx, cond, schedule, other_params),
-                     (points, cond_idx, equal_cond, schedule, params),
-                     (points, cond_idx, cond, DiffusionSchedule.make(6), params)):
-            with pytest.raises(ValueError, match="another denoiser, condition or schedule"):
-                ddpm_train_step(*args, rng, buffers=buffers)
-        with pytest.raises(ShapeError, match=r"workspace's \(6, 2\) batch"):
-            ddpm_train_step(points[:5], cond_idx[:5], cond, schedule, params, rng, buffers=buffers)
-        with pytest.raises(ShapeError, match="cond_idx"):
-            ddpm_train_step(points, cond_idx + 1, cond, schedule, params, rng, buffers=buffers)
-        with pytest.raises(ValueError, match="cond_idx is required"):
-            ddpm_train_step(points, None, cond, schedule, params, rng, buffers=buffers)
-        assert rng.bit_generator.state == state
-
     def test_workspace_checks_its_run_once(self):
-        """The schedule and the condition are checked when the workspace is built."""
+        """The batch size, the schedule and the condition are checked when the workspace is built."""
         params, cond, schedule, _, _ = self.step_parts()
         rng = np.random.default_rng(34)
         with pytest.raises(ShapeError, match="schedule has 7 steps but the denoiser embeds 6"):
@@ -413,6 +412,8 @@ class TestTrainStep:
         narrow = GuidanceCondition(tau_style=unit_rows(rng, 3, 4), tau_category=unit_rows(rng, 3, 4))
         with pytest.raises(ShapeError, match="width"):
             diffusion_mod._TrainBuffers(schedule, params, narrow, 6)
+        with pytest.raises(ShapeError, match="n >= 1 rows, got 0"):
+            diffusion_mod._TrainBuffers(schedule, params, cond, 0)
 
 
 def per_caption_step(points, cond_idx, condition, schedule, params, rng):
@@ -458,7 +459,7 @@ class TestGroupedForward:
         points = rng.standard_normal((64, 2))
         cond_idx = rng.choice([0, 2, 3, 5, 7, 8, 11][:present], size=64)
         args = (points, cond_idx, conditions, schedule, params)
-        loss, grads = loss_and_grads(ddpm_train_step, params, *args, np.random.default_rng(21))
+        loss, grads = loss_and_grads(one_step, params, *args, np.random.default_rng(21))
         ref_loss, ref_grads = loss_and_grads(per_caption_step, params, *args, np.random.default_rng(21))
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         for p, g, ref in zip(params.tensors(), grads, ref_grads):
@@ -606,21 +607,21 @@ class TestTrainDiffusion:
         assert sorted(built) == sorted({p.caption for p in points})
 
     def test_every_step_reads_one_stacked_condition(self, world, monkeypatch):
-        """Every step gets the one stacked condition and the one workspace built before the loop."""
+        """Every step gets the one workspace built before the loop, which holds the one stacked condition."""
         spec, config, bundle = world
         points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
         seen = []
         real_step = train_mod.ddpm_train_step
 
-        def recording_step(points, cond_idx, condition, *args, **kwargs):
-            seen.append((condition, kwargs["buffers"]))
-            return real_step(points, cond_idx, condition, *args, **kwargs)
+        def recording_step(buffers, *args):
+            seen.append(buffers)
+            return real_step(buffers, *args)
 
         monkeypatch.setattr(train_mod, "ddpm_train_step", recording_step)
         train_diffusion(replace(config, diffusion_steps=3, diffusion_batch=32, timesteps=20), points, bundle)
-        assert len(seen) == 3 and all(step == seen[0] for step in seen)
-        cond, buffers = seen[0]
-        assert isinstance(cond, GuidanceCondition) and buffers.cond is cond
+        assert len(seen) == 3 and all(buffers is seen[0] for buffers in seen)
+        cond = seen[0].cond
+        assert isinstance(cond, GuidanceCondition)
         assert cond.tau_style.shape == cond.tau_category.shape == (12, config.dim)
 
     def test_runs_no_backward_and_no_zero_grad(self, world, monkeypatch):
@@ -801,12 +802,8 @@ class TestReverseStep:
         for n in (0, 4):
             with pytest.raises(ShapeError, match=f"schedule has {steps} steps but the denoiser embeds 20"):
                 sample(n, cond, DiffusionSchedule.make(steps), params)
-        rng = np.random.default_rng(34)
-        state = rng.bit_generator.state
         with pytest.raises(ShapeError, match=f"schedule has {steps} steps but the denoiser embeds 20"):
-            ddpm_train_step(np.zeros((4, 2)), np.zeros(4, dtype=int), cond, DiffusionSchedule.make(steps),
-                            params, rng)
-        assert rng.bit_generator.state == state  # refused before drawing anything
+            diffusion_mod._TrainBuffers(DiffusionSchedule.make(steps), params, cond, 4)
 
 
 class TestReverseBuffers:

@@ -9,7 +9,7 @@ from stylecat import tensor as T
 from stylecat.backbone import embed_caption, embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
 from stylecat.encoders import AdapterParams, EncoderBundle, adapt, blend
-from stylecat.losses import style_labeled_loss
+from stylecat.losses import _LabeledRun, style_labeled_loss
 from stylecat.tensor import Tensor, backward, finite_diff_grad, relative_error
 from stylecat.train import TrainConfig, build_backbone, fresh_bundle, train_encoders
 
@@ -176,7 +176,7 @@ class TestParameterIsolation:
         batch = generate_classification_dataset(spec)[0][:8]
         f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
         labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
-        loss = style_labeled_loss(f_i, labels, b, TrainConfig())
+        loss = style_labeled_loss(_LabeledRun(f_i, labels, b), TrainConfig())
         b.style_adapter.zero_grad()
         b.category_adapter.zero_grad()
         backward(loss)

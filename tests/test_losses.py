@@ -173,7 +173,7 @@ class TestLabeledLosses:
     def test_lambda_zero_is_plain_ce_bitwise(self, labeled_world):
         _, bundle, (f_i, labels) = labeled_world
         cfg0 = TrainConfig(lambda1=0.0)
-        full = style_labeled_loss(f_i, labels, bundle, cfg0).item()
+        full = style_labeled_loss(losses._LabeledRun(f_i, labels, bundle), cfg0).item()
         protos = adapt(Tensor(bundle.prompt_features["style"]), bundle.style_adapter)
         plain = ce_loss(class_logits(Tensor(f_i), protos, cfg0.logit_scale), labels["style"]).item()
         assert full == plain  # bit-for-bit
@@ -186,7 +186,8 @@ class TestLabeledLosses:
     def test_style_loss_gradient_wrt_adapter(self, labeled_world):
         _, bundle, batch = labeled_world
         cfg = TrainConfig()
-        loss_fn = lambda _: style_labeled_loss(*batch, bundle, cfg)
+        run = losses._LabeledRun(*batch, bundle)
+        loss_fn = lambda _: style_labeled_loss(run, cfg)
         params = bundle.style_adapter.tensors()
         for t in params:
             t.zero_grad()
@@ -204,15 +205,14 @@ class TestLabeledLosses:
     ], ids=["label-range", "label-shape", "feature-width", "one-row", "zero-row"])
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_direct_call_checks_its_inputs(self, labeled_world, kind, edit, error, message):
-        """Without a run's workspace an objective checks its labels and feature rows on each call."""
+        """The run an objective takes checks its labels and feature rows when it is built."""
         _, bundle, (f_i, labels) = labeled_world
-        fused = style_labeled_loss if kind == "style" else category_labeled_loss
         with pytest.raises(error, match=message):
-            fused(*edit(f_i, labels), bundle, TrainConfig())
+            losses._LabeledRun(*edit(f_i, labels), bundle)
 
     def test_category_loss_mirrors_style_loss(self, labeled_world):
         _, bundle, batch = labeled_world
-        loss = category_labeled_loss(*batch, bundle, TrainConfig())
+        loss = category_labeled_loss(losses._LabeledRun(*batch, bundle), TrainConfig())
         assert loss.item() > 0
         bundle.category_adapter.zero_grad()
         bundle.style_adapter.zero_grad()
@@ -279,23 +279,24 @@ class TestFusedObjectives:
         fused = style_labeled_loss if kind == "style" else category_labeled_loss
         p = bundle.adapter(kind)
         expected = value_and_grads(layered_labeled(f_i, labels, bundle, cfg, kind), p)
-        assert value_and_grads(fused(f_i, labels, bundle, cfg), p) == expected
+        assert value_and_grads(fused(losses._LabeledRun(f_i, labels, bundle), cfg), p) == expected
         assert any(np.frombuffer(g).any() for g in expected[1:])
 
     @pytest.mark.parametrize("mode", ADVERSARIAL_MODES)
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_run_workspace_matches_one_off_bitwise(self, labeled_world, kind, lam, mode):
-        """A batch selected from a run's workspace scores as the same rows passed alone."""
+        """Rows selected from a run score as the same rows in a run of their own."""
         _, bundle, (f_i, labels) = labeled_world
         cfg = TrainConfig(lambda1=lam, lambda2=lam, adversarial_mode=mode)
         fused = style_labeled_loss if kind == "style" else category_labeled_loss
         p = bundle.adapter(kind)
         idx = np.random.default_rng(11).permutation(len(f_i))[:8]
-        batch_labels = {k: v[idx] for k, v in labels.items()}
-        expected = value_and_grads(fused(f_i[idx], batch_labels, bundle, cfg), p)
+        own = losses._LabeledRun(f_i[idx], {k: v[idx] for k, v in labels.items()}, bundle)
+        expected = value_and_grads(fused(own, cfg), p)
         run = losses._LabeledRun(f_i, labels, bundle)
-        assert value_and_grads(fused(f_i[idx], run.select(idx), bundle, cfg, run=run), p) == expected
+        run.select(idx)
+        assert value_and_grads(fused(run, cfg), p) == expected
 
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_triplet_matches_layered_bitwise(self, labeled_world, kind):
@@ -313,7 +314,7 @@ class TestTapes:
     def test_labeled_objective_tapes_one_node(self, labeled_world):
         _, bundle, (f_i, labels) = labeled_world
         for kind, loss_fn in (("style", style_labeled_loss), ("category", category_labeled_loss)):
-            inner = tape(loss_fn(f_i, labels, bundle, TrainConfig()))
+            inner = tape(loss_fn(losses._LabeledRun(f_i, labels, bundle), TrainConfig()))
             assert len(inner) == 1
             assert list(map(id, inner[0]._parents)) == list(map(id, bundle.adapter(kind).tensors()))
 

@@ -715,14 +715,20 @@ class TestCli:
         "train-diffusion --data {data} --encoders {ckpt} --out {tmp}/d.cclp --metrics {ckpt} --steps 2",
         "train-encoders --data {data} --config {ckpt} --out {ckpt}",
         "decompose --captions {ckpt} --lexicon {data}/lexicon.txt --out {ckpt}",
+        "eval-classify --checkpoint {ckpt} --data {data} --out {data}/clf_test.jsonl",
+        "train-encoders --data {data} --out {tmp}/d.cclp --metrics {data}/clf_train.jsonl",
+        "train-diffusion --data {data} --encoders {ckpt} --out {data}/diff_train.jsonl --steps 2",
+        "sweep --axis lambda --data {data} --out {data}/./spec.json",
     ], ids=["eval-classify", "sweep-alpha", "sample", "guidance-eval", "train-diffusion",
-            "train-diffusion-metrics", "train-encoders-config", "decompose"])
+            "train-diffusion-metrics", "train-encoders-config", "decompose", "eval-classify-data",
+            "train-encoders-metrics-data", "train-diffusion-data", "sweep-lambda-data"])
     def test_an_output_naming_an_input_is_refused(self, spec, data_dir, tmp_path, monkeypatch, capsys, argv):
-        """An --out or --metrics that names a file the command reads, by its resolved path, exits 1
-        with a "cannot write" line before any work, and leaves that file's bytes as they were."""
+        """An --out or --metrics that names a file the command reads, by its resolved path, or a file
+        of the --data directory, exits 1 with a "cannot write" line before any work, and leaves the
+        checkpoint's and the dataset's bytes as they were."""
         def never(*args, **kwargs):
             raise AssertionError("the command started its work")
-        for name in ("alpha_sweep", "eval_row", "guidance_eval", "ddpm_sample", "batch_decompose",
+        for name in ("lambda_sweep", "alpha_sweep", "eval_row", "guidance_eval", "ddpm_sample", "batch_decompose",
                      "train_encoders", "train_diffusion"):
             monkeypatch.setattr(cli_mod, name, never)
         config = TrainConfig(epochs=0, timesteps=4)
@@ -730,12 +736,14 @@ class TestCli:
         save_encoder_checkpoint(ckpt, fresh_bundle(spec, config), config, spec,
                                 denoiser=DenoiserParams.init(dim=config.dim, steps=config.timesteps))
         before = ckpt.read_bytes()
+        dataset = {path.name: path.read_bytes() for path in data_dir.iterdir()}
         capsys.readouterr()
         assert self.run(*argv.format(data=data_dir, ckpt=ckpt, tmp=tmp_path).split()) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.startswith("error: cannot write ") and "names the same file" in captured.err
         assert ckpt.read_bytes() == before and not (tmp_path / "d.cclp").exists()
+        assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == dataset
 
     def test_unknown_flag_exits_one(self, capsys):
         assert self.run("gen-data", "--nope") == 1
