@@ -19,7 +19,7 @@ import numpy as np
 from .captions import CategoryLexicon, LexiconError, batch_decompose, split_caption
 from .datagen import DATASET_FILES, SyntheticSpec, build_mixture, default_names, load, read_spec, write_dataset_dir
 from .diffusion import DiffusionSchedule, condition_for_caption, oracle_classify_batch, sample as ddpm_sample
-from .losses import ConfigError
+from .losses import ADVERSARIAL_MODES, ConfigError
 from .train import (
     ALPHA_GRID,
     LAMBDA_GRID,
@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda2", type=float)
     p.add_argument("--margin1", type=float)
     p.add_argument("--margin2", type=float)
-    p.add_argument("--adversarial-mode", choices=["uniform-kl", "negated-ce"])
+    p.add_argument("--adversarial-mode", choices=ADVERSARIAL_MODES)
     p.add_argument("--logit-scale", type=float)
 
     p = sub.add_parser("eval-classify", help="blended-prototype classification accuracy")

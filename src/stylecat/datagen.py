@@ -203,8 +203,6 @@ class Mixture:
 
     means: np.ndarray      # (K_s, K_c, 2)
     covs: np.ndarray       # (K_s, K_c, 2, 2)
-    style_names: tuple
-    category_names: tuple
     inv_covs: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -247,8 +245,7 @@ def build_mixture(spec: SyntheticSpec) -> Mixture:
                 covs[i, j] = (ELONGATION * SIGMA) ** 2 * np.outer(long_ax, long_ax) + (
                     SIGMA / ELONGATION
                 ) ** 2 * np.outer(short_ax, short_ax)
-    return Mixture(means=means, covs=covs, style_names=spec.style_names,
-                   category_names=spec.category_names)
+    return Mixture(means=means, covs=covs)
 
 
 def generate_diffusion_dataset(spec: SyntheticSpec, n_per_cell: int | None = None):

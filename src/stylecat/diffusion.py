@@ -10,13 +10,13 @@ each attention path reduces to its value projection.
 
 The denoiser has two forward bodies. ``predict_noise`` and
 ``ddpm_train_step`` run the layered one, ``_LayeredBuffers``, with its
-hand-written backward: ``predict_noise`` records it as one tape node over
-the nine parameters, and ``ddpm_train_step`` runs forward, loss and
-backward in one call on the run's ``_TrainBuffers``, which writes the
-gradients into the denoiser's ``flat_grad`` and returns the loss as a
-float. The layered body takes one input form, n timesteps and n condition
-indices: its callers broadcast one timestep and give a one-row condition's
-missing indices as zeros. ``sample`` runs the folded one,
+hand-written backward: ``predict_noise`` runs its forward alone and records
+no tape node, and ``ddpm_train_step`` runs forward, loss and backward in
+one call on the run's ``_TrainBuffers``, which writes the gradients into
+the denoiser's ``flat_grad`` and returns the loss as a float. The layered
+body takes one input form, n timesteps and n condition indices: its
+callers broadcast one timestep and give a one-row condition's missing
+indices as zeros. ``sample`` runs the folded one,
 ``_ReverseBuffers``, which composes the input layer into the first MLP
 layer. The fold reassociates sums, so the two agree to within a few ulps of
 the magnitudes summed, not to the bit: the tests hold one forward to
@@ -34,8 +34,9 @@ import numpy as np
 from . import tensor as T
 from .backbone import embed_captions
 from .captions import CategoryLexicon, split_caption
+from .datagen import DatasetError
 from .encoders import _KINDS, EncoderBundle, blend
-from .tensor import ParamGroup, Tensor, no_grad
+from .tensor import ParamGroup, Tensor
 
 POINT_DIM = 2
 BETA_START = 1e-4  # the linear noise schedule's first and last beta
@@ -296,10 +297,7 @@ class _ReverseBuffers:
 
     def forward(self, params: DenoiserParams, z_t: np.ndarray, t_idx, cond: GuidanceCondition,
                 cond_idx) -> np.ndarray:
-        """``predict_noise``'s output written into ``out``, with no tape node; see ``predict_noise``."""
-        if T._grad_enabled:
-            raise RuntimeError("predict_noise: a forward into a workspace records no tape node; "
-                               "call it under no_grad")
+        """``predict_noise``'s output written into ``out``; see ``predict_noise``."""
         if params is not self.params or cond is not self.cond or cond_idx is not None:
             raise ValueError("predict_noise: the workspace was built for another denoiser or condition, "
                              "and takes no cond_idx")
@@ -317,7 +315,7 @@ class _ReverseBuffers:
 
 def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarray, cond: GuidanceCondition,
                   cond_idx=None, *, buffers: _ReverseBuffers | None = None) -> Tensor:
-    """Denoiser forward pass: (n, 2) noised points -> (n, 2) noise estimate.
+    """Denoiser forward pass: (n, 2) noised points -> (n, 2) noise estimate, a ``Tensor`` with no parents.
 
     ``relu((z @ in_w + in_b + time_embed[t] + values[cond_idx]) @ mlp_w1 + mlp_b1) @ mlp_w2 + mlp_b2``
     with ``values = tau_s @ ws + tau_c @ wv`` over the condition's (G, D)
@@ -325,22 +323,21 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     the number of rows. ``t_idx`` is one integer timestep for every row or n
     of them. ``cond`` is one ``GuidanceCondition`` of G rows;
     ``cond_idx[i]`` names row i's, and is required exactly when G > 1
-    (``ValueError``). The ReLU maps a NaN pre-activation to 0.0.
+    (``ValueError``). The ReLU maps a NaN pre-activation to 0.0. Neither
+    form records a tape node, in grad mode or under ``no_grad``.
 
-    Without ``buffers`` this is the layered forward, one tape node over the
-    nine ``DenoiserParams`` tensors; it broadcasts one timestep to n and a
-    missing ``cond_idx`` to n zeros, its one input form. ``ShapeError`` for
-    misshaped ``z_t``, ``t_idx`` or ``cond_idx``, indices out of range,
-    timesteps that are not integers and a condition of another width;
-    ``TypeError`` for a condition of another type.
+    Without ``buffers`` this is the layered forward; it broadcasts one
+    timestep to n and a missing ``cond_idx`` to n zeros, its one input form.
+    ``ShapeError`` for misshaped ``z_t``, ``t_idx`` or ``cond_idx``, indices
+    out of range, timesteps that are not integers and a condition of another
+    width; ``TypeError`` for a condition of another type.
 
     With ``buffers``, ``sample``'s ``_ReverseBuffers``, this is the folded
-    forward, within rtol = atol = 1e-12 of the layered one: no tape node,
-    and a tensor over its (n, 2) ``out``, which the next call overwrites.
-    ``ValueError`` unless ``params``, ``cond`` and ``z_t`` (``buffers.z``)
-    are the workspace's and ``cond_idx`` is None; ``ShapeError`` unless
-    ``t_idx`` is one plain ``int`` in range (no numpy integer, bool or
-    array); ``RuntimeError`` outside ``no_grad``.
+    forward, within rtol = atol = 1e-12 of the layered one: a tensor over
+    its (n, 2) ``out``, which the next call overwrites. ``ValueError``
+    unless ``params``, ``cond`` and ``z_t`` (``buffers.z``) are the
+    workspace's and ``cond_idx`` is None; ``ShapeError`` unless ``t_idx`` is
+    one plain ``int`` in range (no numpy integer, bool or array).
     """
     if buffers is not None:
         return Tensor(buffers.forward(params, z_t, t_idx, cond, cond_idx))
@@ -350,29 +347,7 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     n = z.shape[0]
     t = np.broadcast_to(_check_timesteps(t_idx, n, params.time_embed.shape[0]), (n,))
     layers = _LayeredBuffers(params, cond, n)
-    out = layers.forward(z, t, _check_cond_idx(cond_idx, n, len(cond.tau_style)))
-
-    def grad_fn(g):
-        grads = [np.empty(x.shape) for x in params.tensors()]
-        layers._grads(g, grads)
-        return grads
-
-    return T._node(out, params.tensors(), grad_fn)
-
-
-def noise_regression_loss(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
-    """Mean over the batch of the squared L2 error per point; one tape node."""
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != eps_hat.shape:
-        raise T.ShapeError(f"noise of shape {eps.shape} for estimates of shape {eps_hat.shape}")
-    diff = eps_hat.data - eps
-    c = 1.0 / diff.shape[0]
-
-    def grad_fn(g):
-        gd = (float(g) * c) * diff
-        return (gd + gd,)
-
-    return T._node(np.asarray((diff * diff).sum()) * c, (eps_hat,), grad_fn)
+    return Tensor(layers.forward(z, t, _check_cond_idx(cond_idx, n, len(cond.tau_style))))
 
 
 class _TrainBuffers(_LayeredBuffers):
@@ -401,6 +376,9 @@ class _TrainBuffers(_LayeredBuffers):
         points = np.asarray(points, dtype=np.float64)
         if points.shape != (n, POINT_DIM):
             raise T.ShapeError(f"points must be the workspace's ({n}, {POINT_DIM}) batch, got shape {points.shape}")
+        if not np.isfinite(points).all():  # a NaN pre-activation would reach only the gradients
+            row = np.flatnonzero(~np.isfinite(points).all(axis=1))[0]
+            raise DatasetError(f"point {row} of the batch is not finite: {points[row]}")
         cond_idx = _check_cond_idx(cond_idx, n, len(self.cond.tau_style))
         t = rng.integers(0, self.schedule.steps, size=n)
         eps = rng.standard_normal(out=self.eps)
@@ -429,12 +407,15 @@ def ddpm_train_step(buffers: _TrainBuffers, points: np.ndarray, cond_idx, rng: n
     returns the mean squared error of the layered forward's estimate. It
     records no tape node: it writes all nine ``DenoiserParams`` gradients
     into the denoiser's ``flat_grad``, overwriting what it held, the same to
-    the bit as ``zero_grad`` and ``backward`` through
-    ``noise_regression_loss(predict_noise(...), eps)`` leave there.
+    the bit as ``zero_grad`` and ``backward`` through the tests' two-node
+    reference ``noise_regression_loss(predict_noise(...), eps)``
+    (``tests/layered_ops.py``) leave there.
 
     Before any draw: ``ShapeError`` for points that are not the workspace's
     (n, 2) batch, or a misshaped or out-of-range ``cond_idx``;
-    ``ValueError`` for a missing ``cond_idx`` with several condition rows.
+    ``DatasetError``, naming the first such row, for a point with a NaN or
+    infinite coordinate; ``ValueError`` for a missing ``cond_idx`` with
+    several condition rows.
     """
     return buffers.step(points, cond_idx, rng)
 
@@ -475,16 +456,15 @@ def sample(
     points = buffers.z1[:POINT_DIM]  # (2, n): on the (n, 2) view numpy's inner loop would run over 2 elements
     points[...] = rng.standard_normal((n, POINT_DIM)).T
     noise = buffers.noise
-    with no_grad():
-        for t in range(schedule.steps - 1, -1, -1):
-            eps_hat = predict_noise(params, buffers.z, t, condition, buffers=buffers).data
-            eps_hat *= shrink[t]
-            points -= eps_hat.T
-            points /= scale[t]
-            if t > 0:
-                rng.standard_normal(out=noise)
-                noise *= sd[t - 1]
-                points += noise.T
+    for t in range(schedule.steps - 1, -1, -1):
+        eps_hat = predict_noise(params, buffers.z, t, condition, buffers=buffers).data
+        eps_hat *= shrink[t]
+        points -= eps_hat.T
+        points /= scale[t]
+        if t > 0:
+            rng.standard_normal(out=noise)
+            noise *= sd[t - 1]
+            points += noise.T
     return points.T.copy()
 
 

@@ -8,8 +8,7 @@ the residual mixing of adapted and frozen features.
 Frozen features, prompt features and blends are plain (n, D) arrays.
 ``adapt_array`` is the adapter's numpy forward and hand-written backward.
 The training objectives in ``losses`` fold it into their one tape node per
-optimiser step; ``adapt`` wraps it as a node of its own, and
-``EncoderBundle.adapt_feature`` runs its forward alone.
+optimiser step, and ``EncoderBundle.adapt_feature`` runs its forward alone.
 """
 
 from __future__ import annotations
@@ -85,12 +84,6 @@ def adapt_array(x: np.ndarray, p: AdapterParams):
                 hidden[a].T @ g_sum[a] + hidden[b].T @ g_sum[b], g_sum[a].sum(axis=0) + g_sum[b].sum(axis=0))
 
     return y, grad
-
-
-def adapt(f: Tensor, p: AdapterParams) -> Tensor:
-    """(n, D) feature rows through one adapter, as one tape node over ``f`` and the adapter's tensors."""
-    y, grad = adapt_array(f.data, p)
-    return T._node(y, (f, p.w1, p.b1, p.w2, p.b2), lambda g: grad(g, f.requires_grad))
 
 
 def blend(f_adapted: np.ndarray, f_frozen: np.ndarray, alpha: float) -> np.ndarray:

@@ -11,11 +11,11 @@ plus lambda times the confusion term. ``style_triplet_loss`` and
 rows, or take that pass from the caller, and the hinge; when no triplet of
 the batch is active their loss is the exact 0.0 with no parents, so that
 step's ``backward`` runs no backward at all. Their forward and hand-written
-backward are put together from the numpy helpers below, which also make the
-single-layer ops ``class_logits``, ``ce_loss``, ``confusion_loss`` and
-``triplet_hinge``; so an objective gives the same bits as the composition
-of those ops. Those ops are the tests' references;
-``train.gradcheck_suite`` audits the objectives themselves.
+backward are put together from the numpy helpers below; the tests build
+single-layer nodes (the adapter, ``class_logits``, cross-entropy, the
+confusion term and the hinge) from the same helpers, and an objective gives
+the same bits as the composition of those nodes. ``train.gradcheck_suite``
+audits the objectives themselves.
 """
 
 from __future__ import annotations
@@ -96,7 +96,13 @@ def _ce(logits: np.ndarray, labels: np.ndarray):
 
 
 def _confusion(logits: np.ndarray, labels: np.ndarray, mode: str):
-    """The ``confusion_loss`` of (n, K) logits against n checked labels, and its backward."""
+    """Adversarial term for the opposing attribute on (n, K) logits against n checked labels, and its backward.
+
+    uniform-kl: cross-entropy of predictions against the uniform
+    distribution (minimized exactly when predictions are uniform).
+    negated-ce: the literal sign-flipped cross-entropy (unbounded below).
+    ``ConfigError`` for another mode.
+    """
     if mode == "uniform-kl":
         n, k = logits.shape
         c = -1.0 / (n * k)
@@ -142,36 +148,13 @@ def _hinge(anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray, margi
     return (np.asarray(np.where(mask, pre, 0.0).sum() / n) if active else np.asarray(0.0)), grad, active
 
 
-# single-layer ops
+# single-layer op
 
 
 def class_logits(f: Tensor, prototypes: Tensor, scale: float = 1.0) -> Tensor:
     """Cosine similarity of (n, D) feature rows against (K, D) prototypes, times ``scale``: (n, K)."""
     cos, grad = _cosine(f.data, prototypes.data)
     return T.scale(T._node(cos, (f, prototypes), lambda g: grad(g, f.requires_grad)), scale)
-
-
-def ce_loss(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of softmax over (n, K) logits against n integer labels; one tape node."""
-    value, grad = _ce(logits.data, _labels_array(labels, logits.shape))
-    return T._node(value, (logits,), lambda g: (grad(g),))
-
-
-def confusion_loss(logits: Tensor, labels, mode: str) -> Tensor:
-    """Adversarial term for the opposing attribute; one tape node.
-
-    uniform-kl: cross-entropy of predictions against the uniform
-    distribution (minimized exactly when predictions are uniform).
-    negated-ce: the literal sign-flipped cross-entropy (unbounded below).
-    """
-    value, grad = _confusion(logits.data, _labels_array(labels, logits.shape), mode)
-    return T._node(value, (logits,), lambda g: (grad(g),))
-
-
-def triplet_hinge(anchor: Tensor, positive: Tensor, negative: Tensor, margin: float) -> Tensor:
-    """The triplet hinge of ``_hinge`` on (n, D) rows; one tape node, ``negative`` held constant."""
-    value, grad, _ = _hinge(anchor.data, positive.data, negative.data, margin)
-    return T._node(value, (anchor, positive), grad)
 
 
 # objectives: one tape node per optimiser step

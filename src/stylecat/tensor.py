@@ -10,23 +10,23 @@ views of the group's two flat buffers, which ``backward`` adds into (or a
 fused step writes) and ``train.Adam`` updates in place.
 
 A ``Tensor`` wraps only a trainable parameter or a node of the tape; the
-frozen features of the backbone are plain arrays. There are two generic
-ops, ``add`` (operands of one shape) and ``scale``. Everything else is a
-coarse node, built with ``_node`` and a hand-written backward over all its
-parents. An encoder training step records one such node per objective,
-over the four tensors of its adapter (the objectives in ``losses``: a
-labeled step runs the adapter once over both factors' prompt rows; a
-triplet objective with no active triplet records none, and its loss is a
-constant 0.0 whose ``backward`` adds nothing). A denoiser training step
+frozen features of the backbone are plain arrays. There is one generic op,
+``scale``. Everything else is a coarse node, built with ``_node`` and a
+hand-written backward over all its parents. In the package the tape serves
+the encoder training steps: each records one such node per objective, over
+the four tensors of its adapter (the objectives in ``losses``: a labeled
+step runs the adapter once over both factors' prompt rows; a triplet
+objective with no active triplet records none, and its loss is a constant
+0.0 whose backward adds nothing). ``losses.class_logits``, a cosine node
+times ``scale``, is its one other user. A denoiser training step
 (``diffusion.ddpm_train_step``) records no node: it runs the denoiser, its
 loss and their backward in one call, writes the nine gradients into the
 denoiser's ``flat_grad`` and returns the loss as a float, so it takes no
-``zero_grad`` or ``backward``.
-The single layers the encoder objectives are made of (``encoders.adapt``,
-the cosine logits and each loss head) stay nodes of their own, built from
-the same numpy pieces, as the tests' references for the objectives; so
-does ``diffusion.predict_noise``, one node over the denoiser step's own
-forward and backward, as the reference for that step.
+``zero_grad`` or ``backward``; ``diffusion.predict_noise`` records none
+either. The single-layer nodes that the objectives and that step are made
+of (the adapter, each loss head, the denoiser forward and its loss, and an
+``add`` of two tensors) are the tests' references and live with the tests,
+built from the same numpy pieces.
 ``train.gradcheck_suite`` audits against central differences the
 objectives that training steps and the denoiser's training step.
 
@@ -157,17 +157,6 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
     return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add: operand shapes {a.shape} and {b.shape} differ")
-
-    def grad_fn(g):
-        return g, g
-
-    return _node(a.data + b.data, (a, b), grad_fn)
 
 
 def scale(a: Tensor, c: float) -> Tensor:

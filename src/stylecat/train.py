@@ -592,12 +592,6 @@ LABELED_AUDITS = {name: TrainConfig(logit_scale=10.0, **overrides) for name, ove
     ("labeled-lambda0", {"lambda1": 0.0, "lambda2": 0.0}))}
 
 
-def _adapter_world(seed: int, kind: str, loss):
-    """``loss(world, kind)`` over a fresh ``_AuditWorld(seed)``, and the ``kind`` adapter's tensors."""
-    world = _AuditWorld(seed)
-    return partial(loss, world, kind), world.adapter(kind).tensors()
-
-
 def _denoiser_train_world(seed: int):
     """``ddpm_train_step`` through a workspace, its loss and gradients; each call re-seeds the step's draws.
 
@@ -633,7 +627,7 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
 
     Each kind's labeled objective under each ``LABELED_AUDITS`` config
     (both adversarial modes, and lambda = 0), then each kind's triplet
-    objective. The denoiser is audited once, through the gradients that
+    objective, all on one ``_AuditWorld`` per seed. The denoiser is audited once, through the gradients that
     ``ddpm_train_step`` writes (``denoiser-train-step``): the layered forward
     has one input form, n timesteps and n condition indices, so that step
     runs all of its forward and backward. Returns a list of (component,
@@ -641,18 +635,17 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
     """
     if n_seeds < 1 or not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck needs n_seeds >= 1 and a positive finite tol, got {n_seeds} and {tol}")
-    components = [(f"{kind}-{name}", partial(_adapter_world, kind=kind, loss=partial(_AuditWorld.labeled, cfg=cfg)))
+    worst = {}
+    for seed in range(n_seeds):
+        world = _AuditWorld(seed)
+        checks = [(f"{kind}-{name}", partial(world.labeled, kind, cfg), world.adapter(kind).tensors())
                   for kind in _KINDS for name, cfg in LABELED_AUDITS.items()]
-    components += [(f"{kind}-triplet", partial(_adapter_world, kind=kind, loss=_AuditWorld.triplet)) for kind in _KINDS]
-    components.append(("denoiser-train-step", _denoiser_train_world))
-    results = []
-    for name, world_fn in components:
-        worst = 0.0
-        for seed in range(n_seeds):
-            loss_fn, params = world_fn(seed)
+        checks += [(f"{kind}-triplet", partial(world.triplet, kind), world.adapter(kind).tensors()) for kind in _KINDS]
+        checks.append(("denoiser-train-step", *_denoiser_train_world(seed)))
+        for name, loss_fn, params in checks:
             ad = _ad_grads(loss_fn, params)
             for p, g in zip(params, ad):
                 fd = finite_diff_grad(lambda _: loss_fn(), p, eps=eps)
-                worst = max(worst, float(np.nan_to_num(relative_error(g, fd), nan=np.inf)))  # NaN fails
-        results.append((name, worst, worst < tol))
-    return results
+                error = float(np.nan_to_num(relative_error(g, fd), nan=np.inf))  # NaN fails
+                worst[name] = max(worst.get(name, 0.0), error)
+    return [(name, w, w < tol) for name, w in worst.items()]

@@ -1,0 +1,103 @@
+"""Single-layer tape nodes that only the tests differentiate through.
+
+The program's training steps fold these layers into one node per encoder
+objective (``losses``) or run them with no node at all
+(``diffusion.ddpm_train_step``). Each op here wraps the program's own numpy
+forward and hand-written backward as one node of ``stylecat.tensor``'s tape,
+so a composition of them is the bit reference of the step that fuses them.
+"""
+
+import numpy as np
+
+from stylecat import diffusion
+from stylecat import tensor as T
+from stylecat.encoders import AdapterParams, adapt_array
+from stylecat.losses import _ce, _confusion, _hinge, _labels_array, class_logits
+from stylecat.tensor import Tensor
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape; ShapeError for operands of two shapes."""
+    if a.shape != b.shape:
+        raise T.ShapeError(f"add: operand shapes {a.shape} and {b.shape} differ")
+
+    def grad_fn(g):
+        return g, g
+
+    return T._node(a.data + b.data, (a, b), grad_fn)
+
+
+def adapt(f: Tensor, p: AdapterParams) -> Tensor:
+    """(n, D) feature rows through one adapter, as one tape node over ``f`` and the adapter's tensors."""
+    y, grad = adapt_array(f.data, p)
+    return T._node(y, (f, p.w1, p.b1, p.w2, p.b2), lambda g: grad(g, f.requires_grad))
+
+
+def ce_loss(logits: Tensor, labels) -> Tensor:
+    """Mean cross-entropy of softmax over (n, K) logits against n integer labels; one tape node."""
+    value, grad = _ce(logits.data, _labels_array(labels, logits.shape))
+    return T._node(value, (logits,), lambda g: (grad(g),))
+
+
+def confusion_loss(logits: Tensor, labels, mode: str) -> Tensor:
+    """The adversarial term of ``losses._confusion`` for the opposing attribute; one tape node."""
+    value, grad = _confusion(logits.data, _labels_array(labels, logits.shape), mode)
+    return T._node(value, (logits,), lambda g: (grad(g),))
+
+
+def triplet_hinge(anchor: Tensor, positive: Tensor, negative: Tensor, margin: float) -> Tensor:
+    """The triplet hinge of ``losses._hinge`` on (n, D) rows; one tape node, ``negative`` held constant."""
+    value, grad, _ = _hinge(anchor.data, positive.data, negative.data, margin)
+    return T._node(value, (anchor, positive), grad)
+
+
+def layered_labeled(f_i: np.ndarray, labels, bundle, cfg, kind: str) -> Tensor:
+    """The ``kind`` labeled objective on image rows ``f_i`` as a composition of the single-layer ops:
+    cross-entropy on the own factor plus lambda times the confusion term on the other, each over
+    ``class_logits`` of its own ``adapt`` pass; with lambda == 0, the cross-entropy term alone."""
+    other = "category" if kind == "style" else "style"
+    lam = cfg.lambda1 if kind == "style" else cfg.lambda2
+    p, f = bundle.adapter(kind), Tensor(f_i)
+    base = ce_loss(class_logits(f, adapt(Tensor(bundle.prompt_features[kind]), p), cfg.logit_scale), labels[kind])
+    if lam == 0:
+        return base
+    conf = confusion_loss(class_logits(f, adapt(Tensor(bundle.prompt_features[other]), p), cfg.logit_scale),
+                          labels[other], cfg.adversarial_mode)
+    return add(base, T.scale(conf, lam))
+
+
+def predict_noise(params, z_t, t_idx, cond, cond_idx=None) -> Tensor:
+    """``diffusion.predict_noise``'s layered form as one tape node over the nine ``DenoiserParams`` tensors.
+
+    Takes one timestep or n of them and a missing ``cond_idx`` for a one-row
+    condition, as the program's form does; the backward is the layered
+    body's ``_grads``.
+    """
+    z = np.atleast_2d(np.asarray(z_t, dtype=np.float64))
+    n = z.shape[0]
+    t = np.broadcast_to(diffusion._check_timesteps(t_idx, n, params.time_embed.shape[0]), (n,))
+    layers = diffusion._LayeredBuffers(params, cond, n)
+    out = layers.forward(z, t, diffusion._check_cond_idx(cond_idx, n, len(cond.tau_style)))
+
+    def grad_fn(g):
+        grads = [np.empty(x.shape) for x in params.tensors()]
+        layers._grads(g, grads)
+        return grads
+
+    return T._node(out, params.tensors(), grad_fn)
+
+
+def noise_regression_loss(eps_hat: Tensor, eps: np.ndarray) -> Tensor:
+    """Mean over the batch of the squared L2 error per point; one tape node. ShapeError for noise of
+    another shape than the estimates."""
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != eps_hat.shape:
+        raise T.ShapeError(f"noise of shape {eps.shape} for estimates of shape {eps_hat.shape}")
+    diff = eps_hat.data - eps
+    c = 1.0 / diff.shape[0]
+
+    def grad_fn(g):
+        gd = (float(g) * c) * diff
+        return (gd + gd,)
+
+    return T._node(np.asarray((diff * diff).sum()) * c, (eps_hat,), grad_fn)

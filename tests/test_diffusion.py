@@ -1,5 +1,6 @@
 """Guided diffusion: the fused denoiser, condition building, training, sampling, oracle."""
 
+import contextlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -19,7 +20,6 @@ from stylecat.diffusion import (
     GuidanceCondition,
     condition_for_caption,
     ddpm_train_step,
-    noise_regression_loss,
     oracle_classify_batch,
     predict_noise,
     sample,
@@ -27,6 +27,9 @@ from stylecat.diffusion import (
 from stylecat.losses import ConfigError
 from stylecat.tensor import ShapeError, Tensor, backward, finite_diff_grad, no_grad, relative_error
 from stylecat.train import TrainConfig, fresh_bundle, train_diffusion
+
+import layered_ops
+from layered_ops import noise_regression_loss
 
 
 def unit_rows(rng, n, d):
@@ -260,7 +263,7 @@ class TestTrainStep:
         z_t = rng.standard_normal((3, 2))
         t_idx = rng.integers(0, 6, 3)
         eps = rng.standard_normal((3, 2))
-        loss_fn = lambda _: noise_regression_loss(predict_noise(params, z_t, t_idx, cond), eps)
+        loss_fn = lambda _: noise_regression_loss(layered_ops.predict_noise(params, z_t, t_idx, cond), eps)
         for t in params.tensors():
             t.zero_grad()
         backward(loss_fn(None))
@@ -281,7 +284,7 @@ class TestTrainStep:
         eps = rng.standard_normal((7, 2))
         pre, _, _ = reference_forward(params, z_t, t_idx, conds, cond_idx)
         assert np.abs(pre).min() > 1e-3  # central differences stay off the ReLU kink
-        loss_fn = lambda _: noise_regression_loss(predict_noise(params, z_t, t_idx, conds, cond_idx), eps)
+        loss_fn = lambda _: noise_regression_loss(layered_ops.predict_noise(params, z_t, t_idx, conds, cond_idx), eps)
         params.zero_grad()
         backward(loss_fn(None))
         expected = reference_grads(params, z_t, t_idx, conds, cond_idx, eps)
@@ -344,7 +347,7 @@ class TestTrainStep:
         params.mlp_b2.data[:] = -50.0  # the estimate is far below the noise: its gradient is negative
         t, z_t, eps = step_draws(points, schedule, np.random.default_rng(37))
         params.zero_grad()
-        backward(noise_regression_loss(predict_noise(params, z_t, t, cond, cond_idx), eps))
+        backward(noise_regression_loss(layered_ops.predict_noise(params, z_t, t, cond, cond_idx), eps))
         reference = params.flat_grad.tobytes()
         assert (params.mlp_b1.grad[::2] == 0).all() and not np.signbit(params.flat_grad[params.flat_grad == 0]).any()
         real_grads = diffusion_mod._LayeredBuffers._grads
@@ -378,6 +381,20 @@ class TestTrainStep:
         with pytest.raises(ShapeError, match=rf"points must be the workspace's \({n}, 2\) batch"):
             ddpm_train_step(buffers, np.zeros(shape), cond_idx, rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_points_refused_before_drawing(self, bad):
+        """A NaN or infinite coordinate would leave the loss finite and poison two gradients: it is a
+        ``DatasetError`` that names the first such row, before any draw or gradient write."""
+        params, cond, schedule, points, cond_idx = self.step_parts()
+        points[4, 1] = points[5, 0] = bad
+        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, len(points))
+        rng = np.random.default_rng(38)
+        state = rng.bit_generator.state
+        with pytest.raises(DatasetError, match=r"point 4 of the batch is not finite"):
+            ddpm_train_step(buffers, points, cond_idx, rng)
+        assert rng.bit_generator.state == state
+        assert not params.flat_grad.any()
 
     def test_malformed_cond_idx_refused_before_drawing(self):
         """Each step checks its condition indices: in range, and given when the condition has several rows."""
@@ -426,9 +443,9 @@ def per_caption_step(points, cond_idx, condition, schedule, params, rng):
     for g in np.unique(cond_idx):
         sel = np.flatnonzero(cond_idx == g)
         own = GuidanceCondition(tau_style=condition.tau_style[g], tau_category=condition.tau_category[g])
-        group_loss = noise_regression_loss(predict_noise(params, z_t[sel], t[sel], own), eps[sel])
+        group_loss = noise_regression_loss(layered_ops.predict_noise(params, z_t[sel], t[sel], own), eps[sel])
         parts.append(T.scale(group_loss, len(sel) / len(points)))
-    return reduce(T.add, parts)
+    return reduce(layered_ops.add, parts)
 
 
 def loss_and_grads(step_fn, params, *args):
@@ -476,7 +493,7 @@ class TestGroupedForward:
         results = []
         for cond_idx in (None, np.zeros(9, dtype=int)):
             params.zero_grad()
-            out = predict_noise(params, z, t, cond, cond_idx=cond_idx)
+            out = layered_ops.predict_noise(params, z, t, cond, cond_idx=cond_idx)
             loss = noise_regression_loss(out, eps)
             backward(loss)
             results.append([out.data, loss.data] + [p.grad.copy() for p in params.tensors()])
@@ -641,8 +658,8 @@ class TestTrainDiffusion:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_the_two_node_reference_loop(self, seed):
-        """Parameters, loss rows and the last flat gradient equal a loop over ``predict_noise``,
-        ``noise_regression_loss``, ``backward`` and ``Adam``, to the bit."""
+        """Parameters, loss rows and the last flat gradient equal a loop over the test-side nodes
+        ``predict_noise`` and ``noise_regression_loss``, ``backward`` and ``Adam``, to the bit."""
         spec = SyntheticSpec(n_styles=2, n_categories=2, style_names=SyntheticSpec.style_names[:2],
                              category_names=SyntheticSpec.category_names[:2])
         config = TrainConfig(dim=8, timesteps=20, diffusion_steps=40, diffusion_batch=32, seed=seed)
@@ -674,7 +691,7 @@ def reference_train(config, points, bundle):
         eps = rng.standard_normal((n, 2))
         ab = schedule.alpha_bars[t][:, None]
         z_t = np.sqrt(ab) * xy[batch] + np.sqrt(1.0 - ab) * eps
-        loss = noise_regression_loss(predict_noise(params, z_t, t, conditions, cond_idx[batch]), eps)
+        loss = noise_regression_loss(layered_ops.predict_noise(params, z_t, t, conditions, cond_idx[batch]), eps)
         params.zero_grad()
         backward(loss)
         opt.step()
@@ -771,7 +788,7 @@ class TestReverseStep:
         results = []
         for t in (np.full(9, 11), 11, np.int64(11), np.array(11)):
             params.zero_grad()
-            loss = noise_regression_loss(predict_noise(params, z, t, cond), eps)
+            loss = noise_regression_loss(layered_ops.predict_noise(params, z, t, cond), eps)
             backward(loss)
             results.append([loss.data] + [p.grad.copy() for p in params.tensors()])
         for other in results[1:]:
@@ -817,9 +834,8 @@ class TestReverseBuffers:
         """(plain, buffered) estimates at one timestep; the buffered one lies in its workspace's ``out``."""
         buffers = diffusion_mod._ReverseBuffers(params, cond, len(z))
         buffers.z[...] = z
-        with no_grad():
-            plain = predict_noise(params, z, t, cond).data
-            buffered = predict_noise(params, buffers.z, t, cond, buffers=buffers).data
+        plain = predict_noise(params, z, t, cond).data
+        buffered = predict_noise(params, buffers.z, t, cond, buffers=buffers).data
         assert np.shares_memory(buffered, buffers.out)
         return plain, buffered
 
@@ -863,18 +879,27 @@ class TestReverseBuffers:
         z = buffers.z
         other_params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=41)
         equal_cond = GuidanceCondition(tau_style=cond.tau_style.copy(), tau_category=cond.tau_category.copy())
-        with pytest.raises(RuntimeError, match="no_grad"):
-            predict_noise(params, z, 3, cond, buffers=buffers)
-        with no_grad():
-            with pytest.raises(ValueError, match="another denoiser or condition"):
-                predict_noise(other_params, z, 3, cond, buffers=buffers)
-            with pytest.raises(ValueError, match="another denoiser or condition"):
-                predict_noise(params, z, 3, equal_cond, buffers=buffers)
-            with pytest.raises(ValueError, match="no cond_idx"):
-                predict_noise(params, z, 3, cond, np.zeros(5, dtype=int), buffers=buffers)
-            for t in (-1, self.STEPS, 2.0, True, np.int64(3), np.array(3), np.array([0, 1])):
-                with pytest.raises(ShapeError, match=r"t_idx must be one plain int in \[0, 20\)"):
-                    predict_noise(params, z, t, cond, buffers=buffers)
+        with pytest.raises(ValueError, match="another denoiser or condition"):
+            predict_noise(other_params, z, 3, cond, buffers=buffers)
+        with pytest.raises(ValueError, match="another denoiser or condition"):
+            predict_noise(params, z, 3, equal_cond, buffers=buffers)
+        with pytest.raises(ValueError, match="no cond_idx"):
+            predict_noise(params, z, 3, cond, np.zeros(5, dtype=int), buffers=buffers)
+        for t in (-1, self.STEPS, 2.0, True, np.int64(3), np.array(3), np.array([0, 1])):
+            with pytest.raises(ShapeError, match=r"t_idx must be one plain int in \[0, 20\)"):
+                predict_noise(params, z, t, cond, buffers=buffers)
+
+    def test_both_forms_return_a_parentless_tensor(self):
+        """Neither form records a tape node, in grad mode or under ``no_grad``, and neither raises."""
+        rng, params, cond = self.parts(47)
+        buffers = diffusion_mod._ReverseBuffers(params, cond, 5)
+        buffers.z[...] = rng.standard_normal((5, 2))
+        for grad_mode in (True, False):
+            with contextlib.nullcontext() if grad_mode else no_grad():
+                for out in (predict_noise(params, buffers.z.copy(), 3, cond),
+                            predict_noise(params, buffers.z, 3, cond, buffers=buffers)):
+                    assert type(out) is Tensor and out.shape == (5, 2)
+                    assert out._parents == () and out._grad_fn is None and not out.requires_grad
 
     def test_every_step_writes_one_buffer(self, monkeypatch):
         """One workspace per ``sample`` call: no step allocates its own output."""
@@ -929,15 +954,14 @@ class TestReverseBuffers:
         rng, params, cond = self.parts(46)
         buffers = diffusion_mod._ReverseBuffers(params, cond, 9)
         buffers.z[...] = rng.standard_normal((9, 2))
-        with no_grad():
-            out = predict_noise(params, buffers.z, 4, cond, buffers=buffers).data
-            expected_z, expected_out = buffers.z.tobytes(), out.tobytes()
-            for outside in (buffers.z.copy(), buffers.z1[:2].T, rng.standard_normal((9, 2)), np.zeros((9, 3))):
-                before = outside.tobytes()
-                with pytest.raises(ValueError, match=r"z_t must be the workspace's own points, buffers\.z"):
-                    predict_noise(params, outside, 4, cond, buffers=buffers)
-                assert outside.tobytes() == before
-                assert buffers.z.tobytes() == expected_z and out.tobytes() == expected_out
+        out = predict_noise(params, buffers.z, 4, cond, buffers=buffers).data
+        expected_z, expected_out = buffers.z.tobytes(), out.tobytes()
+        for outside in (buffers.z.copy(), buffers.z1[:2].T, rng.standard_normal((9, 2)), np.zeros((9, 3))):
+            before = outside.tobytes()
+            with pytest.raises(ValueError, match=r"z_t must be the workspace's own points, buffers\.z"):
+                predict_noise(params, outside, 4, cond, buffers=buffers)
+            assert outside.tobytes() == before
+            assert buffers.z.tobytes() == expected_z and out.tobytes() == expected_out
 
     def test_reverse_step_allocates_no_rows(self):
         """20 buffered steps at n = 1000, D = 32 raise the traced peak by under 8 KiB, not by (n, D) rows."""
@@ -948,16 +972,15 @@ class TestReverseBuffers:
         buffers = diffusion_mod._ReverseBuffers(params, cond, n)
         buffers.z[...] = rng.standard_normal((n, 2))
         z = buffers.z
-        with no_grad():
-            predict_noise(params, z, 0, cond, buffers=buffers)  # first call outside the trace
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                for t in range(self.STEPS - 1, -1, -1):
-                    predict_noise(params, z, t, cond, buffers=buffers)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        predict_noise(params, z, 0, cond, buffers=buffers)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in range(self.STEPS - 1, -1, -1):
+                predict_noise(params, z, t, cond, buffers=buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak - before < 8 * 1024
 
     def test_buffered_forward_leaves_z_unchanged(self):
@@ -966,10 +989,9 @@ class TestReverseBuffers:
         buffers = diffusion_mod._ReverseBuffers(params, cond, 7)
         buffers.z[...] = rng.standard_normal((7, 2))
         expected = buffers.z.tobytes()
-        with no_grad():
-            for t in (self.STEPS - 1, 0):
-                out = predict_noise(params, buffers.z, t, cond, buffers=buffers).data
-                assert buffers.z.tobytes() == expected
+        for t in (self.STEPS - 1, 0):
+            out = predict_noise(params, buffers.z, t, cond, buffers=buffers).data
+            assert buffers.z.tobytes() == expected
         assert not any(np.shares_memory(buffers.z, b) for b in (out, buffers.hidden, buffers.noise))
 
 

@@ -8,10 +8,12 @@ import pytest
 from stylecat import tensor as T
 from stylecat.backbone import embed_caption, embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
-from stylecat.encoders import AdapterParams, EncoderBundle, adapt, blend
+from stylecat.encoders import AdapterParams, EncoderBundle, blend
 from stylecat.losses import _LabeledRun, style_labeled_loss
 from stylecat.tensor import Tensor, backward, finite_diff_grad, relative_error
 from stylecat.train import TrainConfig, build_backbone, fresh_bundle, train_encoders
+
+from layered_ops import adapt
 
 
 @pytest.fixture(scope="module")

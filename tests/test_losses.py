@@ -9,21 +9,20 @@ from stylecat import losses
 from stylecat import tensor as T
 from stylecat.backbone import embed_image
 from stylecat.datagen import SyntheticSpec, generate_classification_dataset
-from stylecat.encoders import AdapterParams, adapt, adapt_array
+from stylecat.encoders import AdapterParams, adapt_array
 from stylecat.losses import (
     ADVERSARIAL_MODES,
     ConfigError,
     category_labeled_loss,
     category_triplet_loss,
-    ce_loss,
     class_logits,
-    confusion_loss,
     style_labeled_loss,
     style_triplet_loss,
-    triplet_hinge,
 )
 from stylecat.tensor import Tensor, backward, finite_diff_grad, relative_error
 from stylecat.train import TrainConfig, build_backbone, fresh_bundle
+
+from layered_ops import adapt, ce_loss, confusion_loss, layered_labeled, triplet_hinge
 
 
 def probabilities(logits: np.ndarray) -> np.ndarray:
@@ -245,19 +244,6 @@ def triplet_inputs(labeled_world, kind):
     positive = f_i.copy()
     positive[0] = adapt_array(texts[kind], bundle.adapter(kind))[0][0]
     return texts[kind], bundle.adapter(kind), positive, negative
-
-
-def layered_labeled(f_i, labels, bundle, cfg, kind):
-    """The labeled objective as a composition of the single-layer ops."""
-    other = "category" if kind == "style" else "style"
-    lam = cfg.lambda1 if kind == "style" else cfg.lambda2
-    p, f = bundle.adapter(kind), Tensor(f_i)
-    base = ce_loss(class_logits(f, adapt(Tensor(bundle.prompt_features[kind]), p), cfg.logit_scale), labels[kind])
-    if lam == 0:
-        return base
-    conf = confusion_loss(class_logits(f, adapt(Tensor(bundle.prompt_features[other]), p), cfg.logit_scale),
-                          labels[other], cfg.adversarial_mode)
-    return T.add(base, T.scale(conf, lam))
 
 
 def value_and_grads(loss, p):

@@ -1,12 +1,15 @@
 """Tensor engine: the generic ops, the tape walk and the coarse nodes' arithmetic,
-checked against values and central differences."""
+checked against values and central differences; and who in the package uses the tape."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stylecat import tensor as T
-from stylecat.encoders import AdapterParams, adapt
-from stylecat.losses import ADVERSARIAL_MODES, ConfigError, _hinge, ce_loss, class_logits, confusion_loss, triplet_hinge
+from stylecat.encoders import AdapterParams
+from stylecat.losses import ADVERSARIAL_MODES, ConfigError, _hinge, class_logits
 from stylecat.tensor import (
     ShapeError,
     Tensor,
@@ -16,6 +19,8 @@ from stylecat.tensor import (
     relative_error,
 )
 from stylecat.train import LABELED_AUDITS, _AuditWorld, gradcheck_suite
+
+from layered_ops import adapt, add, ce_loss, confusion_loss, triplet_hinge
 
 
 def grad_of(loss_fn, x):
@@ -119,7 +124,7 @@ class TestElementwise:
     def test_add_shape_error(self):
         for b in (np.zeros((3, 2)), np.zeros(3), np.zeros(())):  # no broadcasting
             with pytest.raises(ShapeError):
-                T.add(Tensor(np.zeros((2, 3))), Tensor(b))
+                add(Tensor(np.zeros((2, 3))), Tensor(b))
 
 
 class TestBackward:
@@ -157,7 +162,7 @@ class TestBackward:
 
     def test_shared_node_grads_accumulate(self):
         x = Tensor([2.0], requires_grad=True)
-        y = T.add(x, x)
+        y = add(x, x)
         backward(weighted_sum(y))
         assert np.array_equal(x.grad, [2.0])
 
@@ -165,7 +170,7 @@ class TestBackward:
         # add hands both parents the same array; each leaf must get its own copy
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=True)
-        backward(weighted_sum(T.add(x, y)))
+        backward(weighted_sum(add(x, y)))
         x.grad[0] = 5.0
         assert np.array_equal(y.grad, [1.0, 1.0])
 
@@ -210,7 +215,7 @@ class TestParamGroup:
     def test_free_tensor_copies_its_first_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=True)
-        backward(weighted_sum(T.add(x, y)))  # both parents receive one shared gradient array
+        backward(weighted_sum(add(x, y)))  # both parents receive one shared gradient array
         assert not np.shares_memory(x.grad, y.grad)
         x.grad += 1.0
         assert np.array_equal(y.grad, [1.0, 1.0])
@@ -272,7 +277,7 @@ class TestOpFamilyGradients:
             logits = class_logits(x, h, 3.0)
             conf = T.scale(confusion_loss(logits, labels, "uniform-kl"), 0.5)
             trip = T.scale(triplet_hinge(h, x, negative, 0.3), 0.1)
-            return T.add(T.add(ce_loss(logits, labels), conf), trip)
+            return add(add(ce_loss(logits, labels), conf), trip)
 
         fd = finite_diff_grad(loss_fn, x)
         assert relative_error(grad_of(loss_fn, x), fd) < 1e-6
@@ -331,3 +336,35 @@ def test_values_stay_finite_on_extreme_finite_input():
     for loss_fn in (lambda t: ce_loss(t, [1]), lambda t: confusion_loss(t, [1], "uniform-kl")):
         assert np.isfinite(loss_fn(x).item())
         assert np.isfinite(grad_of(loss_fn, x)).all()
+
+
+def callers_in_package(name):
+    """``module.function`` (or ``module.Class.method``) of each function in ``src/stylecat`` whose body,
+    nested closures included, calls ``name`` as a bare name or an attribute; ``module`` alone for a
+    call outside any function."""
+    found = set()
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        scopes = []
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((f"{path.stem}.{top.name}", top))
+            elif isinstance(top, ast.ClassDef):
+                for member in top.body:
+                    is_def = isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    scopes.append((f"{path.stem}.{top.name}" + (f".{member.name}" if is_def else ""), member))
+            else:
+                scopes.append((path.stem, top))
+        for scope, tree in scopes:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                    found.add(scope)
+    return found
+
+
+def test_the_tape_serves_only_the_training_steps_and_the_pinned_ops():
+    """In the package only the encoder objectives, ``class_logits`` and ``scale`` record tape nodes,
+    and only the encoder training loop and the gradient audit walk the tape."""
+    assert callers_in_package("_node") == {"losses._labeled_loss", "losses._triplet_loss", "losses.class_logits",
+                                           "tensor.scale"}
+    assert callers_in_package("backward") == {"train.train_encoders", "train._ad_grads"}

@@ -20,9 +20,9 @@ from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoin
 from stylecat.cli import main
 from stylecat.datagen import DatasetError, SyntheticSpec, generate_classification_dataset, write_dataset_dir
 from stylecat.diffusion import DenoiserParams, DiffusionSchedule
-from stylecat.encoders import adapt, adapt_array
-from stylecat.losses import ConfigError, ce_loss, class_logits, confusion_loss, triplet_hinge
-from stylecat.tensor import ParamGroup, Tensor, _node, add, backward, scale
+from stylecat.encoders import adapt_array
+from stylecat.losses import ConfigError
+from stylecat.tensor import ParamGroup, Tensor, _node, backward
 from stylecat.train import (
     Adam,
     TrainConfig,
@@ -39,6 +39,8 @@ from stylecat.train import (
     train_encoders,
     write_metrics_csv,
 )
+
+from layered_ops import adapt, layered_labeled, triplet_hinge
 
 FAST = dict(epochs=3, shots=8)
 
@@ -287,9 +289,8 @@ class TestTrainEncoders:
 
 def reference_run(config, spec, train, lexicon):
     """``train_encoders``' loop with each step the composition of the single-layer ops: labeled,
-    ``ce_loss`` plus lambda times ``confusion_loss`` over ``class_logits(..., adapt(...))``;
-    unlabeled, ``triplet_hinge(adapt(...))``. Returns (bundle, per-epoch mean style and category
-    losses, whether each step's loss was positive)."""
+    ``layered_ops.layered_labeled``; unlabeled, ``triplet_hinge(adapt(...))``. Returns (bundle,
+    per-epoch mean style and category losses, whether each step's loss was positive)."""
     data = subsample_shots(train, config.shots)
     bundle = fresh_bundle(spec, config)
     opts = {kind: Adam(bundle.adapter(kind), config.lr) for kind in ("style", "category")}
@@ -300,25 +301,21 @@ def reference_run(config, spec, train, lexicon):
         unique = list(dict.fromkeys(text for pair in pairs for text in pair))
         frozen = dict(zip(unique, embed_captions(unique, bundle.backbone)))
         texts = {kind: np.stack([frozen[pair[k]] for pair in pairs]) for k, kind in enumerate(("style", "category"))}
-    steps = (("style", "category", config.lambda1, config.margin1),
-             ("category", "style", config.lambda2, config.margin2))
+    steps = (("style", "category", config.margin1), ("category", "style", config.margin2))
     losses, active = [], []
     for _ in range(config.epochs):
         order = rng.permutation(len(data))
         epoch = {"style": [], "category": []}
         for start in range(0, len(data), config.batch_size):
             idx = order[start : start + config.batch_size]
-            f_i = Tensor(f_all[idx])
-            for kind, other, lam, margin in steps:
+            for kind, other, margin in steps:
                 p = bundle.adapter(kind)
                 if config.mode == "labeled":
-                    logits = {k: class_logits(f_i, adapt(Tensor(bundle.prompt_features[k]), p), config.logit_scale)
-                              for k in (kind, other)}
-                    conf = confusion_loss(logits[other], labels[other][idx], config.adversarial_mode)
-                    loss = add(ce_loss(logits[kind], labels[kind][idx]), scale(conf, lam))
+                    loss = layered_labeled(f_all[idx], {k: y[idx] for k, y in labels.items()}, bundle, config, kind)
                 else:
                     negative = adapt_array(texts[other][idx], bundle.adapter(other))[0]
-                    loss = triplet_hinge(adapt(Tensor(texts[kind][idx]), p), f_i, Tensor(negative), margin)
+                    loss = triplet_hinge(adapt(Tensor(texts[kind][idx]), p), Tensor(f_all[idx]), Tensor(negative),
+                                         margin)
                 p.zero_grad()
                 backward(loss)
                 opts[kind].step()
