@@ -16,12 +16,15 @@ one call on the run's ``_TrainBuffers``, which writes the gradients into
 the denoiser's ``flat_grad`` and returns the loss as a float. The layered
 body takes one input form, n timesteps and n condition indices: its
 callers broadcast one timestep and give a one-row condition's missing
-indices as zeros. ``sample`` runs the folded one,
-``_ReverseBuffers``, which composes the input layer into the first MLP
-layer. The fold reassociates sums, so the two agree to within a few ulps of
-the magnitudes summed, not to the bit: the tests hold one forward to
-rtol = atol = 1e-12 and a 20-step sample to atol = 1e-10 of the layered
-forward. Where every sum is exact, as on dyadic weights, they are equal.
+indices as zeros. Its first layer and that layer's gradient are one GEMM
+over ``[z | 1]``, equal to the bias added apart to the bit where a test pins
+it on the BLAS in use: D in {8, 32, 64}, n in {1, 2, 7, 256, 1000, 4096};
+elsewhere untested. ``sample`` runs the folded one, ``_ReverseBuffers``,
+which composes the input layer into the first MLP layer. The fold
+reassociates sums, so the two agree to within a few ulps of the magnitudes
+summed, not to the bit: the tests hold one forward to rtol = atol = 1e-12
+and a 20-step sample to atol = 1e-10 of the layered forward. Where every
+sum is exact, as on dyadic weights, they are equal.
 """
 
 from __future__ import annotations
@@ -163,15 +166,20 @@ def _check_steps(schedule: DiffusionSchedule, params: DenoiserParams) -> None:
                            f"{params.time_embed.shape[0]} timesteps")
 
 
-def _relu_(x: np.ndarray) -> np.ndarray:
-    """``np.where(x > 0, x, 0.0)`` in place, to the bit.
+def _relu_(x: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """``np.where(x > 0, x, 0.0)`` in place, to the bit; ``zeros`` of x's shape are twice as fast as 0.0.
 
     ``fmax`` maps NaN to 0.0 (``maximum`` would keep it), but it may keep a
     -0.0, so adding +0.0 turns that into +0.0 and changes nothing else.
     """
-    np.fmax(x, 0.0, out=x)
+    np.fmax(x, zeros, out=x)
     x += 0.0
     return x
+
+
+def _input_rows(params: DenoiserParams, buf: np.ndarray) -> np.ndarray:
+    """The (3, D) view of ``buf``, ``flat`` or ``flat_grad``, over ``in_w`` and then ``in_b``, adjacent fields."""
+    return buf[params.time_embed.size :][: params.in_w.size + params.in_b.size].reshape(POINT_DIM + 1, -1)
 
 
 def _check_condition(cond, dim: int) -> None:
@@ -191,74 +199,41 @@ def _check_cond_idx(cond_idx, n: int, groups: int) -> np.ndarray:
 
 
 class _LayeredBuffers:
-    """The layered denoiser forward over n rows, and its backward, written into buffers.
+    """The layered denoiser forward over n rows, written into buffers.
 
     Built for one ``params`` object and one ``GuidanceCondition`` of G rows
     (``TypeError`` for another type, ``ShapeError`` for another width).
-    ``forward`` takes checked (n, 2) points, n timesteps and n condition
-    indices and keeps them; ``_grads`` reads them and the forward's buffers,
-    so it holds only until the next ``forward``.
+    It holds only what ``forward`` reads. ``z1``, C-contiguous (3, n): the
+    points in rows 0-1, their (n, 2) view ``z``, and 1.0 in row 2; ``first``,
+    ``_input_rows`` of ``flat``, so ``z1.T @ first`` is the input layer with
+    its bias. ``values``, ``values_c``: (G, D); ``a``, ``rows``, ``hidden``, ``zeros``: (n, D).
     """
 
     def __init__(self, params: DenoiserParams, cond: GuidanceCondition, n: int):
-        steps, dim = params.time_embed.shape
+        dim = params.time_embed.shape[1]
         _check_condition(cond, dim)
         self.params, self.cond, self.n = params, cond, n
-        self.time_bins = np.arange(steps * dim).reshape(steps, dim)
-        self.cond_bins = np.arange(len(cond.tau_style) * dim).reshape(-1, dim)
+        self.first, self.z1 = _input_rows(params, params.flat), np.ones((POINT_DIM + 1, n))
+        self.z = self.z1[:POINT_DIM].T
+        self.values, self.values_c = (np.empty((len(cond.tau_style), dim)) for _ in range(2))
         self.a, self.rows, self.hidden = np.empty((n, dim)), np.empty((n, dim)), np.empty((n, dim))
-        self.out = np.empty((n, POINT_DIM))
-        self.g_pre, self.g_a = np.empty((n, dim)), np.empty((n, dim))
-        self.mask = np.empty((n, dim), dtype=bool)
-        self.bins = np.empty((n, dim), dtype=np.int64)
+        self.zeros, self.out = np.zeros((n, dim)), np.empty((n, POINT_DIM))
 
-    def forward(self, z: np.ndarray, t: np.ndarray, cond_idx: np.ndarray) -> np.ndarray:
-        """``out`` for checked (n, 2) points, n timesteps and n condition indices."""
+    def forward(self, t: np.ndarray, cond_idx: np.ndarray) -> np.ndarray:
+        """``out`` for the points in ``z`` and n checked timesteps and condition indices, which it keeps."""
         p, cond = self.params, self.cond
-        self.z, self.t, self.cond_idx = z, t, cond_idx
-        values = cond.tau_style @ p.ws.data + cond.tau_category @ p.wv.data
-        a = np.matmul(z, p.in_w.data, out=self.a)
-        a += p.in_b.data
+        self.t, self.cond_idx = t, cond_idx
+        values = np.matmul(cond.tau_style, p.ws.data, out=self.values)
+        values += np.matmul(cond.tau_category, p.wv.data, out=self.values_c)
+        a = np.matmul(self.z1.T, self.first, out=self.a)
         a += p.time_embed.data.take(t, axis=0, out=self.rows, mode="clip")
         a += values.take(cond_idx, axis=0, out=self.rows, mode="clip")
         hidden = np.matmul(a, p.mlp_w1.data, out=self.hidden)
         hidden += p.mlp_b1.data
-        _relu_(hidden)
+        _relu_(hidden, self.zeros)
         out = np.matmul(hidden, p.mlp_w2.data, out=self.out)
         out += p.mlp_b2.data
         return out
-
-    def _grads(self, g: np.ndarray, grads) -> None:
-        """The nine parameter gradients, given ``g``, the (n, 2) gradient at ``out``, written into
-        ``grads``, nine arrays of the parameters' shapes in field order.
-
-        A gradient that is a product or a sum may be -0.0 where ``backward``'s
-        add into a zeroed buffer gives +0.0; the ``bincount`` ones never are.
-        """
-        p, cond = self.params, self.cond
-        g_time, g_in_w, g_in_b, g_ws, g_wv, g_w1, g_b1, g_w2, g_b2 = grads
-        g_pre = np.matmul(g, p.mlp_w2.data.T, out=self.g_pre)
-        g_pre *= np.greater(self.hidden, 0, out=self.mask)
-        g_a = np.matmul(g_pre, p.mlp_w1.data.T, out=self.g_a)
-        g_values = self._scatter(g_a, self.cond_bins, self.cond_idx)
-        g_time[...] = self._scatter(g_a, self.time_bins, self.t)
-        np.matmul(self.z.T, g_a, out=g_in_w)
-        g_a.sum(axis=0, out=g_in_b)
-        np.matmul(cond.tau_style.T, g_values, out=g_ws)
-        np.matmul(cond.tau_category.T, g_values, out=g_wv)
-        np.matmul(self.a.T, g_pre, out=g_w1)
-        g_pre.sum(axis=0, out=g_b1)
-        np.matmul(self.hidden.T, g, out=g_w2)
-        g.sum(axis=0, out=g_b2)
-
-    def _scatter(self, g: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Sums of the rows of g by target row, shaped like ``table``: the gradient of a row gather.
-
-        One ``bincount`` over the gathered bins adds each bin's terms in row
-        order, as ``np.add.at`` does, so the sums are the same to the bit.
-        """
-        bins = table.take(rows, axis=0, out=self.bins, mode="clip")
-        return np.bincount(bins.ravel(), weights=g.ravel(), minlength=table.size).reshape(table.shape)
 
 
 class _ReverseBuffers:
@@ -347,17 +322,19 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     n = z.shape[0]
     t = np.broadcast_to(_check_timesteps(t_idx, n, params.time_embed.shape[0]), (n,))
     layers = _LayeredBuffers(params, cond, n)
-    return Tensor(layers.forward(z, t, _check_cond_idx(cond_idx, n, len(cond.tau_style))))
+    layers.z[...] = z
+    return Tensor(layers.forward(t, _check_cond_idx(cond_idx, n, len(cond.tau_style))))
 
 
 class _TrainBuffers(_LayeredBuffers):
-    """The workspace of one ``train_diffusion`` run: a ``_LayeredBuffers`` plus the step's own.
+    """The workspace of one ``train_diffusion`` run: a ``_LayeredBuffers`` plus the backward's and the step's own.
 
     Built once before the loop for one schedule, one ``params`` object, one
     stacked condition and n >= 1 rows per batch; it checks n and the
     schedule against the denoiser (``ShapeError``) and the condition (see
     ``_LayeredBuffers``) once, and each step reads them from here. ``step``
-    writes the gradients into the parameters' ``grad`` views of ``flat_grad``.
+    writes z_t into ``z``; ``_grads``, valid until the next ``forward``,
+    writes the gradients into the ``grad`` views of ``flat_grad``.
     """
 
     def __init__(self, schedule: DiffusionSchedule, params: DenoiserParams, cond: GuidanceCondition, n: int):
@@ -365,10 +342,14 @@ class _TrainBuffers(_LayeredBuffers):
             raise T.ShapeError(f"a training batch needs n >= 1 rows, got {n}")
         _check_steps(schedule, params)
         super().__init__(params, cond, n)
+        self.time_bins, self.cond_bins = (np.arange(x.size).reshape(x.shape) for x in (params.time_embed, self.values))
+        self.g_pre, self.g_a = np.empty_like(self.a), np.empty_like(self.a)
+        self.mask, self.bins = np.empty(self.a.shape, dtype=bool), np.empty(self.a.shape, dtype=np.int64)
         self.schedule, self.grads = schedule, [x.grad for x in params.tensors()]
+        self.g_first = _input_rows(params, params.flat_grad)
         self.sqrt_ab, self.sqrt_1m_ab = np.sqrt(schedule.alpha_bars), np.sqrt(1.0 - schedule.alpha_bars)
         self.coef = np.empty(n)
-        self.z_t, self.eps, self.diff, self.g_out, self.scratch = (np.empty((n, POINT_DIM)) for _ in range(5))
+        self.eps, self.diff, self.g_out, self.scratch = (np.empty(s) for s in [(n, POINT_DIM)] * 3 + [(POINT_DIM, n)])
 
     def step(self, points: np.ndarray, cond_idx, rng: np.random.Generator) -> float:
         """``ddpm_train_step`` on this run's (n, 2) ``points``."""
@@ -382,19 +363,49 @@ class _TrainBuffers(_LayeredBuffers):
         cond_idx = _check_cond_idx(cond_idx, n, len(self.cond.tau_style))
         t = rng.integers(0, self.schedule.steps, size=n)
         eps = rng.standard_normal(out=self.eps)
-        # z_t = sqrt(abar[t]) * points + sqrt(1 - abar[t]) * eps, each product into a buffer
-        col = self.coef[:, None]
+        # z_t = sqrt(abar[t]) * points + sqrt(1 - abar[t]) * eps, each product into (2, n) rows
         self.sqrt_ab.take(t, out=self.coef, mode="clip")
-        z = np.multiply(col, points, out=self.z_t)
+        z = np.multiply(self.coef, points.T, out=self.z1[:POINT_DIM])
         self.sqrt_1m_ab.take(t, out=self.coef, mode="clip")
-        z += np.multiply(col, eps, out=self.scratch)
-        diff = np.subtract(self.forward(z, t, cond_idx), eps, out=self.diff)
-        loss = np.multiply(diff, diff, out=self.scratch).sum() * (1.0 / n)
+        z += np.multiply(self.coef, eps.T, out=self.scratch)
+        diff = np.subtract(self.forward(t, cond_idx), eps, out=self.diff)
+        loss = np.multiply(diff, diff, out=self.g_out).sum() * (1.0 / n)
         g = np.multiply(diff, 1.0 / n, out=self.g_out)  # the loss's gradient at the estimate, 2 diff / n
         g += g
-        self._grads(g, self.grads)
+        self._grads(g)
         self.params.flat_grad += 0.0  # -0.0 to +0.0, as backward's add into a zeroed buffer gives
         return float(loss)
+
+    def _grads(self, g: np.ndarray) -> None:
+        """The nine parameter gradients, given ``g``, the (n, 2) gradient at ``out``, written into
+        ``flat_grad``: ``in_w``'s and ``in_b``'s by one GEMM, ``z1 @ g_a``, into ``g_first``.
+
+        A gradient that is a product or a sum may be -0.0 where ``backward``'s
+        add into a zeroed buffer gives +0.0; the ``bincount`` ones never are.
+        """
+        p, cond = self.params, self.cond
+        g_time, _, _, g_ws, g_wv, g_w1, g_b1, g_w2, g_b2 = self.grads
+        g_pre = np.matmul(g, p.mlp_w2.data.T, out=self.g_pre)
+        g_pre *= np.greater(self.hidden, 0, out=self.mask)
+        g_a = np.matmul(g_pre, p.mlp_w1.data.T, out=self.g_a)
+        g_values = self._scatter(g_a, self.cond_bins, self.cond_idx)
+        g_time[...] = self._scatter(g_a, self.time_bins, self.t)
+        np.matmul(self.z1, g_a, out=self.g_first)
+        np.matmul(cond.tau_style.T, g_values, out=g_ws)
+        np.matmul(cond.tau_category.T, g_values, out=g_wv)
+        np.matmul(self.a.T, g_pre, out=g_w1)
+        g_pre.sum(axis=0, out=g_b1)
+        np.matmul(self.hidden.T, g, out=g_w2)
+        g.sum(axis=0, out=g_b2)
+
+    def _scatter(self, g: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Sums of the rows of g by target row, shaped like ``table``: the gradient of a row gather.
+
+        One ``bincount`` over the gathered bins adds each bin's terms in row
+        order, as ``np.add.at`` does, so the sums are the same to the bit.
+        """
+        bins = table.take(rows, axis=0, out=self.bins, mode="clip")
+        return np.bincount(bins.ravel(), weights=g.ravel(), minlength=table.size).reshape(table.shape)
 
 
 def ddpm_train_step(buffers: _TrainBuffers, points: np.ndarray, cond_idx, rng: np.random.Generator) -> float:

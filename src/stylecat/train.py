@@ -149,7 +149,8 @@ class Adam:
     the group's ``flat`` values in place, elementwise over the whole
     buffers. It leaves ``flat_grad`` as it is, so the gradients stay
     readable after the step. A tensor that the loss does not reach has a
-    zero gradient and is updated with g = 0.
+    zero gradient and is updated with g = 0. From t = 356 the bias
+    correction ``1 - BETA1**t`` is exactly 1.0, so the step skips ``m / 1.0``.
     """
 
     BETA1 = 0.9
@@ -179,8 +180,11 @@ class Adam:
         v *= self.BETA2
         v += tmp
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
-        np.divide(m, bc1, out=update)
-        update *= self.lr
+        if bc1 == 1.0:
+            np.multiply(m, self.lr, out=update)
+        else:
+            np.divide(m, bc1, out=update)
+            update *= self.lr
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += self.EPS

@@ -70,19 +70,21 @@ def predict_noise(params, z_t, t_idx, cond, cond_idx=None) -> Tensor:
     """``diffusion.predict_noise``'s layered form as one tape node over the nine ``DenoiserParams`` tensors.
 
     Takes one timestep or n of them and a missing ``cond_idx`` for a one-row
-    condition, as the program's form does; the backward is the layered
-    body's ``_grads``.
+    condition, as the program's form does; the backward is the training
+    workspace's ``_grads``, run on a copy of the parameters so that it
+    writes their gradients into the copy's ``flat_grad``; n >= 1 rows.
     """
     z = np.atleast_2d(np.asarray(z_t, dtype=np.float64))
-    n = z.shape[0]
-    t = np.broadcast_to(diffusion._check_timesteps(t_idx, n, params.time_embed.shape[0]), (n,))
-    layers = diffusion._LayeredBuffers(params, cond, n)
-    out = layers.forward(z, t, diffusion._check_cond_idx(cond_idx, n, len(cond.tau_style)))
+    n, steps = z.shape[0], params.time_embed.shape[0]
+    t = np.broadcast_to(diffusion._check_timesteps(t_idx, n, steps), (n,))
+    copy = type(params).from_arrays(params.arrays(), params)
+    layers = diffusion._TrainBuffers(diffusion.DiffusionSchedule.make(steps), copy, cond, n)
+    layers.z[...] = z
+    out = layers.forward(t, diffusion._check_cond_idx(cond_idx, n, len(cond.tau_style)))
 
     def grad_fn(g):
-        grads = [np.empty(x.shape) for x in params.tensors()]
-        layers._grads(g, grads)
-        return grads
+        layers._grads(g)
+        return [x.grad.copy() for x in copy.tensors()]
 
     return T._node(out, params.tensors(), grad_fn)
 

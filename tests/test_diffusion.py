@@ -350,16 +350,16 @@ class TestTrainStep:
         backward(noise_regression_loss(layered_ops.predict_noise(params, z_t, t, cond, cond_idx), eps))
         reference = params.flat_grad.tobytes()
         assert (params.mlp_b1.grad[::2] == 0).all() and not np.signbit(params.flat_grad[params.flat_grad == 0]).any()
-        real_grads = diffusion_mod._LayeredBuffers._grads
+        real_grads = diffusion_mod._TrainBuffers._grads
 
-        def negative_zeros(self, g, grads):
-            real_grads(self, g, grads)
-            for x in grads:
+        def negative_zeros(self, g):
+            real_grads(self, g)
+            for x in self.grads:
                 np.copysign(x, -1.0, out=x, where=x == 0)
 
         for patch in (False, True):
             if patch:
-                monkeypatch.setattr(diffusion_mod._LayeredBuffers, "_grads", negative_zeros)
+                monkeypatch.setattr(diffusion_mod._TrainBuffers, "_grads", negative_zeros)
             params.flat_grad[:] = np.nan
             one_step(points, cond_idx, cond, schedule, params, np.random.default_rng(37))
             assert params.flat_grad.tobytes() == reference
@@ -759,6 +759,49 @@ def reference_sample(n, condition, schedule, params, seed):
     return z
 
 
+class TestFirstLayer:
+    """The layered forward's input layer and its bias are one GEMM, ``[z | 1] @ [in_w; in_b]``, and so
+    are their gradients, ``[z | 1].T @ g_a``."""
+
+    @pytest.mark.parametrize("dim", [8, 32, 64])
+    @pytest.mark.parametrize("n", [1, 2, 7, 256, 1000, 4096])
+    def test_ones_column_gemm_equals_matmul_plus_bias(self, n, dim):
+        """To the bit, because the BLAS adds the ones column's term last; and so are the whole forward
+        and the two gradients, against ``z.T @ g_a`` and the column sums."""
+        rng = np.random.default_rng(n)
+        params = DenoiserParams.init(dim=dim, steps=10, seed=n)
+        for bias in (params.in_b, params.mlp_b1, params.mlp_b2):
+            bias.data[:] = rng.standard_normal(bias.shape)
+        cond = GuidanceCondition(tau_style=unit_rows(rng, 3, dim), tau_category=unit_rows(rng, 3, dim))
+        layers = diffusion_mod._LayeredBuffers(params, cond, n)
+        z = 3.0 * rng.standard_normal((n, 2))
+        layers.z[...] = z
+        expected = z @ params.in_w.data
+        expected += params.in_b.data
+        assert np.matmul(layers.z1.T, layers.first).tobytes() == expected.tobytes()
+        t, cond_idx = rng.integers(0, 10, n), rng.integers(0, 3, n)
+        out = predict_noise(params, z, t, cond, cond_idx).data
+        assert out.tobytes() == reference_forward(params, z, t, cond, cond_idx)[2].tobytes()
+        g_a = rng.standard_normal((n, dim))
+        expected = np.vstack([z.T @ g_a, g_a.sum(axis=0)])
+        assert np.matmul(layers.z1, g_a).tobytes() == expected.tobytes()
+
+    def test_operands_are_the_flat_views_of_in_w_then_in_b(self):
+        """A reordering of the ``DenoiserParams`` fields that parts ``in_w`` from ``in_b`` fails here."""
+        rng = np.random.default_rng(40)
+        params = DenoiserParams.init(dim=8, steps=5, seed=40)
+        cond = GuidanceCondition(tau_style=unit_rows(rng, 1, 8), tau_category=unit_rows(rng, 1, 8))
+        buffers = diffusion_mod._TrainBuffers(DiffusionSchedule.make(5), params, cond, 3)
+        others = [p for name, p in zip(params.arrays(), params.tensors()) if name not in ("in_w", "in_b")]
+        params.flat[:] = np.arange(params.flat.size)
+        params.flat_grad[:] = -np.arange(params.flat.size)
+        for rows, attr in ((buffers.first, "data"), (buffers.g_first, "grad")):
+            in_w, in_b = getattr(params.in_w, attr), getattr(params.in_b, attr)
+            assert rows.shape == (3, 8) and np.shares_memory(rows, in_w) and np.shares_memory(rows, in_b)
+            assert not any(np.shares_memory(rows, getattr(p, attr)) for p in others)
+            assert np.array_equal(rows[:2], in_w) and np.array_equal(rows[2], in_b)
+
+
 class TestReverseStep:
     DIM = 8
     STEPS = 20
@@ -811,7 +854,7 @@ class TestReverseStep:
         specials = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf]
         x.ravel()[::2] = np.resize(specials, x.ravel()[::2].shape)
         expected = np.where(x > 0, x, 0.0)
-        assert diffusion_mod._relu_(x).tobytes() == expected.tobytes()
+        assert diffusion_mod._relu_(x, np.zeros_like(x)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("steps", [5, 30])
     def test_schedule_of_another_length_rejected(self, steps):

@@ -145,20 +145,28 @@ class TestAdam:
         assert np.abs(x.data).max() < 1e-3
 
     def test_flat_buffer_matches_per_tensor_reference(self):
-        """Five steps over one group equal per-tensor Adam bit for bit, and leave the gradients readable."""
+        """Over 420 steps, past t = 356 where ``1 - BETA1**t`` is 1.0, one group's values and moments equal
+        per-tensor Adam byte for byte, from t = 1, through all-zero gradients and -0.0 entries; and
+        the gradients stay readable."""
         rng = np.random.default_rng(17)
         init = [rng.standard_normal(shape) for shape in [(3, 4), (5,), (), (2, 2)]]
         flat, ref = free_group(*init), free_group(*init)
         opts = Adam(flat, lr=0.05), ReferenceAdam(ref, lr=0.05)
-        for step in range(5):
+        assert 1.0 - Adam.BETA1**355 != 1.0 and 1.0 - Adam.BETA1**356 == 1.0
+        for step in range(1, 421):
             grads = rng.standard_normal(flat.flat_grad.shape)
+            grads[rng.random(grads.shape) < 0.3] = -0.0
+            if step in (2, 355, 356, 357) or step % 50 == 0:
+                grads[:] = -0.0 if step % 100 == 0 else 0.0
             flat.flat_grad[:] = grads
             ref.flat_grad[:] = grads
             for opt in opts:
                 opt.step()
-            assert np.array_equal(flat.flat_grad, grads), step
+            assert flat.flat_grad.tobytes() == grads.tobytes(), step
             for f, r in zip(flat.tensors(), ref.tensors()):
-                assert f.data.shape == r.data.shape and np.array_equal(f.data, r.data), step
+                assert f.data.shape == r.data.shape and f.data.tobytes() == r.data.tobytes(), step
+            for mine, theirs in ((opts[0].m, opts[1].m), (opts[0].v, opts[1].v)):
+                assert mine.tobytes() == np.concatenate([x.ravel() for x in theirs]).tobytes(), step
 
     def test_trained_denoiser_is_read_back_and_survives_checkpoint(self, spec, dataset, tmp_path, monkeypatch):
         from stylecat.datagen import generate_diffusion_dataset
@@ -807,7 +815,7 @@ class TestCli:
             out[rows] = g
             return out
 
-        monkeypatch.setattr(diffusion_mod._LayeredBuffers, "_scatter", last_write_wins)
+        monkeypatch.setattr(diffusion_mod._TrainBuffers, "_scatter", last_write_wins)
         assert self.run("gradcheck", "--seeds", "2") == 2
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith(" FAIL")]
         assert failed == ["denoiser-train-step"]
