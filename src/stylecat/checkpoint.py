@@ -60,7 +60,8 @@ def load_checkpoint(path):
     Every read is bound-checked, so a truncated or corrupt file raises
     ``CheckpointError`` and nothing else; so does an array holding a NaN or
     an infinity, which would otherwise load and, through a ReLU that maps
-    NaN to 0, give finite but wrong results.
+    NaN to 0, give finite but wrong results, and a name that a second array
+    repeats, whose last copy would otherwise win.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -90,6 +91,8 @@ def load_checkpoint(path):
             (name_len,) = u32s()
             start = take(name_len)
             name = blob[start:offset].decode("utf-8")
+            if name in arrays:
+                raise CheckpointError(f"{path}: array {name} appears twice")
             shape = u32s(u32s()[0])
             n = math.prod(shape)
             data = np.frombuffer(blob, dtype="<f4", count=n, offset=take(4 * n)).reshape(shape)

@@ -21,18 +21,15 @@ from .datagen import DATASET_FILES, SyntheticSpec, build_mixture, default_names,
 from .diffusion import DiffusionSchedule, condition_for_caption, oracle_classify_batch, sample as ddpm_sample
 from .losses import ADVERSARIAL_MODES, ConfigError
 from .train import (
-    ALPHA_GRID,
-    LAMBDA_GRID,
     NumericalError,
     TrainConfig,
-    alpha_sweep,
     apply_seed_env,
     eval_row,
     gradcheck_suite,
     guidance_eval,
-    lambda_sweep,
     load_encoder_checkpoint,
     save_encoder_checkpoint,
+    sweep,
     train_diffusion,
     train_encoders,
     write_metrics_csv,
@@ -96,10 +93,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--axis", choices=["alpha", "lambda"], required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint", help="required for the alpha axis")
-    p.add_argument("--config")
-    p.add_argument("--grid", help="comma-separated values overriding the default grid")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--checkpoint", help="the alpha axis's trained encoders; required there, refused on lambda")
+    p.add_argument("--config", help="lambda axis only")
+    p.add_argument("--grid", type=lambda raw: tuple(float(v) for v in raw.split(",")),
+                   help="comma-separated values overriding the default grid")
+    p.add_argument("--seed", type=int, help="lambda axis only")
 
     p = sub.add_parser("train-diffusion", help="train the conditional denoiser")
     p.add_argument("--data", required=True)
@@ -136,13 +134,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args, config: TrainConfig | None = None) -> TrainConfig:
-    """``config`` (else ``--config``, else the defaults) overridden by every flag whose dest
-    names a TrainConfig field, then by CCLIP_SEED."""
+def _load_config(args, config: TrainConfig | None = None, env=os.environ) -> TrainConfig:
+    """``config`` (else ``--config``, else the defaults) overridden by every flag whose dest names a
+    TrainConfig field, then by CCLIP_SEED in ``env``, which is empty for a checkpoint only evaluated."""
     if config is None:
         config = TrainConfig.from_file(args.config) if getattr(args, "config", None) else TrainConfig()
     overrides = {f.name: v for f in fields(TrainConfig) if (v := getattr(args, f.name, None)) is not None}
-    return apply_seed_env(replace(config, **overrides))
+    return apply_seed_env(replace(config, **overrides), env)
 
 
 def _load_dataset_dir(data_dir, mode: str):
@@ -237,7 +235,7 @@ def _cmd_train_encoders(args) -> int:
 
 def _cmd_eval_classify(args) -> int:
     bundle, config, spec, _ = load_encoder_checkpoint(args.checkpoint)
-    config = _load_config(args, config)
+    config = _load_config(args, config, env={})
     test = load(Path(args.data) / DATASET_FILES["test"], "grid", spec)
     row = eval_row(bundle, test, config)
     print(f"style_top1={row['style_top1']:.6f} category_top1={row['category_top1']:.6f} "
@@ -247,28 +245,21 @@ def _cmd_eval_classify(args) -> int:
     return 0
 
 
-def _parse_grid(raw: str | None, default):
-    if raw is None:
-        return default
-    try:
-        return tuple(float(v) for v in raw.split(","))
-    except ValueError as e:
-        raise ConfigError(f"bad grid value: {e}") from e
-
-
 def _cmd_sweep(args) -> int:
     if args.axis == "alpha":
         if not args.checkpoint:
             raise ConfigError("alpha sweep requires --checkpoint")
+        if args.config or args.seed is not None:
+            raise ConfigError("alpha sweep evaluates the checkpoint's stored config; it takes no --config or --seed")
         bundle, config, spec, _ = load_encoder_checkpoint(args.checkpoint)
-        config = _load_config(args, config)
         test = load(Path(args.data) / DATASET_FILES["test"], "grid", spec)
-        rows = alpha_sweep(bundle, test, config, grid=_parse_grid(args.grid, ALPHA_GRID))
+        rows = sweep("alpha", args.grid, config, test, bundle)
     else:
+        if args.checkpoint:
+            raise ConfigError("lambda sweep retrains from --config; it takes no --checkpoint")
         config = _load_config(args)
         spec, train, test, lexicon = _load_dataset_dir(args.data, config.mode)
-        rows = lambda_sweep(config, spec, train, test,
-                            grid=_parse_grid(args.grid, LAMBDA_GRID), lexicon=lexicon)
+        rows = sweep("lambda", args.grid, config, test, spec=spec, train_samples=train, lexicon=lexicon)
     write_metrics_csv(rows, args.out)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0

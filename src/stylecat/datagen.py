@@ -296,16 +296,18 @@ def _parse_record(obj: dict, kind: str, spec: SyntheticSpec):
     if not (0 <= style < spec.n_styles and 0 <= category < spec.n_categories):
         raise ValueError(f"label (style {style}, category {category}) outside the spec's "
                          f"{spec.n_styles} styles x {spec.n_categories} categories")
+    # A bool or a numeric string is no number, though float() and a float array take both as one.
     if kind == "point":
-        x, y = float(obj["x"]), float(obj["y"])
-        if not (np.isfinite(x) and np.isfinite(y)):
-            raise ValueError(f"point ({x}, {y}) is not finite")
-        return PointSample(x=x, y=y, style=style, category=category, caption=caption)
-    grid = np.asarray(obj["grid"], dtype=np.float64)
-    if grid.shape != GRID_SHAPE:
-        raise ValueError(f"grid shape {grid.shape}, expected {GRID_SHAPE}")
-    if not np.all((grid >= 0.0) & (grid <= 1.0)):
-        raise ValueError("grid values must lie in [0, 1]")
+        x, y = obj["x"], obj["y"]
+        if not {type(x), type(y)} <= {int, float} or not np.isfinite([float(x), float(y)]).all():
+            raise ValueError(f"point ({x!r}, {y!r}) is not finite, or its coordinates are not numbers")
+        return PointSample(x=float(x), y=float(y), style=style, category=category, caption=caption)
+    cells = np.asarray(obj["grid"], dtype=object)
+    if cells.shape != GRID_SHAPE:
+        raise ValueError(f"grid shape {cells.shape}, expected {GRID_SHAPE}")
+    grid = cells.astype(np.float64)
+    if not {type(v) for v in cells.flat} <= {int, float} or not np.all((grid >= 0.0) & (grid <= 1.0)):
+        raise ValueError("grid values must be numbers that lie in [0, 1]")
     return ClassificationSample(grid=grid, style=style, category=category, caption=caption)
 
 
@@ -313,8 +315,9 @@ def load(path, kind: str, spec: SyntheticSpec):
     """Inverse of ``export`` for one record kind, "grid" or "point"; reports the offending line on bad input.
 
     Every record must hold exactly the keys of ``kind``, integer labels within
-    ``spec``'s factor counts and a string caption; a point must be finite and
-    a grid (8, 8, 3) with values in [0, 1].
+    ``spec``'s factor counts and a string caption; a point must be two finite
+    numbers and a grid (8, 8, 3) numbers in [0, 1], where neither a boolean
+    nor a numeric string counts as a number.
     """
     samples = []
     with open(path, "rb") as fh:  # decoded line by line, so a decode error names its line
@@ -334,7 +337,7 @@ def load(path, kind: str, spec: SyntheticSpec):
                                    f"{sorted(RECORD_KEYS[kind])}")
             try:
                 samples.append(_parse_record(obj, kind, spec))
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, OverflowError) as e:  # an integer too large for a float overflows
                 raise DatasetError(f"{path}: invalid record at line {lineno}: {e}") from e
     return samples
 

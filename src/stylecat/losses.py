@@ -1,14 +1,14 @@
 """Training objectives of the two adapters and the loss heads they are made of.
 
 Every encoder optimiser step records one tape node, whose parents are the
-four tensors of the adapter being stepped. ``style_labeled_loss`` and
-``category_labeled_loss`` take the run's ``_LabeledRun``, which holds the
-encoders, the image rows' unit rows and the labels, checked once, and score
-the batch its ``select`` chose: the adapter once over both factors' prompt
-features stacked, then the cosine logits of each factor and cross-entropy
-plus lambda times the confusion term. ``style_triplet_loss`` and
-``category_triplet_loss`` run the adapter over the anchor's frozen text
-rows, or take that pass from the caller, and the hinge; when no triplet of
+four tensors of the adapter being stepped. Each objective takes ``(run,
+cfg)``, the run's constants, checked once, and the config that holds its
+weights or margin, and scores the batch the run's ``select`` chose. The
+labeled objectives (a ``_LabeledRun``) run the adapter once over both
+factors' prompt features stacked, then the cosine logits of each factor and
+cross-entropy plus lambda times the confusion term. The triplet objectives
+(a ``_TripletRun``) run the adapter over the anchor's frozen text rows, or
+take that pass from the other kind's step, and the hinge; when no triplet of
 the batch is active their loss is the exact 0.0 with no parents, so that
 step's ``backward`` runs no backward at all. Their forward and hand-written
 backward are put together from the numpy helpers below; the tests build
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .encoders import _KINDS, _OTHER, AdapterParams, EncoderBundle, adapt_array
+from .encoders import _KINDS, _OTHER, EncoderBundle, adapt_array
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -199,9 +199,9 @@ def _labeled_loss(run: _LabeledRun, cfg: TrainConfig, kind: str) -> Tensor:
 
     Cross-entropy on its own factor plus lambda times the confusion term on
     the other factor, both scored through the ``kind`` adapter; lambda is
-    lambda1 for style and lambda2 for category. With lambda == 0 this is
-    exactly the plain cross-entropy term. The image rows and labels are the
-    run's, checked when it was built.
+    lambda1 for style and lambda2 for category. With lambda == 0 the value
+    is exactly the plain cross-entropy term's. The image rows and labels are
+    the run's, checked when it was built.
 
     One adapter pass covers both factors' prompt rows, and the backward
     takes the two heads' gradients through it together; each parameter
@@ -210,7 +210,7 @@ def _labeled_loss(run: _LabeledRun, cfg: TrainConfig, kind: str) -> Tensor:
     lam = cfg.lambda1 if kind == "style" else cfg.lambda2
     scale = float(cfg.logit_scale)
     p, k, fn = run.encoders.adapter(kind), len(run.encoders.prompt_features[kind]), run.fn
-    protos, adapt_grad = adapt_array(run.prompts[kind] if lam else run.prompts[kind][:k], p)
+    protos, adapt_grad = adapt_array(run.prompts[kind], p)
     pn, p_norm = T._unit_rows(protos)
 
     def head(rows, loss):  # one cosine GEMM per head: one GEMM over both heads' rows gives other bits
@@ -218,15 +218,13 @@ def _labeled_loss(run: _LabeledRun, cfg: TrainConfig, kind: str) -> Tensor:
         return value, lambda g: (fn.T @ (loss_grad(g) * scale)).T  # the gradient at pn[rows]
 
     value, ce_grad = head(np.s_[:k], lambda z: _ce(z, run.batch[kind]))
-    if lam:
-        conf, conf_grad = head(np.s_[k:], lambda z: _confusion(z, run.batch[_OTHER[kind]], cfg.adversarial_mode))
-        value = value + conf * lam
+    conf, conf_grad = head(np.s_[k:], lambda z: _confusion(z, run.batch[_OTHER[kind]], cfg.adversarial_mode))
 
     def grad(g):  # the gradients of w1, b1, w2 and b2
-        g_pn = np.concatenate([ce_grad(g), conf_grad(g * lam)]) if lam else ce_grad(g)
-        return adapt_grad(T._unit_rows_grad(g_pn, pn, p_norm), need_x=False, split=k if lam else None)[1:]
+        g_pn = np.concatenate([ce_grad(g), conf_grad(g * lam)])
+        return adapt_grad(T._unit_rows_grad(g_pn, pn, p_norm), need_x=False, split=k)[1:]
 
-    return T._node(value, (p.w1, p.b1, p.w2, p.b2), grad)
+    return T._node(value + conf * lam, (p.w1, p.b1, p.w2, p.b2), grad)
 
 
 def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> Tensor:
@@ -239,39 +237,53 @@ def category_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> Tensor:
     return _labeled_loss(run, cfg, "category")
 
 
-def _triplet_loss(text: np.ndarray, p: AdapterParams, positive: np.ndarray, negative: np.ndarray,
-                  margin: float, anchor) -> Tensor:
-    """The hinge with anchor ``adapt(text, p)``; one tape node over the adapter's four tensors,
-    or a parentless 0.0 when no row is active. That is decided on the rows, not on the value:
-    a mean of active rows can underflow to 0.0. ``anchor``, when given, is
-    ``adapt_array(text, p)`` already computed, rows and backward.
-    """
-    anchor, adapt_grad = adapt_array(text, p) if anchor is None else anchor
-    value, hinge_grad, active = _hinge(anchor, positive, negative, margin)
+class _TripletRun:
+    """The constants of an unlabeled run: all (N, D) image feature rows ``f_all``, each kind's (N, D)
+    frozen half-caption rows ``text`` and the ``encoders``, checked once to be N rows of the adapters'
+    width D (``ShapeError``). ``select(idx)`` makes rows ``idx`` the batch. A kind's step adapts the
+    other kind's rows for its negative and keeps them, rows and backward: the other kind's step, next,
+    takes them as its anchor, since their adapter has not been stepped in between."""
+
+    def __init__(self, f_all: np.ndarray, text: dict[str, np.ndarray], encoders: EncoderBundle):
+        dim = encoders.adapter("style").w1.shape[0]
+        for name, rows in (("image features", f_all), *((f"{kind} text", text[kind]) for kind in _KINDS)):
+            if rows.shape != (len(f_all), dim):
+                raise T.ShapeError(f"triplet objective: {name} {rows.shape} must be {len(f_all)} rows of width {dim}")
+        self.encoders, self.f_all, self.text = encoders, f_all, text
+        self.select(np.s_[:])
+
+    def select(self, idx: np.ndarray) -> None:
+        """Make rows ``idx`` the batch."""
+        self.positive = self.f_all[idx]
+        self.batch = {kind: rows[idx] for kind, rows in self.text.items()}
+        self.kept = {}
+
+    def rows(self, kind: str):
+        """The ``kind`` step's anchor, ``adapt_array`` of its text rows, and its negative rows."""
+        other = _OTHER[kind]
+        anchor = self.kept.get(kind) or adapt_array(self.batch[kind], self.encoders.adapter(kind))
+        self.kept = {other: adapt_array(self.batch[other], self.encoders.adapter(other))}
+        return anchor, self.kept[other][0]
+
+
+def _triplet_loss(run: _TripletRun, cfg: TrainConfig, kind: str) -> Tensor:
+    """Hinge of the ``kind`` adapter on the batch ``run.select`` chose (margin1 for style, margin2
+    for category): anchor its adapted text rows, positive the image rows, negative the other
+    adapter's rows, a constant. One tape node over the adapter's four tensors, or a parentless 0.0
+    when no row is active, as decided on the rows: a mean of active rows can underflow to 0.0."""
+    (anchor, adapt_grad), negative = run.rows(kind)
+    value, hinge_grad, active = _hinge(anchor, run.positive, negative, cfg.margin1 if kind == "style" else cfg.margin2)
     if not active:
         return Tensor(value)
+    p = run.encoders.adapter(kind)
     return T._node(value, (p.w1, p.b1, p.w2, p.b2), lambda g: adapt_grad(hinge_grad(g)[0], need_x=False)[1:])
 
 
-def style_triplet_loss(t_s: np.ndarray, p: AdapterParams, f_i: np.ndarray, f_c: np.ndarray,
-                       margin: float, *, anchor=None) -> Tensor:
-    """Hinge pulling the style-adapted text rows ``t_s`` toward the image rows f_i and away from f_c.
-
-    ``p`` is the style adapter. f_c, the category-adapted rows, is a
-    constant here: the opposing encoder is not trained through this loss.
-    One tape node over ``p``'s four tensors, or, when no triplet is active,
-    the exact 0.0 with no parents: the gradient is then zero and
-    ``backward`` computes none. ``anchor`` is ``adapt_array(t_s, p)`` when
-    the caller has it.
-    """
-    return _triplet_loss(t_s, p, f_i, f_c, margin, anchor)
+def style_triplet_loss(run: _TripletRun, cfg: TrainConfig) -> Tensor:
+    """Style-adapter hinge on the run's unlabeled batch (margin1); the category rows are held constant."""
+    return _triplet_loss(run, cfg, "style")
 
 
-def category_triplet_loss(t_c: np.ndarray, p: AdapterParams, f_i: np.ndarray, f_s: np.ndarray,
-                          margin: float, *, anchor=None) -> Tensor:
-    """Mirror hinge for the category adapter ``p`` on text rows ``t_c``; f_s held constant.
-
-    As for the style hinge, no active triplet gives the exact 0.0 with no
-    parents, and ``anchor`` is ``adapt_array(t_c, p)`` when the caller has it.
-    """
-    return _triplet_loss(t_c, p, f_i, f_s, margin, anchor)
+def category_triplet_loss(run: _TripletRun, cfg: TrainConfig) -> Tensor:
+    """Mirror hinge for the category adapter (margin2); the style rows are held constant."""
+    return _triplet_loss(run, cfg, "category")

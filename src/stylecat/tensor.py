@@ -14,16 +14,16 @@ frozen features of the backbone are plain arrays. There is one generic op,
 ``scale``. Everything else is a coarse node, built with ``_node`` and a
 hand-written backward over all its parents. In the package the tape serves
 the encoder training steps: each records one such node per objective, over
-the four tensors of its adapter (the objectives in ``losses``: a labeled
-step runs the adapter once over both factors' prompt rows; a triplet
-objective with no active triplet records none, and its loss is a constant
-0.0 whose backward adds nothing). ``losses.class_logits``, a cosine node
-times ``scale``, is its one other user. A denoiser training step
-(``diffusion.ddpm_train_step``) records no node: it runs the denoiser, its
-loss and their backward in one call, writes the nine gradients into the
-denoiser's ``flat_grad`` and returns the loss as a float, so it takes no
-``zero_grad`` or ``backward``; ``diffusion.predict_noise`` records none
-either. The single-layer nodes that the objectives and that step are made
+the four tensors of its adapter (the objectives in ``losses``, each on the
+batch its run selected: a labeled step runs the adapter once over both
+factors' prompt rows; a triplet objective with no active triplet records
+none, and its loss is a constant 0.0 whose backward adds nothing).
+``losses.class_logits``, a cosine node times ``scale``, is its one other
+user. A denoiser training step (``diffusion.ddpm_train_step``) records no
+node: it runs the denoiser, its loss and their backward in one call, writes
+the nine gradients into the denoiser's ``flat_grad`` and returns the loss
+as a float, so it takes no ``zero_grad`` or ``backward``;
+``diffusion.predict_noise`` records none either. The single-layer nodes that the objectives and that step are made
 of (the adapter, each loss head, the denoiser forward and its loss, and an
 ``add`` of two tensors) are the tests' references and live with the tests,
 built from the same numpy pieces.

@@ -33,6 +33,7 @@ from .losses import (
     ADVERSARIAL_MODES,
     ConfigError,
     _LabeledRun,
+    _TripletRun,
     category_labeled_loss,
     category_triplet_loss,
     style_labeled_loss,
@@ -267,13 +268,12 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
                    lexicon: CategoryLexicon | None = None):
     """Train both adapters; returns (bundle, metrics_rows).
 
-    Each batch runs one step per kind, style then category, each with its own
-    Adam. Labeled mode steps the cross-entropy/confusion objectives on the
-    run's one ``_LabeledRun``, which holds the bundle and the checked unit
-    rows and labels, and selects each batch there. Unlabeled mode steps the
-    triplet objectives over decomposed captions; a kind's negative is the
-    other adapter's feature of the other half caption, taken at the start
-    of that kind's step.
+    The run's one ``_LabeledRun`` (labeled mode) or ``_TripletRun`` (over
+    decomposed captions) holds the bundle and the checked constants, and
+    selects each batch. A batch runs one step per kind, style then
+    category: its objective on the run, ``backward`` and the kind's own
+    Adam. A triplet step's negative is the other adapter's feature of the
+    other half caption, taken at the start of that kind's step.
     """
     if config.mode == "unlabeled" and lexicon is None:
         raise ConfigError("unlabeled mode requires a category lexicon")
@@ -287,41 +287,27 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
 
     # Frozen features are constants of the data: embedded once per run.
     f_all, labels = _features(data, bundle.backbone)
-    labeled = config.mode == "labeled"
     # Built per run from the module's names, so that a replaced objective is the one each step calls.
-    if labeled:
+    if config.mode == "labeled":
         objective = {"style": style_labeled_loss, "category": category_labeled_loss}
         run = _LabeledRun(f_all, labels, bundle)
     else:
         objective = {"style": style_triplet_loss, "category": category_triplet_loss}
-        margin = {"style": config.margin1, "category": config.margin2}
         pairs = [split_caption(s.caption, lexicon) for s in data]
         texts = list(dict.fromkeys(text for pair in pairs for text in pair))
         frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone)))
-        text = {kind: np.stack([frozen_text[pair[k]] for pair in pairs]) for k, kind in enumerate(_KINDS)}
+        run = _TripletRun(f_all, {kind: np.stack([frozen_text[pair[k]] for pair in pairs])
+                                  for k, kind in enumerate(_KINDS)}, bundle)
 
     rows = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(data))
         losses = {kind: [] for kind in _KINDS}
         for start in range(0, len(data), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            if labeled:
-                run.select(idx)
-            else:
-                f_i, batch = f_all[idx], {kind: text[kind][idx] for kind in _KINDS}
-            adapted = {}
+            run.select(order[start : start + config.batch_size])
             for kind in _KINDS:
-                p = bundle.adapter(kind)
-                if labeled:
-                    loss = objective[kind](run, config)
-                else:
-                    # The style step leaves the category adapter as it is, so the category rows it
-                    # adapts for its negative are the category step's anchor, rows and backward.
-                    other = _OTHER[kind]
-                    adapted[other] = adapt_array(batch[other], bundle.adapter(other))
-                    loss = objective[kind](batch[kind], p, f_i, adapted[other][0], margin[kind], anchor=adapted.get(kind))
-                p.zero_grad()
+                loss = objective[kind](run, config)
+                bundle.adapter(kind).zero_grad()
                 backward(loss)
                 opts[kind].step()
                 losses[kind].append(_check_finite(loss.item(), f"{kind} step"))
@@ -355,22 +341,24 @@ def write_metrics_csv(rows, path, columns=METRICS_COLUMNS) -> None:
 # ---------------------------------------------------------------------------
 # sweeps
 
-ALPHA_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-LAMBDA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+# Per sweep axis, the config fields that a grid value sets, and the default grid.
+SWEEPS = {"alpha": (("alpha_style", "alpha_category"), (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)),
+          "lambda": (("lambda1", "lambda2"), (0.0, 0.1, 0.2, 0.3, 0.4, 0.5))}
 
 
-def alpha_sweep(bundle: EncoderBundle, testset, config: TrainConfig, grid=ALPHA_GRID):
-    """Evaluate one trained bundle across the blending grid."""
-    return [eval_row(bundle, testset, replace(config, alpha_style=a, alpha_category=a)) for a in grid]
+def sweep(axis: str, grid, config: TrainConfig, testset, bundle: EncoderBundle | None = None,
+          spec: SyntheticSpec | None = None, train_samples=None, lexicon=None):
+    """One "test" row per value of ``grid`` (None: the axis's default), with the axis's fields set to it.
 
-
-def lambda_sweep(config: TrainConfig, spec: SyntheticSpec, train_samples, testset,
-                 grid=LAMBDA_GRID, lexicon=None):
-    """Retrain per grid point with a fixed seed, then evaluate."""
+    The alpha axis evaluates the trained ``bundle``; the lambda axis retrains
+    on ``spec`` and ``train_samples`` (and ``lexicon``) at the config's seed.
+    """
+    names, default = SWEEPS[axis]
     rows = []
-    for lam in grid:
-        cfg = replace(config, lambda1=lam, lambda2=lam)
-        rows.append(eval_row(train_encoders(cfg, spec, train_samples, lexicon=lexicon)[0], testset, cfg))
+    for value in default if grid is None else grid:
+        cfg = replace(config, **dict.fromkeys(names, value))
+        trained = bundle if axis == "alpha" else train_encoders(cfg, spec, train_samples, lexicon=lexicon)[0]
+        rows.append(eval_row(trained, testset, cfg))
     return rows
 
 
@@ -528,17 +516,21 @@ def _random_adapter(rng, dim: int, hidden: int) -> AdapterParams:
     )
 
 
+# The triplet audits' config: ``_AuditWorld`` keeps its hinge arguments clear of the kink at its margins.
+TRIPLET_AUDIT = TrainConfig()
+
+
 class _AuditWorld(EncoderBundle):
-    """One random miniature encoder bundle for the gradient audit.
+    """One random miniature encoder bundle for the gradient audit, and the runs its objectives take.
 
     Rejection-samples until no ReLU pre-activation or hinge argument sits
     near its kink, so central differences stay valid, and until each kind's
     hinge has an active row, so its audit checks a nonzero gradient. The
-    prompt features are random unit rows and there is no backbone;
-    adapters, prompt features and labels are keyed by kind, "style" or
-    "category". The first row of each triplet's positive equals its anchor
-    row, so the audit meets the zero distance, whose gradient is taken to
-    be zero.
+    prompt features are random unit rows and there is no backbone. ``run``
+    is the labeled run of the image rows ``f_i``; a kind's ``triplet_runs``
+    entry has its ``positive`` as image rows and ``f_i`` as both kinds' text
+    rows. The first row of each positive equals its anchor row, so the audit
+    meets the zero distance, whose gradient is taken to be zero.
     """
 
     DIM = 8
@@ -556,13 +548,14 @@ class _AuditWorld(EncoderBundle):
             self.prompt_features = {kind: T._unit_rows(rng.standard_normal((self.K, self.DIM)))[0]
                                     for kind in _KINDS}
             self.labels = {kind: rng.integers(0, self.K, self.BATCH) for kind in _KINDS}
-            self.margin = 0.3
             self.adapted = {kind: adapt_array(self.f_i, self.adapter(kind))[0] for kind in _KINDS}
             self.positive = {kind: np.concatenate([f[:1], self.f_i[1:]]) for kind, f in self.adapted.items()}
             if self._clean():
                 break
             attempt += 1
         self.run = _LabeledRun(self.f_i, self.labels, self)  # as train_encoders passes it, built once
+        self.triplet_runs = {kind: _TripletRun(self.positive[kind], dict.fromkeys(_KINDS, self.f_i), self)
+                             for kind in _KINDS}
 
     def _clean(self, threshold: float = 1e-3) -> bool:
         feats = np.concatenate([self.f_i, *self.prompt_features.values()])
@@ -573,24 +566,14 @@ class _AuditWorld(EncoderBundle):
             f = self.adapted[kind]
             d_pos = np.linalg.norm(f - self.positive[kind], axis=1)
             d_neg = np.linalg.norm(f - self.adapted[_OTHER[kind]], axis=1)
-            pre = d_pos - d_neg + self.margin
+            pre = d_pos - d_neg + (TRIPLET_AUDIT.margin1 if kind == "style" else TRIPLET_AUDIT.margin2)
             if np.abs(pre).min() < threshold or not (pre > 0).any():
                 return False
         return True
 
-    # loss closures of the ``kind`` adapter; each reads the live adapter tensors
-
-    def labeled(self, kind: str, cfg: TrainConfig):
-        loss = style_labeled_loss if kind == "style" else category_labeled_loss
-        return loss(self.run, cfg)
-
-    def triplet(self, kind: str):
-        loss = style_triplet_loss if kind == "style" else category_triplet_loss
-        return loss(self.f_i, self.adapter(kind), self.positive[kind], self.adapted[_OTHER[kind]], self.margin)
-
 
 # The labeled configurations that training steps, by audit component: both adversarial modes at the
-# default lambdas, and lambda = 0, whose objective adapts only the kind's own prompt rows.
+# default lambdas, and lambda = 0.
 LABELED_AUDITS = {name: TrainConfig(logit_scale=10.0, **overrides) for name, overrides in (
     ("labeled", {}), ("labeled-negated-ce", {"adversarial_mode": "negated-ce"}),
     ("labeled-lambda0", {"lambda1": 0.0, "lambda2": 0.0}))}
@@ -629,22 +612,26 @@ def _denoiser_train_world(seed: int):
 def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
     """Check the objectives that training steps, and the denoiser's, against central differences.
 
-    Each kind's labeled objective under each ``LABELED_AUDITS`` config
-    (both adversarial modes, and lambda = 0), then each kind's triplet
-    objective, all on one ``_AuditWorld`` per seed. The denoiser is audited once, through the gradients that
-    ``ddpm_train_step`` writes (``denoiser-train-step``): the layered forward
-    has one input form, n timesteps and n condition indices, so that step
-    runs all of its forward and backward. Returns a list of (component,
-    worst_relative_error, passed) triples. ConfigError unless ``n_seeds`` >= 1 and ``tol`` is a positive finite number.
+    Each kind's labeled objective under each ``LABELED_AUDITS`` config (both
+    adversarial modes, and lambda = 0), then each kind's triplet objective
+    under ``TRIPLET_AUDIT``, all on one ``_AuditWorld`` per seed. The
+    denoiser is audited once, through the gradients that ``ddpm_train_step``
+    writes (``denoiser-train-step``): the layered forward has one input form,
+    n timesteps and n condition indices, so that step runs all of its forward
+    and backward. Returns a list of (component, worst_relative_error, passed)
+    triples. ConfigError unless ``n_seeds`` >= 1 and ``tol`` is a positive finite number.
     """
     if n_seeds < 1 or not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck needs n_seeds >= 1 and a positive finite tol, got {n_seeds} and {tol}")
     worst = {}
     for seed in range(n_seeds):
         world = _AuditWorld(seed)
-        checks = [(f"{kind}-{name}", partial(world.labeled, kind, cfg), world.adapter(kind).tensors())
-                  for kind in _KINDS for name, cfg in LABELED_AUDITS.items()]
-        checks += [(f"{kind}-triplet", partial(world.triplet, kind), world.adapter(kind).tensors()) for kind in _KINDS]
+        checks = [(f"{kind}-{name}", partial(loss, world.run, cfg), world.adapter(kind).tensors())
+                  for kind, loss in zip(_KINDS, (style_labeled_loss, category_labeled_loss))
+                  for name, cfg in LABELED_AUDITS.items()]
+        checks += [(f"{kind}-triplet", partial(loss, world.triplet_runs[kind], TRIPLET_AUDIT),
+                    world.adapter(kind).tensors())
+                   for kind, loss in zip(_KINDS, (style_triplet_loss, category_triplet_loss))]
         checks.append(("denoiser-train-step", *_denoiser_train_world(seed)))
         for name, loss_fn, params in checks:
             ad = _ad_grads(loss_fn, params)

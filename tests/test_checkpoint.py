@@ -103,3 +103,14 @@ def test_non_finite_array_refused_on_save(tmp_path, arrays, value):
     with pytest.raises(CheckpointError, match=r"array style_adapter\.b1 holds a non-finite value"):
         save_checkpoint(path, arrays, {"kind": "test"})
     assert not path.exists()
+
+
+def test_repeated_array_name_refused(tmp_path, arrays):
+    """A second array under a name already read is refused, not kept in place of the first."""
+    path = tmp_path / "d.cclp"
+    save_checkpoint(path, arrays, {"kind": "test"})
+    blob = path.read_bytes()
+    assert blob.count(b"style_adapter.b1") == 1
+    path.write_bytes(blob.replace(b"style_adapter.b1", b"style_adapter.w1"))
+    with pytest.raises(CheckpointError, match=r"d\.cclp: array style_adapter\.w1 appears twice"):
+        load_checkpoint(path)

@@ -194,8 +194,14 @@ class TestPersistence:
         ("grid", {**GRID, "style": 1.7}, "must be integers"),
         ("point", {**POINT, "caption": 5}, "caption a string"),
         ("point", {**POINT, "x": float("nan")}, "not finite"),
+        ("point", {**POINT, "x": "1.5"}, "coordinates are not numbers"),
+        ("point", {**POINT, "y": True}, "coordinates are not numbers"),
+        ("point", {**POINT, "x": 10**400}, "too large"),
+        ("grid", {**GRID, "grid": np.full((8, 8, 3), "0.5").tolist()}, "must be numbers"),
+        ("grid", {**GRID, "grid": [[[True, 0.5, 0.5]] * 8] * 8}, "must be numbers"),
     ], ids=["point-as-grid", "grid-as-point", "four-rows", "style-9", "category-minus-1", "value-1.5",
-            "style-1.7", "caption-5", "x-nan"])
+            "style-1.7", "caption-5", "x-nan", "x-string", "y-true", "x-huge-int", "grid-strings",
+            "grid-mixed-bool"])
     def test_record_checked_against_kind_and_spec(self, tmp_path, kind, record, problem):
         path = tmp_path / "d.jsonl"
         good = self.GRID if kind == "grid" else self.POINT

@@ -1,6 +1,7 @@
 """Loss heads: exact value oracles, reductions, and gradient checks."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,19 +232,28 @@ def tape(loss):
     return [node for node in seen.values() if node._grad_fn is not None]
 
 
-def triplet_inputs(labeled_world, kind):
-    """Frozen text rows, adapter, positive and negative of one ``kind`` triplet step.
+def triplet_inputs(labeled_world, kind, positive=None):
+    """The run of one ``kind`` triplet step, and that step's frozen text rows, adapter, positive
+    and negative.
 
-    The text rows cycle through the prompt features; the first positive row
-    equals the first adapted anchor row, so one distance is zero.
+    The text rows cycle through the prompt features. The positive rows are
+    ``positive`` if given; otherwise the image rows, but the first equals the
+    first adapted anchor row, so one distance is zero.
     """
     _, bundle, (f_i, _) = labeled_world
     texts = {k: t[np.arange(len(f_i)) % len(t)] for k, t in bundle.prompt_features.items()}
     other = "category" if kind == "style" else "style"
     negative = adapt_array(texts[other], bundle.adapter(other))[0]
-    positive = f_i.copy()
-    positive[0] = adapt_array(texts[kind], bundle.adapter(kind))[0][0]
-    return texts[kind], bundle.adapter(kind), positive, negative
+    if positive is None:
+        positive = f_i.copy()
+        positive[0] = adapt_array(texts[kind], bundle.adapter(kind))[0][0]
+    run = losses._TripletRun(positive, texts, bundle)
+    return run, (texts[kind], bundle.adapter(kind), positive, negative)
+
+
+def adapters(style, category):
+    """A stand-in for an ``EncoderBundle`` with only the two adapters, which is all a ``_TripletRun`` reads."""
+    return SimpleNamespace(adapter={"style": style, "category": category}.__getitem__)
 
 
 def value_and_grads(loss, p):
@@ -286,12 +296,23 @@ class TestFusedObjectives:
 
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_triplet_matches_layered_bitwise(self, labeled_world, kind):
-        text, p, positive, negative = triplet_inputs(labeled_world, kind)
+        run, (text, p, positive, negative) = triplet_inputs(labeled_world, kind)
         fused = style_triplet_loss if kind == "style" else category_triplet_loss
         layered = triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.3)
         expected = value_and_grads(layered, p)
-        assert value_and_grads(fused(text, p, positive, negative, 0.3), p) == expected
+        assert value_and_grads(fused(run, TrainConfig()), p) == expected
         assert np.frombuffer(expected[1]).any()
+
+    @pytest.mark.parametrize("kind", ["style", "category"])
+    def test_triplet_run_workspace_matches_one_off_bitwise(self, labeled_world, kind):
+        """Rows selected from a triplet run score as the same rows in a run of their own."""
+        run, (_, p, _, _) = triplet_inputs(labeled_world, kind)
+        fused = style_triplet_loss if kind == "style" else category_triplet_loss
+        idx = np.random.default_rng(12).permutation(len(run.f_all))[:8]
+        own = losses._TripletRun(run.f_all[idx], {k: t[idx] for k, t in run.text.items()}, run.encoders)
+        expected = value_and_grads(fused(own, TrainConfig()), p)
+        run.select(idx)
+        assert value_and_grads(fused(run, TrainConfig()), p) == expected
 
 
 class TestTapes:
@@ -306,22 +327,25 @@ class TestTapes:
 
     def test_unlabeled_style_step_tapes_one_node(self, labeled_world):
         _, bundle, _ = labeled_world
-        inner = tape(style_triplet_loss(*triplet_inputs(labeled_world, "style"), 0.3))
+        inner = tape(style_triplet_loss(triplet_inputs(labeled_world, "style")[0], TrainConfig()))
         assert len(inner) == 1
         assert list(map(id, inner[0]._parents)) == list(map(id, bundle.style_adapter.tensors()))
 
     def test_unlabeled_category_step_tapes_one_node(self, labeled_world):
         _, bundle, _ = labeled_world
-        inner = tape(category_triplet_loss(*triplet_inputs(labeled_world, "category"), 0.3))
+        inner = tape(category_triplet_loss(triplet_inputs(labeled_world, "category")[0], TrainConfig()))
         assert len(inner) == 1
         assert list(map(id, inner[0]._parents)) == list(map(id, bundle.category_adapter.tensors()))
 
 
+# A positive on its anchor is at distance zero; at margin 0 no negative then makes a triplet active.
+NO_MARGIN = TrainConfig(margin1=0.0, margin2=0.0)
+
+
 def inactive_triplet_inputs(labeled_world, kind):
-    """``triplet_inputs`` with each positive on its anchor and each negative opposite it: no active triplet."""
-    text, p, _, _ = triplet_inputs(labeled_world, kind)
-    anchor = adapt_array(text, p)[0]
-    return text, p, anchor.copy(), -anchor
+    """``triplet_inputs`` with each positive on its anchor: at ``NO_MARGIN``, no active triplet."""
+    _, (text, p, _, _) = triplet_inputs(labeled_world, kind)
+    return triplet_inputs(labeled_world, kind, positive=adapt_array(text, p)[0])
 
 
 class TestInactiveTriplets:
@@ -329,9 +353,9 @@ class TestInactiveTriplets:
 
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_no_active_triplet_gives_a_parentless_zero(self, labeled_world, kind):
-        text, p, positive, negative = inactive_triplet_inputs(labeled_world, kind)
+        run, (_, p, _, _) = inactive_triplet_inputs(labeled_world, kind)
         fused = style_triplet_loss if kind == "style" else category_triplet_loss
-        loss = fused(text, p, positive, negative, 0.3)
+        loss = fused(run, NO_MARGIN)
         assert loss.data.tobytes() == np.float64(0.0).tobytes()
         assert loss._parents == () and loss._grad_fn is None and not loss.requires_grad
         p.zero_grad()
@@ -341,18 +365,20 @@ class TestInactiveTriplets:
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_no_active_triplet_matches_layered_bitwise(self, labeled_world, kind):
         """The layered hinge back-propagates signed zeros that sum into the zeroed gradient as +0.0."""
-        text, p, positive, negative = inactive_triplet_inputs(labeled_world, kind)
+        run, (text, p, positive, negative) = inactive_triplet_inputs(labeled_world, kind)
         fused = style_triplet_loss if kind == "style" else category_triplet_loss
-        layered = triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.3)
+        layered = triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.0)
         assert tape(layered)
-        assert value_and_grads(fused(text, p, positive, negative, 0.3), p) == value_and_grads(layered, p)
+        assert value_and_grads(fused(run, NO_MARGIN), p) == value_and_grads(layered, p)
 
     def test_an_active_row_whose_mean_underflows_keeps_its_node(self, labeled_world):
         """Activity is decided on the rows: one hinge of the least subnormal over four rows means 0.0."""
-        text, p, positive, negative = inactive_triplet_inputs(labeled_world, "style")
+        _, (text, p, _, negative) = triplet_inputs(labeled_world, "style")
+        positive = adapt_array(text, p)[0]
         positive[0] = negative[0]  # equal distances: the first hinge argument is the margin itself
-        tiny = float(np.nextafter(0.0, 1.0))
-        loss = style_triplet_loss(text[:4], p, positive[:4], negative[:4], tiny)
+        run, _ = triplet_inputs(labeled_world, "style", positive=positive)
+        run.select(np.arange(4))
+        loss = style_triplet_loss(run, TrainConfig(margin1=float(np.nextafter(0.0, 1.0))))
         assert loss.item() == 0.0
         assert len(tape(loss)) == 1
 
@@ -377,12 +403,14 @@ class TestTripletLosses:
 
     def test_category_version_is_symmetric(self):
         a, p, n = vectors_at_distances(0.5, 0.1)
-        adapter = AdapterParams.init(4)  # zero output layer: the adapted rows are the input rows
+        # zero output layers: the adapted rows are the input rows
+        encoders = adapters(AdapterParams.init(4), AdapterParams.init(4, seed=1))
         text, positive, negative = (np.append(v, 0.0)[None, :] for v in (a, p, n))
-        s = style_triplet_loss(text, adapter, positive, negative, 0.3).item()
-        c = category_triplet_loss(text, adapter, positive, negative, 0.3).item()
-        assert s == c
-        assert abs(s - 0.7) < 1e-12
+        cfg = TrainConfig()
+        s = style_triplet_loss(losses._TripletRun(positive, {"style": text, "category": negative}, encoders), cfg)
+        c = category_triplet_loss(losses._TripletRun(positive, {"style": negative, "category": text}, encoders), cfg)
+        assert s.item() == c.item()
+        assert abs(s.item() - 0.7) < 1e-12
 
     def test_nonnegative_and_zero_iff_margin_cleared(self):
         rng = np.random.default_rng(8)
@@ -422,13 +450,30 @@ class TestTripletLosses:
             pre = text @ adapter.w1.data + adapter.b1.data
             if np.abs(hinge).min() > 1e-2 and np.abs(pre).min() > 1e-2:  # stay off both kinks
                 break
-        loss_fn = lambda _: style_triplet_loss(text, adapter, f_i, f_c, 0.3)
+        # a zero output layer adapts the unit rows f_c to themselves, up to rounding
+        run = losses._TripletRun(f_i, {"style": text, "category": f_c}, adapters(adapter, AdapterParams.init(8)))
+        loss_fn = lambda _: style_triplet_loss(run, TrainConfig())
         adapter.zero_grad()
         backward(loss_fn(None))
         assert adapter.flat_grad.any()
         for t in adapter.tensors():
             fd = finite_diff_grad(loss_fn, t)
             assert relative_error(t.grad, fd) < 1e-4
+
+
+class TestTripletRun:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda f, t: (f[:, :16], t), "image features"),
+        (lambda f, t: (f[0], t), "image features"),
+        (lambda f, t: (f, {**t, "style": t["style"][:-1]}), "style text"),
+        (lambda f, t: (f, {**t, "category": t["category"][:, :16]}), "category text"),
+        (lambda f, t: (f[:-1], t), "style text"),
+    ], ids=["feature-width", "one-row", "short-text", "text-width", "fewer-images"])
+    def test_misshaped_or_mismatched_rows_are_refused(self, labeled_world, edit, message):
+        """The run checks each kind's text rows and the image rows once, when it is built."""
+        run, _ = triplet_inputs(labeled_world, "style")
+        with pytest.raises(T.ShapeError, match=message):
+            losses._TripletRun(*edit(run.f_all, run.text), run.encoders)
 
 
 def test_loss_config_validation():

@@ -9,7 +9,7 @@ import pytest
 
 from stylecat import tensor as T
 from stylecat.encoders import AdapterParams
-from stylecat.losses import ADVERSARIAL_MODES, ConfigError, _hinge, class_logits
+from stylecat.losses import ADVERSARIAL_MODES, ConfigError, category_triplet_loss, class_logits, style_triplet_loss
 from stylecat.tensor import (
     ShapeError,
     Tensor,
@@ -18,7 +18,7 @@ from stylecat.tensor import (
     no_grad,
     relative_error,
 )
-from stylecat.train import LABELED_AUDITS, _AuditWorld, gradcheck_suite
+from stylecat.train import LABELED_AUDITS, TRIPLET_AUDIT, _AuditWorld, gradcheck_suite
 
 from layered_ops import adapt, add, ce_loss, confusion_loss, triplet_hinge
 
@@ -303,9 +303,8 @@ def test_every_audit_world_has_an_active_triplet_row():
     """Without one, a triplet audit compares a zero gradient with a zero difference and checks nothing."""
     for seed in range(20):
         world = _AuditWorld(seed)
-        for kind, other in (("style", "category"), ("category", "style")):
-            assert _hinge(world.adapted[kind], world.positive[kind], world.adapted[other], world.margin)[2], \
-                (seed, kind)
+        for kind, loss in (("style", style_triplet_loss), ("category", category_triplet_loss)):
+            assert loss(world.triplet_runs[kind], TRIPLET_AUDIT)._parents, (seed, kind)  # a node: a row is active
 
 
 def test_gradcheck_suite_fails_on_nan_gradients(monkeypatch):

@@ -2,6 +2,7 @@
 determinism, checkpoints, sweeps, and exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -26,16 +27,15 @@ from stylecat.tensor import ParamGroup, Tensor, _node, backward
 from stylecat.train import (
     Adam,
     TrainConfig,
-    alpha_sweep,
     apply_seed_env,
     bundle_arrays,
     evaluate_classification,
     fresh_bundle,
     guidance_eval,
-    lambda_sweep,
     load_encoder_checkpoint,
     save_encoder_checkpoint,
     subsample_shots,
+    sweep,
     train_encoders,
     write_metrics_csv,
 )
@@ -259,6 +259,27 @@ class TestTrainEncoders:
         assert counts == {"style_triplet_loss": batches, "category_triplet_loss": batches}
         assert len(rows) == 1
         assert np.isfinite([rows[0]["style_loss"], rows[0]["category_loss"]]).all()
+
+    def test_unlabeled_batch_runs_three_adapter_passes(self, spec, dataset, monkeypatch):
+        """A batch adapts each kind's rows once, and its other kind's rows once more after the style
+        step: the category step's anchor is the style step's negative. Each epoch's evaluation adds
+        one pass per kind. 2 epochs of 3 batches: 2 * (3 * 3 + 2) = 22."""
+        import stylecat.encoders as encoders_mod
+        import stylecat.losses as losses_mod
+
+        calls = []
+
+        def counted(x, p, _real=encoders_mod.adapt_array):
+            calls.append(len(x))
+            return _real(x, p)
+
+        for module in (encoders_mod, losses_mod, train_mod):
+            monkeypatch.setattr(module, "adapt_array", counted)
+        train, _ = dataset
+        config = TrainConfig(mode="unlabeled", epochs=2, shots=8)
+        assert -(-len(subsample_shots(train, 8)) // config.batch_size) == 3
+        train_encoders(config, spec, train, lexicon=CategoryLexicon.from_words(spec.category_names))
+        assert len(calls) == 22
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("mode", ["unlabeled", "labeled"])
@@ -518,25 +539,25 @@ def trained(spec, dataset):
 class TestSweeps:
     def test_default_grid_has_six_rows(self, trained):
         config, bundle, test = trained
-        rows = alpha_sweep(bundle, test, config)
+        rows = sweep("alpha", None, config, test, bundle)
         assert len(rows) == 6
         assert [r["alpha_style"] for r in rows] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 
     def test_single_point_grid(self, trained):
         config, bundle, test = trained
-        rows = alpha_sweep(bundle, test, config, grid=(0.4,))
+        rows = sweep("alpha", (0.4,), config, test, bundle)
         assert len(rows) == 1
 
     def test_alpha_zero_row_equals_zero_shot_baseline(self, spec, trained):
         config, bundle, test = trained
-        row = alpha_sweep(bundle, test, config, grid=(0.0,))[0]
+        row = sweep("alpha", (0.0,), config, test, bundle)[0]
         init = fresh_bundle(spec, config)
         zs = evaluate_classification(init, test, 0.0, 0.0, config.logit_scale)
         assert (row["style_top1"], row["category_top1"]) == zs
 
     def test_lambda_sweep_retrains_per_grid_point(self, spec, dataset):
         train, test = dataset
-        rows = lambda_sweep(TrainConfig(epochs=1, shots=4), spec, train, test, grid=(0.0, 0.3))
+        rows = sweep("lambda", (0.0, 0.3), TrainConfig(epochs=1, shots=4), test, spec=spec, train_samples=train)
         assert [(r["lambda1"], r["lambda2"]) for r in rows] == [(0.0, 0.0), (0.3, 0.3)]
         assert np.isfinite([(r["style_top1"], r["category_top1"]) for r in rows]).all()
 
@@ -696,7 +717,7 @@ class TestCli:
         "cannot write" line before the command reads, trains, samples or prints anything."""
         def never(*args, **kwargs):
             raise AssertionError("the command started its work")
-        for name in ("lambda_sweep", "alpha_sweep", "eval_row", "guidance_eval", "ddpm_sample", "batch_decompose",
+        for name in ("sweep", "eval_row", "guidance_eval", "ddpm_sample", "batch_decompose",
                      "train_encoders", "train_diffusion"):
             monkeypatch.setattr(cli_mod, name, never)
         config = TrainConfig(epochs=0, timesteps=4)
@@ -733,7 +754,7 @@ class TestCli:
         checkpoint's and the dataset's bytes as they were."""
         def never(*args, **kwargs):
             raise AssertionError("the command started its work")
-        for name in ("lambda_sweep", "alpha_sweep", "eval_row", "guidance_eval", "ddpm_sample", "batch_decompose",
+        for name in ("sweep", "eval_row", "guidance_eval", "ddpm_sample", "batch_decompose",
                      "train_encoders", "train_diffusion"):
             monkeypatch.setattr(cli_mod, name, never)
         config = TrainConfig(epochs=0, timesteps=4)
@@ -1030,6 +1051,54 @@ class TestCli:
         assert f"error: lexicon file {data / 'lexicon.txt'} contains no entries" in capsys.readouterr().err
         with pytest.raises(LexiconError, match="contains no entries"):
             cli_mod._load_dataset_dir(data, "unlabeled")
+
+    def test_default_sweep_csvs_are_pinned(self, tmp_path, monkeypatch):
+        """The default-grid alpha and lambda sweeps of a small run write these exact bytes."""
+        monkeypatch.delenv("CCLIP_SEED", raising=False)
+        data, config, ckpt = tmp_path / "data", tmp_path / "c.json", tmp_path / "enc.cclp"
+        assert self.run("gen-data", "--out", str(data), "--train-per-cell", "8", "--test-per-cell", "4") == 0
+        # Trained this little, each axis's rows differ: they score the adapters, not a saturated 1.0.
+        config.write_text(json.dumps({"epochs": 6, "lr": 0.003, "alpha_style": 0.2, "alpha_category": 0.2, "seed": 3}))
+        assert self.run("train-encoders", "--data", str(data), "--config", str(config), "--out", str(ckpt)) == 0
+        digests = {}
+        for axis, source in (("alpha", ("--checkpoint", str(ckpt))), ("lambda", ("--config", str(config)))):
+            out = tmp_path / f"{axis}.csv"
+            assert self.run("sweep", "--axis", axis, "--data", str(data), *source, "--out", str(out)) == 0
+            digests[axis] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {"alpha": "adb69510170ddbbe6ec6fd6c3df7b7d5a08be43d93e2f8737ad1397ebd0ac894",
+                           "lambda": "955eae3a5af2de19391732c006e3f65ef207cfe98b58865d4f430b77e037e53a"}
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--axis alpha --checkpoint {ckpt} --seed 5", "alpha sweep evaluates the checkpoint's stored config"),
+        ("--axis alpha --checkpoint {ckpt} --config {config}", "alpha sweep evaluates the checkpoint's stored config"),
+        ("--axis lambda --checkpoint {ckpt} --config {config}", "lambda sweep retrains from --config"),
+    ], ids=["alpha-seed", "alpha-config", "lambda-checkpoint"])
+    def test_sweep_refuses_the_other_axis_inputs(self, spec, data_dir, tmp_path, monkeypatch, capsys, flags, message):
+        """An option the axis would ignore, or write into its rows though it did not act, exits 1."""
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr(cli_mod, "sweep", never)
+        ckpt, config = tmp_path / "enc.cclp", tmp_path / "c.json"
+        save_encoder_checkpoint(ckpt, fresh_bundle(spec, TrainConfig(epochs=0)), TrainConfig(epochs=0), spec)
+        config.write_text(json.dumps({"epochs": 1, "lambda1": 0.5}))
+        argv = ["sweep", "--data", str(data_dir), "--out", str(tmp_path / "s.csv"),
+                *flags.format(ckpt=ckpt, config=config).split()]
+        capsys.readouterr()
+        assert self.run(*argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval-classify", "sweep --axis alpha"])
+    def test_evaluating_a_checkpoint_keeps_its_stored_seed(self, spec, data_dir, tmp_path, monkeypatch, command):
+        """CCLIP_SEED names the seed of a run that trains; a command that only evaluates a checkpoint
+        writes the seed its encoders were trained with."""
+        ckpt, out = tmp_path / "enc.cclp", tmp_path / "s.csv"
+        save_encoder_checkpoint(ckpt, fresh_bundle(spec, TrainConfig(epochs=0, seed=3)),
+                                TrainConfig(epochs=0, seed=3), spec)
+        monkeypatch.setenv("CCLIP_SEED", "9")
+        assert self.run(*command.split(), "--checkpoint", str(ckpt), "--data", str(data_dir), "--out", str(out)) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) > 1 and all(row.split(",")[-1] == "3" for row in rows[1:])
 
     def test_lambda_sweep_cli_writes_one_row_per_grid_point(self, data_dir, tmp_path):
         config = tmp_path / "c.json"
