@@ -6,7 +6,11 @@ little-endian float data; a UTF-8 JSON metadata blob trails the arrays.
 All integers are little-endian. Saving is order-preserving, so
 save -> load -> save is byte-identical. Every array is finite: a NaN or an
 infinity is refused on save (after the float32 cast, so an overflow is
-refused too) and on load.
+refused too) and on load, and its rank is at most ``MAX_RANK``.
+
+The package's one policy for a JSON object read from outside lives here too:
+``read_object`` refuses a repeated key, ``from_fields`` an unknown one, and
+``check_types`` a field value that its annotation refuses.
 """
 
 from __future__ import annotations
@@ -14,15 +18,57 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 MAGIC = b"CCLP"
 VERSION = 1
+MAX_RANK = 32  # numpy 1's limit on an array's dimensions (numpy 2 allows 64)
 
 
 class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
+
+
+def read_object(raw: bytes, where: str, error: type[ValueError]) -> dict:
+    """The JSON object in the bytes ``raw``; ``error`` naming ``where`` (a file, or a file and line) if they
+    are not UTF-8 JSON or not an object, or an object in them repeats a key, whose last value would win."""
+    def unique(pairs):
+        keys = [k for k, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise error(f"{where} repeats the keys {sorted({k for k in keys if keys.count(k) > 1})}")
+        return dict(pairs)
+
+    try:
+        obj = json.loads(raw.decode("utf-8"), object_pairs_hook=unique)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise error(f"{where} is not UTF-8 JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def from_fields(cls, obj, what: str, error: type[ValueError]):
+    """``cls(**obj)``; ``error`` unless ``obj`` is a dict whose keys all name fields of the dataclass ``cls``."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if unknown := set(obj) - {f.name for f in fields(cls)}:
+        raise error(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**obj)
+
+
+def check_types(record, error: type[ValueError]) -> None:
+    """``error`` naming the first field of the dataclass ``record`` that its annotation refuses: ``int`` takes
+    an integer, ``int | None`` also None, ``float`` a finite number, and a bool is none of them."""
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if f.type == "int" or (f.type == "int | None" and v is not None):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise error(f"{f.name} must be an integer, got {v!r}")
+        if f.type == "float" and (isinstance(v, bool) or not isinstance(v, (int, float))
+                                  or not -math.inf < v < math.inf):
+            raise error(f"{f.name} must be a finite number, got {v!r}")
 
 
 def _check_finite(path, name: str, data: np.ndarray) -> None:
@@ -60,8 +106,9 @@ def load_checkpoint(path):
     Every read is bound-checked, so a truncated or corrupt file raises
     ``CheckpointError`` and nothing else; so does an array holding a NaN or
     an infinity, which would otherwise load and, through a ReLU that maps
-    NaN to 0, give finite but wrong results, and a name that a second array
-    repeats, whose last copy would otherwise win.
+    NaN to 0, give finite but wrong results, a rank above ``MAX_RANK``, a
+    name that a second array repeats, whose last copy would otherwise win,
+    and metadata that ``read_object`` refuses, a repeated key included.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -93,12 +140,14 @@ def load_checkpoint(path):
             name = blob[start:offset].decode("utf-8")
             if name in arrays:
                 raise CheckpointError(f"{path}: array {name} appears twice")
-            shape = u32s(u32s()[0])
+            (rank,) = u32s()
+            if rank > MAX_RANK:
+                raise CheckpointError(f"{path}: array {name} has rank {rank}, above {MAX_RANK}")
+            shape = u32s(rank)
             n = math.prod(shape)
             data = np.frombuffer(blob, dtype="<f4", count=n, offset=take(4 * n)).reshape(shape)
             _check_finite(path, name, data)
             arrays[name] = data.astype(np.float64)
-        meta = json.loads(blob[offset:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except UnicodeDecodeError as e:
         raise CheckpointError(f"{path}: corrupt checkpoint: {e}") from e
-    return arrays, meta
+    return arrays, read_object(blob[offset:], f"{path}: metadata", CheckpointError)

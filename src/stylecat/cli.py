@@ -47,6 +47,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    def grid(raw: str) -> tuple:  # named, so that argparse's "invalid grid value" error names the option
+        return tuple(float(v) for v in raw.split(","))
+
     parser = _Parser(prog="stylecat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -95,8 +98,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint", help="the alpha axis's trained encoders; required there, refused on lambda")
     p.add_argument("--config", help="lambda axis only")
-    p.add_argument("--grid", type=lambda raw: tuple(float(v) for v in raw.split(",")),
-                   help="comma-separated values overriding the default grid")
+    p.add_argument("--grid", type=grid, help="comma-separated values overriding the default grid")
     p.add_argument("--seed", type=int, help="lambda axis only")
 
     p = sub.add_parser("train-diffusion", help="train the conditional denoiser")

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import GRID_SHAPE, words_of
+from .checkpoint import check_types, from_fields, read_object
 
 # The default factor names by kind: ``default_names`` takes the first n of a bank.
 NAME_BANKS = {
@@ -60,17 +61,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_styles", "n_categories", "n_train", "n_test", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise DatasetError(f"{name} must be an integer, got {v!r}")
+        if isinstance(self.noise, bool) or not isinstance(self.noise, (int, float)) or not 0 <= self.noise < np.inf:
+            raise DatasetError(f"noise must be a finite number >= 0, got {self.noise!r}")
+        check_types(self, DatasetError)  # after the noise check, whose message says more
         if self.n_styles < 2 or self.n_categories < 2:
             raise DatasetError("need at least 2 styles and 2 categories")
         if self.n_train < 1 or self.n_test < 1 or self.seed < 0:
             raise DatasetError("per-cell sample counts must be >= 1 and the seed >= 0")
-        noise = self.noise
-        if isinstance(noise, bool) or not isinstance(noise, (int, float)) or not 0 <= noise < np.inf:
-            raise DatasetError(f"noise must be a finite number >= 0, got {noise!r}")
         for name in ("style_names", "category_names"):
             names = getattr(self, name)
             if not isinstance(names, (list, tuple)) or not all(isinstance(w, str) and words_of(w) == [w]
@@ -96,12 +93,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SyntheticSpec":
-        if not isinstance(obj, dict):
-            raise DatasetError(f"a dataset spec must be a JSON object, got {type(obj).__name__}")
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise DatasetError(f"unknown spec keys: {sorted(unknown)}")
-        return cls(**obj)
+        return from_fields(cls, obj, "spec", DatasetError)
 
 
 @dataclass
@@ -264,28 +256,18 @@ def generate_diffusion_dataset(spec: SyntheticSpec, n_per_cell: int | None = Non
     return points, mixture
 
 
+RECORD_KEYS = {kind: {f.name for f in fields(cls)} for kind, cls in (("grid", ClassificationSample),
+                                                                    ("point", PointSample))}
+
+
 def export(samples, path) -> None:
-    """One JSON object per line; floats round-trip exactly."""
+    """One JSON object per line, the sample's fields in order; floats round-trip exactly."""
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            if isinstance(s, ClassificationSample):
-                obj = {
-                    "grid": s.grid.tolist(),
-                    "style": s.style,
-                    "category": s.category,
-                    "caption": s.caption,
-                }
-            elif isinstance(s, PointSample):
-                obj = {"x": s.x, "y": s.y, "style": s.style, "category": s.category, "caption": s.caption}
-            else:
+            if not isinstance(s, (ClassificationSample, PointSample)):
                 raise DatasetError(f"cannot export sample of type {type(s).__name__}")
+            obj = {f.name: v.tolist() if isinstance(v := getattr(s, f.name), np.ndarray) else v for f in fields(s)}
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
-RECORD_KEYS = {
-    "grid": {"grid", "style", "category", "caption"},
-    "point": {"x", "y", "style", "category", "caption"},
-}
 
 
 def _parse_record(obj: dict, kind: str, spec: SyntheticSpec):
@@ -314,25 +296,15 @@ def _parse_record(obj: dict, kind: str, spec: SyntheticSpec):
 def load(path, kind: str, spec: SyntheticSpec):
     """Inverse of ``export`` for one record kind, "grid" or "point"; reports the offending line on bad input.
 
-    Every record must hold exactly the keys of ``kind``, integer labels within
-    ``spec``'s factor counts and a string caption; a point must be two finite
-    numbers and a grid (8, 8, 3) numbers in [0, 1], where neither a boolean
-    nor a numeric string counts as a number.
+    Every line is a JSON object that ``checkpoint.read_object`` takes (no repeated key), with exactly the
+    keys of ``kind``, integer labels within ``spec``'s factor counts and a string caption; a point must be two
+    finite numbers and a grid (8, 8, 3) numbers in [0, 1], where neither a boolean nor a numeric string counts.
     """
     samples = []
     with open(path, "rb") as fh:  # decoded line by line, so a decode error names its line
         for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise DatasetError(f"{path}: line {lineno} is not UTF-8 text: {e}") from e
-            if not line.strip():
-                raise DatasetError(f"{path}: blank record at line {lineno}")
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"{path}: malformed JSON at line {lineno}: {e}") from e
-            if not isinstance(obj, dict) or set(obj) != RECORD_KEYS[kind]:
+            obj = read_object(raw, f"{path}: line {lineno}", DatasetError)
+            if set(obj) != RECORD_KEYS[kind]:
                 raise DatasetError(f"{path}: line {lineno} is not a {kind} record with keys "
                                    f"{sorted(RECORD_KEYS[kind])}")
             try:
@@ -369,12 +341,14 @@ def write_dataset_dir(spec: SyntheticSpec, out_dir) -> dict:
 def read_spec(data_dir) -> SyntheticSpec:
     """The ``SyntheticSpec`` in ``data_dir``'s spec.json.
 
-    DatasetError naming that file if it is missing, not UTF-8 JSON or not a valid spec.
+    DatasetError naming that file if it is missing, if ``checkpoint.read_object`` or ``from_fields``
+    refuses it (not UTF-8 JSON, not an object, a repeated or unknown key), or if it is no valid spec.
     """
     path = Path(data_dir) / DATASET_FILES["spec"]
     if not path.exists():
         raise DatasetError(f"missing dataset spec: {path}")
+    obj = read_object(path.read_bytes(), f"dataset spec {path}", DatasetError)
     try:
-        return SyntheticSpec.from_json(json.loads(path.read_text(encoding="utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError, DatasetError) as e:
+        return SyntheticSpec.from_json(obj)
+    except DatasetError as e:
         raise DatasetError(f"{path}: invalid dataset spec: {e}") from e

@@ -4,7 +4,6 @@ ablation sweeps, checkpoint assembly, and the finite-difference audit."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
@@ -16,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import FrozenWeights, Vocab, embed_captions, embed_image
 from .captions import CategoryLexicon, split_caption
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, check_types, from_fields, load_checkpoint, read_object, save_checkpoint
 from .datagen import DatasetError, SyntheticSpec, build_mixture, prototype_grids
 from .diffusion import (
     DenoiserParams,
@@ -76,15 +75,7 @@ class TrainConfig:
     timesteps: int = 200
 
     def __post_init__(self):
-        for f in fields(self):  # types first: the range checks below compare numbers
-            v = getattr(self, f.name)
-            if f.type == "int | None" and v is None:
-                continue
-            if f.type in ("int", "int | None") and (isinstance(v, bool) or not isinstance(v, int)):
-                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
-            if f.type == "float" and (isinstance(v, bool) or not isinstance(v, (int, float))
-                                      or not -math.inf < v < math.inf):
-                raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
+        check_types(self, ConfigError)  # types first: the range checks below compare numbers
         if self.mode not in ("labeled", "unlabeled"):
             raise ConfigError(f"mode must be 'labeled' or 'unlabeled', got {self.mode!r}")
         if self.epochs < 0 or self.batch_size < 1:
@@ -115,21 +106,13 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**obj)
+        return from_fields(cls, obj, "config", ConfigError)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-        if not isinstance(obj, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        return cls.from_dict(obj)
+        """The config in the JSON file ``path``; ConfigError naming it if the file is not UTF-8 JSON, not an
+        object, repeats a key or names no field (the policy of ``checkpoint.read_object`` and ``from_fields``)."""
+        return cls.from_dict(read_object(Path(path).read_bytes(), f"config {path}", ConfigError))
 
 
 def apply_seed_env(config: TrainConfig, env=os.environ) -> TrainConfig:
@@ -453,21 +436,13 @@ def save_encoder_checkpoint(path, bundle: EncoderBundle, config: TrainConfig, sp
     save_checkpoint(path, arrays, meta)
 
 
-def _stored_config(path, meta) -> tuple[TrainConfig, SyntheticSpec]:
-    """The training config and dataset spec of a checkpoint's metadata; CheckpointError if malformed."""
-    if not (isinstance(meta, dict) and isinstance(meta.get("config"), dict)
-            and isinstance(meta.get("dataset_spec"), dict)):
-        raise CheckpointError(f"{path}: metadata must be an object with 'config' and 'dataset_spec' objects")
+def load_encoder_checkpoint(path):
+    """Rebuild (bundle, config, spec, denoiser-or-None) from a checkpoint; CheckpointError if malformed."""
+    arrays, meta = load_checkpoint(path)
     try:
-        return TrainConfig.from_dict(meta["config"]), SyntheticSpec.from_json(meta["dataset_spec"])
+        config, spec = TrainConfig.from_dict(meta.get("config")), SyntheticSpec.from_json(meta.get("dataset_spec"))
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config or dataset spec: {e}") from e
-
-
-def load_encoder_checkpoint(path):
-    """Rebuild (bundle, config, spec, denoiser-or-None) from a checkpoint."""
-    arrays, meta = load_checkpoint(path)
-    config, spec = _stored_config(path, meta)
     prefixes = [f"{kind}_adapter" for kind in _KINDS]
     groups: dict[str, dict] = {prefix: {} for prefix in prefixes}
     for name, arr in arrays.items():

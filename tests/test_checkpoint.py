@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from stylecat.checkpoint import MAX_RANK, CheckpointError, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -113,4 +113,17 @@ def test_repeated_array_name_refused(tmp_path, arrays):
     assert blob.count(b"style_adapter.b1") == 1
     path.write_bytes(blob.replace(b"style_adapter.b1", b"style_adapter.w1"))
     with pytest.raises(CheckpointError, match=r"d\.cclp: array style_adapter\.w1 appears twice"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("rank", [33, 129, 255])
+def test_rank_above_the_limit_refused(tmp_path, rank):
+    """Zero dims after a damaged rank make an empty array that numpy cannot reshape to that many dimensions."""
+    path = tmp_path / "r.cclp"
+    save_checkpoint(path, {"probe": np.zeros(2), "zeros": np.zeros(300)}, {"kind": "test"})
+    blob = path.read_bytes()
+    field = b"probe" + struct.pack("<I", 1)
+    assert blob.count(field) == 1
+    path.write_bytes(blob.replace(field, b"probe" + struct.pack("<I", rank)))
+    with pytest.raises(CheckpointError, match=rf"r\.cclp: array probe has rank {rank}, above {MAX_RANK}"):
         load_checkpoint(path)

@@ -1110,6 +1110,14 @@ class TestCli:
         assert len(rows) == 3
         assert [r.split(",")[8:10] for r in rows[1:]] == [["0.0", "0.0"], ["0.3", "0.3"]]
 
+    @pytest.mark.parametrize("grid", ["abc", "0.1,,0.3"])
+    def test_unparsable_grid_is_named(self, data_dir, tmp_path, capsys, grid):
+        assert self.run("sweep", "--axis", "lambda", "--data", str(data_dir), "--grid", grid,
+                        "--out", str(tmp_path / "s.csv")) == 1
+        err = capsys.readouterr().err
+        assert f"error: argument --grid: invalid grid value: '{grid}'" in err and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_sample_refuses_nan_checkpoint(self, generator, tmp_path, capsys):
         """A NaN weight would be mapped to 0 by the ReLU and sample finite points; the load refuses it."""
         arrays, meta = load_checkpoint(generator)
