@@ -21,6 +21,8 @@ from .datagen import DATASET_FILES, SyntheticSpec, build_mixture, default_names,
 from .diffusion import DiffusionSchedule, condition_for_caption, oracle_classify_batch, sample as ddpm_sample
 from .losses import ADVERSARIAL_MODES, ConfigError
 from .train import (
+    MODES,
+    SWEEPS,
     NumericalError,
     TrainConfig,
     apply_seed_env,
@@ -72,7 +74,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--metrics")
-    p.add_argument("--mode", choices=["labeled", "unlabeled"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
@@ -93,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="alpha or lambda ablation grid")
-    p.add_argument("--axis", choices=["alpha", "lambda"], required=True)
+    p.add_argument("--axis", choices=tuple(SWEEPS), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint", help="the alpha axis's trained encoders; required there, refused on lambda")

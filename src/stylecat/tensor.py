@@ -6,8 +6,8 @@ from its own. ``backward`` walks the tape once in reverse topological
 order and accumulates gradients on the leaf tensors.
 
 Trainable tensors live in a ``ParamGroup``: their ``data`` and ``grad`` are
-views of the group's two flat buffers, which ``backward`` adds into (or a
-fused step writes) and ``train.Adam`` updates in place.
+views of the group's two flat buffers, which ``backward`` (or a fused step),
+``train.Adam`` and a checkpoint's ``load`` write in place.
 
 A ``Tensor`` wraps only a trainable parameter or a node of the tape; the
 frozen features of the backbone are plain arrays. There is one generic op,
@@ -41,8 +41,6 @@ import dataclasses
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .checkpoint import CheckpointError
 
 
 class ShapeError(ValueError):
@@ -108,8 +106,9 @@ class ParamGroup:
     fields' values are copied, in that order, into one float64 buffer
     ``flat``, and a zeroed buffer ``flat_grad`` of the same length is made;
     each tensor's ``data`` and ``grad`` become views of its slice of the two.
-    Write into ``data`` (``p.data[...] = x``), never rebind it: a rebound
-    array is no longer part of ``flat``, so the optimizer no longer sees it.
+    Write into ``data`` (``p.data[...] = x``, or ``load`` for the whole
+    group), never rebind it: a rebound array is no longer part of ``flat``,
+    so the optimizer no longer sees it.
     """
 
     def __post_init__(self):
@@ -131,23 +130,21 @@ class ParamGroup:
     def arrays(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name).data for f in dataclasses.fields(self)}
 
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], like: "ParamGroup"):
-        """Trainable tensors from ``arrays()`` output, each shaped as in ``like``.
+    def load(self, arrays: dict[str, np.ndarray]) -> None:
+        """Write ``arrays``, named and shaped as ``arrays()``, into the group's tensors in place.
 
-        Wrong array names and shapes raise CheckpointError.
+        ValueError, before anything is written, on a missing or unknown name or a wrong shape.
         """
-        names = [f.name for f in dataclasses.fields(cls)]
-        missing = [name for name in names if name not in arrays]
-        unknown = sorted(set(arrays) - set(names))
+        own, what = self.arrays(), type(self).__name__
+        missing = [name for name in own if name not in arrays]
+        unknown = sorted(set(arrays) - set(own))
         if missing or unknown:
-            raise CheckpointError(f"{cls.__name__}: missing arrays {missing}, unknown arrays {unknown}")
-        shapes = {name: arr.shape for name, arr in like.arrays().items()}
-        for name, arr in arrays.items():
-            if arr.shape != shapes.get(name):
-                raise CheckpointError(f"{cls.__name__}: array {name} has shape {arr.shape}, "
-                                      f"expected {shapes.get(name)}")
-        return cls(**{name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()})
+            raise ValueError(f"{what}: missing arrays {missing}, unknown arrays {unknown}")
+        for name, arr in own.items():
+            if arrays[name].shape != arr.shape:
+                raise ValueError(f"{what}: array {name} has shape {arrays[name].shape}, expected {arr.shape}")
+        for name, arr in own.items():
+            arr[...] = arrays[name]
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:

@@ -42,6 +42,8 @@ from .tensor import Tensor, backward, finite_diff_grad, relative_error
 
 SEED_ENV_VAR = "CCLIP_SEED"
 
+MODES = ("labeled", "unlabeled")  # the training modes: by class labels, or by decomposed captions
+
 METRICS_COLUMNS = (
     "epoch", "split", "style_top1", "category_top1", "style_loss", "category_loss",
     "alpha_style", "alpha_category", "lambda1", "lambda2", "seed",
@@ -76,7 +78,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_types(self, ConfigError)  # types first: the range checks below compare numbers
-        if self.mode not in ("labeled", "unlabeled"):
+        if self.mode not in MODES:
             raise ConfigError(f"mode must be 'labeled' or 'unlabeled', got {self.mode!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
@@ -110,9 +112,13 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """The config in the JSON file ``path``; ConfigError naming it if the file is not UTF-8 JSON, not an
-        object, repeats a key or names no field (the policy of ``checkpoint.read_object`` and ``from_fields``)."""
-        return cls.from_dict(read_object(Path(path).read_bytes(), f"config {path}", ConfigError))
+        """The config in the JSON file ``path``; ConfigError naming it for anything that ``checkpoint.read_object``
+        (not UTF-8 JSON, not an object, a repeated key) or ``from_dict`` (an unknown key, a bad value) refuses."""
+        obj = read_object(Path(path).read_bytes(), f"config {path}", ConfigError)
+        try:
+            return cls.from_dict(obj)
+        except ConfigError as e:
+            raise ConfigError(f"config {path}: {e}") from e
 
 
 def apply_seed_env(config: TrainConfig, env=os.environ) -> TrainConfig:
@@ -420,51 +426,45 @@ def guidance_eval(bundle: EncoderBundle, params: DenoiserParams, schedule: Diffu
 # ---------------------------------------------------------------------------
 # checkpoint assembly
 
-def bundle_arrays(bundle: EncoderBundle) -> dict:
-    """The adapters' arrays, named ``<kind>_adapter.<field>``, style first."""
-    return {f"{kind}_adapter.{name}": arr
-            for kind in _KINDS for name, arr in bundle.adapter(kind).arrays().items()}
+def _groups(bundle: EncoderBundle, denoiser: DenoiserParams | None = None) -> dict[str, T.ParamGroup]:
+    """A checkpoint's parameter groups by array-name prefix: the adapters, style first, then any denoiser."""
+    groups = {f"{kind}_adapter": bundle.adapter(kind) for kind in _KINDS}
+    return groups if denoiser is None else {**groups, "denoiser": denoiser}
+
+
+def bundle_arrays(bundle: EncoderBundle, denoiser: DenoiserParams | None = None) -> dict:
+    """The arrays of ``_groups(bundle, denoiser)``, each named ``<prefix>.<field>``."""
+    return {f"{prefix}.{name}": arr
+            for prefix, group in _groups(bundle, denoiser).items() for name, arr in group.arrays().items()}
 
 
 def save_encoder_checkpoint(path, bundle: EncoderBundle, config: TrainConfig, spec: SyntheticSpec,
                             denoiser: DenoiserParams | None = None) -> None:
-    arrays = bundle_arrays(bundle)
-    if denoiser is not None:
-        arrays.update({f"denoiser.{name}": arr for name, arr in denoiser.arrays().items()})
     meta = {"kind": "encoders" if denoiser is None else "diffusion",
             "config": config.to_json(), "dataset_spec": spec.to_json()}
-    save_checkpoint(path, arrays, meta)
+    save_checkpoint(path, bundle_arrays(bundle, denoiser), meta)
 
 
 def load_encoder_checkpoint(path):
-    """Rebuild (bundle, config, spec, denoiser-or-None) from a checkpoint; CheckpointError if malformed."""
+    """(bundle, config, spec, denoiser-or-None) of a checkpoint, its models built as training builds them, by
+    ``fresh_bundle`` and, for a stored denoiser, ``DenoiserParams.init``; ``ParamGroup.load`` then writes the
+    stored arrays into them. Every refusal is a CheckpointError naming the file."""
     arrays, meta = load_checkpoint(path)
+    prefixes = {name.partition(".")[0] for name in arrays}
     try:
         config, spec = TrainConfig.from_dict(meta.get("config")), SyntheticSpec.from_json(meta.get("dataset_spec"))
+        bundle = fresh_bundle(spec, config)
+        denoiser = DenoiserParams.init(config.dim, config.timesteps, config.seed) if "denoiser" in prefixes else None
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config or dataset spec: {e}") from e
-    prefixes = [f"{kind}_adapter" for kind in _KINDS]
-    groups: dict[str, dict] = {prefix: {} for prefix in prefixes}
-    for name, arr in arrays.items():
-        prefix, _, short = name.partition(".")
-        groups.setdefault(prefix, {})[short] = arr
-    unknown = sorted(set(groups) - {*prefixes, "denoiser"})
-    if unknown:
+    groups = _groups(bundle, denoiser)
+    if unknown := sorted(prefixes - set(groups)):
         raise CheckpointError(f"{path}: unknown array groups {unknown}")
-
-    def rebuild(cls, prefix, like):
+    for prefix, group in groups.items():
         try:
-            return cls.from_arrays(groups[prefix], like)
-        except CheckpointError as e:
+            group.load({name[len(prefix) + 1:]: arr for name, arr in arrays.items() if name.startswith(prefix + ".")})
+        except ValueError as e:
             raise CheckpointError(f"{path}: {prefix}: {e}") from e
-
-    adapter = AdapterParams.init(config.dim)
-    adapters = [rebuild(AdapterParams, prefix, adapter) for prefix in prefixes]
-    denoiser = None
-    if "denoiser" in groups:
-        like = DenoiserParams.init(dim=config.dim, steps=config.timesteps)
-        denoiser = rebuild(DenoiserParams, "denoiser", like)
-    bundle = EncoderBundle(build_backbone(spec, config), *adapters, spec.style_names, spec.category_names)
     return bundle, config, spec, denoiser
 
 

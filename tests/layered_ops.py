@@ -77,7 +77,8 @@ def predict_noise(params, z_t, t_idx, cond, cond_idx=None) -> Tensor:
     z = np.atleast_2d(np.asarray(z_t, dtype=np.float64))
     n, steps = z.shape[0], params.time_embed.shape[0]
     t = np.broadcast_to(diffusion._check_timesteps(t_idx, n, steps), (n,))
-    copy = type(params).from_arrays(params.arrays(), params)
+    copy = diffusion.DenoiserParams.init(params.in_b.shape[0], steps)
+    copy.load(params.arrays())
     layers = diffusion._TrainBuffers(diffusion.DiffusionSchedule.make(steps), copy, cond, n)
     layers.z[...] = z
     out = layers.forward(t, diffusion._check_cond_idx(cond_idx, n, len(cond.tau_style)))

@@ -2,6 +2,7 @@
 checked against values and central differences; and who in the package uses the tape."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,36 @@ class TestParamGroup:
             t.zero_grad()
         assert not p.flat_grad.any()
         assert all(np.shares_memory(t.grad, p.flat_grad) for t in p.tensors())
+
+    @pytest.mark.parametrize("edit, message", [
+        ("misshaped", "AdapterParams: array b2 has shape (1, 3), expected (3,)"),
+        ("missing", "AdapterParams: missing arrays ['w2'], unknown arrays []"),
+        ("unknown", "AdapterParams: missing arrays [], unknown arrays ['w3']"),
+    ], ids=["misshaped", "missing", "unknown"])
+    def test_load_writes_every_array_or_none(self, edit, message):
+        """``load`` writes through the views; a bad array set leaves ``flat`` byte for byte as it was,
+        though the misshaped array is the last field and the unknown one comes with all the others."""
+        _, p = self.group()
+        new = {name: x + 1.0 for name, x in p.arrays().items()}
+        p.load(new)
+        assert np.array_equal(p.flat, np.concatenate([x.ravel() for x in new.values()]))
+        assert all(np.shares_memory(t.data, p.flat) for t in p.tensors())
+        before = p.flat.tobytes()
+        bad = {name: x + 1.0 for name, x in new.items()}
+        if edit == "misshaped":
+            bad["b2"] = np.zeros((1, 3))
+        elif edit == "missing":
+            del bad["w2"]
+        else:
+            bad["w3"] = np.zeros(2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            p.load(bad)
+        assert p.flat.tobytes() == before
+
+    def test_engine_imports_nothing_of_the_package(self):
+        """The tape and its parameter groups know no file format: ``tensor`` imports no module of the package."""
+        tree = ast.parse(Path(T.__file__).read_text(encoding="utf-8"))
+        assert not [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
 
     def test_free_tensor_copies_its_first_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

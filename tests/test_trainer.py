@@ -21,7 +21,7 @@ from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoin
 from stylecat.cli import main
 from stylecat.datagen import DatasetError, SyntheticSpec, generate_classification_dataset, write_dataset_dir
 from stylecat.diffusion import DenoiserParams, DiffusionSchedule
-from stylecat.encoders import adapt_array
+from stylecat.encoders import AdapterParams, adapt_array
 from stylecat.losses import ConfigError
 from stylecat.tensor import ParamGroup, Tensor, _node, backward
 from stylecat.train import (
@@ -369,6 +369,13 @@ class TestCheckpointRoundtrip:
         assert a == b
         for x, y in zip(bundle_arrays(bundle).values(), bundle_arrays(loaded).values()):
             assert np.abs(x - y).max() < 1e-6
+        # rebuilt by training's constructor, then holding the stored adapters bit for bit
+        stored, fresh = load_checkpoint(path)[0], fresh_bundle(spec, config)
+        assert loaded.backbone.checksum() == fresh.backbone.checksum()
+        assert loaded.prompt_features.keys() == fresh.prompt_features.keys()
+        assert all(np.array_equal(loaded.prompt_features[k], v) for k, v in fresh.prompt_features.items())
+        assert bundle_arrays(loaded).keys() == stored.keys()
+        assert all(bundle_arrays(loaded)[k].tobytes() == v.tobytes() for k, v in stored.items())
 
     def test_save_load_save_byte_identical(self, spec, dataset, tmp_path):
         train, _ = dataset
@@ -428,8 +435,10 @@ class TestCheckpointRoundtrip:
         assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
 
     @pytest.mark.parametrize("edit", ["not-a-dict", "no-config", "config-not-a-dict", "no-spec",
-                                      "config-type", "spec-type"])
-    def test_malformed_metadata_rejected(self, saved, data_dir, edit):
+                                      "config-type", "spec-type", "dim-3", "dim-8"])
+    def test_malformed_metadata_rejected(self, saved, data_dir, capsys, edit):
+        """Refused with the file named, also a config whose dim training's constructors refuse: dim 3
+        leaves the adapters no hidden unit, and dim 8 fits its adapters but not the spec's factor codes."""
         path, (arrays, meta) = saved
         if edit == "not-a-dict":
             meta = [meta]
@@ -441,12 +450,19 @@ class TestCheckpointRoundtrip:
             del meta["dataset_spec"]
         elif edit == "config-type":
             meta["config"]["epochs"] = "3"
-        else:
+        elif edit == "spec-type":
             meta["dataset_spec"]["n_styles"] = "3"
+        else:
+            meta["config"]["dim"] = int(edit[-1])
+            if edit == "dim-8":
+                arrays = {f"{kind}_adapter.{k}": v for kind in ("style", "category")
+                          for k, v in AdapterParams.init(8).arrays().items()}
         save_checkpoint(path, arrays, meta)
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_encoder_checkpoint(path)
         assert main(["eval-classify", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
     def test_damaged_spec_rejected(self, saved):
         path, (arrays, meta) = saved
@@ -906,6 +922,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "e.cclp").exists()
+
+    @pytest.mark.parametrize("command", ["train-encoders", "sweep --axis lambda"])
+    @pytest.mark.parametrize("config, message", [
+        ({"epochs": 1, "foo": 2}, "unknown config keys: ['foo']"),
+        ({"lr": "0.1"}, "lr must be a finite number, got '0.1'"),
+    ], ids=["unknown-key", "lr-string"])
+    def test_config_file_errors_name_the_file(self, data_dir, tmp_path, capsys, command, config, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert self.run(*command.split(), "--data", str(data_dir), "--config", str(path),
+                        "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: config {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, message", [
         ({"n_styles": "3"}, "n_styles must be an integer, got '3'"),
