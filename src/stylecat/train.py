@@ -79,7 +79,7 @@ class TrainConfig:
     def __post_init__(self):
         check_types(self, ConfigError)  # types first: the range checks below compare numbers
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be 'labeled' or 'unlabeled', got {self.mode!r}")
+            raise ConfigError(f"mode must be {' or '.join(map(repr, MODES))}, got {self.mode!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.lr <= 0:
@@ -462,7 +462,8 @@ def load_encoder_checkpoint(path):
         raise CheckpointError(f"{path}: unknown array groups {unknown}")
     for prefix, group in groups.items():
         try:
-            group.load({name[len(prefix) + 1:]: arr for name, arr in arrays.items() if name.startswith(prefix + ".")})
+            group.load({short: arr for name, arr in arrays.items()
+                        for p, _, short in [name.partition(".")] if p == prefix})
         except ValueError as e:
             raise CheckpointError(f"{path}: {prefix}: {e}") from e
     return bundle, config, spec, denoiser

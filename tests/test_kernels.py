@@ -30,12 +30,12 @@ def test_run_sets_the_kernel_in_the_child_only(monkeypatch, tmp_path):
 
     monkeypatch.setattr(kernels.subprocess, "run", fake_run)
     monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
-    assert kernels.run_once(tmp_path, "diffusion-train", "SkylakeX", 0) == {"digest": D91E, "error": None}
-    assert kernels.run_once(tmp_path, "diffusion-train", "Haswell", 7) == {"digest": D1D9, "error": None}
+    assert kernels.run_once(tmp_path, "diffusion-train", "SkylakeX") == {"digest": D91E, "error": None}
+    assert kernels.run_once(tmp_path, "diffusion-train", "Haswell") == {"digest": D1D9, "error": None}
     assert "OPENBLAS_CORETYPE" not in os.environ
-    (cmd, cwd, env), (cmd7, _, _) = seen
+    (cmd, cwd, env), _ = seen
     assert cmd[1:] == ["perfbench/run.py", "--workload", "diffusion-train", "--seed", "0", "--seconds", "0"]
-    assert cmd7[-3] == "7" and cwd == tmp_path and env["PATH"] == os.environ["PATH"]
+    assert cwd == tmp_path and env["PATH"] == os.environ["PATH"]
 
 
 def test_a_failed_run_is_reported_not_raised(monkeypatch, tmp_path):
@@ -46,7 +46,7 @@ def test_a_failed_run_is_reported_not_raised(monkeypatch, tmp_path):
         return subprocess.CompletedProcess(cmd, code, stdout=stdout)
 
     monkeypatch.setattr(kernels.subprocess, "run", fake_run)
-    runs = [kernels.run_once(tmp_path, "encoders", "Prescott", 0) for _ in range(3)]
+    runs = [kernels.run_once(tmp_path, "encoders", "Prescott") for _ in range(3)]
     assert runs == [{"digest": None, "error": "exit 132"}, {"digest": None, "error": "no record"},
                     {"digest": D91E, "error": "1 of 4 failed"}]
 
@@ -80,20 +80,23 @@ def test_every_workload_and_kernel_runs_in_each_checkout(monkeypatch, capsys):
         extracted.append((rev, dest.name, dest.parent))
         dest.mkdir(parents=True)
 
-    def fake_run(checkout, workload, kernel, seed):
-        calls.append((checkout.name, workload, kernel, seed))
+    def fake_run(checkout, workload, kernel):
+        calls.append((checkout.name, workload, kernel))
         if kernel == "Prescott":
             return {"digest": None, "error": "exit 132"}
         return {"digest": D91E, "error": None}
 
     monkeypatch.setattr(kernels, "extract", fake_extract)
     monkeypatch.setattr(kernels, "run_once", fake_run)
-    assert kernels.main(["HEAD~1", "HEAD", "--workload", "generate", "--seed", "3"]) == 1
+    monkeypatch.setattr(kernels, "WORKLOADS", ("generate",))
+    assert kernels.main(["HEAD~1", "HEAD"]) == 1
     assert [x[:2] for x in extracted] == [("HEAD~1", "rev_00"), ("HEAD", "rev_01")]
     assert extracted[0][2] == extracted[1][2] and not extracted[0][2].exists()
-    assert calls == [(rev, "generate", kernel, 3) for kernel in kernels.KERNELS for rev in ("rev_00", "rev_01")]
+    assert calls == [(rev, "generate", kernel) for kernel in kernels.KERNELS for rev in ("rev_00", "rev_01")]
     out = capsys.readouterr().out
     assert "generate Haswell HEAD: d91eeb8ad91eeb8a" in out and "0 of 4 workload-kernel rows differ" in out
+    assert "\nseed 0; revisions in column order: HEAD~1, HEAD\n" in out
     monkeypatch.setattr(kernels, "KERNELS", ("SkylakeX",))
+    monkeypatch.setattr(kernels, "WORKLOADS", ("encoders", "diffusion-train", "generate"))
     assert kernels.main(["HEAD~1", "HEAD"]) == 0
     assert [c[1] for c in calls[8:]] == [w for w in kernels.WORKLOADS for _ in range(2)]

@@ -529,13 +529,15 @@ class TestCheckpointRoundtrip:
         save_checkpoint(path, arrays, meta)
         assert load_encoder_checkpoint(path)[3].arrays().keys() == denoiser.arrays().keys()
 
-    @pytest.mark.parametrize("edit", ["missing", "extra", "unknown-group"])
+    @pytest.mark.parametrize("edit", ["missing", "extra", "bare-prefix", "unknown-group"])
     def test_wrong_array_names_rejected(self, saved, data_dir, edit):
         path, (arrays, meta) = saved
         if edit == "missing":
             del arrays["style_adapter.w1"]
         elif edit == "extra":
             arrays["category_adapter.w3"] = np.zeros(2)
+        elif edit == "bare-prefix":
+            arrays["style_adapter"] = np.zeros(2)
         else:
             arrays["decoder.w1"] = np.zeros(2)
         save_checkpoint(path, arrays, meta)

@@ -1,14 +1,15 @@
 """Per-kernel ``perfbench`` output digests of revisions of this repository.
 
-    python3 tools/kernels.py REV [REV ...] [--seed S] [--workload W ...]
+    python3 tools/kernels.py REV [REV ...]
 
 numpy's bundled OpenBLAS picks its GEMM kernel from the CPU at start-up, and
 two kernels may order the sums of one product differently, so a claim of
 bit-identical outputs holds only on the kernels it was checked on. This tool
 extracts each revision with ``tools/pairs.py``'s ``extract`` into sibling
 directories whose names have one length, then runs ``perfbench/run.py
---workload W --seconds 0`` in each for every workload under every kernel of
-``KERNELS``, with ``OPENBLAS_CORETYPE`` set in the child's environment only.
+--workload W --seed 0 --seconds 0`` in each for every workload of
+``WORKLOADS`` under every kernel of ``KERNELS``, with ``OPENBLAS_CORETYPE``
+set in the child's environment only.
 It prints one digest per workload, kernel and revision, and marks each
 workload and kernel whose revisions differ. A run that exits non-zero (for
 example on a kernel this CPU lacks), prints no record or reports failed
@@ -26,17 +27,16 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from pairs import extract, parse_record  # noqa: E402
+from pairs import WORKLOADS, extract, parse_record  # noqa: E402
 
 KERNELS = ("SkylakeX", "Haswell", "SandyBridge", "Prescott")
-WORKLOADS = ("encoders", "diffusion-train", "generate")
 SHOWN = 16  # hex digits of a digest in the table; revisions are compared on the whole digest
 
 
-def run_once(checkout: Path, workload: str, kernel: str, seed: int) -> dict:
-    """``{"digest": sha256 or None, "error": None or what went wrong}`` of one benchmark run in
+def run_once(checkout: Path, workload: str, kernel: str) -> dict:
+    """``{"digest": sha256 or None, "error": None or what went wrong}`` of one seed-0 benchmark run in
     ``checkout`` under ``OPENBLAS_CORETYPE=kernel``."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "0"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True,
                           env={**os.environ, "OPENBLAS_CORETYPE": kernel})
     if proc.returncode != 0:
@@ -74,28 +74,24 @@ def table(results: dict[tuple[str, str], list[dict]], revs: list[str]) -> tuple[
 def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("revs", nargs="+", metavar="REV")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeatable; every workload when not given")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    workloads = args.workload or WORKLOADS
     with tempfile.TemporaryDirectory(prefix="kernels-") as tmp:
         checkouts = [Path(tmp) / f"rev_{i:02d}" for i in range(len(args.revs))]
         for rev, checkout in zip(args.revs, checkouts):
             extract(rev, checkout)
         results = {}
-        for workload in workloads:
+        for workload in WORKLOADS:
             for kernel in KERNELS:
                 results[workload, kernel] = []
                 for rev, checkout in zip(args.revs, checkouts):
-                    results[workload, kernel].append(run_once(checkout, workload, kernel, args.seed))
+                    results[workload, kernel].append(run_once(checkout, workload, kernel))
                     print(f"{workload} {kernel} {rev}: {_cell(results[workload, kernel][-1])}", flush=True)
     text, status = table(results, args.revs)
-    print(f"seed {args.seed}; revisions in column order: {', '.join(args.revs)}\n{text}")
+    print(f"seed 0; revisions in column order: {', '.join(args.revs)}\n{text}")
     return status
 
 

@@ -32,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("A", "B")
+WORKLOADS = ("encoders", "diffusion-train", "generate")
 
 
 def parse_record(stdout: str) -> dict:
@@ -110,7 +111,7 @@ def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("rev_a")
     parser.add_argument("rev_b")
-    parser.add_argument("--workload", required=True, choices=("encoders", "diffusion-train", "generate"))
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15.0)
