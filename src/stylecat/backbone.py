@@ -174,6 +174,6 @@ def embed_image(grids, weights: FrozenWeights) -> np.ndarray:
     arr = np.asarray(grids, dtype=np.float64)
     if arr.ndim != 4 or arr.shape[1:] != GRID_SHAPE:
         raise ValueError(f"embed_image: expected grid stack shape (n, 8, 8, 3), got {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # so written, a NaN (which min and max return) fails it
         raise ValueError("embed_image: grid values must lie in [0, 1]")
     return _unit_rows(arr.reshape(len(arr), GRID_SIZE) @ weights.img_proj + weights.img_bias)[0]

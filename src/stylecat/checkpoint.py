@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -58,16 +59,21 @@ def from_fields(cls, obj, what: str, error: type[ValueError]):
     return cls(**obj)
 
 
+def finite_number(v) -> bool:
+    """Whether ``v`` is an int or a float, not a bool, that a finite float holds: NaN, the infinities and an
+    integer beyond the largest float are not."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
 def check_types(record, error: type[ValueError]) -> None:
     """``error`` naming the first field of the dataclass ``record`` that its annotation refuses: ``int`` takes
-    an integer, ``int | None`` also None, ``float`` a finite number, and a bool is none of them."""
+    an integer, ``int | None`` also None, ``float`` a ``finite_number``, and a bool is none of them."""
     for f in fields(record):
         v = getattr(record, f.name)
         if f.type == "int" or (f.type == "int | None" and v is not None):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise error(f"{f.name} must be an integer, got {v!r}")
-        if f.type == "float" and (isinstance(v, bool) or not isinstance(v, (int, float))
-                                  or not -math.inf < v < math.inf):
+        if f.type == "float" and not finite_number(v):
             raise error(f"{f.name} must be a finite number, got {v!r}")
 
 

@@ -19,9 +19,9 @@ import numpy as np
 from .captions import CategoryLexicon, LexiconError, batch_decompose, split_caption
 from .datagen import DATASET_FILES, SyntheticSpec, build_mixture, default_names, load, read_spec, write_dataset_dir
 from .diffusion import DiffusionSchedule, condition_for_caption, oracle_classify_batch, sample as ddpm_sample
-from .losses import ADVERSARIAL_MODES, ConfigError
+from .losses import ConfigError
 from .train import (
-    MODES,
+    CHOICES,
     SWEEPS,
     NumericalError,
     TrainConfig,
@@ -48,21 +48,31 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# The parser type of an option by the annotation of the field that it sets, as ``checkpoint.check_types`` reads it.
+_PARSER_TYPES = {"int": int, "int | None": int, "float": float, "str": None}
+
+
 def _build_parser() -> _Parser:
     def grid(raw: str) -> tuple:  # named, so that argparse's "invalid grid value" error names the option
         return tuple(float(v) for v in raw.split(","))
+
+    annotations = {f.name: f.type for cls in (TrainConfig, SyntheticSpec) for f in fields(cls)}
+
+    def field_options(p, *flags, **kwargs):
+        """One option per flag, ``--name`` or ``--name=dest``, that sets the TrainConfig or SyntheticSpec field
+        ``dest`` (else the flag's name), typed by its annotation and offered ``CHOICES[dest]``. It defaults to
+        None, so that the field keeps its value unless the option is given (``_given``)."""
+        for flag, _, dest in (option.partition("=") for option in flags):
+            dest = dest or flag[2:].replace("-", "_")
+            p.add_argument(flag, dest=dest, type=_PARSER_TYPES[annotations[dest]], choices=CHOICES.get(dest), **kwargs)
 
     parser = _Parser(prog="stylecat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic datasets")
     p.add_argument("--out", required=True)
-    p.add_argument("--styles", type=int, default=3)
-    p.add_argument("--categories", type=int, default=4)
-    p.add_argument("--train-per-cell", type=int, default=64)
-    p.add_argument("--test-per-cell", type=int, default=32)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    field_options(p, "--styles=n_styles", "--categories=n_categories", "--train-per-cell=n_train",
+                  "--test-per-cell=n_test", "--noise", "--seed")
 
     p = sub.add_parser("decompose", help="split captions into style/category text")
     p.add_argument("--captions", required=True)
@@ -74,24 +84,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--metrics")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--margin1", type=float)
-    p.add_argument("--margin2", type=float)
-    p.add_argument("--adversarial-mode", choices=ADVERSARIAL_MODES)
-    p.add_argument("--logit-scale", type=float)
+    field_options(p, "--mode", "--epochs", "--batch-size", "--lr", "--seed", "--shots", "--lambda1", "--lambda2",
+                  "--margin1", "--margin2", "--adversarial-mode", "--logit-scale")
 
     p = sub.add_parser("eval-classify", help="blended-prototype classification accuracy")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--alpha-style", type=float)
-    p.add_argument("--alpha-category", type=float)
+    field_options(p, "--alpha-style", "--alpha-category")
     p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="alpha or lambda ablation grid")
@@ -101,19 +100,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", help="the alpha axis's trained encoders; required there, refused on lambda")
     p.add_argument("--config", help="lambda axis only")
     p.add_argument("--grid", type=grid, help="comma-separated values overriding the default grid")
-    p.add_argument("--seed", type=int, help="lambda axis only")
+    field_options(p, "--seed", help="lambda axis only")
 
     p = sub.add_parser("train-diffusion", help="train the conditional denoiser")
     p.add_argument("--data", required=True)
     p.add_argument("--encoders", required=True, help="encoder checkpoint to condition on")
     p.add_argument("--out", required=True)
     p.add_argument("--metrics")
-    p.add_argument("--steps", type=int, dest="diffusion_steps")
-    p.add_argument("--batch-size", type=int, dest="diffusion_batch")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float, dest="generation_alpha")
-    p.add_argument("--timesteps", type=int)
+    field_options(p, "--steps=diffusion_steps", "--batch-size=diffusion_batch", "--lr", "--seed",
+                  "--alpha=generation_alpha", "--timesteps")
 
     p = sub.add_parser("sample", help="draw conditioned samples from a trained model")
     p.add_argument("--checkpoint", required=True)
@@ -121,7 +116,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--category", required=True)
     p.add_argument("-n", "--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, dest="sample_seed", help="sampling seed")
-    p.add_argument("--alpha", type=float, dest="generation_alpha")
+    field_options(p, "--alpha=generation_alpha")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("guidance-eval", help="oracle accuracy of every (style, category) cell's samples")
@@ -129,7 +124,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-cell", type=int, default=200)
     p.add_argument("--seed", type=int, default=0, dest="sample_seed", help="sampling seed")
-    p.add_argument("--alpha", type=float, dest="generation_alpha")
+    field_options(p, "--alpha=generation_alpha")
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of all gradients")
     p.add_argument("--seeds", type=int, default=20)
@@ -138,13 +133,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _given(args, cls) -> dict:
+    """The value of every option given whose dest names a field of the dataclass ``cls``."""
+    return {f.name: v for f in fields(cls) if (v := getattr(args, f.name, None)) is not None}
+
+
 def _load_config(args, config: TrainConfig | None = None, env=os.environ) -> TrainConfig:
     """``config`` (else ``--config``, else the defaults) overridden by every flag whose dest names a
     TrainConfig field, then by CCLIP_SEED in ``env``, which is empty for a checkpoint only evaluated."""
     if config is None:
         config = TrainConfig.from_file(args.config) if getattr(args, "config", None) else TrainConfig()
-    overrides = {f.name: v for f in fields(TrainConfig) if (v := getattr(args, f.name, None)) is not None}
-    return apply_seed_env(replace(config, **overrides), env)
+    return apply_seed_env(replace(config, **_given(args, TrainConfig)), env)
 
 
 def _load_dataset_dir(data_dir, mode: str):
@@ -197,16 +196,10 @@ def _load_generator(args):
 
 
 def _cmd_gen_data(args) -> int:
-    spec = SyntheticSpec(
-        n_styles=args.styles,
-        n_categories=args.categories,
-        style_names=default_names(args.styles, "style"),
-        category_names=default_names(args.categories, "category"),
-        n_train=args.train_per_cell,
-        n_test=args.test_per_cell,
-        noise=args.noise,
-        seed=args.seed,
-    )
+    """Writes ``SyntheticSpec()`` with the options given replaced, and the default names for its factor counts."""
+    given = {name: getattr(SyntheticSpec, name) for name in ("n_styles", "n_categories")} | _given(args, SyntheticSpec)
+    spec = SyntheticSpec(**given, style_names=default_names(given["n_styles"], "style"),
+                         category_names=default_names(given["n_categories"], "category"))
     counts = write_dataset_dir(spec, args.out)
     print(f"wrote {counts['train']} train / {counts['test']} test grids, "
           f"{counts['points']} points, {counts['lexicon']} lexicon nouns to {args.out}")

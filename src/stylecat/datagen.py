@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import GRID_SHAPE, words_of
-from .checkpoint import check_types, from_fields, read_object
+from .captions import CategoryLexicon
+from .checkpoint import check_types, finite_number, from_fields, read_object
 
 # The default factor names by kind: ``default_names`` takes the first n of a bank.
 NAME_BANKS = {
@@ -31,6 +32,7 @@ DATASET_FILES = {"spec": "spec.json", "train": "clf_train.jsonl", "test": "clf_t
                  "points": "diff_train.jsonl", "lexicon": "lexicon.txt"}
 
 CAPTION_TEMPLATE = "a {style} style {category}"
+TEMPLATE_WORDS = words_of(CAPTION_TEMPLATE.format(style="", category=""))  # the template's own words: "a", "style"
 
 # shape per ring, inner to outer: the outer ring gets the isotropic shape so
 # its Mahalanobis basin tolerates the generator's radial spread
@@ -61,7 +63,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.noise, bool) or not isinstance(self.noise, (int, float)) or not 0 <= self.noise < np.inf:
+        if not finite_number(self.noise) or self.noise < 0:
             raise DatasetError(f"noise must be a finite number >= 0, got {self.noise!r}")
         check_types(self, DatasetError)  # after the noise check, whose message says more
         if self.n_styles < 2 or self.n_categories < 2:
@@ -79,6 +81,10 @@ class SyntheticSpec:
         repeated = sorted({w for w in folded if folded.count(w) > 1})
         if repeated:
             raise DatasetError(f"style_names and category_names repeat {repeated}, ignoring case")
+        # split_caption files every word that a category name matches (plural included) as category text
+        category = CategoryLexicon.from_words(self.category_names)
+        if taken := [w for w in (*self.style_names, *TEMPLATE_WORDS) if category.matches(w)]:
+            raise DatasetError(f"category_names match {taken}, outside the category slot of {CAPTION_TEMPLATE!r}")
         object.__setattr__(self, "style_names", tuple(self.style_names))
         object.__setattr__(self, "category_names", tuple(self.category_names))
 

@@ -483,11 +483,14 @@ def oracle_classify_batch(points: np.ndarray, mixture) -> tuple[np.ndarray, np.n
     """Vectorized nearest-component labels for an (n, 2) point array.
 
     The squared Mahalanobis distance to each of the K components is the
-    2 x 2 quadratic form written out on (n, K) arrays.
+    2 x 2 quadratic form written out on (n, K) arrays. ValueError naming the
+    first point that is not finite, which no component is nearest to.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != POINT_DIM:
         raise T.ShapeError(f"oracle_classify_batch: points must be (n, {POINT_DIM}), got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"oracle_classify_batch: point {np.isfinite(pts).all(axis=1).argmin()} is not finite")
     ks, kc = mixture.n_styles, mixture.n_categories
     means = mixture.means.reshape(ks * kc, POINT_DIM)
     i00, i01, i10, i11 = mixture.inv_covs.reshape(ks * kc, POINT_DIM * POINT_DIM).T

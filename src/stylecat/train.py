@@ -42,7 +42,9 @@ from .tensor import Tensor, backward, finite_diff_grad, relative_error
 
 SEED_ENV_VAR = "CCLIP_SEED"
 
-MODES = ("labeled", "unlabeled")  # the training modes: by class labels, or by decomposed captions
+# The TrainConfig fields that take one of a few values: the training mode (by class labels, or by decomposed
+# captions) and the form of the adversarial confusion term.
+CHOICES = {"mode": ("labeled", "unlabeled"), "adversarial_mode": ADVERSARIAL_MODES}
 
 METRICS_COLUMNS = (
     "epoch", "split", "style_top1", "category_top1", "style_loss", "category_loss",
@@ -78,8 +80,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_types(self, ConfigError)  # types first: the range checks below compare numbers
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be {' or '.join(map(repr, MODES))}, got {self.mode!r}")
+        for name, choices in CHOICES.items():
+            if (v := getattr(self, name)) not in choices:
+                raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, got {v!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.lr <= 0:
@@ -98,8 +101,6 @@ class TrainConfig:
             raise ConfigError("lambda weights must be >= 0")
         if self.margin1 < 0 or self.margin2 < 0:
             raise ConfigError("margins must be >= 0")
-        if self.adversarial_mode not in ADVERSARIAL_MODES:
-            raise ConfigError(f"adversarial_mode must be one of {ADVERSARIAL_MODES}")
         if self.logit_scale <= 0:
             raise ConfigError("logit_scale must be > 0")
 

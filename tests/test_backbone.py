@@ -92,9 +92,11 @@ class TestEmbedImage:
             assert np.abs(row - vec / np.linalg.norm(vec)).max() < 1e-14
 
     def test_out_of_range_rejected(self, weights):
-        bad = np.full((2, 8, 8, 3), 1.5)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            embed_image(bad, weights)
+        for value in (1.5, -0.5, np.nan):  # a NaN fails both ``min() < 0`` and ``max() > 1``
+            bad = np.full((2, 8, 8, 3), 0.5)
+            bad[1, 3, 4, 2] = value
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                embed_image(bad, weights)
 
     def test_bad_shape_rejected(self, weights):
         for bad in (np.zeros((1, 4, 4, 3)), np.zeros((8, 8, 3))):

@@ -40,10 +40,21 @@ class TestSpecValidation:
             SyntheticSpec.from_json({"n_styles": 3, "bogus": 1})
 
     def test_noise_must_be_finite_and_nonnegative(self):
-        for bad in (float("nan"), float("inf"), -0.01, "0.05", None):
+        for bad in (float("nan"), float("inf"), -0.01, "0.05", None, 10**400):
             with pytest.raises(DatasetError, match="noise"):
                 SyntheticSpec(noise=bad)
         assert SyntheticSpec(noise=0).noise == 0
+
+    @pytest.mark.parametrize("names, taken", [
+        (dict(style_names=("cats", "neon", "pastel")), "cats"),
+        (dict(category_names=("cat", "dog", "car", "style")), "style"),
+        (dict(category_names=("a", "dog", "car", "tree")), "a"),
+    ], ids=["style-name-a-category-plural", "category-style", "category-a"])
+    def test_category_names_match_no_other_caption_word(self, names, taken):
+        """``split_caption`` files every word a category name matches as category text, so a style name or
+        a template word that one matches would leave its own half of the caption."""
+        with pytest.raises(DatasetError, match=re.escape(f"category_names match ['{taken}'], outside")):
+            SyntheticSpec(**names)
 
     def test_json_roundtrip(self, spec):
         assert SyntheticSpec.from_json(spec.to_json()) == spec

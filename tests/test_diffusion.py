@@ -1065,6 +1065,14 @@ class TestOracle:
         s_hat, c_hat = oracle_classify_batch(pts, mix)
         assert np.array_equal(s_hat, best // kc) and np.array_equal(c_hat, best % kc)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, value):
+        """A NaN point's distances are all NaN, and their argmin would label it cell (0, 0)."""
+        pts = np.zeros((5, 2))
+        pts[3, 1], pts[4, 0] = value, value
+        with pytest.raises(ValueError, match="point 3 is not finite"):
+            oracle_classify_batch(pts, build_mixture(SyntheticSpec()))
+
     def test_points_of_another_width_rejected(self):
         with pytest.raises(ShapeError, match=r"\(n, 2\)"):
             oracle_classify_batch(np.zeros((5, 3)), build_mixture(SyntheticSpec()))

@@ -45,9 +45,23 @@ class TestSummary:
                 for k, (x, y) in enumerate(zip(a, b))]
         table = rows(pairs.summarize(runs, BETTER))
         # inclusive quartiles: A sorted 48, 49, 50, 52; B sorted 46, 47, 50, 50
-        assert table["wall_ref"][1:] == ["ref", "49.5", "[48.75,", "50.5]", "48.5", "[46.75,", "50]", "-2.02%", "3/4"]
-        assert table["train_samples_per_s"][1] == "(higher)" and table["train_samples_per_s"][-1] == "3/4"
-        assert table["style_top1"][1:] == ["(higher)", "frac", "1", "[1,", "1]", "1", "[0.975,", "1]", "+0.00%", "0/4"]
+        assert table["wall_ref"][1:] == ["ref", "49.5", "[48.75,", "50.5]", "48.5", "[46.75,", "50]", "-2.02%", "3/4",
+                                         "no"]
+        assert table["train_samples_per_s"][1] == "(higher)" and table["train_samples_per_s"][-2:] == ["3/4", "no"]
+        assert table["style_top1"][1:] == ["(higher)", "frac", "1", "[1,", "1]", "1", "[0.975,", "1]", "+0.00%", "0/4",
+                                           "no"]
+
+    @pytest.mark.parametrize("b, claim", [
+        # A's median is 50 and its quartiles [49.25, 50.75]
+        ([40.0] * 9 + [60.0], "yes"),                             # 9/10 wins, median 40
+        ([40.0] * 8 + [50.0, 60.0], "no"),                        # 8/10 wins: a tie counts for neither side
+        ([47.0, 48.0, 49.0, 50.0, 51.0, 48.0, 49.0, 50.0, 49.0, 60.0], "no"),  # 9/10 wins, median 49: within
+    ], ids=["nine-tenths-beyond-the-spread", "eight-tenths", "within-the-spread"])
+    def test_claim_needs_nine_tenths_of_the_pairs_and_more_than_the_spread(self, b, claim):
+        a = [48.0, 49.0, 50.0, 51.0, 52.0, 49.0, 50.0, 51.0, 50.0, 50.0]
+        table = rows(pairs.summarize([(record(x), record(y)) for x, y in zip(a, b)], BETTER))
+        assert table["wall_ref"][-1] == claim
+        assert table["train_samples_per_s"][-1] == claim  # a rate: higher is better
 
     def test_digests_and_failures_are_reported(self):
         runs = [(record(50.0), record(49.0)), (record(50.0), record(49.0, digest="beef", failed=1))]
@@ -81,4 +95,4 @@ def test_runs_alternate_which_side_goes_first(monkeypatch, capsys):
     assert extracted[0][2] == extracted[1][2] and not extracted[0][2].exists()
     assert calls == ["rev_a", "rev_b", "rev_b", "rev_a", "rev_a", "rev_b"]
     out = capsys.readouterr().out
-    assert "pair 2/3 (B first): wall_ref 50 -> 45" in out and rows(out)["wall_ref"][-1] == "3/3"
+    assert "pair 2/3 (B first): wall_ref 50 -> 45" in out and rows(out)["wall_ref"][-2:] == ["3/3", "yes"]

@@ -19,7 +19,7 @@ from stylecat.backbone import embed_captions
 from stylecat.captions import CategoryLexicon, LexiconError, split_caption
 from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stylecat.cli import main
-from stylecat.datagen import DatasetError, SyntheticSpec, generate_classification_dataset, write_dataset_dir
+from stylecat.datagen import DatasetError, SyntheticSpec, generate_classification_dataset, read_spec, write_dataset_dir
 from stylecat.diffusion import DenoiserParams, DiffusionSchedule
 from stylecat.encoders import AdapterParams, adapt_array
 from stylecat.losses import ConfigError
@@ -68,10 +68,13 @@ class TestConfig:
             TrainConfig.from_dict({"learning_rate": 0.1})
 
     def test_invalid_values_rejected(self):
-        for bad in (dict(mode="both"), dict(epochs=-1), dict(lr=0.0),
-                    dict(alpha_style=1.5), dict(shots=0), dict(adversarial_mode="x")):
+        for bad in (dict(epochs=-1), dict(lr=0.0), dict(alpha_style=1.5), dict(shots=0)):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
+        with pytest.raises(ConfigError, match=r"^mode must be 'labeled' or 'unlabeled', got 'both'$"):
+            TrainConfig(mode="both")
+        with pytest.raises(ConfigError, match=r"^adversarial_mode must be 'uniform-kl' or 'negated-ce', got 'x'$"):
+            TrainConfig(adversarial_mode="x")
 
     def test_json_file_roundtrip(self, tmp_path):
         cfg = TrainConfig(epochs=7, lambda1=0.5)
@@ -93,7 +96,8 @@ class TestConfig:
 
     def test_non_finite_and_mistyped_values_rejected(self):
         for bad in (dict(lr=float("nan")), dict(margin2=float("inf")), dict(lr="0.1"), dict(alpha_style=None),
-                    dict(epochs=1.5), dict(epochs=True), dict(shots=2.0), dict(dim="32")):
+                    dict(epochs=1.5), dict(epochs=True), dict(shots=2.0), dict(dim="32"), dict(lr=10**400),
+                    dict(margin1=-10**400)):
             with pytest.raises(ConfigError, match=next(iter(bad))):
                 TrainConfig(**bad)
         assert TrainConfig(lr=1, logit_scale=20).lr == 1  # an int is a number
@@ -639,6 +643,44 @@ def test_flag_overrides_its_config_field(monkeypatch, parser, action):
     assert getattr(cli_mod._load_config(args), action.dest) == value
 
 
+# Every option of every command: its strings, parser type, choices, and whether it is required.
+OPTION_TABLE = {
+    "gen-data": ["--out required", "--styles int", "--categories int", "--train-per-cell int",
+                 "--test-per-cell int", "--noise float", "--seed int"],
+    "decompose": ["--captions required", "--lexicon required", "--out required"],
+    "train-encoders": ["--data required", "--out required", "--config", "--metrics",
+                       "--mode {labeled,unlabeled}", "--epochs int", "--batch-size int", "--lr float",
+                       "--seed int", "--shots int", "--lambda1 float", "--lambda2 float", "--margin1 float",
+                       "--margin2 float", "--adversarial-mode {uniform-kl,negated-ce}", "--logit-scale float"],
+    "eval-classify": ["--checkpoint required", "--data required", "--alpha-style float", "--alpha-category float",
+                      "--out"],
+    "sweep": ["--axis {alpha,lambda} required", "--data required", "--out required", "--checkpoint", "--config",
+              "--grid grid", "--seed int"],
+    "train-diffusion": ["--data required", "--encoders required", "--out required", "--metrics", "--steps int",
+                        "--batch-size int", "--lr float", "--seed int", "--alpha float", "--timesteps int"],
+    "sample": ["--checkpoint required", "--style required", "--category required", "-n/--count int",
+               "--seed int", "--alpha float", "--out required"],
+    "guidance-eval": ["--checkpoint required", "--out required", "--n-per-cell int", "--seed int", "--alpha float"],
+    "gradcheck": ["--seeds int", "--tol float"],
+}
+
+
+def test_option_table_is_pinned(tmp_path):
+    """No option is lost, added or retyped; and ``gen-data`` with no option writes the default spec."""
+    def describe(action):
+        choices = "{" + ",".join(action.choices) + "}" if action.choices else None
+        parts = ("/".join(action.option_strings), action.type and action.type.__name__, choices,
+                 action.required and "required")
+        return " ".join(filter(None, parts))
+
+    sub = next(a for a in cli_mod._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = {command: [describe(a) for a in parser._actions if a.dest != "help"]
+             for command, parser in sub.choices.items()}
+    assert table == OPTION_TABLE
+    assert main(["gen-data", "--out", str(tmp_path / "d")]) == 0
+    assert read_spec(tmp_path / "d") == SyntheticSpec()
+
+
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
@@ -915,7 +957,12 @@ class TestCli:
         (["--logit-scale", "inf"], None, "logit_scale must be a finite number, got inf"),
         ([], {"lr": "0.1"}, "lr must be a finite number, got '0.1'"),
         ([], {"epochs": 1.5}, "epochs must be an integer, got 1.5"),
-    ], ids=["lr-nan", "lambda1-nan", "logit-scale-inf", "lr-string", "epochs-float"])
+        # integers that no float holds: let through, they overflow in Adam.step or the logits, or are saved as they are
+        ([], {"epochs": 1, "lr": 10**400}, f"lr must be a finite number, got {10**400}"),
+        ([], {"epochs": 1, "logit_scale": 10**400}, f"logit_scale must be a finite number, got {10**400}"),
+        ([], {"epochs": 1, "margin1": 10**400}, f"margin1 must be a finite number, got {10**400}"),
+    ], ids=["lr-nan", "lambda1-nan", "logit-scale-inf", "lr-string", "epochs-float", "lr-huge-int",
+            "logit-scale-huge-int", "margin1-huge-int"])
     def test_non_finite_or_mistyped_config_exits_one(self, data_dir, tmp_path, capsys, flags, config, message):
         if config is not None:
             (tmp_path / "c.json").write_text(json.dumps(config))
@@ -923,6 +970,7 @@ class TestCli:
         assert self.run("train-encoders", "--data", str(data_dir), "--out", str(tmp_path / "e.cclp"), *flags) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert config is None or err == f"error: config {tmp_path / 'c.json'}: {message}\n"
         assert not (tmp_path / "e.cclp").exists()
 
     @pytest.mark.parametrize("command", ["train-encoders", "sweep --axis lambda"])
@@ -950,8 +998,11 @@ class TestCli:
                                                                 "names, got ['cat', 'hot dog', 'car', 'tree']"),
         ({"style_names": ["sketch", "sketch", "neon"]}, "repeat ['sketch']"),
         ({"category_names": ["cat", "Neon", "car", "tree"]}, "repeat ['neon']"),
+        ({"noise": 10**400}, f"noise must be a finite number >= 0, got {10**400}"),
+        ({"style_names": ["cats", "neon", "pastel"]}, "category_names match ['cats']"),
     ], ids=["n-styles-string", "n-categories-float", "n-train-bool", "n-test-float", "seed-float", "seed-string",
-            "name-int", "name-two-words", "names-repeat", "names-repeat-across-factors"])
+            "name-int", "name-two-words", "names-repeat", "names-repeat-across-factors", "noise-huge-int",
+            "style-name-a-category-plural"])
     def test_damaged_spec_exits_one(self, tmp_path, capsys, edit, message):
         data = tmp_path / "d"
         write_dataset_dir(SyntheticSpec(n_train=2, n_test=1), data)
@@ -960,7 +1011,7 @@ class TestCli:
         assert self.run("train-encoders", "--data", str(data), "--out", str(tmp_path / "e.cclp"),
                         "--epochs", "1") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert err.startswith(f"error: {data / 'spec.json'}: ") and message in err and "Traceback" not in err
         assert not (tmp_path / "e.cclp").exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])

@@ -12,7 +12,10 @@ even pairs and B first in odd ones, so that a slow stretch of a shared host
 falls on both sides. Prints, per metric of the ``record:`` lines, each
 side's median and quartiles, B's median change against A, and in how many
 pairs B was better (lower, or higher where ``BENCHMARK.json`` says so and
-for rates, unit ``1/s``); then each side's output digests. A revision is
+for rates, unit ``1/s``), and whether that is a gain one may claim: ``yes``
+when B was better in at least nine tenths of the pairs, ties counting for
+neither, and B's median is better than A's by more than A's interquartile
+range; then each side's output digests. A revision is
 anything ``git archive`` takes; for uncommitted changes, ``git stash
 create`` names one. Exits 1 if a run reports ``failed`` > 0; a run that
 exits non-zero stops the tool with its command in the error.
@@ -62,12 +65,13 @@ def _cell(q: tuple[float, float, float]) -> str:
 
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> str:
     """A table over N pairs of (A record, B record): per metric both sides' median [q1, q3], B's
-    median change against A's median, and the pairs in which B was better; then the digests."""
+    median change against A's median, the pairs in which B was better, and whether B's gain may be
+    claimed (see the module docstring); then the digests."""
     n = len(pairs)
     names = sorted(set.intersection(*(set(r["metrics"]) for pair in pairs for r in pair)))
     lines = [f"{n} pairs; B is better when lower, unless the metric is marked (higher)",
              f"{'metric':28s} {'unit':>5s} {'A median [q1, q3]':>34s} {'B median [q1, q3]':>34s} "
-             f"{'change':>8s} {'B better':>9s}"]
+             f"{'change':>8s} {'B better':>9s} {'claim':>5s}"]
     for name in names:
         a, b = ([pair[i]["metrics"][name]["value"] for pair in pairs] for i in range(2))
         unit = pairs[0][0]["metrics"][name]["unit"]
@@ -75,9 +79,11 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> str:
         wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
         qa, qb = _quartiles(a), _quartiles(b)
         change = f"{(qb[1] - qa[1]) / abs(qa[1]):+.2%}" if qa[1] else "-"
+        gain = (qb[1] - qa[1]) if higher else (qa[1] - qb[1])
+        claim = "yes" if 10 * wins >= 9 * n and gain > qa[2] - qa[0] else "no"
         label = name + (" (higher)" if higher else "")
         lines.append(f"{label:28s} {unit:>5s} {_cell(qa):>34s} {_cell(qb):>34s} "
-                     f"{change:>8s} {wins:>6d}/{n}")
+                     f"{change:>8s} {wins:>6d}/{n} {claim:>5s}")
     for i, side in enumerate(SIDES):
         digests = [pair[i]["outputs_sha256"] for pair in pairs]
         counts = {d: digests.count(d) for d in dict.fromkeys(digests)}
