@@ -27,6 +27,12 @@ class CaptionsError(ValueError):
     """A captions file that is not UTF-8 text; the message names the file and the line."""
 
 
+def _check_entry(w: str, where: str = "") -> None:
+    """LexiconError, its message led by ``where``, unless ``w`` is a non-empty lowercase word without whitespace."""
+    if not w or w != w.casefold() or any(ch.isspace() for ch in w):
+        raise LexiconError(f"{where}lexicon entry must be lowercase without whitespace: {w!r}")
+
+
 @dataclass(frozen=True)
 class CategoryLexicon:
     """Set of category nouns (lowercase, no whitespace)."""
@@ -37,8 +43,7 @@ class CategoryLexicon:
         if not self.words:
             raise LexiconError("category lexicon is empty")
         for w in self.words:
-            if not w or w != w.casefold() or any(ch.isspace() for ch in w):
-                raise LexiconError(f"lexicon entry must be lowercase without whitespace: {w!r}")
+            _check_entry(w)
 
     @classmethod
     def from_words(cls, words) -> "CategoryLexicon":
@@ -47,13 +52,15 @@ class CategoryLexicon:
     @classmethod
     def from_file(cls, path) -> "CategoryLexicon":
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            lines = Path(path).read_text(encoding="utf-8").split("\n")  # "\r\n" and "\r" read as "\n"
         except UnicodeDecodeError as e:
             raise LexiconError(f"lexicon file {path} is not UTF-8 text: {e}") from e
-        entries = [ln.strip().casefold() for ln in lines if ln.strip()]
+        entries = [(lineno, ln.strip().casefold()) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
         if not entries:
             raise LexiconError(f"lexicon file {path} contains no entries")
-        return cls(frozenset(entries))
+        for lineno, w in entries:
+            _check_entry(w, f"lexicon file {path}, line {lineno}: ")
+        return cls(frozenset(w for _, w in entries))
 
     def matches(self, token: str) -> bool:
         t = token.casefold()

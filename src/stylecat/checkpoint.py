@@ -34,7 +34,8 @@ class CheckpointError(ValueError):
 
 def read_object(raw: bytes, where: str, error: type[ValueError]) -> dict:
     """The JSON object in the bytes ``raw``; ``error`` naming ``where`` (a file, or a file and line) if they
-    are not UTF-8 JSON or not an object, or an object in them repeats a key, whose last value would win."""
+    are not UTF-8 JSON, hold an integer of more digits than Python converts, or are not an object, or an
+    object in them repeats a key, whose last value would win."""
     def unique(pairs):
         keys = [k for k, _ in pairs]
         if len(set(keys)) < len(keys):
@@ -43,8 +44,10 @@ def read_object(raw: bytes, where: str, error: type[ValueError]) -> dict:
 
     try:
         obj = json.loads(raw.decode("utf-8"), object_pairs_hook=unique)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise error(f"{where} is not UTF-8 JSON: {e}") from e
+    except error:  # the refusal of ``unique``, which names ``where`` already
+        raise
+    except ValueError as e:  # not UTF-8, not JSON, or an integer beyond ``sys.get_int_max_str_digits()``
+        raise error(f"{where} cannot be read as UTF-8 JSON: {e}") from e
     if not isinstance(obj, dict):
         raise error(f"{where} must be a JSON object, got {type(obj).__name__}")
     return obj

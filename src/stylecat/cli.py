@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 validation/config error or a path that cannot be
-read or written, 2 numerical failure (non-finite loss or a failed gradient
-audit).
+Exit codes: 0 success, 1 validation/config error, a path that cannot be
+read or written, or a request too large for memory (say ``sample -n``
+10**12), 2 numerical failure (non-finite loss or a failed gradient audit).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .captions import CategoryLexicon, LexiconError, batch_decompose, split_caption
+from .captions import CategoryLexicon, batch_decompose
 from .datagen import DATASET_FILES, SyntheticSpec, build_mixture, default_names, load, read_spec, write_dataset_dir
 from .diffusion import DiffusionSchedule, condition_for_caption, oracle_classify_batch, sample as ddpm_sample
 from .losses import ConfigError
@@ -38,8 +38,9 @@ from .train import (
 )
 
 # Each typed error of the package (ConfigError, DatasetError, LexiconError, CheckpointError) is a
-# ValueError; an OSError names a path that the command could not open, read or write.
-VALIDATION_ERRORS = (ValueError, OSError)
+# ValueError; an OSError names a path that the command could not open, read or write; numpy's
+# MemoryError names the array, too large for this host, that a count such as ``sample -n`` asked for.
+VALIDATION_ERRORS = (ValueError, OSError, MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,24 +147,12 @@ def _load_config(args, config: TrainConfig | None = None, env=os.environ) -> Tra
     return apply_seed_env(replace(config, **_given(args, TrainConfig)), env)
 
 
-def _load_dataset_dir(data_dir, mode: str):
-    """Spec, classification splits and lexicon of a dataset directory; the lexicon is
-    read only for the unlabeled ``mode``, which alone uses it, and is None otherwise.
-    LexiconError naming both files if the lexicon does not split every training caption."""
+def _load_dataset_dir(data_dir):
+    """Spec and classification splits of a dataset directory. Training splits their captions by the spec's
+    category names, as ``load`` checks them; the directory's ``lexicon.txt`` is ``decompose``'s input only."""
     spec = read_spec(data_dir)
     root = Path(data_dir)
-    train = load(root / DATASET_FILES["train"], "grid", spec)
-    test = load(root / DATASET_FILES["test"], "grid", spec)
-    if mode != "unlabeled":
-        return spec, train, test, None
-    lexicon_path = root / DATASET_FILES["lexicon"]
-    lexicon = CategoryLexicon.from_file(lexicon_path)
-    try:
-        for s in train:
-            split_caption(s.caption, lexicon)
-    except ConfigError as e:
-        raise LexiconError(f"lexicon file {lexicon_path} does not fit {root / DATASET_FILES['train']}: {e}") from e
-    return spec, train, test, lexicon
+    return spec, load(root / DATASET_FILES["train"], "grid", spec), load(root / DATASET_FILES["test"], "grid", spec)
 
 
 # The options that name a file a command reads; ``--data`` names a directory of ``DATASET_FILES``.
@@ -215,9 +204,9 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_train_encoders(args) -> int:
     config = _load_config(args)
-    spec, train, test, lexicon = _load_dataset_dir(args.data, config.mode)
+    spec, train, test = _load_dataset_dir(args.data)
     started = time.perf_counter()
-    bundle, rows = train_encoders(config, spec, train, lexicon=lexicon)
+    bundle, rows = train_encoders(config, spec, train)
     test_row = eval_row(bundle, test, config)
     rows.append(test_row)
     save_encoder_checkpoint(args.out, bundle, config, spec)
@@ -255,8 +244,8 @@ def _cmd_sweep(args) -> int:
         if args.checkpoint:
             raise ConfigError("lambda sweep retrains from --config; it takes no --checkpoint")
         config = _load_config(args)
-        spec, train, test, lexicon = _load_dataset_dir(args.data, config.mode)
-        rows = sweep("lambda", args.grid, config, test, spec=spec, train_samples=train, lexicon=lexicon)
+        spec, train, test = _load_dataset_dir(args.data)
+        rows = sweep("lambda", args.grid, config, test, spec=spec, train_samples=train)
     write_metrics_csv(rows, args.out)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import GRID_SHAPE, words_of
-from .captions import CategoryLexicon
+from .captions import CategoryLexicon, split_caption
 from .checkpoint import check_types, finite_number, from_fields, read_object
 
 # The default factor names by kind: ``default_names`` takes the first n of a bank.
@@ -28,6 +28,7 @@ DEFAULT_STYLES = NAME_BANKS["style"][:3]
 DEFAULT_CATEGORIES = NAME_BANKS["category"][:4]
 
 # The files of a dataset directory, by role: ``write_dataset_dir`` writes them and the readers find them here.
+# The lexicon is ``decompose``'s input only: training and generation split captions by the spec's category names.
 DATASET_FILES = {"spec": "spec.json", "train": "clf_train.jsonl", "test": "clf_test.jsonl",
                  "points": "diff_train.jsonl", "lexicon": "lexicon.txt"}
 
@@ -276,7 +277,7 @@ def export(samples, path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _parse_record(obj: dict, kind: str, spec: SyntheticSpec):
+def _parse_record(obj: dict, kind: str, spec: SyntheticSpec, lexicon: CategoryLexicon):
     """The sample of one record of ``kind``; ValueError naming what is wrong with it."""
     style, category, caption = obj["style"], obj["category"], obj["caption"]
     if type(style) is not int or type(category) is not int or not isinstance(caption, str):
@@ -284,6 +285,7 @@ def _parse_record(obj: dict, kind: str, spec: SyntheticSpec):
     if not (0 <= style < spec.n_styles and 0 <= category < spec.n_categories):
         raise ValueError(f"label (style {style}, category {category}) outside the spec's "
                          f"{spec.n_styles} styles x {spec.n_categories} categories")
+    split_caption(caption, lexicon)  # ConfigError, a ValueError, unless the caption has both halves to train on
     # A bool or a numeric string is no number, though float() and a float array take both as one.
     if kind == "point":
         x, y = obj["x"], obj["y"]
@@ -303,9 +305,12 @@ def load(path, kind: str, spec: SyntheticSpec):
     """Inverse of ``export`` for one record kind, "grid" or "point"; reports the offending line on bad input.
 
     Every line is a JSON object that ``checkpoint.read_object`` takes (no repeated key), with exactly the
-    keys of ``kind``, integer labels within ``spec``'s factor counts and a string caption; a point must be two
-    finite numbers and a grid (8, 8, 3) numbers in [0, 1], where neither a boolean nor a numeric string counts.
+    keys of ``kind``, integer labels within ``spec``'s factor counts and a string caption that ``spec``'s
+    category names, the one lexicon of training and generation, split into non-empty style and category
+    text; a point must be two finite numbers and a grid (8, 8, 3) numbers in [0, 1], where neither a
+    boolean nor a numeric string counts.
     """
+    lexicon = CategoryLexicon.from_words(spec.category_names)
     samples = []
     with open(path, "rb") as fh:  # decoded line by line, so a decode error names its line
         for lineno, raw in enumerate(fh, start=1):
@@ -314,14 +319,14 @@ def load(path, kind: str, spec: SyntheticSpec):
                 raise DatasetError(f"{path}: line {lineno} is not a {kind} record with keys "
                                    f"{sorted(RECORD_KEYS[kind])}")
             try:
-                samples.append(_parse_record(obj, kind, spec))
+                samples.append(_parse_record(obj, kind, spec, lexicon))
             except (TypeError, ValueError, OverflowError) as e:  # an integer too large for a float overflows
                 raise DatasetError(f"{path}: invalid record at line {lineno}: {e}") from e
     return samples
 
 
 def export_lexicon(spec: SyntheticSpec, path) -> None:
-    """Category nouns, one per line; the decomposer's input."""
+    """Category nouns, one per line; ``decompose``'s input, which no other command reads."""
     Path(path).write_text("".join(f"{n}\n" for n in spec.category_names), encoding="utf-8")
 
 

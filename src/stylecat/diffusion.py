@@ -132,9 +132,11 @@ class GuidanceCondition:
 def condition_for_caption(caption: str, encoders: EncoderBundle, alpha: float) -> GuidanceCondition:
     """The condition of a caption: each adapter reads its own half of the decomposed caption.
 
-    The caption is split with the bundle's category names as the lexicon;
-    the style adapter reads the style text and the category adapter the
-    category text, and each adapted feature is blended with its frozen one.
+    The caption is split with the bundle's category names as the lexicon,
+    as training splits it (a dataset's ``lexicon.txt`` is ``decompose``'s
+    input only); the style adapter reads the style text and the category
+    adapter the category text, and each adapted feature is blended with
+    its frozen one.
     """
     texts = split_caption(caption, CategoryLexicon.from_words(encoders.category_names))
     f = embed_captions(texts, encoders.backbone)

@@ -259,14 +259,21 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     """Train both adapters; returns (bundle, metrics_rows).
 
     The run's one ``_LabeledRun`` (labeled mode) or ``_TripletRun`` (over
-    decomposed captions) holds the bundle and the checked constants, and
+    captions decomposed with ``spec``'s category names, as generation
+    decomposes them) holds the bundle and the checked constants, and
     selects each batch. A batch runs one step per kind, style then
     category: its objective on the run, ``backward`` and the kind's own
     Adam. A triplet step's negative is the other adapter's feature of the
     other half caption, taken at the start of that kind's step.
+
+    ``lexicon``, if given, must be that same lexicon (ConfigError
+    otherwise); a dataset directory's ``lexicon.txt`` is ``decompose``'s
+    input only.
     """
-    if config.mode == "unlabeled" and lexicon is None:
-        raise ConfigError("unlabeled mode requires a category lexicon")
+    names_lexicon = CategoryLexicon.from_words(spec.category_names)
+    if lexicon not in (None, names_lexicon):
+        raise ConfigError(f"captions are split by the spec's category names {sorted(names_lexicon.words)}, "
+                          f"not by the lexicon {sorted(lexicon.words)}")
     data = subsample_shots(train_samples, config.shots)
     if not data:
         raise ConfigError("training set is empty")
@@ -283,7 +290,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         run = _LabeledRun(f_all, labels, bundle)
     else:
         objective = {"style": style_triplet_loss, "category": category_triplet_loss}
-        pairs = [split_caption(s.caption, lexicon) for s in data]
+        pairs = [split_caption(s.caption, names_lexicon) for s in data]
         texts = list(dict.fromkeys(text for pair in pairs for text in pair))
         frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone)))
         run = _TripletRun(f_all, {kind: np.stack([frozen_text[pair[k]] for pair in pairs])
@@ -337,17 +344,18 @@ SWEEPS = {"alpha": (("alpha_style", "alpha_category"), (0.0, 0.2, 0.4, 0.6, 0.8,
 
 
 def sweep(axis: str, grid, config: TrainConfig, testset, bundle: EncoderBundle | None = None,
-          spec: SyntheticSpec | None = None, train_samples=None, lexicon=None):
+          spec: SyntheticSpec | None = None, train_samples=None):
     """One "test" row per value of ``grid`` (None: the axis's default), with the axis's fields set to it.
 
     The alpha axis evaluates the trained ``bundle``; the lambda axis retrains
-    on ``spec`` and ``train_samples`` (and ``lexicon``) at the config's seed.
+    on ``spec`` and ``train_samples`` at the config's seed, splitting the
+    captions by ``spec``'s category names as ``train_encoders`` does.
     """
     names, default = SWEEPS[axis]
     rows = []
     for value in default if grid is None else grid:
         cfg = replace(config, **dict.fromkeys(names, value))
-        trained = bundle if axis == "alpha" else train_encoders(cfg, spec, train_samples, lexicon=lexicon)[0]
+        trained = bundle if axis == "alpha" else train_encoders(cfg, spec, train_samples)[0]
         rows.append(eval_row(trained, testset, cfg))
     return rows
 

@@ -134,6 +134,20 @@ class TestLexicon:
         lex = CategoryLexicon.from_words(["straße"])
         assert lex.matches("STRASSE")
 
+    def test_bad_file_entry_names_file_and_line(self, tmp_path, capsys):
+        """``decompose`` on a lexicon whose third line holds two words exits 1 naming that file and line, counted
+        as an editor counts them: a form feed ends no line."""
+        lexicon = tmp_path / "lx.txt"
+        lexicon.write_bytes(b"cat\r\n\x0c\nbig dog\n")
+        message = f"lexicon file {lexicon}, line 3: lexicon entry must be lowercase without whitespace: 'big dog'"
+        with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
+            CategoryLexicon.from_file(lexicon)
+        (tmp_path / "caps.txt").write_text("a neon cat\n", encoding="utf-8")
+        assert main(["decompose", "--captions", str(tmp_path / "caps.txt"), "--lexicon", str(lexicon),
+                     "--out", str(tmp_path / "out.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.jsonl").exists()
+
 
 class TestBatchDecompose:
     def test_three_lines_three_records(self, tmp_path, lexicon):

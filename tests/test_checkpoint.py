@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from stylecat.checkpoint import MAX_RANK, CheckpointError, load_checkpoint, save_checkpoint
+from stylecat.checkpoint import MAX_RANK, CheckpointError, load_checkpoint, read_object, save_checkpoint
 
 
 @pytest.fixture
@@ -127,3 +127,15 @@ def test_rank_above_the_limit_refused(tmp_path, rank):
     path.write_bytes(blob.replace(field, b"probe" + struct.pack("<I", rank)))
     with pytest.raises(CheckpointError, match=rf"r\.cclp: array probe has rank {rank}, above {MAX_RANK}"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"a": 1, "a": 2}', "meta repeats the keys ['a']"),
+    (b'{"a": 1' + b"0" * 5000 + b"}", "meta cannot be read as UTF-8 JSON: Exceeds the limit (4300 digits)"),
+    (b'{"a": 1', "meta cannot be read as UTF-8 JSON: Expecting ',' delimiter"),
+], ids=["repeated-key", "5001-digit-integer", "not-json"])
+def test_read_object_names_where_once(raw, message):
+    """Each refusal names ``where`` once: the repeated-key one of the hook is not wrapped a second time."""
+    with pytest.raises(CheckpointError) as e:
+        read_object(raw, "meta", CheckpointError)
+    assert str(e.value).startswith(message) and str(e.value).count("meta") == 1

@@ -12,6 +12,7 @@ also not repeat a key.
 
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ COMMANDS = {
     "spec": [TRAIN_ENCODERS],
     "config": [["train-encoders", "--data", "{dir}", "--config", "{dir}/config.json", "--out", "{dir}/out.cclp"]],
     "lexicon": [["decompose", "--captions", "{dir}/captions.txt", "--lexicon", "{dir}/lexicon.txt",
-                 "--out", "{dir}/out.jsonl"], TRAIN_ENCODERS + ["--mode", "unlabeled"]],
+                 "--out", "{dir}/out.jsonl"]],
     "checkpoint": [["eval-classify", "--checkpoint", "{dir}/encoders.cclp", "--data", "{dir}"]],
 }
 
@@ -120,6 +121,25 @@ def test_repeated_key_is_refused(tmp_path, capsys, valid_files, kind):
     assert key, raw[start:start + 40]
     path = write_files(tmp_path, valid_files, name, raw[:start + 1] + key[1] + b": 0, " + raw[start + 1:])
     with pytest.raises(error, match=re.escape(f"repeats the keys [{key[1].decode()[1:-1]!r}]")) as e:
+        read(path)
+    assert str(path) in str(e.value) and (form != "jsonl" or re.search(r"\bline 2\b", str(e.value)))
+    run_commands(kind, tmp_path, path, capsys, may_pass=False)
+
+
+@pytest.mark.parametrize("kind", [kind for kind in READERS if kind != "lexicon"])
+def test_integer_beyond_the_digit_limit_is_refused(tmp_path, capsys, valid_files, kind):
+    """An integer of more digits than Python converts, put first in the object that a reader takes (a JSONL
+    file's second line, a checkpoint's metadata), is refused by the reader's typed error naming the file."""
+    name, read, error, form = READERS[kind]
+    raw = valid_files[name]
+    if form == "binary":
+        start = raw.rindex(b'{"config": ')
+    else:
+        start = raw.index(b"\n") + 1 if form == "jsonl" else 0
+    assert raw[start:start + 1] == b"{"
+    huge = b'"x": 1' + b"0" * sys.get_int_max_str_digits() + b", "
+    path = write_files(tmp_path, valid_files, name, raw[:start + 1] + huge + raw[start + 1:])
+    with pytest.raises(error, match=r"cannot be read as UTF-8 JSON: Exceeds the limit") as e:
         read(path)
     assert str(path) in str(e.value) and (form != "jsonl" or re.search(r"\bline 2\b", str(e.value)))
     run_commands(kind, tmp_path, path, capsys, may_pass=False)

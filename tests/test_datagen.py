@@ -182,7 +182,7 @@ class TestPersistence:
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"x": 1.0, "y": 2.0, "style": 0, "category": 0, "caption": "c"}\nnot json\n')
+        path.write_text('{"x": 1.0, "y": 2.0, "style": 0, "category": 0, "caption": "a sketch style cat"}\nnot json\n')
         with pytest.raises(DatasetError, match="line 2"):
             load(path, "point", SyntheticSpec())
 
@@ -210,9 +210,13 @@ class TestPersistence:
         ("point", {**POINT, "x": 10**400}, "too large"),
         ("grid", {**GRID, "grid": np.full((8, 8, 3), "0.5").tolist()}, "must be numbers"),
         ("grid", {**GRID, "grid": [[[True, 0.5, 0.5]] * 8] * 8}, "must be numbers"),
+        # the spec's category names, cat, dog, car and tree, must leave a style half and a category half
+        ("grid", {**GRID, "caption": "a sketch style"}, "caption 'a sketch style' does not decompose"),
+        ("point", {**POINT, "caption": "cats"}, "caption 'cats' does not decompose"),
+        ("point", {**POINT, "caption": "a sketch style lamp"}, "caption 'a sketch style lamp' does not decompose"),
     ], ids=["point-as-grid", "grid-as-point", "four-rows", "style-9", "category-minus-1", "value-1.5",
             "style-1.7", "caption-5", "x-nan", "x-string", "y-true", "x-huge-int", "grid-strings",
-            "grid-mixed-bool"])
+            "grid-mixed-bool", "caption-no-category", "caption-no-style", "caption-other-noun"])
     def test_record_checked_against_kind_and_spec(self, tmp_path, kind, record, problem):
         path = tmp_path / "d.jsonl"
         good = self.GRID if kind == "grid" else self.POINT

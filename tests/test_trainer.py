@@ -16,7 +16,7 @@ import pytest
 import stylecat.cli as cli_mod
 import stylecat.train as train_mod
 from stylecat.backbone import embed_captions
-from stylecat.captions import CategoryLexicon, LexiconError, split_caption
+from stylecat.captions import CategoryLexicon, split_caption
 from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stylecat.cli import main
 from stylecat.datagen import DatasetError, SyntheticSpec, generate_classification_dataset, read_spec, write_dataset_dir
@@ -223,10 +223,21 @@ class TestTrainEncoders:
         assert rows[-1]["style_loss"] < rows[0]["style_loss"]
         assert rows[-1]["category_loss"] < rows[0]["category_loss"]
 
-    def test_unlabeled_requires_lexicon(self, spec, dataset):
+    @pytest.mark.parametrize("mode", ["unlabeled", "labeled"])
+    def test_lexicon_keyword_takes_only_the_category_names(self, spec, dataset, mode):
+        """Captions split by the spec's category names: passing that lexicon changes nothing, another one
+        (here with a style name added) is refused in either mode."""
         train, _ = dataset
-        with pytest.raises(ConfigError, match="lexicon"):
-            train_encoders(TrainConfig(mode="unlabeled"), spec, train)
+        config = TrainConfig(mode=mode, epochs=1, shots=2)
+        plain = bundle_arrays(train_encoders(config, spec, train)[0])
+        names = CategoryLexicon.from_words(spec.category_names)
+        same = bundle_arrays(train_encoders(config, spec, train, lexicon=names)[0])
+        assert all(plain[k].tobytes() == same[k].tobytes() for k in plain) and plain.keys() == same.keys()
+        other = CategoryLexicon.from_words([*spec.category_names, "neon"])
+        message = ("captions are split by the spec's category names ['car', 'cat', 'dog', 'tree'], "
+                   "not by the lexicon ['car', 'cat', 'dog', 'neon', 'tree']")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            train_encoders(config, spec, train, lexicon=other)
 
     def test_identical_runs_produce_identical_metrics_csv(self, spec, dataset, tmp_path):
         train, _ = dataset
@@ -1095,6 +1106,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["sample", "--style", "sketch", "--category", "cat", "-n", "1000000000000"],
+                                      ["guidance-eval", "--n-per-cell", "1000000000000"]],
+                             ids=["sample", "guidance-eval"])
+    def test_a_count_too_large_for_memory_exits_one(self, generator, tmp_path, capsys, monkeypatch, argv):
+        """The sampler's allocation fails as numpy's would; no real array of that size is asked for."""
+        def out_of_memory(n, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate an array with shape ({n}, 2) and data type float64")
+
+        monkeypatch.setattr(cli_mod, "ddpm_sample", out_of_memory)
+        monkeypatch.setattr(train_mod, "sample", out_of_memory)
+        assert self.run(*argv, "--checkpoint", str(generator), "--out", str(tmp_path / "s.csv")) == 1
+        assert capsys.readouterr().err == ("error: Unable to allocate an array with shape (1000000000000, 2) "
+                                           "and data type float64\n")
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("split, edit", [("clf_test", "point"), ("diff_train", "grid"), ("clf_test", "four-rows"),
                                              ("clf_test", "style-9"), ("clf_test", "value-2")])
     def test_damaged_dataset_exits_one(self, spec, data_dir, tmp_path, capsys, split, edit):
@@ -1117,22 +1143,61 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: {path}: " in err and f"line {len(lines) + 1}" in err and "Traceback" not in err
 
-    def test_only_unlabeled_runs_read_the_lexicon(self, data_dir, tmp_path, capsys):
-        """A blank ``lexicon.txt`` stops an unlabeled run, and no labeled one."""
+    @pytest.mark.parametrize("lexicon", ["blank", "missing", "extra-style-name"])
+    def test_no_training_run_reads_the_lexicon(self, data_dir, tmp_path, lexicon):
+        """``lexicon.txt`` is ``decompose``'s input only: blank, missing, or with a style name added (which
+        would split "a neon style cat" into "style" and "neon cat"), it leaves every training run's output
+        byte-identical to the one from the directory as ``gen-data`` wrote it."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"mode": "unlabeled", "epochs": 1, "shots": 2}))
+        outputs = {}
+        for name in ("plain", lexicon):
+            data = tmp_path / name
+            shutil.copytree(data_dir, data)
+            if name == "blank":
+                (data / "lexicon.txt").write_text("\n  \n", encoding="utf-8")
+            elif name == "missing":
+                (data / "lexicon.txt").unlink()
+            elif name == "extra-style-name":
+                (data / "lexicon.txt").write_text((data_dir / "lexicon.txt").read_text() + "neon\n", encoding="utf-8")
+            for mode in ("unlabeled", "labeled"):
+                assert self.run("train-encoders", "--data", str(data), "--config", str(config), "--mode", mode,
+                                "--out", str(tmp_path / f"{name}-{mode}.cclp")) == 0
+            assert self.run("sweep", "--axis", "lambda", "--data", str(data), "--config", str(config),
+                            "--grid", "0.0", "--out", str(tmp_path / f"{name}.csv")) == 0
+            outputs[name] = [(tmp_path / f"{name}{suffix}").read_bytes()
+                             for suffix in ("-unlabeled.cclp", "-labeled.cclp", ".csv")]
+        assert outputs[lexicon] == outputs["plain"]
+
+    @pytest.mark.parametrize("caption", ["a neon style", "cat"], ids=["no-category", "no-style"])
+    @pytest.mark.parametrize("split", ["clf_train", "clf_test", "diff_train"])
+    def test_unsplittable_caption_exits_one(self, spec, data_dir, tmp_path, capsys, split, caption):
+        """A record whose caption the spec's category names do not split into a style half and a category
+        half stops every command that reads its file, in either training mode, naming the file and line."""
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
-        (data / "lexicon.txt").write_text("\n  \n", encoding="utf-8")
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"epochs": 1, "shots": 1}))
-        train = ("train-encoders", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "x.cclp"))
-        assert self.run(*train, "--mode", "labeled") == 0
-        assert self.run("sweep", "--axis", "lambda", "--data", str(data), "--config", str(config),
-                        "--grid", "0.0", "--out", str(tmp_path / "s.csv")) == 0
-        capsys.readouterr()
-        assert self.run(*train, "--mode", "unlabeled") == 1
-        assert f"error: lexicon file {data / 'lexicon.txt'} contains no entries" in capsys.readouterr().err
-        with pytest.raises(LexiconError, match="contains no entries"):
-            cli_mod._load_dataset_dir(data, "unlabeled")
+        path = data / f"{split}.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "caption": caption})
+        path.write_text("\n".join(lines) + "\n")
+        ckpt = tmp_path / "enc.cclp"
+        save_encoder_checkpoint(ckpt, fresh_bundle(spec, TrainConfig(epochs=0)), TrainConfig(epochs=0), spec)
+        (tmp_path / "c.json").write_text(json.dumps({"mode": "unlabeled", "epochs": 1}))
+        config, out = ("--config", str(tmp_path / "c.json")), ("--out", str(tmp_path / "out"))
+        commands = {
+            "clf_train": [("train-encoders", "--data", str(data), *config, *out, "--mode", mode)
+                          for mode in ("labeled", "unlabeled")]
+            + [("sweep", "--axis", "lambda", "--data", str(data), "--grid", "0.0", *config, *out)],
+            "clf_test": [("eval-classify", "--checkpoint", str(ckpt), "--data", str(data)),
+                         ("sweep", "--axis", "alpha", "--checkpoint", str(ckpt), "--data", str(data), *out)],
+            "diff_train": [("train-diffusion", "--encoders", str(ckpt), "--data", str(data), *out)],
+        }[split]
+        for argv in commands:
+            capsys.readouterr()
+            assert self.run(*argv) == 1, argv
+            assert capsys.readouterr().err == (f"error: {path}: invalid record at line 2: caption {caption!r} "
+                                               "does not decompose into non-empty style and category text\n")
+            assert not (tmp_path / "out").exists()
 
     def test_default_sweep_csvs_are_pinned(self, tmp_path, monkeypatch):
         """The default-grid alpha and lambda sweeps of a small run write these exact bytes."""
