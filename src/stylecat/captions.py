@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backbone import words_of
-from .losses import ConfigError
+from .checkpoint import ConfigError
 
 ARTICLES = frozenset({"a", "an", "the"})
 

@@ -8,9 +8,10 @@ save -> load -> save is byte-identical. Every array is finite: a NaN or an
 infinity is refused on save (after the float32 cast, so an overflow is
 refused too) and on load, and its rank is at most ``MAX_RANK``.
 
-The package's one policy for a JSON object read from outside lives here too:
-``read_object`` refuses a repeated key, ``from_fields`` an unknown one, and
-``check_types`` a field value that its annotation refuses.
+The package's one policy for a JSON object read from outside lives here too,
+with ``ConfigError``, which ``captions`` and ``losses`` raise: ``read_object``
+refuses a repeated key, ``from_fields`` an unknown one, and ``check_types`` a
+field value that its annotation refuses.
 """
 
 from __future__ import annotations
@@ -32,10 +33,14 @@ class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint file."""
 
 
+class ConfigError(ValueError):
+    """Invalid hyperparameter or mode configuration."""
+
+
 def read_object(raw: bytes, where: str, error: type[ValueError]) -> dict:
     """The JSON object in the bytes ``raw``; ``error`` naming ``where`` (a file, or a file and line) if they
-    are not UTF-8 JSON, hold an integer of more digits than Python converts, or are not an object, or an
-    object in them repeats a key, whose last value would win."""
+    are not UTF-8 JSON, hold an integer of more digits than Python converts or a nesting deeper than its
+    recursion limit, or are not an object, or an object in them repeats a key, whose last value would win."""
     def unique(pairs):
         keys = [k for k, _ in pairs]
         if len(set(keys)) < len(keys):
@@ -46,7 +51,7 @@ def read_object(raw: bytes, where: str, error: type[ValueError]) -> dict:
         obj = json.loads(raw.decode("utf-8"), object_pairs_hook=unique)
     except error:  # the refusal of ``unique``, which names ``where`` already
         raise
-    except ValueError as e:  # not UTF-8, not JSON, or an integer beyond ``sys.get_int_max_str_digits()``
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, too many digits, or nested too deep
         raise error(f"{where} cannot be read as UTF-8 JSON: {e}") from e
     if not isinstance(obj, dict):
         raise error(f"{where} must be a JSON object, got {type(obj).__name__}")

@@ -83,11 +83,12 @@ class SyntheticSpec:
         if repeated:
             raise DatasetError(f"style_names and category_names repeat {repeated}, ignoring case")
         # split_caption files every word that a category name matches (plural included) as category text
-        category = CategoryLexicon.from_words(self.category_names)
-        if taken := [w for w in (*self.style_names, *TEMPLATE_WORDS) if category.matches(w)]:
+        lexicon = CategoryLexicon.from_words(self.category_names)
+        if taken := [w for w in (*self.style_names, *TEMPLATE_WORDS) if lexicon.matches(w)]:
             raise DatasetError(f"category_names match {taken}, outside the category slot of {CAPTION_TEMPLATE!r}")
         object.__setattr__(self, "style_names", tuple(self.style_names))
         object.__setattr__(self, "category_names", tuple(self.category_names))
+        object.__setattr__(self, "lexicon", lexicon)  # no field, so no JSON key: the one split of every caption
 
     def caption(self, style_idx: int, category_idx: int) -> str:
         return CAPTION_TEMPLATE.format(
@@ -134,23 +135,23 @@ def _cell_rng(seed: int, style_idx: int, category_idx: int, stream: int) -> np.r
     return np.random.default_rng([seed, stream, style_idx, category_idx])
 
 
+SHAPES = (
+    lambda yy, xx: (yy - 3.5) ** 2 + (xx - 3.5) ** 2 <= 6.5,                    # disk
+    lambda yy, xx: (np.abs(xx - 3.5) < 1.2) | (np.abs(yy - 3.5) < 1.2),         # cross
+    lambda yy, xx: (2.2 <= (d := np.maximum(np.abs(xx - 3.5), np.abs(yy - 3.5)))) & (d <= 3.2),  # frame
+    lambda yy, xx: (yy >= xx - 1) & (yy >= 6 - xx - 1) & (yy <= 6),             # triangle
+    lambda yy, xx: xx % 2 == 0,                                                 # vertical stripes
+    lambda yy, xx: yy % 2 == 0,                                                 # horizontal stripes
+    lambda yy, xx: (xx + yy) % 3 == 0,                                          # diagonals
+    lambda yy, xx: (xx % 3 == 1) & (yy % 3 == 1),                               # dots
+)
+
+
 def _shape_mask(category_idx: int, seed: int) -> np.ndarray:
-    """Deterministic 8x8 binary mask per category."""
-    yy, xx = np.mgrid[0:8, 0:8]
-    cx = cy = 3.5
-    bank = [
-        (yy - cy) ** 2 + (xx - cx) ** 2 <= 6.5,                      # disk
-        (np.abs(xx - 3.5) < 1.2) | (np.abs(yy - 3.5) < 1.2),         # cross
-        (np.maximum(np.abs(xx - 3.5), np.abs(yy - 3.5)) >= 2.2)
-        & (np.maximum(np.abs(xx - 3.5), np.abs(yy - 3.5)) <= 3.2),   # frame
-        (yy >= xx - 1) & (yy >= 6 - xx - 1) & (yy <= 6),             # triangle
-        (xx % 2 == 0),                                               # vertical stripes
-        (yy % 2 == 0),                                               # horizontal stripes
-        ((xx + yy) % 3 == 0),                                        # diagonals
-        ((xx % 3 == 1) & (yy % 3 == 1)),                             # dots
-    ]
-    if category_idx < len(bank):
-        return bank[category_idx].astype(np.float64)
+    """Deterministic 8x8 binary mask of one category: its ``SHAPES`` function of the pixel rows and columns,
+    past them a seeded random mask."""
+    if category_idx < len(SHAPES):
+        return SHAPES[category_idx](*np.mgrid[0:8, 0:8]).astype(np.float64)
     rng = np.random.default_rng([seed, 7001, category_idx])
     return (rng.random((8, 8)) < 0.5).astype(np.float64)
 
@@ -165,32 +166,26 @@ def _palette(style_idx: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return fg, bg
 
 
-def prototype_grid(spec: SyntheticSpec, style_idx: int, category_idx: int) -> np.ndarray:
-    """Noise-free grid for one (style, category) cell."""
-    mask = _shape_mask(category_idx, spec.seed)[:, :, None]
-    fg, bg = _palette(style_idx, spec.seed)
-    return mask * fg + (1.0 - mask) * bg
-
-
 def prototype_grids(spec: SyntheticSpec) -> list:
-    return [
-        [prototype_grid(spec, i, j) for j in range(spec.n_categories)]
-        for i in range(spec.n_styles)
-    ]
+    """Noise-free grids by [style][category]; each category's mask and each style's palette is built once."""
+    masks = [_shape_mask(j, spec.seed)[:, :, None] for j in range(spec.n_categories)]
+    palettes = [_palette(i, spec.seed) for i in range(spec.n_styles)]
+    return [[mask * fg + (1.0 - mask) * bg for mask in masks] for fg, bg in palettes]
 
 
 def generate_classification_dataset(spec: SyntheticSpec):
-    """Balanced train/test grids; additive uniform noise stays within [0,1]."""
+    """Balanced train/test grids: each cell's prototype plus uniform noise, clipped to [0, 1]."""
+    protos = prototype_grids(spec)
     train, test = [], []
     for i in range(spec.n_styles):
         for j in range(spec.n_categories):
-            proto = prototype_grid(spec, i, j)
             rng = _cell_rng(spec.seed, i, j, stream=1)
             caption = spec.caption(i, j)
             for split, count in ((train, spec.n_train), (test, spec.n_test)):
-                # one draw of ``count`` grids reads the same uniform stream as ``count`` draws of one
-                noise = rng.uniform(-spec.noise, spec.noise, size=(count, *proto.shape))
-                grids = np.clip(proto + noise, 0.0, 1.0)
+                # one draw of ``count`` grids reads the stream of ``count`` draws of one, made grids in place
+                grids = rng.uniform(-spec.noise, spec.noise, size=(count, *GRID_SHAPE))
+                grids += protos[i][j]
+                np.clip(grids, 0.0, 1.0, out=grids)
                 split.extend(ClassificationSample(grid=grid, style=i, category=j, caption=caption)
                              for grid in grids)
     return train, test
@@ -257,9 +252,10 @@ def generate_diffusion_dataset(spec: SyntheticSpec, n_per_cell: int | None = Non
             rng = _cell_rng(spec.seed, i, j, stream=2)
             chol = np.linalg.cholesky(mixture.covs[i, j])
             caption = spec.caption(i, j)
-            for _ in range(n):
-                p = mixture.means[i, j] + chol @ rng.standard_normal(2)
-                points.append(PointSample(x=float(p[0]), y=float(p[1]), style=i, category=j, caption=caption))
+            # one draw of n points reads the stream of n draws of one; the stacked product is ``chol @ z`` per point
+            z = rng.standard_normal((n, 2))
+            xy = mixture.means[i, j] + np.matmul(chol, z[:, :, None])[:, :, 0]
+            points.extend(PointSample(x=float(x), y=float(y), style=i, category=j, caption=caption) for x, y in xy)
     return points, mixture
 
 
@@ -277,7 +273,7 @@ def export(samples, path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _parse_record(obj: dict, kind: str, spec: SyntheticSpec, lexicon: CategoryLexicon):
+def _parse_record(obj: dict, kind: str, spec: SyntheticSpec):
     """The sample of one record of ``kind``; ValueError naming what is wrong with it."""
     style, category, caption = obj["style"], obj["category"], obj["caption"]
     if type(style) is not int or type(category) is not int or not isinstance(caption, str):
@@ -285,7 +281,7 @@ def _parse_record(obj: dict, kind: str, spec: SyntheticSpec, lexicon: CategoryLe
     if not (0 <= style < spec.n_styles and 0 <= category < spec.n_categories):
         raise ValueError(f"label (style {style}, category {category}) outside the spec's "
                          f"{spec.n_styles} styles x {spec.n_categories} categories")
-    split_caption(caption, lexicon)  # ConfigError, a ValueError, unless the caption has both halves to train on
+    split_caption(caption, spec.lexicon)  # ConfigError, a ValueError, unless the caption has both halves to train on
     # A bool or a numeric string is no number, though float() and a float array take both as one.
     if kind == "point":
         x, y = obj["x"], obj["y"]
@@ -306,11 +302,10 @@ def load(path, kind: str, spec: SyntheticSpec):
 
     Every line is a JSON object that ``checkpoint.read_object`` takes (no repeated key), with exactly the
     keys of ``kind``, integer labels within ``spec``'s factor counts and a string caption that ``spec``'s
-    category names, the one lexicon of training and generation, split into non-empty style and category
+    ``lexicon``, the one lexicon of training and generation, splits into non-empty style and category
     text; a point must be two finite numbers and a grid (8, 8, 3) numbers in [0, 1], where neither a
     boolean nor a numeric string counts.
     """
-    lexicon = CategoryLexicon.from_words(spec.category_names)
     samples = []
     with open(path, "rb") as fh:  # decoded line by line, so a decode error names its line
         for lineno, raw in enumerate(fh, start=1):
@@ -319,7 +314,7 @@ def load(path, kind: str, spec: SyntheticSpec):
                 raise DatasetError(f"{path}: line {lineno} is not a {kind} record with keys "
                                    f"{sorted(RECORD_KEYS[kind])}")
             try:
-                samples.append(_parse_record(obj, kind, spec, lexicon))
+                samples.append(_parse_record(obj, kind, spec))
             except (TypeError, ValueError, OverflowError) as e:  # an integer too large for a float overflows
                 raise DatasetError(f"{path}: invalid record at line {lineno}: {e}") from e
     return samples

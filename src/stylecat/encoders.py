@@ -19,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import FrozenWeights, embed_captions
+from .captions import CategoryLexicon
 from .tensor import ParamGroup, Tensor
 
 PROMPT_TEMPLATES = {"style": "a {} style", "category": "a {}"}
@@ -117,6 +118,7 @@ class EncoderBundle:
         self.category_adapter = category_adapter
         self.style_names = tuple(style_names)
         self.category_names = tuple(category_names)
+        self.lexicon = CategoryLexicon.from_words(self.category_names)  # splits each caption to condition on
         # (K, D) frozen prompt feature arrays, one row per class name: constants of the backbone.
         self.prompt_features = {
             kind: embed_captions([PROMPT_TEMPLATES[kind].format(name) for name in names], backbone)

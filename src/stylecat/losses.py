@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import ConfigError
 from .encoders import _KINDS, _OTHER, EncoderBundle, adapt_array
 from .tensor import Tensor
 
@@ -32,10 +33,6 @@ if TYPE_CHECKING:
     from .train import TrainConfig
 
 ADVERSARIAL_MODES = ("uniform-kl", "negated-ce")
-
-
-class ConfigError(ValueError):
-    """Invalid hyperparameter or mode configuration."""
 
 
 # numpy helpers: each returns a forward value and its backward

@@ -259,8 +259,8 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     """Train both adapters; returns (bundle, metrics_rows).
 
     The run's one ``_LabeledRun`` (labeled mode) or ``_TripletRun`` (over
-    captions decomposed with ``spec``'s category names, as generation
-    decomposes them) holds the bundle and the checked constants, and
+    captions decomposed with ``spec.lexicon``, of its category names, as
+    generation decomposes them) holds the bundle and the checked constants, and
     selects each batch. A batch runs one step per kind, style then
     category: its objective on the run, ``backward`` and the kind's own
     Adam. A triplet step's negative is the other adapter's feature of the
@@ -270,9 +270,8 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     otherwise); a dataset directory's ``lexicon.txt`` is ``decompose``'s
     input only.
     """
-    names_lexicon = CategoryLexicon.from_words(spec.category_names)
-    if lexicon not in (None, names_lexicon):
-        raise ConfigError(f"captions are split by the spec's category names {sorted(names_lexicon.words)}, "
+    if lexicon not in (None, spec.lexicon):
+        raise ConfigError(f"captions are split by the spec's category names {sorted(spec.lexicon.words)}, "
                           f"not by the lexicon {sorted(lexicon.words)}")
     data = subsample_shots(train_samples, config.shots)
     if not data:
@@ -290,7 +289,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         run = _LabeledRun(f_all, labels, bundle)
     else:
         objective = {"style": style_triplet_loss, "category": category_triplet_loss}
-        pairs = [split_caption(s.caption, names_lexicon) for s in data]
+        pairs = [split_caption(s.caption, spec.lexicon) for s in data]
         texts = list(dict.fromkeys(text for pair in pairs for text in pair))
         frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone)))
         run = _TripletRun(f_all, {kind: np.stack([frozen_text[pair[k]] for pair in pairs])

@@ -126,10 +126,9 @@ def test_repeated_key_is_refused(tmp_path, capsys, valid_files, kind):
     run_commands(kind, tmp_path, path, capsys, may_pass=False)
 
 
-@pytest.mark.parametrize("kind", [kind for kind in READERS if kind != "lexicon"])
-def test_integer_beyond_the_digit_limit_is_refused(tmp_path, capsys, valid_files, kind):
-    """An integer of more digits than Python converts, put first in the object that a reader takes (a JSONL
-    file's second line, a checkpoint's metadata), is refused by the reader's typed error naming the file."""
+def refuse_first_value(tmp_path, capsys, valid_files, kind, value: bytes, problem: str):
+    """``value``, put first in the object that a reader takes (a JSONL file's second line, a checkpoint's
+    metadata), is refused by the reader's typed error naming the file (and line) and ``problem``."""
     name, read, error, form = READERS[kind]
     raw = valid_files[name]
     if form == "binary":
@@ -137,9 +136,33 @@ def test_integer_beyond_the_digit_limit_is_refused(tmp_path, capsys, valid_files
     else:
         start = raw.index(b"\n") + 1 if form == "jsonl" else 0
     assert raw[start:start + 1] == b"{"
-    huge = b'"x": 1' + b"0" * sys.get_int_max_str_digits() + b", "
-    path = write_files(tmp_path, valid_files, name, raw[:start + 1] + huge + raw[start + 1:])
-    with pytest.raises(error, match=r"cannot be read as UTF-8 JSON: Exceeds the limit") as e:
+    path = write_files(tmp_path, valid_files, name, raw[:start + 1] + b'"x": ' + value + b", " + raw[start + 1:])
+    with pytest.raises(error, match=f"cannot be read as UTF-8 JSON: {problem}") as e:
         read(path)
     assert str(path) in str(e.value) and (form != "jsonl" or re.search(r"\bline 2\b", str(e.value)))
     run_commands(kind, tmp_path, path, capsys, may_pass=False)
+
+
+@pytest.mark.parametrize("kind", [kind for kind in READERS if kind != "lexicon"])
+def test_integer_beyond_the_digit_limit_is_refused(tmp_path, capsys, valid_files, kind):
+    """An integer of more digits than Python converts."""
+    huge = b"1" + b"0" * sys.get_int_max_str_digits()
+    refuse_first_value(tmp_path, capsys, valid_files, kind, huge, "Exceeds the limit")
+
+
+NESTED = b"[" * 5000 + b"]" * 5000  # deeper than Python's recursion limit
+
+
+@pytest.mark.parametrize("kind", [kind for kind in READERS if kind != "lexicon"])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, valid_files, kind):
+    """Arrays nested deeper than the recursion limit, which the JSON decoder descends."""
+    refuse_first_value(tmp_path, capsys, valid_files, kind, NESTED, "maximum recursion depth exceeded")
+
+
+def test_deeply_nested_config_is_one_error_line(tmp_path, capsys, valid_files):
+    """``train-encoders --config`` on nothing but nested arrays exits 1 with one ``error:`` line, no traceback."""
+    path = write_files(tmp_path, valid_files, "deep.json", NESTED)
+    code = main(["train-encoders", "--data", str(tmp_path), "--config", str(path), "--out", str(tmp_path / "o.cclp")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1, (code, err)
+    assert err[0].startswith(f"error: config {path} cannot be read as UTF-8 JSON: maximum recursion depth exceeded")

@@ -1,17 +1,20 @@
 """Synthetic data: determinism, balance, learnability, and persistence."""
 
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
+from stylecat.captions import CategoryLexicon
 from stylecat.datagen import (
     ClassificationSample,
     DatasetError,
     PointSample,
     SyntheticSpec,
     build_mixture,
+    default_names,
     export,
     export_lexicon,
     generate_classification_dataset,
@@ -73,6 +76,13 @@ class TestSpecValidation:
         with pytest.raises(DatasetError, match="seed >= 0"):
             SyntheticSpec(seed=-1)
 
+    def test_lexicon_is_an_attribute_not_a_field(self, spec):
+        """The category names' lexicon is built with the spec and is no JSON key, so no file can set it."""
+        assert spec.lexicon == CategoryLexicon.from_words(spec.category_names)
+        assert "lexicon" not in spec.to_json()
+        with pytest.raises(DatasetError, match=re.escape("unknown spec keys: ['lexicon']")):
+            SyntheticSpec.from_json({**spec.to_json(), "lexicon": ["cat"]})
+
 
 class TestClassificationData:
     def test_determinism(self, spec):
@@ -115,6 +125,42 @@ class TestClassificationData:
             centroids = np.stack([x_train[y_train == c].mean(axis=0) for c in range(k)])
             pred = ((x_test[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
             assert (pred == y_test).mean() >= 0.95
+
+
+def sha256(arrays) -> str:
+    return hashlib.sha256(np.ascontiguousarray(np.stack(arrays), dtype="<f8").tobytes()).hexdigest()
+
+
+# sha256 of the float64 bytes of the stacked prototype, train and test grids, taken when each category's
+# mask and each style's palette were still rebuilt for every cell; the grids use no BLAS, so every kernel
+# gives these bits
+PINNED = {
+    "default": (SyntheticSpec(), {
+        "prototypes": "1fab63e9badc13e6f0ba0eb9f835f80e0450111c6dde7c9d5cf411e4bc44a68d",
+        "train": "25bf0847c289daf4a2353e311a63332784fa020906f422ea29ce70f9a53da5b3",
+        "test": "311e99fa9de80840acc68bad478199f9a3a5aff754d588b2d7c824e1b09a18dc"}),
+    "ten-categories": (SyntheticSpec(n_categories=10, category_names=default_names(10, "category")), {
+        "prototypes": "aad2d046c040b50b7a40e0bbef96804038ce43d45b5f1389a0d84d27bb95a683",
+        "train": "40ba55f65e2d4aaa924d0a7728c3290953b56f34806d2253dfbf4bc6581e75ce",
+        "test": "cb31a4e5a261c82b6a670219becc1a7cf3fa242e1c1a88d66d35b63f94ed59cb"}),
+    "seed-noise": (SyntheticSpec(seed=11, noise=0.3), {
+        "prototypes": "db0c9a9cd1bcfb3517f587fcdf30b17d20a26e339eac9be40b401852a7e4b3c6",
+        "train": "418688f8bc46147529bc00a3007b47771f8f1cbcd21083100a5e05ad663baf4a",
+        "test": "5a933f968e4e724a5f81d286ea4e22957a09e77f5fddaa309d3820b387b8acbd"}),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_generated_grids_are_pinned(name):
+    """The default spec; ten categories, the last two past the shape bank on seeded random masks; and a
+    seed and noise of their own, where noise of 0.3 around palettes in [0.2, 0.8] is clipped."""
+    spec, expected = PINNED[name]
+    train, test = generate_classification_dataset(spec)
+    got = {"prototypes": sha256([np.stack(row) for row in prototype_grids(spec)]),
+           "train": sha256([s.grid for s in train]), "test": sha256([s.grid for s in test])}
+    assert got == expected
+    grids = np.stack([s.grid for s in train])
+    assert (name == "seed-noise") == bool(np.any(grids == 0.0) and np.any(grids == 1.0))
 
 
 class TestMixture:

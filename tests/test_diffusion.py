@@ -13,6 +13,7 @@ from stylecat import diffusion as diffusion_mod
 from stylecat import tensor as T
 from stylecat import train as train_mod
 from stylecat.backbone import embed_caption
+from stylecat.captions import CategoryLexicon
 from stylecat.datagen import DatasetError, SyntheticSpec, build_mixture, generate_diffusion_dataset
 from stylecat.diffusion import (
     DenoiserParams,
@@ -167,6 +168,20 @@ class TestBuildConditions:
         assert np.array_equal(base.tau_category, other_style.tau_category)
         assert np.array_equal(base.tau_style, other_category.tau_style)
         assert not np.array_equal(base.tau_style, other_style.tau_style)
+
+    def test_caption_is_split_by_the_bundles_lexicon(self, world, monkeypatch):
+        """The bundle builds its category names' lexicon once; a condition builds none of its own."""
+        spec, _, bundle = world
+        assert bundle.lexicon == spec.lexicon
+        expected = condition_for_caption(spec.caption(1, 2), bundle, 0.1)
+
+        def refuse(cls, words):
+            raise AssertionError("condition_for_caption built a lexicon")
+
+        monkeypatch.setattr(CategoryLexicon, "from_words", classmethod(refuse))
+        got = condition_for_caption(spec.caption(1, 2), bundle, 0.1)
+        assert np.array_equal(got.tau_style, expected.tau_style)
+        assert np.array_equal(got.tau_category, expected.tau_category)
 
     @pytest.mark.parametrize("caption", ["a neon style", "cat", ""])
     def test_caption_without_both_halves_is_a_config_error(self, world, caption):
