@@ -252,9 +252,10 @@ def generate_diffusion_dataset(spec: SyntheticSpec, n_per_cell: int | None = Non
             rng = _cell_rng(spec.seed, i, j, stream=2)
             chol = np.linalg.cholesky(mixture.covs[i, j])
             caption = spec.caption(i, j)
-            # one draw of n points reads the stream of n draws of one; the stacked product is ``chol @ z`` per point
+            # one draw of n points reads the stream of n draws of one; ``chol @ z`` per point, written out
+            # elementwise so that no BLAS kernel reorders its two-term sums
             z = rng.standard_normal((n, 2))
-            xy = mixture.means[i, j] + np.matmul(chol, z[:, :, None])[:, :, 0]
+            xy = mixture.means[i, j] + (z[:, :1] * chol[:, 0] + z[:, 1:] * chol[:, 1])
             points.extend(PointSample(x=float(x), y=float(y), style=i, category=j, caption=caption) for x, y in xy)
     return points, mixture
 

@@ -11,11 +11,12 @@ each attention path reduces to its value projection.
 The denoiser has two forward bodies. ``predict_noise`` and
 ``ddpm_train_step`` run the layered one, ``_LayeredBuffers``, with its
 hand-written backward: ``predict_noise`` runs its forward alone and records
-no tape node, and ``ddpm_train_step`` runs forward, loss and backward in
-one call on the run's ``_TrainBuffers``, which writes the gradients into
-the denoiser's ``flat_grad`` and returns the loss as a float. The layered
-body takes one input form, n timesteps and n condition indices: its
-callers broadcast one timestep and give a one-row condition's missing
+no tape node, and ``ddpm_train_step`` runs forward, loss and backward in one
+call on the run's ``_TrainBuffers``, which holds the run's points and
+checked them once, when it was built; the step draws its own batch, checks
+nothing, writes the gradients into the denoiser's ``flat_grad`` and returns
+the loss as a float. The layered body takes one input form, n timesteps and
+n condition indices; ``predict_noise`` gives a one-row condition's missing
 indices as zeros. Its first layer and that layer's gradient are one GEMM
 over ``[z | 1]``, equal to the bias added apart to the bit where a test pins
 it on the BLAS in use: D in {8, 32, 64}, n in {1, 2, 7, 256, 1000, 4096};
@@ -23,8 +24,8 @@ elsewhere untested. ``sample`` runs the folded one, ``_ReverseBuffers``,
 which composes the input layer into the first MLP layer. The fold
 reassociates sums, so the two agree to within a few ulps of the magnitudes
 summed, not to the bit: the tests hold one forward to rtol = atol = 1e-12
-and a 20-step sample to atol = 1e-10 of the layered forward. Where every
-sum is exact, as on dyadic weights, they are equal.
+and a 20-step sample to atol = 1e-10 of the layered forward. Where every sum
+is exact, as on dyadic weights, they are equal.
 """
 
 from __future__ import annotations
@@ -152,16 +153,6 @@ def _check_rows(idx, n: int, limit: int, name: str) -> np.ndarray:
     return idx
 
 
-def _check_timesteps(t_idx, n: int, steps: int) -> np.ndarray:
-    """``t_idx`` as one integer timestep for every row (a 0-d array) or n of them; ShapeError otherwise."""
-    t = np.asarray(t_idx)
-    if t.ndim:
-        return _check_rows(t, n, steps, "t_idx")
-    if t.dtype.kind not in "iu" or not 0 <= t < steps:  # kind "b" refuses bools
-        raise T.ShapeError(f"t_idx must be one integer in [0, {steps}) or {n} of them")
-    return t
-
-
 def _check_steps(schedule: DiffusionSchedule, params: DenoiserParams) -> None:
     if schedule.steps != params.time_embed.shape[0]:
         raise T.ShapeError(f"the schedule has {schedule.steps} steps but the denoiser embeds "
@@ -189,15 +180,6 @@ def _check_condition(cond, dim: int) -> None:
         raise TypeError(f"cond must be one GuidanceCondition, got {type(cond).__name__}")
     if cond.tau_style.shape[1] != dim:
         raise T.ShapeError(f"the condition must hold rows of the denoiser's width {dim}")
-
-
-def _check_cond_idx(cond_idx, n: int, groups: int) -> np.ndarray:
-    """``cond_idx`` as n row indices into a condition of G rows; None means all zeros, and only when G = 1."""
-    if cond_idx is not None:
-        return _check_rows(cond_idx, n, groups, "cond_idx")
-    if groups > 1:
-        raise ValueError(f"cond_idx is required with a condition of {groups} rows")
-    return np.zeros(n, np.intp)
 
 
 class _LayeredBuffers:
@@ -297,17 +279,17 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     ``relu((z @ in_w + in_b + time_embed[t] + values[cond_idx]) @ mlp_w1 + mlp_b1) @ mlp_w2 + mlp_b2``
     with ``values = tau_s @ ws + tau_c @ wv`` over the condition's (G, D)
     style and category stacks, so each projection costs G x D x D whatever
-    the number of rows. ``t_idx`` is one integer timestep for every row or n
-    of them. ``cond`` is one ``GuidanceCondition`` of G rows;
-    ``cond_idx[i]`` names row i's, and is required exactly when G > 1
-    (``ValueError``). The ReLU maps a NaN pre-activation to 0.0. Neither
-    form records a tape node, in grad mode or under ``no_grad``.
+    the number of rows. ``cond`` is one ``GuidanceCondition`` of G rows. The
+    ReLU maps a NaN pre-activation to 0.0. Neither form records a tape node,
+    in grad mode or under ``no_grad``.
 
-    Without ``buffers`` this is the layered forward; it broadcasts one
-    timestep to n and a missing ``cond_idx`` to n zeros, its one input form.
-    ``ShapeError`` for misshaped ``z_t``, ``t_idx`` or ``cond_idx``, indices
-    out of range, timesteps that are not integers and a condition of another
-    width; ``TypeError`` for a condition of another type.
+    Without ``buffers`` this is the layered forward. ``t_idx`` is n integer
+    timesteps, one per row, and ``cond_idx[i]`` names row i's condition row;
+    it may be left out only when G = 1, for n zeros (``ValueError`` when
+    G > 1). ``ShapeError`` for misshaped ``z_t``, ``t_idx`` or ``cond_idx``
+    (one scalar timestep included), indices out of range, timesteps that
+    are not integers and a condition of another width; ``TypeError`` for a
+    condition of another type.
 
     With ``buffers``, ``sample``'s ``_ReverseBuffers``, this is the folded
     forward, within rtol = atol = 1e-12 of the layered one: a tensor over
@@ -322,61 +304,58 @@ def predict_noise(params: DenoiserParams, z_t: np.ndarray, t_idx: int | np.ndarr
     if z.ndim != 2 or z.shape[1] != POINT_DIM:
         raise T.ShapeError(f"z_t must be (n, {POINT_DIM}) points, got shape {z.shape}")
     n = z.shape[0]
-    t = np.broadcast_to(_check_timesteps(t_idx, n, params.time_embed.shape[0]), (n,))
-    layers = _LayeredBuffers(params, cond, n)
+    t = _check_rows(t_idx, n, params.time_embed.shape[0], "t_idx")
+    layers, groups = _LayeredBuffers(params, cond, n), len(cond.tau_style)
+    if cond_idx is None and groups > 1:
+        raise ValueError(f"cond_idx is required with a condition of {groups} rows")
+    cond_idx = np.zeros(n, np.intp) if cond_idx is None else _check_rows(cond_idx, n, groups, "cond_idx")
     layers.z[...] = z
-    return Tensor(layers.forward(t, _check_cond_idx(cond_idx, n, len(cond.tau_style))))
+    return Tensor(layers.forward(t, cond_idx))
 
 
 class _TrainBuffers(_LayeredBuffers):
-    """The workspace of one ``train_diffusion`` run: a ``_LayeredBuffers`` plus the backward's and the step's own.
+    """The workspace of one ``train_diffusion`` run: its points, a ``_LayeredBuffers`` of one batch, and the
+    backward's and the step's own buffers.
 
     Built once before the loop for one schedule, one ``params`` object, one
-    stacked condition and n >= 1 rows per batch; it checks n and the
-    schedule against the denoiser (``ShapeError``) and the condition (see
-    ``_LayeredBuffers``) once, and each step reads them from here. ``step``
-    writes z_t into ``z``; ``_grads``, valid until the next ``forward``,
-    writes the gradients into the ``grad`` views of ``flat_grad``.
+    stacked condition of G rows, the run's (N, 2) ``points`` with their N
+    condition indices ``cond_idx``, and ``batch`` >= 1 rows per step. It
+    checks them all once, and no step checks them again: ``ShapeError`` for
+    ``batch`` < 1, a schedule of another length than the denoiser's, points
+    that are not N >= 1 rows of 2 coordinates, or indices that are not N
+    integers in [0, G); ``DatasetError``, naming the first, for a point with
+    a NaN or infinite coordinate, which would leave the loss finite and
+    poison two gradients; the condition as ``_LayeredBuffers`` does. It
+    keeps its own copies, ``points`` and ``point_cond``.
+    ``ddpm_train_step`` gathers each batch into ``batch_xy`` and
+    ``batch_cond`` and writes z_t into ``z``; ``_grads``, valid until the
+    next ``forward``, writes the gradients into the ``grad`` views of
+    ``flat_grad``.
     """
 
-    def __init__(self, schedule: DiffusionSchedule, params: DenoiserParams, cond: GuidanceCondition, n: int):
-        if n < 1:
-            raise T.ShapeError(f"a training batch needs n >= 1 rows, got {n}")
+    def __init__(self, schedule: DiffusionSchedule, params: DenoiserParams, cond: GuidanceCondition,
+                 points, cond_idx, batch: int):
+        if batch < 1:
+            raise T.ShapeError(f"a training batch needs n >= 1 rows, got {batch}")
         _check_steps(schedule, params)
-        super().__init__(params, cond, n)
+        super().__init__(params, cond, batch)
+        self.points = np.array(points, dtype=np.float64)
+        if self.points.ndim != 2 or self.points.shape[1] != POINT_DIM or not len(self.points):
+            raise T.ShapeError(f"points must be N >= 1 rows of {POINT_DIM} coordinates, got shape {self.points.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
+        if bad.size:
+            raise DatasetError(f"diffusion point {bad[0]} is not finite: {self.points[bad[0]]}")
+        self.point_cond = _check_rows(np.array(cond_idx), len(self.points), len(cond.tau_style), "cond_idx")
+        self.batch_xy, self.batch_cond = np.empty((batch, POINT_DIM)), np.empty(batch, self.point_cond.dtype)
         self.time_bins, self.cond_bins = (np.arange(x.size).reshape(x.shape) for x in (params.time_embed, self.values))
         self.g_pre, self.g_a = np.empty_like(self.a), np.empty_like(self.a)
         self.mask, self.bins = np.empty(self.a.shape, dtype=bool), np.empty(self.a.shape, dtype=np.int64)
         self.schedule, self.grads = schedule, [x.grad for x in params.tensors()]
         self.g_first = _input_rows(params, params.flat_grad)
         self.sqrt_ab, self.sqrt_1m_ab = np.sqrt(schedule.alpha_bars), np.sqrt(1.0 - schedule.alpha_bars)
-        self.coef = np.empty(n)
-        self.eps, self.diff, self.g_out, self.scratch = (np.empty(s) for s in [(n, POINT_DIM)] * 3 + [(POINT_DIM, n)])
-
-    def step(self, points: np.ndarray, cond_idx, rng: np.random.Generator) -> float:
-        """``ddpm_train_step`` on this run's (n, 2) ``points``."""
-        n = self.n
-        points = np.asarray(points, dtype=np.float64)
-        if points.shape != (n, POINT_DIM):
-            raise T.ShapeError(f"points must be the workspace's ({n}, {POINT_DIM}) batch, got shape {points.shape}")
-        if not np.isfinite(points).all():  # a NaN pre-activation would reach only the gradients
-            row = np.flatnonzero(~np.isfinite(points).all(axis=1))[0]
-            raise DatasetError(f"point {row} of the batch is not finite: {points[row]}")
-        cond_idx = _check_cond_idx(cond_idx, n, len(self.cond.tau_style))
-        t = rng.integers(0, self.schedule.steps, size=n)
-        eps = rng.standard_normal(out=self.eps)
-        # z_t = sqrt(abar[t]) * points + sqrt(1 - abar[t]) * eps, each product into (2, n) rows
-        self.sqrt_ab.take(t, out=self.coef, mode="clip")
-        z = np.multiply(self.coef, points.T, out=self.z1[:POINT_DIM])
-        self.sqrt_1m_ab.take(t, out=self.coef, mode="clip")
-        z += np.multiply(self.coef, eps.T, out=self.scratch)
-        diff = np.subtract(self.forward(t, cond_idx), eps, out=self.diff)
-        loss = np.multiply(diff, diff, out=self.g_out).sum() * (1.0 / n)
-        g = np.multiply(diff, 1.0 / n, out=self.g_out)  # the loss's gradient at the estimate, 2 diff / n
-        g += g
-        self._grads(g)
-        self.params.flat_grad += 0.0  # -0.0 to +0.0, as backward's add into a zeroed buffer gives
-        return float(loss)
+        self.coef = np.empty(batch)
+        self.eps, self.diff, self.g_out = (np.empty((batch, POINT_DIM)) for _ in range(3))
+        self.scratch = np.empty((POINT_DIM, batch))
 
     def _grads(self, g: np.ndarray) -> None:
         """The nine parameter gradients, given ``g``, the (n, 2) gradient at ``out``, written into
@@ -410,27 +389,39 @@ class _TrainBuffers(_LayeredBuffers):
         return np.bincount(bins.ravel(), weights=g.ravel(), minlength=table.size).reshape(table.shape)
 
 
-def ddpm_train_step(buffers: _TrainBuffers, points: np.ndarray, cond_idx, rng: np.random.Generator) -> float:
-    """One noise-prediction training step on an (n, 2) batch of captioned points: the loss, as a float.
+def ddpm_train_step(buffers: _TrainBuffers, rng: np.random.Generator) -> float:
+    """One noise-prediction training step on a batch of the run's captioned points: the loss, as a float.
 
     ``buffers`` is the run's ``_TrainBuffers``, which holds its denoiser,
-    its stacked condition and its schedule, checked once when it was built.
-    ``cond_idx[i]`` names point i's row of the condition (None only for one
-    row). Draws a uniform timestep, then Gaussian noise, per point and
-    returns the mean squared error of the layered forward's estimate. It
-    records no tape node: it writes all nine ``DenoiserParams`` gradients
-    into the denoiser's ``flat_grad``, overwriting what it held, the same to
-    the bit as ``zero_grad`` and ``backward`` through the tests' two-node
-    reference ``noise_regression_loss(predict_noise(...), eps)``
+    its stacked condition, its schedule and its points with their condition
+    rows, all checked once when it was built; the step checks nothing. It
+    draws the batch's n point indices, uniform with replacement, then a
+    uniform timestep per point, then Gaussian noise, and returns the mean
+    squared error of the layered forward's estimate. It records no tape
+    node: it writes all nine ``DenoiserParams`` gradients into the
+    denoiser's ``flat_grad``, overwriting what it held, the same to the bit
+    as ``zero_grad`` and ``backward`` through the tests' two-node reference
+    ``noise_regression_loss(predict_noise(...), eps)``
     (``tests/layered_ops.py``) leave there.
-
-    Before any draw: ``ShapeError`` for points that are not the workspace's
-    (n, 2) batch, or a misshaped or out-of-range ``cond_idx``;
-    ``DatasetError``, naming the first such row, for a point with a NaN or
-    infinite coordinate; ``ValueError`` for a missing ``cond_idx`` with
-    several condition rows.
     """
-    return buffers.step(points, cond_idx, rng)
+    b, n = buffers, buffers.n
+    rows = rng.integers(0, len(b.points), size=n)
+    points = b.points.take(rows, axis=0, out=b.batch_xy, mode="clip")
+    cond_idx = b.point_cond.take(rows, out=b.batch_cond, mode="clip")
+    t = rng.integers(0, b.schedule.steps, size=n)
+    eps = rng.standard_normal(out=b.eps)
+    # z_t = sqrt(abar[t]) * points + sqrt(1 - abar[t]) * eps, each product into (2, n) rows
+    b.sqrt_ab.take(t, out=b.coef, mode="clip")
+    z = np.multiply(b.coef, points.T, out=b.z1[:POINT_DIM])
+    b.sqrt_1m_ab.take(t, out=b.coef, mode="clip")
+    z += np.multiply(b.coef, eps.T, out=b.scratch)
+    diff = np.subtract(b.forward(t, cond_idx), eps, out=b.diff)
+    loss = np.multiply(diff, diff, out=b.g_out).sum() * (1.0 / n)
+    g = np.multiply(diff, 1.0 / n, out=b.g_out)  # the loss's gradient at the estimate, 2 diff / n
+    g += g
+    b._grads(g)
+    b.params.flat_grad += 0.0  # -0.0 to +0.0, as backward's add into a zeroed buffer gives
+    return float(loss)
 
 
 def sample(
@@ -448,15 +439,17 @@ def sample(
     (atol = 1e-10 on a 20-step sample in the tests), not to the bit. Step
     noise has the forward-posterior variance (1 - abar_{t-1}) / (1 - abar_t) * beta_t.
 
-    ``ValueError`` if n is not an integer >= 0 or the condition has more
-    than one row; ``TypeError`` for a condition of another type;
-    ``ShapeError`` if the schedule and the denoiser differ in their number
-    of steps or the condition in its width.
+    ``ValueError`` if n is not an integer >= 0, the seed is negative or the
+    condition has more than one row; ``TypeError`` for a condition of
+    another type; ``ShapeError`` if the schedule and the denoiser differ in
+    their number of steps or the condition in its width.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"sample: n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"sample: n must be >= 0, got {n}")
+    if seed < 0:
+        raise ValueError(f"sample: seed must be >= 0, got {seed}")
     _check_steps(schedule, params)
     buffers = _ReverseBuffers(params, condition, n)
     rng = np.random.default_rng(seed)

@@ -20,13 +20,14 @@ factors' prompt rows; a triplet objective with no active triplet records
 none, and its loss is a constant 0.0 whose backward adds nothing).
 ``losses.class_logits``, a cosine node times ``scale``, is its one other
 user. A denoiser training step (``diffusion.ddpm_train_step``) records no
-node: it runs the denoiser, its loss and their backward in one call, writes
-the nine gradients into the denoiser's ``flat_grad`` and returns the loss
-as a float, so it takes no ``zero_grad`` or ``backward``;
-``diffusion.predict_noise`` records none either. The single-layer nodes that the objectives and that step are made
-of (the adapter, each loss head, the denoiser forward and its loss, and an
-``add`` of two tensors) are the tests' references and live with the tests,
-built from the same numpy pieces.
+node: on its run's workspace, which holds and has checked the run's points,
+it draws its batch and runs the denoiser, its loss and their backward in one
+call, writes the nine gradients into the denoiser's ``flat_grad`` and
+returns the loss as a float, so it takes no ``zero_grad`` or ``backward``;
+``diffusion.predict_noise`` records none either. The single-layer nodes that
+the objectives and that step are made of (the adapter, each loss head, the
+denoiser forward and its loss, and an ``add`` of two tensors) are the tests'
+references and live with the tests, built from the same numpy pieces.
 ``train.gradcheck_suite`` audits against central differences the
 objectives that training steps and the denoiser's training step.
 

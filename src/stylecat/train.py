@@ -85,6 +85,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, got {v!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
         if self.shots is not None and self.shots < 1:
@@ -128,9 +130,10 @@ def apply_seed_env(config: TrainConfig, env=os.environ) -> TrainConfig:
     if raw is None:
         return config
     try:
-        return replace(config, seed=int(raw))
+        seed = int(raw)
     except ValueError as e:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from e
+    return replace(config, seed=seed)
 
 
 class Adam:
@@ -365,13 +368,14 @@ def sweep(axis: str, grid, config: TrainConfig, testset, bundle: EncoderBundle |
 def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
     """Train the denoiser on captioned points; returns (params, schedule, rows).
 
-    The points are stacked into one (N, 2) array, which must be finite,
-    and each caption's condition is built once, before the first step, and
-    stacked into one ``GuidanceCondition`` with a row per caption; the
-    run's ``_TrainBuffers``, built once from them, the denoiser and the
-    schedule, is every step's workspace. Each step is one
-    ``ddpm_train_step``, which leaves its gradients in ``flat_grad``, and
-    one ``Adam.step``. A row, every 100 steps and at the
+    Each caption's condition is built once, before the first step, and
+    stacked into one ``GuidanceCondition`` with a row per caption. The
+    run's ``_TrainBuffers``, built once from it, the denoiser, the schedule
+    and the points with their captions' rows, checks the points once
+    (``DatasetError`` naming the first that is not finite) and is every
+    step's workspace. Each step is one ``ddpm_train_step``, which draws its
+    batch and leaves its gradients in ``flat_grad``, and one
+    ``Adam.step``. A row, every 100 steps and at the
     last, holds the step, its loss and ``grad_norm``, the L2 norm of that
     step's ``flat_grad``. Whenever a row is logged, every parameter must
     still be finite: a NaN parameter stays NaN under Adam, so one check per
@@ -386,19 +390,11 @@ def train_diffusion(config: TrainConfig, points, bundle: EncoderBundle):
     caption_idx = {c: i for i, c in enumerate(dict.fromkeys(p.caption for p in points))}
     conditions = GuidanceCondition.stack([condition_for_caption(c, bundle, config.generation_alpha)
                                           for c in caption_idx])
-    xy = np.array([[p.x, p.y] for p in points])
-    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
-    if bad.size:
-        raise DatasetError(f"diffusion point {bad[0]} is not finite: {points[bad[0]]}")
-    cond_idx = np.array([caption_idx[p.caption] for p in points])
-    batch = min(config.diffusion_batch, len(points))
-    buffers = _TrainBuffers(schedule, params, conditions, batch)
-    batch_xy, batch_cond = np.empty((batch, xy.shape[1])), np.empty(batch, cond_idx.dtype)
+    buffers = _TrainBuffers(schedule, params, conditions, [[p.x, p.y] for p in points],
+                            [caption_idx[p.caption] for p in points], min(config.diffusion_batch, len(points)))
     rows = []
     for step in range(config.diffusion_steps):
-        batch_idx = rng.integers(0, len(points), size=batch)
-        loss = ddpm_train_step(buffers, xy.take(batch_idx, axis=0, out=batch_xy),
-                               cond_idx.take(batch_idx, out=batch_cond), rng)
+        loss = ddpm_train_step(buffers, rng)
         opt.step()
         _check_finite(loss, f"diffusion step {step}")
         if step % 100 == 0 or step == config.diffusion_steps - 1:
@@ -566,9 +562,9 @@ LABELED_AUDITS = {name: TrainConfig(logit_scale=10.0, **overrides) for name, ove
 def _denoiser_train_world(seed: int):
     """``ddpm_train_step`` through a workspace, its loss and gradients; each call re-seeds the step's draws.
 
-    Every evaluation draws the same timesteps and noise, so the loss is a
-    function of the parameters alone. Six rows share three conditions, so
-    the condition scatter meets a collision on every seed.
+    Every evaluation draws the same batch, timesteps and noise, so the loss
+    is a function of the parameters alone. Each batch draws six rows over
+    three conditions, so the condition scatter meets a collision on every seed.
     """
     rng = np.random.default_rng([seed, 107])
     dim, steps, rows, groups = 8, 6, 6, 3
@@ -580,11 +576,10 @@ def _denoiser_train_world(seed: int):
     cond = GuidanceCondition.stack([GuidanceCondition(*T._unit_rows(rng.standard_normal((2, 1, dim)))[0])
                                     for _ in range(groups)])
     cond_idx = rng.permutation(np.arange(rows) % groups)
-    buffers = _TrainBuffers(schedule, params, cond, rows)
+    buffers = _TrainBuffers(schedule, params, cond, points, cond_idx, rows)
 
     def loss_fn():
-        draws = np.random.default_rng([seed, 109])
-        return ddpm_train_step(buffers, points, cond_idx, draws)
+        return ddpm_train_step(buffers, np.random.default_rng([seed, 109]))
 
     loss_fn()
     # keep clear of the MLP ReLU kink

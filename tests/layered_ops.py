@@ -69,19 +69,20 @@ def layered_labeled(f_i: np.ndarray, labels, bundle, cfg, kind: str) -> Tensor:
 def predict_noise(params, z_t, t_idx, cond, cond_idx=None) -> Tensor:
     """``diffusion.predict_noise``'s layered form as one tape node over the nine ``DenoiserParams`` tensors.
 
-    Takes one timestep or n of them and a missing ``cond_idx`` for a one-row
-    condition, as the program's form does; the backward is the training
-    workspace's ``_grads``, run on a copy of the parameters so that it
-    writes their gradients into the copy's ``flat_grad``; n >= 1 rows.
+    Takes n timesteps and, for a one-row condition only, a missing
+    ``cond_idx`` for n zeros, as the program's form does; the backward is
+    the training workspace's ``_grads``. That workspace holds the n points
+    as its own and runs on a copy of the parameters, so that it writes
+    their gradients into the copy's ``flat_grad``; n >= 1 finite points.
     """
     z = np.atleast_2d(np.asarray(z_t, dtype=np.float64))
     n, steps = z.shape[0], params.time_embed.shape[0]
-    t = np.broadcast_to(diffusion._check_timesteps(t_idx, n, steps), (n,))
+    cond_idx = np.zeros(n, np.intp) if cond_idx is None and len(cond.tau_style) == 1 else cond_idx
     copy = diffusion.DenoiserParams.init(params.in_b.shape[0], steps)
     copy.load(params.arrays())
-    layers = diffusion._TrainBuffers(diffusion.DiffusionSchedule.make(steps), copy, cond, n)
+    layers = diffusion._TrainBuffers(diffusion.DiffusionSchedule.make(steps), copy, cond, z, cond_idx, n)
     layers.z[...] = z
-    out = layers.forward(t, diffusion._check_cond_idx(cond_idx, n, len(cond.tau_style)))
+    out = layers.forward(diffusion._check_rows(t_idx, n, steps, "t_idx"), layers.point_cond)
 
     def grad_fn(g):
         layers._grads(g)

@@ -163,6 +163,23 @@ def test_generated_grids_are_pinned(name):
     assert (name == "seed-noise") == bool(np.any(grids == 0.0) and np.any(grids == 1.0))
 
 
+# sha256 of the float64 bytes of the (N, 2) diffusion points of each spec of ``PINNED``, taken with each
+# point's ``chol @ z`` written out elementwise; a stacked matmul gave "d9f0950f..." for ten categories on
+# the SkylakeX and Haswell kernels and these bits on SandyBridge and Prescott
+PINNED_POINTS = {
+    "default": "3ae7ebc7bfbe80ada8eac9090c84ff8508d7edd05812bc77fca06cd9856c6377",
+    "ten-categories": "783757cb41972c5447e016fe9a94f6e4f69de90a93ba549d0517104f1d191982",
+    "seed-noise": "50e3549dbc1098e0c39f9aef21c5d7520d96fcd0169014c2dd610b1a252ff18a",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_POINTS))
+def test_generated_points_are_pinned(name):
+    """The points use no BLAS, so every kernel gives these bits."""
+    points, _ = generate_diffusion_dataset(PINNED[name][0])
+    assert sha256([[p.x, p.y] for p in points]) == PINNED_POINTS[name]
+
+
 class TestMixture:
     def test_means_at_style_radius_and_category_angle(self, spec):
         mix = build_mixture(spec)

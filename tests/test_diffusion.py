@@ -233,18 +233,24 @@ class TestStackedConditions:
             GuidanceCondition(**rows)
 
 
-def step_draws(points, schedule, rng):
-    """``ddpm_train_step``'s draws, timesteps then noise, and the noised points: (t, z_t, eps)."""
+def step_draws(points, cond_idx, schedule, rng):
+    """``ddpm_train_step``'s draws of a batch as large as the run, its point indices, then its timesteps,
+    then its noise, and the noised batch: (t, z_t, eps, the batch's condition indices)."""
+    rows = rng.integers(0, len(points), size=len(points))
     t = rng.integers(0, schedule.steps, size=len(points))
     eps = rng.standard_normal((len(points), 2))
     ab = schedule.alpha_bars[t][:, None]
-    return t, np.sqrt(ab) * points + np.sqrt(1.0 - ab) * eps, eps
+    return t, np.sqrt(ab) * points[rows] + np.sqrt(1.0 - ab) * eps, eps, cond_idx[rows]
+
+
+def workspace(points, cond_idx, condition, schedule, params):
+    """The training workspace of a run on these points, with batches as large as the run."""
+    return diffusion_mod._TrainBuffers(schedule, params, condition, points, cond_idx, len(points))
 
 
 def one_step(points, cond_idx, condition, schedule, params, rng):
-    """``ddpm_train_step`` on a workspace built for this one batch."""
-    buffers = diffusion_mod._TrainBuffers(schedule, params, condition, len(points))
-    return ddpm_train_step(buffers, points, cond_idx, rng)
+    """``ddpm_train_step`` on a workspace built for this one run."""
+    return ddpm_train_step(workspace(points, cond_idx, condition, schedule, params), rng)
 
 
 class TestTrainStep:
@@ -310,7 +316,7 @@ class TestTrainStep:
 
     def test_one_step_returns_a_float_with_or_without_a_workspace(self, world):
         """The step returns its loss as a float, and the same loss and gradient bytes on a new workspace
-        as on one that a step of another batch has used: a workspace carries nothing between steps."""
+        as on one that a step of other draws has used: a workspace carries nothing between steps."""
         spec, config, bundle = world
         points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
         captions = list(dict.fromkeys(p.caption for p in points))
@@ -319,11 +325,11 @@ class TestTrainStep:
         cond_idx = np.array([captions.index(p.caption) for p in points])
         params = DenoiserParams.init(dim=config.dim, steps=20, seed=0)
         schedule = DiffusionSchedule.make(20)
-        used = diffusion_mod._TrainBuffers(schedule, params, conditions, len(xy))
-        ddpm_train_step(used, xy[::-1], cond_idx[::-1], np.random.default_rng(15))
+        used = workspace(xy, cond_idx, conditions, schedule, params)
+        ddpm_train_step(used, np.random.default_rng(15))
         results = []
-        for buffers in (diffusion_mod._TrainBuffers(schedule, params, conditions, len(xy)), used):
-            loss = ddpm_train_step(buffers, xy, cond_idx, np.random.default_rng(16))
+        for buffers in (workspace(xy, cond_idx, conditions, schedule, params), used):
+            loss = ddpm_train_step(buffers, np.random.default_rng(16))
             assert type(loss) is float
             results.append((loss, params.flat_grad.tobytes()))
         assert results[0] == results[1]
@@ -337,8 +343,8 @@ class TestTrainStep:
         cond_idx = np.array([0, 2, 1, 1, 0, 2, 2, 0, 1])
         schedule = DiffusionSchedule.make(6)
         one_step(points, cond_idx, cond, schedule, params, np.random.default_rng(19))
-        t, z_t, eps = step_draws(points, schedule, np.random.default_rng(19))
-        expected = reference_grads(params, z_t, t, cond, cond_idx, eps)
+        t, z_t, eps, batch_cond = step_draws(points, cond_idx, schedule, np.random.default_rng(19))
+        expected = reference_grads(params, z_t, t, cond, batch_cond, eps)
         assert np.array_equal(params.flat_grad, np.concatenate([expected[name].ravel() for name in params.arrays()]))
 
     def test_step_overwrites_the_flat_gradient(self):
@@ -360,9 +366,9 @@ class TestTrainStep:
         params.mlp_b1.data[::2] = -50.0  # every other hidden unit is dead
         params.mlp_w2.data[:] = np.abs(params.mlp_w2.data)
         params.mlp_b2.data[:] = -50.0  # the estimate is far below the noise: its gradient is negative
-        t, z_t, eps = step_draws(points, schedule, np.random.default_rng(37))
+        t, z_t, eps, batch_cond = step_draws(points, cond_idx, schedule, np.random.default_rng(37))
         params.zero_grad()
-        backward(noise_regression_loss(layered_ops.predict_noise(params, z_t, t, cond, cond_idx), eps))
+        backward(noise_regression_loss(layered_ops.predict_noise(params, z_t, t, cond, batch_cond), eps))
         reference = params.flat_grad.tobytes()
         assert (params.mlp_b1.grad[::2] == 0).all() and not np.signbit(params.flat_grad[params.flat_grad == 0]).any()
         real_grads = diffusion_mod._TrainBuffers._grads
@@ -388,46 +394,43 @@ class TestTrainStep:
     @pytest.mark.parametrize("n", [3], ids=["workspace"])
     @pytest.mark.parametrize("shape", [(2,), (3,), (3, 3), (3, 1), (0, 2), (3, 2, 1), (2, 2)])
     def test_malformed_points_refused_before_drawing(self, shape, n):
-        """Only the workspace's (n, 2) batch trains: a (2,) vector would broadcast into a (2, 2) batch."""
+        """The workspace holds N rows of two coordinates and their N condition indices: a (2,) vector
+        would broadcast into a (2, 2) batch, and two points cannot take the three indices given.
+        Refused when the workspace is built, before any step; no gradient is written."""
         params, cond, schedule, _, cond_idx = self.step_parts(rows=n)
-        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, n)
-        rng = np.random.default_rng(31)
-        state = rng.bit_generator.state
-        with pytest.raises(ShapeError, match=rf"points must be the workspace's \({n}, 2\) batch"):
-            ddpm_train_step(buffers, np.zeros(shape), cond_idx, rng)
-        assert rng.bit_generator.state == state
+        with pytest.raises(ShapeError, match="points must be N >= 1 rows of 2|cond_idx must be 2 integers"):
+            diffusion_mod._TrainBuffers(schedule, params, cond, np.zeros(shape), cond_idx, n)
+        assert not params.flat_grad.any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
     def test_non_finite_points_refused_before_drawing(self, bad):
         """A NaN or infinite coordinate would leave the loss finite and poison two gradients: it is a
-        ``DatasetError`` that names the first such row, before any draw or gradient write."""
+        ``DatasetError`` that names the first such point when the workspace is built, before any
+        step; no gradient is written, and later changes to the caller's array reach no step."""
         params, cond, schedule, points, cond_idx = self.step_parts()
-        points[4, 1] = points[5, 0] = bad
-        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, len(points))
-        rng = np.random.default_rng(38)
-        state = rng.bit_generator.state
-        with pytest.raises(DatasetError, match=r"point 4 of the batch is not finite"):
-            ddpm_train_step(buffers, points, cond_idx, rng)
-        assert rng.bit_generator.state == state
+        bad_points = points.copy()
+        bad_points[4, 1] = bad_points[5, 0] = bad
+        with pytest.raises(DatasetError, match=r"diffusion point 4 is not finite"):
+            diffusion_mod._TrainBuffers(schedule, params, cond, bad_points, cond_idx, 2)
         assert not params.flat_grad.any()
+        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, points, cond_idx, 2)
+        points[:] = bad
+        cond_idx[:] = 99
+        assert np.isfinite(ddpm_train_step(buffers, np.random.default_rng(38)))
+        assert np.isfinite(params.flat_grad).all()
 
     def test_malformed_cond_idx_refused_before_drawing(self):
-        """Each step checks its condition indices: in range, and given when the condition has several rows."""
+        """The workspace checks its condition indices once: N integers in range, with no missing form."""
         params, cond, schedule, points, cond_idx = self.step_parts()
-        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, len(points))
-        rng = np.random.default_rng(33)
-        state = rng.bit_generator.state
-        with pytest.raises(ShapeError, match="cond_idx"):
-            ddpm_train_step(buffers, points, cond_idx + 1, rng)
-        with pytest.raises(ValueError, match="cond_idx is required"):
-            ddpm_train_step(buffers, points, None, rng)
-        assert rng.bit_generator.state == state
+        for bad in (cond_idx + 1, cond_idx - 1, cond_idx[:5], cond_idx.astype(float), None):
+            with pytest.raises(ShapeError, match=r"cond_idx must be 6 integers in \[0, 3\)"):
+                diffusion_mod._TrainBuffers(schedule, params, cond, points, bad, 6)
+        assert not params.flat_grad.any()
 
     def test_step_loss_refuses_a_backward(self):
         """The loss is a float, not a parentless tensor, so a leftover ``backward`` fails loudly, not silently."""
         params, cond, schedule, points, cond_idx = self.step_parts()
-        buffers = diffusion_mod._TrainBuffers(schedule, params, cond, len(points))
-        loss = ddpm_train_step(buffers, points, cond_idx, np.random.default_rng(32))
+        loss = one_step(points, cond_idx, cond, schedule, params, np.random.default_rng(32))
         written = params.flat_grad.tobytes()
         with pytest.raises(AttributeError):
             backward(loss)
@@ -435,28 +438,28 @@ class TestTrainStep:
 
     def test_workspace_checks_its_run_once(self):
         """The batch size, the schedule and the condition are checked when the workspace is built."""
-        params, cond, schedule, _, _ = self.step_parts()
+        params, cond, schedule, points, cond_idx = self.step_parts()
         rng = np.random.default_rng(34)
         with pytest.raises(ShapeError, match="schedule has 7 steps but the denoiser embeds 6"):
-            diffusion_mod._TrainBuffers(DiffusionSchedule.make(7), params, cond, 6)
+            diffusion_mod._TrainBuffers(DiffusionSchedule.make(7), params, cond, points, cond_idx, 6)
         with pytest.raises(TypeError, match="one GuidanceCondition"):
-            diffusion_mod._TrainBuffers(schedule, params, [cond], 6)
+            diffusion_mod._TrainBuffers(schedule, params, [cond], points, cond_idx, 6)
         narrow = GuidanceCondition(tau_style=unit_rows(rng, 3, 4), tau_category=unit_rows(rng, 3, 4))
         with pytest.raises(ShapeError, match="width"):
-            diffusion_mod._TrainBuffers(schedule, params, narrow, 6)
+            diffusion_mod._TrainBuffers(schedule, params, narrow, points, cond_idx, 6)
         with pytest.raises(ShapeError, match="n >= 1 rows, got 0"):
-            diffusion_mod._TrainBuffers(schedule, params, cond, 0)
+            diffusion_mod._TrainBuffers(schedule, params, cond, points, cond_idx, 0)
 
 
 def per_caption_step(points, cond_idx, condition, schedule, params, rng):
     """Reference objective: one denoiser forward per caption group, summed.
 
-    Draws t and then the noise exactly as ``ddpm_train_step`` does.
+    Draws the batch, then t, then the noise exactly as ``ddpm_train_step`` does.
     """
-    t, z_t, eps = step_draws(points, schedule, rng)
+    t, z_t, eps, batch_cond = step_draws(points, cond_idx, schedule, rng)
     parts = []
-    for g in np.unique(cond_idx):
-        sel = np.flatnonzero(cond_idx == g)
+    for g in np.unique(batch_cond):
+        sel = np.flatnonzero(batch_cond == g)
         own = GuidanceCondition(tau_style=condition.tau_style[g], tau_category=condition.tau_category[g])
         group_loss = noise_regression_loss(layered_ops.predict_noise(params, z_t[sel], t[sel], own), eps[sel])
         parts.append(T.scale(group_loss, len(sel) / len(points)))
@@ -498,22 +501,15 @@ class TestGroupedForward:
             assert relative_error(g, ref) <= 1e-12, p
 
     def test_one_row_needs_no_condition_index(self):
-        """Output, loss and all nine gradients, to the bit."""
+        """The layered forward gives a one-row condition's missing indices as n zeros: the same output to
+        the bit; the training workspace takes indices always (``test_malformed_cond_idx_refused_before_drawing``)."""
         rng = np.random.default_rng(22)
         params = DenoiserParams.init(dim=self.DIM, steps=self.STEPS, seed=6)
         cond = self.conditions(rng, 1)
         z = rng.standard_normal((9, 2))
         t = rng.integers(0, self.STEPS, 9)
-        eps = rng.standard_normal((9, 2))
-        results = []
-        for cond_idx in (None, np.zeros(9, dtype=int)):
-            params.zero_grad()
-            out = layered_ops.predict_noise(params, z, t, cond, cond_idx=cond_idx)
-            loss = noise_regression_loss(out, eps)
-            backward(loss)
-            results.append([out.data, loss.data] + [p.grad.copy() for p in params.tensors()])
-        for ref, got in zip(*results):
-            assert ref.tobytes() == got.tobytes()
+        outs = [predict_noise(params, z, t, cond, cond_idx=cond_idx).data for cond_idx in (None, np.zeros(9, int))]
+        assert outs[0].tobytes() == outs[1].tobytes()
 
     def test_rows_see_only_their_own_condition(self):
         rng = np.random.default_rng(23)
@@ -558,10 +554,11 @@ class TestGroupedForward:
         ((3, 2), [0.0, 1.0, 2.0]),          # integer timesteps
         ((3, 3), [0, 1, 2]),                # two coordinates per point
         ((3, 1, 2), [0, 1, 2]),             # a 2-D array of points
-        ((3, 2), True),                     # one timestep for every row: not a bool,
-        ((3, 2), -1),                       # not negative,
-        ((3, 2), STEPS),                    # not past the last timestep,
-        ((3, 2), 2.0),                      # and an integer
+        ((3, 2), True),                     # one scalar timestep for every row: n are required,
+        ((3, 2), -1),
+        ((3, 2), STEPS),
+        ((3, 2), 2.0),
+        ((3, 2), 3),                        # even one in range
     ])
     def test_bad_timesteps_and_points_rejected(self, z_shape, t_idx):
         rng = np.random.default_rng(25)
@@ -585,11 +582,17 @@ class TestTrainDiffusion:
         with pytest.raises(DatasetError, match="empty"):
             train_diffusion(config, [], bundle)
 
-    def test_non_finite_point_is_a_dataset_error(self, world):
+    def test_non_finite_point_is_a_dataset_error(self, world, monkeypatch):
+        """Refused once, by the run's workspace, before the first step draws anything."""
         spec, config, bundle = world
         points, _ = generate_diffusion_dataset(spec, n_per_cell=4)
         points[5] = replace(points[5], x=float("nan"))
-        with pytest.raises(DatasetError, match="point 5 is not finite"):
+
+        def never(*args):
+            raise AssertionError("train_diffusion stepped on a non-finite point")
+
+        monkeypatch.setattr(train_mod, "ddpm_train_step", never)
+        with pytest.raises(DatasetError, match="diffusion point 5 is not finite"):
             train_diffusion(replace(config, diffusion_steps=50, timesteps=20), points, bundle)
 
     def test_non_finite_parameter_is_a_numerical_error(self, world, monkeypatch):
@@ -742,6 +745,9 @@ class TestSampling:
         assert out.shape == (0, 2)
         with pytest.raises(ValueError, match="n must be >= 0"):
             sample(-3, cond, schedule, params, seed=0)
+        for n in (0, 3):  # a negative seed is named by the sampler, not left to numpy's seeding
+            with pytest.raises(ValueError, match=r"^sample: seed must be >= 0, got -1$"):
+                sample(n, cond, schedule, params, seed=-1)
 
     def test_bad_count_and_condition_name_sample(self, world):
         _, config, _ = world
@@ -806,7 +812,7 @@ class TestFirstLayer:
         rng = np.random.default_rng(40)
         params = DenoiserParams.init(dim=8, steps=5, seed=40)
         cond = GuidanceCondition(tau_style=unit_rows(rng, 1, 8), tau_category=unit_rows(rng, 1, 8))
-        buffers = diffusion_mod._TrainBuffers(DiffusionSchedule.make(5), params, cond, 3)
+        buffers = diffusion_mod._TrainBuffers(DiffusionSchedule.make(5), params, cond, np.zeros((3, 2)), [0] * 3, 3)
         others = [p for name, p in zip(params.arrays(), params.tensors()) if name not in ("in_w", "in_b")]
         params.flat[:] = np.arange(params.flat.size)
         params.flat_grad[:] = -np.arange(params.flat.size)
@@ -838,26 +844,11 @@ class TestReverseStep:
             out = sample(n, cond, schedule, params, seed=seed)
             np.testing.assert_allclose(out, reference_sample(n, cond, schedule, params, seed), rtol=0, atol=1e-10)
 
-    def test_integer_timestep_equals_one_per_row(self):
-        """Output and all nine gradients, to the bit."""
-        rng, params, cond = self.parts(31)
-        z = rng.standard_normal((9, 2))
-        eps = rng.standard_normal((9, 2))
-        results = []
-        for t in (np.full(9, 11), 11, np.int64(11), np.array(11)):
-            params.zero_grad()
-            loss = noise_regression_loss(layered_ops.predict_noise(params, z, t, cond), eps)
-            backward(loss)
-            results.append([loss.data] + [p.grad.copy() for p in params.tensors()])
-        for other in results[1:]:
-            for ref, got in zip(results[0], other):
-                assert ref.tobytes() == got.tobytes()
-
     def test_nan_weight_keeps_the_forward_finite(self):
         rng, params, cond = self.parts(32)
         params.mlp_w1.data[0, 0] = np.nan
         z = rng.standard_normal((6, 2))
-        out = predict_noise(params, z, 4, cond).data
+        out = predict_noise(params, z, np.full(6, 4), cond).data
         assert np.isfinite(out).all()
         expected = reference_forward(params, z, np.full(6, 4), cond, np.zeros(6, dtype=int))[2]
         assert out.tobytes() == expected.tobytes()
@@ -878,7 +869,7 @@ class TestReverseStep:
             with pytest.raises(ShapeError, match=f"schedule has {steps} steps but the denoiser embeds 20"):
                 sample(n, cond, DiffusionSchedule.make(steps), params)
         with pytest.raises(ShapeError, match=f"schedule has {steps} steps but the denoiser embeds 20"):
-            diffusion_mod._TrainBuffers(DiffusionSchedule.make(steps), params, cond, 4)
+            diffusion_mod._TrainBuffers(DiffusionSchedule.make(steps), params, cond, np.zeros((4, 2)), [0] * 4, 4)
 
 
 class TestReverseBuffers:
@@ -892,7 +883,7 @@ class TestReverseBuffers:
         """(plain, buffered) estimates at one timestep; the buffered one lies in its workspace's ``out``."""
         buffers = diffusion_mod._ReverseBuffers(params, cond, len(z))
         buffers.z[...] = z
-        plain = predict_noise(params, z, t, cond).data
+        plain = predict_noise(params, z, np.full(len(z), t), cond).data
         buffered = predict_noise(params, buffers.z, t, cond, buffers=buffers).data
         assert np.shares_memory(buffered, buffers.out)
         return plain, buffered
@@ -954,7 +945,7 @@ class TestReverseBuffers:
         buffers.z[...] = rng.standard_normal((5, 2))
         for grad_mode in (True, False):
             with contextlib.nullcontext() if grad_mode else no_grad():
-                for out in (predict_noise(params, buffers.z.copy(), 3, cond),
+                for out in (predict_noise(params, buffers.z.copy(), np.full(5, 3), cond),
                             predict_noise(params, buffers.z, 3, cond, buffers=buffers)):
                     assert type(out) is Tensor and out.shape == (5, 2)
                     assert out._parents == () and out._grad_fn is None and not out.requires_grad

@@ -75,6 +75,8 @@ class TestConfig:
             TrainConfig(mode="both")
         with pytest.raises(ConfigError, match=r"^adversarial_mode must be 'uniform-kl' or 'negated-ce', got 'x'$"):
             TrainConfig(adversarial_mode="x")
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):  # not numpy's nameless refusal
+            TrainConfig(seed=-1)
 
     def test_json_file_roundtrip(self, tmp_path):
         cfg = TrainConfig(epochs=7, lambda1=0.5)
@@ -93,6 +95,8 @@ class TestConfig:
         assert cfg.seed == 99
         with pytest.raises(ConfigError):
             apply_seed_env(TrainConfig(), env={"CCLIP_SEED": "abc"})
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -3$"):
+            apply_seed_env(TrainConfig(), env={"CCLIP_SEED": "-3"})
 
     def test_non_finite_and_mistyped_values_rejected(self):
         for bad in (dict(lr=float("nan")), dict(margin2=float("inf")), dict(lr="0.1"), dict(alpha_style=None),
@@ -917,14 +921,13 @@ class TestCli:
         doubling the time-embedding one fails ``denoiser-train-step``, and only it."""
         import stylecat.diffusion as diffusion_mod
 
-        real_step = diffusion_mod._TrainBuffers.step
+        real_grads = diffusion_mod._TrainBuffers._grads
 
-        def doubled(self, *args):
-            loss = real_step(self, *args)
+        def doubled(self, g):
+            real_grads(self, g)
             self.params.time_embed.grad *= 2.0
-            return loss
 
-        monkeypatch.setattr(diffusion_mod._TrainBuffers, "step", doubled)
+        monkeypatch.setattr(diffusion_mod._TrainBuffers, "_grads", doubled)
         assert self.run("gradcheck", "--seeds", "2") == 2
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith(" FAIL")]
         assert failed == ["denoiser-train-step"]
@@ -1105,6 +1108,26 @@ class TestCli:
         assert self.run(*argv, "--checkpoint", str(generator), "--out", str(tmp_path / "s.csv")) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["train-encoders", "--epochs", "0", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["train-encoders", "--epochs", "0"], "-3", "seed must be >= 0, got -3"),
+        (["sample", "--style", "sketch", "--category", "cat", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["guidance-eval", "--n-per-cell", "1", "--seed", "-5"], None, "seed must be >= 0, got -5"),
+    ], ids=["train-encoders", "train-encoders-env", "sample", "guidance-eval"])
+    def test_negative_seed_exits_one_naming_it(self, generator, data_dir, tmp_path, capsys, monkeypatch,
+                                                argv, env, message):
+        """Each command refuses a negative seed with one ``error:`` line that names the seed, and writes nothing."""
+        monkeypatch.delenv("CCLIP_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("CCLIP_SEED", env)
+        source = ["--data", str(data_dir)] if argv[0] == "train-encoders" else ["--checkpoint", str(generator)]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert self.run(*argv, *source, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["sample", "--style", "sketch", "--category", "cat", "-n", "1000000000000"],
                                       ["guidance-eval", "--n-per-cell", "1000000000000"]],
