@@ -39,6 +39,10 @@ TEMPLATE_WORDS = words_of(CAPTION_TEMPLATE.format(style="", category=""))  # the
 # its Mahalanobis basin tolerates the generator's radial spread
 COV_SHAPES = ("radial", "tangential", "isotropic")
 SIGMA = 0.15       # every component's covariance determinant is SIGMA**4
+# A style is a two-colour palette, so the grid of (i, j) minus that of (i, k) is (mask_j - mask_k) x (fg_i - bg_i):
+# past three styles the colour differences, vectors in RGB, are linearly dependent, and so are the cells' grids,
+# which the backbone's image projection must send to independent style and category codes.
+MAX_STYLES = 3
 ELONGATION = 1.4   # elongated axes: ELONGATION * SIGMA long, SIGMA / ELONGATION short
 
 
@@ -69,6 +73,10 @@ class SyntheticSpec:
         check_types(self, DatasetError)  # after the noise check, whose message says more
         if self.n_styles < 2 or self.n_categories < 2:
             raise DatasetError("need at least 2 styles and 2 categories")
+        if self.n_styles > MAX_STYLES:
+            raise DatasetError(f"{self.n_styles} styles and {self.n_categories} categories: at most {MAX_STYLES} styles, "
+                               "since the prototype grids of four or more two-colour palettes are linearly "
+                               "dependent and the backbone cannot tell their cells apart")
         if self.n_train < 1 or self.n_test < 1 or self.seed < 0:
             raise DatasetError("per-cell sample counts must be >= 1 and the seed >= 0")
         for name in ("style_names", "category_names"):

@@ -6,9 +6,10 @@ untrained encoders reproduce the backbone exactly. ``blend`` implements
 the residual mixing of adapted and frozen features.
 
 Frozen features, prompt features and blends are plain (n, D) arrays.
-``adapt_array`` is the adapter's numpy forward and hand-written backward.
-The training objectives in ``losses`` fold it into their one tape node per
-optimiser step, and ``EncoderBundle.adapt_feature`` runs its forward alone.
+``adapt_array`` is the adapter's numpy forward and hand-written backward,
+for one adapter or, stacked, for both. The training objectives in ``losses``
+fold it into their one tape node per optimiser step, and
+``EncoderBundle.adapt_feature`` runs its forward alone.
 """
 
 from __future__ import annotations
@@ -59,30 +60,33 @@ class AdapterParams(ParamGroup):
 def adapt_array(x: np.ndarray, p: AdapterParams):
     """Constant (n, D) rows through one adapter: normalize(x + relu(x . w1 + b1) . w2 + b2).
 
-    Returns the (n, D) adapted rows and their backward, which maps the
-    gradient at those rows to the gradients of ``x``, ``w1``, ``b1``, ``w2``
-    and ``b2``; with ``need_x`` false the gradient of ``x`` is None. With a
-    row index ``split``, each parameter gradient is the product over the rows
-    before it plus the product over the rows from it on: the bits of adapting
-    the two blocks apart and adding their gradients.
+    Stacked, (2, n, D) rows through the (2, …) fields of ``EncoderBundle.adapters``: slice i through
+    adapter i, with each slice's products and reductions those of adapting it alone. Returns the
+    adapted rows and their backward, which maps the gradient at those rows to the gradients of ``x``,
+    ``w1``, ``b1``, ``w2`` and ``b2``; with ``need_x`` false the gradient of ``x`` is None. With a
+    row index ``split``, each parameter gradient is the product over the rows before it plus the
+    product over the rows from it on: the bits of adapting the two blocks apart and adding their
+    gradients. ``order``, (2, n) indices of the stacked rows as one (2n, ·) array, first reorders each
+    slice's rows for that split.
     """
-    if x.ndim != 2 or x.shape[1] != p.w1.shape[0]:
+    if x.ndim != len(p.w1.shape) or x.shape[-1] != p.w1.shape[-2]:
         raise T.ShapeError(f"adapt: feature shape {x.shape} incompatible with w1 {p.w1.shape}")
     w1, w2 = p.w1.data, p.w2.data
-    pre = x @ w1 + p.b1.data
+    pre = x @ w1 + p.b1.data[..., None, :]
     mask = pre > 0
     hidden = np.where(mask, pre, 0.0)
-    y, norm = T._unit_rows(x + (hidden @ w2 + p.b2.data))
+    y, norm = T._unit_rows(x + (hidden @ w2 + p.b2.data[..., None, :]))
 
-    def grad(g, need_x=True, split=None):
+    def grad(g, need_x=True, split=None, order=None):
         g_sum = T._unit_rows_grad(g, y, norm)
-        g_pre = (g_sum @ w2.T) * mask
-        g_x = g_sum + g_pre @ w1.T if need_x else None
+        g_pre = (g_sum @ w2.swapaxes(-1, -2)) * mask
+        g_x = g_sum + g_pre @ w1.swapaxes(-1, -2) if need_x else None
         if split is None:
-            return g_x, x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g_sum, g_sum.sum(axis=0)
-        a, b = np.s_[:split], np.s_[split:]
-        return (g_x, x[a].T @ g_pre[a] + x[b].T @ g_pre[b], g_pre[a].sum(axis=0) + g_pre[b].sum(axis=0),
-                hidden[a].T @ g_sum[a] + hidden[b].T @ g_sum[b], g_sum[a].sum(axis=0) + g_sum[b].sum(axis=0))
+            return g_x, x.swapaxes(-1, -2) @ g_pre, g_pre.sum(axis=-2), hidden.swapaxes(-1, -2) @ g_sum, g_sum.sum(axis=-2)
+        xs, gp, hs, gs = (r if order is None else r.reshape(-1, r.shape[-1])[order] for r in (x, g_pre, hidden, g_sum))
+        a, b = np.s_[..., :split, :], np.s_[..., split:, :]
+        return (g_x, xs[a].swapaxes(-1, -2) @ gp[a] + xs[b].swapaxes(-1, -2) @ gp[b], gp[a].sum(axis=-2) + gp[b].sum(axis=-2),
+                hs[a].swapaxes(-1, -2) @ gs[a] + hs[b].swapaxes(-1, -2) @ gs[b], gs[a].sum(axis=-2) + gs[b].sum(axis=-2))
 
     return y, grad
 
@@ -116,6 +120,8 @@ class EncoderBundle:
         self.backbone = backbone
         self.style_adapter = style_adapter
         self.category_adapter = category_adapter
+        # (2, …) fields over both adapters, style first; each adapter's buffers become its half of them
+        self.adapters = AdapterParams.stack(style_adapter, category_adapter)
         self.style_names = tuple(style_names)
         self.category_names = tuple(category_names)
         self.lexicon = CategoryLexicon.from_words(self.category_names)  # splits each caption to condition on

@@ -1,21 +1,24 @@
 """Training objectives of the two adapters and the loss heads they are made of.
 
 Every encoder optimiser step records one tape node, whose parents are the
-four tensors of the adapter being stepped. Each objective takes ``(run,
-cfg)``, the run's constants, checked once, and the config that holds its
-weights or margin, and scores the batch the run's ``select`` chose. The
-labeled objectives (a ``_LabeledRun``) run the adapter once over both
-factors' prompt features stacked, then the cosine logits of each factor and
-cross-entropy plus lambda times the confusion term. The triplet objectives
-(a ``_TripletRun``) run the adapter over the anchor's frozen text rows, or
-take that pass from the other kind's step, and the hinge; when no triplet of
-the batch is active their loss is the exact 0.0 with no parents, so that
-step's ``backward`` runs no backward at all. Their forward and hand-written
-backward are put together from the numpy helpers below; the tests build
-single-layer nodes (the adapter, ``class_logits``, cross-entropy, the
-confusion term and the hinge) from the same helpers, and an objective gives
-the same bits as the composition of those nodes. ``train.gradcheck_suite``
-audits the objectives themselves.
+four tensors of the parameter group being stepped. Each objective takes
+``(run, cfg)``, the run's constants, checked once, and the config that holds
+its weights or margins, scores the batch the run's ``select`` chose, and
+leaves each kind's loss of that batch in ``run.values``. A labeled step (a
+``_LabeledRun``) steps both adapters at once, over the (2, …) tensors of
+``EncoderBundle.adapters``: one stacked adapter pass over both kinds' prompt
+rows, then per factor one head through both adapters, its own adapter's
+cross-entropy and the other's confusion term, each kind's value being its
+cross-entropy plus lambda times its confusion term. An unlabeled step (a
+``_TripletRun``) steps one adapter: it runs that adapter over the anchor's
+frozen text rows, or takes that pass from the other kind's step, and the
+hinge; when no triplet of the batch is active its loss is the exact 0.0 with
+no parents, so that step's ``backward`` runs no backward at all. Their
+forward and hand-written backward are put together from the numpy helpers
+below; the tests build single-layer nodes (the adapter, ``class_logits``,
+cross-entropy, the confusion term and the hinge) from the same helpers, and
+each kind's value and gradient are the bits of the composition of those
+nodes. ``train.gradcheck_suite`` audits the objectives themselves.
 """
 
 from __future__ import annotations
@@ -49,13 +52,12 @@ def _cosine(f: np.ndarray, prototypes: np.ndarray):
                            "must be rows of one width")
     fn, f_norm = T._unit_rows(f)
     pn, p_norm = T._unit_rows(prototypes)
-    pn_t = pn.T.copy()
 
     def grad(g, need_f=True):
-        g_f = T._unit_rows_grad(g @ pn_t.T, fn, f_norm) if need_f else None
+        g_f = T._unit_rows_grad(g @ pn, fn, f_norm) if need_f else None
         return g_f, T._unit_rows_grad((fn.T @ g).T, pn, p_norm)
 
-    return fn @ pn_t, grad
+    return fn @ pn.T, grad  # the GEMM of the labeled step's heads
 
 
 def _labels_array(labels, shape: tuple[int, int]) -> np.ndarray:
@@ -70,30 +72,32 @@ def _labels_array(labels, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of (n, K) logits, shifted by each row's maximum."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Log-softmax over the last axis of logits, (n, K) or stacked (2, n, K), shifted by each row's maximum."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _log_softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient at the logits of ``g``, the gradient at their log-softmax ``y``."""
-    return g - np.exp(y) * g.sum(axis=1, keepdims=True)
+    return g - np.exp(y) * g.sum(axis=-1, keepdims=True)
 
 
-def _ce(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy of softmax over (n, K) logits against n checked labels, and its backward."""
-    n, rows, y = len(labels), np.arange(len(labels)), _log_softmax(logits)
+def _ce(y: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy of n checked labels under (n, K) log-probabilities ``y`` (a log-softmax), and
+    its backward, which maps the gradient at the value to the gradient at ``y``."""
+    n, rows = len(labels), np.arange(len(labels))
 
     def grad(g):
         g_picked = np.zeros_like(y)
         g_picked[rows, labels] = float(g * -1.0) / n
-        return _log_softmax_grad(g_picked, y)
+        return g_picked
 
     return np.asarray(y[rows, labels].sum() / n) * -1.0, grad  # the mean's bits, without its wrapper
 
 
-def _confusion(logits: np.ndarray, labels: np.ndarray, mode: str):
-    """Adversarial term for the opposing attribute on (n, K) logits against n checked labels, and its backward.
+def _confusion(y: np.ndarray, labels: np.ndarray, mode: str):
+    """Adversarial term for the opposing attribute under (n, K) log-probabilities ``y`` against n checked
+    labels, and its backward to ``y``.
 
     uniform-kl: cross-entropy of predictions against the uniform
     distribution (minimized exactly when predictions are uniform).
@@ -101,16 +105,11 @@ def _confusion(logits: np.ndarray, labels: np.ndarray, mode: str):
     ``ConfigError`` for another mode.
     """
     if mode == "uniform-kl":
-        n, k = logits.shape
+        n, k = y.shape
         c = -1.0 / (n * k)
-        y = _log_softmax(logits)
-
-        def grad(g):
-            return _log_softmax_grad(np.full(y.shape, float(g * c)), y)
-
-        return np.asarray(y.sum()) * c, grad
+        return np.asarray(y.sum()) * c, lambda g: np.full(y.shape, float(g * c))
     if mode == "negated-ce":
-        value, ce_grad = _ce(logits, labels)
+        value, ce_grad = _ce(y, labels)
         return value * -1.0, lambda g: ce_grad(g * -1.0)
     raise ConfigError(f"unknown adversarial mode: {mode!r}")
 
@@ -158,7 +157,7 @@ def class_logits(f: Tensor, prototypes: Tensor, scale: float = 1.0) -> Tensor:
 
 
 class _LabeledRun:
-    """The constants of a labeled run, which its objectives read on every step.
+    """The constants of a labeled run, which its objective reads on every step.
 
     Built once per ``train_encoders`` run from all (N, D) image feature
     rows ``f_all``, their labels by kind and the ``encoders`` being trained,
@@ -166,11 +165,13 @@ class _LabeledRun:
     features are rows of the adapters' width D (``ShapeError``), that no row
     of ``f_all`` has (near-)zero norm and that each kind's labels are an
     (N,) array in [0, K) (``ValueError``). It holds the unit rows of
-    ``f_all``, the checked labels, and per kind that kind's prompt rows
-    stacked over the other kind's. ``select(idx)`` makes rows ``idx`` the
-    batch the objectives score; until then every row is. Rows are
-    normalized one by one, so a selected row has the bits of the same row
-    normalized within its batch.
+    ``f_all``, the checked labels, the (2, K_style + K_category, D) prompt
+    rows of the stacked adapter pass, slice k being kind k's own prompt rows
+    over the other kind's, and ``order``, the indices that put each slice's
+    rows style first, as rows of one (2 (K_style + K_category), D) array.
+    ``select(idx)`` makes rows ``idx`` the batch the objective scores; until
+    then every row is. Rows are normalized one by one, so a selected row has
+    the bits of the same row normalized within its batch.
     """
 
     def __init__(self, f_all: np.ndarray, labels: dict[str, np.ndarray], encoders: EncoderBundle):
@@ -182,8 +183,11 @@ class _LabeledRun:
         self.encoders = encoders
         self.unit = T._unit_rows(f_all)[0]
         self.labels = {kind: _labels_array(labels[kind], (len(f_all), len(prompts[kind]))) for kind in _KINDS}
-        self.prompts = {kind: np.concatenate([prompts[kind], prompts[other]]) for kind, other in _OTHER.items()}
-        self.fn, self.batch = self.unit, self.labels
+        self.prompts = np.stack([np.concatenate([prompts[kind], prompts[_OTHER[kind]]]) for kind in _KINDS])
+        ks, kc = len(prompts["style"]), len(prompts["category"])
+        self.order = np.arange(2 * (ks + kc)).reshape(2, -1)
+        self.order[1] = np.roll(self.order[1], ks)  # the category slice holds its own rows first
+        self.fn, self.batch, self.values = self.unit, self.labels, {}
 
     def select(self, idx: np.ndarray) -> None:
         """Make rows ``idx`` the batch."""
@@ -191,47 +195,51 @@ class _LabeledRun:
         self.batch = {kind: arr[idx] for kind, arr in self.labels.items()}
 
 
-def _labeled_loss(run: _LabeledRun, cfg: TrainConfig, kind: str) -> Tensor:
-    """Objective of the ``kind`` adapter of ``run.encoders`` on the batch ``run.select`` chose.
+def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> Tensor:
+    """Both adapters' labeled objectives on the batch ``run.select`` chose, as one step over the four
+    (2, …) tensors of ``run.encoders.adapters``; the benchmark's step probe enters it by this name.
 
-    Cross-entropy on its own factor plus lambda times the confusion term on
-    the other factor, both scored through the ``kind`` adapter; lambda is
-    lambda1 for style and lambda2 for category. With lambda == 0 the value
-    is exactly the plain cross-entropy term's. The image rows and labels are
-    the run's, checked when it was built.
+    Adapter k's objective is cross-entropy on its own factor plus lambda
+    times the confusion term on the other factor, both scored through
+    adapter k; lambda is lambda1 for style and lambda2 for category. With
+    lambda == 0 its value is exactly the plain cross-entropy term's. The
+    image rows and labels are the run's, checked when it was built. Each
+    kind's value is left in ``run.values``; the node's value is their sum,
+    and as the adapters share no parameter, its gradient at each adapter is
+    that adapter's own objective's.
 
-    One adapter pass covers both factors' prompt rows, and the backward
-    takes the two heads' gradients through it together; each parameter
-    gradient is still the sum of one product per head, as on the layered tape.
+    One stacked adapter pass covers both kinds' prompt rows, each slice in
+    its kind's own row order. Its rows are then put style first in both
+    slices (``run.order``), so that per factor the logits through both
+    adapters are one (2, n, K) product and one log-softmax, slice k being
+    adapter k's. In the backward each parameter gradient is still the sum of
+    one product per factor's rows, as on the layered tape; a slice's
+    products and reductions are those of its kind stepped alone.
     """
-    lam = cfg.lambda1 if kind == "style" else cfg.lambda2
-    scale = float(cfg.logit_scale)
-    p, k, fn = run.encoders.adapter(kind), len(run.encoders.prompt_features[kind]), run.fn
-    protos, adapt_grad = adapt_array(run.prompts[kind], p)
-    pn, p_norm = T._unit_rows(protos)
-
-    def head(rows, loss):  # one cosine GEMM per head: one GEMM over both heads' rows gives other bits
-        value, loss_grad = loss((fn @ pn[rows].T) * scale)
-        return value, lambda g: (fn.T @ (loss_grad(g) * scale)).T  # the gradient at pn[rows]
-
-    value, ce_grad = head(np.s_[:k], lambda z: _ce(z, run.batch[kind]))
-    conf, conf_grad = head(np.s_[k:], lambda z: _confusion(z, run.batch[_OTHER[kind]], cfg.adversarial_mode))
+    lam, scale, p = (cfg.lambda1, cfg.lambda2), float(cfg.logit_scale), run.encoders.adapters
+    protos, adapt_grad = adapt_array(run.prompts, p)
+    dim, split = protos.shape[-1], len(run.encoders.prompt_features["style"])
+    pn, p_norm = T._unit_rows(protos.reshape(-1, dim)[run.order])
+    heads, ce, conf = {}, {}, {}
+    for i, (factor, rows) in enumerate(zip(_KINDS, (np.s_[:, :split], np.s_[:, split:]))):
+        y = _log_softmax(np.matmul(run.fn, pn[rows].swapaxes(-1, -2)) * scale)
+        ce[factor] = _ce(y[i], run.batch[factor])  # adapter i's own factor: its cross-entropy, the other's confusion
+        conf[_OTHER[factor]] = _confusion(y[1 - i], run.batch[factor], cfg.adversarial_mode)
+        heads[factor] = rows, y
+    values = [ce[kind][0] + conf[kind][0] * lam[i] for i, kind in enumerate(_KINDS)]
+    run.values = dict(zip(_KINDS, map(float, values)))
 
     def grad(g):  # the gradients of w1, b1, w2 and b2
-        g_pn = np.concatenate([ce_grad(g), conf_grad(g * lam)])
-        return adapt_grad(T._unit_rows_grad(g_pn, pn, p_norm), need_x=False, split=k)[1:]
+        g_pn = np.empty_like(pn)
+        for i, (factor, (rows, y)) in enumerate(heads.items()):
+            g_y = np.empty_like(y)
+            g_y[i], g_y[1 - i] = ce[factor][1](g), conf[_OTHER[factor]][1](g * lam[1 - i])
+            g_pn[rows] = np.matmul(run.fn.T, _log_softmax_grad(g_y, y) * scale).swapaxes(-1, -2)
+        g_protos = np.empty_like(protos)
+        g_protos.reshape(-1, dim)[run.order] = T._unit_rows_grad(g_pn, pn, p_norm)
+        return adapt_grad(g_protos, need_x=False, split=split, order=run.order)[1:]
 
-    return T._node(value + conf * lam, (p.w1, p.b1, p.w2, p.b2), grad)
-
-
-def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> Tensor:
-    """Style-encoder objective on the run's labeled batch (lambda1)."""
-    return _labeled_loss(run, cfg, "style")
-
-
-def category_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> Tensor:
-    """Mirror objective for the category encoder (swap roles, lambda2)."""
-    return _labeled_loss(run, cfg, "category")
+    return T._node(values[0] + values[1], (p.w1, p.b1, p.w2, p.b2), grad)
 
 
 class _TripletRun:
@@ -246,7 +254,7 @@ class _TripletRun:
         for name, rows in (("image features", f_all), *((f"{kind} text", text[kind]) for kind in _KINDS)):
             if rows.shape != (len(f_all), dim):
                 raise T.ShapeError(f"triplet objective: {name} {rows.shape} must be {len(f_all)} rows of width {dim}")
-        self.encoders, self.f_all, self.text = encoders, f_all, text
+        self.encoders, self.f_all, self.text, self.values = encoders, f_all, text, {}
         self.select(np.s_[:])
 
     def select(self, idx: np.ndarray) -> None:
@@ -267,9 +275,11 @@ def _triplet_loss(run: _TripletRun, cfg: TrainConfig, kind: str) -> Tensor:
     """Hinge of the ``kind`` adapter on the batch ``run.select`` chose (margin1 for style, margin2
     for category): anchor its adapted text rows, positive the image rows, negative the other
     adapter's rows, a constant. One tape node over the adapter's four tensors, or a parentless 0.0
-    when no row is active, as decided on the rows: a mean of active rows can underflow to 0.0."""
+    when no row is active, as decided on the rows: a mean of active rows can underflow to 0.0. The
+    value is also left in ``run.values[kind]``."""
     (anchor, adapt_grad), negative = run.rows(kind)
     value, hinge_grad, active = _hinge(anchor, run.positive, negative, cfg.margin1 if kind == "style" else cfg.margin2)
+    run.values[kind] = float(value)
     if not active:
         return Tensor(value)
     p = run.encoders.adapter(kind)

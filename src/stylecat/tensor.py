@@ -7,17 +7,21 @@ order and accumulates gradients on the leaf tensors.
 
 Trainable tensors live in a ``ParamGroup``: their ``data`` and ``grad`` are
 views of the group's two flat buffers, which ``backward`` (or a fused step),
-``train.Adam`` and a checkpoint's ``load`` write in place.
+``train.Adam`` and a checkpoint's ``load`` write in place. ``ParamGroup.stack``
+lays groups of one layout end to end in one pair of buffers, with (k, …)
+fields over them; the two adapters are stacked so.
 
 A ``Tensor`` wraps only a trainable parameter or a node of the tape; the
 frozen features of the backbone are plain arrays. There is one generic op,
 ``scale``. Everything else is a coarse node, built with ``_node`` and a
 hand-written backward over all its parents. In the package the tape serves
-the encoder training steps: each records one such node per objective, over
-the four tensors of its adapter (the objectives in ``losses``, each on the
-batch its run selected: a labeled step runs the adapter once over both
-factors' prompt rows; a triplet objective with no active triplet records
-none, and its loss is a constant 0.0 whose backward adds nothing).
+the encoder training steps: each records one such node per step, over the
+four tensors of the group it steps (the objectives in ``losses``, each on
+the batch its run selected). A labeled step steps both adapters at once:
+its node's parents are the stacked (2, …) tensors of both, and it runs one
+adapter pass over both kinds' prompt rows. A triplet step steps one
+adapter, over its four tensors; with no active triplet it records no node,
+and its loss is a constant 0.0 whose backward adds nothing.
 ``losses.class_logits``, a cosine node times ``scale``, is its one other
 user. A denoiser training step (``diffusion.ddpm_train_step``) records no
 node: on its run's workspace, which holds and has checked the run's points,
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,14 +118,47 @@ class ParamGroup:
     """
 
     def __post_init__(self):
+        size = sum(p.size for p in self.tensors())
+        self._bind(np.empty(size), np.zeros(size))
+
+    def _bind(self, flat: np.ndarray, flat_grad: np.ndarray) -> None:
+        """Copy the tensors' values, in field order, into ``flat``, and make it and ``flat_grad`` the
+        group's buffers, each tensor's ``data`` and ``grad`` views of its slice of them."""
+        self.flat, self.flat_grad = flat, flat_grad
         tensors = self.tensors()
         bounds = np.cumsum([0] + [p.size for p in tensors])
-        self.flat = np.empty(bounds[-1])
-        self.flat_grad = np.zeros(bounds[-1])
         for p, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
-            self.flat[lo:hi] = p.data.ravel()
-            p.data = self.flat[lo:hi].reshape(p.shape)
-            p.grad = self.flat_grad[lo:hi].reshape(p.shape)
+            flat[lo:hi] = p.data.ravel()
+            p.data = flat[lo:hi].reshape(p.shape)
+            p.grad = flat_grad[lo:hi].reshape(p.shape)
+
+    @classmethod
+    def stack(cls, *groups: "ParamGroup") -> "ParamGroup":
+        """One group over ``groups``, each of ``cls`` with one set of shapes, whose fields gain a leading
+        axis: a field of shape S becomes (len(groups), *S).
+
+        Its ``flat`` and ``flat_grad`` hold the groups' buffers end to end, group-major, and its tensors'
+        ``data`` and ``grad`` are strided views of them. Each group keeps its values and tensors, but its
+        buffers become its contiguous part of the stacked ones, so a write through either is seen by the
+        other, and an elementwise update of the stacked buffers (``train.Adam``) updates every group as
+        its own update would. ShapeError for groups of two sets of shapes.
+        """
+        shapes = [p.shape for p in groups[0].tensors()]
+        if any([p.shape for p in g.tensors()] != shapes for g in groups):
+            raise ShapeError(f"{cls.__name__}.stack: the groups' tensors differ in shape")
+        k, n = len(groups), groups[0].flat.size
+        flat, flat_grad = np.empty(k * n), np.zeros(k * n)
+        for i, g in enumerate(groups):
+            g._bind(flat[i * n:(i + 1) * n], flat_grad[i * n:(i + 1) * n])
+        stacked = cls.__new__(cls)  # no __init__: the fields are views of the groups' buffers, not copies
+        stacked.flat, stacked.flat_grad = flat, flat_grad
+        data, grad, lo = flat.reshape(k, n), flat_grad.reshape(k, n), 0
+        for f, shape in zip(dataclasses.fields(cls), shapes):
+            hi = lo + math.prod(shape)
+            t = Tensor(data[:, lo:hi].reshape(k, *shape), requires_grad=True)
+            t.grad, lo = grad[:, lo:hi].reshape(k, *shape), hi
+            setattr(stacked, f.name, t)
+        return stacked
 
     def zero_grad(self) -> None:
         self.flat_grad[:] = 0.0

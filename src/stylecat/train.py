@@ -33,7 +33,6 @@ from .losses import (
     ConfigError,
     _LabeledRun,
     _TripletRun,
-    category_labeled_loss,
     category_triplet_loss,
     style_labeled_loss,
     style_triplet_loss,
@@ -264,10 +263,15 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     The run's one ``_LabeledRun`` (labeled mode) or ``_TripletRun`` (over
     captions decomposed with ``spec.lexicon``, of its category names, as
     generation decomposes them) holds the bundle and the checked constants, and
-    selects each batch. A batch runs one step per kind, style then
-    category: its objective on the run, ``backward`` and the kind's own
-    Adam. A triplet step's negative is the other adapter's feature of the
-    other half caption, taken at the start of that kind's step.
+    selects each batch. Every step is its objective on the run, ``zero_grad``,
+    ``backward`` and an Adam step. In labeled mode a batch is one step of both
+    adapters: the two objectives read disjoint parameters, so one stacked
+    step over ``bundle.adapters``, with one Adam over both, gives each the
+    bits of its own step. In unlabeled mode a batch runs one step per kind,
+    style then category, each with its own Adam over its adapter: a triplet
+    step's negative is the other adapter's feature of the other half
+    caption, taken at the start of that kind's step, so the category step
+    reads the style adapter as the style step left it.
 
     ``lexicon``, if given, must be that same lexicon (ConfigError
     otherwise); a dataset directory's ``lexicon.txt`` is ``decompose``'s
@@ -281,17 +285,18 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         raise ConfigError("training set is empty")
 
     bundle = fresh_bundle(spec, config)
-    opts = {kind: Adam(bundle.adapter(kind), config.lr) for kind in _KINDS}
     rng = np.random.default_rng([config.seed, 11])
 
     # Frozen features are constants of the data: embedded once per run.
     f_all, labels = _features(data, bundle.backbone)
-    # Built per run from the module's names, so that a replaced objective is the one each step calls.
+    # Per step, the kinds it scores, its objective and its Adam. Built per run from the module's names, so
+    # that a replaced objective is the one each step calls.
     if config.mode == "labeled":
-        objective = {"style": style_labeled_loss, "category": category_labeled_loss}
+        steps = [(_KINDS, style_labeled_loss, Adam(bundle.adapters, config.lr))]
         run = _LabeledRun(f_all, labels, bundle)
     else:
-        objective = {"style": style_triplet_loss, "category": category_triplet_loss}
+        steps = [((kind,), objective, Adam(bundle.adapter(kind), config.lr))
+                 for kind, objective in zip(_KINDS, (style_triplet_loss, category_triplet_loss))]
         pairs = [split_caption(s.caption, spec.lexicon) for s in data]
         texts = list(dict.fromkeys(text for pair in pairs for text in pair))
         frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone)))
@@ -304,12 +309,13 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         losses = {kind: [] for kind in _KINDS}
         for start in range(0, len(data), config.batch_size):
             run.select(order[start : start + config.batch_size])
-            for kind in _KINDS:
-                loss = objective[kind](run, config)
-                bundle.adapter(kind).zero_grad()
+            for kinds, objective, opt in steps:
+                loss = objective(run, config)
+                opt.group.zero_grad()
                 backward(loss)
-                opts[kind].step()
-                losses[kind].append(_check_finite(loss.item(), f"{kind} step"))
+                opt.step()
+                for kind in kinds:
+                    losses[kind].append(_check_finite(run.values[kind], f"{kind} step"))
 
         top1 = _top1(bundle, f_all, labels, config.alpha_style, config.alpha_category, config.logit_scale)
         rows.append(_metrics_row(epoch, "train", *top1, *(float(np.mean(losses[kind])) for kind in _KINDS), config))
@@ -524,6 +530,7 @@ class _AuditWorld(EncoderBundle):
             rng = np.random.default_rng([seed, attempt, 101])
             self.style_adapter, self.category_adapter = (_random_adapter(rng, self.DIM, self.HIDDEN)
                                                          for _ in _KINDS)
+            self.adapters = AdapterParams.stack(self.style_adapter, self.category_adapter)
             self.f_i = T._unit_rows(rng.standard_normal((self.BATCH, self.DIM)))[0]
             self.prompt_features = {kind: T._unit_rows(rng.standard_normal((self.K, self.DIM)))[0]
                                     for kind in _KINDS}
@@ -591,8 +598,11 @@ def _denoiser_train_world(seed: int):
 def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
     """Check the objectives that training steps, and the denoiser's, against central differences.
 
-    Each kind's labeled objective under each ``LABELED_AUDITS`` config (both
-    adversarial modes, and lambda = 0), then each kind's triplet objective
+    The stacked labeled step under each ``LABELED_AUDITS`` config (both
+    adversarial modes, and lambda = 0), audited at each adapter's half of its
+    gradient (``style-labeled``, ``category-labeled``, ...; its value is the
+    sum of both kinds' objectives, so the central differences at one half
+    are those of that kind's own), then each kind's triplet objective
     under ``TRIPLET_AUDIT``, all on one ``_AuditWorld`` per seed. The
     denoiser is audited once, through the gradients that ``ddpm_train_step``
     writes (``denoiser-train-step``): the layered forward has one input form,
@@ -605,9 +615,8 @@ def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
     worst = {}
     for seed in range(n_seeds):
         world = _AuditWorld(seed)
-        checks = [(f"{kind}-{name}", partial(loss, world.run, cfg), world.adapter(kind).tensors())
-                  for kind, loss in zip(_KINDS, (style_labeled_loss, category_labeled_loss))
-                  for name, cfg in LABELED_AUDITS.items()]
+        checks = [(f"{kind}-{name}", partial(style_labeled_loss, world.run, cfg), world.adapter(kind).tensors())
+                  for kind in _KINDS for name, cfg in LABELED_AUDITS.items()]
         checks += [(f"{kind}-triplet", partial(loss, world.triplet_runs[kind], TRIPLET_AUDIT),
                     world.adapter(kind).tensors())
                    for kind, loss in zip(_KINDS, (style_triplet_loss, category_triplet_loss))]

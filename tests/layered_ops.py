@@ -1,10 +1,11 @@
 """Single-layer tape nodes that only the tests differentiate through.
 
 The program's training steps fold these layers into one node per encoder
-objective (``losses``) or run them with no node at all
-(``diffusion.ddpm_train_step``). Each op here wraps the program's own numpy
-forward and hand-written backward as one node of ``stylecat.tensor``'s tape,
-so a composition of them is the bit reference of the step that fuses them.
+step (``losses``; a labeled step steps both adapters at once) or run them
+with no node at all (``diffusion.ddpm_train_step``). Each op here wraps the
+program's own numpy forward and hand-written backward as one node of
+``stylecat.tensor``'s tape, so a composition of them is the bit reference of
+the step that fuses them.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from stylecat import diffusion
 from stylecat import tensor as T
 from stylecat.encoders import AdapterParams, adapt_array
-from stylecat.losses import _ce, _confusion, _hinge, _labels_array, class_logits
+from stylecat.losses import _ce, _confusion, _hinge, _labels_array, _log_softmax, _log_softmax_grad, class_logits
 from stylecat.tensor import Tensor
 
 
@@ -27,22 +28,36 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return T._node(a.data + b.data, (a, b), grad_fn)
 
 
-def adapt(f: Tensor, p: AdapterParams) -> Tensor:
-    """(n, D) feature rows through one adapter, as one tape node over ``f`` and the adapter's tensors."""
+def adapt(f: Tensor, p: AdapterParams, split=None) -> Tensor:
+    """(n, D) feature rows through one adapter, as one tape node over ``f`` and the adapter's tensors.
+    With a row index ``split``, each parameter gradient sums one product per block of rows."""
     y, grad = adapt_array(f.data, p)
-    return T._node(y, (f, p.w1, p.b1, p.w2, p.b2), lambda g: grad(g, f.requires_grad))
+    return T._node(y, (f, p.w1, p.b1, p.w2, p.b2), lambda g: grad(g, f.requires_grad, split))
+
+
+def take_rows(a: Tensor, rows) -> Tensor:
+    """Rows ``rows`` (a slice) of an (n, D) tensor; one tape node, whose backward puts zeros elsewhere."""
+
+    def grad_fn(g):
+        out = np.zeros_like(a.data)
+        out[rows] = g
+        return (out,)
+
+    return T._node(a.data[rows], (a,), grad_fn)
 
 
 def ce_loss(logits: Tensor, labels) -> Tensor:
     """Mean cross-entropy of softmax over (n, K) logits against n integer labels; one tape node."""
-    value, grad = _ce(logits.data, _labels_array(labels, logits.shape))
-    return T._node(value, (logits,), lambda g: (grad(g),))
+    y = _log_softmax(logits.data)
+    value, grad = _ce(y, _labels_array(labels, logits.shape))
+    return T._node(value, (logits,), lambda g: (_log_softmax_grad(grad(g), y),))
 
 
 def confusion_loss(logits: Tensor, labels, mode: str) -> Tensor:
     """The adversarial term of ``losses._confusion`` for the opposing attribute; one tape node."""
-    value, grad = _confusion(logits.data, _labels_array(labels, logits.shape), mode)
-    return T._node(value, (logits,), lambda g: (grad(g),))
+    y = _log_softmax(logits.data)
+    value, grad = _confusion(y, _labels_array(labels, logits.shape), mode)
+    return T._node(value, (logits,), lambda g: (_log_softmax_grad(grad(g), y),))
 
 
 def triplet_hinge(anchor: Tensor, positive: Tensor, negative: Tensor, margin: float) -> Tensor:
@@ -51,19 +66,34 @@ def triplet_hinge(anchor: Tensor, positive: Tensor, negative: Tensor, margin: fl
     return T._node(value, (anchor, positive), grad)
 
 
+def prompt_logits(f_i: np.ndarray, bundle, kind: str, scale: float) -> tuple[Tensor, Tensor]:
+    """The ``kind`` adapter's logits of image rows ``f_i`` against its own factor's prompts and against
+    the other factor's: ``class_logits`` of the rows of one ``adapt`` pass over its own prompt rows
+    stacked over the other kind's, whose parameter gradients sum one product per factor's rows.
+
+    That pass and those logits are the GEMMs that the labeled step runs for the ``kind`` slice, with
+    their rows in the same order, so the two agree bit for bit on every BLAS kernel; an ``adapt``
+    pass per factor would run GEMMs of other row counts, whose sums some kernels order differently.
+    """
+    other = "category" if kind == "style" else "style"
+    k = len(bundle.prompt_features[kind])
+    protos = adapt(Tensor(np.concatenate([bundle.prompt_features[kind], bundle.prompt_features[other]])),
+                   bundle.adapter(kind), split=k)
+    f = Tensor(f_i)
+    return (class_logits(f, take_rows(protos, np.s_[:k]), scale), class_logits(f, take_rows(protos, np.s_[k:]), scale))
+
+
 def layered_labeled(f_i: np.ndarray, labels, bundle, cfg, kind: str) -> Tensor:
     """The ``kind`` labeled objective on image rows ``f_i`` as a composition of the single-layer ops:
-    cross-entropy on the own factor plus lambda times the confusion term on the other, each over
-    ``class_logits`` of its own ``adapt`` pass; with lambda == 0, the cross-entropy term alone."""
+    cross-entropy on the own factor plus lambda times the confusion term on the other, each over its
+    ``prompt_logits``; with lambda == 0, the cross-entropy term alone."""
     other = "category" if kind == "style" else "style"
     lam = cfg.lambda1 if kind == "style" else cfg.lambda2
-    p, f = bundle.adapter(kind), Tensor(f_i)
-    base = ce_loss(class_logits(f, adapt(Tensor(bundle.prompt_features[kind]), p), cfg.logit_scale), labels[kind])
+    own, opposing = prompt_logits(f_i, bundle, kind, cfg.logit_scale)
+    base = ce_loss(own, labels[kind])
     if lam == 0:
         return base
-    conf = confusion_loss(class_logits(f, adapt(Tensor(bundle.prompt_features[other]), p), cfg.logit_scale),
-                          labels[other], cfg.adversarial_mode)
-    return add(base, T.scale(conf, lam))
+    return add(base, T.scale(confusion_loss(opposing, labels[other], cfg.adversarial_mode), lam))
 
 
 def predict_noise(params, z_t, t_idx, cond, cond_idx=None) -> Tensor:

@@ -38,6 +38,24 @@ class TestSpecValidation:
         with pytest.raises(DatasetError):
             SyntheticSpec(n_styles=3, style_names=("a", "b"))
 
+    @pytest.mark.parametrize("styles", [4, 5, 6, 9])
+    def test_more_than_three_styles_are_refused(self, styles):
+        with pytest.raises(DatasetError, match=f"^{styles} styles and 4 categories: at most 3 styles, since the "
+                                               "prototype grids of four or more two-colour palettes"):
+            SyntheticSpec(n_styles=styles, style_names=default_names(styles, "style"))
+
+    @pytest.mark.parametrize("styles", [2, 3])
+    def test_every_accepted_spec_has_independent_grids(self, styles):
+        """The backbone solves for a map of every cell's prototype grid, with a ones column, so the grids
+        of each accepted spec must be independent: at 2 and 3 styles and 2 to 10 categories the smallest
+        singular value of [grids | 1] is at least 0.13 (0.135 at the default spec); at 4 styles it is
+        below 1e-14."""
+        for categories in range(2, 11):
+            spec = SyntheticSpec(n_styles=styles, n_categories=categories, style_names=default_names(styles, "style"),
+                                 category_names=default_names(categories, "category"))
+            grids = np.stack([grid.ravel() for row in prototype_grids(spec) for grid in row])
+            assert np.linalg.svd(np.hstack([grids, np.ones((len(grids), 1))]), compute_uv=False).min() > 0.1
+
     def test_unknown_json_keys(self):
         with pytest.raises(DatasetError, match="unknown"):
             SyntheticSpec.from_json({"n_styles": 3, "bogus": 1})

@@ -1,6 +1,7 @@
 """Adapters, encoder bundle, and residual blending."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from stylecat.datagen import SyntheticSpec, generate_classification_dataset
 from stylecat.encoders import AdapterParams, EncoderBundle, blend
 from stylecat.losses import _LabeledRun, style_labeled_loss
 from stylecat.tensor import Tensor, backward, finite_diff_grad, relative_error
-from stylecat.train import TrainConfig, build_backbone, fresh_bundle, train_encoders
+from stylecat.train import Adam, TrainConfig, build_backbone, fresh_bundle, save_encoder_checkpoint, train_encoders
 
 from layered_ops import adapt
 
@@ -174,18 +175,76 @@ class TestBlend:
 
 class TestParameterIsolation:
     def test_style_loss_leaves_category_adapter_untouched(self, spec, backbone):
+        """A labeled step steps both adapters, but each kind's value and gradient read only its own
+        adapter: changing the category adapter keeps the style ones' bits, and the reverse."""
         b = fresh_bundle(spec, TrainConfig(), backbone)
         batch = generate_classification_dataset(spec)[0][:8]
         f_i = embed_image(np.stack([s.grid for s in batch]), backbone)
         labels = {kind: np.array([getattr(s, kind) for s in batch]) for kind in ("style", "category")}
-        loss = style_labeled_loss(_LabeledRun(f_i, labels, b), TrainConfig())
-        b.style_adapter.zero_grad()
-        b.category_adapter.zero_grad()
-        backward(loss)
-        assert np.abs(b.style_adapter.flat_grad).max() > 0
-        assert not b.category_adapter.flat_grad.any()
+
+        def step():
+            run = _LabeledRun(f_i, labels, b)
+            loss = style_labeled_loss(run, TrainConfig())
+            b.adapters.zero_grad()
+            backward(loss)
+            return {kind: (run.values[kind], b.adapter(kind).flat_grad.tobytes()) for kind in ("style", "category")}
+
+        rng = np.random.default_rng(5)
+        before = step()
+        for kind in ("category", "style"):
+            b.adapter(kind).w2.data[...] = 0.3 * rng.standard_normal(b.adapter(kind).w2.shape)
+            after = step()
+            other = "style" if kind == "category" else "category"
+            assert after[other] == before[other] and after[kind] != before[kind]
+            before = after
 
     def test_shared_adapter_rejected(self, backbone, spec):
         a = AdapterParams.init(backbone.dim, seed=0)
         with pytest.raises(ValueError, match="share"):
             EncoderBundle(backbone, a, a, spec.style_names, spec.category_names)
+
+
+class TestJointBuffer:
+    """``EncoderBundle.adapters``: both adapters' parameters in one kind-major buffer."""
+
+    def test_halves_and_the_stacked_view_share_memory(self, spec, backbone):
+        b = fresh_bundle(spec, TrainConfig(), backbone)
+        half = b.style_adapter.flat.size
+        assert b.adapters.flat.size == 2 * half
+        for i, kind in enumerate(("style", "category")):
+            assert np.shares_memory(b.adapter(kind).flat, b.adapters.flat[i * half:(i + 1) * half])
+            assert np.shares_memory(b.adapter(kind).flat_grad, b.adapters.flat_grad[i * half:(i + 1) * half])
+        b.style_adapter.w1.data[2, 1] = 7.0
+        assert b.adapters.w1.data[0, 2, 1] == 7.0
+        b.adapters.b2.data[1, 3] = -4.0
+        assert b.category_adapter.b2.data[3] == -4.0 and b.category_adapter.flat[-b.adapters.b2.shape[1] + 3] == -4.0
+        b.adapters.w2.grad[1, 0, 5] = 2.5
+        assert b.category_adapter.w2.grad[0, 5] == 2.5
+        assert [t.shape for t in b.adapters.tensors()] == [(2, *t.shape) for t in b.style_adapter.tensors()]
+
+    def test_one_stacked_adam_step_equals_one_per_half(self, spec, backbone):
+        rng = np.random.default_rng(6)
+        joint, apart = fresh_bundle(spec, TrainConfig(), backbone), fresh_bundle(spec, TrainConfig(), backbone)
+        opt = Adam(joint.adapters, 1e-3)
+        opts = [Adam(apart.adapter(kind), 1e-3) for kind in ("style", "category")]
+        for _ in range(3):
+            g = rng.standard_normal(joint.adapters.flat.size)
+            joint.adapters.flat_grad[...] = g
+            apart.adapters.flat_grad[...] = g
+            opt.step()
+            for o in opts:
+                o.step()
+        assert joint.adapters.flat.tobytes() == apart.adapters.flat.tobytes()
+        assert np.abs(joint.adapters.flat - fresh_bundle(spec, TrainConfig(), backbone).adapters.flat).max() > 0
+
+    def test_checkpoint_bytes_match_two_standalone_groups(self, spec, tmp_path):
+        config = TrainConfig()
+        standalone = {"style": AdapterParams.init(config.dim, seed=config.seed),
+                      "category": AdapterParams.init(config.dim, seed=config.seed + 1)}
+        save_encoder_checkpoint(tmp_path / "bundle.ckpt", fresh_bundle(spec, config), config, spec)
+        save_encoder_checkpoint(tmp_path / "apart.ckpt", SimpleNamespace(adapter=standalone.__getitem__), config, spec)
+        assert (tmp_path / "bundle.ckpt").read_bytes() == (tmp_path / "apart.ckpt").read_bytes()
+
+    def test_groups_of_two_shapes_are_refused(self):
+        with pytest.raises(T.ShapeError, match="differ in shape"):
+            AdapterParams.stack(AdapterParams.init(8), AdapterParams.init(12))

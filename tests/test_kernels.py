@@ -86,17 +86,66 @@ def test_every_workload_and_kernel_runs_in_each_checkout(monkeypatch, capsys):
             return {"digest": None, "error": "exit 132"}
         return {"digest": D91E, "error": None}
 
+    tested = []
+
+    def fake_tests(checkout, kernel):
+        tested.append((checkout.name, kernel))
+        return kernels.parse_tests(TIER1_OK)
+
     monkeypatch.setattr(kernels, "extract", fake_extract)
     monkeypatch.setattr(kernels, "run_once", fake_run)
+    monkeypatch.setattr(kernels, "run_tests", fake_tests)
     monkeypatch.setattr(kernels, "WORKLOADS", ("generate",))
     assert kernels.main(["HEAD~1", "HEAD"]) == 1
+    assert tested == [(rev, kernel) for kernel in kernels.KERNELS for rev in ("rev_00", "rev_01")]
     assert [x[:2] for x in extracted] == [("HEAD~1", "rev_00"), ("HEAD", "rev_01")]
     assert extracted[0][2] == extracted[1][2] and not extracted[0][2].exists()
     assert calls == [(rev, "generate", kernel) for kernel in kernels.KERNELS for rev in ("rev_00", "rev_01")]
     out = capsys.readouterr().out
     assert "generate Haswell HEAD: d91eeb8ad91eeb8a" in out and "0 of 4 workload-kernel rows differ" in out
     assert "\nseed 0; revisions in column order: HEAD~1, HEAD\n" in out
+    assert "tier-1 Haswell HEAD: 750 passed, 0 failed" in out and "\nSkylakeX     " in out
     monkeypatch.setattr(kernels, "KERNELS", ("SkylakeX",))
     monkeypatch.setattr(kernels, "WORKLOADS", ("encoders", "diffusion-train", "generate"))
     assert kernels.main(["HEAD~1", "HEAD"]) == 0
     assert [c[1] for c in calls[8:]] == [w for w in kernels.WORKLOADS for _ in range(2)]
+
+
+# Canned tier-1 outputs (``TIER1``: quiet, with the short summary of failures and errors).
+TIER1_OK = "." * 72 + " [ 10%]\n" + "." * 30 + " [100%]\n750 passed, 9 subtests passed in 18.84s\n"
+TIER1_FAILING = """........F.......E....                                                    [100%]
+=================================== FAILURES ===================================
+___________ TestFirstLayer.test_ones_column_gemm_equals_matmul_plus_bias[256-8] ___________
+E   AssertionError: assert False
+=========================== short test summary info ============================
+FAILED tests/test_diffusion.py::TestFirstLayer::test_ones_column_gemm_equals_matmul_plus_bias[256-8] - AssertionError: assert False
+FAILED tests/test_losses.py::TestLabeledLosses::test_lambda_zero_is_plain_ce_bitwise - assert 0.1 == 0.2
+ERROR tests/test_trainer.py::TestCli::test_sample_count_and_determinism - OSError: disk full
+2 failed, 738 passed, 1 error, 9 subtests passed in 19.02s
+"""
+
+
+def test_parse_tests_reads_counts_and_failing_ids():
+    assert kernels.parse_tests(TIER1_OK) == {"passed": 750, "failed": 0, "failing": [], "error": None}
+    assert kernels.parse_tests(TIER1_FAILING) == {
+        "passed": 738, "failed": 3, "error": None,
+        "failing": ["tests/test_diffusion.py::TestFirstLayer::test_ones_column_gemm_equals_matmul_plus_bias[256-8]",
+                    "tests/test_losses.py::TestLabeledLosses::test_lambda_zero_is_plain_ce_bitwise",
+                    "tests/test_trainer.py::TestCli::test_sample_count_and_determinism"]}
+    crashed = kernels.parse_tests("....\nFatal Python error: Illegal instruction\n")
+    assert crashed == {"passed": None, "failed": None, "failing": [], "error": "no summary"}
+
+
+def test_tests_table_names_tests_that_fail_in_a_later_revision_only():
+    ok, failing = kernels.parse_tests(TIER1_OK), kernels.parse_tests(TIER1_FAILING)
+    text, status = kernels.tests_table({"SkylakeX": [ok, ok], "Haswell": [failing, failing]}, ["HEAD~1", "HEAD"])
+    lines = {line.split()[0]: line.split()[1:] for line in text.splitlines()}
+    assert status == 0 and lines["kernel"] == ["HEAD~1", "HEAD"]
+    assert lines["Haswell"] == ["738", "passed,", "3", "failed"] * 2
+    assert text.endswith("0 tests fail in a later revision but not in HEAD~1; 0 runs printed no summary")
+    text, status = kernels.tests_table({"Haswell": [ok, failing], "Prescott": [failing, ok]}, ["a", "b"])
+    assert status == 1
+    assert [line for line in text.splitlines() if line.startswith("fails in a later revision only: ")] == [
+        f"fails in a later revision only: Haswell b: {test}" for test in failing["failing"]]
+    crashed = kernels.parse_tests("")
+    assert kernels.tests_table({"Prescott": [crashed, crashed]}, ["a", "b"])[1] == 1

@@ -14,7 +14,6 @@ from stylecat.encoders import AdapterParams, adapt_array
 from stylecat.losses import (
     ADVERSARIAL_MODES,
     ConfigError,
-    category_labeled_loss,
     category_triplet_loss,
     class_logits,
     style_labeled_loss,
@@ -23,7 +22,7 @@ from stylecat.losses import (
 from stylecat.tensor import Tensor, backward, finite_diff_grad, relative_error
 from stylecat.train import TrainConfig, build_backbone, fresh_bundle
 
-from layered_ops import adapt, ce_loss, confusion_loss, layered_labeled, triplet_hinge
+from layered_ops import adapt, ce_loss, confusion_loss, layered_labeled, prompt_logits, triplet_hinge
 
 
 def probabilities(logits: np.ndarray) -> np.ndarray:
@@ -171,12 +170,16 @@ def labeled_world():
 
 class TestLabeledLosses:
     def test_lambda_zero_is_plain_ce_bitwise(self, labeled_world):
+        """With lambda1 = 0 the style value is the plain cross-entropy's, bit for bit, on any BLAS kernel:
+        ``prompt_logits`` runs the GEMMs of the step's style slice."""
         _, bundle, (f_i, labels) = labeled_world
         cfg0 = TrainConfig(lambda1=0.0)
-        full = style_labeled_loss(losses._LabeledRun(f_i, labels, bundle), cfg0).item()
-        protos = adapt(Tensor(bundle.prompt_features["style"]), bundle.style_adapter)
-        plain = ce_loss(class_logits(Tensor(f_i), protos, cfg0.logit_scale), labels["style"]).item()
-        assert full == plain  # bit-for-bit
+        run = losses._LabeledRun(f_i, labels, bundle)
+        style_labeled_loss(run, cfg0)
+        own, _ = prompt_logits(f_i, bundle, "style", cfg0.logit_scale)
+        assert run.values["style"] == ce_loss(own, labels["style"]).item()  # bit-for-bit
+        assert run.values["category"] != ce_loss(prompt_logits(f_i, bundle, "category", cfg0.logit_scale)[0],
+                                                 labels["category"]).item()  # lambda2 is not 0
 
     def test_default_lambdas_from_sweep_optima(self):
         cfg = TrainConfig()
@@ -211,14 +214,16 @@ class TestLabeledLosses:
             losses._LabeledRun(*edit(f_i, labels), bundle)
 
     def test_category_loss_mirrors_style_loss(self, labeled_world):
+        """One step scores both kinds, and its backward fills every tensor of both adapters; the step's
+        value is the sum of the two."""
         _, bundle, batch = labeled_world
-        loss = category_labeled_loss(losses._LabeledRun(*batch, bundle), TrainConfig())
-        assert loss.item() > 0
-        bundle.category_adapter.zero_grad()
-        bundle.style_adapter.zero_grad()
+        run = losses._LabeledRun(*batch, bundle)
+        loss = style_labeled_loss(run, TrainConfig())
+        assert run.values["category"] > 0 and run.values["style"] > 0
+        assert loss.item() == run.values["style"] + run.values["category"]
+        bundle.adapters.zero_grad()
         backward(loss)
-        assert all(np.abs(t.grad).max() > 0 for t in bundle.category_adapter.tensors())
-        assert not bundle.style_adapter.flat_grad.any()
+        assert all(np.abs(t.grad).max() > 0 for kind in ("style", "category") for t in bundle.adapter(kind).tensors())
 
 
 def tape(loss):
@@ -263,6 +268,16 @@ def value_and_grads(loss, p):
     return [loss.data.tobytes()] + [t.grad.tobytes() for t in p.tensors()]
 
 
+def labeled_value_and_grads(run, cfg, kind):
+    """Bytes of the ``kind`` value of one labeled step on ``run``, and of each gradient of that kind's
+    adapter after the step's backward."""
+    bundle = run.encoders
+    loss = style_labeled_loss(run, cfg)
+    bundle.adapters.zero_grad()
+    backward(loss)
+    return [np.float64(run.values[kind]).tobytes()] + [t.grad.tobytes() for t in bundle.adapter(kind).tensors()]
+
+
 class TestFusedObjectives:
     """Each objective matches the composition of the single-layer ops byte for byte."""
 
@@ -270,12 +285,12 @@ class TestFusedObjectives:
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_labeled_matches_layered_bitwise(self, labeled_world, kind, lam, mode):
+        """The stacked step's value and gradients of each kind are the bits of that kind's layered
+        objective, on any BLAS kernel: ``layered_labeled`` runs the GEMMs of the step's slice."""
         _, bundle, (f_i, labels) = labeled_world
         cfg = TrainConfig(lambda1=lam, lambda2=lam, adversarial_mode=mode)
-        fused = style_labeled_loss if kind == "style" else category_labeled_loss
-        p = bundle.adapter(kind)
-        expected = value_and_grads(layered_labeled(f_i, labels, bundle, cfg, kind), p)
-        assert value_and_grads(fused(losses._LabeledRun(f_i, labels, bundle), cfg), p) == expected
+        expected = value_and_grads(layered_labeled(f_i, labels, bundle, cfg, kind), bundle.adapter(kind))
+        assert labeled_value_and_grads(losses._LabeledRun(f_i, labels, bundle), cfg, kind) == expected
         assert any(np.frombuffer(g).any() for g in expected[1:])
 
     @pytest.mark.parametrize("mode", ADVERSARIAL_MODES)
@@ -285,14 +300,12 @@ class TestFusedObjectives:
         """Rows selected from a run score as the same rows in a run of their own."""
         _, bundle, (f_i, labels) = labeled_world
         cfg = TrainConfig(lambda1=lam, lambda2=lam, adversarial_mode=mode)
-        fused = style_labeled_loss if kind == "style" else category_labeled_loss
-        p = bundle.adapter(kind)
         idx = np.random.default_rng(11).permutation(len(f_i))[:8]
         own = losses._LabeledRun(f_i[idx], {k: v[idx] for k, v in labels.items()}, bundle)
-        expected = value_and_grads(fused(own, cfg), p)
+        expected = labeled_value_and_grads(own, cfg, kind)
         run = losses._LabeledRun(f_i, labels, bundle)
         run.select(idx)
-        assert value_and_grads(fused(run, cfg), p) == expected
+        assert labeled_value_and_grads(run, cfg, kind) == expected
 
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_triplet_matches_layered_bitwise(self, labeled_world, kind):
@@ -316,14 +329,15 @@ class TestFusedObjectives:
 
 
 class TestTapes:
-    """One encoder training step records one node, over the stepped adapter's four tensors."""
+    """One encoder training step records one node, over the four tensors of the group it steps: both
+    adapters' stacked tensors for a labeled step, one adapter's for a triplet step."""
 
     def test_labeled_objective_tapes_one_node(self, labeled_world):
         _, bundle, (f_i, labels) = labeled_world
-        for kind, loss_fn in (("style", style_labeled_loss), ("category", category_labeled_loss)):
-            inner = tape(loss_fn(losses._LabeledRun(f_i, labels, bundle), TrainConfig()))
-            assert len(inner) == 1
-            assert list(map(id, inner[0]._parents)) == list(map(id, bundle.adapter(kind).tensors()))
+        inner = tape(style_labeled_loss(losses._LabeledRun(f_i, labels, bundle), TrainConfig()))
+        assert len(inner) == 1
+        assert list(map(id, inner[0]._parents)) == list(map(id, bundle.adapters.tensors()))
+        assert [t.shape for t in inner[0]._parents] == [(2, *t.shape) for t in bundle.style_adapter.tensors()]
 
     def test_unlabeled_style_step_tapes_one_node(self, labeled_world):
         _, bundle, _ = labeled_world

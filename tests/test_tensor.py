@@ -395,6 +395,6 @@ def callers_in_package(name):
 def test_the_tape_serves_only_the_training_steps_and_the_pinned_ops():
     """In the package only the encoder objectives, ``class_logits`` and ``scale`` record tape nodes,
     and only the encoder training loop and the gradient audit walk the tape."""
-    assert callers_in_package("_node") == {"losses._labeled_loss", "losses._triplet_loss", "losses.class_logits",
+    assert callers_in_package("_node") == {"losses.style_labeled_loss", "losses._triplet_loss", "losses.class_logits",
                                            "tensor.scale"}
     assert callers_in_package("backward") == {"train.train_encoders", "train._ad_grads"}

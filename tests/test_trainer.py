@@ -321,24 +321,28 @@ class TestTrainEncoders:
         config = TrainConfig(epochs=1, shots=4)
         data = subsample_shots(train, 4)
         data[5] = replace(data[5], style=spec.n_styles)
-        counts = self._count_calls(monkeypatch, ("style_labeled_loss", "category_labeled_loss"))
+        counts = self._count_calls(monkeypatch, ("style_labeled_loss",))
         with pytest.raises(ValueError, match=rf"labels must lie in \[0, {spec.n_styles}\)"):
             train_encoders(config, spec, data)
-        assert counts == {"style_labeled_loss": 0, "category_labeled_loss": 0}
+        assert counts == {"style_labeled_loss": 0}
 
     def test_labeled_run_calls_style_loss_once_per_batch(self, spec, dataset, monkeypatch):
+        """A labeled batch is one step of both adapters, entered once through ``style_labeled_loss``."""
         train, _ = dataset
         config = TrainConfig(epochs=1, shots=4)
-        counts = self._count_calls(monkeypatch, ("style_labeled_loss", "category_labeled_loss"))
-        train_encoders(config, spec, train)
+        counts = self._count_calls(monkeypatch, ("style_labeled_loss",))
+        _, rows = train_encoders(config, spec, train)
         batches = -(-len(subsample_shots(train, 4)) // config.batch_size)
-        assert counts == {"style_labeled_loss": batches, "category_labeled_loss": batches}
+        assert counts == {"style_labeled_loss": batches}
+        assert not hasattr(train_mod, "category_labeled_loss")
+        assert np.isfinite([rows[0]["style_loss"], rows[0]["category_loss"]]).all()
 
 
 def reference_run(config, spec, train, lexicon):
-    """``train_encoders``' loop with each step the composition of the single-layer ops: labeled,
-    ``layered_ops.layered_labeled``; unlabeled, ``triplet_hinge(adapt(...))``. Returns (bundle,
-    per-epoch mean style and category losses, whether each step's loss was positive)."""
+    """``train_encoders``' loop as it was before a labeled batch became one stacked step: one step per
+    kind, style then category, with each kind's own Adam, and each step the composition of the
+    single-layer ops: labeled, ``layered_ops.layered_labeled``; unlabeled, ``triplet_hinge(adapt(...))``.
+    Returns (bundle, per-epoch mean style and category losses, whether each step's loss was positive)."""
     data = subsample_shots(train, config.shots)
     bundle = fresh_bundle(spec, config)
     opts = {kind: Adam(bundle.adapter(kind), config.lr) for kind in ("style", "category")}
@@ -1027,6 +1031,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data / 'spec.json'}: ") and message in err and "Traceback" not in err
         assert not (tmp_path / "e.cclp").exists()
+
+    @pytest.mark.parametrize("styles, categories", [("4", "4"), ("9", "2")])
+    def test_a_spec_the_backbone_cannot_represent_exits_one(self, tmp_path, capsys, styles, categories):
+        assert self.run("gen-data", "--out", str(tmp_path / "d"), "--styles", styles, "--categories", categories) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {styles} styles and {categories} categories: at most 3 styles")
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
     def test_bad_noise_exits_one(self, tmp_path, capsys, noise):

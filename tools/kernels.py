@@ -1,4 +1,4 @@
-"""Per-kernel ``perfbench`` output digests of revisions of this repository.
+"""Per-kernel ``perfbench`` output digests and tier-1 results of revisions of this repository.
 
     python3 tools/kernels.py REV [REV ...]
 
@@ -13,14 +13,19 @@ set in the child's environment only.
 It prints one digest per workload, kernel and revision, and marks each
 workload and kernel whose revisions differ. A run that exits non-zero (for
 example on a kernel this CPU lacks), prints no record or reports failed
-operations is shown in its cell and does not stop the tool. Exits 1 if any
-run failed or any revisions differ.
+operations is shown in its cell and does not stop the tool. Then it runs
+tier-1 (``TIER1``, with ``PYTHONPATH=src``) in each checkout under each
+kernel the same way, and prints the passed and failed counts per kernel and
+revision, and the ids of the tests that fail in a later revision but not in
+the first. Exits 1 if any benchmark run failed, any revisions differ, a
+tier-1 run printed no summary, or a test fails in a later revision only.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,6 +36,7 @@ from pairs import WORKLOADS, extract, parse_record  # noqa: E402
 
 KERNELS = ("SkylakeX", "Haswell", "SandyBridge", "Prescott")
 SHOWN = 16  # hex digits of a digest in the table; revisions are compared on the whole digest
+TIER1 = ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
 def run_once(checkout: Path, workload: str, kernel: str) -> dict:
@@ -71,6 +77,46 @@ def table(results: dict[tuple[str, str], list[dict]], revs: list[str]) -> tuple[
     return "\n".join(lines), int(bool(failed or differ))
 
 
+def parse_tests(stdout: str) -> dict:
+    """``{"passed": n, "failed": n, "failing": ids, "error": None}`` of one tier-1 run's stdout; a
+    test that errors counts as failed. Without pytest's closing summary line, the counts are None and
+    ``error`` says so."""
+    failing = sorted({line.split(" ", 1)[1].split(" - ", 1)[0] for line in stdout.splitlines()
+                      if line.startswith(("FAILED ", "ERROR "))})
+    for line in reversed(stdout.strip().splitlines()):
+        counts = {word.rstrip("s"): int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", line)}
+        if counts and " in " in line:
+            return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0) + counts.get("error", 0),
+                    "failing": failing, "error": None}
+    return {"passed": None, "failed": None, "failing": failing, "error": "no summary"}
+
+
+def run_tests(checkout: Path, kernel: str) -> dict:
+    """``parse_tests`` of one tier-1 run in ``checkout`` under ``OPENBLAS_CORETYPE=kernel``."""
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, stdout=subprocess.PIPE, text=True,
+                          env={**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": "src"})
+    return parse_tests(proc.stdout)
+
+
+def tests_table(results: dict[str, list[dict]], revs: list[str]) -> tuple[str, int]:
+    """Per kernel, each revision's tier-1 counts in the order of ``revs``, then the tests that fail in
+    a later revision but not in the first; the exit status is 1 if there is one, or a run printed no
+    summary."""
+    cells = {kernel: [run["error"] or f"{run['passed']} passed, {run['failed']} failed" for run in runs]
+             for kernel, runs in results.items()}
+    width = max(len(cell) for row in cells.values() for cell in row)
+    lines = [f"{'kernel':12s} " + " ".join(f"{rev[:width]:>{width}s}" for rev in revs)]
+    new, broken = [], 0
+    for kernel, runs in results.items():
+        lines.append(f"{kernel:12s} " + " ".join(f"{cell:>{width}s}" for cell in cells[kernel]))
+        broken += sum(run["error"] is not None for run in runs)
+        new += [f"{kernel} {rev}: {test}" for rev, run in zip(revs[1:], runs[1:])
+                for test in run["failing"] if test not in runs[0]["failing"]]
+    lines += [f"fails in a later revision only: {line}" for line in new]
+    lines.append(f"{len(new)} tests fail in a later revision but not in {revs[0]}; {broken} runs printed no summary")
+    return "\n".join(lines), int(bool(new or broken))
+
+
 def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("revs", nargs="+", metavar="REV")
@@ -90,9 +136,17 @@ def main(argv=None) -> int:
                 for rev, checkout in zip(args.revs, checkouts):
                     results[workload, kernel].append(run_once(checkout, workload, kernel))
                     print(f"{workload} {kernel} {rev}: {_cell(results[workload, kernel][-1])}", flush=True)
+        tests = {}
+        for kernel in KERNELS:
+            tests[kernel] = []
+            for rev, checkout in zip(args.revs, checkouts):
+                tests[kernel].append(run_tests(checkout, kernel))
+                print(f"tier-1 {kernel} {rev}: {tests[kernel][-1]['passed']} passed, "
+                      f"{tests[kernel][-1]['failed']} failed", flush=True)
     text, status = table(results, args.revs)
-    print(f"seed 0; revisions in column order: {', '.join(args.revs)}\n{text}")
-    return status
+    tests_text, tests_status = tests_table(tests, args.revs)
+    print(f"seed 0; revisions in column order: {', '.join(args.revs)}\n{text}\ntier-1\n{tests_text}")
+    return status | tests_status
 
 
 if __name__ == "__main__":
