@@ -10,7 +10,7 @@ from .losses import (
     style_labeled_loss,
     style_triplet_loss,
 )
-from .captions import CategoryLexicon, DecomposedCaption, batch_decompose, decompose
+from .captions import CategoryLexicon, decompose
 from .datagen import SyntheticSpec, generate_classification_dataset, generate_diffusion_dataset
 from .diffusion import (
     DenoiserParams,

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .captions import CategoryLexicon, batch_decompose
 from .datagen import DATASET_FILES, SyntheticSpec, build_mixture, default_names, load, read_spec, write_dataset_dir
 from .diffusion import DiffusionSchedule, condition_for_caption, oracle_classify_batch, sample as ddpm_sample
 from .losses import ConfigError
@@ -37,9 +36,9 @@ from .train import (
     write_metrics_csv,
 )
 
-# Each typed error of the package (ConfigError, DatasetError, LexiconError, CheckpointError) is a
-# ValueError; an OSError names a path that the command could not open, read or write; numpy's
-# MemoryError names the array, too large for this host, that a count such as ``sample -n`` asked for.
+# Each typed error of the package (ConfigError, DatasetError, CheckpointError) is a ValueError; an
+# OSError names a path that the command could not open, read or write; numpy's MemoryError names
+# the array, too large for this host, that a count such as ``sample -n`` asked for.
 VALIDATION_ERRORS = (ValueError, OSError, MemoryError)
 
 
@@ -74,11 +73,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     field_options(p, "--styles=n_styles", "--categories=n_categories", "--train-per-cell=n_train",
                   "--test-per-cell=n_test", "--noise", "--seed")
-
-    p = sub.add_parser("decompose", help="split captions into style/category text")
-    p.add_argument("--captions", required=True)
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("train-encoders", help="train the two adapters")
     p.add_argument("--data", required=True)
@@ -149,14 +143,14 @@ def _load_config(args, config: TrainConfig | None = None, env=os.environ) -> Tra
 
 def _load_dataset_dir(data_dir):
     """Spec and classification splits of a dataset directory. Training splits their captions by the spec's
-    category names, as ``load`` checks them; the directory's ``lexicon.txt`` is ``decompose``'s input only."""
+    category names, as ``load`` checks them."""
     spec = read_spec(data_dir)
     root = Path(data_dir)
     return spec, load(root / DATASET_FILES["train"], "grid", spec), load(root / DATASET_FILES["test"], "grid", spec)
 
 
 # The options that name a file a command reads; ``--data`` names a directory of ``DATASET_FILES``.
-_INPUT_FILES = ("checkpoint", "encoders", "config", "captions", "lexicon")
+_INPUT_FILES = ("checkpoint", "encoders", "config")
 
 
 def _check_writable(args) -> None:
@@ -190,15 +184,7 @@ def _cmd_gen_data(args) -> int:
     spec = SyntheticSpec(**given, style_names=default_names(given["n_styles"], "style"),
                          category_names=default_names(given["n_categories"], "category"))
     counts = write_dataset_dir(spec, args.out)
-    print(f"wrote {counts['train']} train / {counts['test']} test grids, "
-          f"{counts['points']} points, {counts['lexicon']} lexicon nouns to {args.out}")
-    return 0
-
-
-def _cmd_decompose(args) -> int:
-    lexicon = CategoryLexicon.from_file(args.lexicon)
-    n = batch_decompose(args.captions, lexicon, args.out)
-    print(f"decomposed {n} captions into {args.out}")
+    print(f"wrote {counts['train']} train / {counts['test']} test grids, {counts['points']} points to {args.out}")
     return 0
 
 
@@ -316,7 +302,6 @@ def _cmd_gradcheck(args) -> int:
 
 _COMMANDS = {
     "gen-data": _cmd_gen_data,
-    "decompose": _cmd_decompose,
     "train-encoders": _cmd_train_encoders,
     "eval-classify": _cmd_eval_classify,
     "sweep": _cmd_sweep,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import GRID_SHAPE, words_of
-from .captions import CategoryLexicon, split_caption
+from .captions import CategoryLexicon, decompose
 from .checkpoint import check_types, finite_number, from_fields, read_object
 
 # The default factor names by kind: ``default_names`` takes the first n of a bank.
@@ -28,9 +28,9 @@ DEFAULT_STYLES = NAME_BANKS["style"][:3]
 DEFAULT_CATEGORIES = NAME_BANKS["category"][:4]
 
 # The files of a dataset directory, by role: ``write_dataset_dir`` writes them and the readers find them here.
-# The lexicon is ``decompose``'s input only: training and generation split captions by the spec's category names.
+# No file holds a lexicon: training and generation split captions by the spec's category names.
 DATASET_FILES = {"spec": "spec.json", "train": "clf_train.jsonl", "test": "clf_test.jsonl",
-                 "points": "diff_train.jsonl", "lexicon": "lexicon.txt"}
+                 "points": "diff_train.jsonl"}
 
 CAPTION_TEMPLATE = "a {style} style {category}"
 TEMPLATE_WORDS = words_of(CAPTION_TEMPLATE.format(style="", category=""))  # the template's own words: "a", "style"
@@ -90,7 +90,7 @@ class SyntheticSpec:
         repeated = sorted({w for w in folded if folded.count(w) > 1})
         if repeated:
             raise DatasetError(f"style_names and category_names repeat {repeated}, ignoring case")
-        # split_caption files every word that a category name matches (plural included) as category text
+        # decompose files every word that a category name matches (plural included) as category text
         lexicon = CategoryLexicon.from_words(self.category_names)
         if taken := [w for w in (*self.style_names, *TEMPLATE_WORDS) if lexicon.matches(w)]:
             raise DatasetError(f"category_names match {taken}, outside the category slot of {CAPTION_TEMPLATE!r}")
@@ -290,7 +290,7 @@ def _parse_record(obj: dict, kind: str, spec: SyntheticSpec):
     if not (0 <= style < spec.n_styles and 0 <= category < spec.n_categories):
         raise ValueError(f"label (style {style}, category {category}) outside the spec's "
                          f"{spec.n_styles} styles x {spec.n_categories} categories")
-    split_caption(caption, spec.lexicon)  # ConfigError, a ValueError, unless the caption has both halves to train on
+    decompose(caption, spec.lexicon)  # ConfigError, a ValueError, unless the caption has both halves to train on
     # A bool or a numeric string is no number, though float() and a float array take both as one.
     if kind == "point":
         x, y = obj["x"], obj["y"]
@@ -329,13 +329,8 @@ def load(path, kind: str, spec: SyntheticSpec):
     return samples
 
 
-def export_lexicon(spec: SyntheticSpec, path) -> None:
-    """Category nouns, one per line; ``decompose``'s input, which no other command reads."""
-    Path(path).write_text("".join(f"{n}\n" for n in spec.category_names), encoding="utf-8")
-
-
 def write_dataset_dir(spec: SyntheticSpec, out_dir) -> dict:
-    """Materialize spec + all splits + lexicon under one directory."""
+    """Materialize the spec and all splits under one directory; the count of each split's records."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train, test = generate_classification_dataset(spec)
@@ -344,13 +339,7 @@ def write_dataset_dir(spec: SyntheticSpec, out_dir) -> dict:
     export(train, out / DATASET_FILES["train"])
     export(test, out / DATASET_FILES["test"])
     export(points, out / DATASET_FILES["points"])
-    export_lexicon(spec, out / DATASET_FILES["lexicon"])
-    return {
-        "train": len(train),
-        "test": len(test),
-        "points": len(points),
-        "lexicon": spec.n_categories,
-    }
+    return {"train": len(train), "test": len(test), "points": len(points)}
 
 
 def read_spec(data_dir) -> SyntheticSpec:

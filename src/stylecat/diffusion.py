@@ -37,7 +37,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import embed_captions
-from .captions import split_caption
+from .captions import decompose
 from .datagen import DatasetError
 from .encoders import _KINDS, EncoderBundle, blend
 from .tensor import ParamGroup, Tensor
@@ -134,12 +134,11 @@ def condition_for_caption(caption: str, encoders: EncoderBundle, alpha: float) -
     """The condition of a caption: each adapter reads its own half of the decomposed caption.
 
     The caption is split with the bundle's ``lexicon``, of its category
-    names, as training splits it (a dataset's ``lexicon.txt`` is
-    ``decompose``'s input only); the style adapter reads the style text and
-    the category adapter the category text, and each adapted feature is
-    blended with its frozen one.
+    names, as training splits it; the style adapter reads the style text
+    and the category adapter the category text, and each adapted feature
+    is blended with its frozen one.
     """
-    texts = split_caption(caption, encoders.lexicon)
+    texts = decompose(caption, encoders.lexicon)
     f = embed_captions(texts, encoders.backbone)
     return GuidanceCondition(*(blend(encoders.adapt_feature(f[k : k + 1], kind), f[k : k + 1], alpha)
                                for k, kind in enumerate(_KINDS)))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import FrozenWeights, Vocab, embed_captions, embed_image
-from .captions import CategoryLexicon, split_caption
+from .captions import CategoryLexicon, decompose
 from .checkpoint import CheckpointError, check_types, from_fields, load_checkpoint, read_object, save_checkpoint
 from .datagen import DatasetError, SyntheticSpec, build_mixture, prototype_grids
 from .diffusion import (
@@ -274,8 +274,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     reads the style adapter as the style step left it.
 
     ``lexicon``, if given, must be that same lexicon (ConfigError
-    otherwise); a dataset directory's ``lexicon.txt`` is ``decompose``'s
-    input only.
+    otherwise): no other lexicon splits captions.
     """
     if lexicon not in (None, spec.lexicon):
         raise ConfigError(f"captions are split by the spec's category names {sorted(spec.lexicon.words)}, "
@@ -297,7 +296,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     else:
         steps = [((kind,), objective, Adam(bundle.adapter(kind), config.lr))
                  for kind, objective in zip(_KINDS, (style_triplet_loss, category_triplet_loss))]
-        pairs = [split_caption(s.caption, spec.lexicon) for s in data]
+        pairs = [decompose(s.caption, spec.lexicon) for s in data]
         texts = list(dict.fromkeys(text for pair in pairs for text in pair))
         frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone)))
         run = _TripletRun(f_all, {kind: np.stack([frozen_text[pair[k]] for pair in pairs])

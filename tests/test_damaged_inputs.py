@@ -17,7 +17,6 @@ import sys
 import numpy as np
 import pytest
 
-from stylecat.captions import CategoryLexicon, LexiconError
 from stylecat.checkpoint import CheckpointError
 from stylecat.cli import main
 from stylecat.datagen import DatasetError, SyntheticSpec, load, read_spec, write_dataset_dir
@@ -33,7 +32,6 @@ READERS = {
     "point": ("diff_train.jsonl", lambda path: load(path, "point", SPEC), DatasetError, "jsonl"),
     "spec": ("spec.json", lambda path: read_spec(path.parent), DatasetError, "text"),
     "config": ("config.json", TrainConfig.from_file, ConfigError, "text"),
-    "lexicon": ("lexicon.txt", CategoryLexicon.from_file, LexiconError, "text"),
     "checkpoint": ("encoders.cclp", load_encoder_checkpoint, CheckpointError, "binary"),
 }
 
@@ -44,21 +42,17 @@ COMMANDS = {
     "point": [["train-diffusion", "--data", "{dir}", "--encoders", "{dir}/encoders.cclp", "--out", "{dir}/out.cclp"]],
     "spec": [TRAIN_ENCODERS],
     "config": [["train-encoders", "--data", "{dir}", "--config", "{dir}/config.json", "--out", "{dir}/out.cclp"]],
-    "lexicon": [["decompose", "--captions", "{dir}/captions.txt", "--lexicon", "{dir}/lexicon.txt",
-                 "--out", "{dir}/out.jsonl"]],
     "checkpoint": [["eval-classify", "--checkpoint", "{dir}/encoders.cclp", "--data", "{dir}"]],
 }
 
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """The bytes of a small valid dataset directory, with a config, a tiny config, captions and encoders."""
+    """The bytes of a small valid dataset directory, with a config, a tiny config and encoders."""
     root = tmp_path_factory.mktemp("valid")
     write_dataset_dir(SPEC, root)
     (root / "config.json").write_text(json.dumps(TrainConfig(epochs=3).to_json()), encoding="utf-8")
     (root / "tiny.json").write_text(json.dumps(TINY.to_json()), encoding="utf-8")
-    captions = [SPEC.caption(i, j) for i in range(SPEC.n_styles) for j in range(SPEC.n_categories)]
-    (root / "captions.txt").write_text("\n".join(captions) + "\n", encoding="utf-8")
     assert main(["train-encoders", "--data", str(root), "--config", str(root / "tiny.json"),
                  "--out", str(root / "encoders.cclp")]) == 0
     return {path.name: path.read_bytes() for path in root.iterdir()}
@@ -108,7 +102,7 @@ def run_commands(kind, directory, path, capsys, may_pass):
 FIRST_KEY = re.compile(rb'\{\s*("[^"]*")\s*:')
 
 
-@pytest.mark.parametrize("kind", [kind for kind in READERS if kind != "lexicon"])
+@pytest.mark.parametrize("kind", list(READERS))
 def test_repeated_key_is_refused(tmp_path, capsys, valid_files, kind):
     """In a JSONL file the second line's object repeats a key, in a checkpoint its metadata's nested config."""
     name, read, error, form = READERS[kind]
@@ -143,7 +137,7 @@ def refuse_first_value(tmp_path, capsys, valid_files, kind, value: bytes, proble
     run_commands(kind, tmp_path, path, capsys, may_pass=False)
 
 
-@pytest.mark.parametrize("kind", [kind for kind in READERS if kind != "lexicon"])
+@pytest.mark.parametrize("kind", list(READERS))
 def test_integer_beyond_the_digit_limit_is_refused(tmp_path, capsys, valid_files, kind):
     """An integer of more digits than Python converts."""
     huge = b"1" + b"0" * sys.get_int_max_str_digits()
@@ -153,7 +147,7 @@ def test_integer_beyond_the_digit_limit_is_refused(tmp_path, capsys, valid_files
 NESTED = b"[" * 5000 + b"]" * 5000  # deeper than Python's recursion limit
 
 
-@pytest.mark.parametrize("kind", [kind for kind in READERS if kind != "lexicon"])
+@pytest.mark.parametrize("kind", list(READERS))
 def test_deeply_nested_json_is_refused(tmp_path, capsys, valid_files, kind):
     """Arrays nested deeper than the recursion limit, which the JSON decoder descends."""
     refuse_first_value(tmp_path, capsys, valid_files, kind, NESTED, "maximum recursion depth exceeded")

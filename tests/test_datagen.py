@@ -9,6 +9,8 @@ import pytest
 
 from stylecat.captions import CategoryLexicon
 from stylecat.datagen import (
+    DEFAULT_CATEGORIES,
+    DEFAULT_STYLES,
     ClassificationSample,
     DatasetError,
     PointSample,
@@ -16,7 +18,6 @@ from stylecat.datagen import (
     build_mixture,
     default_names,
     export,
-    export_lexicon,
     generate_classification_dataset,
     generate_diffusion_dataset,
     load,
@@ -72,7 +73,7 @@ class TestSpecValidation:
         (dict(category_names=("a", "dog", "car", "tree")), "a"),
     ], ids=["style-name-a-category-plural", "category-style", "category-a"])
     def test_category_names_match_no_other_caption_word(self, names, taken):
-        """``split_caption`` files every word a category name matches as category text, so a style name or
+        """``decompose`` files every word a category name matches as category text, so a style name or
         a template word that one matches would leave its own half of the caption."""
         with pytest.raises(DatasetError, match=re.escape(f"category_names match ['{taken}'], outside")):
             SyntheticSpec(**names)
@@ -84,11 +85,14 @@ class TestSpecValidation:
         with pytest.raises(DatasetError, match="must be a JSON object, got list"):
             SyntheticSpec.from_json([3, 4])
 
-    @pytest.mark.parametrize("names", ["sketch neon pastel", ("sketch", "neon", None), ("sketch", "neon", "")],
-                             ids=["one-string", "none", "empty"])
-    def test_names_must_be_a_list_of_words(self, names):
-        with pytest.raises(DatasetError, match="style_names must be a list of one-word names"):
-            SyntheticSpec(style_names=names)
+    @pytest.mark.parametrize("field, names", [
+        (field, bad) for field, good in (("style_names", DEFAULT_STYLES), ("category_names", DEFAULT_CATEGORIES))
+        for bad in (" ".join(good), (*good[1:], None), (*good[1:], ""), (*good[1:], "two words"))
+    ], ids=[f"{prefix}{case}" for prefix in ("", "category-") for case in ("one-string", "none", "empty", "two-words")])
+    def test_names_must_be_a_list_of_words(self, field, names):
+        """A name that is not a string, is empty or holds two words is refused, as is a string for the list."""
+        with pytest.raises(DatasetError, match=f"{field} must be a list of one-word names"):
+            SyntheticSpec(**{field: names})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DatasetError, match="seed >= 0"):
@@ -304,9 +308,3 @@ class TestPersistence:
         path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(DatasetError, match=rf"{re.escape(str(path))}: .*line 2.*{problem}"):
             load(path, kind, SyntheticSpec())
-
-    def test_lexicon_contains_exactly_category_nouns(self, tmp_path, spec):
-        path = tmp_path / "lex.txt"
-        export_lexicon(spec, path)
-        lines = path.read_text(encoding="utf-8").split()
-        assert tuple(lines) == spec.category_names

@@ -62,7 +62,11 @@ def reference_forward(params, z, t, cond, cond_idx):
 
 
 def reference_grads(params, z, t, cond, cond_idx, eps):
-    """Gradients of the mean squared noise error, each row gather scattered back with np.add.at."""
+    """Gradients of the mean squared noise error, each row gather scattered back with np.add.at.
+
+    ``in_w`` and ``in_b`` come from the step's own GEMM, ``[z | 1].T @ g_a``,
+    since a kernel may order the sum of ``g_a.sum(axis=0)`` otherwise; the
+    other seven are computed independently, and ``gradcheck`` audits all nine."""
     p = params.arrays()
     style, category = cond.tau_style, cond.tau_category
     pre, a, out = reference_forward(params, z, t, cond, cond_idx)
@@ -76,7 +80,8 @@ def reference_grads(params, z, t, cond, cond_idx, eps):
     np.add.at(g_time, t, g_a)
     g_values = np.zeros((len(style), g_a.shape[1]))
     np.add.at(g_values, cond_idx, g_a)
-    return {"time_embed": g_time, "in_w": z.T @ g_a, "in_b": g_a.sum(axis=0),
+    first = np.vstack([z.T, np.ones(len(z))]) @ g_a
+    return {"time_embed": g_time, "in_w": first[:-1], "in_b": first[-1],
             "ws": style.T @ g_values, "wv": category.T @ g_values, "mlp_w1": a.T @ g_pre,
             "mlp_b1": g_pre.sum(axis=0), "mlp_w2": hidden.T @ g, "mlp_b2": g.sum(axis=0)}
 

@@ -16,10 +16,17 @@ import pytest
 import stylecat.cli as cli_mod
 import stylecat.train as train_mod
 from stylecat.backbone import embed_captions
-from stylecat.captions import CategoryLexicon, split_caption
+from stylecat.captions import CategoryLexicon, decompose
 from stylecat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from stylecat.cli import main
-from stylecat.datagen import DatasetError, SyntheticSpec, generate_classification_dataset, read_spec, write_dataset_dir
+from stylecat.datagen import (
+    DATASET_FILES,
+    DatasetError,
+    SyntheticSpec,
+    generate_classification_dataset,
+    read_spec,
+    write_dataset_dir,
+)
 from stylecat.diffusion import DenoiserParams, DiffusionSchedule
 from stylecat.encoders import AdapterParams, adapt_array
 from stylecat.losses import ConfigError
@@ -349,7 +356,7 @@ def reference_run(config, spec, train, lexicon):
     rng = np.random.default_rng([config.seed, 11])
     f_all, labels = train_mod._features(data, bundle.backbone)
     if config.mode == "unlabeled":
-        pairs = [split_caption(s.caption, lexicon) for s in data]
+        pairs = [decompose(s.caption, lexicon) for s in data]
         unique = list(dict.fromkeys(text for pair in pairs for text in pair))
         frozen = dict(zip(unique, embed_captions(unique, bundle.backbone)))
         texts = {kind: np.stack([frozen[pair[k]] for pair in pairs]) for k, kind in enumerate(("style", "category"))}
@@ -666,7 +673,6 @@ def test_flag_overrides_its_config_field(monkeypatch, parser, action):
 OPTION_TABLE = {
     "gen-data": ["--out required", "--styles int", "--categories int", "--train-per-cell int",
                  "--test-per-cell int", "--noise float", "--seed int"],
-    "decompose": ["--captions required", "--lexicon required", "--out required"],
     "train-encoders": ["--data required", "--out required", "--config", "--metrics",
                        "--mode {labeled,unlabeled}", "--epochs int", "--batch-size int", "--lr float",
                        "--seed int", "--shots int", "--lambda1 float", "--lambda2 float", "--margin1 float",
@@ -704,16 +710,11 @@ class TestCli:
     def run(self, *argv):
         return main(list(argv))
 
-    def test_gen_decompose_train_eval_flow(self, tmp_path):
+    def test_gen_train_eval_flow(self, tmp_path):
         data = tmp_path / "data"
         assert self.run("gen-data", "--out", str(data), "--train-per-cell", "8",
                         "--test-per-cell", "4") == 0
-        caps = tmp_path / "caps.txt"
-        caps.write_text("a neon style cat\n", encoding="utf-8")
-        dec = tmp_path / "dec.jsonl"
-        assert self.run("decompose", "--captions", str(caps), "--lexicon",
-                        str(data / "lexicon.txt"), "--out", str(dec)) == 0
-        assert json.loads(dec.read_text())["category_text"] == "cat"
+        assert sorted(path.name for path in data.iterdir()) == sorted(DATASET_FILES.values())
 
         ckpt = tmp_path / "enc.cclp"
         metrics = tmp_path / "m.csv"
@@ -753,13 +754,9 @@ class TestCli:
         folder = tmp_path / "folder"
         folder.mkdir()
         capsys.readouterr()
-        for argv in (("train-encoders", "--data", str(data), "--out", str(folder), "--epochs", "1"),
-                     ("decompose", "--captions", str(folder), "--lexicon", str(data / "lexicon.txt"),
-                      "--out", str(tmp_path / "dec.jsonl"))):
-            assert self.run(*argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and str(folder) in err
-        assert not (tmp_path / "dec.jsonl").exists()
+        assert self.run("train-encoders", "--data", str(data), "--out", str(folder), "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
 
     def test_unwritable_out_fails_before_training(self, spec, data_dir, tmp_path, monkeypatch, capsys):
         """An --out that is a directory, or whose directory is missing, exits 1 before training starts."""
@@ -786,18 +783,16 @@ class TestCli:
         "eval-classify --checkpoint {ckpt} --data {data} --out {folder}",
         "guidance-eval --checkpoint {ckpt} --n-per-cell 1 --out {folder}",
         "sample --checkpoint {ckpt} --style neon --category cat --out {folder}",
-        "decompose --captions {data}/lexicon.txt --lexicon {data}/lexicon.txt --out {folder}",
         "train-encoders --data {data} --out {tmp}/x.cclp --metrics {tmp}/./x.cclp",
         "train-diffusion --data {data} --encoders {ckpt} --out {tmp}/x.cclp --metrics {tmp}/./x.cclp",
-    ], ids=["sweep-lambda", "sweep-alpha", "eval-classify", "guidance-eval", "sample", "decompose",
+    ], ids=["sweep-lambda", "sweep-alpha", "eval-classify", "guidance-eval", "sample",
             "train-encoders-metrics", "train-diffusion-metrics"])
     def test_unwritable_outputs_fail_before_any_work(self, spec, data_dir, tmp_path, monkeypatch, capsys, argv):
         """An --out that is a directory, or --out and --metrics naming one file, exits 1 with a
         "cannot write" line before the command reads, trains, samples or prints anything."""
         def never(*args, **kwargs):
             raise AssertionError("the command started its work")
-        for name in ("sweep", "eval_row", "guidance_eval", "ddpm_sample", "batch_decompose",
-                     "train_encoders", "train_diffusion"):
+        for name in ("sweep", "eval_row", "guidance_eval", "ddpm_sample", "train_encoders", "train_diffusion"):
             monkeypatch.setattr(cli_mod, name, never)
         config = TrainConfig(epochs=0, timesteps=4)
         ckpt = tmp_path / "gen.cclp"
@@ -819,13 +814,12 @@ class TestCli:
         "train-diffusion --data {data} --encoders {ckpt} --out {ckpt} --steps 2",
         "train-diffusion --data {data} --encoders {ckpt} --out {tmp}/d.cclp --metrics {ckpt} --steps 2",
         "train-encoders --data {data} --config {ckpt} --out {ckpt}",
-        "decompose --captions {ckpt} --lexicon {data}/lexicon.txt --out {ckpt}",
         "eval-classify --checkpoint {ckpt} --data {data} --out {data}/clf_test.jsonl",
         "train-encoders --data {data} --out {tmp}/d.cclp --metrics {data}/clf_train.jsonl",
         "train-diffusion --data {data} --encoders {ckpt} --out {data}/diff_train.jsonl --steps 2",
         "sweep --axis lambda --data {data} --out {data}/./spec.json",
     ], ids=["eval-classify", "sweep-alpha", "sample", "guidance-eval", "train-diffusion",
-            "train-diffusion-metrics", "train-encoders-config", "decompose", "eval-classify-data",
+            "train-diffusion-metrics", "train-encoders-config", "eval-classify-data",
             "train-encoders-metrics-data", "train-diffusion-data", "sweep-lambda-data"])
     def test_an_output_naming_an_input_is_refused(self, spec, data_dir, tmp_path, monkeypatch, capsys, argv):
         """An --out or --metrics that names a file the command reads, by its resolved path, or a file
@@ -833,8 +827,7 @@ class TestCli:
         checkpoint's and the dataset's bytes as they were."""
         def never(*args, **kwargs):
             raise AssertionError("the command started its work")
-        for name in ("sweep", "eval_row", "guidance_eval", "ddpm_sample", "batch_decompose",
-                     "train_encoders", "train_diffusion"):
+        for name in ("sweep", "eval_row", "guidance_eval", "ddpm_sample", "train_encoders", "train_diffusion"):
             monkeypatch.setattr(cli_mod, name, never)
         config = TrainConfig(epochs=0, timesteps=4)
         ckpt = tmp_path / "gen.cclp"
@@ -1177,23 +1170,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: {path}: " in err and f"line {len(lines) + 1}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("lexicon", ["blank", "missing", "extra-style-name"])
-    def test_no_training_run_reads_the_lexicon(self, data_dir, tmp_path, lexicon):
-        """``lexicon.txt`` is ``decompose``'s input only: blank, missing, or with a style name added (which
-        would split "a neon style cat" into "style" and "neon cat"), it leaves every training run's output
-        byte-identical to the one from the directory as ``gen-data`` wrote it."""
+    @pytest.mark.parametrize("lexicon", ["stale", "blank", "extra-style-name", "garbage"])
+    def test_no_training_run_reads_the_lexicon(self, spec, data_dir, tmp_path, lexicon):
+        """A ``lexicon.txt`` left in a dataset directory by an older ``gen-data``, one category noun a line,
+        is read by no command: as written, blank, with a style name added (which would split "a neon style
+        cat" into "style" and "neon cat") or not even UTF-8 text, it leaves every training run's output
+        byte-identical to the one from the directory as ``gen-data`` writes it, without that file."""
+        stale = "".join(f"{name}\n" for name in spec.category_names)
+        content = {"stale": stale.encode(), "blank": b"\n  \n", "extra-style-name": f"{stale}neon\n".encode(),
+                   "garbage": b"\xff\xfe\x00cat\r\n\x0c"}[lexicon]
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"mode": "unlabeled", "epochs": 1, "shots": 2}))
         outputs = {}
         for name in ("plain", lexicon):
             data = tmp_path / name
             shutil.copytree(data_dir, data)
-            if name == "blank":
-                (data / "lexicon.txt").write_text("\n  \n", encoding="utf-8")
-            elif name == "missing":
-                (data / "lexicon.txt").unlink()
-            elif name == "extra-style-name":
-                (data / "lexicon.txt").write_text((data_dir / "lexicon.txt").read_text() + "neon\n", encoding="utf-8")
+            if name == lexicon:
+                (data / "lexicon.txt").write_bytes(content)
             for mode in ("unlabeled", "labeled"):
                 assert self.run("train-encoders", "--data", str(data), "--config", str(config), "--mode", mode,
                                 "--out", str(tmp_path / f"{name}-{mode}.cclp")) == 0
