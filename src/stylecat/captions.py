@@ -41,13 +41,16 @@ def decompose(caption: str, lexicon: CategoryLexicon) -> tuple[str, str]:
     """
     style: list[str] = []
     category: list[str] = []
+    after_article = False  # whether the previous caption word is an article, the last of ``style``
     for tok in words_of(caption):
         if lexicon.matches(tok):
-            if style and style[-1].casefold() in ARTICLES:
+            if after_article:
                 style.pop()
             category.append(tok)
+            after_article = False
         else:
             style.append(tok)
+            after_article = tok.casefold() in ARTICLES
     if not style or not category:
         raise ConfigError(f"caption {caption!r} does not decompose into non-empty style and category text")
     return " ".join(style), " ".join(category)

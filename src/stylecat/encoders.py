@@ -8,7 +8,7 @@ the residual mixing of adapted and frozen features.
 Frozen features, prompt features and blends are plain (n, D) arrays.
 ``adapt_array`` is the adapter's numpy forward and hand-written backward,
 for one adapter or, stacked, for both. The training objectives in ``losses``
-fold it into their one tape node per optimiser step, and
+run its backward inside each optimiser step, and
 ``EncoderBundle.adapt_feature`` runs its forward alone.
 """
 

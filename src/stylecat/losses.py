@@ -1,24 +1,28 @@
 """Training objectives of the two adapters and the loss heads they are made of.
 
-Every encoder optimiser step records one tape node, whose parents are the
-four tensors of the parameter group being stepped. Each objective takes
-``(run, cfg)``, the run's constants, checked once, and the config that holds
-its weights or margins, scores the batch the run's ``select`` chose, and
-leaves each kind's loss of that batch in ``run.values``. A labeled step (a
-``_LabeledRun``) steps both adapters at once, over the (2, …) tensors of
-``EncoderBundle.adapters``: one stacked adapter pass over both kinds' prompt
-rows, then per factor one head through both adapters, its own adapter's
-cross-entropy and the other's confusion term, each kind's value being its
-cross-entropy plus lambda times its confusion term. An unlabeled step (a
+Every objective is one encoder optimiser step's forward and backward, as
+``diffusion.ddpm_train_step`` is the denoiser's: it writes the gradients of
+the parameter group being stepped into that group's ``flat_grad``,
+overwriting what it held, and returns its loss as a float, so training takes
+no ``zero_grad`` or ``backward``. Each takes ``(run, cfg)``, the run's
+constants, checked once, and the config that holds its weights or margins,
+scores the batch the run's ``select`` chose, and leaves each kind's loss of
+that batch in ``run.values``. A labeled step (a ``_LabeledRun``) steps both
+adapters at once, over the (2, …) tensors of ``EncoderBundle.adapters``: one
+stacked adapter pass over both kinds' prompt rows, then per factor one head
+through both adapters, its own adapter's cross-entropy and the other's
+confusion term, each kind's value being its cross-entropy plus lambda times
+its confusion term; it records no tape node. An unlabeled step (a
 ``_TripletRun``) steps one adapter: it runs that adapter over the anchor's
 frozen text rows, or takes that pass from the other kind's step, and the
-hinge; when no triplet of the batch is active its loss is the exact 0.0 with
-no parents, so that step's ``backward`` runs no backward at all. Their
-forward and hand-written backward are put together from the numpy helpers
-below; the tests build single-layer nodes (the adapter, ``class_logits``,
-cross-entropy, the confusion term and the hinge) from the same helpers, and
-each kind's value and gradient are the bits of the composition of those
-nodes. ``train.gradcheck_suite`` audits the objectives themselves.
+hinge; it zeroes its adapter's gradients and, when a triplet of the batch is
+active, records one tape node over the adapter's four tensors and walks it
+with ``backward``. Their forward and hand-written backward are put together
+from the numpy helpers below; the tests build single-layer nodes (the
+adapter, ``class_logits``, cross-entropy, the confusion term and the hinge)
+from the same helpers, and each kind's value and gradient are the bits that
+``zero_grad`` and ``backward`` through the composition of those nodes leave.
+``train.gradcheck_suite`` audits the objectives themselves.
 """
 
 from __future__ import annotations
@@ -153,7 +157,7 @@ def class_logits(f: Tensor, prototypes: Tensor, scale: float = 1.0) -> Tensor:
     return T.scale(T._node(cos, (f, prototypes), lambda g: grad(g, f.requires_grad)), scale)
 
 
-# objectives: one tape node per optimiser step
+# objectives: one optimiser step's gradients each
 
 
 class _LabeledRun:
@@ -195,7 +199,7 @@ class _LabeledRun:
         self.batch = {kind: arr[idx] for kind, arr in self.labels.items()}
 
 
-def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> Tensor:
+def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> float:
     """Both adapters' labeled objectives on the batch ``run.select`` chose, as one step over the four
     (2, …) tensors of ``run.encoders.adapters``; the benchmark's step probe enters it by this name.
 
@@ -204,9 +208,13 @@ def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> Tensor:
     adapter k; lambda is lambda1 for style and lambda2 for category. With
     lambda == 0 its value is exactly the plain cross-entropy term's. The
     image rows and labels are the run's, checked when it was built. Each
-    kind's value is left in ``run.values``; the node's value is their sum,
-    and as the adapters share no parameter, its gradient at each adapter is
-    that adapter's own objective's.
+    kind's value is left in ``run.values``; the step returns their sum, and
+    as the adapters share no parameter, its gradient at each adapter is that
+    adapter's own objective's. Records no tape node: the four gradients are
+    written into the (2, …) ``grad`` views of ``run.encoders.adapters``,
+    overwriting their ``flat_grad``, with the bits that ``zero_grad`` and
+    ``backward`` through a node of this value and backward would leave there,
+    +0.0 for -0.0 included. It writes them under ``no_grad`` too.
 
     One stacked adapter pass covers both kinds' prompt rows, each slice in
     its kind's own row order. Its rows are then put style first in both
@@ -229,17 +237,17 @@ def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> Tensor:
     values = [ce[kind][0] + conf[kind][0] * lam[i] for i, kind in enumerate(_KINDS)]
     run.values = dict(zip(_KINDS, map(float, values)))
 
-    def grad(g):  # the gradients of w1, b1, w2 and b2
-        g_pn = np.empty_like(pn)
-        for i, (factor, (rows, y)) in enumerate(heads.items()):
-            g_y = np.empty_like(y)
-            g_y[i], g_y[1 - i] = ce[factor][1](g), conf[_OTHER[factor]][1](g * lam[1 - i])
-            g_pn[rows] = np.matmul(run.fn.T, _log_softmax_grad(g_y, y) * scale).swapaxes(-1, -2)
-        g_protos = np.empty_like(protos)
-        g_protos.reshape(-1, dim)[run.order] = T._unit_rows_grad(g_pn, pn, p_norm)
-        return adapt_grad(g_protos, need_x=False, split=split, order=run.order)[1:]
-
-    return T._node(values[0] + values[1], (p.w1, p.b1, p.w2, p.b2), grad)
+    g_pn = np.empty_like(pn)
+    for i, (factor, (rows, y)) in enumerate(heads.items()):
+        g_y = np.empty_like(y)
+        g_y[i], g_y[1 - i] = ce[factor][1](1.0), conf[_OTHER[factor]][1](lam[1 - i])
+        g_pn[rows] = np.matmul(run.fn.T, _log_softmax_grad(g_y, y) * scale).swapaxes(-1, -2)
+    g_protos = np.empty_like(protos)
+    g_protos.reshape(-1, dim)[run.order] = T._unit_rows_grad(g_pn, pn, p_norm)
+    for t, g in zip(p.tensors(), adapt_grad(g_protos, need_x=False, split=split, order=run.order)[1:]):
+        t.grad[...] = g
+    p.flat_grad += 0.0  # -0.0 to +0.0, as backward's add into a zeroed buffer gives
+    return float(values[0] + values[1])
 
 
 class _TripletRun:
@@ -271,26 +279,29 @@ class _TripletRun:
         return anchor, self.kept[other][0]
 
 
-def _triplet_loss(run: _TripletRun, cfg: TrainConfig, kind: str) -> Tensor:
+def _triplet_loss(run: _TripletRun, cfg: TrainConfig, kind: str) -> float:
     """Hinge of the ``kind`` adapter on the batch ``run.select`` chose (margin1 for style, margin2
     for category): anchor its adapted text rows, positive the image rows, negative the other
-    adapter's rows, a constant. One tape node over the adapter's four tensors, or a parentless 0.0
-    when no row is active, as decided on the rows: a mean of active rows can underflow to 0.0. The
-    value is also left in ``run.values[kind]``."""
+    adapter's rows, a constant. Zeroes the adapter's ``flat_grad``; when a row is active, as decided
+    on the rows (a mean of active rows can underflow to 0.0), records one tape node over the
+    adapter's four tensors and runs ``backward`` on it, which adds the gradients there. With no
+    active row the gradients stay zero. Returns the value as a float, and leaves it in
+    ``run.values[kind]``."""
     (anchor, adapt_grad), negative = run.rows(kind)
     value, hinge_grad, active = _hinge(anchor, run.positive, negative, cfg.margin1 if kind == "style" else cfg.margin2)
     run.values[kind] = float(value)
-    if not active:
-        return Tensor(value)
     p = run.encoders.adapter(kind)
-    return T._node(value, (p.w1, p.b1, p.w2, p.b2), lambda g: adapt_grad(hinge_grad(g)[0], need_x=False)[1:])
+    p.zero_grad()
+    if active:
+        T.backward(T._node(value, (p.w1, p.b1, p.w2, p.b2), lambda g: adapt_grad(hinge_grad(g)[0], need_x=False)[1:]))
+    return float(value)
 
 
-def style_triplet_loss(run: _TripletRun, cfg: TrainConfig) -> Tensor:
+def style_triplet_loss(run: _TripletRun, cfg: TrainConfig) -> float:
     """Style-adapter hinge on the run's unlabeled batch (margin1); the category rows are held constant."""
     return _triplet_loss(run, cfg, "style")
 
 
-def category_triplet_loss(run: _TripletRun, cfg: TrainConfig) -> Tensor:
+def category_triplet_loss(run: _TripletRun, cfg: TrainConfig) -> float:
     """Mirror hinge for the category adapter (margin2); the style rows are held constant."""
     return _triplet_loss(run, cfg, "category")

@@ -14,21 +14,21 @@ fields over them; the two adapters are stacked so.
 A ``Tensor`` wraps only a trainable parameter or a node of the tape; the
 frozen features of the backbone are plain arrays. There is one generic op,
 ``scale``. Everything else is a coarse node, built with ``_node`` and a
-hand-written backward over all its parents. In the package the tape serves
-the encoder training steps: each records one such node per step, over the
-four tensors of the group it steps (the objectives in ``losses``, each on
-the batch its run selected). A labeled step steps both adapters at once:
-its node's parents are the stacked (2, …) tensors of both, and it runs one
-adapter pass over both kinds' prompt rows. A triplet step steps one
-adapter, over its four tensors; with no active triplet it records no node,
-and its loss is a constant 0.0 whose backward adds nothing.
-``losses.class_logits``, a cosine node times ``scale``, is its one other
-user. A denoiser training step (``diffusion.ddpm_train_step``) records no
-node: on its run's workspace, which holds and has checked the run's points,
-it draws its batch and runs the denoiser, its loss and their backward in one
-call, writes the nine gradients into the denoiser's ``flat_grad`` and
-returns the loss as a float, so it takes no ``zero_grad`` or ``backward``;
-``diffusion.predict_noise`` records none either. The single-layer nodes that
+hand-written backward over all its parents. Every training step writes its
+gradients into the ``flat_grad`` of the group it steps and returns its loss
+as a float, so the training loops take no ``zero_grad`` or ``backward``. A
+labeled encoder step (``losses.style_labeled_loss``) records no node: it
+steps both adapters at once, in one adapter pass over both kinds' prompt
+rows, and writes the four gradients into the stacked (2, …) ``grad`` views.
+A denoiser training step (``diffusion.ddpm_train_step``) records none
+either: on its run's workspace, which holds and has checked the run's
+points, it draws its batch and runs the denoiser, its loss and their
+backward in one call and writes the nine gradients; ``diffusion.predict_noise``
+records none. In the package the tape serves only the triplet step
+(``losses._triplet_loss``), which zeroes its adapter's gradients and, when a
+triplet of its batch is active, records one node over the adapter's four
+tensors and runs ``backward`` on it; ``losses.class_logits``, a cosine node
+times ``scale``, is its one other user. The single-layer nodes that
 the objectives and that step are made of (the adapter, each loss head, the
 denoiser forward and its loss, and an ``add`` of two tensors) are the tests'
 references and live with the tests, built from the same numpy pieces.
@@ -269,7 +269,9 @@ def finite_diff_grad(f: Callable[[Tensor], Tensor | float], x: Tensor, eps: floa
     array of ``x``'s shape.
 
     Perturbs each coordinate of ``x`` in place and restores it; ``f`` is
-    evaluated with the tape disabled.
+    evaluated under ``no_grad``, so it records no tape node, though a step
+    that writes its gradients without the tape (``losses.style_labeled_loss``,
+    ``diffusion.ddpm_train_step``) still writes them.
     """
     base = x.data.copy()
     g = np.zeros_like(base)

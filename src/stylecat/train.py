@@ -37,7 +37,7 @@ from .losses import (
     style_labeled_loss,
     style_triplet_loss,
 )
-from .tensor import Tensor, backward, finite_diff_grad, relative_error
+from .tensor import Tensor, finite_diff_grad, relative_error
 
 SEED_ENV_VAR = "CCLIP_SEED"
 
@@ -262,9 +262,10 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
 
     The run's one ``_LabeledRun`` (labeled mode) or ``_TripletRun`` (over
     captions decomposed with ``spec.lexicon``, of its category names, as
-    generation decomposes them) holds the bundle and the checked constants, and
-    selects each batch. Every step is its objective on the run, ``zero_grad``,
-    ``backward`` and an Adam step. In labeled mode a batch is one step of both
+    generation decomposes them, each distinct caption once) holds the bundle and
+    the checked constants, and selects each batch. Every step is its objective
+    on the run, which leaves its gradients in the stepped group's ``flat_grad``,
+    and an Adam step, as in ``train_diffusion``. In labeled mode a batch is one step of both
     adapters: the two objectives read disjoint parameters, so one stacked
     step over ``bundle.adapters``, with one Adam over both, gives each the
     bits of its own step. In unlabeled mode a batch runs one step per kind,
@@ -296,8 +297,9 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     else:
         steps = [((kind,), objective, Adam(bundle.adapter(kind), config.lr))
                  for kind, objective in zip(_KINDS, (style_triplet_loss, category_triplet_loss))]
-        pairs = [decompose(s.caption, spec.lexicon) for s in data]
-        texts = list(dict.fromkeys(text for pair in pairs for text in pair))
+        split = {caption: decompose(caption, spec.lexicon) for caption in dict.fromkeys(s.caption for s in data)}
+        pairs = [split[s.caption] for s in data]
+        texts = list(dict.fromkeys(text for pair in split.values() for text in pair))
         frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone)))
         run = _TripletRun(f_all, {kind: np.stack([frozen_text[pair[k]] for pair in pairs])
                                   for k, kind in enumerate(_KINDS)}, bundle)
@@ -309,9 +311,7 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         for start in range(0, len(data), config.batch_size):
             run.select(order[start : start + config.batch_size])
             for kinds, objective, opt in steps:
-                loss = objective(run, config)
-                opt.group.zero_grad()
-                backward(loss)
+                objective(run, config)
                 opt.step()
                 for kind in kinds:
                     losses[kind].append(_check_finite(run.values[kind], f"{kind} step"))
@@ -482,13 +482,8 @@ def load_encoder_checkpoint(path):
 # finite-difference audit
 
 def _ad_grads(loss_fn, params):
-    """Gradients of loss_fn() w.r.t. each tensor in params: through ``backward`` for a tape node,
-    and as they are left in each ``grad`` for a fused training step, which returns a float."""
-    for p in params:
-        p.zero_grad()
-    loss = loss_fn()
-    if isinstance(loss, Tensor):
-        backward(loss)
+    """Copies of the gradients of each tensor in params that one training step, loss_fn(), leaves in its ``grad``."""
+    loss_fn()
     return [p.grad.copy() for p in params]
 
 

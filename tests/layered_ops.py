@@ -1,8 +1,9 @@
 """Single-layer tape nodes that only the tests differentiate through.
 
-The program's training steps fold these layers into one node per encoder
-step (``losses``; a labeled step steps both adapters at once) or run them
-with no node at all (``diffusion.ddpm_train_step``). Each op here wraps the
+The program's training steps fold these layers into one backward per step,
+which writes its gradients straight into ``flat_grad`` (``losses``, where a
+labeled step steps both adapters at once and a triplet step walks one node;
+``diffusion.ddpm_train_step``). Each op here wraps the
 program's own numpy forward and hand-written backward as one node of
 ``stylecat.tensor``'s tape, so a composition of them is the bit reference of
 the step that fuses them.

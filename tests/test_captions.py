@@ -1,7 +1,5 @@
 """Caption decomposition: matching rules, article handling, conservation."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -47,6 +45,12 @@ class TestDecompose:
     def test_article_not_before_match_is_kept(self, lexicon):
         assert decompose("a sunset and the sea cat", lexicon) == ("a sunset and the sea", "cat")
 
+    def test_only_the_article_directly_before_a_match_is_dropped(self):
+        """With articles stacked before consecutive matches, only the one right before the first match goes."""
+        lex = CategoryLexicon.from_words(["cat", "car"])
+        assert decompose("a a cat CARS", lex) == ("a", "cat CARS")
+        assert decompose("the a cat", lex) == ("the", "cat")
+
     def test_case_insensitive_match_preserves_original_case(self, lexicon):
         assert decompose("The CAT sat", lexicon) == ("sat", "CAT")
 
@@ -59,29 +63,17 @@ class TestDecompose:
 
 
 class TestWordConservation:
-    """style words + category words + dropped articles == caption words."""
+    """A caption splits as the docstring's rule says: each category word goes to the category text, each
+    other word to the style text, except an article directly before a category word, which is dropped."""
 
-    def check(self, caption, lexicon):
-        """Whether ``caption`` splits; if it does, its words are conserved, and if not, it lacks a style or a
-        category word."""
-        try:
-            style_text, category_text = decompose(caption, lexicon)
-        except ConfigError:
-            # only an article is ever dropped, so a caption with a category word and a word that is neither
-            # a category word nor an article splits
-            categories = [w for w in words_of(caption) if lexicon.matches(w)]
-            styles = [w for w in words_of(caption) if not lexicon.matches(w) and w.casefold() not in ARTICLES]
-            assert not categories or not styles, f"{caption!r} has both halves but did not split"
-            return False
-        got = Counter(w.casefold() for w in words_of(style_text))
-        got += Counter(w.casefold() for w in words_of(category_text))
-        want = Counter(w.casefold() for w in words_of(caption))
-        dropped = want - got
-        assert got - want == Counter(), "decomposition invented words"
-        assert set(dropped) <= ARTICLES, f"dropped non-article words: {dropped}"
-        for w in words_of(style_text) + words_of(category_text):
-            assert want[w.casefold()] > 0
-        return True
+    @staticmethod
+    def rule(caption, lexicon):
+        """(style text, category text) by that rule, or None where one of them is empty."""
+        words = words_of(caption)
+        category = [w for w in words if lexicon.matches(w)]
+        style = [w for w, after in zip(words, words[1:] + [""])
+                 if not lexicon.matches(w) and not (w.casefold() in ARTICLES and lexicon.matches(after))]
+        return (" ".join(style), " ".join(category)) if style and category else None
 
     def test_thousand_random_captions(self):
         rng = np.random.default_rng(42)
@@ -92,8 +84,14 @@ class TestWordConservation:
         for _ in range(1000):
             n = rng.integers(0, 12)
             caption = " ".join(rng.choice(vocab, size=n))
-            split += self.check(caption, lex)
-        assert 0 < split < 1000  # both branches of ``check`` ran
+            want = self.rule(caption, lex)
+            if want is None:
+                with pytest.raises(ConfigError, match="does not decompose"):
+                    decompose(caption, lex)
+            else:
+                assert decompose(caption, lex) == want, caption
+                split += 1
+        assert 0 < split < 1000  # both branches ran
 
     def test_generated_captions_recover_category_noun(self):
         spec = SyntheticSpec()

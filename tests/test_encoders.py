@@ -184,9 +184,7 @@ class TestParameterIsolation:
 
         def step():
             run = _LabeledRun(f_i, labels, b)
-            loss = style_labeled_loss(run, TrainConfig())
-            b.adapters.zero_grad()
-            backward(loss)
+            style_labeled_loss(run, TrainConfig())
             return {kind: (run.values[kind], b.adapter(kind).flat_grad.tobytes()) for kind in ("style", "category")}
 
         rng = np.random.default_rng(5)

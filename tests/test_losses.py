@@ -192,12 +192,11 @@ class TestLabeledLosses:
         run = losses._LabeledRun(*batch, bundle)
         loss_fn = lambda _: style_labeled_loss(run, cfg)
         params = bundle.style_adapter.tensors()
-        for t in params:
-            t.zero_grad()
-        backward(loss_fn(None))
-        for t in params:
+        loss_fn(None)
+        grads = [t.grad.copy() for t in params]  # each central difference runs the step, which rewrites them
+        for t, g in zip(params, grads):
             fd = finite_diff_grad(loss_fn, t)
-            assert relative_error(t.grad, fd) < 1e-4
+            assert relative_error(g, fd) < 1e-4
 
     @pytest.mark.parametrize("edit, error, message", [
         (lambda f, y: (f, {**y, "category": y["category"] + 4}), ValueError, r"labels must lie in \[0, 4\)"),
@@ -214,15 +213,14 @@ class TestLabeledLosses:
             losses._LabeledRun(*edit(f_i, labels), bundle)
 
     def test_category_loss_mirrors_style_loss(self, labeled_world):
-        """One step scores both kinds, and its backward fills every tensor of both adapters; the step's
-        value is the sum of the two."""
+        """One step scores both kinds and fills every gradient of both adapters; the step's value is the
+        sum of the two."""
         _, bundle, batch = labeled_world
         run = losses._LabeledRun(*batch, bundle)
+        bundle.adapters.zero_grad()
         loss = style_labeled_loss(run, TrainConfig())
         assert run.values["category"] > 0 and run.values["style"] > 0
-        assert loss.item() == run.values["style"] + run.values["category"]
-        bundle.adapters.zero_grad()
-        backward(loss)
+        assert loss == run.values["style"] + run.values["category"]
         assert all(np.abs(t.grad).max() > 0 for kind in ("style", "category") for t in bundle.adapter(kind).tensors())
 
 
@@ -262,20 +260,30 @@ def adapters(style, category):
 
 
 def value_and_grads(loss, p):
-    """Bytes of the loss value and of each adapter gradient after one backward."""
+    """Bytes of a layered reference's value and of each adapter gradient after ``zero_grad`` and ``backward``."""
     p.zero_grad()
     backward(loss)
     return [loss.data.tobytes()] + [t.grad.tobytes() for t in p.tensors()]
 
 
+def step_value_and_grads(objective, run, cfg, p):
+    """Bytes of the value of one training step on ``run``, and of each gradient it leaves in adapter ``p``."""
+    value = objective(run, cfg)
+    return [np.float64(value).tobytes()] + [t.grad.tobytes() for t in p.tensors()]
+
+
 def labeled_value_and_grads(run, cfg, kind):
-    """Bytes of the ``kind`` value of one labeled step on ``run``, and of each gradient of that kind's
-    adapter after the step's backward."""
-    bundle = run.encoders
-    loss = style_labeled_loss(run, cfg)
-    bundle.adapters.zero_grad()
-    backward(loss)
-    return [np.float64(run.values[kind]).tobytes()] + [t.grad.tobytes() for t in bundle.adapter(kind).tensors()]
+    """Bytes of the ``kind`` value of one labeled step on ``run``, and of each gradient it leaves in that
+    kind's adapter."""
+    style_labeled_loss(run, cfg)
+    return [np.float64(run.values[kind]).tobytes()] + [t.grad.tobytes() for t in run.encoders.adapter(kind).tensors()]
+
+
+def layered_labeled_grads(f_i, labels, bundle, cfg):
+    """Bytes of both adapters' gradients, as one kind-major buffer, after ``zero_grad`` and ``backward``
+    through each kind's layered objective."""
+    return b"".join(b"".join(value_and_grads(layered_labeled(f_i, labels, bundle, cfg, kind), bundle.adapter(kind))[1:])
+                    for kind in ("style", "category"))
 
 
 class TestFusedObjectives:
@@ -313,7 +321,7 @@ class TestFusedObjectives:
         fused = style_triplet_loss if kind == "style" else category_triplet_loss
         layered = triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.3)
         expected = value_and_grads(layered, p)
-        assert value_and_grads(fused(run, TrainConfig()), p) == expected
+        assert step_value_and_grads(fused, run, TrainConfig(), p) == expected
         assert np.frombuffer(expected[1]).any()
 
     @pytest.mark.parametrize("kind", ["style", "category"])
@@ -323,33 +331,44 @@ class TestFusedObjectives:
         fused = style_triplet_loss if kind == "style" else category_triplet_loss
         idx = np.random.default_rng(12).permutation(len(run.f_all))[:8]
         own = losses._TripletRun(run.f_all[idx], {k: t[idx] for k, t in run.text.items()}, run.encoders)
-        expected = value_and_grads(fused(own, TrainConfig()), p)
+        expected = step_value_and_grads(fused, own, TrainConfig(), p)
         run.select(idx)
-        assert value_and_grads(fused(run, TrainConfig()), p) == expected
+        assert step_value_and_grads(fused, run, TrainConfig(), p) == expected
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every tape node recorded while the test runs, in order."""
+    nodes, real = [], T._node
+
+    def record(*args):
+        nodes.append(real(*args))
+        return nodes[-1]
+
+    monkeypatch.setattr(T, "_node", record)
+    return nodes
 
 
 class TestTapes:
-    """One encoder training step records one node, over the four tensors of the group it steps: both
-    adapters' stacked tensors for a labeled step, one adapter's for a triplet step."""
+    """A labeled step records no tape node; an active triplet step records one, over the four tensors
+    of the adapter it steps."""
 
-    def test_labeled_objective_tapes_one_node(self, labeled_world):
+    def test_labeled_step_records_no_node(self, labeled_world, recorded):
         _, bundle, (f_i, labels) = labeled_world
-        inner = tape(style_labeled_loss(losses._LabeledRun(f_i, labels, bundle), TrainConfig()))
-        assert len(inner) == 1
-        assert list(map(id, inner[0]._parents)) == list(map(id, bundle.adapters.tensors()))
-        assert [t.shape for t in inner[0]._parents] == [(2, *t.shape) for t in bundle.style_adapter.tensors()]
+        style_labeled_loss(losses._LabeledRun(f_i, labels, bundle), TrainConfig())
+        assert recorded == []
 
-    def test_unlabeled_style_step_tapes_one_node(self, labeled_world):
+    def test_unlabeled_style_step_records_one_node(self, labeled_world, recorded):
         _, bundle, _ = labeled_world
-        inner = tape(style_triplet_loss(triplet_inputs(labeled_world, "style")[0], TrainConfig()))
-        assert len(inner) == 1
-        assert list(map(id, inner[0]._parents)) == list(map(id, bundle.style_adapter.tensors()))
+        style_triplet_loss(triplet_inputs(labeled_world, "style")[0], TrainConfig())
+        assert len(recorded) == 1 and tape(recorded[0]) == recorded
+        assert list(map(id, recorded[0]._parents)) == list(map(id, bundle.style_adapter.tensors()))
 
-    def test_unlabeled_category_step_tapes_one_node(self, labeled_world):
+    def test_unlabeled_category_step_records_one_node(self, labeled_world, recorded):
         _, bundle, _ = labeled_world
-        inner = tape(category_triplet_loss(triplet_inputs(labeled_world, "category")[0], TrainConfig()))
-        assert len(inner) == 1
-        assert list(map(id, inner[0]._parents)) == list(map(id, bundle.category_adapter.tensors()))
+        category_triplet_loss(triplet_inputs(labeled_world, "category")[0], TrainConfig())
+        assert len(recorded) == 1 and tape(recorded[0]) == recorded
+        assert list(map(id, recorded[0]._parents)) == list(map(id, bundle.category_adapter.tensors()))
 
 
 # A positive on its anchor is at distance zero; at margin 0 no negative then makes a triplet active.
@@ -363,17 +382,17 @@ def inactive_triplet_inputs(labeled_world, kind):
 
 
 class TestInactiveTriplets:
-    """A triplet objective with no active triplet is a constant 0.0 whose backward adds nothing."""
+    """A triplet step with no active triplet returns 0.0 and leaves a zero gradient, recording no node."""
 
     @pytest.mark.parametrize("kind", ["style", "category"])
-    def test_no_active_triplet_gives_a_parentless_zero(self, labeled_world, kind):
+    def test_no_active_triplet_gives_a_parentless_zero(self, labeled_world, kind, recorded):
+        """The step returns the float 0.0, not a tensor, and leaves +0.0 in every gradient."""
         run, (_, p, _, _) = inactive_triplet_inputs(labeled_world, kind)
         fused = style_triplet_loss if kind == "style" else category_triplet_loss
+        p.flat_grad[:] = 1.0
         loss = fused(run, NO_MARGIN)
-        assert loss.data.tobytes() == np.float64(0.0).tobytes()
-        assert loss._parents == () and loss._grad_fn is None and not loss.requires_grad
-        p.zero_grad()
-        backward(loss)
+        assert type(loss) is float and np.float64(loss).tobytes() == np.float64(0.0).tobytes()
+        assert recorded == []
         assert p.flat_grad.tobytes() == np.zeros_like(p.flat_grad).tobytes()
 
     @pytest.mark.parametrize("kind", ["style", "category"])
@@ -383,9 +402,9 @@ class TestInactiveTriplets:
         fused = style_triplet_loss if kind == "style" else category_triplet_loss
         layered = triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.0)
         assert tape(layered)
-        assert value_and_grads(fused(run, NO_MARGIN), p) == value_and_grads(layered, p)
+        assert step_value_and_grads(fused, run, NO_MARGIN, p) == value_and_grads(layered, p)
 
-    def test_an_active_row_whose_mean_underflows_keeps_its_node(self, labeled_world):
+    def test_an_active_row_whose_mean_underflows_keeps_its_node(self, labeled_world, recorded):
         """Activity is decided on the rows: one hinge of the least subnormal over four rows means 0.0."""
         _, (text, p, _, negative) = triplet_inputs(labeled_world, "style")
         positive = adapt_array(text, p)[0]
@@ -393,8 +412,69 @@ class TestInactiveTriplets:
         run, _ = triplet_inputs(labeled_world, "style", positive=positive)
         run.select(np.arange(4))
         loss = style_triplet_loss(run, TrainConfig(margin1=float(np.nextafter(0.0, 1.0))))
-        assert loss.item() == 0.0
-        assert len(tape(loss)) == 1
+        assert loss == 0.0
+        assert len(recorded) == 1 and tape(recorded[0]) == recorded
+
+
+FILLS = pytest.mark.parametrize("fill", [np.nan, 1.0], ids=["nan", "one"])
+
+
+class TestStepsLeaveTheirGradients:
+    """An encoder step writes its gradients into the stepped group's ``flat_grad``, overwriting what it
+    held, as the bytes that ``zero_grad`` and ``backward`` through the layered reference leave there."""
+
+    @FILLS
+    def test_labeled_step_overwrites(self, labeled_world, fill):
+        _, bundle, (f_i, labels) = labeled_world
+        cfg = TrainConfig()
+        expected = layered_labeled_grads(f_i, labels, bundle, cfg)
+        bundle.adapters.flat_grad[:] = fill
+        style_labeled_loss(losses._LabeledRun(f_i, labels, bundle), cfg)
+        assert bundle.adapters.flat_grad.tobytes() == expected
+
+    @FILLS
+    @pytest.mark.parametrize("kind", ["style", "category"])
+    def test_active_triplet_step_overwrites(self, labeled_world, kind, fill):
+        run, (text, p, positive, negative) = triplet_inputs(labeled_world, kind)
+        fused = style_triplet_loss if kind == "style" else category_triplet_loss
+        expected = value_and_grads(triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.3), p)
+        p.flat_grad[:] = fill
+        assert step_value_and_grads(fused, run, TrainConfig(), p) == expected
+
+    @FILLS
+    @pytest.mark.parametrize("kind", ["style", "category"])
+    def test_inactive_triplet_step_overwrites_with_zeros(self, labeled_world, kind, fill):
+        run, (text, p, positive, negative) = inactive_triplet_inputs(labeled_world, kind)
+        fused = style_triplet_loss if kind == "style" else category_triplet_loss
+        expected = value_and_grads(triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.0), p)
+        p.flat_grad[:] = fill
+        assert step_value_and_grads(fused, run, NO_MARGIN, p) == expected
+        assert p.flat_grad.tobytes() == np.zeros_like(p.flat_grad).tobytes()
+
+    def test_labeled_step_leaves_no_negative_zero(self, labeled_world, monkeypatch):
+        """With every gradient the adapter pass returns written as -0.0, the step leaves +0.0, as
+        ``backward``'s add into a zeroed buffer does."""
+        _, bundle, (f_i, labels) = labeled_world
+        real = losses.adapt_array
+
+        def negative_zeros(x, p):
+            y, grad = real(x, p)
+            return y, lambda *args, **kwargs: [None if g is None else np.full_like(g, -0.0) for g in grad(*args, **kwargs)]
+
+        monkeypatch.setattr(losses, "adapt_array", negative_zeros)
+        bundle.adapters.flat_grad[:] = np.nan
+        style_labeled_loss(losses._LabeledRun(f_i, labels, bundle), TrainConfig())
+        assert bundle.adapters.flat_grad.tobytes() == np.zeros_like(bundle.adapters.flat_grad).tobytes()
+
+    def test_step_loss_refuses_a_backward(self, labeled_world):
+        """The labeled step's loss is a float, not a tensor, so a leftover ``backward`` fails loudly and
+        leaves the step's gradients as they are."""
+        _, bundle, (f_i, labels) = labeled_world
+        loss = style_labeled_loss(losses._LabeledRun(f_i, labels, bundle), TrainConfig())
+        written = bundle.adapters.flat_grad.tobytes()
+        with pytest.raises(AttributeError):
+            backward(loss)
+        assert bundle.adapters.flat_grad.any() and bundle.adapters.flat_grad.tobytes() == written
 
 
 class TestTripletLosses:
@@ -423,8 +503,8 @@ class TestTripletLosses:
         cfg = TrainConfig()
         s = style_triplet_loss(losses._TripletRun(positive, {"style": text, "category": negative}, encoders), cfg)
         c = category_triplet_loss(losses._TripletRun(positive, {"style": negative, "category": text}, encoders), cfg)
-        assert s.item() == c.item()
-        assert abs(s.item() - 0.7) < 1e-12
+        assert s == c
+        assert abs(s - 0.7) < 1e-12
 
     def test_nonnegative_and_zero_iff_margin_cleared(self):
         rng = np.random.default_rng(8)
@@ -467,12 +547,12 @@ class TestTripletLosses:
         # a zero output layer adapts the unit rows f_c to themselves, up to rounding
         run = losses._TripletRun(f_i, {"style": text, "category": f_c}, adapters(adapter, AdapterParams.init(8)))
         loss_fn = lambda _: style_triplet_loss(run, TrainConfig())
-        adapter.zero_grad()
-        backward(loss_fn(None))
+        loss_fn(None)
         assert adapter.flat_grad.any()
-        for t in adapter.tensors():
+        grads = [t.grad.copy() for t in adapter.tensors()]  # each central difference runs the step, which rewrites them
+        for t, g in zip(adapter.tensors(), grads):
             fd = finite_diff_grad(loss_fn, t)
-            assert relative_error(t.grad, fd) < 1e-4
+            assert relative_error(g, fd) < 1e-4
 
 
 class TestTripletRun:

@@ -335,7 +335,8 @@ def test_every_audit_world_has_an_active_triplet_row():
     for seed in range(20):
         world = _AuditWorld(seed)
         for kind, loss in (("style", style_triplet_loss), ("category", category_triplet_loss)):
-            assert loss(world.triplet_runs[kind], TRIPLET_AUDIT)._parents, (seed, kind)  # a node: a row is active
+            loss(world.triplet_runs[kind], TRIPLET_AUDIT)
+            assert world.adapter(kind).flat_grad.any(), (seed, kind)  # a gradient: a row is active
 
 
 def test_gradcheck_suite_fails_on_nan_gradients(monkeypatch):
@@ -393,8 +394,7 @@ def callers_in_package(name):
 
 
 def test_the_tape_serves_only_the_training_steps_and_the_pinned_ops():
-    """In the package only the encoder objectives, ``class_logits`` and ``scale`` record tape nodes,
-    and only the encoder training loop and the gradient audit walk the tape."""
-    assert callers_in_package("_node") == {"losses.style_labeled_loss", "losses._triplet_loss", "losses.class_logits",
-                                           "tensor.scale"}
-    assert callers_in_package("backward") == {"train.train_encoders", "train._ad_grads"}
+    """In the package only the triplet objective, ``class_logits`` and ``scale`` record tape nodes, and
+    only the triplet objective walks the tape."""
+    assert callers_in_package("_node") == {"losses._triplet_loss", "losses.class_logits", "tensor.scale"}
+    assert callers_in_package("backward") == {"losses._triplet_loss"}

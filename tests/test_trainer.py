@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import stylecat.cli as cli_mod
+import stylecat.tensor as tensor_mod
 import stylecat.train as train_mod
 from stylecat.backbone import embed_captions
 from stylecat.captions import CategoryLexicon, decompose
@@ -343,6 +344,16 @@ class TestTrainEncoders:
         assert counts == {"style_labeled_loss": batches}
         assert not hasattr(train_mod, "category_labeled_loss")
         assert np.isfinite([rows[0]["style_loss"], rows[0]["category_loss"]]).all()
+
+    def test_labeled_run_enters_no_backward_and_no_zero_grad(self, spec, dataset, monkeypatch):
+        """A labeled step's gradients come from ``style_labeled_loss`` alone: no tape walk, no zeroing."""
+        def never(*args, **kwargs):
+            raise AssertionError("labeled train_encoders entered backward or zero_grad")
+
+        for owner, name in ((tensor_mod, "backward"), (ParamGroup, "zero_grad"), (Tensor, "zero_grad")):
+            monkeypatch.setattr(owner, name, never)
+        _, rows = train_encoders(TrainConfig(epochs=2, shots=4), spec, dataset[0])
+        assert len(rows) == 2 and np.isfinite([[r["style_loss"], r["category_loss"]] for r in rows]).all()
 
 
 def reference_run(config, spec, train, lexicon):
