@@ -1,28 +1,31 @@
 """Training objectives of the two adapters and the loss heads they are made of.
 
-Every objective is one encoder optimiser step's forward and backward, as
-``diffusion.ddpm_train_step`` is the denoiser's: it writes the gradients of
-the parameter group being stepped into that group's ``flat_grad``,
-overwriting what it held, and returns its loss as a float, so training takes
-no ``zero_grad`` or ``backward``. Each takes ``(run, cfg)``, the run's
-constants, checked once, and the config that holds its weights or margins,
-scores the batch the run's ``select`` chose, and leaves each kind's loss of
-that batch in ``run.values``. A labeled step (a ``_LabeledRun``) steps both
-adapters at once, over the (2, …) tensors of ``EncoderBundle.adapters``: one
-stacked adapter pass over both kinds' prompt rows, then per factor one head
-through both adapters, its own adapter's cross-entropy and the other's
-confusion term, each kind's value being its cross-entropy plus lambda times
-its confusion term; it records no tape node. An unlabeled step (a
-``_TripletRun``) steps one adapter: it runs that adapter over the anchor's
-frozen text rows, or takes that pass from the other kind's step, and the
-hinge; it zeroes its adapter's gradients and, when a triplet of the batch is
-active, records one tape node over the adapter's four tensors and walks it
-with ``backward``. Their forward and hand-written backward are put together
-from the numpy helpers below; the tests build single-layer nodes (the
-adapter, ``class_logits``, cross-entropy, the confusion term and the hinge)
-from the same helpers, and each kind's value and gradient are the bits that
-``zero_grad`` and ``backward`` through the composition of those nodes leave.
-``train.gradcheck_suite`` audits the objectives themselves.
+Every objective is one encoder optimiser step over both adapters, the four
+(2, …) tensors of ``EncoderBundle.adapters``, as ``diffusion.ddpm_train_step``
+is the denoiser's: a forward that returns each kind's value and a backward
+that writes the gradients into the stacked ``flat_grad``, overwriting what
+it held, so training takes no ``zero_grad`` or ``backward``; the step
+returns the sum of the values as a float and leaves each kind's value in
+``run.values``. Each takes ``(run, cfg)``, the run's constants, checked
+once, and the config that holds its weights or margins, and scores the
+batch the run's ``select`` chose. A labeled step (a ``_LabeledRun``,
+``_labeled_forward``) runs one stacked adapter pass over both kinds' prompt
+rows, then per factor one head through both adapters, its own adapter's
+cross-entropy and the other's confusion term, each kind's value being its
+cross-entropy plus lambda times its confusion term; it records no tape
+node. An unlabeled step (a ``_TripletRun``, ``_triplet_forward``) runs one
+stacked adapter pass over both kinds' half-caption rows and both hinges,
+each kind's anchor being its own adapted rows and its negative the other
+kind's, all as the adapters stood before the step; it zeroes the stacked
+gradients and, when a row of either kind is active, records one tape node
+over the four tensors and walks it with ``backward``. Their forwards and
+hand-written backwards are put together from the numpy helpers below; the
+tests build single-layer nodes (the adapter, ``class_logits``,
+cross-entropy, the confusion term and the hinge) from the same helpers, and
+each kind's value and gradient are the bits that ``zero_grad`` and
+``backward`` through the composition of those nodes leave.
+``train.gradcheck_suite`` audits each step's gradients against the central
+differences of its forward.
 """
 
 from __future__ import annotations
@@ -118,34 +121,35 @@ def _confusion(y: np.ndarray, labels: np.ndarray, mode: str):
     raise ConfigError(f"unknown adversarial mode: {mode!r}")
 
 
-def _hinge(anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray, margin: float):
+def _hinge(anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray, margin):
     """Mean over rows of relu(|anchor - positive| - |anchor - negative| + margin), its backward,
-    and whether any row is active (its hinge argument above zero).
+    and whether any row is active (its hinge argument above zero), per kind.
 
-    The backward returns the gradients of ``anchor`` and ``positive``;
-    ``negative`` is a constant. A distance of zero passes no gradient. With
-    no active row the value is exactly 0.0 and, on finite rows, the backward
-    returns signed zeros.
+    ``anchor`` and ``negative`` are one kind's (n, D) rows, or k kinds' stacked (k, n, D) rows with
+    ``margin`` (k, 1), one per kind; ``positive`` is (n, D) rows that every kind shares. The value and
+    the activity have one entry per kind, and each kind's are the bits of its rows alone. The backward
+    maps the gradient at each kind's value to the gradients of ``anchor`` and ``positive`` (of the
+    anchor's shape); ``negative`` is a constant. A distance of zero passes no gradient. A kind with no
+    active row has the value exactly 0.0 and, on finite rows, the backward gives it signed zeros.
     """
-    if not anchor.shape == positive.shape == negative.shape or anchor.ndim != 2:
-        raise T.ShapeError(f"triplet: need (n, D) rows of one shape, got {anchor.shape}, "
-                           f"{positive.shape} and {negative.shape}")
-    n = anchor.shape[0]
+    if anchor.ndim not in (2, 3) or anchor.shape != negative.shape or positive.shape != anchor.shape[-2:]:
+        raise T.ShapeError(f"triplet: need (n, D) or stacked (k, n, D) anchor and negative rows over (n, D) "
+                           f"positive rows, got {anchor.shape}, {positive.shape} and {negative.shape}")
+    n = anchor.shape[-2]
     diff_pos = anchor - positive
     diff_neg = anchor - negative
-    d_pos = np.sqrt((diff_pos * diff_pos).sum(axis=1))
-    d_neg = np.sqrt((diff_neg * diff_neg).sum(axis=1))
+    d_pos = np.sqrt((diff_pos * diff_pos).sum(axis=-1))
+    d_neg = np.sqrt((diff_neg * diff_neg).sum(axis=-1))
     pre = (d_pos - d_neg) + margin
     mask = pre > 0
 
     def grad(g):
-        g_pre = np.full(n, float(g) / n) * mask
-        u_pos = diff_pos / np.where(d_pos > 0, d_pos, 1.0)[:, None] * np.where(d_pos > 0, g_pre, 0.0)[:, None]
-        u_neg = diff_neg / np.where(d_neg > 0, d_neg, 1.0)[:, None] * np.where(d_neg > 0, -g_pre, 0.0)[:, None]
+        g_pre = np.asarray(g)[..., None] / n * mask
+        u_pos = diff_pos / np.where(d_pos > 0, d_pos, 1.0)[..., None] * np.where(d_pos > 0, g_pre, 0.0)[..., None]
+        u_neg = diff_neg / np.where(d_neg > 0, d_neg, 1.0)[..., None] * np.where(d_neg > 0, -g_pre, 0.0)[..., None]
         return u_pos + u_neg, -u_pos
 
-    active = bool(mask.any())  # with none, the mean is exactly 0.0: no need to take it
-    return (np.asarray(np.where(mask, pre, 0.0).sum() / n) if active else np.asarray(0.0)), grad, active
+    return np.where(mask, pre, 0.0).sum(axis=-1) / n, grad, mask.any(axis=-1)
 
 
 # single-layer op
@@ -199,30 +203,26 @@ class _LabeledRun:
         self.batch = {kind: arr[idx] for kind, arr in self.labels.items()}
 
 
-def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> float:
-    """Both adapters' labeled objectives on the batch ``run.select`` chose, as one step over the four
-    (2, …) tensors of ``run.encoders.adapters``; the benchmark's step probe enters it by this name.
+def _labeled_forward(run: _LabeledRun, cfg: TrainConfig):
+    """Both adapters' labeled objectives on the batch ``run.select`` chose: their values, style first,
+    and the backward that writes their gradients into ``run.encoders.adapters``.
 
     Adapter k's objective is cross-entropy on its own factor plus lambda
     times the confusion term on the other factor, both scored through
     adapter k; lambda is lambda1 for style and lambda2 for category. With
     lambda == 0 its value is exactly the plain cross-entropy term's. The
-    image rows and labels are the run's, checked when it was built. Each
-    kind's value is left in ``run.values``; the step returns their sum, and
-    as the adapters share no parameter, its gradient at each adapter is that
-    adapter's own objective's. Records no tape node: the four gradients are
-    written into the (2, …) ``grad`` views of ``run.encoders.adapters``,
-    overwriting their ``flat_grad``, with the bits that ``zero_grad`` and
-    ``backward`` through a node of this value and backward would leave there,
-    +0.0 for -0.0 included. It writes them under ``no_grad`` too.
+    image rows and labels are the run's, checked when it was built.
 
     One stacked adapter pass covers both kinds' prompt rows, each slice in
     its kind's own row order. Its rows are then put style first in both
     slices (``run.order``), so that per factor the logits through both
     adapters are one (2, n, K) product and one log-softmax, slice k being
-    adapter k's. In the backward each parameter gradient is still the sum of
-    one product per factor's rows, as on the layered tape; a slice's
-    products and reductions are those of its kind stepped alone.
+    adapter k's. The backward writes the four gradients into the (2, …)
+    ``grad`` views, overwriting their ``flat_grad``, with the bits that
+    ``zero_grad`` and ``backward`` through a node of the values' sum would
+    leave there, +0.0 for -0.0 included. Each parameter gradient is still
+    the sum of one product per factor's rows, as on the layered tape; a
+    slice's products and reductions are those of its kind stepped alone.
     """
     lam, scale, p = (cfg.lambda1, cfg.lambda2), float(cfg.logit_scale), run.encoders.adapters
     protos, adapt_grad = adapt_array(run.prompts, p)
@@ -234,74 +234,92 @@ def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> float:
         ce[factor] = _ce(y[i], run.batch[factor])  # adapter i's own factor: its cross-entropy, the other's confusion
         conf[_OTHER[factor]] = _confusion(y[1 - i], run.batch[factor], cfg.adversarial_mode)
         heads[factor] = rows, y
-    values = [ce[kind][0] + conf[kind][0] * lam[i] for i, kind in enumerate(_KINDS)]
-    run.values = dict(zip(_KINDS, map(float, values)))
 
-    g_pn = np.empty_like(pn)
-    for i, (factor, (rows, y)) in enumerate(heads.items()):
-        g_y = np.empty_like(y)
-        g_y[i], g_y[1 - i] = ce[factor][1](1.0), conf[_OTHER[factor]][1](lam[1 - i])
-        g_pn[rows] = np.matmul(run.fn.T, _log_softmax_grad(g_y, y) * scale).swapaxes(-1, -2)
-    g_protos = np.empty_like(protos)
-    g_protos.reshape(-1, dim)[run.order] = T._unit_rows_grad(g_pn, pn, p_norm)
-    for t, g in zip(p.tensors(), adapt_grad(g_protos, need_x=False, split=split, order=run.order)[1:]):
-        t.grad[...] = g
-    p.flat_grad += 0.0  # -0.0 to +0.0, as backward's add into a zeroed buffer gives
+    def write_grads():
+        g_pn = np.empty_like(pn)
+        for i, (factor, (rows, y)) in enumerate(heads.items()):
+            g_y = np.empty_like(y)
+            g_y[i], g_y[1 - i] = ce[factor][1](1.0), conf[_OTHER[factor]][1](lam[1 - i])
+            g_pn[rows] = np.matmul(run.fn.T, _log_softmax_grad(g_y, y) * scale).swapaxes(-1, -2)
+        g_protos = np.empty_like(protos)
+        g_protos.reshape(-1, dim)[run.order] = T._unit_rows_grad(g_pn, pn, p_norm)
+        for t, g in zip(p.tensors(), adapt_grad(g_protos, need_x=False, split=split, order=run.order)[1:]):
+            t.grad[...] = g
+        p.flat_grad += 0.0  # -0.0 to +0.0, as backward's add into a zeroed buffer gives
+
+    return [ce[kind][0] + conf[kind][0] * lam[i] for i, kind in enumerate(_KINDS)], write_grads
+
+
+def _leave(run, values) -> float:
+    """Leave each kind's value in ``run.values``, style first, and return their sum as a float."""
+    run.values = dict(zip(_KINDS, map(float, values)))
     return float(values[0] + values[1])
 
 
-class _TripletRun:
-    """The constants of an unlabeled run: all (N, D) image feature rows ``f_all``, each kind's (N, D)
-    frozen half-caption rows ``text`` and the ``encoders``, checked once to be N rows of the adapters'
-    width D (``ShapeError``). ``select(idx)`` makes rows ``idx`` the batch. A kind's step adapts the
-    other kind's rows for its negative and keeps them, rows and backward: the other kind's step, next,
-    takes them as its anchor, since their adapter has not been stepped in between."""
+def style_labeled_loss(run: _LabeledRun, cfg: TrainConfig) -> float:
+    """Both adapters' labeled objectives (``_labeled_forward``) on the batch ``run.select`` chose, as one
+    step over the four (2, …) tensors of ``run.encoders.adapters``; the benchmark's step probe enters
+    it by this name.
 
-    def __init__(self, f_all: np.ndarray, text: dict[str, np.ndarray], encoders: EncoderBundle):
-        dim = encoders.adapter("style").w1.shape[0]
-        for name, rows in (("image features", f_all), *((f"{kind} text", text[kind]) for kind in _KINDS)):
-            if rows.shape != (len(f_all), dim):
-                raise T.ShapeError(f"triplet objective: {name} {rows.shape} must be {len(f_all)} rows of width {dim}")
+    Leaves each kind's value in ``run.values`` and returns their sum; as the
+    adapters share no parameter, its gradient at each adapter is that
+    adapter's own objective's. Records no tape node: it writes the
+    gradients, under ``no_grad`` too.
+    """
+    values, write_grads = _labeled_forward(run, cfg)
+    write_grads()
+    return _leave(run, values)
+
+
+class _TripletRun:
+    """The constants of an unlabeled run: all (N, D) image feature rows ``f_all``, the frozen
+    half-caption rows ``text``, one kind-major (2, N, D) array, style first, and the ``encoders``,
+    checked once to be rows of the adapters' width D, the text N rows per kind (``ShapeError``).
+    ``select(idx)`` makes rows ``idx`` the batch: the image rows, the positive that both kinds share,
+    and the (2, n, D) text rows, a C-contiguous ``take``; until then every row is."""
+
+    def __init__(self, f_all: np.ndarray, text: np.ndarray, encoders: EncoderBundle):
+        dim = encoders.adapters.w1.shape[-2]
+        if f_all.ndim != 2 or f_all.shape[1] != dim:
+            raise T.ShapeError(f"triplet objective: image features {f_all.shape} must be rows of width {dim}")
+        if text.shape != (2, len(f_all), dim):
+            raise T.ShapeError(f"triplet objective: text {text.shape} must be {len(f_all)} rows of width {dim} "
+                               "per kind, (2, N, D)")
         self.encoders, self.f_all, self.text, self.values = encoders, f_all, text, {}
-        self.select(np.s_[:])
+        self.positive, self.batch = f_all, text
 
     def select(self, idx: np.ndarray) -> None:
         """Make rows ``idx`` the batch."""
         self.positive = self.f_all[idx]
-        self.batch = {kind: rows[idx] for kind, rows in self.text.items()}
-        self.kept = {}
-
-    def rows(self, kind: str):
-        """The ``kind`` step's anchor, ``adapt_array`` of its text rows, and its negative rows."""
-        other = _OTHER[kind]
-        anchor = self.kept.get(kind) or adapt_array(self.batch[kind], self.encoders.adapter(kind))
-        self.kept = {other: adapt_array(self.batch[other], self.encoders.adapter(other))}
-        return anchor, self.kept[other][0]
+        self.batch = self.text.take(idx, axis=1)
 
 
-def _triplet_loss(run: _TripletRun, cfg: TrainConfig, kind: str) -> float:
-    """Hinge of the ``kind`` adapter on the batch ``run.select`` chose (margin1 for style, margin2
-    for category): anchor its adapted text rows, positive the image rows, negative the other
-    adapter's rows, a constant. Zeroes the adapter's ``flat_grad``; when a row is active, as decided
-    on the rows (a mean of active rows can underflow to 0.0), records one tape node over the
-    adapter's four tensors and runs ``backward`` on it, which adds the gradients there. With no
-    active row the gradients stay zero. Returns the value as a float, and leaves it in
-    ``run.values[kind]``."""
-    (anchor, adapt_grad), negative = run.rows(kind)
-    value, hinge_grad, active = _hinge(anchor, run.positive, negative, cfg.margin1 if kind == "style" else cfg.margin2)
-    run.values[kind] = float(value)
-    p = run.encoders.adapter(kind)
-    p.zero_grad()
-    if active:
-        T.backward(T._node(value, (p.w1, p.b1, p.w2, p.b2), lambda g: adapt_grad(hinge_grad(g)[0], need_x=False)[1:]))
-    return float(value)
+def _triplet_forward(run: _TripletRun, cfg: TrainConfig):
+    """Both kinds' hinges on the batch ``run.select`` chose, from one stacked adapter pass over its
+    (2, n, D) text rows: their (2,) values, style first, whether each has an active row, and the
+    backward that maps the gradient at the values to the four (2, …) adapter gradients.
+
+    The hinge of kind k anchors the adapted text rows y[k] at the image rows, the positive, and takes
+    the other kind's y[1 - k] as its negative, a constant; its margin is margin1 for style and margin2
+    for category. Activity is decided on the rows: a mean of active rows can underflow to 0.0.
+    """
+    y, adapt_grad = adapt_array(run.batch, run.encoders.adapters)
+    values, hinge_grad, active = _hinge(y, run.positive, y[::-1], np.array([[cfg.margin1], [cfg.margin2]]))
+    return values, active, lambda g: adapt_grad(hinge_grad(g)[0], need_x=False)[1:]
 
 
 def style_triplet_loss(run: _TripletRun, cfg: TrainConfig) -> float:
-    """Style-adapter hinge on the run's unlabeled batch (margin1); the category rows are held constant."""
-    return _triplet_loss(run, cfg, "style")
+    """Both adapters' hinges (``_triplet_forward``) on the batch ``run.select`` chose, as one step over the
+    four (2, …) tensors of ``run.encoders.adapters``; the benchmark's step probe enters it by this name.
 
-
-def category_triplet_loss(run: _TripletRun, cfg: TrainConfig) -> float:
-    """Mirror hinge for the category adapter (margin2); the style rows are held constant."""
-    return _triplet_loss(run, cfg, "category")
+    Both hinges read the adapters as they stood before the step. Zeroes the stacked ``flat_grad``; when
+    a row of either kind is active, records one tape node over the four tensors and runs ``backward``
+    on it, which adds each kind's gradients into its half. A kind with no active row keeps +0.0 there.
+    Leaves each kind's value in ``run.values`` and returns their sum as a float.
+    """
+    values, active, grad = _triplet_forward(run, cfg)
+    p = run.encoders.adapters
+    p.zero_grad()
+    if active.any():
+        T.backward(T._node(np.asarray(values[0] + values[1]), p.tensors(), grad))
+    return _leave(run, values)

@@ -16,21 +16,21 @@ frozen features of the backbone are plain arrays. There is one generic op,
 ``scale``. Everything else is a coarse node, built with ``_node`` and a
 hand-written backward over all its parents. Every training step writes its
 gradients into the ``flat_grad`` of the group it steps and returns its loss
-as a float, so the training loops take no ``zero_grad`` or ``backward``. A
-labeled encoder step (``losses.style_labeled_loss``) records no node: it
-steps both adapters at once, in one adapter pass over both kinds' prompt
-rows, and writes the four gradients into the stacked (2, …) ``grad`` views.
+as a float, so the training loops take no ``zero_grad`` or ``backward``. An
+encoder step steps both adapters at once, over the stacked (2, …) tensors,
+in one adapter pass. A labeled step (``losses.style_labeled_loss``) records
+no node: it writes the four gradients into the stacked ``grad`` views.
 A denoiser training step (``diffusion.ddpm_train_step``) records none
 either: on its run's workspace, which holds and has checked the run's
 points, it draws its batch and runs the denoiser, its loss and their
 backward in one call and writes the nine gradients; ``diffusion.predict_noise``
-records none. In the package the tape serves only the triplet step
-(``losses._triplet_loss``), which zeroes its adapter's gradients and, when a
-triplet of its batch is active, records one node over the adapter's four
-tensors and runs ``backward`` on it; ``losses.class_logits``, a cosine node
-times ``scale``, is its one other user. The single-layer nodes that
-the objectives and that step are made of (the adapter, each loss head, the
-denoiser forward and its loss, and an ``add`` of two tensors) are the tests'
+records none. In the package the tape serves only the unlabeled step
+(``losses.style_triplet_loss``), which zeroes both adapters' gradients and,
+when a triplet of either kind of its batch is active, records one node over
+the four stacked tensors and runs ``backward`` on it; ``losses.class_logits``,
+a cosine node times ``scale``, is its one other user. The single-layer nodes
+that the objectives are made of (the adapter, each loss head, the denoiser
+forward and its loss, and an ``add`` of two tensors) are the tests'
 references and live with the tests, built from the same numpy pieces.
 ``train.gradcheck_suite`` audits against central differences the
 objectives that training steps and the denoiser's training step.

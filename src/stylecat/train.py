@@ -27,13 +27,14 @@ from .diffusion import (
     oracle_classify_batch,
     sample,
 )
-from .encoders import _KINDS, _OTHER, PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt_array, blend
+from .encoders import _KINDS, PROMPT_TEMPLATES, AdapterParams, EncoderBundle, adapt_array, blend
 from .losses import (
     ADVERSARIAL_MODES,
     ConfigError,
     _LabeledRun,
     _TripletRun,
-    category_triplet_loss,
+    _labeled_forward,
+    _triplet_forward,
     style_labeled_loss,
     style_triplet_loss,
 )
@@ -263,16 +264,16 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
     The run's one ``_LabeledRun`` (labeled mode) or ``_TripletRun`` (over
     captions decomposed with ``spec.lexicon``, of its category names, as
     generation decomposes them, each distinct caption once) holds the bundle and
-    the checked constants, and selects each batch. Every step is its objective
-    on the run, which leaves its gradients in the stepped group's ``flat_grad``,
-    and an Adam step, as in ``train_diffusion``. In labeled mode a batch is one step of both
-    adapters: the two objectives read disjoint parameters, so one stacked
-    step over ``bundle.adapters``, with one Adam over both, gives each the
-    bits of its own step. In unlabeled mode a batch runs one step per kind,
-    style then category, each with its own Adam over its adapter: a triplet
-    step's negative is the other adapter's feature of the other half
-    caption, taken at the start of that kind's step, so the category step
-    reads the style adapter as the style step left it.
+    the checked constants, and selects each batch. A batch is one step of both
+    adapters, in either mode: its objective on the run, which leaves both
+    adapters' gradients in the ``flat_grad`` of ``bundle.adapters``, and one
+    Adam step over that stacked group, as in ``train_diffusion``. In labeled
+    mode the two objectives read disjoint parameters, so each adapter gets the
+    bits of a step of its own. In unlabeled mode each kind's hinge takes the
+    other adapter's feature of the other half caption as its negative, and
+    both read the adapters as they stood before the batch: the category
+    hinge's negative is the style adapter's output before that batch's style
+    update, where a step per kind, style first, read it after.
 
     ``lexicon``, if given, must be that same lexicon (ConfigError
     otherwise): no other lexicon splits captions.
@@ -289,20 +290,17 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
 
     # Frozen features are constants of the data: embedded once per run.
     f_all, labels = _features(data, bundle.backbone)
-    # Per step, the kinds it scores, its objective and its Adam. Built per run from the module's names, so
-    # that a replaced objective is the one each step calls.
+    # The objective is looked up in the module per run, so that a replaced objective is the one each step calls.
     if config.mode == "labeled":
-        steps = [(_KINDS, style_labeled_loss, Adam(bundle.adapters, config.lr))]
-        run = _LabeledRun(f_all, labels, bundle)
+        objective, run = style_labeled_loss, _LabeledRun(f_all, labels, bundle)
     else:
-        steps = [((kind,), objective, Adam(bundle.adapter(kind), config.lr))
-                 for kind, objective in zip(_KINDS, (style_triplet_loss, category_triplet_loss))]
         split = {caption: decompose(caption, spec.lexicon) for caption in dict.fromkeys(s.caption for s in data)}
         pairs = [split[s.caption] for s in data]
         texts = list(dict.fromkeys(text for pair in split.values() for text in pair))
         frozen_text = dict(zip(texts, embed_captions(texts, bundle.backbone)))
-        run = _TripletRun(f_all, {kind: np.stack([frozen_text[pair[k]] for pair in pairs])
-                                  for k, kind in enumerate(_KINDS)}, bundle)
+        text = np.stack([frozen_text[pair[k]] for k in range(len(_KINDS)) for pair in pairs])
+        objective, run = style_triplet_loss, _TripletRun(f_all, text.reshape(len(_KINDS), len(pairs), -1), bundle)
+    opt = Adam(bundle.adapters, config.lr)
 
     rows = []
     for epoch in range(config.epochs):
@@ -310,11 +308,10 @@ def train_encoders(config: TrainConfig, spec: SyntheticSpec, train_samples,
         losses = {kind: [] for kind in _KINDS}
         for start in range(0, len(data), config.batch_size):
             run.select(order[start : start + config.batch_size])
-            for kinds, objective, opt in steps:
-                objective(run, config)
-                opt.step()
-                for kind in kinds:
-                    losses[kind].append(_check_finite(run.values[kind], f"{kind} step"))
+            objective(run, config)
+            opt.step()
+            for kind in _KINDS:
+                losses[kind].append(_check_finite(run.values[kind], f"{kind} step"))
 
         top1 = _top1(bundle, f_all, labels, config.alpha_style, config.alpha_category, config.logit_scale)
         rows.append(_metrics_row(epoch, "train", *top1, *(float(np.mean(losses[kind])) for kind in _KINDS), config))
@@ -481,10 +478,17 @@ def load_encoder_checkpoint(path):
 # ---------------------------------------------------------------------------
 # finite-difference audit
 
-def _ad_grads(loss_fn, params):
-    """Copies of the gradients of each tensor in params that one training step, loss_fn(), leaves in its ``grad``."""
-    loss_fn()
+def _ad_grads(step, params):
+    """Copies of the gradients of each tensor in params that one training step, step(), leaves in its ``grad``."""
+    step()
     return [p.grad.copy() for p in params]
+
+
+def _forward_value(forward, run, cfg, kind: str | None = None) -> float:
+    """What an audit differences: the ``kind`` value of ``forward(run, cfg)``, the step's forward without
+    its backward, or with no kind the sum of both, as the step returns it."""
+    values = forward(run, cfg)[0]
+    return float(values[0] + values[1] if kind is None else values[_KINDS.index(kind)])
 
 
 def _random_adapter(rng, dim: int, hidden: int) -> AdapterParams:
@@ -505,12 +509,15 @@ class _AuditWorld(EncoderBundle):
 
     Rejection-samples until no ReLU pre-activation or hinge argument sits
     near its kink, so central differences stay valid, and until each kind's
-    hinge has an active row, so its audit checks a nonzero gradient. The
-    prompt features are random unit rows and there is no backbone. ``run``
-    is the labeled run of the image rows ``f_i``; a kind's ``triplet_runs``
-    entry has its ``positive`` as image rows and ``f_i`` as both kinds' text
-    rows. The first row of each positive equals its anchor row, so the audit
-    meets the zero distance, whose gradient is taken to be zero.
+    hinge has an active row that carries a gradient, so its audit checks a
+    nonzero one. The prompt features are random unit rows and there is no
+    backbone. ``run`` is the labeled run of the image rows ``f_i``;
+    ``triplet_run`` has ``f_i`` as both kinds' text rows and ``positive``,
+    which both kinds share, as its image rows. Row 0 of the positive is the
+    style anchor's row 0 and row 1 the category anchor's row 1, so each kind
+    meets the zero distance, whose gradient is taken to be zero. At the
+    other of those two rows a kind's positive is its negative: its hinge
+    argument is its margin, and its gradient zero.
     """
 
     DIM = 8
@@ -529,14 +536,14 @@ class _AuditWorld(EncoderBundle):
             self.prompt_features = {kind: T._unit_rows(rng.standard_normal((self.K, self.DIM)))[0]
                                     for kind in _KINDS}
             self.labels = {kind: rng.integers(0, self.K, self.BATCH) for kind in _KINDS}
-            self.adapted = {kind: adapt_array(self.f_i, self.adapter(kind))[0] for kind in _KINDS}
-            self.positive = {kind: np.concatenate([f[:1], self.f_i[1:]]) for kind, f in self.adapted.items()}
+            self.text = np.stack([self.f_i, self.f_i])
+            self.adapted = adapt_array(self.text, self.adapters)[0]  # the triplet step's (2, BATCH, DIM) pass
+            self.positive = np.concatenate([self.adapted[0, :1], self.adapted[1, 1:2], self.f_i[2:]])
             if self._clean():
                 break
             attempt += 1
         self.run = _LabeledRun(self.f_i, self.labels, self)  # as train_encoders passes it, built once
-        self.triplet_runs = {kind: _TripletRun(self.positive[kind], dict.fromkeys(_KINDS, self.f_i), self)
-                             for kind in _KINDS}
+        self.triplet_run = _TripletRun(self.positive, self.text, self)
 
     def _clean(self, threshold: float = 1e-3) -> bool:
         feats = np.concatenate([self.f_i, *self.prompt_features.values()])
@@ -544,13 +551,12 @@ class _AuditWorld(EncoderBundle):
             p = self.adapter(kind)
             if np.abs(feats @ p.w1.data + p.b1.data).min() < threshold:
                 return False
-            f = self.adapted[kind]
-            d_pos = np.linalg.norm(f - self.positive[kind], axis=1)
-            d_neg = np.linalg.norm(f - self.adapted[_OTHER[kind]], axis=1)
-            pre = d_pos - d_neg + (TRIPLET_AUDIT.margin1 if kind == "style" else TRIPLET_AUDIT.margin2)
-            if np.abs(pre).min() < threshold or not (pre > 0).any():
-                return False
-        return True
+        f = self.adapted
+        pre = (np.linalg.norm(f - self.positive, axis=-1) - np.linalg.norm(f - f[::-1], axis=-1)
+               + np.array([[TRIPLET_AUDIT.margin1], [TRIPLET_AUDIT.margin2]]))
+        carries = pre > 0
+        carries[0, 1] = carries[1, 0] = False  # positive on the negative: an active row without a gradient
+        return np.abs(pre).min() >= threshold and carries.any(axis=1).all()
 
 
 # The labeled configurations that training steps, by audit component: both adversarial modes at the
@@ -592,33 +598,42 @@ def _denoiser_train_world(seed: int):
 def gradcheck_suite(n_seeds: int = 20, tol: float = 1e-4, eps: float = 1e-5):
     """Check the objectives that training steps, and the denoiser's, against central differences.
 
-    The stacked labeled step under each ``LABELED_AUDITS`` config (both
-    adversarial modes, and lambda = 0), audited at each adapter's half of its
-    gradient (``style-labeled``, ``category-labeled``, ...; its value is the
-    sum of both kinds' objectives, so the central differences at one half
-    are those of that kind's own), then each kind's triplet objective
-    under ``TRIPLET_AUDIT``, all on one ``_AuditWorld`` per seed. The
-    denoiser is audited once, through the gradients that ``ddpm_train_step``
-    writes (``denoiser-train-step``): the layered forward has one input form,
-    n timesteps and n condition indices, so that step runs all of its forward
-    and backward. Returns a list of (component, worst_relative_error, passed)
-    triples. ConfigError unless ``n_seeds`` >= 1 and ``tol`` is a positive finite number.
+    Each check compares the gradients that one training step writes with the
+    central differences of that step's forward (``_forward_value``), which
+    computes the values alone. The stacked labeled step under each
+    ``LABELED_AUDITS`` config (both adversarial modes, and lambda = 0) is
+    audited at each adapter's half of its gradient (``style-labeled``,
+    ``category-labeled``, ...), differencing the sum of both kinds' values, as
+    the step returns it: the adapters share no parameter, so the differences
+    at one half are those of that kind's own. Then the stacked triplet step
+    under ``TRIPLET_AUDIT``, at each adapter's half (``style-triplet``,
+    ``category-triplet``), differencing that kind's hinge alone: through the
+    other hinge's negative, which the step holds constant, the sum reaches
+    the parameters too. All run on one ``_AuditWorld`` per seed. The denoiser
+    is audited once, through the gradients that ``ddpm_train_step`` writes
+    (``denoiser-train-step``), differencing the loss that step returns: the
+    layered forward has one input form, n timesteps and n condition indices,
+    so that step runs all of its forward and backward. Returns a list of
+    (component, worst_relative_error, passed) triples. ConfigError unless
+    ``n_seeds`` >= 1 and ``tol`` is a positive finite number.
     """
     if n_seeds < 1 or not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"gradcheck needs n_seeds >= 1 and a positive finite tol, got {n_seeds} and {tol}")
     worst = {}
     for seed in range(n_seeds):
         world = _AuditWorld(seed)
-        checks = [(f"{kind}-{name}", partial(style_labeled_loss, world.run, cfg), world.adapter(kind).tensors())
+        checks = [(f"{kind}-{name}", partial(style_labeled_loss, world.run, cfg),
+                   partial(_forward_value, _labeled_forward, world.run, cfg), world.adapter(kind).tensors())
                   for kind in _KINDS for name, cfg in LABELED_AUDITS.items()]
-        checks += [(f"{kind}-triplet", partial(loss, world.triplet_runs[kind], TRIPLET_AUDIT),
-                    world.adapter(kind).tensors())
-                   for kind, loss in zip(_KINDS, (style_triplet_loss, category_triplet_loss))]
-        checks.append(("denoiser-train-step", *_denoiser_train_world(seed)))
-        for name, loss_fn, params in checks:
-            ad = _ad_grads(loss_fn, params)
+        checks += [(f"{kind}-triplet", partial(style_triplet_loss, world.triplet_run, TRIPLET_AUDIT),
+                    partial(_forward_value, _triplet_forward, world.triplet_run, TRIPLET_AUDIT, kind),
+                    world.adapter(kind).tensors()) for kind in _KINDS]
+        step, params = _denoiser_train_world(seed)
+        checks.append(("denoiser-train-step", step, step, params))
+        for name, step, value, params in checks:
+            ad = _ad_grads(step, params)
             for p, g in zip(params, ad):
-                fd = finite_diff_grad(lambda _: loss_fn(), p, eps=eps)
+                fd = finite_diff_grad(lambda _: value(), p, eps=eps)
                 error = float(np.nan_to_num(relative_error(g, fd), nan=np.inf))  # NaN fails
                 worst[name] = max(worst.get(name, 0.0), error)
     return [(name, w, w < tol) for name, w in worst.items()]

@@ -2,12 +2,12 @@
 
 The program's training steps fold these layers into one backward per step,
 which writes its gradients straight into ``flat_grad`` (``losses``, where a
-labeled step steps both adapters at once and a triplet step walks one node;
-``diffusion.ddpm_train_step``). Each op here wraps the
-program's own numpy forward and hand-written backward as one node of
-``stylecat.tensor``'s tape, so a composition of them is the bit reference of
-the step that fuses them.
-"""
+labeled step and an unlabeled step each step both adapters at once, the
+unlabeled one walking one node over the stacked adapters;
+``diffusion.ddpm_train_step``). Each op here wraps the program's own numpy
+forward and hand-written backward as one node of ``stylecat.tensor``'s tape,
+for one adapter's (n, D) rows, so a composition of them per kind is the bit
+reference of that kind's part of the step that fuses them."""
 
 import numpy as np
 

@@ -14,7 +14,6 @@ from stylecat.encoders import AdapterParams, adapt_array
 from stylecat.losses import (
     ADVERSARIAL_MODES,
     ConfigError,
-    category_triplet_loss,
     class_logits,
     style_labeled_loss,
     style_triplet_loss,
@@ -235,28 +234,56 @@ def tape(loss):
     return [node for node in seen.values() if node._grad_fn is not None]
 
 
-def triplet_inputs(labeled_world, kind, positive=None):
-    """The run of one ``kind`` triplet step, and that step's frozen text rows, adapter, positive
-    and negative.
+KINDS = ("style", "category")
 
-    The text rows cycle through the prompt features. The positive rows are
-    ``positive`` if given; otherwise the image rows, but the first equals the
-    first adapted anchor row, so one distance is zero.
+
+def triplet_inputs(labeled_world, positive=None):
+    """The run of one stacked triplet step, its (2, N, D) frozen text rows, their stacked adapted rows
+    and the positive that both kinds share.
+
+    Each kind's text rows cycle through its prompt features. The positive
+    rows are ``positive`` if given; otherwise the image rows, but row 0 is
+    the style anchor's row 0 and row 1 the category anchor's row 1, so each
+    kind meets one zero distance.
     """
     _, bundle, (f_i, _) = labeled_world
-    texts = {k: t[np.arange(len(f_i)) % len(t)] for k, t in bundle.prompt_features.items()}
-    other = "category" if kind == "style" else "style"
-    negative = adapt_array(texts[other], bundle.adapter(other))[0]
+    text = np.stack([bundle.prompt_features[kind][np.arange(len(f_i)) % len(bundle.prompt_features[kind])]
+                     for kind in KINDS])
+    adapted = adapt_array(text, bundle.adapters)[0]
     if positive is None:
         positive = f_i.copy()
-        positive[0] = adapt_array(texts[kind], bundle.adapter(kind))[0][0]
-    run = losses._TripletRun(positive, texts, bundle)
-    return run, (texts[kind], bundle.adapter(kind), positive, negative)
+        positive[:2] = adapted[[0, 1], [0, 1]]
+    return losses._TripletRun(positive, text, bundle), text, adapted, positive
+
+
+def layered_hinges(bundle, text, positive, cfg):
+    """Per kind, the layered reference of the stacked triplet step at the adapters' current parameters:
+    ``triplet_hinge(adapt(...))`` of its text rows, the shared positive, and the other adapter's rows of
+    the other kind's text as a constant negative."""
+    margins = (cfg.margin1, cfg.margin2)
+    return {kind: triplet_hinge(adapt(Tensor(text[k]), bundle.adapter(kind)), Tensor(positive),
+                                Tensor(adapt_array(text[1 - k], bundle.adapter(KINDS[1 - k]))[0]), margins[k])
+            for k, kind in enumerate(KINDS)}
+
+
+def one_kind_active(labeled_world, kind):
+    """A run on which only ``kind``'s hinge has active rows, and its config: the positive is the other
+    kind's anchors moved by a hundredth of the image rows, with margin 0.3 for ``kind`` and 0 for the
+    other, so every ``kind`` row is active and no row of the other kind is."""
+    _, _, (f_i, _) = labeled_world
+    _, _, adapted, _ = triplet_inputs(labeled_world)
+    k = KINDS.index(kind)
+    run = triplet_inputs(labeled_world, positive=adapted[1 - k] + 0.01 * f_i)[0]
+    cfg = TrainConfig(**{f"margin{k + 1}": 0.3, f"margin{2 - k}": 0.0})
+    assert losses._triplet_forward(run, cfg)[1].tolist() == [kind == "style", kind == "category"]
+    return run, cfg
 
 
 def adapters(style, category):
-    """A stand-in for an ``EncoderBundle`` with only the two adapters, which is all a ``_TripletRun`` reads."""
-    return SimpleNamespace(adapter={"style": style, "category": category}.__getitem__)
+    """A stand-in for an ``EncoderBundle`` with only the two adapters and their stacked group, which is all
+    a ``_TripletRun`` reads."""
+    return SimpleNamespace(adapter={"style": style, "category": category}.__getitem__,
+                           adapters=AdapterParams.stack(style, category))
 
 
 def value_and_grads(loss, p):
@@ -266,10 +293,11 @@ def value_and_grads(loss, p):
     return [loss.data.tobytes()] + [t.grad.tobytes() for t in p.tensors()]
 
 
-def step_value_and_grads(objective, run, cfg, p):
-    """Bytes of the value of one training step on ``run``, and of each gradient it leaves in adapter ``p``."""
-    value = objective(run, cfg)
-    return [np.float64(value).tobytes()] + [t.grad.tobytes() for t in p.tensors()]
+def triplet_value_and_grads(run, cfg, kind):
+    """Bytes of the ``kind`` value of one stacked triplet step on ``run``, and of each gradient it leaves in
+    that kind's adapter."""
+    style_triplet_loss(run, cfg)
+    return [np.float64(run.values[kind]).tobytes()] + [t.grad.tobytes() for t in run.encoders.adapter(kind).tensors()]
 
 
 def labeled_value_and_grads(run, cfg, kind):
@@ -317,23 +345,23 @@ class TestFusedObjectives:
 
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_triplet_matches_layered_bitwise(self, labeled_world, kind):
-        run, (text, p, positive, negative) = triplet_inputs(labeled_world, kind)
-        fused = style_triplet_loss if kind == "style" else category_triplet_loss
-        layered = triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.3)
-        expected = value_and_grads(layered, p)
-        assert step_value_and_grads(fused, run, TrainConfig(), p) == expected
+        """The stacked step's ``kind`` value and gradients are the bits of that kind's layered hinge."""
+        _, bundle, _ = labeled_world
+        run, text, _, positive = triplet_inputs(labeled_world)
+        expected = value_and_grads(layered_hinges(bundle, text, positive, TrainConfig())[kind], bundle.adapter(kind))
+        assert triplet_value_and_grads(run, TrainConfig(), kind) == expected
         assert np.frombuffer(expected[1]).any()
 
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_triplet_run_workspace_matches_one_off_bitwise(self, labeled_world, kind):
         """Rows selected from a triplet run score as the same rows in a run of their own."""
-        run, (_, p, _, _) = triplet_inputs(labeled_world, kind)
-        fused = style_triplet_loss if kind == "style" else category_triplet_loss
+        run = triplet_inputs(labeled_world)[0]
         idx = np.random.default_rng(12).permutation(len(run.f_all))[:8]
-        own = losses._TripletRun(run.f_all[idx], {k: t[idx] for k, t in run.text.items()}, run.encoders)
-        expected = step_value_and_grads(fused, own, TrainConfig(), p)
+        own = losses._TripletRun(run.f_all[idx], run.text[:, idx], run.encoders)
+        expected = triplet_value_and_grads(own, TrainConfig(), kind)
         run.select(idx)
-        assert step_value_and_grads(fused, run, TrainConfig(), p) == expected
+        assert run.batch.flags.c_contiguous
+        assert triplet_value_and_grads(run, TrainConfig(), kind) == expected
 
 
 @pytest.fixture
@@ -350,25 +378,26 @@ def recorded(monkeypatch):
 
 
 class TestTapes:
-    """A labeled step records no tape node; an active triplet step records one, over the four tensors
-    of the adapter it steps."""
+    """A labeled step records no tape node; a triplet step with an active row records one, over the four
+    (2, …) tensors of the stacked adapters, whichever kind that row is of."""
 
     def test_labeled_step_records_no_node(self, labeled_world, recorded):
         _, bundle, (f_i, labels) = labeled_world
         style_labeled_loss(losses._LabeledRun(f_i, labels, bundle), TrainConfig())
         assert recorded == []
 
-    def test_unlabeled_style_step_records_one_node(self, labeled_world, recorded):
+    @staticmethod
+    def _one_node(labeled_world, recorded, kind):
         _, bundle, _ = labeled_world
-        style_triplet_loss(triplet_inputs(labeled_world, "style")[0], TrainConfig())
+        style_triplet_loss(*one_kind_active(labeled_world, kind))
         assert len(recorded) == 1 and tape(recorded[0]) == recorded
-        assert list(map(id, recorded[0]._parents)) == list(map(id, bundle.style_adapter.tensors()))
+        assert list(map(id, recorded[0]._parents)) == list(map(id, bundle.adapters.tensors()))
+
+    def test_unlabeled_style_step_records_one_node(self, labeled_world, recorded):
+        self._one_node(labeled_world, recorded, "style")
 
     def test_unlabeled_category_step_records_one_node(self, labeled_world, recorded):
-        _, bundle, _ = labeled_world
-        category_triplet_loss(triplet_inputs(labeled_world, "category")[0], TrainConfig())
-        assert len(recorded) == 1 and tape(recorded[0]) == recorded
-        assert list(map(id, recorded[0]._parents)) == list(map(id, bundle.category_adapter.tensors()))
+        self._one_node(labeled_world, recorded, "category")
 
 
 # A positive on its anchor is at distance zero; at margin 0 no negative then makes a triplet active.
@@ -376,9 +405,10 @@ NO_MARGIN = TrainConfig(margin1=0.0, margin2=0.0)
 
 
 def inactive_triplet_inputs(labeled_world, kind):
-    """``triplet_inputs`` with each positive on its anchor: at ``NO_MARGIN``, no active triplet."""
-    _, (text, p, _, _) = triplet_inputs(labeled_world, kind)
-    return triplet_inputs(labeled_world, kind, positive=adapt_array(text, p)[0])
+    """``triplet_inputs`` with the positive on the ``kind`` anchors: at ``NO_MARGIN``, no active triplet of
+    either kind, as the other kind's positive is then its negative."""
+    _, _, adapted, _ = triplet_inputs(labeled_world)
+    return triplet_inputs(labeled_world, positive=adapted[KINDS.index(kind)])
 
 
 class TestInactiveTriplets:
@@ -387,32 +417,34 @@ class TestInactiveTriplets:
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_no_active_triplet_gives_a_parentless_zero(self, labeled_world, kind, recorded):
         """The step returns the float 0.0, not a tensor, and leaves +0.0 in every gradient."""
-        run, (_, p, _, _) = inactive_triplet_inputs(labeled_world, kind)
-        fused = style_triplet_loss if kind == "style" else category_triplet_loss
-        p.flat_grad[:] = 1.0
-        loss = fused(run, NO_MARGIN)
+        _, bundle, _ = labeled_world
+        run = inactive_triplet_inputs(labeled_world, kind)[0]
+        bundle.adapters.flat_grad[:] = 1.0
+        loss = style_triplet_loss(run, NO_MARGIN)
         assert type(loss) is float and np.float64(loss).tobytes() == np.float64(0.0).tobytes()
         assert recorded == []
-        assert p.flat_grad.tobytes() == np.zeros_like(p.flat_grad).tobytes()
+        assert bundle.adapters.flat_grad.tobytes() == np.zeros_like(bundle.adapters.flat_grad).tobytes()
 
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_no_active_triplet_matches_layered_bitwise(self, labeled_world, kind):
-        """The layered hinge back-propagates signed zeros that sum into the zeroed gradient as +0.0."""
-        run, (text, p, positive, negative) = inactive_triplet_inputs(labeled_world, kind)
-        fused = style_triplet_loss if kind == "style" else category_triplet_loss
-        layered = triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.0)
-        assert tape(layered)
-        assert step_value_and_grads(fused, run, NO_MARGIN, p) == value_and_grads(layered, p)
+        """The layered hinges back-propagate signed zeros that sum into the zeroed gradient as +0.0."""
+        _, bundle, _ = labeled_world
+        run, text, _, positive = inactive_triplet_inputs(labeled_world, kind)
+        layered = layered_hinges(bundle, text, positive, NO_MARGIN)
+        assert all(tape(loss) for loss in layered.values())
+        expected = {k: value_and_grads(loss, bundle.adapter(k)) for k, loss in layered.items()}
+        for k in KINDS:
+            assert triplet_value_and_grads(run, NO_MARGIN, k) == expected[k]
 
     def test_an_active_row_whose_mean_underflows_keeps_its_node(self, labeled_world, recorded):
         """Activity is decided on the rows: one hinge of the least subnormal over four rows means 0.0."""
-        _, (text, p, _, negative) = triplet_inputs(labeled_world, "style")
-        positive = adapt_array(text, p)[0]
-        positive[0] = negative[0]  # equal distances: the first hinge argument is the margin itself
-        run, _ = triplet_inputs(labeled_world, "style", positive=positive)
+        _, _, adapted, _ = triplet_inputs(labeled_world)
+        positive = adapted[0].copy()
+        positive[0] = adapted[1, 0]  # on the style negative: the first style hinge argument is the margin itself
+        run = triplet_inputs(labeled_world, positive=positive)[0]
         run.select(np.arange(4))
-        loss = style_triplet_loss(run, TrainConfig(margin1=float(np.nextafter(0.0, 1.0))))
-        assert loss == 0.0
+        loss = style_triplet_loss(run, TrainConfig(margin1=float(np.nextafter(0.0, 1.0)), margin2=0.0))
+        assert loss == 0.0 and run.values == {"style": 0.0, "category": 0.0}
         assert len(recorded) == 1 and tape(recorded[0]) == recorded
 
 
@@ -435,21 +467,47 @@ class TestStepsLeaveTheirGradients:
     @FILLS
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_active_triplet_step_overwrites(self, labeled_world, kind, fill):
-        run, (text, p, positive, negative) = triplet_inputs(labeled_world, kind)
-        fused = style_triplet_loss if kind == "style" else category_triplet_loss
-        expected = value_and_grads(triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.3), p)
-        p.flat_grad[:] = fill
-        assert step_value_and_grads(fused, run, TrainConfig(), p) == expected
+        _, bundle, _ = labeled_world
+        run, text, _, positive = triplet_inputs(labeled_world)
+        expected = value_and_grads(layered_hinges(bundle, text, positive, TrainConfig())[kind], bundle.adapter(kind))
+        bundle.adapters.flat_grad[:] = fill
+        assert triplet_value_and_grads(run, TrainConfig(), kind) == expected
 
     @FILLS
     @pytest.mark.parametrize("kind", ["style", "category"])
     def test_inactive_triplet_step_overwrites_with_zeros(self, labeled_world, kind, fill):
-        run, (text, p, positive, negative) = inactive_triplet_inputs(labeled_world, kind)
-        fused = style_triplet_loss if kind == "style" else category_triplet_loss
-        expected = value_and_grads(triplet_hinge(adapt(Tensor(text), p), Tensor(positive), Tensor(negative), 0.0), p)
-        p.flat_grad[:] = fill
-        assert step_value_and_grads(fused, run, NO_MARGIN, p) == expected
-        assert p.flat_grad.tobytes() == np.zeros_like(p.flat_grad).tobytes()
+        _, bundle, _ = labeled_world
+        run, text, _, positive = inactive_triplet_inputs(labeled_world, kind)
+        expected = value_and_grads(layered_hinges(bundle, text, positive, NO_MARGIN)[kind], bundle.adapter(kind))
+        bundle.adapters.flat_grad[:] = fill
+        assert triplet_value_and_grads(run, NO_MARGIN, kind) == expected
+        assert bundle.adapters.flat_grad.tobytes() == np.zeros_like(bundle.adapters.flat_grad).tobytes()
+
+    @pytest.mark.parametrize("batch", ["both-active", "style-only", "category-only", "inactive"])
+    def test_triplet_step_matches_both_layered_hinges(self, labeled_world, batch):
+        """Both values of a stacked step and both halves of ``flat_grad``, filled with NaN before it, are
+        the bits of the two layered hinges over the parameters before the step; a kind with no active
+        row leaves +0.0 in its whole half."""
+        _, bundle, _ = labeled_world
+        if batch == "both-active":
+            (run, text, _, positive), cfg = triplet_inputs(labeled_world), TrainConfig()
+        elif batch == "inactive":
+            (run, text, _, positive), cfg = inactive_triplet_inputs(labeled_world, "style"), NO_MARGIN
+        else:
+            run, cfg = one_kind_active(labeled_world, batch.partition("-")[0])
+            text, positive = run.text, run.positive
+        active = losses._triplet_forward(run, cfg)[1].tolist()
+        assert active == {"both-active": [True, True], "style-only": [True, False],
+                          "category-only": [False, True], "inactive": [False, False]}[batch]
+        expected = {k: value_and_grads(loss, bundle.adapter(k)) for k, loss in layered_hinges(bundle, text, positive,
+                                                                                            cfg).items()}
+        bundle.adapters.flat_grad[:] = np.nan
+        loss = style_triplet_loss(run, cfg)
+        assert [np.float64(run.values[k]).tobytes() for k in KINDS] == [expected[k][0] for k in KINDS]
+        assert np.float64(loss).tobytes() == np.float64(run.values["style"] + run.values["category"]).tobytes()
+        assert bundle.adapters.flat_grad.tobytes() == b"".join(b"".join(expected[k][1:]) for k in KINDS)
+        for k, on in zip(KINDS, active):
+            assert bundle.adapter(k).flat_grad.any() == on
 
     def test_labeled_step_leaves_no_negative_zero(self, labeled_world, monkeypatch):
         """With every gradient the adapter pass returns written as -0.0, the step leaves +0.0, as
@@ -496,15 +554,18 @@ class TestTripletLosses:
         assert loss.item() == 0.3
 
     def test_category_version_is_symmetric(self):
+        """Swapping the two kinds' text rows, over adapters that both adapt a row to itself, swaps the values."""
         a, p, n = vectors_at_distances(0.5, 0.1)
         # zero output layers: the adapted rows are the input rows
         encoders = adapters(AdapterParams.init(4), AdapterParams.init(4, seed=1))
         text, positive, negative = (np.append(v, 0.0)[None, :] for v in (a, p, n))
         cfg = TrainConfig()
-        s = style_triplet_loss(losses._TripletRun(positive, {"style": text, "category": negative}, encoders), cfg)
-        c = category_triplet_loss(losses._TripletRun(positive, {"style": negative, "category": text}, encoders), cfg)
-        assert s == c
-        assert abs(s - 0.7) < 1e-12
+        forward = losses._TripletRun(positive, np.stack([text, negative]), encoders)
+        swapped = losses._TripletRun(positive, np.stack([negative, text]), encoders)
+        style_triplet_loss(forward, cfg)
+        style_triplet_loss(swapped, cfg)
+        assert forward.values == {"style": swapped.values["category"], "category": swapped.values["style"]}
+        assert abs(forward.values["style"] - 0.7) < 1e-12
 
     def test_nonnegative_and_zero_iff_margin_cleared(self):
         rng = np.random.default_rng(8)
@@ -545,8 +606,12 @@ class TestTripletLosses:
             if np.abs(hinge).min() > 1e-2 and np.abs(pre).min() > 1e-2:  # stay off both kinks
                 break
         # a zero output layer adapts the unit rows f_c to themselves, up to rounding
-        run = losses._TripletRun(f_i, {"style": text, "category": f_c}, adapters(adapter, AdapterParams.init(8)))
-        loss_fn = lambda _: style_triplet_loss(run, TrainConfig())
+        run = losses._TripletRun(f_i, np.stack([text, f_c]), adapters(adapter, AdapterParams.init(8)))
+
+        def loss_fn(_):  # the style hinge alone: the category hinge's negative is the style anchor
+            style_triplet_loss(run, TrainConfig())
+            return run.values["style"]
+
         loss_fn(None)
         assert adapter.flat_grad.any()
         grads = [t.grad.copy() for t in adapter.tensors()]  # each central difference runs the step, which rewrites them
@@ -559,13 +624,13 @@ class TestTripletRun:
     @pytest.mark.parametrize("edit, message", [
         (lambda f, t: (f[:, :16], t), "image features"),
         (lambda f, t: (f[0], t), "image features"),
-        (lambda f, t: (f, {**t, "style": t["style"][:-1]}), "style text"),
-        (lambda f, t: (f, {**t, "category": t["category"][:, :16]}), "category text"),
-        (lambda f, t: (f[:-1], t), "style text"),
+        (lambda f, t: (f, t[:, :-1]), r"text \(2, 11, 32\)"),
+        (lambda f, t: (f, t[:, :, :16]), r"text \(2, 12, 16\)"),
+        (lambda f, t: (f[:-1], t), r"text \(2, 12, 32\) must be 11 rows"),
     ], ids=["feature-width", "one-row", "short-text", "text-width", "fewer-images"])
     def test_misshaped_or_mismatched_rows_are_refused(self, labeled_world, edit, message):
-        """The run checks each kind's text rows and the image rows once, when it is built."""
-        run, _ = triplet_inputs(labeled_world, "style")
+        """The run checks the (2, N, D) text rows and the image rows once, when it is built."""
+        run = triplet_inputs(labeled_world)[0]
         with pytest.raises(T.ShapeError, match=message):
             losses._TripletRun(*edit(run.f_all, run.text), run.encoders)
 

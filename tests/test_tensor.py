@@ -10,7 +10,7 @@ import pytest
 
 from stylecat import tensor as T
 from stylecat.encoders import AdapterParams
-from stylecat.losses import ADVERSARIAL_MODES, ConfigError, category_triplet_loss, class_logits, style_triplet_loss
+from stylecat.losses import ADVERSARIAL_MODES, ConfigError, class_logits, style_triplet_loss
 from stylecat.tensor import (
     ShapeError,
     Tensor,
@@ -334,8 +334,8 @@ def test_every_audit_world_has_an_active_triplet_row():
     """Without one, a triplet audit compares a zero gradient with a zero difference and checks nothing."""
     for seed in range(20):
         world = _AuditWorld(seed)
-        for kind, loss in (("style", style_triplet_loss), ("category", category_triplet_loss)):
-            loss(world.triplet_runs[kind], TRIPLET_AUDIT)
+        style_triplet_loss(world.triplet_run, TRIPLET_AUDIT)
+        for kind in ("style", "category"):
             assert world.adapter(kind).flat_grad.any(), (seed, kind)  # a gradient: a row is active
 
 
@@ -394,7 +394,7 @@ def callers_in_package(name):
 
 
 def test_the_tape_serves_only_the_training_steps_and_the_pinned_ops():
-    """In the package only the triplet objective, ``class_logits`` and ``scale`` record tape nodes, and
-    only the triplet objective walks the tape."""
-    assert callers_in_package("_node") == {"losses._triplet_loss", "losses.class_logits", "tensor.scale"}
-    assert callers_in_package("backward") == {"losses._triplet_loss"}
+    """In the package only the triplet step, ``class_logits`` and ``scale`` record tape nodes, and only the
+    triplet step walks the tape."""
+    assert callers_in_package("_node") == {"losses.style_triplet_loss", "losses.class_logits", "tensor.scale"}
+    assert callers_in_package("backward") == {"losses.style_triplet_loss"}

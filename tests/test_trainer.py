@@ -277,27 +277,28 @@ class TestTrainEncoders:
             monkeypatch.setattr(train_mod, name, counted)
         return counts
 
-    def test_unlabeled_run_calls_each_triplet_once_per_batch(self, spec, dataset, monkeypatch):
+    def test_unlabeled_run_calls_the_triplet_step_once_per_batch(self, spec, dataset, monkeypatch):
+        """An unlabeled batch is one step of both adapters, entered once through ``style_triplet_loss``."""
         train, _ = dataset
         config = TrainConfig(mode="unlabeled", epochs=1, shots=4)
-        counts = self._count_calls(monkeypatch, ("style_triplet_loss", "category_triplet_loss"))
+        counts = self._count_calls(monkeypatch, ("style_triplet_loss",))
         _, rows = train_encoders(config, spec, train, lexicon=CategoryLexicon.from_words(spec.category_names))
         batches = -(-len(subsample_shots(train, 4)) // config.batch_size)
-        assert counts == {"style_triplet_loss": batches, "category_triplet_loss": batches}
+        assert counts == {"style_triplet_loss": batches}
+        assert not hasattr(train_mod, "category_triplet_loss")
         assert len(rows) == 1
         assert np.isfinite([rows[0]["style_loss"], rows[0]["category_loss"]]).all()
 
-    def test_unlabeled_batch_runs_three_adapter_passes(self, spec, dataset, monkeypatch):
-        """A batch adapts each kind's rows once, and its other kind's rows once more after the style
-        step: the category step's anchor is the style step's negative. Each epoch's evaluation adds
-        one pass per kind. 2 epochs of 3 batches: 2 * (3 * 3 + 2) = 22."""
+    def test_unlabeled_batch_runs_one_stacked_adapter_pass(self, spec, dataset, monkeypatch):
+        """A batch adapts both kinds' text rows in one stacked (2, n, D) pass, and each epoch's evaluation
+        adds one pass per kind. 2 epochs of 3 batches: 2 * (3 + 2) = 10."""
         import stylecat.encoders as encoders_mod
         import stylecat.losses as losses_mod
 
-        calls = []
+        shapes = []
 
         def counted(x, p, _real=encoders_mod.adapt_array):
-            calls.append(len(x))
+            shapes.append(x.shape)
             return _real(x, p)
 
         for module in (encoders_mod, losses_mod, train_mod):
@@ -306,7 +307,8 @@ class TestTrainEncoders:
         config = TrainConfig(mode="unlabeled", epochs=2, shots=8)
         assert -(-len(subsample_shots(train, 8)) // config.batch_size) == 3
         train_encoders(config, spec, train, lexicon=CategoryLexicon.from_words(spec.category_names))
-        assert len(calls) == 22
+        assert len(shapes) == 10
+        assert sum(len(shape) == 3 and shape[0] == 2 for shape in shapes) == 6
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("mode", ["unlabeled", "labeled"])
@@ -357,10 +359,12 @@ class TestTrainEncoders:
 
 
 def reference_run(config, spec, train, lexicon):
-    """``train_encoders``' loop as it was before a labeled batch became one stacked step: one step per
-    kind, style then category, with each kind's own Adam, and each step the composition of the
-    single-layer ops: labeled, ``layered_ops.layered_labeled``; unlabeled, ``triplet_hinge(adapt(...))``.
-    Returns (bundle, per-epoch mean style and category losses, whether each step's loss was positive)."""
+    """``train_encoders``' loop with each kind's objective the composition of the single-layer ops and
+    each kind's own Adam. Labeled, as it was before a batch became one stacked step: one step per kind,
+    style then category, of ``layered_ops.layered_labeled``. Unlabeled, one step of both: both layered
+    hinges, ``triplet_hinge(adapt(...))``, built from the batch's parameters before either Adam steps,
+    then both Adams. Returns (bundle, per-epoch mean style and category losses, whether each kind's loss
+    of each batch was positive)."""
     data = subsample_shots(train, config.shots)
     bundle = fresh_bundle(spec, config)
     opts = {kind: Adam(bundle.adapter(kind), config.lr) for kind in ("style", "category")}
@@ -378,19 +382,24 @@ def reference_run(config, spec, train, lexicon):
         epoch = {"style": [], "category": []}
         for start in range(0, len(data), config.batch_size):
             idx = order[start : start + config.batch_size]
-            for kind, other, margin in steps:
-                p = bundle.adapter(kind)
+            if config.mode == "unlabeled":
+                hinges = {kind: triplet_hinge(adapt(Tensor(texts[kind][idx]), bundle.adapter(kind)), Tensor(f_all[idx]),
+                                              Tensor(adapt_array(texts[other][idx], bundle.adapter(other))[0]), margin)
+                          for kind, other, margin in steps}
+            for kind, _, _ in steps:
                 if config.mode == "labeled":
                     loss = layered_labeled(f_all[idx], {k: y[idx] for k, y in labels.items()}, bundle, config, kind)
                 else:
-                    negative = adapt_array(texts[other][idx], bundle.adapter(other))[0]
-                    loss = triplet_hinge(adapt(Tensor(texts[kind][idx]), p), Tensor(f_all[idx]), Tensor(negative),
-                                         margin)
-                p.zero_grad()
+                    loss = hinges[kind]
+                bundle.adapter(kind).zero_grad()
                 backward(loss)
-                opts[kind].step()
+                if config.mode == "labeled":
+                    opts[kind].step()
                 epoch[kind].append(loss.item())
                 active.append(loss.item() > 0)
+            if config.mode == "unlabeled":
+                for opt in opts.values():
+                    opt.step()
         losses.append((float(np.mean(epoch["style"])), float(np.mean(epoch["category"]))))
     return bundle, losses, active
 
@@ -941,8 +950,8 @@ class TestCli:
         assert failed == ["denoiser-train-step"]
 
     def test_gradcheck_meets_the_triplet_zero_distance(self, monkeypatch, capsys):
-        """Each triplet world holds a zero anchor-positive distance, so a hinge without its
-        ``d > 0`` guard divides 0 by 0 there and fails both triplet audits, and only those."""
+        """The triplet world's shared positive holds a zero anchor-positive distance for each kind, so a
+        hinge without its ``d > 0`` guard divides 0 by 0 there and fails both triplet audits, and only those."""
         import stylecat.losses as losses_mod
 
         real = losses_mod._hinge
@@ -950,13 +959,13 @@ class TestCli:
         def unguarded(anchor, positive, negative, margin):
             value, _, any_active = real(anchor, positive, negative, margin)
             diff_pos, diff_neg = anchor - positive, anchor - negative
-            d_pos = np.linalg.norm(diff_pos, axis=1, keepdims=True)
-            d_neg = np.linalg.norm(diff_neg, axis=1, keepdims=True)
-            active = (d_pos - d_neg + margin > 0) / len(d_pos)
+            d_pos = np.linalg.norm(diff_pos, axis=-1, keepdims=True)
+            d_neg = np.linalg.norm(diff_neg, axis=-1, keepdims=True)
+            active = (d_pos - d_neg + np.asarray(margin)[..., None] > 0) / d_pos.shape[-2]
 
             def grad(g):
-                u_pos = diff_pos / d_pos * (float(g) * active)
-                return u_pos - diff_neg / d_neg * (float(g) * active), -u_pos
+                u_pos = diff_pos / d_pos * (np.asarray(g)[..., None, None] * active)
+                return u_pos - diff_neg / d_neg * (np.asarray(g)[..., None, None] * active), -u_pos
 
             return value, grad, any_active
 
